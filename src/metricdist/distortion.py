@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from metricdist.linprog import LinearProgram, LpStatus, SolverFailure, solve
-from metricdist.metricspace import CostMatrix, is_consistent, is_q_metric
+from metricdist.metricspace import CostMatrix, _quad_gaps, is_consistent, is_q_metric
 
 __all__ = [
     "BudgetExceededError",
@@ -53,8 +51,6 @@ _SEPARATION_BATCH = 75
 _MAX_ROUNDS = 1000
 _DROP_THRESHOLD = 400
 _DROP_SLACK = 1e-5
-
-THREADS_ENV_VAR = "METRICDIST_THREADS"
 
 
 class BudgetExceededError(ValueError):
@@ -129,12 +125,7 @@ class MetricPolytope:
 
     def violated_quadruples(self, values, tol, exclude, limit):
         """Most-violated quadrilateral inequalities at ``values``, worst first."""
-        gaps = (
-            values[:, None, :, None]
-            - values[:, None, None, :]
-            - values[None, :, None, :]
-            - values[None, :, :, None]
-        )
+        gaps = _quad_gaps(values)
         n, m = values.shape
         gaps[np.arange(n), np.arange(n), :, :] = -np.inf
         gaps[:, :, np.arange(m), np.arange(m)] = -np.inf
@@ -158,34 +149,37 @@ class MetricPolytope:
 class _PolytopeSolver:
     """Row-generating maximizer over one profile's metric polytope.
 
-    Generated quadrilateral rows are kept across calls; they are valid for
-    every LP over the same polytope, so later calls start warm.
+    Every LP here normalizes one opponent column, and generated
+    quadrilateral rows are pooled per normalized opponent: each opponent
+    keeps its own working set across calls, so later LPs under the same
+    normalization start warm. The rows are valid for every LP over the
+    polytope, but those that bind under one opponent's normalization are
+    mostly slack under another's; a single shared pool only makes every LP
+    bigger.
     """
 
     def __init__(self, polytope, feas_tol=DEFAULT_FEAS_TOL, sep_tol=DEFAULT_SEP_TOL):
         self.polytope = polytope
         self.feas_tol = feas_tol
         self.sep_tol = sep_tol
-        self.active = []
-        self.active_set = set()
+        # opponent -> quadruples in insertion order (a dict as ordered set)
+        self.pools = {}
 
-    def seed_column_pair(self, c, cp):
-        """Preload the agent-pair quadrilaterals tying column ``c`` to ``cp``.
+    def seed_column_pair(self, c, opponent):
+        """Preload the agent-pair quadrilaterals tying column ``c`` to ``opponent``.
 
         These are the rows that bound an objective on column ``c`` under a
-        normalization of column ``cp``; starting with them saves most
+        normalization of column ``opponent``; starting with them saves most
         separation rounds.
         """
-        if c == cp:
+        if c == opponent:
             return
+        pool = self.pools.setdefault(opponent, {})
         n = self.polytope.num_agents
         for v in range(n):
             for vp in range(n):
                 if v != vp:
-                    quad = (v, vp, c, cp)
-                    if quad not in self.active_set:
-                        self.active.append(quad)
-                        self.active_set.add(quad)
+                    pool.setdefault((v, vp, c, opponent))
 
     def maximize(
         self,
@@ -194,14 +188,19 @@ class _PolytopeSolver:
         aux_count=0,
         cap=CAP_VALUE,
         expect_bounded=True,
+        *,
+        opponent,
     ):
         """Maximize over the polytope plus ``extra_rows``.
 
-        Returns ``(value, metric, aux_values, cap_hit)``. ``cap_hit`` means
-        the optimum sits on the safety cap, i.e. the LP without it is
-        unbounded; with ``expect_bounded`` that raises instead.
+        ``opponent`` names the column that ``extra_rows`` normalize; row
+        generation runs over that opponent's pool. Returns ``(value, metric,
+        aux_values, cap_hit)``. ``cap_hit`` means the optimum sits on the
+        safety cap, i.e. the LP without it is unbounded; with
+        ``expect_bounded`` that raises instead.
         """
         poly = self.polytope
+        pool = self.pools.setdefault(opponent, {})
         nm = poly.num_metric_vars
         width = nm + aux_count
         objective = np.zeros(width)
@@ -215,7 +214,7 @@ class _PolytopeSolver:
 
         for _ in range(_MAX_ROUNDS):
             active_rows = [
-                (_pad(poly.quadruple_row(q), width), "<=", 0.0) for q in self.active
+                (_pad(poly.quadruple_row(q), width), "<=", 0.0) for q in pool
             ]
             rows = base + active_rows + ([cap_row] if cap_added else [])
             out = _solve_with_retry(
@@ -233,7 +232,7 @@ class _PolytopeSolver:
                 poly.num_agents, poly.num_alternatives
             )
             new = poly.violated_quadruples(
-                metric, self.sep_tol, self.active_set, _SEPARATION_BATCH
+                metric, self.sep_tol, pool, _SEPARATION_BATCH
             )
             if not new:
                 cap_hit = cap_added and out.value >= cap * (1.0 - 1e-6)
@@ -246,19 +245,17 @@ class _PolytopeSolver:
 
             # Keep the working set lean: drop rows far from binding, but
             # never ones added in the previous round.
-            if len(self.active) > _DROP_THRESHOLD:
+            if len(pool) > _DROP_THRESHOLD:
                 x = out.assignment[:nm]
-                kept = []
-                for quad in self.active:
-                    if quad in fresh or poly.quadruple_row(quad) @ x > -_DROP_SLACK:
-                        kept.append(quad)
-                self.active = kept
-                self.active_set = set(kept)
+                pool = {
+                    quad: None
+                    for quad in pool
+                    if quad in fresh or poly.quadruple_row(quad) @ x > -_DROP_SLACK
+                }
+                self.pools[opponent] = pool
 
             fresh = set(new)
-            for quad in new:
-                self.active.append(quad)
-                self.active_set.add(quad)
+            pool.update(dict.fromkeys(new))
         raise SolverFailure("quadrilateral row generation did not converge")
 
     def normalization_row(self, opponent, width):
@@ -282,13 +279,6 @@ def _solve_with_retry(lp, feas_tol):
         return solve(lp, feas_tol=feas_tol)
     except SolverFailure:
         return solve(lp, pivot_tol=1e-11, feas_tol=feas_tol)
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -370,7 +360,7 @@ def a_det(c, opponent, profile, *, solver=None):
     for v in range(poly.num_agents):
         objective[poly.var(v, c)] = 1.0
     extra = [(solver.normalization_row(opponent, nm), "=", 1.0)]
-    value, metric, _, _ = solver.maximize(objective, extra)
+    value, metric, _, _ = solver.maximize(objective, extra, opponent=opponent)
     return value, CostMatrix(metric)
 
 
@@ -390,7 +380,7 @@ def a_rand(x, opponent, profile, *, solver=None):
         for v in range(poly.num_agents):
             objective[poly.var(v, c)] = x[c]
     extra = [(solver.normalization_row(opponent, nm), "=", 1.0)]
-    value, metric, _, _ = solver.maximize(objective, extra)
+    value, metric, _, _ = solver.maximize(objective, extra, opponent=opponent)
     return value, CostMatrix(metric)
 
 
@@ -425,12 +415,6 @@ def _distortion_report(profile, *, winner, distribution, rule, tie_break, seed):
     m = profile.num_alternatives
     opponents = [c for c in range(m) if c != winner]
     tolerances = {"feas_tol": DEFAULT_FEAS_TOL, "witness_tol": WITNESS_TOL}
-
-    def evaluate(opponent, solver=None):
-        if distribution is None:
-            return a_det(winner, opponent, profile, solver=solver)
-        return a_rand(distribution, opponent, profile, solver=solver)
-
     if not opponents:
         return DistortionReport(
             rule=rule,
@@ -442,13 +426,13 @@ def _distortion_report(profile, *, winner, distribution, rule, tie_break, seed):
             seed=seed,
         )
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(evaluate, opponents))
+    solver = _PolytopeSolver(MetricPolytope(profile))
+    if distribution is None:
+        results = [a_det(winner, opp, profile, solver=solver) for opp in opponents]
     else:
-        solver = _PolytopeSolver(MetricPolytope(profile))
-        results = [evaluate(opp, solver) for opp in opponents]
+        results = [
+            a_rand(distribution, opp, profile, solver=solver) for opp in opponents
+        ]
 
     per_opponent = {opp: value for opp, (value, _) in zip(opponents, results)}
     # Fixed reduction order: first opponent attaining the max wins ties.
@@ -553,7 +537,7 @@ def fairness_det(winner, profile, k_set=None, budget=10):
                 for v in subset:
                     objective[poly.var(v, winner)] = 1.0
                 value, metric, _, _ = solver.maximize(
-                    objective, rows, aux_count=1 + n
+                    objective, rows, aux_count=1 + n, opponent=z
                 )
                 k_best = max(k_best, value)
                 if value > best[0]:
@@ -618,7 +602,7 @@ def fairness_rand(x, profile, k_set=None, budget=20_000):
                     for v in subset:
                         objective[poly.var(v, c)] += x[c]
                 value, metric, _, _ = solver.maximize(
-                    objective, rows, aux_count=1 + n
+                    objective, rows, aux_count=1 + n, opponent=z
                 )
                 return value, metric
 
@@ -640,7 +624,9 @@ def fairness_rand(x, profile, k_set=None, budget=20_000):
                     objective = np.zeros(nm)
                     for v in subset:
                         objective[poly.var(v, c)] = 1.0
-                    value, _, _, _ = solver.maximize(objective, rows, aux_count=1 + n)
+                    value, _, _, _ = solver.maximize(
+                        objective, rows, aux_count=1 + n, opponent=z
+                    )
                     if value > best_c:
                         best_c, best_subset = value, subset
                 upper += x[c] * best_c

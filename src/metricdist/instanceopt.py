@@ -11,8 +11,6 @@ and the two modes cross-check each other.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +33,12 @@ __all__ = [
 
 DEFAULT_EPS = 1e-4
 DEFAULT_MAX_CUTS = 500
+# Relative tolerance under which two opt_det row maxima count as tied.
+TIE_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
-    """Cutting-plane loop hit its cut cap; carries the state for debugging."""
+    """Cutting-plane loop hit its cut cap or stalled; carries the state."""
 
     def __init__(self, message, state):
         super().__init__(f"{message}\n{state.summary()}")
@@ -88,42 +88,29 @@ class OptRandResult:
     state: CuttingPlaneState
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("METRICDIST_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def opt_det(profile) -> OptDetResult:
     """Winner minimizing the worst ratio against any opponent.
 
     Solves one LP per ordered pair; unreachable opponents yield infinite
-    entries, which simply disqualify that row from the argmin. Ties break
-    toward the smallest index.
+    entries, which simply disqualify that row from the argmin. Row maxima
+    within ``TIE_TOL`` (relative) of the minimum tie, and ties break toward
+    the smallest index, so LP rounding never picks the winner.
     """
     m = profile.num_alternatives
     matrix = np.ones((m, m))
-    pairs = [(c, cp) for c in range(m) for cp in range(m) if c != cp]
-
-    def entry(pair, solver=None):
-        try:
-            return a_det(pair[0], pair[1], profile, solver=solver)[0]
-        except SolverFailure as exc:
-            raise SolverFailure(f"pair {pair}: {exc}") from exc
-
-    threads = _thread_count()
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(entry, pairs))
-    else:
-        solver = _PolytopeSolver(MetricPolytope(profile))
-        values = [entry(pair, solver) for pair in pairs]
-    for (c, cp), value in zip(pairs, values):
-        matrix[c, cp] = value
+    solver = _PolytopeSolver(MetricPolytope(profile))
+    for c in range(m):
+        for cp in range(m):
+            if c == cp:
+                continue
+            try:
+                matrix[c, cp] = a_det(c, cp, profile, solver=solver)[0]
+            except SolverFailure as exc:
+                raise SolverFailure(f"pair {(c, cp)}: {exc}") from exc
 
     row_max = matrix.max(axis=1)
-    winner = int(np.argmin(row_max))
+    best = row_max.min()
+    winner = int(np.argmax(row_max <= best + TIE_TOL * max(1.0, abs(best))))
     return OptDetResult(winner=winner, value=float(row_max[winner]), matrix=matrix)
 
 
@@ -164,7 +151,7 @@ def separation_oracle(x, gamma, profile, *, solver=None, viol_tol=DEFAULT_EPS / 
         for other in range(m):
             if other != opponent:
                 extra.append((solver.normalization_row(other, nm), ">=", 1.0))
-        value, metric, _, _ = solver.maximize(objective, extra)
+        value, metric, _, _ = solver.maximize(objective, extra, opponent=opponent)
         per_opponent[opponent] = value
         if value > best[0]:
             best = (value, opponent, CostMatrix(metric))
@@ -245,10 +232,24 @@ def _blocked_rows(state, m, total):
     return rows
 
 
+def _master_point(state, assignment, m):
+    """Lottery from a master solution, blocked columns zeroed exactly.
+
+    The master LP caps blocked columns at 0 but may leave round-off there;
+    the oracle counts any positive entry as support, so a stray 1e-17 would
+    bring back a verdict that was already handled.
+    """
+    x = assignment[:m].copy()
+    x[list(state.blocked_columns)] = 0.0
+    return x / x.sum()
+
+
 def _register_cut(state, verdict, gamma):
     if verdict.blocked:
-        for c, _ in verdict.blocked:
-            state.blocked_columns.add(c)
+        columns = {c for c, _ in verdict.blocked}
+        if columns <= state.blocked_columns:
+            raise ConvergenceError("oracle verdict adds no cut", state)
+        state.blocked_columns |= columns
         return
     sums = verdict.witness.values.sum(axis=0)
     state.cuts.append((sums, verdict.witness, verdict.value - gamma))
@@ -267,7 +268,7 @@ def _opt_rand_master(profile, solver, state, eps, max_cuts):
         out = solve(LinearProgram("min", objective, constraints))
         if out.status is not LpStatus.OPTIMAL:
             raise SolverFailure(f"master LP returned {out.status}")
-        x_hat = out.assignment[:m] / out.assignment[:m].sum()
+        x_hat = _master_point(state, out.assignment, m)
         gamma_hat = float(out.assignment[m])
         state.master_values.append(gamma_hat)
 
@@ -301,7 +302,7 @@ def _opt_rand_bisect(profile, solver, state, eps, max_cuts):
             slack = float(out.value)
             if slack > eps / 2:
                 return None  # even the finite cut subsystem is violated
-            x_hat = out.assignment[:m] / out.assignment[:m].sum()
+            x_hat = _master_point(state, out.assignment, m)
             verdict = separation_oracle(
                 x_hat, gamma, profile, solver=solver, viol_tol=eps / 2
             )

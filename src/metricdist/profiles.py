@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from metricdist.metricspace import CostMatrix, is_consistent, is_q_metric
+from metricdist.metricspace import (
+    CostMatrix,
+    is_consistent,
+    is_q_metric,
+    random_line_metric,
+)
 
 __all__ = [
     "LabeledInstance",
@@ -327,12 +332,8 @@ def random_line_instance(
     num_agents: int, num_alternatives: int, rng, length: float = 10.0
 ) -> LabeledInstance:
     """Profile induced by random points on a segment, paired with those costs."""
-    agents = rng.uniform(0.0, length, size=num_agents)
-    alts = rng.uniform(0.0, length, size=num_alternatives)
-    costs = np.abs(agents[:, None] - alts[None, :])
-    rankings = np.argsort(costs, axis=1, kind="stable")
+    metric = random_line_metric(num_agents, num_alternatives, rng, length)
+    rankings = np.argsort(metric.values, axis=1, kind="stable")
     return LabeledInstance(
-        PreferenceProfile(rankings),
-        CostMatrix(costs),
-        {"generator": "random_line"},
+        PreferenceProfile(rankings), metric, {"generator": "random_line"}
     )

@@ -160,15 +160,6 @@ def test_full_lp_materialization_solves_to_3():
     assert out.value == pytest.approx(3.0, abs=1e-7)
 
 
-def test_thread_env_var_gives_same_results(monkeypatch):
-    profile = warmup_instance().profile
-    base = dist_det(0, profile)
-    monkeypatch.setenv("METRICDIST_THREADS", "3")
-    threaded = dist_det(0, profile)
-    assert threaded.value == pytest.approx(base.value, abs=1e-9)
-    assert threaded.per_opponent.keys() == base.per_opponent.keys()
-
-
 def test_metric_polytope_rows_match_direct_checks():
     rng = np.random.default_rng(11)
     profile = random_profile(3, 3, rng)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from metricdist import instanceopt
 from metricdist.distortion import dist_det, dist_rand
 from metricdist.instanceopt import (
     CuttingPlaneState,
@@ -13,6 +14,7 @@ from metricdist.instanceopt import (
 )
 from metricdist.profiles import (
     PreferenceProfile,
+    parse_profile,
     random_profile,
     ranked_pairs_hard_instance,
     warmup_instance,
@@ -38,6 +40,24 @@ def test_opt_det_unanimous():
     assert result.value == pytest.approx(1.0, abs=1e-6)
     # non-winners are unboundedly bad against the unanimous favourite
     assert math.isinf(result.matrix[0, 1])
+
+
+def test_opt_det_ties_break_toward_smallest_index(monkeypatch):
+    # Warm-up row maxima are all exactly 3; shave one ulp off row 1's only
+    # maximal entry. Rounding of that size is LP noise, not a better winner.
+    real_a_det = instanceopt.a_det
+
+    def shaved(c, opponent, profile, *, solver=None):
+        value, witness = real_a_det(c, opponent, profile, solver=solver)
+        if (c, opponent) == (1, 0):
+            value = np.nextafter(value, 0.0)
+        return value, witness
+
+    monkeypatch.setattr(instanceopt, "a_det", shaved)
+    result = opt_det(warmup_instance().profile)
+    assert result.matrix.max(axis=1)[1] < 3.0
+    assert result.winner == 0
+    assert result.value == pytest.approx(3.0, abs=1e-6)
 
 
 def test_opt_det_below_ranked_pairs():
@@ -94,6 +114,18 @@ def test_opt_rand_modes_agree():
         master = opt_rand(profile, eps=1e-4)
         bisect = opt_rand(profile, eps=1e-4, binary_search=True)
         assert abs(master.value - bisect.value) <= 2e-4
+
+
+def test_opt_rand_master_skips_round_off_on_blocked_columns():
+    # Alternative 0 is ranked last by everyone, so the master blocks it; the
+    # next master solution used to carry ~1e-17 there and loop to the cut cap.
+    profile = parse_profile("4 4\n2 4 3 1\n2 4 3 1\n4 3 2 1\n3 2 4 1\n")
+    eps = 1e-4
+    master = opt_rand(profile, eps=eps)
+    bisect = opt_rand(profile, eps=eps, binary_search=True)
+    assert master.x[0] == 0.0
+    assert master.value == pytest.approx(1.909, abs=1e-3)
+    assert abs(master.value - bisect.value) <= 2 * eps
 
 
 def test_opt_rand_x_feeds_dist_rand():

@@ -1,7 +1,14 @@
+import copy
+
 import numpy as np
 import pytest
 
-from metricdist.metricspace import is_consistent, is_q_metric, social_cost
+from metricdist.metricspace import (
+    is_consistent,
+    is_q_metric,
+    random_line_metric,
+    social_cost,
+)
 from metricdist.profiles import (
     PreferenceProfile,
     ProfileParseError,
@@ -67,9 +74,13 @@ def test_profile_roundtrip_is_identity():
 def test_cost_matrix_roundtrip_is_bit_exact():
     rng = np.random.default_rng(4)
     for _ in range(20):
-        d = random_line_instance(int(rng.integers(1, 6)), int(rng.integers(1, 5)), rng).metric
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        twin = copy.deepcopy(rng)
+        d = random_line_instance(n, m, rng).metric
         again = parse_cost_matrix(serialize_cost_matrix(d))
         assert np.array_equal(again.values, d.values)
+        # the instance's costs are the line metric of the same draws
+        assert np.array_equal(d.values, random_line_metric(n, m, twin).values)
 
 
 def test_top_choice_counts():
