@@ -7,6 +7,11 @@ add the rows it violates, repeat. A run only terminates once the incumbent
 satisfies the complete inequality family, so reported optima are exact up to
 solver tolerances, and every report carries a feasibility-checked witness.
 
+The relaxations are not solved from scratch. Each normalized opponent keeps
+one live simplex tableau: generated rows enter it and are re-optimized by
+the dual simplex, and the next objective over the same rows (another
+candidate, subset or lottery) resumes from its last optimal basis.
+
 A ratio is infinite exactly when some positively weighted alternative has no
 chain of single-agent preferences leading to the normalized opponent: along
 such a chain each consistency row caps the column, and without one the
@@ -22,8 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from metricdist.linprog import LinearProgram, LpStatus, SolverFailure, solve
+from metricdist.linprog import (
+    DEFAULT_PIVOT_TOL,
+    LinearProgram,
+    LpStatus,
+    SolverFailure,
+    Tableau,
+)
 from metricdist.metricspace import CostMatrix, _quad_gaps, is_consistent, is_q_metric
+from metricdist.profiles import serialize_profile
 
 __all__ = [
     "BudgetExceededError",
@@ -51,6 +63,20 @@ _SEPARATION_BATCH = 75
 _MAX_ROUNDS = 1000
 _DROP_THRESHOLD = 400
 _DROP_SLACK = 1e-5
+# Pivot tolerance of the second cold solve after numerical drift.
+_RETRY_PIVOT_TOL = 1e-11
+# Label of the cap row among a live tableau's constraints.
+_CAP = "cap"
+SOLVER_STATS = (
+    "cold_builds",  # tableaux built by the two-phase method
+    "warm_solves",  # re-optimizations of a live tableau
+    "primal_pivots",
+    "dual_pivots",
+    "refactors",  # tableaux recomputed from their rows to shed round-off
+    "rebuilds",  # cold rebuilds after a failed warm re-optimization
+    "retries",  # cold solves repeated with a tighter pivot tolerance
+    "cap_rows",  # cap rows added to unbounded relaxations
+)
 
 
 class BudgetExceededError(ValueError):
@@ -102,14 +128,22 @@ class MetricPolytope:
             self._consistency = rows
         return self._consistency
 
-    def quadruple_row(self, quad) -> np.ndarray:
-        v, vp, c, cp = quad
-        row = np.zeros(self.num_metric_vars)
-        row[self.var(v, c)] = 1.0
-        row[self.var(v, cp)] -= 1.0
-        row[self.var(vp, cp)] -= 1.0
-        row[self.var(vp, c)] -= 1.0
-        return row
+    def quadruple_rows(self, quads, width=None) -> np.ndarray:
+        """Rows of ``d(v,c) - d(v,c') - d(v',c') - d(v',c) <= 0``, one per quadruple.
+
+        Each quadruple ``(v, v', c, c')`` has ``v != v'`` and ``c != c'``, so
+        its four entries are distinct. Rows are zero-padded to ``width``.
+        """
+        q = np.asarray(quads, dtype=int).reshape(-1, 4)
+        v, vp, c, cp = q.T
+        m = self.num_alternatives
+        rows = np.zeros((len(q), width or self.num_metric_vars))
+        r = np.arange(len(q))
+        rows[r, v * m + c] = 1.0
+        rows[r, v * m + cp] = -1.0
+        rows[r, vp * m + cp] = -1.0
+        rows[r, vp * m + c] = -1.0
+        return rows
 
     def all_quadruples(self):
         n, m = self.num_agents, self.num_alternatives
@@ -146,16 +180,38 @@ class MetricPolytope:
         return is_q_metric(d, tol)[0] and is_consistent(d, self.profile, tol)[0]
 
 
+class _LiveLp:
+    """One live tableau, with what each of its constraints is.
+
+    ``labels`` runs parallel to the tableau's constraints: ``None`` for a
+    consistency or extra row, a quadruple for a quadrilateral row, ``_CAP``
+    for the cap row.
+    """
+
+    __slots__ = ("tableau", "labels", "quads")
+
+    def __init__(self, tableau, labels):
+        self.tableau = tableau
+        self.labels = labels
+        self.quads = {q for q in labels if isinstance(q, tuple)}
+
+
 class _PolytopeSolver:
     """Row-generating maximizer over one profile's metric polytope.
 
     Every LP here normalizes one opponent column, and generated
-    quadrilateral rows are pooled per normalized opponent: each opponent
-    keeps its own working set across calls, so later LPs under the same
-    normalization start warm. The rows are valid for every LP over the
-    polytope, but those that bind under one opponent's normalization are
-    mostly slack under another's; a single shared pool only makes every LP
-    bigger.
+    quadrilateral rows are pooled per normalized opponent: the rows are
+    valid for every LP over the polytope, but those that bind under one
+    opponent's normalization are mostly slack under another's.
+
+    Each normalized opponent and its extra rows (the normalization, or the
+    top-k rows of fairness) keep one live tableau across calls. New
+    quadrilateral rows enter it and are re-optimized by the dual simplex; a
+    new objective first takes in the pool rows the tableau lacks, then
+    resumes the primal simplex from the last optimal basis. Every round's
+    assignment is verified against every row; a warm re-optimization that
+    fails is rebuilt cold, and a failing cold solve is retried once with a
+    tighter pivot tolerance. ``stats`` counts all of it (``SOLVER_STATS``).
     """
 
     def __init__(self, polytope, feas_tol=DEFAULT_FEAS_TOL, sep_tol=DEFAULT_SEP_TOL):
@@ -164,6 +220,10 @@ class _PolytopeSolver:
         self.sep_tol = sep_tol
         # opponent -> quadruples in insertion order (a dict as ordered set)
         self.pools = {}
+        # (opponent, width, extra rows) -> _LiveLp
+        self.live = {}
+        self.stats = dict.fromkeys(SOLVER_STATS, 0)
+        self._consistency = {}  # width -> padded consistency rows
 
     def seed_column_pair(self, c, opponent):
         """Preload the agent-pair quadrilaterals tying column ``c`` to ``opponent``.
@@ -181,104 +241,221 @@ class _PolytopeSolver:
                 if v != vp:
                     pool.setdefault((v, vp, c, opponent))
 
-    def maximize(
-        self,
-        metric_objective,
-        extra_rows=(),
-        aux_count=0,
-        cap=CAP_VALUE,
-        expect_bounded=True,
-        *,
-        opponent,
-    ):
-        """Maximize over the polytope plus ``extra_rows``.
+    def maximize(self, metric_objective, extra_rows=(), aux_count=0, *, opponent):
+        """Maximize over the polytope plus ``extra_rows``; returns ``(value, metric)``.
 
         ``opponent`` names the column that ``extra_rows`` normalize; row
-        generation runs over that opponent's pool. Returns ``(value, metric,
-        aux_values, cap_hit)``. ``cap_hit`` means the optimum sits on the
-        safety cap, i.e. the LP without it is unbounded; with
-        ``expect_bounded`` that raises instead.
+        generation runs over that opponent's pool and live tableau.
+
+        Raises:
+            SolverFailure: the solve failed warm and cold, or the optimum
+                sits on the safety cap (the program is unbounded).
         """
-        poly = self.polytope
-        pool = self.pools.setdefault(opponent, {})
-        nm = poly.num_metric_vars
+        nm = self.polytope.num_metric_vars
         width = nm + aux_count
         objective = np.zeros(width)
         objective[:nm] = metric_objective
+        extra_rows = list(extra_rows)
+        rows_key = tuple(
+            (np.asarray(row).tobytes(), rel, float(b)) for row, rel, b in extra_rows
+        )
+        key = (opponent, width, rows_key)
+        pool = self.pools.setdefault(opponent, {})
+        # Popped while in use, so a call that raises leaves no tableau behind.
+        live = self.live.pop(key, None)
+        if live is None:
+            live, status, out = self._start(objective, extra_rows, pool)
+        else:
+            status, out = self._resume(live, objective, pool)
+        value, x = self._generate_rows(live, pool, status, out)
+        self.live[key] = live
+        return value, x[:nm].reshape(self.polytope.num_agents, -1)
 
-        base = [(_pad(row, width), "<=", 0.0) for row in poly.consistency_rows()]
-        base.extend(extra_rows)
-        cap_row = (objective, "<=", float(cap))
-        cap_added = False
-        fresh = set()
-
-        for _ in range(_MAX_ROUNDS):
-            active_rows = [
-                (_pad(poly.quadruple_row(q), width), "<=", 0.0) for q in pool
+    def _start(self, objective, extra_rows, pool):
+        """Cold-build the tableau of a new key over its pool."""
+        width = objective.size
+        consistency = self._consistency.get(width)
+        if consistency is None:
+            rows = self.polytope.consistency_rows()
+            consistency = np.zeros((len(rows), width))
+            consistency[:, : rows.shape[1]] = rows
+            self._consistency[width] = consistency
+        quads = list(pool)
+        rows = np.vstack(
+            [
+                consistency,
+                np.reshape([r for r, _, _ in extra_rows], (-1, width)),
+                self.polytope.quadruple_rows(quads, width),
             ]
-            rows = base + active_rows + ([cap_row] if cap_added else [])
-            out = _solve_with_retry(
-                LinearProgram("max", objective, rows), self.feas_tol
-            )
-            if out.status is LpStatus.UNBOUNDED:
-                if cap_added:
-                    raise SolverFailure("unbounded in spite of the cap row")
-                cap_added = True
-                continue
-            if out.status is not LpStatus.OPTIMAL:
-                raise SolverFailure(f"unexpected LP status {out.status}")
+        )
+        relations = ["<="] * len(consistency) + [rel for _, rel, _ in extra_rows]
+        relations += ["<="] * len(quads)
+        rhs = np.zeros(len(rows))
+        rhs[len(consistency) : len(consistency) + len(extra_rows)] = [
+            b for _, _, b in extra_rows
+        ]
+        labels = [None] * (len(consistency) + len(extra_rows)) + quads
+        tableau, status, out = self._cold(objective, rows, relations, rhs)
+        return _LiveLp(tableau, labels), status, out
 
-            metric = out.assignment[:nm].reshape(
-                poly.num_agents, poly.num_alternatives
-            )
+    def _resume(self, live, objective, pool):
+        """Switch a live tableau to ``objective`` and re-optimize it."""
+        cap = [i for i, label in enumerate(live.labels) if label is _CAP]
+        if cap:
+            # The last call ended below the cap, so its slack is basic.
+            self._remove(live, cap)
+        missing = [q for q in pool if q not in live.quads]
+        if missing:
+            # Enter under the old objective, whose basis stays dual feasible.
+            self._add_quads(live, missing)
+            status, _ = self._reoptimize(live)
+            if status is not LpStatus.OPTIMAL:
+                raise self._failure(
+                    f"unexpected LP status {status}", live.tableau.program()
+                )
+        live.tableau.set_objective(objective)
+        return self._reoptimize(live)
+
+    def _generate_rows(self, live, pool, status, out):
+        """Separation rounds until the optimum satisfies every quadrilateral."""
+        poly = self.polytope
+        fresh = set()
+        for _ in range(_MAX_ROUNDS):
+            if status is LpStatus.UNBOUNDED:
+                if _CAP in live.labels:
+                    raise self._failure(
+                        "unbounded in spite of the cap row", live.tableau.program()
+                    )
+                live.tableau.add_rows(live.tableau.objective, [CAP_VALUE])
+                live.labels.append(_CAP)
+                self.stats["cap_rows"] += 1
+                status, out = self._reoptimize(live)
+                continue
+            if status is not LpStatus.OPTIMAL:
+                raise self._failure(
+                    f"unexpected LP status {status}", live.tableau.program()
+                )
+
+            x = out.assignment
+            metric = x[: poly.num_metric_vars].reshape(poly.num_agents, -1)
             new = poly.violated_quadruples(
-                metric, self.sep_tol, pool, _SEPARATION_BATCH
+                metric, self.sep_tol, live.quads, _SEPARATION_BATCH
             )
             if not new:
-                cap_hit = cap_added and out.value >= cap * (1.0 - 1e-6)
-                if cap_hit and expect_bounded:
-                    raise SolverFailure(
+                if _CAP in live.labels and out.value >= CAP_VALUE * (1.0 - 1e-6):
+                    raise self._failure(
                         "objective reached the safety cap on a supposedly "
-                        "bounded program"
+                        "bounded program",
+                        live.tableau.program(),
                     )
-                return out.value, metric, out.assignment[nm:], cap_hit
+                return out.value, x
 
             # Keep the working set lean: drop rows far from binding, but
             # never ones added in the previous round.
-            if len(pool) > _DROP_THRESHOLD:
-                x = out.assignment[:nm]
-                pool = {
-                    quad: None
-                    for quad in pool
-                    if quad in fresh or poly.quadruple_row(quad) @ x > -_DROP_SLACK
-                }
-                self.pools[opponent] = pool
+            if len(live.quads) > _DROP_THRESHOLD:
+                old = [
+                    i
+                    for i, label in enumerate(live.labels)
+                    if isinstance(label, tuple) and label not in fresh
+                ]
+                slack = -(live.tableau.rows[old] @ x)
+                far = [i for i, s in zip(old, slack) if s >= _DROP_SLACK]
+                for quad in self._remove(live, far):
+                    pool.pop(quad, None)
 
             fresh = set(new)
             pool.update(dict.fromkeys(new))
-        raise SolverFailure("quadrilateral row generation did not converge")
+            self._add_quads(live, new)
+            status, out = self._reoptimize(live)
+        raise self._failure(
+            "quadrilateral row generation did not converge", live.tableau.program()
+        )
+
+    def _add_quads(self, live, quads):
+        width = live.tableau.objective.size
+        live.tableau.add_rows(
+            self.polytope.quadruple_rows(quads, width), np.zeros(len(quads))
+        )
+        live.labels.extend(quads)
+        live.quads.update(quads)
+
+    def _remove(self, live, indices):
+        """Remove those constraints ``indices`` whose slack is basic.
+
+        Returns the labels of the removed constraints.
+        """
+        removed = live.tableau.remove_rows(indices)
+        gone = {i for i, r in zip(indices, removed) if r}
+        labels = [live.labels[i] for i in sorted(gone)]
+        live.labels = [label for i, label in enumerate(live.labels) if i not in gone]
+        live.quads.difference_update(labels)
+        return labels
+
+    def _run(self, tableau):
+        """Optimize ``tableau``; the outcome is verified, pivots counted."""
+        counts = ("primal_pivots", "dual_pivots", "refactors")
+        before = [getattr(tableau, name) for name in counts]
+        try:
+            status = tableau.optimize()
+            return status, tableau.outcome() if status is LpStatus.OPTIMAL else None
+        finally:
+            for name, old in zip(counts, before):
+                self.stats[name] += getattr(tableau, name) - old
+
+    def _reoptimize(self, live):
+        """Warm re-optimization, rebuilt cold if it fails."""
+        self.stats["warm_solves"] += 1
+        tableau = live.tableau
+        try:
+            status, out = self._run(tableau)
+            if status is LpStatus.INFEASIBLE:
+                raise SolverFailure("warm re-optimization reported infeasible")
+            return status, out
+        except SolverFailure:
+            self.stats["rebuilds"] += 1
+        live.tableau, status, out = self._cold(
+            tableau.objective, tableau.rows, tableau.relations, tableau.rhs
+        )
+        return status, out
+
+    def _cold(self, objective, rows, relations, rhs):
+        """Two-phase solve, retried once with a tighter pivot tolerance."""
+        self.stats["cold_builds"] += 1
+        for pivot_tol in (DEFAULT_PIVOT_TOL, _RETRY_PIVOT_TOL):
+            try:
+                tableau = Tableau(
+                    "max",
+                    objective,
+                    rows,
+                    relations,
+                    rhs,
+                    pivot_tol=pivot_tol,
+                    feas_tol=self.feas_tol,
+                )
+                self.stats["primal_pivots"] += tableau.primal_pivots
+                return (tableau, *self._run(tableau))
+            except SolverFailure as exc:
+                failure = exc
+                if pivot_tol == DEFAULT_PIVOT_TOL:
+                    self.stats["retries"] += 1
+        raise self._failure(
+            f"cold solve failed at every pivot tolerance: {failure}",
+            LinearProgram("max", objective, zip(rows, relations, rhs)),
+        ) from failure
+
+    def _failure(self, message, program):
+        """A failure that carries ``program`` and the profile to reproduce it."""
+        return SolverFailure(
+            message,
+            lp_text=program.dump_text(),
+            profile_text=serialize_profile(self.polytope.profile),
+        )
 
     def normalization_row(self, opponent, width):
         row = np.zeros(width)
         for v in range(self.polytope.num_agents):
             row[self.polytope.var(v, opponent)] = 1.0
         return row
-
-
-def _pad(row, width):
-    if row.size == width:
-        return row
-    out = np.zeros(width)
-    out[: row.size] = row
-    return out
-
-
-def _solve_with_retry(lp, feas_tol):
-    """Solve, retrying once with a tighter pivot tolerance on numerical drift."""
-    try:
-        return solve(lp, feas_tol=feas_tol)
-    except SolverFailure:
-        return solve(lp, pivot_tol=1e-11, feas_tol=feas_tol)
 
 
 @dataclass
@@ -295,6 +472,8 @@ class DistortionReport:
     tie_break: list | None = None
     tolerances: dict = field(default_factory=dict)
     seed: int | None = None
+    # How the LPs were solved: counts keyed by SOLVER_STATS.
+    solver_stats: dict = field(default_factory=lambda: dict.fromkeys(SOLVER_STATS, 0))
 
     def __post_init__(self):
         if self.witness is None:
@@ -339,7 +518,8 @@ def build_full_lp(winner_or_x, opponent, profile) -> LinearProgram:
         norm[poly.var(v, opponent)] = 1.0
     constraints = [(norm, "=", 1.0)]
     constraints += [(row, "<=", 0.0) for row in poly.consistency_rows()]
-    constraints += [(poly.quadruple_row(q), "<=", 0.0) for q in poly.all_quadruples()]
+    quads = poly.quadruple_rows(poly.all_quadruples())
+    constraints += [(row, "<=", 0.0) for row in quads]
     return LinearProgram("max", objective, constraints)
 
 
@@ -360,7 +540,7 @@ def a_det(c, opponent, profile, *, solver=None):
     for v in range(poly.num_agents):
         objective[poly.var(v, c)] = 1.0
     extra = [(solver.normalization_row(opponent, nm), "=", 1.0)]
-    value, metric, _, _ = solver.maximize(objective, extra, opponent=opponent)
+    value, metric = solver.maximize(objective, extra, opponent=opponent)
     return value, CostMatrix(metric)
 
 
@@ -380,7 +560,7 @@ def a_rand(x, opponent, profile, *, solver=None):
         for v in range(poly.num_agents):
             objective[poly.var(v, c)] = x[c]
     extra = [(solver.normalization_row(opponent, nm), "=", 1.0)]
-    value, metric, _, _ = solver.maximize(objective, extra, opponent=opponent)
+    value, metric = solver.maximize(objective, extra, opponent=opponent)
     return value, CostMatrix(metric)
 
 
@@ -449,6 +629,7 @@ def _distortion_report(profile, *, winner, distribution, rule, tie_break, seed):
         tie_break=tie_break,
         tolerances=tolerances,
         seed=seed,
+        solver_stats=dict(solver.stats),
     )
 
 
@@ -463,6 +644,8 @@ class FairnessReport:
     value: float
     argmax: tuple | None = None  # (k, opponent, subset)
     witness: CostMatrix | None = None
+    # How the LPs were solved: counts keyed by SOLVER_STATS.
+    solver_stats: dict = field(default_factory=lambda: dict.fromkeys(SOLVER_STATS, 0))
 
 
 @dataclass
@@ -536,7 +719,7 @@ def fairness_det(winner, profile, k_set=None, budget=10):
                 objective = np.zeros(nm)
                 for v in subset:
                     objective[poly.var(v, winner)] = 1.0
-                value, metric, _, _ = solver.maximize(
+                value, metric = solver.maximize(
                     objective, rows, aux_count=1 + n, opponent=z
                 )
                 k_best = max(k_best, value)
@@ -550,6 +733,7 @@ def fairness_det(winner, profile, k_set=None, budget=10):
         value=value,
         argmax=best[1],
         witness=best[2],
+        solver_stats=dict(solver.stats),
     )
 
 
@@ -601,7 +785,7 @@ def fairness_rand(x, profile, k_set=None, budget=20_000):
                 for c, subset in zip(support, subset_by_candidate):
                     for v in subset:
                         objective[poly.var(v, c)] += x[c]
-                value, metric, _, _ = solver.maximize(
+                value, metric = solver.maximize(
                     objective, rows, aux_count=1 + n, opponent=z
                 )
                 return value, metric
@@ -624,7 +808,7 @@ def fairness_rand(x, profile, k_set=None, budget=20_000):
                     objective = np.zeros(nm)
                     for v in subset:
                         objective[poly.var(v, c)] = 1.0
-                    value, _, _, _ = solver.maximize(
+                    value, _ = solver.maximize(
                         objective, rows, aux_count=1 + n, opponent=z
                     )
                     if value > best_c:

@@ -50,6 +50,7 @@ class OptDetResult:
     winner: int
     value: float
     matrix: np.ndarray  # worst-ratio table, entry [c, opponent]; diagonal 1
+    solver_stats: dict = field(default_factory=dict)  # keyed by SOLVER_STATS
 
 
 @dataclass
@@ -106,12 +107,21 @@ def opt_det(profile) -> OptDetResult:
             try:
                 matrix[c, cp] = a_det(c, cp, profile, solver=solver)[0]
             except SolverFailure as exc:
-                raise SolverFailure(f"pair {(c, cp)}: {exc}") from exc
+                raise SolverFailure(
+                    f"pair {(c, cp)}: {exc}",
+                    lp_text=exc.lp_text,
+                    profile_text=exc.profile_text,
+                ) from exc
 
     row_max = matrix.max(axis=1)
     best = row_max.min()
     winner = int(np.argmax(row_max <= best + TIE_TOL * max(1.0, abs(best))))
-    return OptDetResult(winner=winner, value=float(row_max[winner]), matrix=matrix)
+    return OptDetResult(
+        winner=winner,
+        value=float(row_max[winner]),
+        matrix=matrix,
+        solver_stats=dict(solver.stats),
+    )
 
 
 def separation_oracle(x, gamma, profile, *, solver=None, viol_tol=DEFAULT_EPS / 2):
@@ -151,7 +161,7 @@ def separation_oracle(x, gamma, profile, *, solver=None, viol_tol=DEFAULT_EPS / 
         for other in range(m):
             if other != opponent:
                 extra.append((solver.normalization_row(other, nm), ">=", 1.0))
-        value, metric, _, _ = solver.maximize(objective, extra, opponent=opponent)
+        value, metric = solver.maximize(objective, extra, opponent=opponent)
         per_opponent[opponent] = value
         if value > best[0]:
             best = (value, opponent, CostMatrix(metric))

@@ -1,11 +1,15 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from metricdist import linprog
 from metricdist.distortion import (
     BudgetExceededError,
     MetricPolytope,
+    _PolytopeSolver,
+    _top_k_rows,
     a_det,
     a_rand,
     dist_det,
@@ -14,12 +18,15 @@ from metricdist.distortion import (
     fairness_rand,
     grid_oracle,
 )
+from metricdist.instanceopt import opt_det
+from metricdist.linprog import SolverFailure
 from metricdist.metricspace import CostMatrix, social_cost, top_k_cost
 from metricdist.profiles import (
     PreferenceProfile,
     coupling_instance,
     random_profile,
     ranked_pairs_hard_instance,
+    serialize_profile,
     symmetric_tournament_instance,
     warmup_instance,
 )
@@ -165,7 +172,7 @@ def test_metric_polytope_rows_match_direct_checks():
     profile = random_profile(3, 3, rng)
     poly = MetricPolytope(profile)
     rows = [(row, 0.0) for row in poly.consistency_rows()]
-    rows += [(poly.quadruple_row(q), 0.0) for q in poly.all_quadruples()]
+    rows += [(row, 0.0) for row in poly.quadruple_rows(poly.all_quadruples())]
     for _ in range(40):
         d = rng.uniform(0, 2, size=(3, 3))
         by_rows = all(row @ d.ravel() <= rhs + 1e-12 for row, rhs in rows)
@@ -290,3 +297,109 @@ def _point_mass(c, m):
     w = np.zeros(m)
     w[c] = 1.0
     return w
+
+
+# ---------------------------------------------------------------------------
+# Warm-started row generation: a shared solver must agree with fresh ones
+
+
+def _fresh_fairness_per_k(winner, profile):
+    """fairness_det's enumeration with a fresh solver for every LP."""
+    poly = MetricPolytope(profile)
+    n, m = profile.num_agents, profile.num_alternatives
+    width = poly.num_metric_vars + 1 + n
+    per_k = {}
+    for k in range(1, n + 1):
+        best = 0.0
+        for z in range(m):
+            if z == winner:
+                continue
+            if not poly.reach[winner, z]:
+                best = math.inf
+                break
+            rows = _top_k_rows(poly, z, k, width)
+            for subset in itertools.combinations(range(n), k):
+                objective = np.zeros(poly.num_metric_vars)
+                for v in subset:
+                    objective[poly.var(v, winner)] = 1.0
+                value, _ = _PolytopeSolver(poly).maximize(
+                    objective, rows, aux_count=1 + n, opponent=z
+                )
+                best = max(best, value)
+        per_k[k] = best
+    return per_k
+
+
+def _close(a, b):
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+
+def test_shared_solver_matches_fresh_solvers():
+    rng = np.random.default_rng(53)
+    cap_rows = 0
+    for trial in range(10):
+        profile = random_profile(3 + trial % 2, 3 + trial % 3, rng)
+        m = profile.num_alternatives
+        shared = opt_det(profile)
+        for c in range(m):
+            for cp in range(m):
+                if c != cp:
+                    fresh, _ = a_det(c, cp, profile)
+                    assert _close(shared.matrix[c, cp], fresh), (trial, c, cp)
+        report = fairness_det(shared.winner, profile)
+        fresh_per_k = _fresh_fairness_per_k(shared.winner, profile)
+        for k, value in fresh_per_k.items():
+            assert _close(report.per_k[k], value), (trial, k)
+        cap_rows += report.solver_stats["cap_rows"]
+    # Some first relaxations are unbounded and go through the cap row.
+    assert cap_rows > 0
+
+
+def test_single_a_det_builds_one_tableau():
+    profile = ranked_pairs_hard_instance(6).profile
+    solver = _PolytopeSolver(MetricPolytope(profile))
+    m = profile.num_alternatives
+    value, _ = a_det(0, m - 1, profile, solver=solver)
+    assert value == pytest.approx((5 * 6 + 3) / (6 + 3), rel=1e-9)
+    stats = solver.stats
+    assert stats["cold_builds"] == 1
+    assert stats["warm_solves"] >= 1 and stats["dual_pivots"] > 0
+    assert stats["rebuilds"] == stats["retries"] == 0
+
+
+def test_opt_det_builds_at_most_one_tableau_per_opponent():
+    profile = random_profile(4, 4, np.random.default_rng(59))
+    result = opt_det(profile)
+    assert result.solver_stats["cold_builds"] <= profile.num_alternatives
+    assert result.solver_stats["warm_solves"] > 0
+
+
+def test_reports_carry_solver_stats():
+    profile = warmup_instance().profile
+    report = dist_det(0, profile)
+    assert report.solver_stats["cold_builds"] == 2  # one per opponent
+    assert report.solver_stats["primal_pivots"] > 0
+
+
+def test_failure_after_warm_and_cold_attempts_carries_reproduction(monkeypatch):
+    profile = ranked_pairs_hard_instance(3).profile
+    m = profile.num_alternatives
+    solver = _PolytopeSolver(MetricPolytope(profile))
+    a_det(0, m - 1, profile, solver=solver)  # leaves a live tableau
+
+    def broken(*args, **kwargs):
+        raise SolverFailure("pivot loop broken on purpose")
+
+    monkeypatch.setattr(linprog, "_pivot_loop", broken)
+    with pytest.raises(SolverFailure) as info:
+        a_det(1, m - 1, profile, solver=solver)  # same opponent: warm path
+    assert solver.stats["rebuilds"] == 1
+    assert solver.stats["retries"] == 1
+    failure = info.value
+    assert failure.profile_text == serialize_profile(profile)
+    lines = failure.lp_text.splitlines()
+    assert lines[0].startswith("max ")
+    assert any(line.endswith(" = 1.0") for line in lines[1:])  # normalization
+    assert not solver.live  # the failed tableau is not kept

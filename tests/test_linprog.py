@@ -6,6 +6,7 @@ from metricdist.linprog import (
     LpInputError,
     LpStatus,
     SolverFailure,
+    Tableau,
     solve,
 )
 
@@ -185,4 +186,151 @@ def test_dump_text_roundtrip_shape():
     lines = text.strip().split("\n")
     assert lines[0].startswith("max ")
     assert lines[1] == "free 1"
-    assert "<=" in lines[2]
+    assert lines[2] == "1.0 1.0 <= 3.0"  # plain numbers, not numpy reprs
+
+
+# ---------------------------------------------------------------------------
+# Live tableau: warm re-optimization must match a cold solve of the same LP
+
+
+def _tableau(lp):
+    return Tableau(lp.sense, lp.objective, lp.rows, lp.relations, lp.rhs, lp.nonneg)
+
+
+def _with_rows(lp, rows, rhs, objective=None):
+    return LinearProgram(
+        lp.sense,
+        lp.objective if objective is None else objective,
+        list(zip(lp.rows, lp.relations, lp.rhs))
+        + [(row, "<=", b) for row, b in zip(rows, rhs)],
+        nonneg=lp.nonneg,
+    )
+
+
+def _assert_matches_cold(tableau, lp):
+    status = tableau.optimize()
+    cold = solve(lp)
+    assert status is cold.status
+    if status is LpStatus.OPTIMAL:
+        out = tableau.outcome()
+        assert out.value == pytest.approx(cold.value, rel=1e-9, abs=1e-9)
+        assert point_is_feasible(lp, out.assignment, tol=1e-7)
+
+
+def _optimal_random_lps(rng, count):
+    found = []
+    while len(found) < count:
+        lp = _random_lp(rng)
+        if solve(lp).status is LpStatus.OPTIMAL:
+            found.append(lp)
+    return found
+
+
+def test_added_rows_reoptimize_by_dual_simplex():
+    rng = np.random.default_rng(41)
+    dual_pivots = 0
+    for lp in _optimal_random_lps(rng, 60):
+        tableau = _tableau(lp)
+        assert tableau.optimize() is LpStatus.OPTIMAL
+        full = lp
+        for _ in range(3):
+            k = int(rng.integers(1, 4))
+            rows = rng.integers(-3, 4, size=(k, lp.num_vars)).astype(float)
+            rhs = rng.integers(-1, 6, size=k).astype(float)
+            tableau.add_rows(rows, rhs)
+            full = _with_rows(full, rows, rhs)
+            before = tableau.dual_pivots
+            _assert_matches_cold(tableau, full)
+            dual_pivots += tableau.dual_pivots - before
+            if solve(full).status is not LpStatus.OPTIMAL:
+                break
+    assert dual_pivots > 0
+
+
+def test_added_row_can_make_the_program_infeasible():
+    lp = LinearProgram(
+        "max", [1.0, 1.0], [([1.0, 0.0], "<=", 2.0), ([0.0, 1.0], "<=", 3.0)]
+    )
+    tableau = _tableau(lp)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    tableau.add_rows([[-1.0, -1.0]], [-6.0])  # x + y >= 6, beyond the box
+    assert tableau.optimize() is LpStatus.INFEASIBLE
+    assert solve(_with_rows(lp, [[-1.0, -1.0]], [-6.0])).status is LpStatus.INFEASIBLE
+
+
+def test_objective_switch_resumes_from_warm_basis():
+    rng = np.random.default_rng(43)
+    for lp in _optimal_random_lps(rng, 60):
+        tableau = _tableau(lp)
+        assert tableau.optimize() is LpStatus.OPTIMAL
+        objective = rng.integers(-3, 4, size=lp.num_vars).astype(float)
+        tableau.set_objective(objective)
+        switched = LinearProgram(
+            lp.sense,
+            objective,
+            list(zip(lp.rows, lp.relations, lp.rhs)),
+            nonneg=lp.nonneg,
+        )
+        _assert_matches_cold(tableau, switched)
+
+
+def test_removed_slack_basic_rows_keep_the_optimum():
+    lp = LinearProgram(
+        "max",
+        [1.0, 2.0],
+        [([1.0, 1.0], "<=", 4.0), ([1.0, 0.0], "<=", 10.0), ([0.0, 1.0], "<=", 3.0)],
+    )
+    tableau = _tableau(lp)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    # Row 1 is slack at the optimum (1, 3); row 2 binds and stays.
+    assert tableau.remove_rows([1, 2]).tolist() == [True, False]
+    assert tableau.rhs.size == 2
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.outcome().value == pytest.approx(7.0, abs=1e-12)
+
+
+def test_warm_sequence_repeats_bit_for_bit():
+    def run():
+        rng = np.random.default_rng(47)
+        values = []
+        for lp in _optimal_random_lps(rng, 20):
+            tableau = _tableau(lp)
+            tableau.optimize()
+            tableau.add_rows(
+                rng.integers(-3, 4, size=(2, lp.num_vars)).astype(float),
+                rng.integers(0, 6, size=2).astype(float),
+            )
+            tableau.set_objective(rng.integers(-3, 4, size=lp.num_vars).astype(float))
+            if tableau.optimize() is LpStatus.OPTIMAL:
+                out = tableau.outcome()
+                values.append((out.value, out.assignment.tobytes()))
+        return values
+
+    assert run() == run()
+
+
+def test_refactor_keeps_the_optimum():
+    rng = np.random.default_rng(53)
+    # Phase 1 drops one of the two copies of x + y = 2 as redundant.
+    redundant = LinearProgram(
+        "max",
+        [1.0, 2.0],
+        [([1.0, 1.0], "=", 2.0), ([2.0, 2.0], "=", 4.0), ([0.0, 1.0], "<=", 1.5)],
+    )
+    for lp in [redundant] + _optimal_random_lps(rng, 40):
+        free = LinearProgram(
+            lp.sense,
+            lp.objective,
+            list(zip(lp.rows, lp.relations, lp.rhs)),
+            nonneg=rng.random(lp.num_vars) < 0.7,
+        )
+        for program in (lp, free):
+            tableau = _tableau(program)
+            if tableau.optimize() is not LpStatus.OPTIMAL:
+                continue
+            before = tableau.outcome()
+            tableau.refactor()
+            assert tableau.optimize() is LpStatus.OPTIMAL
+            after = tableau.outcome()
+            assert after.value == pytest.approx(before.value, rel=1e-9, abs=1e-9)
+            np.testing.assert_allclose(after.assignment, before.assignment, atol=1e-9)
