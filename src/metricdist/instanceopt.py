@@ -87,6 +87,7 @@ class OptRandResult:
     x: np.ndarray
     value: float
     state: CuttingPlaneState
+    solver_stats: dict = field(default_factory=dict)  # keyed by SOLVER_STATS
 
 
 def opt_det(profile) -> OptDetResult:
@@ -216,9 +217,10 @@ def opt_rand(
     uniform = CostMatrix(np.full((n, m), 1.0 / n))
     state.cuts.append((np.ones(m), uniform, 0.0))
 
-    if binary_search:
-        return _opt_rand_bisect(profile, solver, state, eps, max_cuts)
-    return _opt_rand_master(profile, solver, state, eps, max_cuts)
+    run = _opt_rand_bisect if binary_search else _opt_rand_master
+    result = run(profile, solver, state, eps, max_cuts)
+    result.solver_stats = dict(solver.stats)
+    return result
 
 
 def _cut_rows(state, m, width_gamma):

@@ -142,14 +142,14 @@ def is_consistent(d, profile, tol: float = DEFAULT_GEOMETRY_TOL):
     Adjacent ranking positions suffice: transitivity of ``<=`` covers the
     rest. Returns ``(True, None)`` or ``(False, (agent, preferred, other))``.
     """
-    vals = _as_values(d)
-    for v, ranking in enumerate(profile.rankings):
-        row = vals[v]
-        for t in range(len(ranking) - 1):
-            a, b = int(ranking[t]), int(ranking[t + 1])
-            if row[a] > row[b] + tol:
-                return False, (v, a, b)
-    return True, None
+    ranked = np.take_along_axis(_as_values(d), profile.rankings, axis=1)
+    bad = ranked[:, :-1] > ranked[:, 1:] + tol
+    if not bad.any():
+        return True, None
+    # The first violation in agent-major, then position order.
+    v, t = np.unravel_index(np.argmax(bad), bad.shape)
+    ranking = profile.rankings[v]
+    return False, (int(v), int(ranking[t]), int(ranking[t + 1]))
 
 
 def complete_metric(d, tol: float = DEFAULT_GEOMETRY_TOL) -> FullMetric:

@@ -49,23 +49,29 @@ class ProfileParseError(ValueError):
 class PreferenceProfile:
     """Strict rankings, one per agent, most-preferred first (0-based indices)."""
 
-    __slots__ = ("rankings", "positions")
+    # ``_tournament`` caches the weighted tournament; ``tournament.build_weighted``
+    # fills it on first use, which is sound because a profile never changes.
+    __slots__ = ("rankings", "positions", "_tournament")
 
     def __init__(self, rankings):
         arr = np.array(rankings, dtype=int)
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("rankings must be a nonempty 2-d table")
         n, m = arr.shape
-        expected = np.arange(m)
-        for v in range(n):
-            if not np.array_equal(np.sort(arr[v]), expected):
-                raise ValueError(f"agent {v + 1}: ranking is not a permutation of 1..{m}")
-        positions = np.argsort(arr, axis=1)
+        order = np.arange(m)
+        bad = (np.sort(arr, axis=1) != order).any(axis=1)
+        if bad.any():
+            v = int(np.argmax(bad))
+            raise ValueError(f"agent {v + 1}: ranking is not a permutation of 1..{m}")
+        # positions[v, c] = rank of alternative c in agent v's ordering: the
+        # inverse permutation of each row, written by one scatter.
+        positions = np.empty_like(arr)
+        np.put_along_axis(positions, arr, order[None, :], axis=1)
         arr.setflags(write=False)
         positions.setflags(write=False)
         self.rankings = arr
-        # positions[v, c] = rank of alternative c in agent v's ordering
         self.positions = positions
+        self._tournament = None
 
     @property
     def num_agents(self) -> int:
@@ -114,8 +120,16 @@ def parse_profile(text) -> PreferenceProfile:
     """Parse the profile file format.
 
     Lines starting with ``#`` are comments; the first data line is ``N M``;
-    then ``N`` lines each hold a permutation of ``1..M``.
+    then ``N`` lines each hold a permutation of ``1..M``. Plain texts are read
+    in one vectorized pass; every other text, and every text that pass
+    would reject, goes through the line loop, whose errors name the line.
     """
+    profile = _parse_profile_vectorized(text)
+    return profile if profile is not None else _parse_profile_lines(text)
+
+
+def _parse_profile_lines(text) -> PreferenceProfile:
+    """The line-by-line parse: any text, and the error names its line."""
     data = _data_lines(text)
     if not data:
         raise ProfileParseError("empty input")
@@ -142,6 +156,60 @@ def parse_profile(text) -> PreferenceProfile:
             )
         rankings.append([x - 1 for x in row])
     return PreferenceProfile(rankings)
+
+
+# The bytes a text may hold to take the vectorized path.
+_PLAIN_BYTES = b"0123456789 \t\n"
+
+
+def _parse_profile_vectorized(text):
+    """Profile from a plain text in one pass, or None for the line loop.
+
+    A plain text holds only ``_PLAIN_BYTES``, so its non-blank lines are its
+    data lines and every token is a decimal integer. The pass counts the
+    tokens on each non-blank line (the header must have 2, each of the N
+    rows M) and reads them all with ``np.fromstring``. It never raises: a
+    text it cannot accept returns None, and the line loop then raises the
+    error with its message and line.
+    """
+    if isinstance(text, str):
+        try:
+            text = text.encode("ascii")
+        except UnicodeEncodeError:
+            return None
+    elif not isinstance(text, bytes):
+        return None
+    if text.translate(None, _PLAIN_BYTES):
+        return None
+    per_line = _tokens_per_line(text)
+    if per_line.size < 2 or per_line[0] != 2:
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if values.size != per_line.sum():
+        return None
+    # fromstring clamps an overflowing token to the int64 maximum, which no
+    # header can match and no row can hold; such texts fall through below.
+    n, m = (int(x) for x in values[:2])
+    if n < 1 or m < 1 or per_line.size - 1 != n or (per_line[1:] != m).any():
+        return None
+    rankings = values[2:].reshape(n, m)
+    rankings -= 1
+    try:
+        return PreferenceProfile(rankings)
+    except ValueError:
+        return None
+
+
+def _tokens_per_line(text: bytes) -> np.ndarray:
+    """Token count of each non-blank line of a plain text, in order."""
+    # The leading newline adds one blank line, so every token, the first
+    # included, starts at a digit that follows a non-digit.
+    buf = np.frombuffer(b"\n" + text, dtype=np.uint8)
+    digit = buf >= ord("0")
+    starts = np.flatnonzero(digit[1:] > digit[:-1])
+    newlines = np.flatnonzero(buf == ord("\n"))
+    counts = np.diff(np.searchsorted(starts, newlines), append=starts.size)
+    return counts[counts > 0]
 
 
 def serialize_profile(profile: PreferenceProfile) -> str:

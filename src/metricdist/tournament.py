@@ -85,10 +85,22 @@ def normalize_tie_break(tie_break, num_alternatives: int) -> tuple[int, ...]:
 
 
 def build_weighted(profile) -> WeightedTournament:
-    """Count ``w(i, j) = #{agents preferring i over j}`` for all ordered pairs."""
-    pos = profile.positions
-    weights = (pos[:, :, None] < pos[:, None, :]).sum(axis=0)
-    return WeightedTournament(weights, profile.num_agents)
+    """Count ``w(i, j) = #{agents preferring i over j}`` for all ordered pairs.
+
+    Built once per profile and cached on it: profiles are immutable, and
+    every tournament rule reads the same table.
+    """
+    if profile._tournament is None:
+        # One alternative at a time over positions.T, so the temporaries are
+        # N x M rather than the N x M x M of a broadcast comparison; positions
+        # are below M, so the narrowest unsigned type holds them.
+        m = profile.num_alternatives
+        pos = np.ascontiguousarray(profile.positions.T, dtype=np.min_scalar_type(m))
+        weights = np.empty((m, m), dtype=int)
+        for i, row in enumerate(pos):
+            weights[i] = np.count_nonzero(row < pos, axis=1)
+        profile._tournament = WeightedTournament(weights, profile.num_agents)
+    return profile._tournament
 
 
 def build_majority(profile, tie_break=None) -> MajorityDigraph:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metricdist import instanceopt
-from metricdist.distortion import dist_det, dist_rand
+from metricdist.distortion import SOLVER_STATS, dist_det, dist_rand
 from metricdist.instanceopt import (
     CuttingPlaneState,
     candidate_response_value,
@@ -126,6 +126,15 @@ def test_opt_rand_master_skips_round_off_on_blocked_columns():
     assert master.x[0] == 0.0
     assert master.value == pytest.approx(1.909, abs=1e-3)
     assert abs(master.value - bisect.value) <= 2 * eps
+
+
+def test_opt_rand_carries_solver_stats():
+    profile = warmup_instance().profile
+    for binary_search in (False, True):
+        result = opt_rand(profile, binary_search=binary_search)
+        assert set(result.solver_stats) == set(SOLVER_STATS)
+        assert result.solver_stats["cold_builds"] >= 1
+        assert result.solver_stats["primal_pivots"] > 0
 
 
 def test_opt_rand_x_feeds_dist_rand():

@@ -16,7 +16,11 @@ from metricdist.metricspace import (
     submajorization_ratio,
     top_k_cost,
 )
-from metricdist.profiles import percentile_gap_instance, warmup_instance
+from metricdist.profiles import (
+    percentile_gap_instance,
+    random_line_instance,
+    warmup_instance,
+)
 
 
 @pytest.fixture
@@ -51,6 +55,40 @@ def test_consistency_examples(warmup):
     ok, witness = is_consistent(tweaked, warmup.profile)
     assert not ok
     assert witness == (0, 0, 1)
+
+
+def _is_consistent_loop(d, profile, tol=1e-9):
+    """The per-agent, per-position reference for ``is_consistent``."""
+    vals = d.values
+    for v, ranking in enumerate(profile.rankings):
+        for t in range(len(ranking) - 1):
+            a, b = int(ranking[t]), int(ranking[t + 1])
+            if vals[v, a] > vals[v, b] + tol:
+                return False, (v, a, b)
+    return True, None
+
+
+def test_is_consistent_matches_loop_on_perturbed_metrics():
+    rng = np.random.default_rng(17)
+    inconsistent = 0
+    for _ in range(200):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        profile_rng = np.random.default_rng(rng.integers(1 << 32))
+        inst = random_line_instance(n, m, profile_rng)
+        vals = inst.metric.values.copy()
+        # Nudge entries either way by amounts from below the tolerance up to 1,
+        # so some matrices violate several rankings at once.
+        for _ in range(int(rng.integers(0, n * m + 1))):
+            v, c = int(rng.integers(n)), int(rng.integers(m))
+            step = rng.choice([-1.0, 1.0]) * 10.0 ** int(rng.integers(-11, 1))
+            vals[v, c] = max(0.0, vals[v, c] + step)
+        metric = CostMatrix(vals)
+        got = is_consistent(metric, inst.profile)
+        assert got == _is_consistent_loop(metric, inst.profile)
+        if not got[0]:
+            assert all(type(x) is int for x in got[1])
+            inconsistent += 1
+    assert inconsistent > 20
 
 
 def test_complete_metric_values(warmup):

@@ -1,8 +1,10 @@
 import copy
+import re
 
 import numpy as np
 import pytest
 
+from metricdist import profiles
 from metricdist.metricspace import (
     is_consistent,
     is_q_metric,
@@ -172,3 +174,153 @@ def test_generators_always_produce_valid_pairs():
 def test_profile_rejects_non_permutation():
     with pytest.raises(ValueError):
         PreferenceProfile([[0, 0]])
+
+
+# ---------------------------------------------------------------------------
+# The vectorized parse against the line loop
+
+
+def _parse_outcome(parse, text):
+    """What a parser makes of ``text``: the profile's arrays or its error."""
+    try:
+        profile = parse(text)
+    except ProfileParseError as exc:
+        return ("error", str(exc), exc.line)
+    except ValueError as exc:  # e.g. bytes that are not UTF-8
+        return ("error", type(exc).__name__, str(exc))
+    return (
+        "profile",
+        profile.rankings.dtype.str,
+        profile.rankings.tolist(),
+        profile.positions.dtype.str,
+        profile.positions.tolist(),
+    )
+
+
+def _assert_paths_agree(text):
+    """Both paths accept the text with identical arrays, or it takes the loop.
+
+    Returns whether the vectorized path accepted the text.
+    """
+    expected = _parse_outcome(profiles._parse_profile_lines, text)
+    assert _parse_outcome(parse_profile, text) == expected, repr(text)
+    fast = profiles._parse_profile_vectorized(text)
+    if fast is not None:
+        assert _parse_outcome(lambda _: fast, text) == expected, repr(text)
+    return fast is not None
+
+
+def _rows(text):
+    return text.split("\n")
+
+
+def _set_token(text, row, col, token):
+    lines = _rows(text)
+    tokens = lines[row].split(" ")
+    tokens[col] = token
+    lines[row] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+def _short_then_long(text):
+    # Move the last entry of row 1 to the end of row 2: the token total still
+    # equals N * M, so only per-line counts can catch it.
+    lines = _rows(text)
+    head, _, last = lines[1].rpartition(" ")
+    lines[1] = head
+    lines[2] += " " + last
+    return "\n".join(lines)
+
+
+PARSE_MUTATIONS = {
+    "comment": lambda t: "# generated\n" + t,
+    "blank lines": lambda t: "\n \n" + t.replace("\n", "\n\t\n", 1) + "  \n\n",
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "tabs": lambda t: t.replace(" ", "\t"),
+    "leading zeros": lambda t: re.sub(r"(\d+)", r"00\1", t),
+    "no final newline": lambda t: t.rstrip("\n"),
+    "overflow entry": lambda t: _set_token(t, 1, 0, "18446744073709551618"),
+    "overflow header": lambda t: _set_token(t, 0, 0, "18446744073709551618"),
+    "short then long row": _short_then_long,
+    "wrong n": lambda t: _set_token(t, 0, 0, str(int(t.split()[0]) + 1)),
+    "three-token header": lambda t: t.replace("\n", " 1\n", 1),
+    "duplicate entry": lambda t: _set_token(t, 1, -1, _rows(t)[1].split(" ")[0]),
+    "zero entry": lambda t: _set_token(t, 1, 0, "0"),
+    "plus sign": lambda t: _set_token(t, 1, 0, "+" + _rows(t)[1].split(" ")[0]),
+    "underscore": lambda t: _set_token(t, 1, 0, "1_0"),
+    "non-ascii digit": lambda t: t.replace("1", "١"),
+    "bytes": lambda t: t.encode("utf-8"),
+    "bad utf-8": lambda t: t.encode("utf-8") + b"\xff",
+}
+
+
+def test_vectorized_parse_agrees_with_line_loop_on_random_texts():
+    rng = np.random.default_rng(41)
+    accepted = 0
+    for _ in range(60):
+        profile = random_profile(int(rng.integers(1, 7)), int(rng.integers(1, 12)), rng)
+        text = serialize_profile(profile)
+        assert profiles._parse_profile_vectorized(text) == profile
+        accepted += _assert_paths_agree(text)
+        for name, mutate in PARSE_MUTATIONS.items():
+            if name == "short then long row" and profile.num_agents < 2:
+                continue
+            accepted += _assert_paths_agree(mutate(text))
+    # Plain mutations (blank lines, tabs, leading zeros, bytes) stay vectorized.
+    assert accepted > 5 * 60
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n \n",
+        "1\n",
+        "1 1\n",
+        "1 1\n1\n",
+        "0 3\n",
+        "1 0\n\n",
+        "2 2\n1 2\n",
+        "2 2\n1 2\n2 1\n1 2\n",
+        "2 2\n1\n2 1 2\n",
+        "1 2\n1 2 3\n",
+        "1 3\n3 1 2\n",
+        "1 3 1\n3 1 2\n",
+        "1 2\n2 18446744073709551618\n",
+        "1 2\n1 2",
+        "   1    2   \n\t2\t1\t\n",
+        "01 02\n002 0001\n",
+        "1 10\n10 9 8 7 6 5 4 3 2 1\n",
+        "1 10\n1_0 9 8 7 6 5 4 3 2 1\n",
+        "1 2\n+1 2\n",
+        "1 2\n-1 2\n",
+        "1 2\n1.0 2\n",
+        "1 2\n1 2\x0c\n",
+        b"1 2\n2 1\n",
+        b"1 2\n2 1\n\xff",
+    ],
+)
+def test_vectorized_parse_agrees_with_line_loop_on_edge_texts(text):
+    _assert_paths_agree(text)
+
+
+def test_profile_constructor_matches_argsort_and_first_bad_agent():
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        rankings = np.argsort(rng.random((n, m)), axis=1)
+        profile = PreferenceProfile(rankings)
+        expected = np.argsort(rankings, axis=1)
+        assert profile.positions.dtype == expected.dtype
+        assert np.array_equal(profile.positions, expected)
+        if m < 2:
+            continue
+        bad = rankings.copy()
+        agents = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        bad[agents, 0] = bad[agents, 1]
+        first = int(agents.min())
+        with pytest.raises(ValueError, match=rf"^agent {first + 1}: .* of 1\.\.{m}$"):
+            PreferenceProfile(bad)
+        bad[agents, 0] = m
+        with pytest.raises(ValueError, match=rf"^agent {first + 1}: "):
+            PreferenceProfile(bad)

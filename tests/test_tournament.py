@@ -115,3 +115,22 @@ def test_edge_list_dumps():
 def test_bad_tie_break_rejected():
     with pytest.raises(ValueError):
         build_majority(warmup_instance().profile, tie_break=[0, 0, 1])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_weighted_tournament_built_once_matches_broadcast(seed):
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 1), (1, 2), (4, 1), (5, 2), (1, 7), (3, 300)]
+    shapes += [(int(rng.integers(1, 40)), int(rng.integers(1, 12))) for _ in range(20)]
+    for n, m in shapes:
+        profile = random_profile(n, m, rng)
+        tournament = build_weighted(profile)
+        assert build_weighted(profile) is tournament
+        pos = profile.positions
+        expected = (pos[:, :, None] < pos[:, None, :]).sum(0)
+        assert tournament.weights.dtype == expected.dtype
+        assert np.array_equal(tournament.weights, expected)
+        assert tournament.num_agents == n
+        assert not tournament.weights.flags.writeable
+        with pytest.raises(ValueError):
+            tournament.weights[0, 0] = 1
