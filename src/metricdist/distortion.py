@@ -76,6 +76,8 @@ SOLVER_STATS = (
     "rebuilds",  # cold rebuilds after a failed warm re-optimization
     "retries",  # cold solves repeated with a tighter pivot tolerance
     "cap_rows",  # cap rows added to unbounded relaxations
+    "bland_switches",  # pivot loops that stalled and switched to Bland's rule
+    "separation_rounds",  # searches for violated quadrilaterals
 )
 
 
@@ -338,6 +340,7 @@ class _PolytopeSolver:
 
             x = out.assignment
             metric = x[: poly.num_metric_vars].reshape(poly.num_agents, -1)
+            self.stats["separation_rounds"] += 1
             new = poly.violated_quadruples(
                 metric, self.sep_tol, live.quads, _SEPARATION_BATCH
             )
@@ -393,7 +396,7 @@ class _PolytopeSolver:
 
     def _run(self, tableau):
         """Optimize ``tableau``; the outcome is verified, pivots counted."""
-        counts = ("primal_pivots", "dual_pivots", "refactors")
+        counts = ("primal_pivots", "dual_pivots", "refactors", "bland_switches")
         before = [getattr(tableau, name) for name in counts]
         try:
             status = tableau.optimize()
@@ -433,6 +436,7 @@ class _PolytopeSolver:
                     feas_tol=self.feas_tol,
                 )
                 self.stats["primal_pivots"] += tableau.primal_pivots
+                self.stats["bland_switches"] += tableau.bland_switches
                 return (tableau, *self._run(tableau))
             except SolverFailure as exc:
                 failure = exc
@@ -715,6 +719,9 @@ def fairness_det(winner, profile, k_set=None, budget=10):
                 best = (math.inf, (k, z, None), None)
                 break
             rows = _top_k_rows(poly, z, k, width)
+            # As in a_det: the seeded rows bound the first relaxations, which
+            # would otherwise need the cap row.
+            solver.seed_column_pair(winner, z)
             for subset in itertools.combinations(range(n), k):
                 objective = np.zeros(nm)
                 for v in subset:

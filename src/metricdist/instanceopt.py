@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from metricdist.distortion import MetricPolytope, _PolytopeSolver, a_det
+from metricdist.distortion import SOLVER_STATS, MetricPolytope, _PolytopeSolver, a_det
 from metricdist.linprog import LinearProgram, LpStatus, SolverFailure, solve
 from metricdist.metricspace import CostMatrix
 
@@ -50,7 +50,8 @@ class OptDetResult:
     winner: int
     value: float
     matrix: np.ndarray  # worst-ratio table, entry [c, opponent]; diagonal 1
-    solver_stats: dict = field(default_factory=dict)  # keyed by SOLVER_STATS
+    # How the LPs were solved: counts keyed by SOLVER_STATS.
+    solver_stats: dict = field(default_factory=lambda: dict.fromkeys(SOLVER_STATS, 0))
 
 
 @dataclass
@@ -87,7 +88,8 @@ class OptRandResult:
     x: np.ndarray
     value: float
     state: CuttingPlaneState
-    solver_stats: dict = field(default_factory=dict)  # keyed by SOLVER_STATS
+    # How the LPs were solved: counts keyed by SOLVER_STATS.
+    solver_stats: dict = field(default_factory=lambda: dict.fromkeys(SOLVER_STATS, 0))
 
 
 def opt_det(profile) -> OptDetResult:

@@ -1,4 +1,4 @@
-"""Dense simplex solver with a live tableau.
+"""Dense simplex solver with a live condensed tableau.
 
 Every distortion, fairness, and instance-optimality computation in this
 package reduces to small dense linear programs; this module solves them
@@ -7,9 +7,12 @@ cold by the two-phase method and then stays live: rows added to it enter
 against the current basis and are re-optimized by the dual simplex (the old
 basis stays dual feasible), and a new objective resumes the primal simplex
 from the last optimal basis. :func:`solve` is a cold build plus one
-optimization. Both pivot loops run a greedy rule for speed and switch
-permanently to Bland's rule after a stall, so termination is guaranteed
-even on the highly degenerate metric polytopes this package produces.
+optimization. The tableau is condensed: it stores only the columns of the
+nonbasic variables, so a pivot is a Jordan exchange that updates
+(rows + 1) x (nonbasic + 1) cells. Both pivot loops run a greedy rule for
+speed and switch permanently to Bland's rule after a stall, so termination
+is guaranteed even on the highly degenerate metric polytopes this package
+produces.
 """
 
 from __future__ import annotations
@@ -165,11 +168,12 @@ class LpOutcome:
 
 
 class _PivotCounter:
-    __slots__ = ("pivots", "cap")
+    __slots__ = ("pivots", "cap", "bland_switches")
 
     def __init__(self, cap):
         self.pivots = 0
         self.cap = cap
+        self.bland_switches = 0
 
     def tick(self):
         self.pivots += 1
@@ -177,63 +181,85 @@ class _PivotCounter:
             raise SolverFailure(f"pivot cap of {self.cap} exceeded")
 
 
-def _do_pivot(T, r, c):
-    T[r, :] /= T[r, c]
+def _do_pivot(T, basis, nonbasic, r, c):
+    """Jordan exchange on a condensed tableau at row ``r``, column ``c``.
+
+    The nonbasic variable of column ``c`` enters the basis in row ``r``, and
+    the variable it replaces takes over column ``c``.
+    """
+    p = T[r, c]
     col = T[:, c].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r, :])
-    T[:, c] = 0.0
-    T[r, c] = 1.0
+    T[r] /= p
+    T -= col[:, None] * T[r]
+    T[:, c] = -(col * (1.0 / p))
+    T[r, c] = 1.0 / p
+    basis[r], nonbasic[c] = nonbasic[c], basis[r]
 
 
-def _pivot_loop(T, basis, pivot_tol, counter) -> str:
+def _smallest_label(indices, labels) -> int:
+    """The entry of ``indices`` whose variable has the smallest label.
+
+    Bland's rule picks by it, and the greedy rules break ties by it, as a
+    tableau with its columns in label order would.
+    """
+    return int(indices[labels[indices].argmin()])
+
+
+def _pivot_loop(T, basis, nonbasic, pivot_tol, counter, inert_from=None) -> str:
     """Run primal simplex to optimality on a feasible tableau.
 
     Row ``m`` carries reduced costs for a maximization; a column enters while
-    its reduced cost is below ``-pivot_tol``.
+    its reduced cost is below ``-pivot_tol``. A variable labelled
+    ``inert_from`` or above (a phase-1 artificial) that leaves the basis
+    gets a zero column, so it never enters again.
     """
     m = T.shape[0] - 1
+    costs, values = T[m, :-1], T[:m, -1]
+    if costs.size == 0:
+        return "optimal"  # every variable is basic
     bland = False
     stall = 0
     while True:
-        obj_row = T[m, :-1]
         if bland:
-            eligible = np.flatnonzero(obj_row < -pivot_tol)
+            eligible = (costs < -pivot_tol).nonzero()[0]
             if eligible.size == 0:
                 return "optimal"
-            col = int(eligible[0])
+            # Bland: entering variable with the smallest label.
+            col = _smallest_label(eligible, nonbasic)
         else:
-            col = int(np.argmin(obj_row))
-            if obj_row[col] >= -pivot_tol:
+            best = costs.min()
+            if best >= -pivot_tol:
                 return "optimal"
+            col = _smallest_label((costs == best).nonzero()[0], nonbasic)
 
         col_vals = T[:m, col]
-        positive = col_vals > pivot_tol
-        if not positive.any():
+        rows = (col_vals > pivot_tol).nonzero()[0]
+        if rows.size == 0:
             return "unbounded"
-        ratios = np.full(m, np.inf)
-        ratios[positive] = T[:m, -1][positive] / col_vals[positive]
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + pivot_tol)
+        ratios = values[rows] / col_vals[rows]
+        ties = rows[ratios <= ratios.min() + pivot_tol]
         if bland:
-            # Bland: leaving variable with the smallest index.
-            row = int(ties[np.argmin(basis[ties])])
+            # Bland: leaving variable with the smallest label.
+            row = _smallest_label(ties, basis)
         else:
             # Prefer a large pivot element for numerical stability.
-            row = int(ties[np.argmax(np.abs(col_vals[ties]))])
+            row = int(ties[col_vals[ties].argmax()])
 
         before = T[m, -1]
-        _do_pivot(T, row, col)
-        basis[row] = col
+        _do_pivot(T, basis, nonbasic, row, col)
+        if inert_from is not None and nonbasic[col] >= inert_from:
+            T[:, col] = 0.0
         counter.tick()
 
         if not bland:
             stall = stall + 1 if T[m, -1] <= before + 1e-12 else 0
             if stall >= _STALL_LIMIT:
                 bland = True
+                counter.bland_switches += 1
 
 
-def _dual_loop(T, basis, pivot_tol, counter) -> str:
+def _dual_loop(T, basis, nonbasic, pivot_tol, counter) -> str:
     """Run dual simplex to optimality on a dual-feasible tableau.
 
     A row leaves while its basic value is below ``-pivot_tol``; the entering
@@ -241,52 +267,60 @@ def _dual_loop(T, basis, pivot_tol, counter) -> str:
     when a leaving row has no negative entry to pivot on.
     """
     m = T.shape[0] - 1
+    costs, values = T[m, :-1], T[:m, -1]
     bland = False
     stall = 0
     while True:
-        values = T[:m, -1]
         if bland:
-            negative = np.flatnonzero(values < -pivot_tol)
+            negative = (values < -pivot_tol).nonzero()[0]
             if negative.size == 0:
                 return "optimal"
-            # Bland: leaving variable with the smallest index.
-            row = int(negative[np.argmin(basis[negative])])
+            # Bland: leaving variable with the smallest label.
+            row = _smallest_label(negative, basis)
         else:
-            row = int(np.argmin(values))
+            row = int(values.argmin())
             if values[row] >= -pivot_tol:
                 return "optimal"
 
         row_vals = T[row, :-1]
-        cols = np.flatnonzero(row_vals < -pivot_tol)
+        cols = (row_vals < -pivot_tol).nonzero()[0]
         if cols.size == 0:
             return "infeasible"
-        ratios = np.maximum(T[m, cols], 0.0) / -row_vals[cols]
+        ratios = np.maximum(costs[cols], 0.0) / -row_vals[cols]
         ties = cols[ratios <= ratios.min() + pivot_tol]
         if bland:
-            # Bland: entering variable with the smallest index.
-            col = int(ties[0])
+            # Bland: entering variable with the smallest label.
+            col = _smallest_label(ties, nonbasic)
         else:
             # Prefer a large pivot element for numerical stability.
-            col = int(ties[np.argmax(np.abs(row_vals[ties]))])
+            pivots = row_vals[ties]
+            col = _smallest_label(ties[pivots == pivots.min()], nonbasic)
 
         before = T[m, -1]
-        _do_pivot(T, row, col)
-        basis[row] = col
+        _do_pivot(T, basis, nonbasic, row, col)
         counter.tick()
 
         if not bland:
             stall = stall + 1 if T[m, -1] >= before - 1e-12 else 0
             if stall >= _STALL_LIMIT:
                 bland = True
+                counter.bland_switches += 1
 
 
 class Tableau:
-    """Live simplex tableau of one program; rows and objective can change.
+    """Live condensed simplex tableau of one program; rows and objective can change.
 
-    Built cold by the two-phase method from ``(rows, relations, rhs)``. Its
-    columns are the structural variables (free ones split in two), then one
-    slack column per inequality; row ``m`` holds the reduced costs of a
-    maximization and the last column the basic values. A program found
+    Built cold by the two-phase method from ``(rows, relations, rhs)``. The
+    variables are the structural ones (free ones split in two) and one slack
+    per inequality, each with a stable label: structural variables first,
+    then slacks in the order their constraints arrived. The tableau is
+    condensed (a dictionary, or Tucker, tableau): one row per basic
+    variable, one column per nonbasic variable, and the basic values in the
+    last column; row ``m`` holds the reduced costs of a maximization. Basic
+    columns, unit vectors in a full tableau, are not stored, so a pivot is a
+    Jordan exchange of one row label with one column label, and added rows
+    never widen the tableau. Bland's rule picks the smallest label. Phase-1
+    artificials drop out once they leave the basis. A program found
     infeasible by phase 1 keeps no tableau and only answers
     :meth:`optimize`.
 
@@ -328,9 +362,12 @@ class Tableau:
         self.primal_pivots = 0
         self.dual_pivots = 0
         self.refactors = 0
+        self.bland_switches = 0
         self._free = np.flatnonzero(~self.nonneg)
         self._n_struct = n + self._free.size
         self._infeasible = False
+        # The basic solution and its row excesses, until the tableau changes.
+        self._checked = None
         self._build()
 
     def _std(self, rows):
@@ -350,28 +387,32 @@ class Tableau:
 
         m, n_struct = A.shape
         ineq = np.flatnonzero(sign != 0.0)
+        surplus = np.flatnonzero(sign == -1.0)
         art = np.flatnonzero(sign != 1.0)
         a0 = n_struct + ineq.size
-        n_total = a0 + art.size
-
-        T = np.zeros((m + 1, n_total + 1))
-        T[:m, :n_struct] = A
-        T[:m, -1] = b
+        # Constraint index -> label of its slack, -1 for an equation.
         slack = np.full(m, -1)
         slack[ineq] = n_struct + np.arange(ineq.size)
-        T[ineq, slack[ineq]] = sign[ineq]
         basis = slack.copy()
         basis[art] = a0 + np.arange(art.size)
-        T[art, basis[art]] = 1.0
+        nonbasic = np.concatenate([np.arange(n_struct), slack[surplus]])
+
+        T = np.zeros((m + 1, nonbasic.size + 1))
+        T[:m, :n_struct] = A
+        T[surplus, n_struct + np.arange(surplus.size)] = -1.0
+        T[:m, -1] = b
+        keep = list(range(m))
 
         if art.size:
             # Phase 1: maximize -(sum of artificials); feasible iff optimum is 0.
             counter = _PivotCounter(self.max_pivots)
-            T[m, a0:n_total] = 1.0
-            T[m, :] -= T[art].sum(axis=0)
-            status = _pivot_loop(T, basis, self.pivot_tol, counter)
+            T[m] = -T[art].sum(axis=0)
+            status = _pivot_loop(
+                T, basis, nonbasic, self.pivot_tol, counter, inert_from=a0
+            )
             if status != "optimal":
                 raise SolverFailure("phase 1 reported unbounded; numerical trouble")
+            self.bland_switches += counter.bland_switches
             if T[m, -1] < -self.feas_tol:
                 self.primal_pivots += counter.pivots
                 self._infeasible = True
@@ -382,41 +423,43 @@ class Tableau:
             keep = []
             for i in range(m):
                 if basis[i] >= a0:
-                    nonzero = np.flatnonzero(np.abs(T[i, :a0]) > self.pivot_tol)
+                    nonzero = np.flatnonzero(
+                        (nonbasic < a0) & (np.abs(T[i, :-1]) > self.pivot_tol)
+                    )
                     if nonzero.size == 0:
                         continue
-                    _do_pivot(T, i, int(nonzero[0]))
-                    basis[i] = int(nonzero[0])
+                    col = _smallest_label(nonzero, nonbasic)
+                    _do_pivot(T, basis, nonbasic, i, col)
                     counter.tick()
                 keep.append(i)
             self.primal_pivots += counter.pivots
-            T = T[np.ix_(keep + [m], list(range(a0)) + [n_total])]
-            basis = basis[keep]
+            cols = np.flatnonzero(nonbasic < a0)
+            T = T[np.ix_(keep + [m], np.append(cols, nonbasic.size))]
+            basis, nonbasic = basis[keep], nonbasic[cols]
 
         self._T = T
-        self._basis = basis
-        # Constraint index -> its slack column, -1 for an equation.
+        self._basis = basis  # label of each row's basic variable
+        self._nonbasic = nonbasic  # label of each column's nonbasic variable
         self._slack = slack
-        # Constraints that have a tableau row (phase 1 drops redundant ones).
-        self._kept = np.ones(m, dtype=bool)
-        if art.size:
-            self._kept[:] = False
-            self._kept[keep] = True
+        self._next_label = a0
+        # Constraints that have a row in the basis system (phase 1 drops
+        # redundant ones).
+        self._kept = np.zeros(m, dtype=bool)
+        self._kept[keep] = True
         self._set_cost_row()
 
     def _set_cost_row(self):
         """Reduced costs of the current objective in the current basis."""
-        T, basis = self._T, self._basis
-        c = np.zeros(T.shape[1] - 1)
-        c[: self.objective.size] = (
-            self.objective if self.sense == "max" else -self.objective
-        )
-        if self._free.size:
-            c[self.objective.size : self._n_struct] = -c[self._free]
-        T[-1, :-1] = -c
-        T[-1, -1] = 0.0
-        T[-1, :] += c[basis] @ T[:-1, :]
-        T[-1, basis] = 0.0
+        T, basis, nonbasic = self._T, self._basis, self._nonbasic
+        c = np.zeros(self._n_struct)
+        n = self.objective.size
+        c[:n] = self.objective if self.sense == "max" else -self.objective
+        c[n:] = -c[self._free]
+        basic = np.flatnonzero(basis < self._n_struct)
+        T[-1] = c[basis[basic]] @ T[basic]
+        structural = np.flatnonzero(nonbasic < self._n_struct)
+        T[-1, structural] -= c[nonbasic[structural]]
+        self._checked = None
 
     @property
     def relations(self) -> tuple:
@@ -434,69 +477,60 @@ class Tableau:
     def add_rows(self, rows, rhs):
         """Append ``rows @ x <= rhs``; each row enters with its own basic slack.
 
-        The rows are eliminated against the current basis, so the reduced
-        costs are untouched: an optimal basis stays dual feasible, and
-        :meth:`optimize` restores primal feasibility by the dual simplex.
+        The rows are written over the nonbasic columns by eliminating the
+        basic structural variables, so the tableau gains rows but no
+        columns, and the reduced costs are untouched: an optimal basis stays
+        dual feasible, and :meth:`optimize` restores primal feasibility by
+        the dual simplex.
         """
         rows = np.asarray(rows, dtype=float).reshape(-1, self.objective.size)
         rhs = np.asarray(rhs, dtype=float)
         k = rhs.size
-        T, basis = self._T, self._basis
-        m, width = T.shape[0] - 1, T.shape[1] - 1
+        T, basis, nonbasic = self._T, self._basis, self._nonbasic
         A = self._std(rows)
-        new = np.zeros((m + k + 1, width + k + 1))
-        new[:m, :width] = T[:m, :-1]
-        new[:m, -1] = T[:m, -1]
-        new[-1, :width] = T[-1, :-1]
-        new[-1, -1] = T[-1, -1]
-        block = new[m : m + k]
-        block[:, : self._n_struct] = A
-        block[:, width : width + k] = np.eye(k)
+        block = np.zeros((k, T.shape[1]))
+        structural = np.flatnonzero(nonbasic < self._n_struct)
+        block[:, structural] = A[:, nonbasic[structural]]
         block[:, -1] = rhs
-        structural = basis < self._n_struct
-        if structural.any():
-            coef = A[:, basis[structural]]
-            block -= coef @ new[:m][structural]
-        block[:, basis] = 0.0
-        self._T = new
-        self._basis = np.concatenate([basis, width + np.arange(k)])
-        self._slack = np.concatenate([self._slack, width + np.arange(k)])
+        basic = np.flatnonzero(basis < self._n_struct)
+        block -= A[:, basis[basic]] @ T[basic]
+        labels = self._next_label + np.arange(k)
+        self._next_label += k
+        self._T = np.vstack([T[:-1], block, T[-1:]])
+        self._basis = np.concatenate([basis, labels])
+        self._slack = np.concatenate([self._slack, labels])
         self._kept = np.concatenate([self._kept, np.ones(k, dtype=bool)])
         self.rows = np.vstack([self.rows, rows])
         self.rhs = np.concatenate([self.rhs, rhs])
         self.sign = np.concatenate([self.sign, np.ones(k)])
+        self._checked = None
 
     def remove_rows(self, indices) -> np.ndarray:
         """Delete those of the constraints ``indices`` whose slack is basic.
 
-        The tableau without them is the tableau of the smaller program in
-        the same basis, so optimality is kept. Equations and constraints
+        The tableau without their rows is the tableau of the smaller program
+        in the same basis, so optimality is kept. Equations and constraints
         with a nonbasic slack stay. Returns the mask of ``indices`` removed.
         """
         indices = np.asarray(indices, dtype=int)
-        T, basis = self._T, self._basis
-        width = T.shape[1] - 1
-        where = np.full(width + 1, -1)
-        where[basis] = np.arange(basis.size)
-        cols = self._slack[indices]
-        removed = where[cols] >= 0  # an equation's -1 hits the rhs column
-        indices, cols = indices[removed], cols[removed]
-        if indices.size == 0:
+        labels = self._slack[indices]
+        row_of = np.full(self._next_label, -1)
+        row_of[self._basis] = np.arange(self._basis.size)
+        rows = np.where(labels >= 0, row_of[labels], -1)
+        removed = rows >= 0
+        if not removed.any():
             return removed
-        drop_rows = where[cols]
-        keep_cols = np.ones(width + 1, dtype=bool)
-        keep_cols[cols] = False
-        keep_rows = np.ones(T.shape[0], dtype=bool)
-        keep_rows[drop_rows] = False
-        renumber = np.cumsum(keep_cols[:-1]) - 1
-        self._T = T[np.ix_(keep_rows, keep_cols)]
-        self._basis = renumber[basis[keep_rows[:-1]]]
-        slack = np.delete(self._slack, indices)
-        self._slack = np.where(slack >= 0, renumber[slack], -1)
+        indices = indices[removed]
+        keep = np.ones(self._T.shape[0], dtype=bool)
+        keep[rows[removed]] = False
+        self._T = self._T[keep]
+        self._basis = self._basis[keep[:-1]]
+        self._slack = np.delete(self._slack, indices)
         self._kept = np.delete(self._kept, indices)
         self.rows = np.delete(self.rows, indices, axis=0)
         self.rhs = np.delete(self.rhs, indices)
         self.sign = np.delete(self.sign, indices)
+        self._checked = None
         return removed
 
     def refactor(self):
@@ -504,19 +538,22 @@ class Tableau:
 
         Sheds the round-off that pivots accumulate in a long-lived tableau.
         """
-        T, basis = self._T, self._basis
-        kept = self._kept
-        M = np.zeros((int(kept.sum()), T.shape[1]))
-        M[:, : self._n_struct] = self._std(self.rows[kept])
-        M[:, -1] = self.rhs[kept]
+        basis, nonbasic, kept = self._basis, self._nonbasic, self._kept
+        labels = np.concatenate([basis, nonbasic])
+        # The kept constraints as [basic columns | nonbasic columns | rhs].
+        M = np.zeros((basis.size, labels.size + 1))
+        structural = np.flatnonzero(labels < self._n_struct)
+        M[:, structural] = self._std(self.rows[kept])[:, labels[structural]]
+        column_of = np.full(self._next_label, -1)
+        column_of[labels] = np.arange(labels.size)
         slack = self._slack[kept]
         has = np.flatnonzero(slack >= 0)
-        M[has, slack[has]] = self.sign[kept][has]
+        M[has, column_of[slack[has]]] = self.sign[kept][has]
+        M[:, -1] = self.rhs[kept]
         try:
-            T[:-1] = np.linalg.solve(M[:, basis], M)
+            self._T[:-1] = np.linalg.solve(M[:, : basis.size], M[:, basis.size :])
         except np.linalg.LinAlgError:
             raise SolverFailure("basis matrix is singular") from None
-        T[:-1, basis] = np.eye(basis.size)
         self._set_cost_row()
 
     def set_objective(self, objective):
@@ -549,25 +586,38 @@ class Tableau:
             self.refactor()
             self.refactors += 1
             status = self._optimize(counter)
+        self.bland_switches += counter.bland_switches
         return status
 
     def _residual(self):
         """Largest violation of a row by the basic solution."""
-        excess = _excess(self.rows, self.sign, self.rhs, self._solution())
-        return excess.max(initial=0.0)
+        return self._check()[1].max(initial=0.0)
+
+    def _check(self):
+        """The basic solution and by how much it violates each row.
+
+        Computed once per basis: the drift check of :meth:`optimize` and the
+        verification of :meth:`outcome` share it.
+        """
+        if self._checked is None:
+            x = self._solution()
+            self._checked = (x, _excess(self.rows, self.sign, self.rhs, x))
+        return self._checked
 
     def _solution(self):
         """The basic solution over the original variables."""
-        x_std = np.zeros(self._T.shape[1] - 1)
-        x_std[self._basis] = self._T[:-1, -1]
+        x_std = np.zeros(self._n_struct)
+        structural = self._basis < self._n_struct
+        x_std[self._basis[structural]] = self._T[:-1, -1][structural]
         n = self.objective.size
-        x = x_std[:n].copy()
+        x = x_std[:n]
         if self._free.size:
-            x[self._free] -= x_std[n : self._n_struct]
+            x[self._free] -= x_std[n:]
         return x
 
     def _optimize(self, counter):
-        T, basis, tol = self._T, self._basis, self.pivot_tol
+        T, basis, nonbasic, tol = self._T, self._basis, self._nonbasic, self.pivot_tol
+        self._checked = None
         lowest = T[:-1, -1].min(initial=0.0)
         if lowest < -tol:
             if (T[-1, :-1] < -tol).any():
@@ -575,12 +625,12 @@ class Tableau:
                     raise SolverFailure("basis is neither primal nor dual feasible")
             else:
                 before = counter.pivots
-                status = _dual_loop(T, basis, tol, counter)
+                status = _dual_loop(T, basis, nonbasic, tol, counter)
                 self.dual_pivots += counter.pivots - before
                 if status == "infeasible":
                     return LpStatus.INFEASIBLE
         before = counter.pivots
-        status = _pivot_loop(T, basis, tol, counter)
+        status = _pivot_loop(T, basis, nonbasic, tol, counter)
         self.primal_pivots += counter.pivots - before
         if status == "unbounded":
             return LpStatus.UNBOUNDED
@@ -593,9 +643,9 @@ class Tableau:
             SolverFailure: the basic solution violates a row or a sign
                 constraint by more than ``feas_tol``.
         """
-        x = self._solution()
-        _verify(self.rows, self.sign, self.rhs, self.nonneg, x, self.feas_tol)
-        x[self.nonneg & (x < 0.0)] = 0.0  # verified above to be within tolerance
+        x, excess = self._check()
+        _verify(self.sign, self.nonneg, x, excess, self.feas_tol)
+        x = np.where(self.nonneg & (x < 0.0), 0.0, x)  # verified within tolerance
         value = float(self.objective @ x)
         x.setflags(write=False)
         return LpOutcome(status=LpStatus.OPTIMAL, value=value, assignment=x)
@@ -641,13 +691,14 @@ def _excess(rows, sign, rhs, x):
     return np.where(sign == 0.0, np.abs(err), sign * err)
 
 
-def _verify(rows, sign, rhs, nonneg, x, feas_tol):
+def _verify(sign, nonneg, x, excess, feas_tol):
+    """Raise unless ``x``, whose row violations are ``excess``, is feasible."""
     if (x[nonneg] < -feas_tol).any():
         raise SolverFailure("assignment violates nonnegativity beyond tolerance")
-    bad = np.flatnonzero(_excess(rows, sign, rhs, x) > feas_tol)
+    bad = np.flatnonzero(excess > feas_tol)
     if bad.size:
         i = int(bad[0])
         raise SolverFailure(
             f"assignment violates constraint {i} ({_RELATION_OF_SIGN[sign[i]]}) "
-            f"by {abs(rows[i] @ x - rhs[i]):.3e}"
+            f"by {excess[i]:.3e}"
         )

@@ -6,6 +6,7 @@ import pytest
 
 from metricdist import linprog
 from metricdist.distortion import (
+    SOLVER_STATS,
     BudgetExceededError,
     MetricPolytope,
     _PolytopeSolver,
@@ -18,7 +19,7 @@ from metricdist.distortion import (
     fairness_rand,
     grid_oracle,
 )
-from metricdist.instanceopt import opt_det
+from metricdist.instanceopt import opt_det, opt_rand
 from metricdist.linprog import SolverFailure
 from metricdist.metricspace import CostMatrix, social_cost, top_k_cost
 from metricdist.profiles import (
@@ -304,11 +305,15 @@ def _point_mass(c, m):
 
 
 def _fresh_fairness_per_k(winner, profile):
-    """fairness_det's enumeration with a fresh solver for every LP."""
+    """fairness_det's enumeration with a fresh, unseeded solver for every LP.
+
+    Returns the ratios by k and the number of cap rows the solvers added.
+    """
     poly = MetricPolytope(profile)
     n, m = profile.num_agents, profile.num_alternatives
     width = poly.num_metric_vars + 1 + n
     per_k = {}
+    cap_rows = 0
     for k in range(1, n + 1):
         best = 0.0
         for z in range(m):
@@ -322,12 +327,12 @@ def _fresh_fairness_per_k(winner, profile):
                 objective = np.zeros(poly.num_metric_vars)
                 for v in subset:
                     objective[poly.var(v, winner)] = 1.0
-                value, _ = _PolytopeSolver(poly).maximize(
-                    objective, rows, aux_count=1 + n, opponent=z
-                )
+                solver = _PolytopeSolver(poly)
+                value, _ = solver.maximize(objective, rows, aux_count=1 + n, opponent=z)
+                cap_rows += solver.stats["cap_rows"]
                 best = max(best, value)
         per_k[k] = best
-    return per_k
+    return per_k, cap_rows
 
 
 def _close(a, b):
@@ -349,12 +354,26 @@ def test_shared_solver_matches_fresh_solvers():
                     fresh, _ = a_det(c, cp, profile)
                     assert _close(shared.matrix[c, cp], fresh), (trial, c, cp)
         report = fairness_det(shared.winner, profile)
-        fresh_per_k = _fresh_fairness_per_k(shared.winner, profile)
+        fresh_per_k, fresh_cap_rows = _fresh_fairness_per_k(shared.winner, profile)
         for k, value in fresh_per_k.items():
             assert _close(report.per_k[k], value), (trial, k)
-        cap_rows += report.solver_stats["cap_rows"]
-    # Some first relaxations are unbounded and go through the cap row.
+        cap_rows += fresh_cap_rows
+    # Without seeded rows some first relaxations are unbounded and go
+    # through the cap row.
     assert cap_rows > 0
+
+
+def test_seeded_fairness_needs_no_cap_rows():
+    # Profiles of the benchmark's optimize size: N in 3..5, M in 3..4.
+    rng = np.random.default_rng(61)
+    for trial in range(12):
+        profile = random_profile(3 + trial % 3, 3 + trial // 3 % 2, rng)
+        winner = opt_det(profile).winner
+        report = fairness_det(winner, profile)
+        assert report.solver_stats["cap_rows"] == 0, trial
+        fresh_per_k, _ = _fresh_fairness_per_k(winner, profile)
+        for k, value in fresh_per_k.items():
+            assert _close(report.per_k[k], value), (trial, k)
 
 
 def test_single_a_det_builds_one_tableau():
@@ -381,6 +400,15 @@ def test_reports_carry_solver_stats():
     report = dist_det(0, profile)
     assert report.solver_stats["cold_builds"] == 2  # one per opponent
     assert report.solver_stats["primal_pivots"] > 0
+    for stats in (
+        report.solver_stats,
+        fairness_det(0, profile).solver_stats,
+        opt_det(profile).solver_stats,
+        opt_rand(profile).solver_stats,
+    ):
+        assert set(stats) == set(SOLVER_STATS)
+        assert stats["separation_rounds"] > 0
+        assert stats["bland_switches"] == 0
 
 
 def test_failure_after_warm_and_cold_attempts_carries_reproduction(monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from metricdist import linprog
 from metricdist.linprog import (
     LinearProgram,
     LpInputError,
@@ -10,7 +11,7 @@ from metricdist.linprog import (
     solve,
 )
 
-from oracles import brute_force_lp_best, point_is_feasible
+from oracles import FullTableau, brute_force_lp_best, point_is_feasible
 
 
 def test_single_variable_box():
@@ -334,3 +335,120 @@ def test_refactor_keeps_the_optimum():
             after = tableau.outcome()
             assert after.value == pytest.approx(before.value, rel=1e-9, abs=1e-9)
             np.testing.assert_allclose(after.assignment, before.assignment, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Condensed tableau against the full-width reference in tests/oracles.py
+
+
+def _random_program(rng):
+    """A random program with ``=`` and ``>=`` rows and some free variables."""
+    lp = _random_lp(rng)
+    return LinearProgram(
+        lp.sense,
+        lp.objective,
+        list(zip(lp.rows, lp.relations, lp.rhs)),
+        nonneg=rng.random(lp.num_vars) < 0.7,
+    )
+
+
+def _optimize_both(tableau, reference):
+    status = tableau.optimize()
+    assert status.value == reference.optimize()
+    if status is LpStatus.OPTIMAL:
+        expected = float(reference.objective @ reference.solution())
+        assert tableau.outcome().value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+    return status
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_condensed_tableau_matches_full_width_reference(seed):
+    rng = np.random.default_rng(2000 + seed)
+    statuses = set()
+    for _ in range(60):
+        lp = _random_program(rng)
+        tableau, reference = _tableau(lp), FullTableau(lp)
+        status = _optimize_both(tableau, reference)
+        statuses.add(status)
+        for _ in range(5):
+            if status is not LpStatus.OPTIMAL:
+                break
+            step = int(rng.integers(4))
+            if step == 0:
+                k = int(rng.integers(1, 4))
+                rows = rng.integers(-3, 4, size=(k, lp.num_vars)).astype(float)
+                rhs = rng.integers(-1, 6, size=k).astype(float)
+                tableau.add_rows(rows, rhs)
+                reference.add_rows(rows, rhs)
+            elif step == 1:
+                count = tableau.rhs.size
+                indices = np.flatnonzero(rng.random(count) < 0.5)
+                removed = tableau.remove_rows(indices)
+                if not reference.remove_rows(indices[removed]).all():
+                    # Degenerate bases may differ in which slacks are basic.
+                    reference = FullTableau(tableau.program())
+            elif step == 2:
+                objective = rng.integers(-3, 4, size=lp.num_vars).astype(float)
+                tableau.set_objective(objective)
+                reference.set_objective(objective)
+            else:
+                tableau.refactor()
+                reference.refactor()
+            status = _optimize_both(tableau, reference)
+            statuses.add(status)
+    assert statuses == set(LpStatus)
+
+
+def test_added_rows_keep_one_column_per_nonbasic_variable():
+    lp = LinearProgram(
+        "max",
+        [1.0, 1.0, 0.0],
+        [
+            ([1.0, 1.0, 1.0], "<=", 4.0),
+            ([1.0, 0.0, 0.0], "<=", 3.0),
+            ([1.0, -1.0, 0.0], "=", 0.0),
+        ],
+    )
+    tableau = _tableau(lp)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    tableau.add_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 1.0])
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.outcome().value == pytest.approx(2.0, abs=1e-12)
+    # 3 structural variables and 4 slacks, 5 of them basic (one per row).
+    assert tableau._T.shape == (5 + 1, 7 - 5 + 1)
+
+
+def test_stalled_loop_switches_to_bland_and_counts_it(monkeypatch):
+    monkeypatch.setattr(linprog, "_STALL_LIMIT", 1)
+    lp = LinearProgram(
+        "min",
+        [-0.75, 150.0, -0.02, 6.0],
+        [
+            ([0.25, -60.0, -0.04, 9.0], "<=", 0.0),
+            ([0.5, -90.0, -0.02, 3.0], "<=", 0.0),
+            ([0.0, 0.0, 1.0, 0.0], "<=", 1.0),
+        ],
+    )
+    tableau = _tableau(lp)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.outcome().value == pytest.approx(-0.05, abs=1e-9)
+    assert tableau.bland_switches == 1
+
+
+def test_optimum_residual_is_computed_once(monkeypatch):
+    calls = []
+    excess = linprog._excess
+    monkeypatch.setattr(
+        linprog, "_excess", lambda *args: calls.append(1) or excess(*args)
+    )
+    lp = LinearProgram(
+        "max", [1.0, 1.0], [([1.0, 0.0], "<=", 2.0), ([0.0, 1.0], "<=", 3.0)]
+    )
+    tableau = _tableau(lp)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.outcome().value == pytest.approx(5.0)
+    assert len(calls) == 1
+    tableau.add_rows([[1.0, 1.0]], [4.0])  # a mutation drops the cached residual
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.outcome().value == pytest.approx(4.0)
+    assert len(calls) == 2
