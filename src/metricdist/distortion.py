@@ -13,10 +13,15 @@ the dual simplex, and the next objective over the same rows (another
 candidate, subset or lottery) resumes from its last optimal basis.
 
 A ratio is infinite exactly when some positively weighted alternative has no
-chain of single-agent preferences leading to the normalized opponent: along
-such a chain each consistency row caps the column, and without one the
-column can grow freely. That reachability test decides unboundedness before
-any LP is solved.
+chain of single-agent preferences leading to the normalized opponent; that
+reachability test decides unboundedness before any LP is solved. Along a
+step a -> b of such a chain, where agent u ranks a over b, consistency gives
+d(u,a) <= d(u,b) and the quadrilaterals (v, u, a, b) give
+d(v,a) <= d(v,b) + 2 d(u,b); summed over v, col(a) <= 2N col(b). So every
+relaxation is seeded with the rows (v, v', a, b), v != v', of each step of a
+shortest chain from each positively weighted column to the opponent, and
+these rows are never dropped: they alone bound every relaxation, under an
+opponent normalized by ``=`` 1, ``>=`` 1 or a top-k bound of 1.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from metricdist.linprog import (
 )
 from metricdist.metricspace import CostMatrix, _quad_gaps, is_consistent, is_q_metric
 from metricdist.profiles import serialize_profile
+from metricdist.tournament import build_weighted
 
 __all__ = [
     "BudgetExceededError",
@@ -56,17 +62,12 @@ __all__ = [
 DEFAULT_FEAS_TOL = 1e-7
 DEFAULT_SEP_TOL = 1e-9
 WITNESS_TOL = 1e-6
-# Relaxations may be unbounded before enough quadrilateral rows are present;
-# a cap row keeps them solvable. Genuine optima here are tiny compared to it.
-CAP_VALUE = 1e6
 _SEPARATION_BATCH = 75
 _MAX_ROUNDS = 1000
 _DROP_THRESHOLD = 400
 _DROP_SLACK = 1e-5
 # Pivot tolerance of the second cold solve after numerical drift.
 _RETRY_PIVOT_TOL = 1e-11
-# Label of the cap row among a live tableau's constraints.
-_CAP = "cap"
 SOLVER_STATS = (
     "cold_builds",  # tableaux built by the two-phase method
     "warm_solves",  # re-optimizations of a live tableau
@@ -75,7 +76,6 @@ SOLVER_STATS = (
     "refactors",  # tableaux recomputed from their rows to shed round-off
     "rebuilds",  # cold rebuilds after a failed warm re-optimization
     "retries",  # cold solves repeated with a tighter pivot tolerance
-    "cap_rows",  # cap rows added to unbounded relaxations
     "bland_switches",  # pivot loops that stalled and switched to Bland's rule
     "separation_rounds",  # searches for violated quadrilaterals
 )
@@ -99,23 +99,48 @@ class MetricPolytope:
         self.num_alternatives = profile.num_alternatives
         self.num_metric_vars = self.num_agents * self.num_alternatives
         self._reach = None
+        self._length = None  # steps of a shortest chain from a to b, m if none
         self._consistency = None
 
     def var(self, v: int, c: int) -> int:
         return v * self.num_alternatives + c
 
     @property
+    def edges(self) -> np.ndarray:
+        """``edges[a, b]``: some agent prefers a over b (the tournament's support)."""
+        return build_weighted(self.profile).weights > 0
+
+    @property
     def reach(self) -> np.ndarray:
-        """Closure of 'some agent prefers a over b'; diagonal True."""
+        """``reach[a, b]``: a chain of ``edges`` leads from a to b; diagonal True."""
         if self._reach is None:
-            pos = self.profile.positions
-            edge = (pos[:, :, None] < pos[:, None, :]).any(axis=0)
-            reach = edge.copy()
-            for mid in range(self.num_alternatives):
-                reach |= np.outer(reach[:, mid], reach[mid, :])
-            np.fill_diagonal(reach, True)
-            self._reach = reach
+            # Breadth-first from every alternative at once: ``wider & ~near``
+            # are the pairs whose shortest chain has k steps.
+            m = self.num_alternatives
+            edges = self.edges
+            near = np.eye(m, dtype=bool)
+            self._length = np.where(near, 0, m)
+            for k in range(1, m):
+                wider = near | (near @ edges)
+                if (wider == near).all():
+                    break
+                self._length[wider & ~near] = k
+                near = wider
+            self._reach = near
         return self._reach
+
+    def chain(self, a, b):
+        """Steps ``(x, y)`` of a shortest chain of ``edges`` from a to b.
+
+        Empty when ``a == b`` or when no chain exists.
+        """
+        steps = []
+        while self.reach[a, b] and a != b:
+            closer = self.edges[a] & (self._length[:, b] == self._length[a, b] - 1)
+            step = int(np.argmax(closer))
+            steps.append((a, step))
+            a = step
+        return steps
 
     def consistency_rows(self) -> np.ndarray:
         if self._consistency is None:
@@ -186,8 +211,7 @@ class _LiveLp:
     """One live tableau, with what each of its constraints is.
 
     ``labels`` runs parallel to the tableau's constraints: ``None`` for a
-    consistency or extra row, a quadruple for a quadrilateral row, ``_CAP``
-    for the cap row.
+    consistency or extra row, a quadruple for a quadrilateral row.
     """
 
     __slots__ = ("tableau", "labels", "quads")
@@ -204,7 +228,9 @@ class _PolytopeSolver:
     Every LP here normalizes one opponent column, and generated
     quadrilateral rows are pooled per normalized opponent: the rows are
     valid for every LP over the polytope, but those that bind under one
-    opponent's normalization are mostly slack under another's.
+    opponent's normalization are mostly slack under another's. Each pool
+    starts with the chain rows of every column an objective weights (see the
+    module docstring); they bound every relaxation and are never pruned.
 
     Each normalized opponent and its extra rows (the normalization, or the
     top-k rows of fairness) keep one live tableau across calls. New
@@ -220,28 +246,15 @@ class _PolytopeSolver:
         self.polytope = polytope
         self.feas_tol = feas_tol
         self.sep_tol = sep_tol
-        # opponent -> quadruples in insertion order (a dict as ordered set)
+        # opponent -> quadruples in insertion order (a dict as ordered set);
+        # seeded chain rows map to True, generated rows to None
         self.pools = {}
+        # (column, opponent) pairs whose chain rows are in the pool
+        self.seeded = set()
         # (opponent, width, extra rows) -> _LiveLp
         self.live = {}
         self.stats = dict.fromkeys(SOLVER_STATS, 0)
         self._consistency = {}  # width -> padded consistency rows
-
-    def seed_column_pair(self, c, opponent):
-        """Preload the agent-pair quadrilaterals tying column ``c`` to ``opponent``.
-
-        These are the rows that bound an objective on column ``c`` under a
-        normalization of column ``opponent``; starting with them saves most
-        separation rounds.
-        """
-        if c == opponent:
-            return
-        pool = self.pools.setdefault(opponent, {})
-        n = self.polytope.num_agents
-        for v in range(n):
-            for vp in range(n):
-                if v != vp:
-                    pool.setdefault((v, vp, c, opponent))
 
     def maximize(self, metric_objective, extra_rows=(), aux_count=0, *, opponent):
         """Maximize over the polytope plus ``extra_rows``; returns ``(value, metric)``.
@@ -250,10 +263,11 @@ class _PolytopeSolver:
         generation runs over that opponent's pool and live tableau.
 
         Raises:
-            SolverFailure: the solve failed warm and cold, or the optimum
-                sits on the safety cap (the program is unbounded).
+            SolverFailure: the solve failed warm and cold, or a relaxation
+                is unbounded (a weighted column has no chain to ``opponent``).
         """
-        nm = self.polytope.num_metric_vars
+        poly = self.polytope
+        nm = poly.num_metric_vars
         width = nm + aux_count
         objective = np.zeros(width)
         objective[:nm] = metric_objective
@@ -263,6 +277,14 @@ class _PolytopeSolver:
         )
         key = (opponent, width, rows_key)
         pool = self.pools.setdefault(opponent, {})
+        # The chain rows of every weighted column bound the relaxation.
+        weighted = np.flatnonzero(objective[:nm] > 0) % poly.num_alternatives
+        for c in set(weighted.tolist()):
+            if (c, opponent) not in self.seeded:
+                self.seeded.add((c, opponent))
+                for a, b in poly.chain(c, opponent):
+                    agent_pairs = itertools.permutations(range(poly.num_agents), 2)
+                    pool.update(((v, vp, a, b), True) for v, vp in agent_pairs)
         # Popped while in use, so a call that raises leaves no tableau behind.
         live = self.live.pop(key, None)
         if live is None:
@@ -271,7 +293,7 @@ class _PolytopeSolver:
             status, out = self._resume(live, objective, pool)
         value, x = self._generate_rows(live, pool, status, out)
         self.live[key] = live
-        return value, x[:nm].reshape(self.polytope.num_agents, -1)
+        return value, x[:nm].reshape(poly.num_agents, -1)
 
     def _start(self, objective, extra_rows, pool):
         """Cold-build the tableau of a new key over its pool."""
@@ -302,10 +324,6 @@ class _PolytopeSolver:
 
     def _resume(self, live, objective, pool):
         """Switch a live tableau to ``objective`` and re-optimize it."""
-        cap = [i for i, label in enumerate(live.labels) if label is _CAP]
-        if cap:
-            # The last call ended below the cap, so its slack is basic.
-            self._remove(live, cap)
         missing = [q for q in pool if q not in live.quads]
         if missing:
             # Enter under the old objective, whose basis stays dual feasible.
@@ -324,15 +342,9 @@ class _PolytopeSolver:
         fresh = set()
         for _ in range(_MAX_ROUNDS):
             if status is LpStatus.UNBOUNDED:
-                if _CAP in live.labels:
-                    raise self._failure(
-                        "unbounded in spite of the cap row", live.tableau.program()
-                    )
-                live.tableau.add_rows(live.tableau.objective, [CAP_VALUE])
-                live.labels.append(_CAP)
-                self.stats["cap_rows"] += 1
-                status, out = self._reoptimize(live)
-                continue
+                raise self._failure(
+                    "relaxation unbounded: chain rows missing", live.tableau.program()
+                )
             if status is not LpStatus.OPTIMAL:
                 raise self._failure(
                     f"unexpected LP status {status}", live.tableau.program()
@@ -345,21 +357,17 @@ class _PolytopeSolver:
                 metric, self.sep_tol, live.quads, _SEPARATION_BATCH
             )
             if not new:
-                if _CAP in live.labels and out.value >= CAP_VALUE * (1.0 - 1e-6):
-                    raise self._failure(
-                        "objective reached the safety cap on a supposedly "
-                        "bounded program",
-                        live.tableau.program(),
-                    )
                 return out.value, x
 
             # Keep the working set lean: drop rows far from binding, but
-            # never ones added in the previous round.
+            # never seeded ones or ones added in the previous round.
             if len(live.quads) > _DROP_THRESHOLD:
                 old = [
                     i
                     for i, label in enumerate(live.labels)
-                    if isinstance(label, tuple) and label not in fresh
+                    if isinstance(label, tuple)
+                    and label not in fresh
+                    and not pool.get(label)
                 ]
                 slack = -(live.tableau.rows[old] @ x)
                 far = [i for i, s in zip(old, slack) if s >= _DROP_SLACK]
@@ -538,11 +546,8 @@ def a_det(c, opponent, profile, *, solver=None):
     poly = solver.polytope
     if not poly.reach[c, opponent]:
         return math.inf, None
-    solver.seed_column_pair(c, opponent)
     nm = poly.num_metric_vars
-    objective = np.zeros(nm)
-    for v in range(poly.num_agents):
-        objective[poly.var(v, c)] = 1.0
+    objective = solver.normalization_row(c, nm)  # 1 on every entry of column c
     extra = [(solver.normalization_row(opponent, nm), "=", 1.0)]
     value, metric = solver.maximize(objective, extra, opponent=opponent)
     return value, CostMatrix(metric)
@@ -558,11 +563,7 @@ def a_rand(x, opponent, profile, *, solver=None):
     if not all(poly.reach[c, opponent] for c in support):
         return math.inf, None
     nm = poly.num_metric_vars
-    objective = np.zeros(nm)
-    for c in support:
-        solver.seed_column_pair(int(c), opponent)
-        for v in range(poly.num_agents):
-            objective[poly.var(v, c)] = x[c]
+    objective = np.tile(x, poly.num_agents)  # x[c] on every entry of column c
     extra = [(solver.normalization_row(opponent, nm), "=", 1.0)]
     value, metric = solver.maximize(objective, extra, opponent=opponent)
     return value, CostMatrix(metric)
@@ -658,6 +659,8 @@ class FairnessRandReport:
     per_k: dict  # k -> (lower, upper)
     exact_k: dict  # k -> bool
     value_bounds: tuple
+    # How the LPs were solved: counts keyed by SOLVER_STATS.
+    solver_stats: dict = field(default_factory=lambda: dict.fromkeys(SOLVER_STATS, 0))
 
     @property
     def exact_value(self):
@@ -719,9 +722,6 @@ def fairness_det(winner, profile, k_set=None, budget=10):
                 best = (math.inf, (k, z, None), None)
                 break
             rows = _top_k_rows(poly, z, k, width)
-            # As in a_det: the seeded rows bound the first relaxations, which
-            # would otherwise need the cap row.
-            solver.seed_column_pair(winner, z)
             for subset in itertools.combinations(range(n), k):
                 objective = np.zeros(nm)
                 for v in subset:
@@ -843,7 +843,11 @@ def fairness_rand(x, profile, k_set=None, budget=20_000):
 
     bounds = (max(lo for lo, _ in per_k.values()), max(hi for _, hi in per_k.values()))
     return FairnessRandReport(
-        distribution=x, per_k=per_k, exact_k=exact_k, value_bounds=bounds
+        distribution=x,
+        per_k=per_k,
+        exact_k=exact_k,
+        value_bounds=bounds,
+        solver_stats=dict(solver.stats),
     )
 
 

@@ -157,7 +157,6 @@ def separation_oracle(x, gamma, profile, *, solver=None, viol_tol=DEFAULT_EPS / 
             continue
         objective = np.zeros(nm)
         for c in support:
-            solver.seed_column_pair(c, opponent)
             for v in range(poly.num_agents):
                 objective[poly.var(v, c)] = x[c]
         extra = [(solver.normalization_row(opponent, nm), "=", 1.0)]

@@ -235,19 +235,9 @@ def _claim_thm2(seed, trials, eps):
 
         base = schulze(profile)
         strict = base.audit["co_winners"] == [0]
+        # tie_break acts only among co_winners, so a strict winner wins
+        # under every tie order.
         checks.add(f"n={n}: strongest paths strictly favour alternative 1", strict)
-        if n == 2:
-            tie_orders = list(itertools.permutations(range(m)))
-        else:
-            tie_orders = [list(rng.permutation(m)) for _ in range(shuffles)]
-        schulze_ok = all(
-            schulze(profile, tie_break=list(order)).winner == 0
-            for order in tie_orders
-        )
-        checks.add(
-            f"n={n}: strongest-path winner over {len(tie_orders)} tie orders",
-            schulze_ok,
-        )
 
         checks.add(
             f"n={n}: constructed metric admissible and consistent",

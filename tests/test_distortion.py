@@ -305,15 +305,11 @@ def _point_mass(c, m):
 
 
 def _fresh_fairness_per_k(winner, profile):
-    """fairness_det's enumeration with a fresh, unseeded solver for every LP.
-
-    Returns the ratios by k and the number of cap rows the solvers added.
-    """
+    """fairness_det's enumeration with a fresh solver for every LP."""
     poly = MetricPolytope(profile)
     n, m = profile.num_agents, profile.num_alternatives
     width = poly.num_metric_vars + 1 + n
     per_k = {}
-    cap_rows = 0
     for k in range(1, n + 1):
         best = 0.0
         for z in range(m):
@@ -329,10 +325,9 @@ def _fresh_fairness_per_k(winner, profile):
                     objective[poly.var(v, winner)] = 1.0
                 solver = _PolytopeSolver(poly)
                 value, _ = solver.maximize(objective, rows, aux_count=1 + n, opponent=z)
-                cap_rows += solver.stats["cap_rows"]
                 best = max(best, value)
         per_k[k] = best
-    return per_k, cap_rows
+    return per_k
 
 
 def _close(a, b):
@@ -341,11 +336,18 @@ def _close(a, b):
     return a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
 
-def test_shared_solver_matches_fresh_solvers():
+def _shared_solver_profiles():
     rng = np.random.default_rng(53)
-    cap_rows = 0
     for trial in range(10):
-        profile = random_profile(3 + trial % 2, 3 + trial % 3, rng)
+        yield random_profile(3 + trial % 2, 3 + trial % 3, rng)
+    # Profiles of the benchmark's optimize size: N in 3..5, M in 3..4.
+    rng = np.random.default_rng(61)
+    for trial in range(12):
+        yield random_profile(3 + trial % 3, 3 + trial // 3 % 2, rng)
+
+
+def test_shared_solver_matches_fresh_solvers():
+    for trial, profile in enumerate(_shared_solver_profiles()):
         m = profile.num_alternatives
         shared = opt_det(profile)
         for c in range(m):
@@ -354,26 +356,79 @@ def test_shared_solver_matches_fresh_solvers():
                     fresh, _ = a_det(c, cp, profile)
                     assert _close(shared.matrix[c, cp], fresh), (trial, c, cp)
         report = fairness_det(shared.winner, profile)
-        fresh_per_k, fresh_cap_rows = _fresh_fairness_per_k(shared.winner, profile)
-        for k, value in fresh_per_k.items():
+        for k, value in _fresh_fairness_per_k(shared.winner, profile).items():
             assert _close(report.per_k[k], value), (trial, k)
-        cap_rows += fresh_cap_rows
-    # Without seeded rows some first relaxations are unbounded and go
-    # through the cap row.
-    assert cap_rows > 0
 
 
-def test_seeded_fairness_needs_no_cap_rows():
-    # Profiles of the benchmark's optimize size: N in 3..5, M in 3..4.
-    rng = np.random.default_rng(61)
-    for trial in range(12):
-        profile = random_profile(3 + trial % 3, 3 + trial // 3 % 2, rng)
-        winner = opt_det(profile).winner
-        report = fairness_det(winner, profile)
-        assert report.solver_stats["cap_rows"] == 0, trial
-        fresh_per_k, _ = _fresh_fairness_per_k(winner, profile)
-        for k, value in fresh_per_k.items():
-            assert _close(report.per_k[k], value), (trial, k)
+def _chain_only_pairs(profile):
+    """Pairs (c, opponent) that a chain joins but no agent ranks c above opponent."""
+    poly = MetricPolytope(profile)
+    m = profile.num_alternatives
+    return [
+        (c, z)
+        for c in range(m)
+        for z in range(m)
+        if c != z and poly.reach[c, z] and not poly.edges[c, z]
+    ]
+
+
+def test_chain_only_pairs_match_full_lp_without_refactors():
+    from metricdist.distortion import build_full_lp
+    from metricdist.linprog import LpStatus, solve
+
+    rng = np.random.default_rng(67)
+    checked = 0
+    while checked < 12:
+        profile = random_profile(int(rng.integers(3, 5)), int(rng.integers(3, 6)), rng)
+        for c, z in _chain_only_pairs(profile)[:2]:
+            solver = _PolytopeSolver(MetricPolytope(profile))
+            value, _ = a_det(c, z, profile, solver=solver)
+            out = solve(build_full_lp(c, z, profile))
+            assert out.status is LpStatus.OPTIMAL
+            assert value == pytest.approx(out.value, rel=1e-9), (c, z)
+            assert solver.stats["refactors"] == 0
+            checked += 1
+
+
+def test_missing_chain_rows_raise_named_unbounded_failure():
+    profile = warmup_instance().profile
+    solver = _PolytopeSolver(MetricPolytope(profile))
+    nm = solver.polytope.num_metric_vars
+    objective = np.zeros(nm)
+    objective[solver.polytope.var(1, 0)] = 1.0  # agent 1 ranks 0 below 2
+    solver.seeded.add((0, 2))  # as if seeded, yet the pool stays empty
+    extra = [(solver.normalization_row(2, nm), "=", 1.0)]
+    with pytest.raises(SolverFailure, match="relaxation unbounded: chain rows missing") as info:
+        solver.maximize(objective, extra, opponent=2)
+    assert info.value.profile_text == serialize_profile(profile)
+    assert info.value.lp_text.splitlines()[0].startswith("max ")
+
+
+def test_pruning_keeps_seeded_chain_rows():
+    n = 10
+    profile = ranked_pairs_hard_instance(n).profile
+    m = profile.num_alternatives
+    solver = _PolytopeSolver(MetricPolytope(profile))
+    removed = []
+    remove = solver._remove
+
+    def recording_remove(live, indices):
+        labels = remove(live, indices)
+        removed.extend(labels)
+        return labels
+
+    solver._remove = recording_remove
+    value, _ = a_det(0, m - 1, profile, solver=solver)
+    assert value == pytest.approx((5 * n + 3) / (n + 3), rel=1e-9)
+    seeded = {
+        (v, vp, a, b)
+        for a, b in solver.polytope.chain(0, m - 1)
+        for v, vp in itertools.permutations(range(profile.num_agents), 2)
+    }
+    assert seeded and removed
+    assert seeded.isdisjoint(removed)
+    (live,) = solver.live.values()
+    assert seeded <= set(solver.pools[m - 1]) and seeded <= live.quads
 
 
 def test_single_a_det_builds_one_tableau():
@@ -405,6 +460,7 @@ def test_reports_carry_solver_stats():
         fairness_det(0, profile).solver_stats,
         opt_det(profile).solver_stats,
         opt_rand(profile).solver_stats,
+        fairness_rand(UNIFORM3, profile).solver_stats,
     ):
         assert set(stats) == set(SOLVER_STATS)
         assert stats["separation_rounds"] > 0
