@@ -427,6 +427,7 @@ def _cmd_distortion(args) -> int:
                 _one_based(c): v for c, v in report.per_opponent.items()
             },
             "tolerances": report.tolerances,
+            "solver_stats": report.solver_stats,
         },
         args.out,
     )
@@ -494,6 +495,7 @@ def _cmd_fairness(args) -> int:
             "exact_k": report.exact_k,
             "value_lower": report.value_bounds[0],
             "value_upper": report.value_bounds[1],
+            "solver_stats": report.solver_stats,
         }
     else:
         kwargs = {} if args.budget is None else {"budget": args.budget}
@@ -504,6 +506,7 @@ def _cmd_fairness(args) -> int:
             "winner": _one_based(outcome.winner),
             "per_k": report.per_k,
             "value": report.value,
+            "solver_stats": report.solver_stats,
         }
     return _emit(payload, args.out)
 
@@ -517,6 +520,7 @@ def _cmd_opt_det(args) -> int:
             "winner": _one_based(result.winner),
             "value": result.value,
             "matrix": result.matrix,
+            "solver_stats": result.solver_stats,
         },
         args.out,
     )
@@ -538,6 +542,7 @@ def _cmd_opt_rand(args) -> int:
             "cuts": len(result.state.cuts),
             "iterations": result.state.iterations,
             "normal_metric_reading": _NORMAL_READING,
+            "solver_stats": result.solver_stats,
         },
         args.out,
     )

@@ -20,8 +20,9 @@ d(u,a) <= d(u,b) and the quadrilaterals (v, u, a, b) give
 d(v,a) <= d(v,b) + 2 d(u,b); summed over v, col(a) <= 2N col(b). So every
 relaxation is seeded with the rows (v, v', a, b), v != v', of each step of a
 shortest chain from each positively weighted column to the opponent, and
-these rows are never dropped: they alone bound every relaxation, under an
-opponent normalized by ``=`` 1, ``>=`` 1 or a top-k bound of 1.
+these rows are never dropped: they alone bound every relaxation, under each
+normalization of the opponent: its total cost ``=`` 1, also the cheapest,
+or the sum of its k largest entries at most 1.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ class _LiveLp:
     """One live tableau, with what each of its constraints is.
 
     ``labels`` runs parallel to the tableau's constraints: ``None`` for a
-    consistency or extra row, a quadruple for a quadrilateral row.
+    normalization or consistency row, a quadruple for a quadrilateral row.
     """
 
     __slots__ = ("tableau", "labels", "quads")
@@ -232,8 +233,8 @@ class _PolytopeSolver:
     starts with the chain rows of every column an objective weights (see the
     module docstring); they bound every relaxation and are never pruned.
 
-    Each normalized opponent and its extra rows (the normalization, or the
-    top-k rows of fairness) keep one live tableau across calls. New
+    Each ``(opponent, norm)`` key keeps one live tableau across calls; the
+    key names the rows that normalize the opponent (see :meth:`maximize`). New
     quadrilateral rows enter it and are re-optimized by the dual simplex; a
     new objective first takes in the pool rows the tableau lacks, then
     resumes the primal simplex from the last optimal basis. Every round's
@@ -251,16 +252,19 @@ class _PolytopeSolver:
         self.pools = {}
         # (column, opponent) pairs whose chain rows are in the pool
         self.seeded = set()
-        # (opponent, width, extra rows) -> _LiveLp
+        # (opponent, norm) -> _LiveLp
         self.live = {}
         self.stats = dict.fromkeys(SOLVER_STATS, 0)
         self._consistency = {}  # width -> padded consistency rows
 
-    def maximize(self, metric_objective, extra_rows=(), aux_count=0, *, opponent):
-        """Maximize over the polytope plus ``extra_rows``; returns ``(value, metric)``.
+    def maximize(self, metric_objective, *, opponent, norm):
+        """Maximize over the polytope, ``opponent`` normalized; ``(value, metric)``.
 
-        ``opponent`` names the column that ``extra_rows`` normalize; row
-        generation runs over that opponent's pool and live tableau.
+        ``norm`` picks the normalization: ``"="`` fixes the opponent's total
+        cost to 1; ``"cheapest"`` also makes every other column cost at
+        least 1; an integer k bounds the sum of the opponent's k largest
+        entries by 1 (see :func:`_top_k_block`). Row generation runs over
+        the opponent's pool and the live tableau of ``(opponent, norm)``.
 
         Raises:
             SolverFailure: the solve failed warm and cold, or a relaxation
@@ -268,17 +272,10 @@ class _PolytopeSolver:
         """
         poly = self.polytope
         nm = poly.num_metric_vars
-        width = nm + aux_count
-        objective = np.zeros(width)
-        objective[:nm] = metric_objective
-        extra_rows = list(extra_rows)
-        rows_key = tuple(
-            (np.asarray(row).tobytes(), rel, float(b)) for row, rel, b in extra_rows
-        )
-        key = (opponent, width, rows_key)
+        key = (opponent, norm)
         pool = self.pools.setdefault(opponent, {})
         # The chain rows of every weighted column bound the relaxation.
-        weighted = np.flatnonzero(objective[:nm] > 0) % poly.num_alternatives
+        weighted = np.flatnonzero(metric_objective > 0) % poly.num_alternatives
         for c in set(weighted.tolist()):
             if (c, opponent) not in self.seeded:
                 self.seeded.add((c, opponent))
@@ -288,42 +285,37 @@ class _PolytopeSolver:
         # Popped while in use, so a call that raises leaves no tableau behind.
         live = self.live.pop(key, None)
         if live is None:
-            live, status, out = self._start(objective, extra_rows, pool)
+            live, status, out = self._start(metric_objective, opponent, norm, pool)
         else:
-            status, out = self._resume(live, objective, pool)
+            status, out = self._resume(live, metric_objective, pool)
         value, x = self._generate_rows(live, pool, status, out)
         self.live[key] = live
         return value, x[:nm].reshape(poly.num_agents, -1)
 
-    def _start(self, objective, extra_rows, pool):
+    def _start(self, metric_objective, opponent, norm, pool):
         """Cold-build the tableau of a new key over its pool."""
-        width = objective.size
+        poly = self.polytope
+        A_eq, b_eq, A_norm, b_norm = _normalization(poly, opponent, norm)
+        width = A_eq.shape[1]
+        objective = np.zeros(width)
+        objective[: poly.num_metric_vars] = metric_objective
         consistency = self._consistency.get(width)
         if consistency is None:
-            rows = self.polytope.consistency_rows()
+            rows = poly.consistency_rows()
             consistency = np.zeros((len(rows), width))
             consistency[:, : rows.shape[1]] = rows
             self._consistency[width] = consistency
         quads = list(pool)
-        rows = np.vstack(
-            [
-                consistency,
-                np.reshape([r for r, _, _ in extra_rows], (-1, width)),
-                self.polytope.quadruple_rows(quads, width),
-            ]
-        )
-        relations = ["<="] * len(consistency) + [rel for _, rel, _ in extra_rows]
-        relations += ["<="] * len(quads)
-        rhs = np.zeros(len(rows))
-        rhs[len(consistency) : len(consistency) + len(extra_rows)] = [
-            b for _, _, b in extra_rows
-        ]
-        labels = [None] * (len(consistency) + len(extra_rows)) + quads
-        tableau, status, out = self._cold(objective, rows, relations, rhs)
+        A_ub = np.vstack([consistency, A_norm, poly.quadruple_rows(quads, width)])
+        b_ub = np.zeros(len(A_ub))
+        b_ub[len(consistency) : len(consistency) + len(b_norm)] = b_norm
+        labels = [None] * (len(b_eq) + len(consistency) + len(b_norm)) + quads
+        lp = LinearProgram("max", objective, A_ub, b_ub, A_eq, b_eq)
+        tableau, status, out = self._cold(lp)
         return _LiveLp(tableau, labels), status, out
 
-    def _resume(self, live, objective, pool):
-        """Switch a live tableau to ``objective`` and re-optimize it."""
+    def _resume(self, live, metric_objective, pool):
+        """Switch a live tableau to ``metric_objective`` and re-optimize it."""
         missing = [q for q in pool if q not in live.quads]
         if missing:
             # Enter under the old objective, whose basis stays dual feasible.
@@ -333,6 +325,8 @@ class _PolytopeSolver:
                 raise self._failure(
                     f"unexpected LP status {status}", live.tableau.program()
                 )
+        objective = np.zeros(live.tableau.objective.size)
+        objective[: metric_objective.size] = metric_objective
         live.tableau.set_objective(objective)
         return self._reoptimize(live)
 
@@ -424,25 +418,15 @@ class _PolytopeSolver:
             return status, out
         except SolverFailure:
             self.stats["rebuilds"] += 1
-        live.tableau, status, out = self._cold(
-            tableau.objective, tableau.rows, tableau.relations, tableau.rhs
-        )
+        live.tableau, status, out = self._cold(tableau.program())
         return status, out
 
-    def _cold(self, objective, rows, relations, rhs):
-        """Two-phase solve, retried once with a tighter pivot tolerance."""
+    def _cold(self, lp):
+        """Two-phase solve of ``lp``, retried once with a tighter pivot tolerance."""
         self.stats["cold_builds"] += 1
         for pivot_tol in (DEFAULT_PIVOT_TOL, _RETRY_PIVOT_TOL):
             try:
-                tableau = Tableau(
-                    "max",
-                    objective,
-                    rows,
-                    relations,
-                    rhs,
-                    pivot_tol=pivot_tol,
-                    feas_tol=self.feas_tol,
-                )
+                tableau = Tableau(lp, pivot_tol=pivot_tol, feas_tol=self.feas_tol)
                 self.stats["primal_pivots"] += tableau.primal_pivots
                 self.stats["bland_switches"] += tableau.bland_switches
                 return (tableau, *self._run(tableau))
@@ -451,8 +435,7 @@ class _PolytopeSolver:
                 if pivot_tol == DEFAULT_PIVOT_TOL:
                     self.stats["retries"] += 1
         raise self._failure(
-            f"cold solve failed at every pivot tolerance: {failure}",
-            LinearProgram("max", objective, zip(rows, relations, rhs)),
+            f"cold solve failed at every pivot tolerance: {failure}", lp
         ) from failure
 
     def _failure(self, message, program):
@@ -463,11 +446,41 @@ class _PolytopeSolver:
             profile_text=serialize_profile(self.polytope.profile),
         )
 
-    def normalization_row(self, opponent, width):
-        row = np.zeros(width)
-        for v in range(self.polytope.num_agents):
-            row[self.polytope.var(v, opponent)] = 1.0
-        return row
+
+def _normalization(poly, opponent, norm):
+    """Rows ``(A_eq, b_eq, A_ub, b_ub)`` that normalize ``opponent`` by ``norm``.
+
+    See :meth:`_PolytopeSolver.maximize` for the three normalizations.
+    """
+    if norm not in ("=", "cheapest"):
+        A_ub, b_ub = _top_k_block(poly, opponent, norm)
+        return np.zeros((0, A_ub.shape[1])), np.zeros(0), A_ub, b_ub
+    # Row c sums column c of the metric: entries v * M + c for every agent v.
+    m = poly.num_alternatives
+    sums = np.arange(poly.num_metric_vars) % m == np.arange(m)[:, None]
+    # "cheapest": every other column costs at least 1, negated into <= -1
+    others = sums[np.arange(m) != opponent] if norm == "cheapest" else sums[:0]
+    return sums[[opponent]], np.ones(1), -1.0 * others, -np.ones(len(others))
+
+
+def _top_k_block(poly, z, k):
+    """Rows ``(A_ub, b_ub)``: 'sum of the k largest entries of column z is at most 1'.
+
+    Aux variables follow the metric ones: a threshold ``t`` and per-agent
+    overflows ``u_v``; the bound is exactly ``k*t + sum_v u_v <= 1`` with
+    ``u_v >= d(v,z) - t``.
+    """
+    nm, n = poly.num_metric_vars, poly.num_agents
+    v = np.arange(n)
+    A = np.zeros((n + 1, nm + 1 + n))
+    A[v, v * poly.num_alternatives + z] = 1.0
+    A[v, nm] = -1.0
+    A[v, nm + 1 + v] = -1.0
+    A[n, nm] = float(k)
+    A[n, nm + 1 :] = 1.0
+    b = np.zeros(n + 1)
+    b[n] = 1.0
+    return A, b
 
 
 @dataclass
@@ -518,21 +531,13 @@ def build_full_lp(winner_or_x, opponent, profile) -> LinearProgram:
     at small sizes.
     """
     poly = MetricPolytope(profile)
-    nm = poly.num_metric_vars
     weights = _outcome_weights(winner_or_x, profile.num_alternatives)
-    objective = np.zeros(nm)
-    for c in range(profile.num_alternatives):
-        if weights[c]:
-            for v in range(profile.num_agents):
-                objective[poly.var(v, c)] = weights[c]
-    norm = np.zeros(nm)
-    for v in range(profile.num_agents):
-        norm[poly.var(v, opponent)] = 1.0
-    constraints = [(norm, "=", 1.0)]
-    constraints += [(row, "<=", 0.0) for row in poly.consistency_rows()]
-    quads = poly.quadruple_rows(poly.all_quadruples())
-    constraints += [(row, "<=", 0.0) for row in quads]
-    return LinearProgram("max", objective, constraints)
+    A_eq, b_eq, _, _ = _normalization(poly, opponent, "=")
+    A_ub = np.vstack(
+        [poly.consistency_rows(), poly.quadruple_rows(poly.all_quadruples())]
+    )
+    objective = np.tile(weights, profile.num_agents)
+    return LinearProgram("max", objective, A_ub, np.zeros(len(A_ub)), A_eq, b_eq)
 
 
 def a_det(c, opponent, profile, *, solver=None):
@@ -541,16 +546,9 @@ def a_det(c, opponent, profile, *, solver=None):
     Returns ``(value, witness)``; the value is ``inf`` with no witness when
     the ratio is unbounded (no preference chain from ``c`` to ``opponent``).
     """
-    if solver is None:
-        solver = _PolytopeSolver(MetricPolytope(profile))
-    poly = solver.polytope
-    if not poly.reach[c, opponent]:
-        return math.inf, None
-    nm = poly.num_metric_vars
-    objective = solver.normalization_row(c, nm)  # 1 on every entry of column c
-    extra = [(solver.normalization_row(opponent, nm), "=", 1.0)]
-    value, metric = solver.maximize(objective, extra, opponent=opponent)
-    return value, CostMatrix(metric)
+    return a_rand(
+        _outcome_weights(c, profile.num_alternatives), opponent, profile, solver=solver
+    )
 
 
 def a_rand(x, opponent, profile, *, solver=None):
@@ -562,10 +560,8 @@ def a_rand(x, opponent, profile, *, solver=None):
     support = np.flatnonzero(x > 0)
     if not all(poly.reach[c, opponent] for c in support):
         return math.inf, None
-    nm = poly.num_metric_vars
     objective = np.tile(x, poly.num_agents)  # x[c] on every entry of column c
-    extra = [(solver.normalization_row(opponent, nm), "=", 1.0)]
-    value, metric = solver.maximize(objective, extra, opponent=opponent)
+    value, metric = solver.maximize(objective, opponent=opponent, norm="=")
     return value, CostMatrix(metric)
 
 
@@ -668,29 +664,6 @@ class FairnessRandReport:
         return lo if all(self.exact_k.values()) else None
 
 
-def _top_k_rows(poly, z, k, width):
-    """Rows encoding 'sum of the k largest entries of column z is at most 1'.
-
-    Aux variables: a threshold ``t`` and per-agent overflows ``u_v``; the
-    bound is exactly ``k*t + sum_v u_v <= 1`` with ``u_v >= d(v,z) - t``.
-    """
-    nm = poly.num_metric_vars
-    n = poly.num_agents
-    t_idx, u_base = nm, nm + 1
-    rows = []
-    for v in range(n):
-        row = np.zeros(width)
-        row[poly.var(v, z)] = 1.0
-        row[t_idx] = -1.0
-        row[u_base + v] = -1.0
-        rows.append((row, "<=", 0.0))
-    bound = np.zeros(width)
-    bound[t_idx] = float(k)
-    bound[u_base : u_base + n] = 1.0
-    rows.append((bound, "<=", 1.0))
-    return rows
-
-
 def fairness_det(winner, profile, k_set=None, budget=10):
     """Worst-case top-k cost ratio of ``winner`` against every opponent.
 
@@ -707,7 +680,6 @@ def fairness_det(winner, profile, k_set=None, budget=10):
     poly = MetricPolytope(profile)
     solver = _PolytopeSolver(poly)
     nm = poly.num_metric_vars
-    width = nm + 1 + n
 
     per_k = {}
     best = (0.0, None, None)
@@ -721,14 +693,11 @@ def fairness_det(winner, profile, k_set=None, budget=10):
                 per_k[k] = math.inf
                 best = (math.inf, (k, z, None), None)
                 break
-            rows = _top_k_rows(poly, z, k, width)
             for subset in itertools.combinations(range(n), k):
                 objective = np.zeros(nm)
                 for v in subset:
                     objective[poly.var(v, winner)] = 1.0
-                value, metric = solver.maximize(
-                    objective, rows, aux_count=1 + n, opponent=z
-                )
+                value, metric = solver.maximize(objective, opponent=z, norm=k)
                 k_best = max(k_best, value)
                 if value > best[0]:
                     best = (value, (k, z, subset), CostMatrix(metric))
@@ -768,7 +737,6 @@ def fairness_rand(x, profile, k_set=None, budget=20_000):
     poly = MetricPolytope(profile)
     solver = _PolytopeSolver(poly)
     nm = poly.num_metric_vars
-    width = nm + 1 + n
 
     per_k, exact_k = {}, {}
     for k in k_set:
@@ -785,17 +753,13 @@ def fairness_rand(x, profile, k_set=None, budget=20_000):
             if not all(poly.reach[c, z] for c in support):
                 lo_k = hi_k = math.inf
                 break
-            rows = _top_k_rows(poly, z, k, width)
 
             def tuple_value(subset_by_candidate):
                 objective = np.zeros(nm)
                 for c, subset in zip(support, subset_by_candidate):
                     for v in subset:
                         objective[poly.var(v, c)] += x[c]
-                value, metric = solver.maximize(
-                    objective, rows, aux_count=1 + n, opponent=z
-                )
-                return value, metric
+                return solver.maximize(objective, opponent=z, norm=k)
 
             if exact:
                 value = max(
@@ -815,12 +779,10 @@ def fairness_rand(x, profile, k_set=None, budget=20_000):
                     objective = np.zeros(nm)
                     for v in subset:
                         objective[poly.var(v, c)] = 1.0
-                    value, _ = solver.maximize(
-                        objective, rows, aux_count=1 + n, opponent=z
-                    )
+                    value, _ = solver.maximize(objective, opponent=z, norm=k)
                     if value > best_c:
                         best_c, best_subset = value, subset
-                upper += x[c] * best_c
+                upper += float(x[c]) * best_c
                 start_tuple.append(best_subset)
 
             # Lower bound: coordinate ascent on the subset tuple.

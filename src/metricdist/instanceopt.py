@@ -144,7 +144,7 @@ def separation_oracle(x, gamma, profile, *, solver=None, viol_tol=DEFAULT_EPS / 
     m = poly.num_alternatives
     x = np.asarray(x, dtype=float)
     support = [int(c) for c in np.flatnonzero(x > 0)]
-    nm = poly.num_metric_vars
+    objective = np.tile(x, poly.num_agents)  # x[c] on every entry of column c
 
     best = (-math.inf, None, None)  # value, opponent, witness
     blocked = []
@@ -155,15 +155,7 @@ def separation_oracle(x, gamma, profile, *, solver=None, viol_tol=DEFAULT_EPS / 
             per_opponent[opponent] = math.inf
             blocked.extend((c, opponent) for c in bad)
             continue
-        objective = np.zeros(nm)
-        for c in support:
-            for v in range(poly.num_agents):
-                objective[poly.var(v, c)] = x[c]
-        extra = [(solver.normalization_row(opponent, nm), "=", 1.0)]
-        for other in range(m):
-            if other != opponent:
-                extra.append((solver.normalization_row(other, nm), ">=", 1.0))
-        value, metric = solver.maximize(objective, extra, opponent=opponent)
+        value, metric = solver.maximize(objective, opponent=opponent, norm="cheapest")
         per_opponent[opponent] = value
         if value > best[0]:
             best = (value, opponent, CostMatrix(metric))
@@ -224,25 +216,21 @@ def opt_rand(
     return result
 
 
-def _cut_rows(state, m, width_gamma):
-    """Master rows from the collected cuts: cost(x) <= gamma per metric."""
-    rows = []
-    for sums, _, _ in state.cuts:
-        row = np.zeros(m + width_gamma)
-        row[:m] = sums
-        if width_gamma:
-            row[m] = -1.0
-        rows.append(row)
-    return rows
+def _master_lp(state, m, gamma):
+    """Minimize t over lotteries x with ``cost(x) - t <= gamma`` for every cut.
 
-
-def _blocked_rows(state, m, total):
-    rows = []
-    for c in sorted(state.blocked_columns):
-        row = np.zeros(total)
-        row[c] = 1.0
-        rows.append((row, "<=", 0.0))
-    return rows
+    Variables: x, then t. With ``gamma`` 0, t is the master's budget; at a
+    fixed budget ``gamma``, t is the worst violation of the cuts. Blocked
+    columns are capped at 0.
+    """
+    sums = np.array([cut_sums for cut_sums, _, _ in state.cuts])
+    blocked = np.eye(m + 1)[sorted(state.blocked_columns)]
+    A_ub = np.vstack([np.hstack([sums, -np.ones((len(sums), 1))]), blocked])
+    b_ub = np.concatenate([np.full(len(sums), gamma), np.zeros(len(blocked))])
+    objective = np.zeros(m + 1)
+    objective[m] = 1.0
+    simplex_row = np.concatenate([np.ones(m), [0.0]])
+    return LinearProgram("min", objective, A_ub, b_ub, [simplex_row], [1.0])
 
 
 def _master_point(state, assignment, m):
@@ -270,15 +258,9 @@ def _register_cut(state, verdict, gamma):
 
 def _opt_rand_master(profile, solver, state, eps, max_cuts):
     m = profile.num_alternatives
-    simplex_row = np.concatenate([np.ones(m), [0.0]])
     while state.iterations < max_cuts:
         state.iterations += 1
-        constraints = [(simplex_row, "=", 1.0)]
-        constraints += [(row, "<=", 0.0) for row in _cut_rows(state, m, 1)]
-        constraints += _blocked_rows(state, m, m + 1)
-        objective = np.zeros(m + 1)
-        objective[m] = 1.0
-        out = solve(LinearProgram("min", objective, constraints))
+        out = solve(_master_lp(state, m, 0.0))
         if out.status is not LpStatus.OPTIMAL:
             raise SolverFailure(f"master LP returned {out.status}")
         x_hat = _master_point(state, out.assignment, m)
@@ -302,14 +284,7 @@ def _opt_rand_bisect(profile, solver, state, eps, max_cuts):
         while state.iterations < max_cuts:
             state.iterations += 1
             # Minimize the worst violation of the stored cuts over the simplex.
-            simplex_row = np.concatenate([np.ones(m), [0.0]])
-            constraints = [(simplex_row, "=", 1.0)]
-            for row in _cut_rows(state, m, 1):
-                constraints.append((row, "<=", gamma))
-            constraints += _blocked_rows(state, m, m + 1)
-            objective = np.zeros(m + 1)
-            objective[m] = 1.0
-            out = solve(LinearProgram("min", objective, constraints))
+            out = solve(_master_lp(state, m, gamma))
             if out.status is not LpStatus.OPTIMAL:
                 raise SolverFailure(f"feasibility LP returned {out.status}")
             slack = float(out.value)
@@ -372,14 +347,11 @@ def candidate_response_value(profile, *, matrix=None):
     k = len(usable)
     objective = np.zeros(k + 1)
     objective[k] = 1.0
-    constraints = [(np.concatenate([np.ones(k), [0.0]]), "=", 1.0)]
-    for opponent in range(m):
-        row = np.zeros(k + 1)
-        for i, c in enumerate(usable):
-            row[i] = matrix[c, opponent]
-        row[k] = -1.0
-        constraints.append((row, "<=", 0.0))
-    out = solve(LinearProgram("min", objective, constraints))
+    # One row per opponent: x @ matrix[usable, opponent] - t <= 0.
+    A_ub = np.hstack([matrix[usable].T, -np.ones((m, 1))])
+    simplex_row = np.concatenate([np.ones(k), [0.0]])
+    lp = LinearProgram("min", objective, A_ub, np.zeros(m), [simplex_row], [1.0])
+    out = solve(lp)
     if out.status is not LpStatus.OPTIMAL:
         raise SolverFailure(f"response-game LP returned {out.status}")
     x = np.zeros(m)

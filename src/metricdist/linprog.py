@@ -2,8 +2,13 @@
 
 Every distortion, fairness, and instance-optimality computation in this
 package reduces to small dense linear programs; this module solves them
-deterministically without an external solver. A :class:`Tableau` is built
-cold by the two-phase method and then stays live: rows added to it enter
+deterministically without an external solver. Every program is one
+:class:`LinearProgram` in array form, ``A_ub x <= b_ub`` and
+``A_eq x = b_eq`` over ``x >= 0``, as in ``scipy.optimize.linprog``. A
+``>=`` row is written negated, as a ``<=`` row; the two-phase build turns
+every ``<=`` row with a negative right-hand side back into a ``>=`` row
+with a surplus and an artificial variable. A :class:`Tableau` is built cold
+by the two-phase method and then stays live: rows added to it enter
 against the current basis and are re-optimized by the dual simplex (the old
 basis stays dual feasible), and a new objective resumes the primal simplex
 from the last optimal basis. :func:`solve` is a cold build plus one
@@ -43,15 +48,9 @@ _STALL_LIMIT = 500
 # refactored from its rows: round-off that many pivots have accumulated.
 _DRIFT_TOL = 1e-11
 
-_RELATIONS = ("<=", "=", ">=")
-# Relation as a sign: a row is violated when sign * (lhs - rhs) exceeds the
-# tolerance, or |lhs - rhs| does for an equation (sign 0).
-_SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
-_RELATION_OF_SIGN = {1.0: "<=", 0.0: "=", -1.0: ">="}
-
 
 class LpInputError(ValueError):
-    """Malformed program: shape mismatch, unknown relation, non-finite data."""
+    """Malformed program: wrong shape, an unpaired block, non-finite data."""
 
 
 class SolverFailure(RuntimeError):
@@ -74,62 +73,37 @@ class LpStatus(enum.Enum):
 
 
 class LinearProgram:
-    """Immutable dense LP: optimize ``objective @ x`` over rows ``A x <rel> b``.
+    """Immutable dense LP in array form, validated once.
+
+    Optimizes ``objective @ x`` over ``x >= 0`` subject to
+    ``A_ub @ x <= b_ub`` and ``A_eq @ x = b_eq``. Either block may be left
+    out; a ``>=`` row is written negated as a ``<=`` row. Constraints are
+    indexed equations first, then inequalities, the order of
+    :attr:`relations`, :attr:`rhs`, :meth:`dump_text` and :class:`Tableau`.
 
     Args:
         sense: ``"max"`` or ``"min"``.
         objective: coefficient vector, one entry per variable.
-        constraints: iterable of ``(coefficients, relation, rhs)`` with
-            relation in ``{"<=", "=", ">="}``.
-        nonneg: per-variable flags, default all ``True``. Variables with a
-            cleared flag are free and get split internally.
+        A_ub, b_ub: inequality rows, a 2-d array with one column per
+            variable, and their right-hand sides.
+        A_eq, b_eq: equation rows and their right-hand sides.
     """
 
-    __slots__ = ("sense", "objective", "rows", "relations", "rhs", "nonneg")
+    __slots__ = ("sense", "objective", "A_ub", "b_ub", "A_eq", "b_eq")
 
-    def __init__(self, sense, objective, constraints=(), nonneg=None):
+    def __init__(self, sense, objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         if sense not in ("max", "min"):
             raise LpInputError(f"sense must be 'max' or 'min', got {sense!r}")
         self.sense = sense
-        self.objective = np.asarray(objective, dtype=float)
+        self.objective = np.array(objective, dtype=float)
         if self.objective.ndim != 1 or self.objective.size == 0:
             raise LpInputError("objective must be a nonempty vector")
         n = self.objective.size
-
-        constraints = list(constraints)
-        rows = np.zeros((len(constraints), n))
-        rhs = np.zeros(len(constraints))
-        relations = []
-        for i, (coeffs, rel, b) in enumerate(constraints):
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (n,):
-                raise LpInputError(
-                    f"constraint {i}: expected {n} coefficients, got {coeffs.shape}"
-                )
-            if rel not in _RELATIONS:
-                raise LpInputError(f"constraint {i}: unknown relation {rel!r}")
-            rows[i] = coeffs
-            relations.append(rel)
-            rhs[i] = float(b)
-        self.rows = rows
-        self.relations = tuple(relations)
-        self.rhs = rhs
-
-        if nonneg is None:
-            self.nonneg = np.ones(n, dtype=bool)
-        else:
-            self.nonneg = np.asarray(nonneg, dtype=bool)
-            if self.nonneg.shape != (n,):
-                raise LpInputError("nonneg flags must match num_vars")
-
-        if not (
-            np.isfinite(self.objective).all()
-            and np.isfinite(self.rows).all()
-            and np.isfinite(self.rhs).all()
-        ):
-            raise LpInputError("objective, rows and rhs must all be finite")
-
-        for arr in (self.objective, self.rows, self.rhs, self.nonneg):
+        self.A_ub, self.b_ub = _block("ub", A_ub, b_ub, n)
+        self.A_eq, self.b_eq = _block("eq", A_eq, b_eq, n)
+        for arr in (self.objective, self.A_ub, self.b_ub, self.A_eq, self.b_eq):
+            if not np.isfinite(arr).all():
+                raise LpInputError("objective, rows and rhs must all be finite")
             arr.setflags(write=False)
 
     @property
@@ -137,21 +111,53 @@ class LinearProgram:
         return self.objective.size
 
     @property
-    def num_constraints(self) -> int:
-        return len(self.relations)
+    def relations(self) -> tuple:
+        """``"="`` per equation, then ``"<="`` per inequality."""
+        return ("=",) * self.b_eq.size + ("<=",) * self.b_ub.size
+
+    @property
+    def rhs(self) -> np.ndarray:
+        """Right-hand sides in constraint order: ``b_eq``, then ``b_ub``."""
+        return np.concatenate([self.b_eq, self.b_ub])
+
+    @property
+    def nonneg(self) -> np.ndarray:
+        """All True: every variable is nonnegative.
+
+        Read only by ``perfbench/tracer.py``; it leaves with the tracer's
+        move to program-owned counters (ROADMAP item 1).
+        """
+        flags = np.ones(self.num_vars, dtype=bool)
+        flags.setflags(write=False)
+        return flags
 
     def dump_text(self) -> str:
         """Plain-text dump, one constraint per line, for bug reports."""
         # tolist(): plain floats, whose repr is a number under every numpy
         objective = self.objective.tolist()
         lines = [f"{self.sense} " + " ".join(repr(c) for c in objective)]
-        free = np.flatnonzero(~self.nonneg)
-        if free.size:
-            lines.append("free " + " ".join(str(i) for i in free))
-        rows, rhs = self.rows.tolist(), self.rhs.tolist()
-        for coeffs, rel, b in zip(rows, self.relations, rhs):
+        rows = np.vstack([self.A_eq, self.A_ub]).tolist()
+        for coeffs, rel, b in zip(rows, self.relations, self.rhs.tolist()):
             lines.append(" ".join(repr(c) for c in coeffs) + f" {rel} {b!r}")
         return "\n".join(lines) + "\n"
+
+
+def _block(name, A, b, n):
+    """Validated copies of one ``(A_name, b_name)`` block over ``n`` variables."""
+    if A is None and b is None:
+        return np.zeros((0, n)), np.zeros(0)
+    if A is None or b is None:
+        raise LpInputError(f"A_{name} and b_{name} must be given together")
+    A = np.array(A, dtype=float)
+    b = np.array(b, dtype=float)
+    if A.ndim != 2 or A.shape[1] != n:
+        raise LpInputError(f"A_{name} must have shape (rows, {n}), got {A.shape}")
+    if b.shape != (A.shape[0],):
+        raise LpInputError(
+            f"b_{name} must have one entry per row of A_{name} "
+            f"({A.shape[0]}), got shape {b.shape}"
+        )
+    return A, b
 
 
 @dataclass(frozen=True)
@@ -161,10 +167,6 @@ class LpOutcome:
     status: LpStatus
     value: float | None = None
     assignment: np.ndarray | None = None
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status is LpStatus.OPTIMAL
 
 
 class _PivotCounter:
@@ -310,23 +312,24 @@ def _dual_loop(T, basis, nonbasic, pivot_tol, counter) -> str:
 class Tableau:
     """Live condensed simplex tableau of one program; rows and objective can change.
 
-    Built cold by the two-phase method from ``(rows, relations, rhs)``. The
-    variables are the structural ones (free ones split in two) and one slack
-    per inequality, each with a stable label: structural variables first,
-    then slacks in the order their constraints arrived. The tableau is
-    condensed (a dictionary, or Tucker, tableau): one row per basic
-    variable, one column per nonbasic variable, and the basic values in the
-    last column; row ``m`` holds the reduced costs of a maximization. Basic
-    columns, unit vectors in a full tableau, are not stored, so a pivot is a
-    Jordan exchange of one row label with one column label, and added rows
-    never widen the tableau. Bland's rule picks the smallest label. Phase-1
-    artificials drop out once they leave the basis. A program found
-    infeasible by phase 1 keeps no tableau and only answers
-    :meth:`optimize`.
+    Built cold by the two-phase method from a :class:`LinearProgram`. Its
+    constraints are indexed as the program's are, equations first, and rows
+    added later follow them as inequalities. The variables are the
+    structural ones and one slack per inequality, each with a stable label:
+    structural variables first, then slacks in the order their constraints
+    arrived. The cold build negates a row with a negative right-hand side
+    into a ``>=`` row, whose slack is a surplus. The tableau is condensed (a dictionary,
+    or Tucker, tableau): one row per basic variable, one column per
+    nonbasic variable, and the basic values in the last column; row ``m``
+    holds the reduced costs of a maximization. Basic columns, unit vectors
+    in a full tableau, are not stored, so a pivot is a Jordan exchange of
+    one row label with one column label, and added rows never widen the
+    tableau. Bland's rule picks the smallest label. Phase-1 artificials
+    drop out once they leave the basis. A program found infeasible by
+    phase 1 keeps no tableau and only answers :meth:`optimize`.
 
     Args:
-        sense, objective, rows, relations, rhs, nonneg: as for
-            :class:`LinearProgram`, with ``rows`` a 2-d array.
+        lp: the program to build.
         pivot_tol: pivot and optimality tolerance of both pivot loops.
         feas_tol: phase-1 infeasibility threshold and the tolerance of the
             feasibility check in :meth:`outcome`.
@@ -336,26 +339,17 @@ class Tableau:
 
     def __init__(
         self,
-        sense,
-        objective,
-        rows,
-        relations,
-        rhs,
-        nonneg=None,
+        lp,
         *,
         pivot_tol=DEFAULT_PIVOT_TOL,
         feas_tol=DEFAULT_FEAS_TOL,
         max_pivots=DEFAULT_MAX_PIVOTS,
     ):
-        self.sense = sense
-        self.objective = np.asarray(objective, dtype=float)
-        n = self.objective.size
-        self.rows = np.array(rows, dtype=float).reshape(-1, n)
-        self.sign = np.array([_SIGN[rel] for rel in relations])
-        self.rhs = np.array(rhs, dtype=float)
-        self.nonneg = (
-            np.ones(n, dtype=bool) if nonneg is None else np.asarray(nonneg, bool)
-        )
+        self.sense = lp.sense
+        self.objective = lp.objective
+        self.rows = np.vstack([lp.A_eq, lp.A_ub])
+        self.rhs = np.concatenate([lp.b_eq, lp.b_ub])
+        self._eq = np.arange(self.rhs.size) < lp.b_eq.size
         self.pivot_tol = pivot_tol
         self.feas_tol = feas_tol
         self.max_pivots = max_pivots
@@ -363,43 +357,33 @@ class Tableau:
         self.dual_pivots = 0
         self.refactors = 0
         self.bland_switches = 0
-        self._free = np.flatnonzero(~self.nonneg)
-        self._n_struct = n + self._free.size
         self._infeasible = False
         # The basic solution and its row excesses, until the tableau changes.
         self._checked = None
         self._build()
 
-    def _std(self, rows):
-        """``rows`` over the structural columns: free variables split in two."""
-        if self._free.size:
-            return np.hstack([rows, -rows[:, self._free]])
-        return rows
-
     def _build(self):
-        A = self._std(self.rows).copy()
+        A = self.rows.copy()
         b = self.rhs.copy()
-        sign = self.sign.copy()
         flip = b < 0
         A[flip] *= -1.0
         b[flip] *= -1.0
-        sign[flip] *= -1.0
 
-        m, n_struct = A.shape
-        ineq = np.flatnonzero(sign != 0.0)
-        surplus = np.flatnonzero(sign == -1.0)
-        art = np.flatnonzero(sign != 1.0)
-        a0 = n_struct + ineq.size
+        m, n = A.shape
+        ineq = np.flatnonzero(~self._eq)
+        surplus = np.flatnonzero(flip & ~self._eq)
+        art = np.flatnonzero(flip | self._eq)
+        a0 = n + ineq.size
         # Constraint index -> label of its slack, -1 for an equation.
         slack = np.full(m, -1)
-        slack[ineq] = n_struct + np.arange(ineq.size)
+        slack[ineq] = n + np.arange(ineq.size)
         basis = slack.copy()
         basis[art] = a0 + np.arange(art.size)
-        nonbasic = np.concatenate([np.arange(n_struct), slack[surplus]])
+        nonbasic = np.concatenate([np.arange(n), slack[surplus]])
 
         T = np.zeros((m + 1, nonbasic.size + 1))
-        T[:m, :n_struct] = A
-        T[surplus, n_struct + np.arange(surplus.size)] = -1.0
+        T[:m, :n] = A
+        T[surplus, n + np.arange(surplus.size)] = -1.0
         T[:m, -1] = b
         keep = list(range(m))
 
@@ -451,27 +435,24 @@ class Tableau:
     def _set_cost_row(self):
         """Reduced costs of the current objective in the current basis."""
         T, basis, nonbasic = self._T, self._basis, self._nonbasic
-        c = np.zeros(self._n_struct)
         n = self.objective.size
-        c[:n] = self.objective if self.sense == "max" else -self.objective
-        c[n:] = -c[self._free]
-        basic = np.flatnonzero(basis < self._n_struct)
+        c = self.objective if self.sense == "max" else -self.objective
+        basic = np.flatnonzero(basis < n)
         T[-1] = c[basis[basic]] @ T[basic]
-        structural = np.flatnonzero(nonbasic < self._n_struct)
+        structural = np.flatnonzero(nonbasic < n)
         T[-1, structural] -= c[nonbasic[structural]]
         self._checked = None
 
-    @property
-    def relations(self) -> tuple:
-        return tuple(_RELATION_OF_SIGN[s] for s in self.sign)
-
     def program(self) -> LinearProgram:
-        """The program the tableau currently holds, for dumps."""
+        """The program the tableau currently holds, in the same constraint order."""
+        eq = self._eq
         return LinearProgram(
             self.sense,
             self.objective,
-            zip(self.rows, self.relations, self.rhs),
-            nonneg=self.nonneg,
+            self.rows[~eq],
+            self.rhs[~eq],
+            self.rows[eq],
+            self.rhs[eq],
         )
 
     def add_rows(self, rows, rhs):
@@ -483,16 +464,16 @@ class Tableau:
         dual feasible, and :meth:`optimize` restores primal feasibility by
         the dual simplex.
         """
-        rows = np.asarray(rows, dtype=float).reshape(-1, self.objective.size)
+        n = self.objective.size
+        A = np.asarray(rows, dtype=float).reshape(-1, n)
         rhs = np.asarray(rhs, dtype=float)
         k = rhs.size
         T, basis, nonbasic = self._T, self._basis, self._nonbasic
-        A = self._std(rows)
         block = np.zeros((k, T.shape[1]))
-        structural = np.flatnonzero(nonbasic < self._n_struct)
+        structural = np.flatnonzero(nonbasic < n)
         block[:, structural] = A[:, nonbasic[structural]]
         block[:, -1] = rhs
-        basic = np.flatnonzero(basis < self._n_struct)
+        basic = np.flatnonzero(basis < n)
         block -= A[:, basis[basic]] @ T[basic]
         labels = self._next_label + np.arange(k)
         self._next_label += k
@@ -500,9 +481,9 @@ class Tableau:
         self._basis = np.concatenate([basis, labels])
         self._slack = np.concatenate([self._slack, labels])
         self._kept = np.concatenate([self._kept, np.ones(k, dtype=bool)])
-        self.rows = np.vstack([self.rows, rows])
+        self.rows = np.vstack([self.rows, A])
         self.rhs = np.concatenate([self.rhs, rhs])
-        self.sign = np.concatenate([self.sign, np.ones(k)])
+        self._eq = np.concatenate([self._eq, np.zeros(k, dtype=bool)])
         self._checked = None
 
     def remove_rows(self, indices) -> np.ndarray:
@@ -529,7 +510,7 @@ class Tableau:
         self._kept = np.delete(self._kept, indices)
         self.rows = np.delete(self.rows, indices, axis=0)
         self.rhs = np.delete(self.rhs, indices)
-        self.sign = np.delete(self.sign, indices)
+        self._eq = np.delete(self._eq, indices)
         self._checked = None
         return removed
 
@@ -542,13 +523,13 @@ class Tableau:
         labels = np.concatenate([basis, nonbasic])
         # The kept constraints as [basic columns | nonbasic columns | rhs].
         M = np.zeros((basis.size, labels.size + 1))
-        structural = np.flatnonzero(labels < self._n_struct)
-        M[:, structural] = self._std(self.rows[kept])[:, labels[structural]]
+        structural = np.flatnonzero(labels < self.objective.size)
+        M[:, structural] = self.rows[kept][:, labels[structural]]
         column_of = np.full(self._next_label, -1)
         column_of[labels] = np.arange(labels.size)
         slack = self._slack[kept]
         has = np.flatnonzero(slack >= 0)
-        M[has, column_of[slack[has]]] = self.sign[kept][has]
+        M[has, column_of[slack[has]]] = 1.0
         M[:, -1] = self.rhs[kept]
         try:
             self._T[:-1] = np.linalg.solve(M[:, : basis.size], M[:, basis.size :])
@@ -601,18 +582,14 @@ class Tableau:
         """
         if self._checked is None:
             x = self._solution()
-            self._checked = (x, _excess(self.rows, self.sign, self.rhs, x))
+            self._checked = (x, _excess(self.rows, self._eq, self.rhs, x))
         return self._checked
 
     def _solution(self):
-        """The basic solution over the original variables."""
-        x_std = np.zeros(self._n_struct)
-        structural = self._basis < self._n_struct
-        x_std[self._basis[structural]] = self._T[:-1, -1][structural]
-        n = self.objective.size
-        x = x_std[:n]
-        if self._free.size:
-            x[self._free] -= x_std[n:]
+        """The basic solution over the structural variables."""
+        x = np.zeros(self.objective.size)
+        structural = self._basis < x.size
+        x[self._basis[structural]] = self._T[:-1, -1][structural]
         return x
 
     def _optimize(self, counter):
@@ -644,8 +621,8 @@ class Tableau:
                 constraint by more than ``feas_tol``.
         """
         x, excess = self._check()
-        _verify(self.sign, self.nonneg, x, excess, self.feas_tol)
-        x = np.where(self.nonneg & (x < 0.0), 0.0, x)  # verified within tolerance
+        _verify(self._eq, x, excess, self.feas_tol)
+        x = np.where(x < 0.0, 0.0, x)  # verified within tolerance
         value = float(self.objective @ x)
         x.setflags(write=False)
         return LpOutcome(status=LpStatus.OPTIMAL, value=value, assignment=x)
@@ -669,15 +646,7 @@ def solve(
             feasibility verification. Distinct from an Infeasible outcome.
     """
     tableau = Tableau(
-        lp.sense,
-        lp.objective,
-        lp.rows,
-        lp.relations,
-        lp.rhs,
-        lp.nonneg,
-        pivot_tol=pivot_tol,
-        feas_tol=feas_tol,
-        max_pivots=max_pivots,
+        lp, pivot_tol=pivot_tol, feas_tol=feas_tol, max_pivots=max_pivots
     )
     status = tableau.optimize()
     if status is not LpStatus.OPTIMAL:
@@ -685,20 +654,20 @@ def solve(
     return tableau.outcome()
 
 
-def _excess(rows, sign, rhs, x):
+def _excess(rows, eq, rhs, x):
     """By how much ``x`` violates each row (negative where it holds strictly)."""
     err = rows @ x - rhs
-    return np.where(sign == 0.0, np.abs(err), sign * err)
+    return np.where(eq, np.abs(err), err)
 
 
-def _verify(sign, nonneg, x, excess, feas_tol):
+def _verify(eq, x, excess, feas_tol):
     """Raise unless ``x``, whose row violations are ``excess``, is feasible."""
-    if (x[nonneg] < -feas_tol).any():
+    if (x < -feas_tol).any():
         raise SolverFailure("assignment violates nonnegativity beyond tolerance")
     bad = np.flatnonzero(excess > feas_tol)
     if bad.size:
         i = int(bad[0])
         raise SolverFailure(
-            f"assignment violates constraint {i} ({_RELATION_OF_SIGN[sign[i]]}) "
+            f"assignment violates constraint {i} ({'=' if eq[i] else '<='}) "
             f"by {excess[i]:.3e}"
         )

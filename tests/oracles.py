@@ -14,16 +14,13 @@ import numpy as np
 
 
 def point_is_feasible(lp, x, tol=1e-9):
-    if (np.asarray(x)[lp.nonneg] < -tol).any():
+    if (np.asarray(x) < -tol).any():
         return False
-    lhs = lp.rows @ x
-    for i, rel in enumerate(lp.relations):
-        err = lhs[i] - lp.rhs[i]
-        if rel == "<=" and err > tol:
+    for row, b in zip(lp.A_ub, lp.b_ub):
+        if row @ x - b > tol:
             return False
-        if rel == ">=" and err < -tol:
-            return False
-        if rel == "=" and abs(err) > tol:
+    for row, b in zip(lp.A_eq, lp.b_eq):
+        if abs(row @ x - b) > tol:
             return False
     return True
 
@@ -32,17 +29,20 @@ def brute_force_lp_best(lp, tol=1e-9):
     """Best objective over all basic feasible points of ``lp``.
 
     Intersects every size-``num_vars`` subset of constraint hyperplanes
-    (variable bounds included), keeps the feasible ones, and takes the best
-    objective. Returns ``(value, point)`` or ``(None, None)`` when no basic
-    feasible point exists.
+    (the bounds ``x >= 0`` included), keeps the feasible ones, and takes the
+    best objective. Returns ``(value, point)`` or ``(None, None)`` when no
+    basic feasible point exists.
     """
     n = lp.num_vars
-    planes = [(np.asarray(row), float(b)) for row, b in zip(lp.rows, lp.rhs)]
+    planes = [
+        (np.asarray(row), float(b))
+        for A, rhs in ((lp.A_eq, lp.b_eq), (lp.A_ub, lp.b_ub))
+        for row, b in zip(A, rhs)
+    ]
     for i in range(n):
-        if lp.nonneg[i]:
-            e = np.zeros(n)
-            e[i] = 1.0
-            planes.append((e, 0.0))
+        e = np.zeros(n)
+        e[i] = 1.0
+        planes.append((e, 0.0))
 
     best_val, best_x = None, None
     for combo in itertools.combinations(range(len(planes)), n):
@@ -104,7 +104,6 @@ def _naive_consistent(d, profile, tol=1e-9):
 # ---------------------------------------------------------------------------
 # Full-width simplex tableau: the reference for the condensed live tableau
 
-_SIGN = {"<=": 1.0, "=": 0.0, ">=": -1.0}
 _STALL_LIMIT = 500
 
 
@@ -186,9 +185,11 @@ def _dual_loop(T, basis, tol):
 class FullTableau:
     """Live simplex tableau that keeps a column for every variable.
 
-    One column per structural variable (free ones split in two) and per
-    slack, basic ones included; phase-1 artificial columns live until phase
-    1 ends. Supports the same warm operations as ``linprog.Tableau`` and
+    One column per structural variable and per slack, basic ones included;
+    phase-1 artificial columns live until phase 1 ends. Constraints are
+    indexed equations first, as in ``linprog.Tableau``; a row whose rhs is
+    negative is negated into a ``>=`` row with a surplus column. Supports
+    the same warm operations as ``linprog.Tableau`` and
     answers with plain strings: ``optimize()`` returns ``"optimal"``,
     ``"infeasible"`` or ``"unbounded"``, and ``solution()`` the basic point.
     """
@@ -196,20 +197,17 @@ class FullTableau:
     def __init__(self, lp, tol=1e-9, feas_tol=1e-7):
         self.sense = lp.sense
         self.objective = np.array(lp.objective, dtype=float)
-        self.rows = np.array(lp.rows, dtype=float).reshape(-1, lp.num_vars)
-        self.sign = np.array([_SIGN[rel] for rel in lp.relations])
-        self.rhs = np.array(lp.rhs, dtype=float)
-        self.free = np.flatnonzero(~np.asarray(lp.nonneg))
-        self.n_struct = lp.num_vars + self.free.size
+        self.rows = np.vstack([lp.A_eq, lp.A_ub])
+        self.rhs = np.concatenate([lp.b_eq, lp.b_ub])
+        # Sign of each row's slack: 0 for an equation, 1 for a <= row.
+        self.sign = np.concatenate([np.zeros(lp.b_eq.size), np.ones(lp.b_ub.size)])
+        self.n_struct = lp.num_vars
         self.tol = tol
         self.infeasible = False
         self._build(feas_tol)
 
-    def _std(self, rows):
-        return np.hstack([rows, -rows[:, self.free]])
-
     def _build(self, feas_tol):
-        A = self._std(self.rows)
+        A = self.rows.copy()
         b = self.rhs.copy()
         sign = self.sign.copy()
         flip = b < 0
@@ -259,7 +257,6 @@ class FullTableau:
         c = np.zeros(T.shape[1] - 1)
         n = self.objective.size
         c[:n] = self.objective if self.sense == "max" else -self.objective
-        c[n : self.n_struct] = -c[self.free]
         T[-1, :-1] = -c
         T[-1, -1] = 0.0
         T[-1, :] += c[basis] @ T[:-1, :]
@@ -272,18 +269,17 @@ class FullTableau:
         k = rhs.size
         T, basis = self.T, self.basis
         m, width = T.shape[0] - 1, T.shape[1] - 1
-        A = self._std(rows)
         new = np.zeros((m + k + 1, width + k + 1))
         new[:m, :width] = T[:m, :-1]
         new[:m, -1] = T[:m, -1]
         new[-1, :width] = T[-1, :-1]
         new[-1, -1] = T[-1, -1]
         block = new[m : m + k]
-        block[:, : self.n_struct] = A
+        block[:, : self.n_struct] = rows
         block[:, width : width + k] = np.eye(k)
         block[:, -1] = rhs
         structural = basis < self.n_struct
-        block -= A[:, basis[structural]] @ new[:m][structural]
+        block -= rows[:, basis[structural]] @ new[:m][structural]
         block[:, basis] = 0.0
         self.T = new
         self.basis = np.concatenate([basis, width + np.arange(k)])
@@ -321,7 +317,7 @@ class FullTableau:
     def refactor(self):
         T, basis, kept = self.T, self.basis, self.kept
         M = np.zeros((int(kept.sum()), T.shape[1]))
-        M[:, : self.n_struct] = self._std(self.rows[kept])
+        M[:, : self.n_struct] = self.rows[kept]
         M[:, -1] = self.rhs[kept]
         slack = self.slack[kept]
         has = np.flatnonzero(slack >= 0)
@@ -344,9 +340,6 @@ class FullTableau:
         return _pivot_loop(T, basis, self.tol)
 
     def solution(self):
-        x_std = np.zeros(self.T.shape[1] - 1)
-        x_std[self.basis] = self.T[:-1, -1]
-        n = self.objective.size
-        x = x_std[:n].copy()
-        x[self.free] -= x_std[n : self.n_struct]
-        return x
+        x = np.zeros(self.T.shape[1] - 1)
+        x[self.basis] = self.T[:-1, -1]
+        return x[: self.n_struct]

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from metricdist.cli import main
+from metricdist.distortion import SOLVER_STATS
 from metricdist.profiles import parse_cost_matrix, parse_profile
 
 WARMUP = "3 3\n1 2 3\n2 3 1\n3 1 2\n"
@@ -221,6 +222,21 @@ def test_opt_commands(warmup_file, capsys):
     code, report = _run(capsys, ["candidate-response", str(warmup_file)])
     assert code == 0
     assert float(report["value"]) >= 2.0 - 1e-3
+
+
+def test_lp_reports_carry_solver_stats(warmup_file, capsys):
+    for argv in (
+        ["distortion", "--rule", "copeland"],
+        ["fairness", "--rule", "copeland", "--k", "1"],
+        ["fairness", "--rule", "rd", "--k", "1"],
+        ["opt-det"],
+        ["opt-rand"],
+    ):
+        code, report = _run(capsys, argv + [str(warmup_file)])
+        assert code == 0
+        stats = report["solver_stats"]
+        assert set(stats) == set(SOLVER_STATS), argv
+        assert stats["cold_builds"] > 0 and stats["separation_rounds"] > 0, argv
 
 
 def test_oracle_command(warmup_file, capsys):

@@ -10,7 +10,6 @@ from metricdist.distortion import (
     BudgetExceededError,
     MetricPolytope,
     _PolytopeSolver,
-    _top_k_rows,
     a_det,
     a_rand,
     dist_det,
@@ -162,7 +161,8 @@ def test_full_lp_materialization_solves_to_3():
     from metricdist.linprog import LpStatus, solve
 
     lp = build_full_lp(0, 2, warmup_instance().profile)
-    assert lp.num_constraints == 1 + 3 * 2 + 3 * 2 * 3 * 2
+    assert lp.A_eq.shape == (1, 9)
+    assert lp.A_ub.shape == (3 * 2 + 3 * 2 * 3 * 2, 9)
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == pytest.approx(3.0, abs=1e-7)
@@ -195,6 +195,15 @@ def test_fairness_det_warmup_at_least_fixture():
     report = fairness_det(0, warmup_instance().profile)
     assert report.value >= 3.0 - 1e-6
     assert set(report.per_k) == {1, 2, 3}
+
+
+def test_fairness_rand_bounds_are_plain_floats():
+    profile = random_profile(5, 5, np.random.default_rng(3))
+    report = fairness_rand((0.2, 0.2, 0.0, 0.0, 0.6), profile, budget=200)
+    assert not all(report.exact_k.values())  # the bounding mode runs too
+    bounds = [v for pair in report.per_k.values() for v in pair]
+    for v in bounds + list(report.value_bounds):
+        assert type(v) is float, repr(v)
 
 
 def test_fairness_det_budget_refusal():
@@ -308,7 +317,6 @@ def _fresh_fairness_per_k(winner, profile):
     """fairness_det's enumeration with a fresh solver for every LP."""
     poly = MetricPolytope(profile)
     n, m = profile.num_agents, profile.num_alternatives
-    width = poly.num_metric_vars + 1 + n
     per_k = {}
     for k in range(1, n + 1):
         best = 0.0
@@ -318,13 +326,12 @@ def _fresh_fairness_per_k(winner, profile):
             if not poly.reach[winner, z]:
                 best = math.inf
                 break
-            rows = _top_k_rows(poly, z, k, width)
             for subset in itertools.combinations(range(n), k):
                 objective = np.zeros(poly.num_metric_vars)
                 for v in subset:
                     objective[poly.var(v, winner)] = 1.0
                 solver = _PolytopeSolver(poly)
-                value, _ = solver.maximize(objective, rows, aux_count=1 + n, opponent=z)
+                value, _ = solver.maximize(objective, opponent=z, norm=k)
                 best = max(best, value)
         per_k[k] = best
     return per_k
@@ -397,9 +404,8 @@ def test_missing_chain_rows_raise_named_unbounded_failure():
     objective = np.zeros(nm)
     objective[solver.polytope.var(1, 0)] = 1.0  # agent 1 ranks 0 below 2
     solver.seeded.add((0, 2))  # as if seeded, yet the pool stays empty
-    extra = [(solver.normalization_row(2, nm), "=", 1.0)]
     with pytest.raises(SolverFailure, match="relaxation unbounded: chain rows missing") as info:
-        solver.maximize(objective, extra, opponent=2)
+        solver.maximize(objective, opponent=2, norm="=")
     assert info.value.profile_text == serialize_profile(profile)
     assert info.value.lp_text.splitlines()[0].startswith("max ")
 

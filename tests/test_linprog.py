@@ -15,7 +15,7 @@ from oracles import FullTableau, brute_force_lp_best, point_is_feasible
 
 
 def test_single_variable_box():
-    lp = LinearProgram("max", [1.0], [([1.0], "<=", 1.0)])
+    lp = LinearProgram("max", [1.0], [[1.0]], [1.0])
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-9)
@@ -23,47 +23,36 @@ def test_single_variable_box():
 
 
 def test_empty_region_is_infeasible():
-    lp = LinearProgram("max", [1.0], [([1.0], "<=", -1.0)])
+    lp = LinearProgram("max", [1.0], [[1.0]], [-1.0])
     assert solve(lp).status is LpStatus.INFEASIBLE
 
 
 def test_unbounded():
-    lp = LinearProgram("max", [1.0], [([-1.0], "<=", 1.0)])
+    lp = LinearProgram("max", [1.0], [[-1.0]], [1.0])
     assert solve(lp).status is LpStatus.UNBOUNDED
 
 
 def test_min_sense_and_equality():
     # min x+y s.t. x+y=2, x-y<=0 -> value 2
     lp = LinearProgram(
-        "min", [1.0, 1.0], [([1.0, 1.0], "=", 2.0), ([1.0, -1.0], "<=", 0.0)]
+        "min", [1.0, 1.0], [[1.0, -1.0]], [0.0], A_eq=[[1.0, 1.0]], b_eq=[2.0]
     )
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == pytest.approx(2.0, abs=1e-9)
 
 
-def test_free_variable():
-    # min y s.t. y >= x - 4, y >= -x, x free: optimum y = -2 at x = 2... with
-    # y >= x - 4 and y >= -x the min of max(x-4, -x) is at x=2, y=-2.
-    lp = LinearProgram(
-        "min",
-        [0.0, 1.0],
-        [([-1.0, 1.0], ">=", -4.0), ([1.0, 1.0], ">=", 0.0)],
-        nonneg=[False, False],
-    )
-    out = solve(lp)
-    assert out.status is LpStatus.OPTIMAL
-    assert out.value == pytest.approx(-2.0, abs=1e-8)
-    assert out.assignment[0] == pytest.approx(2.0, abs=1e-7)
-
-
 def test_length_mismatch_is_input_error_not_infeasible():
-    with pytest.raises(LpInputError):
-        LinearProgram("max", [1.0, 2.0], [([1.0], "<=", 1.0)])
-    with pytest.raises(LpInputError):
-        LinearProgram("max", [1.0], [([1.0], "<<", 1.0)])
-    with pytest.raises(LpInputError):
-        LinearProgram("max", [np.inf], [([1.0], "<=", 1.0)])
+    for objective, blocks in [
+        ([1.0, 2.0], {"A_ub": [[1.0]], "b_ub": [1.0]}),  # wrong column count
+        ([1.0], {"A_ub": [[1.0], [2.0]], "b_ub": [1.0]}),  # A_ub and b_ub lengths
+        ([1.0], {"A_ub": [1.0], "b_ub": [1.0]}),  # A_ub not 2-d
+        ([1.0], {"A_eq": [[1.0]]}),  # A_eq without b_eq
+        ([np.inf], {"A_ub": [[1.0]], "b_ub": [1.0]}),
+        ([1.0], {"A_eq": [[np.nan]], "b_eq": [1.0]}),  # a non-finite entry
+    ]:
+        with pytest.raises(LpInputError):
+            LinearProgram("max", objective, **blocks)
 
 
 def test_beale_cycling_instance_terminates():
@@ -72,10 +61,11 @@ def test_beale_cycling_instance_terminates():
         "min",
         [-0.75, 150.0, -0.02, 6.0],
         [
-            ([0.25, -60.0, -0.04, 9.0], "<=", 0.0),
-            ([0.5, -90.0, -0.02, 3.0], "<=", 0.0),
-            ([0.0, 0.0, 1.0, 0.0], "<=", 1.0),
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
         ],
+        [0.0, 0.0, 1.0],
     )
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
@@ -83,7 +73,7 @@ def test_beale_cycling_instance_terminates():
 
 
 def test_pivot_cap_raises_distinct_error():
-    lp = LinearProgram("max", [1.0], [([1.0], "<=", 1.0)])
+    lp = LinearProgram("max", [1.0], [[1.0]], [1.0])
     with pytest.raises(SolverFailure):
         solve(lp, max_pivots=0)
 
@@ -94,10 +84,7 @@ def test_objective_scaling():
         lp = _random_lp(rng)
         out = solve(lp)
         scaled = LinearProgram(
-            lp.sense,
-            3.7 * lp.objective,
-            list(zip(lp.rows, lp.relations, lp.rhs)),
-            nonneg=lp.nonneg,
+            lp.sense, 3.7 * lp.objective, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq
         )
         out_s = solve(scaled)
         assert out_s.status is out.status
@@ -117,17 +104,35 @@ def test_determinism_same_bits():
 
 
 def _random_lp(rng, max_vars=4, max_cons=6):
+    """A random program with ``=`` rows and ``<=`` rows of either rhs sign.
+
+    A ``>=`` row is drawn as often as an ``=`` row and enters negated, so
+    phase 1's surplus and artificial variables are exercised.
+    """
     n = int(rng.integers(1, max_vars + 1))
     m = int(rng.integers(1, max_cons + 1))
     objective = rng.integers(-3, 4, size=n).astype(float)
-    constraints = []
+    A_ub, b_ub, A_eq, b_eq = [], [], [], []
     for _ in range(m):
         coeffs = rng.integers(-3, 4, size=n).astype(float)
         rel = rng.choice(["<=", "<=", "<=", ">=", "="])
         rhs = float(rng.integers(-3, 6))
-        constraints.append((coeffs, rel, rhs))
+        if rel == "=":
+            A_eq.append(coeffs)
+            b_eq.append(rhs)
+        else:
+            sign = 1.0 if rel == "<=" else -1.0
+            A_ub.append(sign * coeffs)
+            b_ub.append(sign * rhs)
     sense = "max" if rng.random() < 0.5 else "min"
-    return LinearProgram(sense, objective, constraints)
+    return LinearProgram(
+        sense,
+        objective,
+        np.reshape(A_ub, (-1, n)),
+        b_ub,
+        np.reshape(A_eq, (-1, n)),
+        b_eq,
+    )
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -161,32 +166,20 @@ def _check_against_oracle(lp):
 
 
 def _boxed_value(lp, bound):
-    extra = []
-    for i in range(lp.num_vars):
-        e = np.zeros(lp.num_vars)
-        e[i] = 1.0
-        extra.append((e, "<=", bound))
-        if not lp.nonneg[i]:
-            extra.append((e, ">=", -bound))
-    boxed = LinearProgram(
-        lp.sense,
-        lp.objective,
-        list(zip(lp.rows, lp.relations, lp.rhs)) + extra,
-        nonneg=lp.nonneg,
-    )
-    out = solve(boxed)
+    n = lp.num_vars
+    out = solve(_with_rows(lp, np.eye(n), np.full(n, bound)))
     assert out.status is LpStatus.OPTIMAL
     return out.value
 
 
 def test_dump_text_roundtrip_shape():
     lp = LinearProgram(
-        "max", [1.0, -2.0], [([1.0, 1.0], "<=", 3.0)], nonneg=[True, False]
+        "max", [1.0, -2.0], [[1.0, 1.0]], [3.0], A_eq=[[1.0, 0.0]], b_eq=[0.5]
     )
     text = lp.dump_text()
     lines = text.strip().split("\n")
     assert lines[0].startswith("max ")
-    assert lines[1] == "free 1"
+    assert lines[1] == "1.0 0.0 = 0.5"  # equations first
     assert lines[2] == "1.0 1.0 <= 3.0"  # plain numbers, not numpy reprs
 
 
@@ -194,17 +187,15 @@ def test_dump_text_roundtrip_shape():
 # Live tableau: warm re-optimization must match a cold solve of the same LP
 
 
-def _tableau(lp):
-    return Tableau(lp.sense, lp.objective, lp.rows, lp.relations, lp.rhs, lp.nonneg)
-
-
-def _with_rows(lp, rows, rhs, objective=None):
+def _with_rows(lp, rows, rhs):
+    """``lp`` with the rows ``rows @ x <= rhs`` appended."""
     return LinearProgram(
         lp.sense,
-        lp.objective if objective is None else objective,
-        list(zip(lp.rows, lp.relations, lp.rhs))
-        + [(row, "<=", b) for row, b in zip(rows, rhs)],
-        nonneg=lp.nonneg,
+        lp.objective,
+        np.vstack([lp.A_ub, rows]),
+        np.concatenate([lp.b_ub, rhs]),
+        lp.A_eq,
+        lp.b_eq,
     )
 
 
@@ -231,7 +222,7 @@ def test_added_rows_reoptimize_by_dual_simplex():
     rng = np.random.default_rng(41)
     dual_pivots = 0
     for lp in _optimal_random_lps(rng, 60):
-        tableau = _tableau(lp)
+        tableau = Tableau(lp)
         assert tableau.optimize() is LpStatus.OPTIMAL
         full = lp
         for _ in range(3):
@@ -249,10 +240,8 @@ def test_added_rows_reoptimize_by_dual_simplex():
 
 
 def test_added_row_can_make_the_program_infeasible():
-    lp = LinearProgram(
-        "max", [1.0, 1.0], [([1.0, 0.0], "<=", 2.0), ([0.0, 1.0], "<=", 3.0)]
-    )
-    tableau = _tableau(lp)
+    lp = LinearProgram("max", [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 3.0])
+    tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
     tableau.add_rows([[-1.0, -1.0]], [-6.0])  # x + y >= 6, beyond the box
     assert tableau.optimize() is LpStatus.INFEASIBLE
@@ -262,26 +251,21 @@ def test_added_row_can_make_the_program_infeasible():
 def test_objective_switch_resumes_from_warm_basis():
     rng = np.random.default_rng(43)
     for lp in _optimal_random_lps(rng, 60):
-        tableau = _tableau(lp)
+        tableau = Tableau(lp)
         assert tableau.optimize() is LpStatus.OPTIMAL
         objective = rng.integers(-3, 4, size=lp.num_vars).astype(float)
         tableau.set_objective(objective)
         switched = LinearProgram(
-            lp.sense,
-            objective,
-            list(zip(lp.rows, lp.relations, lp.rhs)),
-            nonneg=lp.nonneg,
+            lp.sense, objective, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq
         )
         _assert_matches_cold(tableau, switched)
 
 
 def test_removed_slack_basic_rows_keep_the_optimum():
     lp = LinearProgram(
-        "max",
-        [1.0, 2.0],
-        [([1.0, 1.0], "<=", 4.0), ([1.0, 0.0], "<=", 10.0), ([0.0, 1.0], "<=", 3.0)],
+        "max", [1.0, 2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [4.0, 10.0, 3.0]
     )
-    tableau = _tableau(lp)
+    tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
     # Row 1 is slack at the optimum (1, 3); row 2 binds and stays.
     assert tableau.remove_rows([1, 2]).tolist() == [True, False]
@@ -295,7 +279,7 @@ def test_warm_sequence_repeats_bit_for_bit():
         rng = np.random.default_rng(47)
         values = []
         for lp in _optimal_random_lps(rng, 20):
-            tableau = _tableau(lp)
+            tableau = Tableau(lp)
             tableau.optimize()
             tableau.add_rows(
                 rng.integers(-3, 4, size=(2, lp.num_vars)).astype(float),
@@ -316,40 +300,25 @@ def test_refactor_keeps_the_optimum():
     redundant = LinearProgram(
         "max",
         [1.0, 2.0],
-        [([1.0, 1.0], "=", 2.0), ([2.0, 2.0], "=", 4.0), ([0.0, 1.0], "<=", 1.5)],
+        [[0.0, 1.0]],
+        [1.5],
+        A_eq=[[1.0, 1.0], [2.0, 2.0]],
+        b_eq=[2.0, 4.0],
     )
     for lp in [redundant] + _optimal_random_lps(rng, 40):
-        free = LinearProgram(
-            lp.sense,
-            lp.objective,
-            list(zip(lp.rows, lp.relations, lp.rhs)),
-            nonneg=rng.random(lp.num_vars) < 0.7,
-        )
-        for program in (lp, free):
-            tableau = _tableau(program)
-            if tableau.optimize() is not LpStatus.OPTIMAL:
-                continue
-            before = tableau.outcome()
-            tableau.refactor()
-            assert tableau.optimize() is LpStatus.OPTIMAL
-            after = tableau.outcome()
-            assert after.value == pytest.approx(before.value, rel=1e-9, abs=1e-9)
-            np.testing.assert_allclose(after.assignment, before.assignment, atol=1e-9)
+        tableau = Tableau(lp)
+        if tableau.optimize() is not LpStatus.OPTIMAL:
+            continue
+        before = tableau.outcome()
+        tableau.refactor()
+        assert tableau.optimize() is LpStatus.OPTIMAL
+        after = tableau.outcome()
+        assert after.value == pytest.approx(before.value, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(after.assignment, before.assignment, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # Condensed tableau against the full-width reference in tests/oracles.py
-
-
-def _random_program(rng):
-    """A random program with ``=`` and ``>=`` rows and some free variables."""
-    lp = _random_lp(rng)
-    return LinearProgram(
-        lp.sense,
-        lp.objective,
-        list(zip(lp.rows, lp.relations, lp.rhs)),
-        nonneg=rng.random(lp.num_vars) < 0.7,
-    )
 
 
 def _optimize_both(tableau, reference):
@@ -366,8 +335,8 @@ def test_condensed_tableau_matches_full_width_reference(seed):
     rng = np.random.default_rng(2000 + seed)
     statuses = set()
     for _ in range(60):
-        lp = _random_program(rng)
-        tableau, reference = _tableau(lp), FullTableau(lp)
+        lp = _random_lp(rng)
+        tableau, reference = Tableau(lp), FullTableau(lp)
         status = _optimize_both(tableau, reference)
         statuses.add(status)
         for _ in range(5):
@@ -403,13 +372,12 @@ def test_added_rows_keep_one_column_per_nonbasic_variable():
     lp = LinearProgram(
         "max",
         [1.0, 1.0, 0.0],
-        [
-            ([1.0, 1.0, 1.0], "<=", 4.0),
-            ([1.0, 0.0, 0.0], "<=", 3.0),
-            ([1.0, -1.0, 0.0], "=", 0.0),
-        ],
+        [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
+        [4.0, 3.0],
+        A_eq=[[1.0, -1.0, 0.0]],
+        b_eq=[0.0],
     )
-    tableau = _tableau(lp)
+    tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
     tableau.add_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 1.0])
     assert tableau.optimize() is LpStatus.OPTIMAL
@@ -424,12 +392,13 @@ def test_stalled_loop_switches_to_bland_and_counts_it(monkeypatch):
         "min",
         [-0.75, 150.0, -0.02, 6.0],
         [
-            ([0.25, -60.0, -0.04, 9.0], "<=", 0.0),
-            ([0.5, -90.0, -0.02, 3.0], "<=", 0.0),
-            ([0.0, 0.0, 1.0, 0.0], "<=", 1.0),
+            [0.25, -60.0, -0.04, 9.0],
+            [0.5, -90.0, -0.02, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
         ],
+        [0.0, 0.0, 1.0],
     )
-    tableau = _tableau(lp)
+    tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
     assert tableau.outcome().value == pytest.approx(-0.05, abs=1e-9)
     assert tableau.bland_switches == 1
@@ -441,10 +410,8 @@ def test_optimum_residual_is_computed_once(monkeypatch):
     monkeypatch.setattr(
         linprog, "_excess", lambda *args: calls.append(1) or excess(*args)
     )
-    lp = LinearProgram(
-        "max", [1.0, 1.0], [([1.0, 0.0], "<=", 2.0), ([0.0, 1.0], "<=", 3.0)]
-    )
-    tableau = _tableau(lp)
+    lp = LinearProgram("max", [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 3.0])
+    tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
     assert tableau.outcome().value == pytest.approx(5.0)
     assert len(calls) == 1
@@ -452,3 +419,14 @@ def test_optimum_residual_is_computed_once(monkeypatch):
     assert tableau.optimize() is LpStatus.OPTIMAL
     assert tableau.outcome().value == pytest.approx(4.0)
     assert len(calls) == 2
+
+
+def test_equation_violated_from_below_is_refactored():
+    # The stored row moves to x = 2 under a basis built for x = 1: the basic
+    # solution violates the equation from below, and only |lhs - rhs| sees it.
+    lp = LinearProgram("max", [1.0], A_eq=[[1.0]], b_eq=[1.0])
+    tableau = Tableau(lp)
+    tableau.rhs[0] = 2.0
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.refactors == 1
+    assert tableau.outcome().value == pytest.approx(2.0, abs=1e-12)
