@@ -12,6 +12,16 @@ one live simplex tableau: generated rows enter it and are re-optimized by
 the dual simplex, and the next objective over the same rows (another
 candidate, subset or lottery) resumes from its last optimal basis.
 
+Every LP entry point here and in :mod:`metricdist.instanceopt` takes its
+solver from :func:`_solver_for`, which holds one solver, for the most
+recently solved profile; solving another profile releases it. A profile
+therefore keeps its tableaux and row pools across calls until another takes
+the slot, and the rule is: *the same calls in the same order on a profile,
+from the point it takes the slot, give the same bits*. Which optimal vertex
+an LP returns can depend on earlier calls on that profile, so results that
+depend on the vertex, not just the optimal value, can too: the lower bounds
+of :func:`fairness_rand` outside its exact mode are one.
+
 A ratio is infinite exactly when some positively weighted alternative has no
 chain of single-agent preferences leading to the normalized opponent; that
 reachability test decides unboundedness before any LP is solved. Along a
@@ -79,7 +89,11 @@ SOLVER_STATS = (
     "retries",  # cold solves repeated with a tighter pivot tolerance
     "bland_switches",  # pivot loops that stalled and switched to Bland's rule
     "separation_rounds",  # searches for violated quadrilaterals
+    # A level, not a count: quadrilateral rows held across the opponent
+    # pools when the call returns.
+    "pool_rows",
 )
+_COUNTERS = SOLVER_STATS[:-1]
 
 
 class BudgetExceededError(ValueError):
@@ -99,17 +113,14 @@ class MetricPolytope:
         self.num_agents = profile.num_agents
         self.num_alternatives = profile.num_alternatives
         self.num_metric_vars = self.num_agents * self.num_alternatives
+        # edges[a, b]: some agent prefers a over b (the tournament's support)
+        self.edges = build_weighted(profile).weights > 0
         self._reach = None
         self._length = None  # steps of a shortest chain from a to b, m if none
         self._consistency = None
 
     def var(self, v: int, c: int) -> int:
         return v * self.num_alternatives + c
-
-    @property
-    def edges(self) -> np.ndarray:
-        """``edges[a, b]``: some agent prefers a over b (the tournament's support)."""
-        return build_weighted(self.profile).weights > 0
 
     @property
     def reach(self) -> np.ndarray:
@@ -136,7 +147,9 @@ class MetricPolytope:
         Empty when ``a == b`` or when no chain exists.
         """
         steps = []
-        while self.reach[a, b] and a != b:
+        if not self.reach[a, b]:
+            return steps
+        while a != b:
             closer = self.edges[a] & (self._length[:, b] == self._length[a, b] - 1)
             step = int(np.argmax(closer))
             steps.append((a, step))
@@ -240,7 +253,16 @@ class _PolytopeSolver:
     resumes the primal simplex from the last optimal basis. Every round's
     assignment is verified against every row; a warm re-optimization that
     fails is rebuilt cold, and a failing cold solve is retried once with a
-    tighter pivot tolerance. ``stats`` counts all of it (``SOLVER_STATS``).
+    tighter pivot tolerance. ``stats`` counts all of it since the solver was
+    built (every name of ``SOLVER_STATS`` but the level ``pool_rows``);
+    :meth:`stats_since` gives one call's share.
+
+    Entry points share one solver through :func:`_solver_for`: it lives for
+    the most recently solved profile and is released when another profile
+    is solved. The same calls in the same order on a profile, from the point
+    it takes the slot, give the same bits; an earlier call can change which
+    optimal vertex a later one returns (the module docstring says which
+    results that moves).
     """
 
     def __init__(self, polytope, feas_tol=DEFAULT_FEAS_TOL, sep_tol=DEFAULT_SEP_TOL):
@@ -254,8 +276,14 @@ class _PolytopeSolver:
         self.seeded = set()
         # (opponent, norm) -> _LiveLp
         self.live = {}
-        self.stats = dict.fromkeys(SOLVER_STATS, 0)
+        self.stats = dict.fromkeys(_COUNTERS, 0)
         self._consistency = {}  # width -> padded consistency rows
+
+    def stats_since(self, before):
+        """``SOLVER_STATS`` of the work done since ``before``, a copy of ``stats``."""
+        out = {name: self.stats[name] - before[name] for name in _COUNTERS}
+        out["pool_rows"] = sum(len(pool) for pool in self.pools.values())
+        return out
 
     def maximize(self, metric_objective, *, opponent, norm):
         """Maximize over the polytope, ``opponent`` normalized; ``(value, metric)``.
@@ -447,6 +475,24 @@ class _PolytopeSolver:
         )
 
 
+_live_solver = None
+
+
+def _solver_for(profile):
+    """The solver of ``profile``: the live one, or a new one that replaces it.
+
+    Only one solver is held, so memory stays at one profile's tableaux
+    however many profiles a caller keeps. Profiles never change, which makes
+    identity the right test. The slot is shared by the whole process, so
+    calls from several threads must not overlap.
+    """
+    global _live_solver
+    if _live_solver is None or _live_solver.polytope.profile is not profile:
+        _live_solver = None  # release the old tableaux before building anew
+        _live_solver = _PolytopeSolver(MetricPolytope(profile))
+    return _live_solver
+
+
 def _normalization(poly, opponent, norm):
     """Rows ``(A_eq, b_eq, A_ub, b_ub)`` that normalize ``opponent`` by ``norm``.
 
@@ -540,22 +586,19 @@ def build_full_lp(winner_or_x, opponent, profile) -> LinearProgram:
     return LinearProgram("max", objective, A_ub, np.zeros(len(A_ub)), A_eq, b_eq)
 
 
-def a_det(c, opponent, profile, *, solver=None):
+def a_det(c, opponent, profile):
     """Worst total-cost of ``c`` against ``opponent`` normalized to cost 1.
 
     Returns ``(value, witness)``; the value is ``inf`` with no witness when
     the ratio is unbounded (no preference chain from ``c`` to ``opponent``).
     """
-    return a_rand(
-        _outcome_weights(c, profile.num_alternatives), opponent, profile, solver=solver
-    )
+    return a_rand(_outcome_weights(c, profile.num_alternatives), opponent, profile)
 
 
-def a_rand(x, opponent, profile, *, solver=None):
+def a_rand(x, opponent, profile):
     """Worst expected cost of distribution ``x`` against a normalized opponent."""
     x = _validated_distribution(x, profile.num_alternatives)
-    if solver is None:
-        solver = _PolytopeSolver(MetricPolytope(profile))
+    solver = _solver_for(profile)
     poly = solver.polytope
     support = np.flatnonzero(x > 0)
     if not all(poly.reach[c, opponent] for c in support):
@@ -607,13 +650,12 @@ def _distortion_report(profile, *, winner, distribution, rule, tie_break, seed):
             seed=seed,
         )
 
-    solver = _PolytopeSolver(MetricPolytope(profile))
+    solver = _solver_for(profile)
+    before = dict(solver.stats)
     if distribution is None:
-        results = [a_det(winner, opp, profile, solver=solver) for opp in opponents]
+        results = [a_det(winner, opp, profile) for opp in opponents]
     else:
-        results = [
-            a_rand(distribution, opp, profile, solver=solver) for opp in opponents
-        ]
+        results = [a_rand(distribution, opp, profile) for opp in opponents]
 
     per_opponent = {opp: value for opp, (value, _) in zip(opponents, results)}
     # Fixed reduction order: first opponent attaining the max wins ties.
@@ -630,7 +672,7 @@ def _distortion_report(profile, *, winner, distribution, rule, tie_break, seed):
         tie_break=tie_break,
         tolerances=tolerances,
         seed=seed,
-        solver_stats=dict(solver.stats),
+        solver_stats=solver.stats_since(before),
     )
 
 
@@ -677,8 +719,9 @@ def fairness_det(winner, profile, k_set=None, budget=10):
             f"subset enumeration needs budget >= {n}, got {budget}"
         )
     k_set = _validated_k_set(k_set, n)
-    poly = MetricPolytope(profile)
-    solver = _PolytopeSolver(poly)
+    solver = _solver_for(profile)
+    before = dict(solver.stats)
+    poly = solver.polytope
     nm = poly.num_metric_vars
 
     per_k = {}
@@ -709,7 +752,7 @@ def fairness_det(winner, profile, k_set=None, budget=10):
         value=value,
         argmax=best[1],
         witness=best[2],
-        solver_stats=dict(solver.stats),
+        solver_stats=solver.stats_since(before),
     )
 
 
@@ -734,8 +777,9 @@ def fairness_rand(x, profile, k_set=None, budget=20_000):
     n = profile.num_agents
     k_set = _validated_k_set(k_set, n)
     support = [int(c) for c in np.flatnonzero(x > 0)]
-    poly = MetricPolytope(profile)
-    solver = _PolytopeSolver(poly)
+    solver = _solver_for(profile)
+    before = dict(solver.stats)
+    poly = solver.polytope
     nm = poly.num_metric_vars
 
     per_k, exact_k = {}, {}
@@ -809,7 +853,7 @@ def fairness_rand(x, profile, k_set=None, budget=20_000):
         per_k=per_k,
         exact_k=exact_k,
         value_bounds=bounds,
-        solver_stats=dict(solver.stats),
+        solver_stats=solver.stats_since(before),
     )
 
 

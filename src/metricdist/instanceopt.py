@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from metricdist.distortion import SOLVER_STATS, MetricPolytope, _PolytopeSolver, a_det
+from metricdist.distortion import SOLVER_STATS, _solver_for, a_det
 from metricdist.linprog import LinearProgram, LpStatus, SolverFailure, solve
 from metricdist.metricspace import CostMatrix
 
@@ -102,13 +102,14 @@ def opt_det(profile) -> OptDetResult:
     """
     m = profile.num_alternatives
     matrix = np.ones((m, m))
-    solver = _PolytopeSolver(MetricPolytope(profile))
+    solver = _solver_for(profile)
+    before = dict(solver.stats)
     for c in range(m):
         for cp in range(m):
             if c == cp:
                 continue
             try:
-                matrix[c, cp] = a_det(c, cp, profile, solver=solver)[0]
+                matrix[c, cp] = a_det(c, cp, profile)[0]
             except SolverFailure as exc:
                 raise SolverFailure(
                     f"pair {(c, cp)}: {exc}",
@@ -123,11 +124,11 @@ def opt_det(profile) -> OptDetResult:
         winner=winner,
         value=float(row_max[winner]),
         matrix=matrix,
-        solver_stats=dict(solver.stats),
+        solver_stats=solver.stats_since(before),
     )
 
 
-def separation_oracle(x, gamma, profile, *, solver=None, viol_tol=DEFAULT_EPS / 2):
+def separation_oracle(x, gamma, profile, *, viol_tol=DEFAULT_EPS / 2):
     """Either certify that ``x`` stays within budget ``gamma`` or produce a cut.
 
     For every opponent the oracle maximizes the expected cost of ``x`` over
@@ -138,8 +139,7 @@ def separation_oracle(x, gamma, profile, *, solver=None, viol_tol=DEFAULT_EPS / 
     make the value infinite; these come back in ``blocked`` instead of a
     witness.
     """
-    if solver is None:
-        solver = _PolytopeSolver(MetricPolytope(profile))
+    solver = _solver_for(profile)
     poly = solver.polytope
     m = poly.num_alternatives
     x = np.asarray(x, dtype=float)
@@ -201,7 +201,8 @@ def opt_rand(
         state = CuttingPlaneState(eps=eps, mode="trivial")
         return OptRandResult(x=np.ones(1), value=1.0, state=state)
 
-    solver = _PolytopeSolver(MetricPolytope(profile))
+    solver = _solver_for(profile)
+    before = dict(solver.stats)
     mode = "binary-search" if binary_search else "master"
     state = CuttingPlaneState(eps=eps, mode=mode)
     # The uniform matrix scaled to column sums one is always a valid
@@ -211,8 +212,8 @@ def opt_rand(
     state.cuts.append((np.ones(m), uniform, 0.0))
 
     run = _opt_rand_bisect if binary_search else _opt_rand_master
-    result = run(profile, solver, state, eps, max_cuts)
-    result.solver_stats = dict(solver.stats)
+    result = run(profile, state, eps, max_cuts)
+    result.solver_stats = solver.stats_since(before)
     return result
 
 
@@ -256,7 +257,7 @@ def _register_cut(state, verdict, gamma):
     state.cuts.append((sums, verdict.witness, verdict.value - gamma))
 
 
-def _opt_rand_master(profile, solver, state, eps, max_cuts):
+def _opt_rand_master(profile, state, eps, max_cuts):
     m = profile.num_alternatives
     while state.iterations < max_cuts:
         state.iterations += 1
@@ -267,16 +268,14 @@ def _opt_rand_master(profile, solver, state, eps, max_cuts):
         gamma_hat = float(out.assignment[m])
         state.master_values.append(gamma_hat)
 
-        verdict = separation_oracle(
-            x_hat, gamma_hat, profile, solver=solver, viol_tol=eps / 2
-        )
+        verdict = separation_oracle(x_hat, gamma_hat, profile, viol_tol=eps / 2)
         if verdict.feasible:
             return OptRandResult(x=x_hat, value=verdict.value, state=state)
         _register_cut(state, verdict, gamma_hat)
     raise ConvergenceError("cut cap exceeded in master mode", state)
 
 
-def _opt_rand_bisect(profile, solver, state, eps, max_cuts):
+def _opt_rand_bisect(profile, state, eps, max_cuts):
     m = profile.num_alternatives
 
     def feasibility(gamma):
@@ -291,9 +290,7 @@ def _opt_rand_bisect(profile, solver, state, eps, max_cuts):
             if slack > eps / 2:
                 return None  # even the finite cut subsystem is violated
             x_hat = _master_point(state, out.assignment, m)
-            verdict = separation_oracle(
-                x_hat, gamma, profile, solver=solver, viol_tol=eps / 2
-            )
+            verdict = separation_oracle(x_hat, gamma, profile, viol_tol=eps / 2)
             if verdict.feasible:
                 return x_hat, verdict.value
             _register_cut(state, verdict, gamma)

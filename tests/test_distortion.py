@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from metricdist.distortion import (
     BudgetExceededError,
     MetricPolytope,
     _PolytopeSolver,
+    _solver_for,
     a_det,
     a_rand,
     dist_det,
@@ -18,7 +20,7 @@ from metricdist.distortion import (
     fairness_rand,
     grid_oracle,
 )
-from metricdist.instanceopt import opt_det, opt_rand
+from metricdist.instanceopt import opt_det, opt_rand, separation_oracle
 from metricdist.linprog import SolverFailure
 from metricdist.metricspace import CostMatrix, social_cost, top_k_cost
 from metricdist.profiles import (
@@ -30,7 +32,7 @@ from metricdist.profiles import (
     symmetric_tournament_instance,
     warmup_instance,
 )
-from metricdist.rules import copeland, randomized_dictatorship
+from metricdist.rules import copeland, randomized_dictatorship, ranked_pairs, schulze
 
 from oracles import naive_grid_search
 
@@ -360,7 +362,7 @@ def test_shared_solver_matches_fresh_solvers():
         for c in range(m):
             for cp in range(m):
                 if c != cp:
-                    fresh, _ = a_det(c, cp, profile)
+                    fresh, _ = a_det(c, cp, PreferenceProfile(profile.rankings))
                     assert _close(shared.matrix[c, cp], fresh), (trial, c, cp)
         report = fairness_det(shared.winner, profile)
         for k, value in _fresh_fairness_per_k(shared.winner, profile).items():
@@ -388,12 +390,12 @@ def test_chain_only_pairs_match_full_lp_without_refactors():
     while checked < 12:
         profile = random_profile(int(rng.integers(3, 5)), int(rng.integers(3, 6)), rng)
         for c, z in _chain_only_pairs(profile)[:2]:
-            solver = _PolytopeSolver(MetricPolytope(profile))
-            value, _ = a_det(c, z, profile, solver=solver)
+            fresh = PreferenceProfile(profile.rankings)
+            value, _ = a_det(c, z, fresh)
             out = solve(build_full_lp(c, z, profile))
             assert out.status is LpStatus.OPTIMAL
             assert value == pytest.approx(out.value, rel=1e-9), (c, z)
-            assert solver.stats["refactors"] == 0
+            assert _solver_for(fresh).stats["refactors"] == 0
             checked += 1
 
 
@@ -414,7 +416,7 @@ def test_pruning_keeps_seeded_chain_rows():
     n = 10
     profile = ranked_pairs_hard_instance(n).profile
     m = profile.num_alternatives
-    solver = _PolytopeSolver(MetricPolytope(profile))
+    solver = _solver_for(profile)
     removed = []
     remove = solver._remove
 
@@ -424,7 +426,7 @@ def test_pruning_keeps_seeded_chain_rows():
         return labels
 
     solver._remove = recording_remove
-    value, _ = a_det(0, m - 1, profile, solver=solver)
+    value, _ = a_det(0, m - 1, profile)
     assert value == pytest.approx((5 * n + 3) / (n + 3), rel=1e-9)
     seeded = {
         (v, vp, a, b)
@@ -439,11 +441,10 @@ def test_pruning_keeps_seeded_chain_rows():
 
 def test_single_a_det_builds_one_tableau():
     profile = ranked_pairs_hard_instance(6).profile
-    solver = _PolytopeSolver(MetricPolytope(profile))
     m = profile.num_alternatives
-    value, _ = a_det(0, m - 1, profile, solver=solver)
+    value, _ = a_det(0, m - 1, profile)
     assert value == pytest.approx((5 * 6 + 3) / (6 + 3), rel=1e-9)
-    stats = solver.stats
+    stats = _solver_for(profile).stats
     assert stats["cold_builds"] == 1
     assert stats["warm_solves"] >= 1 and stats["dual_pivots"] > 0
     assert stats["rebuilds"] == stats["retries"] == 0
@@ -471,20 +472,38 @@ def test_reports_carry_solver_stats():
         assert set(stats) == set(SOLVER_STATS)
         assert stats["separation_rounds"] > 0
         assert stats["bland_switches"] == 0
+        assert stats["pool_rows"] > 0
+    # pool_rows is the level of the solver's pools, not a per-call count
+    pools = _solver_for(profile).pools
+    assert stats["pool_rows"] == sum(len(pool) for pool in pools.values())
+
+
+def test_per_call_solver_stats_sum_to_solver_totals():
+    profile = warmup_instance().profile
+    reports = [
+        dist_det(0, profile),
+        dist_rand(UNIFORM3, profile),
+        opt_det(profile),
+    ]
+    totals = _solver_for(profile).stats
+    for name in totals:
+        assert sum(r.solver_stats[name] for r in reports) == totals[name], name
+    # dist_rand finds dist_det's tableaux of opponents 1 and 2 live
+    assert reports[1].solver_stats["cold_builds"] == 1
 
 
 def test_failure_after_warm_and_cold_attempts_carries_reproduction(monkeypatch):
     profile = ranked_pairs_hard_instance(3).profile
     m = profile.num_alternatives
-    solver = _PolytopeSolver(MetricPolytope(profile))
-    a_det(0, m - 1, profile, solver=solver)  # leaves a live tableau
+    a_det(0, m - 1, profile)  # leaves a live tableau
+    solver = _solver_for(profile)
 
     def broken(*args, **kwargs):
         raise SolverFailure("pivot loop broken on purpose")
 
     monkeypatch.setattr(linprog, "_pivot_loop", broken)
     with pytest.raises(SolverFailure) as info:
-        a_det(1, m - 1, profile, solver=solver)  # same opponent: warm path
+        a_det(1, m - 1, profile)  # same opponent: warm path
     assert solver.stats["rebuilds"] == 1
     assert solver.stats["retries"] == 1
     failure = info.value
@@ -493,3 +512,82 @@ def test_failure_after_warm_and_cold_attempts_carries_reproduction(monkeypatch):
     assert lines[0].startswith("max ")
     assert any(line.endswith(" = 1.0") for line in lines[1:])  # normalization
     assert not solver.live  # the failed tableau is not kept
+
+    # The solver stays usable: its pools survive, and the next call agrees
+    # with a fresh solver.
+    monkeypatch.undo()
+    value, _ = a_det(1, m - 1, profile)
+    fresh, _ = a_det(1, m - 1, PreferenceProfile(profile.rankings))
+    assert value == pytest.approx(fresh, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# One live solver, for the most recently solved profile
+
+_LP_CALLS = {
+    "a_det": lambda p: a_det(0, 2, p),
+    "a_rand": lambda p: a_rand(UNIFORM3, 1, p),
+    "dist_det": lambda p: dist_det(0, p),
+    "dist_rand": lambda p: dist_rand(UNIFORM3, p),
+    "fairness_det": lambda p: fairness_det(0, p, k_set=[1]),
+    "fairness_rand": lambda p: fairness_rand(UNIFORM3, p, k_set=[1]),
+    "opt_det": opt_det,
+    "opt_rand": opt_rand,
+    "separation_oracle": lambda p: separation_oracle(UNIFORM3, 2.0, p),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_LP_CALLS))
+def test_solving_another_profile_releases_the_old_solver(call):
+    first, second = warmup_instance().profile, warmup_instance().profile
+    _LP_CALLS[call](first)
+    old = weakref.ref(_solver_for(first))
+    _LP_CALLS[call](second)
+    assert old() is None
+    assert _solver_for(second).polytope.profile is second
+
+
+def test_same_calls_on_equal_profiles_give_the_same_bits():
+    rankings = random_profile(4, 4, np.random.default_rng(71)).rankings
+    x = np.array([0.5, 0.25, 0.0, 0.25])
+
+    def run(profile):
+        return (
+            dist_det(1, profile),
+            dist_rand(x, profile),
+            fairness_det(1, profile, k_set=[1, 3]),
+            fairness_rand(x, profile, k_set=[2]),
+            opt_det(profile),
+            opt_rand(profile),
+        )
+
+    first, second = run(PreferenceProfile(rankings)), run(PreferenceProfile(rankings))
+    for a, b in zip(first[:2], second[:2]):
+        assert a.per_opponent == b.per_opponent
+        assert np.array_equal(a.witness.values, b.witness.values)
+    for a, b in zip(first[2:4], second[2:4]):
+        assert a.per_k == b.per_k
+    assert np.array_equal(first[2].witness.values, second[2].witness.values)
+    assert np.array_equal(first[4].matrix, second[4].matrix)
+    assert np.array_equal(first[5].x, second[5].x) and first[5].value == second[5].value
+    assert [r.solver_stats for r in first] == [r.solver_stats for r in second]
+
+
+def test_certify_sequence_matches_a_fresh_profile_per_call():
+    rng = np.random.default_rng(73)
+    for trial in range(30):
+        profile = random_profile(
+            int(rng.integers(3, 7)), int(rng.integers(3, 6)), rng
+        )
+        winners = {rule(profile).winner for rule in (copeland, ranked_pairs, schulze)}
+        lottery = randomized_dictatorship(profile).distribution
+        calls = [lambda p, w=w: dist_det(w, p) for w in sorted(winners)]
+        calls.append(lambda p: dist_rand(lottery, p))
+        # the whole sequence on one profile first, so that it shares a solver
+        reports = [call(profile) for call in calls]
+        for call, shared in zip(calls, reports):
+            fresh = call(PreferenceProfile(profile.rankings))
+            assert shared.per_opponent.keys() == fresh.per_opponent.keys()
+            for z, value in shared.per_opponent.items():
+                assert _close(value, fresh.per_opponent[z]), (trial, z)
+            assert shared.winner == fresh.winner

@@ -47,8 +47,8 @@ def test_opt_det_ties_break_toward_smallest_index(monkeypatch):
     # maximal entry. Rounding of that size is LP noise, not a better winner.
     real_a_det = instanceopt.a_det
 
-    def shaved(c, opponent, profile, *, solver=None):
-        value, witness = real_a_det(c, opponent, profile, solver=solver)
+    def shaved(c, opponent, profile):
+        value, witness = real_a_det(c, opponent, profile)
         if (c, opponent) == (1, 0):
             value = np.nextafter(value, 0.0)
         return value, witness
@@ -129,9 +129,9 @@ def test_opt_rand_master_skips_round_off_on_blocked_columns():
 
 
 def test_opt_rand_carries_solver_stats():
-    profile = warmup_instance().profile
     for binary_search in (False, True):
-        result = opt_rand(profile, binary_search=binary_search)
+        # a fresh profile per mode, so that neither finds the other's tableaux
+        result = opt_rand(warmup_instance().profile, binary_search=binary_search)
         assert set(result.solver_stats) == set(SOLVER_STATS)
         assert result.solver_stats["cold_builds"] >= 1
         assert result.solver_stats["primal_pivots"] > 0
