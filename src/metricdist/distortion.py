@@ -7,10 +7,13 @@ add the rows it violates, repeat. A run only terminates once the incumbent
 satisfies the complete inequality family, so reported optima are exact up to
 solver tolerances, and every report carries a feasibility-checked witness.
 
-The relaxations are not solved from scratch. Each normalized opponent keeps
-one live simplex tableau: generated rows enter it and are re-optimized by
-the dual simplex, and the next objective over the same rows (another
-candidate, subset or lottery) resumes from its last optimal basis.
+The relaxations are not solved from scratch. Each opponent keeps one live
+simplex tableau per variable set, at most two: one over the metric
+variables for the norms ``=`` and ``cheapest``, one that adds the top-k
+auxiliaries for every k. Generated rows enter it and are re-optimized by
+the dual simplex, the next objective over the same rows (another
+candidate, subset or lottery) resumes from its last optimal basis, and
+another norm swaps its normalization rows in place.
 
 Every LP entry point here and in :mod:`metricdist.instanceopt` takes its
 solver from :func:`_solver_for`, which holds one solver, for the most
@@ -79,6 +82,8 @@ _DROP_THRESHOLD = 400
 _DROP_SLACK = 1e-5
 # Pivot tolerance of the second cold solve after numerical drift.
 _RETRY_PIVOT_TOL = 1e-11
+# Norms over the metric variables alone; every other norm is a top-k k.
+_METRIC_NORMS = ("=", "cheapest")
 SOLVER_STATS = (
     "cold_builds",  # tableaux built by the two-phase method
     "warm_solves",  # re-optimizations of a live tableau
@@ -89,6 +94,7 @@ SOLVER_STATS = (
     "retries",  # cold solves repeated with a tighter pivot tolerance
     "bland_switches",  # pivot loops that stalled and switched to Bland's rule
     "separation_rounds",  # searches for violated quadrilaterals
+    "norm_swaps",  # live tableaux switched to another normalization in place
     # A level, not a count: quadrilateral rows held across the opponent
     # pools when the call returns.
     "pool_rows",
@@ -225,15 +231,23 @@ class _LiveLp:
     """One live tableau, with what each of its constraints is.
 
     ``labels`` runs parallel to the tableau's constraints: ``None`` for a
-    normalization or consistency row, a quadruple for a quadrilateral row.
+    consistency row or the ``=`` equation, which never leave; a quadruple
+    for a quadrilateral row; and for a normalization inequality, its tag
+    from :func:`_normalization`. ``norm`` is the normalization the tableau
+    holds.
     """
 
-    __slots__ = ("tableau", "labels", "quads")
+    __slots__ = ("tableau", "labels", "quads", "norm")
 
-    def __init__(self, tableau, labels):
+    def __init__(self, tableau, labels, norm):
         self.tableau = tableau
         self.labels = labels
         self.quads = {q for q in labels if isinstance(q, tuple)}
+        self.norm = norm
+
+
+def _is_norm_tag(label):
+    return label is not None and not isinstance(label, tuple)
 
 
 class _PolytopeSolver:
@@ -246,16 +260,27 @@ class _PolytopeSolver:
     starts with the chain rows of every column an objective weights (see the
     module docstring); they bound every relaxation and are never pruned.
 
-    Each ``(opponent, norm)`` key keeps one live tableau across calls; the
-    key names the rows that normalize the opponent (see :meth:`maximize`). New
-    quadrilateral rows enter it and are re-optimized by the dual simplex; a
-    new objective first takes in the pool rows the tableau lacks, then
-    resumes the primal simplex from the last optimal basis. Every round's
-    assignment is verified against every row; a warm re-optimization that
-    fails is rebuilt cold, and a failing cold solve is retried once with a
-    tighter pivot tolerance. ``stats`` counts all of it since the solver was
-    built (every name of ``SOLVER_STATS`` but the level ``pool_rows``);
-    :meth:`stats_since` gives one call's share.
+    Each ``(opponent, wide)`` key keeps one live tableau across calls:
+    ``wide`` is False for the metric variables alone (norms ``"="`` and
+    ``"cheapest"``) and True for the metric variables plus the top-k
+    auxiliaries (every k), so an opponent has at most two tableaux and
+    idle auxiliary columns never widen a metric-only pivot. New
+    quadrilateral rows enter a tableau and are re-optimized by the dual
+    simplex; a new objective first takes in the pool rows the tableau
+    lacks, then resumes the primal simplex from the last optimal basis.
+    A call with another norm (see :meth:`maximize`) swaps the
+    normalization rows in place: the new rows enter with the missing pool
+    rows under the old objective and are re-optimized by the dual simplex,
+    the stale ones leave by :meth:`Tableau.remove_rows` (which pivots a
+    nonbasic slack into the basis first), and the new objective resumes
+    the primal simplex. The ``=`` equation is shared by both metric norms
+    and never leaves, and the top-k overflow rows are shared by every k.
+    Every round's assignment is verified against every row; a warm
+    re-optimization that fails is rebuilt cold, as is a swap whose stale
+    rows cannot be pivoted out, and a failing cold solve is retried once
+    with a tighter pivot tolerance. ``stats`` counts all of it since the
+    solver was built (every name of ``SOLVER_STATS`` but the level
+    ``pool_rows``); :meth:`stats_since` gives one call's share.
 
     Entry points share one solver through :func:`_solver_for`: it lives for
     the most recently solved profile and is released when another profile
@@ -274,10 +299,11 @@ class _PolytopeSolver:
         self.pools = {}
         # (column, opponent) pairs whose chain rows are in the pool
         self.seeded = set()
-        # (opponent, norm) -> _LiveLp
+        # (opponent, wide) -> _LiveLp
         self.live = {}
         self.stats = dict.fromkeys(_COUNTERS, 0)
         self._consistency = {}  # width -> padded consistency rows
+        self._norms = {}  # (opponent, norm) -> _normalization block
 
     def stats_since(self, before):
         """``SOLVER_STATS`` of the work done since ``before``, a copy of ``stats``."""
@@ -292,7 +318,7 @@ class _PolytopeSolver:
         cost to 1; ``"cheapest"`` also makes every other column cost at
         least 1; an integer k bounds the sum of the opponent's k largest
         entries by 1 (see :func:`_top_k_block`). Row generation runs over
-        the opponent's pool and the live tableau of ``(opponent, norm)``.
+        the opponent's pool and the live tableau of its variable set.
 
         Raises:
             SolverFailure: the solve failed warm and cold, or a relaxation
@@ -300,7 +326,7 @@ class _PolytopeSolver:
         """
         poly = self.polytope
         nm = poly.num_metric_vars
-        key = (opponent, norm)
+        key = (opponent, norm not in _METRIC_NORMS)
         pool = self.pools.setdefault(opponent, {})
         # The chain rows of every weighted column bound the relaxation.
         weighted = np.flatnonzero(metric_objective > 0) % poly.num_alternatives
@@ -315,15 +341,25 @@ class _PolytopeSolver:
         if live is None:
             live, status, out = self._start(metric_objective, opponent, norm, pool)
         else:
-            status, out = self._resume(live, metric_objective, pool)
+            live, status, out = self._resume(
+                live, metric_objective, opponent, norm, pool
+            )
         value, x = self._generate_rows(live, pool, status, out)
         self.live[key] = live
         return value, x[:nm].reshape(poly.num_agents, -1)
 
+    def _normalization(self, opponent, norm):
+        """:func:`_normalization` of ``(opponent, norm)``, built once per solver."""
+        block = self._norms.get((opponent, norm))
+        if block is None:
+            block = _normalization(self.polytope, opponent, norm)
+            self._norms[opponent, norm] = block
+        return block
+
     def _start(self, metric_objective, opponent, norm, pool):
         """Cold-build the tableau of a new key over its pool."""
         poly = self.polytope
-        A_eq, b_eq, A_norm, b_norm = _normalization(poly, opponent, norm)
+        A_eq, b_eq, A_norm, b_norm, tags = self._normalization(opponent, norm)
         width = A_eq.shape[1]
         objective = np.zeros(width)
         objective[: poly.num_metric_vars] = metric_objective
@@ -337,26 +373,54 @@ class _PolytopeSolver:
         A_ub = np.vstack([consistency, A_norm, poly.quadruple_rows(quads, width)])
         b_ub = np.zeros(len(A_ub))
         b_ub[len(consistency) : len(consistency) + len(b_norm)] = b_norm
-        labels = [None] * (len(b_eq) + len(consistency) + len(b_norm)) + quads
+        labels = [None] * (len(b_eq) + len(consistency)) + tags + quads
         lp = LinearProgram("max", objective, A_ub, b_ub, A_eq, b_eq)
         tableau, status, out = self._cold(lp)
-        return _LiveLp(tableau, labels), status, out
+        return _LiveLp(tableau, labels, norm), status, out
 
-    def _resume(self, live, metric_objective, pool):
-        """Switch a live tableau to ``metric_objective`` and re-optimize it."""
+    def _resume(self, live, metric_objective, opponent, norm, pool):
+        """Switch a live tableau to ``metric_objective`` and ``norm``; re-optimize.
+
+        Returns ``(live, status, outcome)``: ``live`` is a cold rebuild when
+        the stale normalization rows could not be removed.
+        """
         missing = [q for q in pool if q not in live.quads]
-        if missing:
+        enter, stale = [], []
+        if norm != live.norm:
+            self.stats["norm_swaps"] += 1
+            _, _, A_norm, b_norm, tags = self._normalization(opponent, norm)
+            held = {label for label in live.labels if _is_norm_tag(label)}
+            enter = [i for i, tag in enumerate(tags) if tag not in held]
+            stale = [
+                i
+                for i, label in enumerate(live.labels)
+                if _is_norm_tag(label) and label not in tags
+            ]
+        if missing or enter:
             # Enter under the old objective, whose basis stays dual feasible.
-            self._add_quads(live, missing)
+            if enter:
+                live.tableau.add_rows(A_norm[enter], b_norm[enter])
+                live.labels.extend(tags[i] for i in enter)
+            if missing:
+                self._add_quads(live, missing)
             status, _ = self._reoptimize(live)
             if status is not LpStatus.OPTIMAL:
                 raise self._failure(
                     f"unexpected LP status {status}", live.tableau.program()
                 )
+        if stale:
+            try:
+                self._remove(live, stale)
+            except SolverFailure:
+                # The pool now holds exactly the live quadrilateral rows, so
+                # the swapped program is the cold build over the pool.
+                self.stats["rebuilds"] += 1
+                return self._start(metric_objective, opponent, norm, pool)
+        live.norm = norm
         objective = np.zeros(live.tableau.objective.size)
         objective[: metric_objective.size] = metric_objective
         live.tableau.set_objective(objective)
-        return self._reoptimize(live)
+        return (live, *self._reoptimize(live))
 
     def _generate_rows(self, live, pool, status, out):
         """Separation rounds until the optimum satisfies every quadrilateral."""
@@ -381,8 +445,9 @@ class _PolytopeSolver:
             if not new:
                 return out.value, x
 
-            # Keep the working set lean: drop rows far from binding, but
-            # never seeded ones or ones added in the previous round.
+            # Keep the working set lean: drop rows far from binding (their
+            # slacks are basic), but never seeded ones or ones added in the
+            # previous round.
             if len(live.quads) > _DROP_THRESHOLD:
                 old = [
                     i
@@ -413,12 +478,19 @@ class _PolytopeSolver:
         live.quads.update(quads)
 
     def _remove(self, live, indices):
-        """Remove those constraints ``indices`` whose slack is basic.
+        """Remove the inequality constraints ``indices``; returns their labels.
 
-        Returns the labels of the removed constraints.
+        Raises:
+            SolverFailure: a constraint's slack could not be pivoted into the
+                basis; the tableau then still holds every row.
         """
-        removed = live.tableau.remove_rows(indices)
-        gone = {i for i, r in zip(indices, removed) if r}
+        tableau = live.tableau
+        before = tableau.primal_pivots
+        try:
+            tableau.remove_rows(indices)
+        finally:
+            self.stats["primal_pivots"] += tableau.primal_pivots - before
+        gone = set(indices)
         labels = [live.labels[i] for i in sorted(gone)]
         live.labels = [label for i, label in enumerate(live.labels) if i not in gone]
         live.quads.difference_update(labels)
@@ -494,19 +566,24 @@ def _solver_for(profile):
 
 
 def _normalization(poly, opponent, norm):
-    """Rows ``(A_eq, b_eq, A_ub, b_ub)`` that normalize ``opponent`` by ``norm``.
+    """Rows ``(A_eq, b_eq, A_ub, b_ub, tags)`` that normalize ``opponent`` by ``norm``.
 
     See :meth:`_PolytopeSolver.maximize` for the three normalizations.
+    ``tags`` names each inequality row for swapping norms on a live tableau:
+    ``"cheapest"``, ``"overflow"`` for the top-k overflow rows every k
+    shares, or k for the row that bounds the k largest entries.
     """
-    if norm not in ("=", "cheapest"):
+    if norm not in _METRIC_NORMS:
         A_ub, b_ub = _top_k_block(poly, opponent, norm)
-        return np.zeros((0, A_ub.shape[1])), np.zeros(0), A_ub, b_ub
+        tags = ["overflow"] * (len(b_ub) - 1) + [norm]
+        return np.zeros((0, A_ub.shape[1])), np.zeros(0), A_ub, b_ub, tags
     # Row c sums column c of the metric: entries v * M + c for every agent v.
     m = poly.num_alternatives
     sums = np.arange(poly.num_metric_vars) % m == np.arange(m)[:, None]
     # "cheapest": every other column costs at least 1, negated into <= -1
     others = sums[np.arange(m) != opponent] if norm == "cheapest" else sums[:0]
-    return sums[[opponent]], np.ones(1), -1.0 * others, -np.ones(len(others))
+    tags = [norm] * len(others)
+    return sums[[opponent]], np.ones(1), -1.0 * others, -np.ones(len(others)), tags
 
 
 def _top_k_block(poly, z, k):
@@ -578,7 +655,7 @@ def build_full_lp(winner_or_x, opponent, profile) -> LinearProgram:
     """
     poly = MetricPolytope(profile)
     weights = _outcome_weights(winner_or_x, profile.num_alternatives)
-    A_eq, b_eq, _, _ = _normalization(poly, opponent, "=")
+    A_eq, b_eq, _, _, _ = _normalization(poly, opponent, "=")
     A_ub = np.vstack(
         [poly.consistency_rows(), poly.quadruple_rows(poly.all_quadruples())]
     )

@@ -10,14 +10,14 @@ every ``<=`` row with a negative right-hand side back into a ``>=`` row
 with a surplus and an artificial variable. A :class:`Tableau` is built cold
 by the two-phase method and then stays live: rows added to it enter
 against the current basis and are re-optimized by the dual simplex (the old
-basis stays dual feasible), and a new objective resumes the primal simplex
-from the last optimal basis. :func:`solve` is a cold build plus one
-optimization. The tableau is condensed: it stores only the columns of the
-nonbasic variables, so a pivot is a Jordan exchange that updates
-(rows + 1) x (nonbasic + 1) cells. Both pivot loops run a greedy rule for
-speed and switch permanently to Bland's rule after a stall, so termination
-is guaranteed even on the highly degenerate metric polytopes this package
-produces.
+basis stays dual feasible), rows removed from it leave a primal feasible
+basis, and a new objective resumes the primal simplex from the last basis.
+:func:`solve` is a cold build plus one optimization. The tableau is
+condensed: it stores only the columns of the nonbasic variables, so a
+pivot is a Jordan exchange that updates (rows + 1) x (nonbasic + 1) cells.
+Both pivot loops run a greedy rule for speed and switch permanently to
+Bland's rule after a stall, so termination is guaranteed even on the
+highly degenerate metric polytopes this package produces.
 """
 
 from __future__ import annotations
@@ -486,33 +486,56 @@ class Tableau:
         self._eq = np.concatenate([self._eq, np.zeros(k, dtype=bool)])
         self._checked = None
 
-    def remove_rows(self, indices) -> np.ndarray:
-        """Delete those of the constraints ``indices`` whose slack is basic.
+    def remove_rows(self, indices):
+        """Delete the inequality constraints ``indices``.
 
-        The tableau without their rows is the tableau of the smaller program
-        in the same basis, so optimality is kept. Equations and constraints
-        with a nonbasic slack stay. Returns the mask of ``indices`` removed.
+        A constraint whose slack is basic loses its row. One whose slack is
+        nonbasic first has its slack pivoted into the basis: the pivot row
+        is a row that stays, picked by a ratio test in whichever direction
+        the slack moves least, so every basic value stays nonnegative (the
+        slack itself may turn negative, since it goes with its row). The
+        result is a primal feasible tableau of the smaller program; it stays
+        optimal when every removed slack was basic. Each removal pivot counts
+        as a primal pivot.
+
+        Raises:
+            LpInputError: an index names an equation.
+            SolverFailure: a nonbasic slack has no pivot in a row that
+                stays. The pivots made before it keep the tableau valid for
+                the program with every row still in it.
         """
-        indices = np.asarray(indices, dtype=int)
-        labels = self._slack[indices]
-        row_of = np.full(self._next_label, -1)
-        row_of[self._basis] = np.arange(self._basis.size)
-        rows = np.where(labels >= 0, row_of[labels], -1)
-        removed = rows >= 0
-        if not removed.any():
-            return removed
-        indices = indices[removed]
-        keep = np.ones(self._T.shape[0], dtype=bool)
-        keep[rows[removed]] = False
-        self._T = self._T[keep]
-        self._basis = self._basis[keep[:-1]]
-        self._slack = np.delete(self._slack, indices)
-        self._kept = np.delete(self._kept, indices)
-        self.rows = np.delete(self.rows, indices, axis=0)
-        self.rhs = np.delete(self.rhs, indices)
-        self._eq = np.delete(self._eq, indices)
+        stays = np.ones(self.rhs.size, dtype=bool)
+        stays[indices] = False
+        if self._eq[~stays].any():
+            raise LpInputError("only inequality constraints can be removed")
         self._checked = None
-        return removed
+        T, basis, nonbasic = self._T, self._basis, self._nonbasic
+        labels = self._slack[~stays]
+        removed = np.zeros(self._next_label, dtype=bool)
+        removed[labels] = True
+        going = removed[basis]  # rows whose basic slack goes
+        for c in np.flatnonzero(removed[nonbasic]):
+            col = T[:-1, c]
+            rows = np.flatnonzero(~going & (np.abs(col) > self.pivot_tol))
+            if rows.size == 0:
+                raise SolverFailure(
+                    f"slack {nonbasic[c]} has no pivot in a row that stays; "
+                    "its constraint cannot be removed"
+                )
+            ratios = np.maximum(T[rows, -1], 0.0) / np.abs(col[rows])
+            ties = rows[ratios <= ratios.min() + self.pivot_tol]
+            # Prefer a large pivot element for numerical stability.
+            r = int(ties[np.abs(col[ties]).argmax()])
+            _do_pivot(T, basis, nonbasic, r, c)
+            going[r] = True
+            self.primal_pivots += 1
+        self._T = T[np.append(~going, True)]
+        self._basis = basis[~going]
+        self._slack = self._slack[stays]
+        self._kept = self._kept[stays]
+        self.rows = self.rows[stays]
+        self.rhs = self.rhs[stays]
+        self._eq = self._eq[stays]
 
     def refactor(self):
         """Recompute the tableau from the rows in the current basis.

@@ -591,3 +591,102 @@ def test_certify_sequence_matches_a_fresh_profile_per_call():
             for z, value in shared.per_opponent.items():
                 assert _close(value, fresh.per_opponent[z]), (trial, z)
             assert shared.winner == fresh.winner
+
+
+# ---------------------------------------------------------------------------
+# Normalization swaps: one live tableau per opponent and variable set
+
+
+def _norm_calls(poly, rng):
+    """``(opponent, norm, objective)`` triples over every norm, there and back.
+
+    Objectives weight only columns with a chain to the opponent, so every
+    relaxation is bounded.
+    """
+    n, m = poly.num_agents, poly.num_alternatives
+    norms = ["=", "cheapest"] + list(range(1, n + 1))
+    calls = []
+    for norm in norms + norms[::-1] + norms[1::2] + norms[::2]:
+        z = int(rng.integers(m))
+        sources = np.flatnonzero(poly.reach[:, z] & (np.arange(m) != z))
+        if sources.size == 0:
+            continue
+        objective = np.zeros(poly.num_metric_vars)
+        if isinstance(norm, str):
+            x = np.zeros(m)
+            x[sources] = rng.random(sources.size) + 0.1
+            objective[:] = np.tile(x / x.sum(), n)
+        else:
+            c = int(rng.choice(sources))
+            for v in rng.choice(n, size=norm, replace=False):
+                objective[poly.var(int(v), c)] = 1.0
+        calls.append((z, norm, objective))
+    return calls
+
+
+def test_interleaved_norms_match_fresh_solvers():
+    rng = np.random.default_rng(79)
+    swaps = 0
+    for trial in range(8):
+        profile = random_profile(3 + trial % 3, 3 + trial % 2, rng)
+        poly = MetricPolytope(profile)
+        solver = _PolytopeSolver(poly)
+        for z, norm, objective in _norm_calls(poly, rng):
+            value, _ = solver.maximize(objective, opponent=z, norm=norm)
+            fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=z, norm=norm)
+            assert value == pytest.approx(fresh, rel=1e-9), (trial, z, norm)
+            assert len(solver.live) <= 2 * poly.num_alternatives
+        assert solver.stats["cold_builds"] <= 2 * poly.num_alternatives
+        swaps += solver.stats["norm_swaps"]
+    assert swaps > 0
+
+
+def test_optimize_sequence_builds_one_tableau_per_opponent_and_variable_set():
+    for seed in (83, 89, 97):
+        profile = random_profile(4, 4, np.random.default_rng(seed))
+        det = opt_det(profile)
+        reports = [det, opt_rand(profile), fairness_det(det.winner, profile)]
+        cold = sum(r.solver_stats["cold_builds"] for r in reports)
+        assert cold <= 2 * profile.num_alternatives - 1, seed
+        assert reports[1].solver_stats["norm_swaps"] > 0
+        assert reports[2].solver_stats["norm_swaps"] > 0
+
+
+def test_failed_removal_rebuilds_the_swapped_program_cold(monkeypatch):
+    profile = warmup_instance().profile
+    solver = _solver_for(profile)
+    separation_oracle(UNIFORM3, 2.0, profile)  # "cheapest" tableaux
+    builds = solver.stats["cold_builds"]
+
+    def refuse(self, indices):
+        raise SolverFailure("slack has no pivot in a row that stays")
+
+    monkeypatch.setattr(linprog.Tableau, "remove_rows", refuse)
+    value, _ = a_det(0, 2, profile)  # "=" on opponent 2 swaps in place
+    assert solver.stats["rebuilds"] == 1
+    assert solver.stats["cold_builds"] == builds + 1
+    assert solver.live[2, False].norm == "="
+    monkeypatch.undo()
+    fresh, _ = a_det(0, 2, PreferenceProfile(profile.rankings))
+    assert value == pytest.approx(fresh, rel=1e-9)
+
+
+def test_swap_that_raises_leaves_no_tableau(monkeypatch):
+    profile = warmup_instance().profile
+    a_det(0, 2, profile)  # leaves the "=" tableau of opponent 2
+    solver = _solver_for(profile)
+    assert (2, False) in solver.live
+
+    def broken(*args, **kwargs):
+        raise SolverFailure("pivot loop broken on purpose")
+
+    monkeypatch.setattr(linprog, "_pivot_loop", broken)
+    objective = np.tile(UNIFORM3, profile.num_agents)
+    with pytest.raises(SolverFailure):
+        solver.maximize(objective, opponent=2, norm="cheapest")
+    assert (2, False) not in solver.live
+    monkeypatch.undo()
+    value, _ = solver.maximize(objective, opponent=2, norm="cheapest")
+    poly = MetricPolytope(profile)
+    fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=2, norm="cheapest")
+    assert value == pytest.approx(fresh, rel=1e-9)

@@ -267,8 +267,47 @@ def test_removed_slack_basic_rows_keep_the_optimum():
     )
     tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
-    # Row 1 is slack at the optimum (1, 3); row 2 binds and stays.
-    assert tableau.remove_rows([1, 2]).tolist() == [True, False]
+    # Row 1 is slack at the optimum (1, 3): its slack is basic, no pivot.
+    pivots = tableau.primal_pivots
+    tableau.remove_rows([1])
+    assert tableau.rhs.size == 2 and tableau.primal_pivots == pivots
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.primal_pivots == pivots
+    assert tableau.outcome().value == pytest.approx(7.0, abs=1e-12)
+
+
+def test_removed_binding_row_pivots_its_slack_in_first():
+    lp = LinearProgram(
+        "max", [1.0, 2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [4.0, 10.0, 3.0]
+    )
+    tableau = Tableau(lp)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    # Row 2 binds at the optimum (1, 3): its slack enters by one pivot.
+    pivots = tableau.primal_pivots
+    tableau.remove_rows([1, 2])
+    assert tableau.rhs.size == 1 and tableau.primal_pivots == pivots + 1
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.outcome().value == pytest.approx(8.0, abs=1e-12)
+
+
+def test_remove_rows_refuses_equations():
+    lp = LinearProgram("max", [1.0, 1.0], [[1.0, 0.0]], [1.0], [[1.0, 1.0]], [2.0])
+    tableau = Tableau(lp)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    with pytest.raises(LpInputError, match="only inequality"):
+        tableau.remove_rows([0])
+
+
+def test_slack_without_a_pivot_raises_and_keeps_every_row():
+    lp = LinearProgram("max", [1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], [4.0, 3.0])
+    tableau = Tableau(lp)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    # Both slacks are nonbasic at (1, 3); a pivot tolerance above every
+    # entry leaves no pivot for them.
+    tableau.pivot_tol = 1e3
+    with pytest.raises(SolverFailure, match="no pivot in a row that stays"):
+        tableau.remove_rows([0, 1])
+    tableau.pivot_tol = linprog.DEFAULT_PIVOT_TOL
     assert tableau.rhs.size == 2
     assert tableau.optimize() is LpStatus.OPTIMAL
     assert tableau.outcome().value == pytest.approx(7.0, abs=1e-12)
@@ -351,10 +390,12 @@ def test_condensed_tableau_matches_full_width_reference(seed):
                 reference.add_rows(rows, rhs)
             elif step == 1:
                 count = tableau.rhs.size
-                indices = np.flatnonzero(rng.random(count) < 0.5)
-                removed = tableau.remove_rows(indices)
-                if not reference.remove_rows(indices[removed]).all():
-                    # Degenerate bases may differ in which slacks are basic.
+                ineq = np.arange(lp.b_eq.size, count)
+                indices = ineq[rng.random(ineq.size) < 0.5]
+                tableau.remove_rows(indices)
+                if not reference.remove_rows(indices).all():
+                    # The reference refuses rows whose slack is nonbasic, and
+                    # degenerate bases may differ in which slacks are basic.
                     reference = FullTableau(tableau.program())
             elif step == 2:
                 objective = rng.integers(-3, 4, size=lp.num_vars).astype(float)
@@ -430,3 +471,42 @@ def test_equation_violated_from_below_is_refactored():
     assert tableau.optimize() is LpStatus.OPTIMAL
     assert tableau.refactors == 1
     assert tableau.outcome().value == pytest.approx(2.0, abs=1e-12)
+
+
+def _nonbasic_slack_rows(tableau):
+    """Inequality constraints of a live tableau whose slack is nonbasic."""
+    return np.flatnonzero(np.isin(tableau._slack, tableau._nonbasic))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_removing_nonbasic_slack_rows_matches_the_cold_reference(seed):
+    rng = np.random.default_rng(3000 + seed)
+    removals = 0
+    for lp in _optimal_random_lps(rng, 80):
+        tableau = Tableau(lp)
+        assert tableau.optimize() is LpStatus.OPTIMAL
+        rows = rng.integers(-3, 4, size=(3, lp.num_vars)).astype(float)
+        tableau.add_rows(rows, rng.integers(0, 6, size=3).astype(float))
+        if tableau.optimize() is not LpStatus.OPTIMAL:
+            continue
+        candidates = _nonbasic_slack_rows(tableau)
+        if candidates.size == 0:
+            continue
+        chosen = candidates[rng.random(candidates.size) < 0.7]
+        indices = chosen if chosen.size else candidates[:1]
+        pivots = tableau.primal_pivots
+        tableau.remove_rows(indices)
+        assert tableau.primal_pivots == pivots + indices.size
+        # Every basic value stays nonnegative: the basis is primal feasible.
+        assert tableau._T[:-1, -1].min(initial=0.0) >= -1e-9
+        smaller = tableau.program()
+        reference = FullTableau(smaller)
+        status = tableau.optimize()
+        assert status.value == reference.optimize()
+        if status is LpStatus.OPTIMAL:
+            expected = float(reference.objective @ reference.solution())
+            out = tableau.outcome()
+            assert out.value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            assert point_is_feasible(smaller, out.assignment, tol=1e-7)
+        removals += indices.size
+    assert removals >= 30
