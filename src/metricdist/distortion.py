@@ -13,7 +13,12 @@ variables for the norms ``=`` and ``cheapest``, one that adds the top-k
 auxiliaries for every k. Generated rows enter it and are re-optimized by
 the dual simplex, the next objective over the same rows (another
 candidate, subset or lottery) resumes from its last optimal basis, and
-another norm swaps its normalization rows in place.
+another norm swaps its normalization rows in place. A new opponent's
+metric tableau starts from another opponent's ``=`` optimum: between two
+opponents only the equation "total cost 1" changes (the Charnes-Cooper
+normalization), and since every other row of an ``=`` tableau has rhs 0,
+swapping it keeps the optimal basis feasible. Only a profile's first
+metric tableau, the top-k tableaux and a failed swap are built cold.
 
 Every LP entry point here and in :mod:`metricdist.instanceopt` takes its
 solver from :func:`_solver_for`, which holds one solver, for the most
@@ -95,6 +100,7 @@ SOLVER_STATS = (
     "bland_switches",  # pivot loops that stalled and switched to Bland's rule
     "separation_rounds",  # searches for violated quadrilaterals
     "norm_swaps",  # live tableaux switched to another normalization in place
+    "opponent_swaps",  # metric tableaux started from another opponent's optimum
     # A level, not a count: quadrilateral rows held across the opponent
     # pools when the call returns.
     "pool_rows",
@@ -231,9 +237,10 @@ class _LiveLp:
     """One live tableau, with what each of its constraints is.
 
     ``labels`` runs parallel to the tableau's constraints: ``None`` for a
-    consistency row or the ``=`` equation, which never leave; a quadruple
-    for a quadrilateral row; and for a normalization inequality, its tag
-    from :func:`_normalization`. ``norm`` is the normalization the tableau
+    consistency row or the ``=`` equation, which never leave (an opponent
+    swap replaces the equation's row in place); a quadruple for a
+    quadrilateral row; and for a normalization inequality, its tag from
+    :func:`_normalization`. ``norm`` is the normalization the tableau
     holds.
     """
 
@@ -275,12 +282,24 @@ class _PolytopeSolver:
     nonbasic slack into the basis first), and the new objective resumes
     the primal simplex. The ``=`` equation is shared by both metric norms
     and never leaves, and the top-k overflow rows are shared by every k.
+
+    A new ``(opponent, False)`` key does not build cold while another
+    opponent's metric tableau holding ``=`` is live: the most recently
+    used one is copied, takes in the new pool's missing rows under its own
+    objective (dual simplex), drops its quadrilateral rows outside the pool
+    whose slack is basic, and has its equation swapped for the new
+    opponent's column sum by :meth:`Tableau.replace_equation` (see
+    :meth:`_swap_opponent`). The rows it keeps join the pool, so the pool
+    still holds exactly the live quadrilateral rows. A profile's first
+    metric tableau and every top-k tableau are built cold.
+
     Every round's assignment is verified against every row; a warm
     re-optimization that fails is rebuilt cold, as is a swap whose stale
-    rows cannot be pivoted out, and a failing cold solve is retried once
-    with a tighter pivot tolerance. ``stats`` counts all of it since the
-    solver was built (every name of ``SOLVER_STATS`` but the level
-    ``pool_rows``); :meth:`stats_since` gives one call's share.
+    rows cannot be pivoted out or whose equation cannot be replaced, and a
+    failing cold solve is retried once with a tighter pivot tolerance.
+    ``stats`` counts all of it since the solver was built (every name of
+    ``SOLVER_STATS`` but the level ``pool_rows``); :meth:`stats_since`
+    gives one call's share.
 
     Entry points share one solver through :func:`_solver_for`: it lives for
     the most recently solved profile and is released when another profile
@@ -338,11 +357,15 @@ class _PolytopeSolver:
                     pool.update(((v, vp, a, b), True) for v, vp in agent_pairs)
         # Popped while in use, so a call that raises leaves no tableau behind.
         live = self.live.pop(key, None)
-        if live is None:
-            live, status, out = self._start(metric_objective, opponent, norm, pool)
-        else:
+        if live is not None:
             live, status, out = self._resume(
                 live, metric_objective, opponent, norm, pool
+            )
+        elif key[1] or (donor := self._donor()) is None:
+            live, status, out = self._start(metric_objective, opponent, norm, pool)
+        else:
+            live, status, out = self._swap_opponent(
+                donor, metric_objective, opponent, norm, pool
             )
         value, x = self._generate_rows(live, pool, status, out)
         self.live[key] = live
@@ -378,6 +401,56 @@ class _PolytopeSolver:
         tableau, status, out = self._cold(lp)
         return _LiveLp(tableau, labels, norm), status, out
 
+    def _donor(self):
+        """The most recently used metric tableau that holds ``=``, or None.
+
+        ``live`` holds its keys in the order they were last used.
+        """
+        for (_, wide), live in reversed(self.live.items()):
+            if not wide and live.norm == "=":
+                return live
+        return None
+
+    def _swap_opponent(self, donor, metric_objective, opponent, norm, pool):
+        """Start ``opponent``'s metric tableau from a copy of ``donor``'s.
+
+        The copy takes in the pool rows it lacks under the donor's
+        objective (dual simplex) and drops the donor's quadrilateral rows
+        outside the pool whose slack is basic (no pivot); the rows it keeps
+        join the pool. Then :meth:`Tableau.replace_equation` swaps in the
+        new opponent's column sum: every inequality has rhs 0, so the same
+        basis stays feasible. :meth:`_resume` sets the objective and norm.
+        A swap that fails at any step builds cold instead.
+        """
+        live = _LiveLp(donor.tableau.copy(), list(donor.labels), "=")
+        try:
+            missing = [q for q in pool if q not in live.quads]
+            if missing:
+                self._add_quads(live, missing)
+                self.stats["warm_solves"] += 1
+                status, _ = self._run(live.tableau)
+                if status is not LpStatus.OPTIMAL:
+                    raise SolverFailure(f"unexpected LP status {status}")
+            basic = live.tableau.basic_slacks()
+            idle = [
+                i
+                for i, label in enumerate(live.labels)
+                if isinstance(label, tuple) and label not in pool and basic[i]
+            ]
+            self._remove(live, idle)
+            A_eq = self._normalization(opponent, "=")[0]
+            live.tableau.replace_equation(A_eq[0])
+        except SolverFailure:
+            return self._start(metric_objective, opponent, norm, pool)
+        # The donor's objective may be unbounded under the new opponent's
+        # normalization; a zero objective makes the swapped basis optimal,
+        # so rows that _resume enters keep it dual feasible.
+        live.tableau.set_objective(np.zeros(live.tableau.objective.size))
+        self.stats["opponent_swaps"] += 1
+        kept = [q for q in live.labels if isinstance(q, tuple) and q not in pool]
+        pool.update(dict.fromkeys(kept))
+        return self._resume(live, metric_objective, opponent, norm, pool)
+
     def _resume(self, live, metric_objective, opponent, norm, pool):
         """Switch a live tableau to ``metric_objective`` and ``norm``; re-optimize.
 
@@ -412,7 +485,8 @@ class _PolytopeSolver:
             try:
                 self._remove(live, stale)
             except SolverFailure:
-                # The pool now holds exactly the live quadrilateral rows, so
+                # The pool now holds exactly the live quadrilateral rows (an
+                # opponent swap adds the donor rows it keeps to the pool), so
                 # the swapped program is the cold build over the pool.
                 self.stats["rebuilds"] += 1
                 return self._start(metric_objective, opponent, norm, pool)

@@ -193,6 +193,12 @@ def opt_rand(
     feasibility checks over budgets in [1, 3] and must agree within ``2 *
     eps``. The oracle violation threshold is ``eps / 2`` to keep boundary
     cuts from cycling.
+
+    The value is certified: the separation oracle found no metric that
+    beats it by more than ``eps / 2``. The lottery ``x`` is one optimal
+    lottery among possibly several, with no tie rule: which one comes back
+    depends on the optimal vertices the oracle's LPs return, so it can move
+    with solver changes that leave the value fixed.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")

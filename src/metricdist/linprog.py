@@ -12,6 +12,9 @@ by the two-phase method and then stays live: rows added to it enter
 against the current basis and are re-optimized by the dual simplex (the old
 basis stays dual feasible), rows removed from it leave a primal feasible
 basis, and a new objective resumes the primal simplex from the last basis.
+When every inequality has right-hand side 0, the single equation can be
+swapped for another in place (:meth:`Tableau.replace_equation`), and
+:meth:`Tableau.copy` lets one optimum seed another program.
 :func:`solve` is a cold build plus one optimization. The tableau is
 condensed: it stores only the columns of the nonbasic variables, so a
 pivot is a Jordan exchange that updates (rows + 1) x (nonbasic + 1) cells.
@@ -22,6 +25,7 @@ highly degenerate metric polytopes this package produces.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 
@@ -441,6 +445,78 @@ class Tableau:
         T[-1] = c[basis[basic]] @ T[basic]
         structural = np.flatnonzero(nonbasic < n)
         T[-1, structural] -= c[nonbasic[structural]]
+        self._checked = None
+
+    def copy(self) -> "Tableau":
+        """An independent copy: changing either tableau leaves the other alone."""
+        twin = copy.copy(self)
+        for name in ("objective", "rows", "rhs", "_eq"):
+            setattr(twin, name, getattr(self, name).copy())
+        if not self._infeasible:
+            for name in ("_T", "_basis", "_nonbasic", "_slack", "_kept"):
+                setattr(twin, name, getattr(self, name).copy())
+        twin._checked = None
+        return twin
+
+    def basic_slacks(self) -> np.ndarray:
+        """Mask over the constraints: the inequalities whose slack is basic.
+
+        :meth:`remove_rows` removes these without a pivot.
+        """
+        basic = np.zeros(self._next_label, dtype=bool)
+        basic[self._basis] = True
+        return (self._slack >= 0) & basic[self._slack]
+
+    def replace_equation(self, row):
+        """Swap the single equation's row for ``row``, keeping the basis.
+
+        Every inequality must have right-hand side 0, so the basic solution
+        x only rescales, by b / s, where b is the equation's right-hand side
+        and s = ``row @ x``: the basis stays primal feasible. The basis
+        matrix changes in one row, so the tableau takes a rank-one update,
+        (rows + 1) x (nonbasic + 1) cells, and no pivot. The reduced costs
+        are updated too, but the basis is generally no longer optimal:
+        :meth:`optimize` resumes the primal simplex from it.
+
+        Raises:
+            LpInputError: the tableau does not hold exactly one equation, or
+                ``row`` is not one entry per variable.
+            SolverFailure: an inequality has a nonzero right-hand side, the
+                equation has no row in the basis system (phase 1 dropped it
+                or found the program infeasible), or s / b is at most
+                ``feas_tol``. The tableau is then left unchanged.
+        """
+        n = self.objective.size
+        row = np.asarray(row, dtype=float)
+        if row.shape != (n,):
+            raise LpInputError(f"row must have {n} entries, got shape {row.shape}")
+        equations = np.flatnonzero(self._eq)
+        if equations.size != 1:
+            raise LpInputError("the tableau must hold exactly one equation")
+        eq = int(equations[0])
+        if self._infeasible or not self._kept[eq]:
+            raise SolverFailure("the equation has no row in the basis system")
+        if self.rhs[~self._eq].any():
+            raise SolverFailure("an inequality has a nonzero right-hand side")
+        T, basis, nonbasic = self._T, self._basis, self._nonbasic
+        delta = row - self.rows[eq]
+        # w = (delta over the basic variables) @ B^-1 [N | b] - [delta_N | 0];
+        # its last entry is delta @ x, so s = b + w[-1].
+        basic = np.flatnonzero(basis < n)
+        w = delta[basis[basic]] @ T[basic]
+        structural = np.flatnonzero(nonbasic < n)
+        w[structural] -= delta[nonbasic[structural]]
+        b = self.rhs[eq]
+        s = b + w[-1]
+        if not (b != 0.0 and s / b > self.feas_tol):
+            raise SolverFailure(
+                f"new equation row is {s!r} at the basic solution, "
+                f"right-hand side {b!r}: the basis would not stay feasible"
+            )
+        # Sherman-Morrison on the basis inverse: B'^-1 = B^-1 - u (delta_B
+        # B^-1) / (s / b) with u = B^-1 e_eq = x_B / b, the rhs column over b.
+        T -= np.outer(T[:, -1], w / s)
+        self.rows[eq] = row
         self._checked = None
 
     def program(self) -> LinearProgram:

@@ -54,7 +54,21 @@ class PreferenceProfile:
     __slots__ = ("rankings", "positions", "_tournament")
 
     def __init__(self, rankings):
-        arr = np.array(rankings, dtype=int)
+        self._adopt(np.array(rankings, dtype=int))
+
+    @classmethod
+    def _owning(cls, rankings):
+        """Profile that takes ``rankings``, an int array no one else holds, uncopied.
+
+        The parser hands its fresh token array over this way, so it never
+        holds the array and a copy at once. The array is frozen.
+        """
+        profile = cls.__new__(cls)
+        profile._adopt(np.asarray(rankings, dtype=int))
+        return profile
+
+    def _adopt(self, arr):
+        """Validate ``arr``, freeze it and keep it as the rankings."""
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("rankings must be a nonempty 2-d table")
         n, m = arr.shape
@@ -195,7 +209,7 @@ def _parse_profile_vectorized(text):
     rankings = values[2:].reshape(n, m)
     rankings -= 1
     try:
-        return PreferenceProfile(rankings)
+        return PreferenceProfile._owning(rankings)
     except ValueError:
         return None
 

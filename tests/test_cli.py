@@ -239,6 +239,14 @@ def test_lp_reports_carry_solver_stats(warmup_file, capsys):
         assert stats["cold_builds"] > 0 and stats["separation_rounds"] > 0, argv
 
 
+def test_distortion_json_counts_opponent_swaps(warmup_file, capsys):
+    code, report = _run(capsys, ["distortion", "--rule", "copeland", str(warmup_file)])
+    assert code == 0
+    stats = report["solver_stats"]
+    # Two opponents: the first builds cold, the second starts from its optimum.
+    assert stats["cold_builds"] == 1 and stats["opponent_swaps"] == 1
+
+
 def test_oracle_command(warmup_file, capsys):
     code, report = _run(capsys, ["oracle", str(warmup_file), "--rule", "copeland"])
     assert code == 0

@@ -460,7 +460,9 @@ def test_opt_det_builds_at_most_one_tableau_per_opponent():
 def test_reports_carry_solver_stats():
     profile = warmup_instance().profile
     report = dist_det(0, profile)
-    assert report.solver_stats["cold_builds"] == 2  # one per opponent
+    # opponent 1 builds cold; opponent 2 starts from its optimum
+    assert report.solver_stats["cold_builds"] == 1
+    assert report.solver_stats["opponent_swaps"] == 1
     assert report.solver_stats["primal_pivots"] > 0
     for stats in (
         report.solver_stats,
@@ -488,8 +490,9 @@ def test_per_call_solver_stats_sum_to_solver_totals():
     totals = _solver_for(profile).stats
     for name in totals:
         assert sum(r.solver_stats[name] for r in reports) == totals[name], name
-    # dist_rand finds dist_det's tableaux of opponents 1 and 2 live
-    assert reports[1].solver_stats["cold_builds"] == 1
+    # dist_rand finds dist_det's tableaux of opponents 1 and 2 live, and
+    # starts opponent 0's from the last of them
+    assert reports[1].solver_stats["cold_builds"] == 0
 
 
 def test_failure_after_warm_and_cold_attempts_carries_reproduction(monkeypatch):
@@ -574,23 +577,77 @@ def test_same_calls_on_equal_profiles_give_the_same_bits():
 
 
 def test_certify_sequence_matches_a_fresh_profile_per_call():
+    # A fresh profile per (outcome, opponent) solves one LP cold, with no
+    # tableau to start from; the shared solver starts most opponents' tableaux
+    # from another opponent's optimum.
     rng = np.random.default_rng(73)
+    swaps = 0
     for trial in range(30):
         profile = random_profile(
             int(rng.integers(3, 7)), int(rng.integers(3, 6)), rng
         )
+        m = profile.num_alternatives
         winners = {rule(profile).winner for rule in (copeland, ranked_pairs, schulze)}
         lottery = randomized_dictatorship(profile).distribution
-        calls = [lambda p, w=w: dist_det(w, p) for w in sorted(winners)]
-        calls.append(lambda p: dist_rand(lottery, p))
         # the whole sequence on one profile first, so that it shares a solver
-        reports = [call(profile) for call in calls]
-        for call, shared in zip(calls, reports):
-            fresh = call(PreferenceProfile(profile.rankings))
-            assert shared.per_opponent.keys() == fresh.per_opponent.keys()
-            for z, value in shared.per_opponent.items():
-                assert _close(value, fresh.per_opponent[z]), (trial, z)
-            assert shared.winner == fresh.winner
+        reports = [dist_det(w, profile) for w in sorted(winners)]
+        reports.append(dist_rand(lottery, profile))
+        det = opt_det(profile)
+        solver = _solver_for(profile)
+        assert len(solver.live) <= 2 * m
+        swaps += solver.stats["opponent_swaps"]
+        for report in reports:
+            x = report.distribution
+            if x is None:
+                x = np.eye(m)[report.winner]
+            for z, value in report.per_opponent.items():
+                fresh, _ = a_rand(x, z, PreferenceProfile(profile.rankings))
+                assert _close(value, fresh), (trial, z)
+        for c, z in itertools.permutations(range(m), 2):
+            fresh, _ = a_det(c, z, PreferenceProfile(profile.rankings))
+            assert _close(det.matrix[c, z], fresh), (trial, c, z)
+    assert swaps > 0
+
+
+def test_failed_opponent_swap_builds_cold_with_the_same_values(monkeypatch):
+    rng = np.random.default_rng(101)
+    profiles = [random_profile(4, 4, rng) for _ in range(6)]
+    swapped = [(dist_det(0, p), opt_det(p)) for p in profiles]
+
+    def refuse(self, row):
+        raise SolverFailure("new equation row vanishes at the basic solution")
+
+    monkeypatch.setattr(linprog.Tableau, "replace_equation", refuse)
+    for profile, (report, det) in zip(profiles, swapped):
+        profile = PreferenceProfile(profile.rankings)
+        cold = dist_det(0, profile)
+        assert cold.solver_stats["opponent_swaps"] == 0
+        assert report.solver_stats["opponent_swaps"] > 0
+        finite = sum(math.isfinite(v) for v in cold.per_opponent.values())
+        assert cold.solver_stats["cold_builds"] == finite
+        for z, value in report.per_opponent.items():
+            assert _close(value, cold.per_opponent[z]), z
+        cold_det = opt_det(profile)
+        assert cold_det.solver_stats["opponent_swaps"] == 0
+        assert cold_det.winner == det.winner
+        for c, z in itertools.permutations(range(4), 2):
+            assert _close(det.matrix[c, z], cold_det.matrix[c, z]), (c, z)
+        assert len(_solver_for(profile).live) <= 2 * profile.num_alternatives
+
+
+def test_opponent_swap_then_cheapest_ignores_the_donor_objective():
+    # Everyone ranks 0 first, so no chain leads into 0: the donor's objective,
+    # on column 1, is unbounded once opponent 0 is normalized.
+    profile = PreferenceProfile([[0, 1, 2], [0, 2, 1], [0, 1, 2]])
+    poly = MetricPolytope(profile)
+    solver = _PolytopeSolver(poly)
+    solver.maximize(np.tile([0.0, 1.0, 0.0], 3), opponent=2, norm="=")
+    objective = np.tile([1.0, 0.0, 0.0], 3)
+    value, _ = solver.maximize(objective, opponent=0, norm="cheapest")
+    assert solver.stats["opponent_swaps"] == 1
+    assert solver.stats["cold_builds"] == 1
+    fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=0, norm="cheapest")
+    assert value == pytest.approx(fresh, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

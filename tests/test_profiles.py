@@ -1,5 +1,6 @@
 import copy
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,3 +325,30 @@ def test_profile_constructor_matches_argsort_and_first_bad_agent():
         bad[agents, 0] = m
         with pytest.raises(ValueError, match=rf"^agent {first + 1}: "):
             PreferenceProfile(bad)
+
+
+def test_vectorized_parse_holds_no_copy_of_its_token_array():
+    n, m = 4000, 20
+    rankings = np.argsort(np.random.default_rng(47).random((n, m)), axis=1)
+    text = serialize_profile(PreferenceProfile(rankings))
+    table = n * m * np.dtype(int).itemsize
+    tracemalloc.start()
+    try:
+        profile = parse_profile(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(profile.rankings, rankings)
+    # The encoded text, the token array, one sorted copy for validation and
+    # its mask; a copy of the token array would add one more table.
+    assert peak - len(text) < 2.5 * table, peak
+    assert not profile.rankings.flags.writeable
+
+
+def test_profile_copies_and_freezes_a_caller_array():
+    rankings = np.argsort(np.random.default_rng(53).random((5, 4)), axis=1)
+    profile = PreferenceProfile(rankings)
+    assert not np.shares_memory(profile.rankings, rankings)
+    assert rankings.flags.writeable and not profile.rankings.flags.writeable
+    rankings[0] = rankings[0][::-1]
+    assert not np.array_equal(profile.rankings, rankings)
