@@ -1,24 +1,24 @@
 """Worst-case cost ratios over ranking-consistent metrics, certified by LP.
 
 The admissible cost matrices consistent with a profile form a polyhedral
-cone; fixing an opponent's total cost to 1 turns each worst-case ratio into
-a dense LP. Quadrilateral rows are generated lazily: solve a relaxation,
-add the rows it violates, repeat. A run only terminates once the incumbent
-satisfies the complete inequality family, so reported optima are exact up to
-solver tolerances, and every report carries a feasibility-checked witness.
+cone; bounding an opponent's total cost by 1 turns each worst-case ratio
+into a dense LP, since objectives are nonnegative and any optimum scales
+onto that bound (the Charnes-Cooper normalization). Quadrilateral rows are
+generated lazily: solve a relaxation, add the rows it violates, repeat. A
+run only terminates once the incumbent satisfies the complete inequality
+family, so reported optima are exact up to solver tolerances, and every
+report carries a feasibility-checked witness.
 
-The relaxations are not solved from scratch. Each opponent keeps one live
-simplex tableau per variable set, at most two: one over the metric
-variables for the norms ``=`` and ``cheapest``, one that adds the top-k
-auxiliaries for every k. Generated rows enter it and are re-optimized by
-the dual simplex, the next objective over the same rows (another
-candidate, subset or lottery) resumes from its last optimal basis, and
-another norm swaps its normalization rows in place. A new opponent's
-metric tableau starts from another opponent's ``=`` optimum: between two
-opponents only the equation "total cost 1" changes (the Charnes-Cooper
-normalization), and since every other row of an ``=`` tableau has rhs 0,
-swapping it keeps the optimal basis feasible. Only a profile's first
-metric tableau, the top-k tableaux and a failed swap are built cold.
+Every normalization is a set of ``<=`` rows over the metric variables: one
+with rhs 1, the others homogeneous, and top-k adds rows with rhs 1 as they
+are violated (see :func:`_normalization`). Every rhs is nonnegative, so a
+cold build starts from the slack basis with no phase 1. Each opponent keeps
+one live simplex tableau. Generated rows enter it and are re-optimized by
+the dual simplex; the next objective (another candidate, subset or lottery)
+resumes from the last optimal basis; another norm swaps its homogeneous
+rows and replaces the rhs-1 row by a rank-one update, and a new opponent's
+tableau starts from a copy of another's optimum the same way. Only a
+profile's first tableau and a failed swap are built cold.
 
 Every LP entry point here and in :mod:`metricdist.instanceopt` takes its
 solver from :func:`_solver_for`, which holds one solver, for the most
@@ -38,9 +38,8 @@ d(u,a) <= d(u,b) and the quadrilaterals (v, u, a, b) give
 d(v,a) <= d(v,b) + 2 d(u,b); summed over v, col(a) <= 2N col(b). So every
 relaxation is seeded with the rows (v, v', a, b), v != v', of each step of a
 shortest chain from each positively weighted column to the opponent, and
-these rows are never dropped: they alone bound every relaxation, under each
-normalization of the opponent: its total cost ``=`` 1, also the cheapest,
-or the sum of its k largest entries at most 1.
+these rows are never dropped: with the rhs-1 row, which bounds the
+opponent's total cost, they alone bound every relaxation.
 """
 
 from __future__ import annotations
@@ -87,10 +86,10 @@ _DROP_THRESHOLD = 400
 _DROP_SLACK = 1e-5
 # Pivot tolerance of the second cold solve after numerical drift.
 _RETRY_PIVOT_TOL = 1e-11
-# Norms over the metric variables alone; every other norm is a top-k k.
-_METRIC_NORMS = ("=", "cheapest")
+# Relative tolerance under which two optimal values count as tied.
+TIE_TOL = 1e-9
 SOLVER_STATS = (
-    "cold_builds",  # tableaux built by the two-phase method
+    "cold_builds",  # tableaux built from scratch
     "warm_solves",  # re-optimizations of a live tableau
     "primal_pivots",
     "dual_pivots",
@@ -98,9 +97,9 @@ SOLVER_STATS = (
     "rebuilds",  # cold rebuilds after a failed warm re-optimization
     "retries",  # cold solves repeated with a tighter pivot tolerance
     "bland_switches",  # pivot loops that stalled and switched to Bland's rule
-    "separation_rounds",  # searches for violated quadrilaterals
+    "separation_rounds",  # searches for violated rows
     "norm_swaps",  # live tableaux switched to another normalization in place
-    "opponent_swaps",  # metric tableaux started from another opponent's optimum
+    "opponent_swaps",  # tableaux started from another opponent's optimum
     # A level, not a count: quadrilateral rows held across the opponent
     # pools when the call returns.
     "pool_rows",
@@ -130,6 +129,7 @@ class MetricPolytope:
         self._reach = None
         self._length = None  # steps of a shortest chain from a to b, m if none
         self._consistency = None
+        self._subsets = {}  # k -> (names, members) of the k-agent subsets
 
     def var(self, v: int, c: int) -> int:
         return v * self.num_alternatives + c
@@ -181,16 +181,16 @@ class MetricPolytope:
             self._consistency = rows
         return self._consistency
 
-    def quadruple_rows(self, quads, width=None) -> np.ndarray:
+    def quadruple_rows(self, quads) -> np.ndarray:
         """Rows of ``d(v,c) - d(v,c') - d(v',c') - d(v',c) <= 0``, one per quadruple.
 
         Each quadruple ``(v, v', c, c')`` has ``v != v'`` and ``c != c'``, so
-        its four entries are distinct. Rows are zero-padded to ``width``.
+        its four entries are distinct.
         """
         q = np.asarray(quads, dtype=int).reshape(-1, 4)
         v, vp, c, cp = q.T
         m = self.num_alternatives
-        rows = np.zeros((len(q), width or self.num_metric_vars))
+        rows = np.zeros((len(q), self.num_metric_vars))
         r = np.arange(len(q))
         rows[r, v * m + c] = 1.0
         rows[r, v * m + cp] = -1.0
@@ -229,6 +229,34 @@ class MetricPolytope:
                     break
         return out
 
+    def subset_rows(self, subsets, z):
+        """Rows of ``sum of d(v, z) over v in T <= 1``, one per agent subset T."""
+        rows = np.zeros((len(subsets), self.num_metric_vars))
+        for r, subset in enumerate(subsets):
+            rows[r, [self.var(v, z) for v in subset]] = 1.0
+        return rows
+
+    def violated_subsets(self, column, k, tol, exclude, limit):
+        """k-agent subsets to add at ``column``, the opponent's entries.
+
+        None unless one outside ``exclude`` costs more than ``1 + tol``; then
+        all outside it, violated or not, most loaded first, up to ``limit``:
+        the next optimum's binding rows are mostly among them.
+        """
+        if k not in self._subsets:
+            names = list(map(frozenset, itertools.combinations(range(len(column)), k)))
+            members = [[v in name for v in range(len(column))] for name in names]
+            self._subsets[k] = names, np.array(members)
+        names, members = self._subsets[k]
+        load = members @ column
+        if load.max() <= 1.0 + tol:
+            return []
+        order = np.argsort(-load, kind="stable").tolist()
+        order = [i for i in order if names[i] not in exclude]
+        if not order or load[order[0]] <= 1.0 + tol:
+            return []
+        return [names[i] for i in order[:limit]]
+
     def satisfies(self, d, tol=DEFAULT_FEAS_TOL) -> bool:
         return is_q_metric(d, tol)[0] and is_consistent(d, self.profile, tol)[0]
 
@@ -237,19 +265,19 @@ class _LiveLp:
     """One live tableau, with what each of its constraints is.
 
     ``labels`` runs parallel to the tableau's constraints: ``None`` for a
-    consistency row or the ``=`` equation, which never leave (an opponent
-    swap replaces the equation's row in place); a quadruple for a
-    quadrilateral row; and for a normalization inequality, its tag from
-    :func:`_normalization`. ``norm`` is the normalization the tableau
-    holds.
+    consistency row or the rhs-1 row, which never leave (swaps replace the
+    latter in place); a quadruple for a quadrilateral row; a frozenset of k
+    agents for a generated top-k row; the norm for a homogeneous
+    normalization row. ``norm`` is the normalization held.
     """
 
-    __slots__ = ("tableau", "labels", "quads", "norm")
+    __slots__ = ("tableau", "labels", "quads", "subsets", "norm")
 
     def __init__(self, tableau, labels, norm):
         self.tableau = tableau
         self.labels = labels
         self.quads = {q for q in labels if isinstance(q, tuple)}
+        self.subsets = {t for t in labels if isinstance(t, frozenset)}
         self.norm = norm
 
 
@@ -267,46 +295,30 @@ class _PolytopeSolver:
     starts with the chain rows of every column an objective weights (see the
     module docstring); they bound every relaxation and are never pruned.
 
-    Each ``(opponent, wide)`` key keeps one live tableau across calls:
-    ``wide`` is False for the metric variables alone (norms ``"="`` and
-    ``"cheapest"``) and True for the metric variables plus the top-k
-    auxiliaries (every k), so an opponent has at most two tableaux and
-    idle auxiliary columns never widen a metric-only pivot. New
-    quadrilateral rows enter a tableau and are re-optimized by the dual
-    simplex; a new objective first takes in the pool rows the tableau
-    lacks, then resumes the primal simplex from the last optimal basis.
-    A call with another norm (see :meth:`maximize`) swaps the
-    normalization rows in place: the new rows enter with the missing pool
-    rows under the old objective and are re-optimized by the dual simplex,
-    the stale ones leave by :meth:`Tableau.remove_rows` (which pivots a
-    nonbasic slack into the basis first), and the new objective resumes
-    the primal simplex. The ``=`` equation is shared by both metric norms
-    and never leaves, and the top-k overflow rows are shared by every k.
-
-    A new ``(opponent, False)`` key does not build cold while another
-    opponent's metric tableau holding ``=`` is live: the most recently
-    used one is copied, takes in the new pool's missing rows under its own
-    objective (dual simplex), drops its quadrilateral rows outside the pool
-    whose slack is basic, and has its equation swapped for the new
-    opponent's column sum by :meth:`Tableau.replace_equation` (see
-    :meth:`_swap_opponent`). The rows it keeps join the pool, so the pool
-    still holds exactly the live quadrilateral rows. A profile's first
-    metric tableau and every top-k tableau are built cold.
+    Each opponent keeps one live tableau across calls, whatever its norm.
+    New rows enter it and are re-optimized by the dual simplex; a new
+    objective first takes in the pool rows the tableau lacks, then resumes
+    the primal simplex from the last optimal basis. A call with another
+    norm (see :meth:`maximize`) swaps the normalization in place: the new
+    norm's homogeneous rows enter with the missing pool rows under the old
+    objective (dual simplex), the old norm's rows, generated top-k rows
+    included, leave by :meth:`Tableau.remove_rows` (which pivots a nonbasic
+    slack into the basis first), :meth:`Tableau.replace_equation` replaces
+    the rhs-1 row by a rank-one update, and the new objective resumes the
+    primal simplex. A new opponent's tableau starts from a copy of the most
+    recently used one (see :meth:`_swap_opponent`); only a profile's first
+    tableau is built cold.
 
     Every round's assignment is verified against every row; a warm
     re-optimization that fails is rebuilt cold, as is a swap whose stale
-    rows cannot be pivoted out or whose equation cannot be replaced, and a
+    rows cannot be pivoted out or whose rhs-1 row cannot be replaced, and a
     failing cold solve is retried once with a tighter pivot tolerance.
     ``stats`` counts all of it since the solver was built (every name of
     ``SOLVER_STATS`` but the level ``pool_rows``); :meth:`stats_since`
     gives one call's share.
 
-    Entry points share one solver through :func:`_solver_for`: it lives for
-    the most recently solved profile and is released when another profile
-    is solved. The same calls in the same order on a profile, from the point
-    it takes the slot, give the same bits; an earlier call can change which
-    optimal vertex a later one returns (the module docstring says which
-    results that moves).
+    Entry points share one solver through :func:`_solver_for`; the module
+    docstring says what an earlier call on the profile can change.
     """
 
     def __init__(self, polytope, feas_tol=DEFAULT_FEAS_TOL, sep_tol=DEFAULT_SEP_TOL):
@@ -318,11 +330,9 @@ class _PolytopeSolver:
         self.pools = {}
         # (column, opponent) pairs whose chain rows are in the pool
         self.seeded = set()
-        # (opponent, wide) -> _LiveLp
+        # opponent -> _LiveLp, in the order they were last used
         self.live = {}
         self.stats = dict.fromkeys(_COUNTERS, 0)
-        self._consistency = {}  # width -> padded consistency rows
-        self._norms = {}  # (opponent, norm) -> _normalization block
 
     def stats_since(self, before):
         """``SOLVER_STATS`` of the work done since ``before``, a copy of ``stats``."""
@@ -330,25 +340,25 @@ class _PolytopeSolver:
         out["pool_rows"] = sum(len(pool) for pool in self.pools.values())
         return out
 
-    def maximize(self, metric_objective, *, opponent, norm):
+    def maximize(self, objective, *, opponent, norm):
         """Maximize over the polytope, ``opponent`` normalized; ``(value, metric)``.
 
-        ``norm`` picks the normalization: ``"="`` fixes the opponent's total
-        cost to 1; ``"cheapest"`` also makes every other column cost at
-        least 1; an integer k bounds the sum of the opponent's k largest
-        entries by 1 (see :func:`_top_k_block`). Row generation runs over
-        the opponent's pool and the live tableau of its variable set.
+        ``objective`` is nonnegative, one entry per metric variable. ``norm``
+        picks the normalization (see :func:`_normalization` for its rows):
+        ``"="`` bounds the opponent's total cost by 1; ``"cheapest"`` also
+        makes every other column cost at least as much; an integer k bounds
+        the sum of the opponent's k largest entries by 1. The rhs-1 row
+        binds at any optimum, so the value is the normalized ratio. Row
+        generation runs over the opponent's pool and live tableau.
 
         Raises:
             SolverFailure: the solve failed warm and cold, or a relaxation
                 is unbounded (a weighted column has no chain to ``opponent``).
         """
         poly = self.polytope
-        nm = poly.num_metric_vars
-        key = (opponent, norm not in _METRIC_NORMS)
         pool = self.pools.setdefault(opponent, {})
         # The chain rows of every weighted column bound the relaxation.
-        weighted = np.flatnonzero(metric_objective > 0) % poly.num_alternatives
+        weighted = np.flatnonzero(objective > 0) % poly.num_alternatives
         for c in set(weighted.tolist()):
             if (c, opponent) not in self.seeded:
                 self.seeded.add((c, opponent))
@@ -356,72 +366,44 @@ class _PolytopeSolver:
                     agent_pairs = itertools.permutations(range(poly.num_agents), 2)
                     pool.update(((v, vp, a, b), True) for v, vp in agent_pairs)
         # Popped while in use, so a call that raises leaves no tableau behind.
-        live = self.live.pop(key, None)
+        live = self.live.pop(opponent, None)
         if live is not None:
-            live, status, out = self._resume(
-                live, metric_objective, opponent, norm, pool
-            )
-        elif key[1] or (donor := self._donor()) is None:
-            live, status, out = self._start(metric_objective, opponent, norm, pool)
+            live, status, out = self._resume(live, objective, opponent, norm, pool)
+        elif self.live:
+            live, status, out = self._swap_opponent(objective, opponent, norm, pool)
         else:
-            live, status, out = self._swap_opponent(
-                donor, metric_objective, opponent, norm, pool
-            )
-        value, x = self._generate_rows(live, pool, status, out)
-        self.live[key] = live
-        return value, x[:nm].reshape(poly.num_agents, -1)
+            live, status, out = self._start(objective, opponent, norm, pool)
+        value, x = self._generate_rows(live, opponent, pool, status, out)
+        self.live[opponent] = live
+        return value, x.reshape(poly.num_agents, -1)
 
-    def _normalization(self, opponent, norm):
-        """:func:`_normalization` of ``(opponent, norm)``, built once per solver."""
-        block = self._norms.get((opponent, norm))
-        if block is None:
-            block = _normalization(self.polytope, opponent, norm)
-            self._norms[opponent, norm] = block
-        return block
-
-    def _start(self, metric_objective, opponent, norm, pool):
-        """Cold-build the tableau of a new key over its pool."""
+    def _start(self, objective, opponent, norm, pool):
+        """Cold-build the opponent's tableau over its pool, from the slack basis."""
         poly = self.polytope
-        A_eq, b_eq, A_norm, b_norm, tags = self._normalization(opponent, norm)
-        width = A_eq.shape[1]
-        objective = np.zeros(width)
-        objective[: poly.num_metric_vars] = metric_objective
-        consistency = self._consistency.get(width)
-        if consistency is None:
-            rows = poly.consistency_rows()
-            consistency = np.zeros((len(rows), width))
-            consistency[:, : rows.shape[1]] = rows
-            self._consistency[width] = consistency
+        bound, A_norm = _normalization(poly, opponent, norm)
+        consistency = poly.consistency_rows()
         quads = list(pool)
-        A_ub = np.vstack([consistency, A_norm, poly.quadruple_rows(quads, width)])
+        A_ub = np.vstack([consistency, bound, A_norm, poly.quadruple_rows(quads)])
         b_ub = np.zeros(len(A_ub))
-        b_ub[len(consistency) : len(consistency) + len(b_norm)] = b_norm
-        labels = [None] * (len(b_eq) + len(consistency)) + tags + quads
-        lp = LinearProgram("max", objective, A_ub, b_ub, A_eq, b_eq)
+        b_ub[len(consistency)] = 1.0
+        labels = [None] * (len(consistency) + 1) + [norm] * len(A_norm) + quads
+        lp = LinearProgram("max", objective, A_ub, b_ub)
         tableau, status, out = self._cold(lp)
         return _LiveLp(tableau, labels, norm), status, out
 
-    def _donor(self):
-        """The most recently used metric tableau that holds ``=``, or None.
+    def _swap_opponent(self, objective, opponent, norm, pool):
+        """Start ``opponent``'s tableau from a copy of the most recently used one.
 
-        ``live`` holds its keys in the order they were last used.
+        The copy takes in the pool rows it lacks under the donor's objective
+        (dual simplex), drops the donor's normalization rows but the rhs-1
+        row and its quadrilateral rows outside the pool whose slack is basic,
+        and adds the ones it keeps to the pool. Every other row then has rhs
+        0, so :meth:`Tableau.replace_equation` can make the new opponent's
+        column sum the rhs-1 row with the basis still feasible; :meth:`_resume`
+        sets the objective and norm. A swap that fails at any step builds
+        cold instead.
         """
-        for (_, wide), live in reversed(self.live.items()):
-            if not wide and live.norm == "=":
-                return live
-        return None
-
-    def _swap_opponent(self, donor, metric_objective, opponent, norm, pool):
-        """Start ``opponent``'s metric tableau from a copy of ``donor``'s.
-
-        The copy takes in the pool rows it lacks under the donor's
-        objective (dual simplex) and drops the donor's quadrilateral rows
-        outside the pool whose slack is basic (no pivot); the rows it keeps
-        join the pool. Then :meth:`Tableau.replace_equation` swaps in the
-        new opponent's column sum: every inequality has rhs 0, so the same
-        basis stays feasible. :meth:`_resume` sets the objective and norm.
-        A swap that fails at any step builds cold instead.
-        """
+        donor = next(reversed(self.live.values()))
         live = _LiveLp(donor.tableau.copy(), list(donor.labels), "=")
         try:
             missing = [q for q in pool if q not in live.quads]
@@ -432,48 +414,46 @@ class _PolytopeSolver:
                 if status is not LpStatus.OPTIMAL:
                     raise SolverFailure(f"unexpected LP status {status}")
             basic = live.tableau.basic_slacks()
-            idle = [
-                i
-                for i, label in enumerate(live.labels)
-                if isinstance(label, tuple) and label not in pool and basic[i]
-            ]
-            self._remove(live, idle)
-            A_eq = self._normalization(opponent, "=")[0]
-            live.tableau.replace_equation(A_eq[0])
-        except SolverFailure:
-            return self._start(metric_objective, opponent, norm, pool)
-        # The donor's objective may be unbounded under the new opponent's
-        # normalization; a zero objective makes the swapped basis optimal,
-        # so rows that _resume enters keep it dual feasible.
-        live.tableau.set_objective(np.zeros(live.tableau.objective.size))
-        self.stats["opponent_swaps"] += 1
-        kept = [q for q in live.labels if isinstance(q, tuple) and q not in pool]
-        pool.update(dict.fromkeys(kept))
-        return self._resume(live, metric_objective, opponent, norm, pool)
-
-    def _resume(self, live, metric_objective, opponent, norm, pool):
-        """Switch a live tableau to ``metric_objective`` and ``norm``; re-optimize.
-
-        Returns ``(live, status, outcome)``: ``live`` is a cold rebuild when
-        the stale normalization rows could not be removed.
-        """
-        missing = [q for q in pool if q not in live.quads]
-        enter, stale = [], []
-        if norm != live.norm:
-            self.stats["norm_swaps"] += 1
-            _, _, A_norm, b_norm, tags = self._normalization(opponent, norm)
-            held = {label for label in live.labels if _is_norm_tag(label)}
-            enter = [i for i, tag in enumerate(tags) if tag not in held]
             stale = [
                 i
                 for i, label in enumerate(live.labels)
-                if _is_norm_tag(label) and label not in tags
+                if _is_norm_tag(label)
+                or (isinstance(label, tuple) and label not in pool and basic[i])
             ]
-        if missing or enter:
+            self._remove(live, stale)
+            total, _ = _normalization(self.polytope, opponent, "=")
+            live.tableau.replace_equation(total)
+        except SolverFailure:
+            return self._start(objective, opponent, norm, pool)
+        # The donor's objective may be unbounded under the new opponent's
+        # normalization; a zero objective makes the swapped basis optimal,
+        # so rows that _resume enters keep it dual feasible.
+        live.tableau.set_objective(np.zeros(objective.size))
+        self.stats["opponent_swaps"] += 1
+        kept = [q for q in live.labels if isinstance(q, tuple) and q not in pool]
+        pool.update(dict.fromkeys(kept))
+        return self._resume(live, objective, opponent, norm, pool)
+
+    def _resume(self, live, objective, opponent, norm, pool):
+        """Switch a live tableau to ``objective`` and ``norm``; re-optimize.
+
+        Returns ``(live, status, outcome)``: ``live`` is a cold rebuild when
+        the stale normalization rows could not be removed or the rhs-1 row
+        not replaced.
+        """
+        missing = [q for q in pool if q not in live.quads]
+        enter = ()
+        if norm != live.norm:
+            # No two norms share a homogeneous row: the old norm's rows, its
+            # generated top-k rows included, all leave, and the new ones enter.
+            self.stats["norm_swaps"] += 1
+            bound, enter = _normalization(self.polytope, opponent, norm)
+            stale = [i for i, label in enumerate(live.labels) if _is_norm_tag(label)]
+        if missing or len(enter):
             # Enter under the old objective, whose basis stays dual feasible.
-            if enter:
-                live.tableau.add_rows(A_norm[enter], b_norm[enter])
-                live.labels.extend(tags[i] for i in enter)
+            if len(enter):
+                live.tableau.add_rows(enter, np.zeros(len(enter)))
+                live.labels.extend([norm] * len(enter))
             if missing:
                 self._add_quads(live, missing)
             status, _ = self._reoptimize(live)
@@ -481,24 +461,31 @@ class _PolytopeSolver:
                 raise self._failure(
                     f"unexpected LP status {status}", live.tableau.program()
                 )
-        if stale:
+        if norm != live.norm:
+            # With the stale rows gone, only the rhs-1 row has a nonzero rhs.
             try:
-                self._remove(live, stale)
+                if stale:
+                    self._remove(live, stale)
+                live.tableau.replace_equation(bound)
             except SolverFailure:
                 # The pool now holds exactly the live quadrilateral rows (an
                 # opponent swap adds the donor rows it keeps to the pool), so
-                # the swapped program is the cold build over the pool.
+                # the swapped program is the cold build over the pool, up to
+                # top-k rows that row generation adds again.
                 self.stats["rebuilds"] += 1
-                return self._start(metric_objective, opponent, norm, pool)
-        live.norm = norm
-        objective = np.zeros(live.tableau.objective.size)
-        objective[: metric_objective.size] = metric_objective
+                return self._start(objective, opponent, norm, pool)
+            live.norm = norm
         live.tableau.set_objective(objective)
         return (live, *self._reoptimize(live))
 
-    def _generate_rows(self, live, pool, status, out):
-        """Separation rounds until the optimum satisfies every quadrilateral."""
+    def _generate_rows(self, live, opponent, pool, status, out):
+        """Separation rounds until the optimum satisfies every row of its norm.
+
+        Under a top-k norm, rounds add the k-subset rows along with the
+        quadrilaterals (see :meth:`MetricPolytope.violated_subsets`).
+        """
         poly = self.polytope
+        top_k = None if isinstance(live.norm, str) else live.norm
         fresh = set()
         for _ in range(_MAX_ROUNDS):
             if status is LpStatus.UNBOUNDED:
@@ -511,12 +498,18 @@ class _PolytopeSolver:
                 )
 
             x = out.assignment
-            metric = x[: poly.num_metric_vars].reshape(poly.num_agents, -1)
+            metric = x.reshape(poly.num_agents, -1)
             self.stats["separation_rounds"] += 1
             new = poly.violated_quadruples(
                 metric, self.sep_tol, live.quads, _SEPARATION_BATCH
             )
-            if not new:
+            subsets = []
+            if top_k:
+                column = metric[:, opponent]
+                subsets = poly.violated_subsets(
+                    column, top_k, self.sep_tol, live.subsets, _SEPARATION_BATCH
+                )
+            if not new and not subsets:
                 return out.value, x
 
             # Keep the working set lean: drop rows far from binding (their
@@ -536,17 +529,20 @@ class _PolytopeSolver:
                     pool.pop(quad, None)
 
             fresh = set(new)
-            pool.update(dict.fromkeys(new))
-            self._add_quads(live, new)
+            if new:
+                pool.update(dict.fromkeys(new))
+                self._add_quads(live, new)
+            if subsets:
+                rows = poly.subset_rows(subsets, opponent)
+                live.tableau.add_rows(rows, np.ones(len(subsets)))
+                live.labels.extend(subsets)
+                live.subsets.update(subsets)
             status, out = self._reoptimize(live)
-        raise self._failure(
-            "quadrilateral row generation did not converge", live.tableau.program()
-        )
+        raise self._failure("row generation did not converge", live.tableau.program())
 
     def _add_quads(self, live, quads):
-        width = live.tableau.objective.size
         live.tableau.add_rows(
-            self.polytope.quadruple_rows(quads, width), np.zeros(len(quads))
+            self.polytope.quadruple_rows(quads), np.zeros(len(quads))
         )
         live.labels.extend(quads)
         live.quads.update(quads)
@@ -568,6 +564,7 @@ class _PolytopeSolver:
         labels = [live.labels[i] for i in sorted(gone)]
         live.labels = [label for i, label in enumerate(live.labels) if i not in gone]
         live.quads.difference_update(labels)
+        live.subsets.difference_update(labels)
         return labels
 
     def _run(self, tableau):
@@ -596,7 +593,7 @@ class _PolytopeSolver:
         return status, out
 
     def _cold(self, lp):
-        """Two-phase solve of ``lp``, retried once with a tighter pivot tolerance."""
+        """Cold solve of ``lp``, retried once with a tighter pivot tolerance."""
         self.stats["cold_builds"] += 1
         for pivot_tol in (DEFAULT_PIVOT_TOL, _RETRY_PIVOT_TOL):
             try:
@@ -640,44 +637,26 @@ def _solver_for(profile):
 
 
 def _normalization(poly, opponent, norm):
-    """Rows ``(A_eq, b_eq, A_ub, b_ub, tags)`` that normalize ``opponent`` by ``norm``.
+    """``(bound, A)``: the ``<=`` rows that normalize ``opponent`` by ``norm``.
 
-    See :meth:`_PolytopeSolver.maximize` for the three normalizations.
-    ``tags`` names each inequality row for swapping norms on a live tableau:
-    ``"cheapest"``, ``"overflow"`` for the top-k overflow rows every k
-    shares, or k for the row that bounds the k largest entries.
+    ``bound`` is the row with rhs 1; the rows of ``A`` have rhs 0. Top-k
+    has the bound ``(k/N) SC(z) <= 1``, which the k largest entries imply
+    (they average at least the mean); its rows "these k agents cost at most
+    1", rhs 1 too, are generated (:meth:`MetricPolytope.violated_subsets`).
+    At k = N the bound is the one such row, so the LP is the ``=`` one.
     """
-    if norm not in _METRIC_NORMS:
-        A_ub, b_ub = _top_k_block(poly, opponent, norm)
-        tags = ["overflow"] * (len(b_ub) - 1) + [norm]
-        return np.zeros((0, A_ub.shape[1])), np.zeros(0), A_ub, b_ub, tags
-    # Row c sums column c of the metric: entries v * M + c for every agent v.
     m = poly.num_alternatives
-    sums = np.arange(poly.num_metric_vars) % m == np.arange(m)[:, None]
-    # "cheapest": every other column costs at least 1, negated into <= -1
-    others = sums[np.arange(m) != opponent] if norm == "cheapest" else sums[:0]
-    tags = [norm] * len(others)
-    return sums[[opponent]], np.ones(1), -1.0 * others, -np.ones(len(others)), tags
-
-
-def _top_k_block(poly, z, k):
-    """Rows ``(A_ub, b_ub)``: 'sum of the k largest entries of column z is at most 1'.
-
-    Aux variables follow the metric ones: a threshold ``t`` and per-agent
-    overflows ``u_v``; the bound is exactly ``k*t + sum_v u_v <= 1`` with
-    ``u_v >= d(v,z) - t``.
-    """
-    nm, n = poly.num_metric_vars, poly.num_agents
-    v = np.arange(n)
-    A = np.zeros((n + 1, nm + 1 + n))
-    A[v, v * poly.num_alternatives + z] = 1.0
-    A[v, nm] = -1.0
-    A[v, nm + 1 + v] = -1.0
-    A[n, nm] = float(k)
-    A[n, nm + 1 :] = 1.0
-    b = np.zeros(n + 1)
-    b[n] = 1.0
-    return A, b
+    # Column c of the metric holds the entries v * M + c, one per agent v.
+    total = np.zeros(poly.num_metric_vars)
+    total[opponent::m] = 1.0
+    if norm == "cheapest":
+        # SC(z) - SC(c) <= 0: every other column costs at least as much
+        rows = np.tile(total, (m - 1, 1))
+        for r, c in enumerate(np.flatnonzero(np.arange(m) != opponent)):
+            rows[r, c::m] = -1.0
+        return total, rows
+    scale = 1.0 if norm == "=" else norm / poly.num_agents
+    return scale * total, np.zeros((0, total.size))
 
 
 @dataclass
@@ -727,14 +706,15 @@ def build_full_lp(winner_or_x, opponent, profile) -> LinearProgram:
     dumps and for checking the assembled program against the solver directly
     at small sizes.
     """
-    poly = MetricPolytope(profile)
     weights = _outcome_weights(winner_or_x, profile.num_alternatives)
-    A_eq, b_eq, _, _, _ = _normalization(poly, opponent, "=")
+    opponent = _validated_alternative(opponent, profile.num_alternatives)
+    poly = MetricPolytope(profile)
+    total, _ = _normalization(poly, opponent, "=")
     A_ub = np.vstack(
         [poly.consistency_rows(), poly.quadruple_rows(poly.all_quadruples())]
     )
     objective = np.tile(weights, profile.num_agents)
-    return LinearProgram("max", objective, A_ub, np.zeros(len(A_ub)), A_eq, b_eq)
+    return LinearProgram("max", objective, A_ub, np.zeros(len(A_ub)), [total], [1.0])
 
 
 def a_det(c, opponent, profile):
@@ -749,6 +729,7 @@ def a_det(c, opponent, profile):
 def a_rand(x, opponent, profile):
     """Worst expected cost of distribution ``x`` against a normalized opponent."""
     x = _validated_distribution(x, profile.num_alternatives)
+    opponent = _validated_alternative(opponent, profile.num_alternatives, "opponent")
     solver = _solver_for(profile)
     poly = solver.polytope
     support = np.flatnonzero(x > 0)
@@ -766,11 +747,22 @@ def _validated_distribution(x, m):
     return x
 
 
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _validated_alternative(c, m, name="alternative"):
+    """``c`` as an int; NumPy would wrap a negative index to another alternative."""
+    if not (_is_integer(c) and 0 <= c < m):
+        raise ValueError(f"{name} must be an integer in 0..{m - 1}, got {c!r}")
+    return int(c)
+
+
 def dist_det(winner, profile, *, rule="", tie_break=None, seed=None):
     """Worst-case distortion of picking ``winner``: max over opponents of a_det."""
     return _distortion_report(
         profile,
-        winner=winner,
+        winner=_validated_alternative(winner, profile.num_alternatives, "winner"),
         distribution=None,
         rule=rule,
         tie_break=tie_break,
@@ -860,10 +852,14 @@ class FairnessRandReport:
 def fairness_det(winner, profile, k_set=None, budget=10):
     """Worst-case top-k cost ratio of ``winner`` against every opponent.
 
-    For each opponent the k-largest bound is linearized exactly; the convex
+    For each opponent the k-largest bound is exact, by rows over k-agent
+    subsets that row generation adds as they are violated; the convex
     objective side is enumerated over all agent subsets of size k, which is
-    why ``budget`` caps the number of agents.
+    why ``budget`` caps the number of agents. ``argmax`` is the first
+    ``(k, opponent, subset)``, in ascending order, whose value is within
+    ``TIE_TOL`` (relative) of the best, so LP rounding never picks it.
     """
+    winner = _validated_alternative(winner, profile.num_alternatives, "winner")
     n = profile.num_agents
     if n > budget:
         raise BudgetExceededError(
@@ -877,15 +873,16 @@ def fairness_det(winner, profile, k_set=None, budget=10):
 
     per_k = {}
     best = (0.0, None, None)
-    for k in k_set:
+    # Largest k first: k = N shares the "=" bound, and going down pivots
+    # fewer tight k-subset rows out on the norm switches than going up.
+    for k in reversed(k_set):
         k_best = 0.0
         for z in range(profile.num_alternatives):
             if z == winner:
                 continue
             if not poly.reach[winner, z]:
                 k_best = math.inf
-                per_k[k] = math.inf
-                best = (math.inf, (k, z, None), None)
+                best = (math.inf, (k_set[-1], z, None), None)
                 break
             for subset in itertools.combinations(range(n), k):
                 objective = np.zeros(nm)
@@ -893,9 +890,12 @@ def fairness_det(winner, profile, k_set=None, budget=10):
                     objective[poly.var(v, winner)] = 1.0
                 value, metric = solver.maximize(objective, opponent=z, norm=k)
                 k_best = max(k_best, value)
-                if value > best[0]:
+                if value > best[0] * (1 + TIE_TOL) or (
+                    value >= best[0] * (1 - TIE_TOL) and k < best[1][0]
+                ):
                     best = (value, (k, z, subset), CostMatrix(metric))
         per_k[k] = k_best
+    per_k = {k: per_k[k] for k in k_set}
     value = max(per_k.values())
     return FairnessReport(
         winner=winner,
@@ -908,12 +908,10 @@ def fairness_det(winner, profile, k_set=None, budget=10):
 
 
 def _validated_k_set(k_set, n):
-    if k_set is None:
-        return list(range(1, n + 1))
-    k_set = sorted(set(int(k) for k in k_set))
-    if not k_set or k_set[0] < 1 or k_set[-1] > n:
-        raise ValueError(f"k values must lie in 1..{n}")
-    return k_set
+    k_set = range(1, n + 1) if k_set is None else list(k_set)
+    if not k_set or not all(_is_integer(k) and 1 <= k <= n for k in k_set):
+        raise ValueError(f"k values must be integers in 1..{n}, got {k_set!r}")
+    return sorted({int(k) for k in k_set})
 
 
 def fairness_rand(x, profile, k_set=None, budget=20_000):
@@ -1084,6 +1082,6 @@ def grid_oracle(winner_or_x, profile, grid_step=0.5, grid_max=3.0):
 def _outcome_weights(winner_or_x, m):
     if np.isscalar(winner_or_x) or isinstance(winner_or_x, (int, np.integer)):
         weights = np.zeros(m)
-        weights[int(winner_or_x)] = 1.0
+        weights[_validated_alternative(winner_or_x, m)] = 1.0
         return weights
     return _validated_distribution(winner_or_x, m)

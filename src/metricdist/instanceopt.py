@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from metricdist.distortion import SOLVER_STATS, _solver_for, a_det
+from metricdist.distortion import SOLVER_STATS, TIE_TOL, _solver_for, a_det
 from metricdist.linprog import LinearProgram, LpStatus, SolverFailure, solve
 from metricdist.metricspace import CostMatrix
 
@@ -33,8 +33,6 @@ __all__ = [
 
 DEFAULT_EPS = 1e-4
 DEFAULT_MAX_CUTS = 500
-# Relative tolerance under which two opt_det row maxima count as tied.
-TIE_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -132,8 +130,8 @@ def separation_oracle(x, gamma, profile, *, viol_tol=DEFAULT_EPS / 2):
     """Either certify that ``x`` stays within budget ``gamma`` or produce a cut.
 
     For every opponent the oracle maximizes the expected cost of ``x`` over
-    consistent metrics where that opponent has total cost exactly 1 and every
-    other alternative total cost at least 1 (so the opponent is the cheapest).
+    consistent metrics where that opponent has total cost at most 1 (which
+    binds at the optimum) and is the cheapest alternative.
     A value above ``gamma + viol_tol`` yields the most violating metric as a
     cutting plane. Support columns with no preference chain to some opponent
     make the value infinite; these come back in ``blocked`` instead of a

@@ -12,7 +12,7 @@ by the two-phase method and then stays live: rows added to it enter
 against the current basis and are re-optimized by the dual simplex (the old
 basis stays dual feasible), rows removed from it leave a primal feasible
 basis, and a new objective resumes the primal simplex from the last basis.
-When every inequality has right-hand side 0, the single equation can be
+When a single constraint has a nonzero right-hand side, its row can be
 swapped for another in place (:meth:`Tableau.replace_equation`), and
 :meth:`Tableau.copy` lets one optimum seed another program.
 :func:`solve` is a cold build plus one optimization. The tableau is
@@ -468,55 +468,57 @@ class Tableau:
         return (self._slack >= 0) & basic[self._slack]
 
     def replace_equation(self, row):
-        """Swap the single equation's row for ``row``, keeping the basis.
+        """Swap the row of the one constraint with a nonzero rhs, keeping the basis.
 
-        Every inequality must have right-hand side 0, so the basic solution
-        x only rescales, by b / s, where b is the equation's right-hand side
-        and s = ``row @ x``: the basis stays primal feasible. The basis
-        matrix changes in one row, so the tableau takes a rank-one update,
-        (rows + 1) x (nonbasic + 1) cells, and no pivot. The reduced costs
-        are updated too, but the basis is generally no longer optimal:
-        :meth:`optimize` resumes the primal simplex from it.
+        With b the only nonzero rhs, the basic solution solves ``B x_B = b
+        e_i``, so it only rescales, by b / s, where s = ``row @ x`` when the
+        constraint binds (an inequality whose slack is basic has x = 0, and
+        s = b): the basis stays primal feasible. The basis matrix changes
+        in one row, a rank-one update of (rows + 1) x (nonbasic + 1) cells
+        with no pivot. :meth:`optimize` then resumes the primal simplex.
 
         Raises:
-            LpInputError: the tableau does not hold exactly one equation, or
+            LpInputError: not exactly one constraint has a nonzero rhs, or
                 ``row`` is not one entry per variable.
-            SolverFailure: an inequality has a nonzero right-hand side, the
-                equation has no row in the basis system (phase 1 dropped it
-                or found the program infeasible), or s / b is at most
-                ``feas_tol``. The tableau is then left unchanged.
+            SolverFailure: the constraint has no row in the basis system
+                (phase 1 dropped it or found the program infeasible), or
+                s / b is at most ``feas_tol``. The tableau is then left
+                unchanged.
         """
         n = self.objective.size
         row = np.asarray(row, dtype=float)
         if row.shape != (n,):
             raise LpInputError(f"row must have {n} entries, got shape {row.shape}")
-        equations = np.flatnonzero(self._eq)
-        if equations.size != 1:
-            raise LpInputError("the tableau must hold exactly one equation")
-        eq = int(equations[0])
-        if self._infeasible or not self._kept[eq]:
-            raise SolverFailure("the equation has no row in the basis system")
-        if self.rhs[~self._eq].any():
-            raise SolverFailure("an inequality has a nonzero right-hand side")
+        nonzero = np.flatnonzero(self.rhs)
+        if nonzero.size != 1:
+            raise LpInputError(
+                "the tableau must hold exactly one constraint with a nonzero "
+                "right-hand side"
+            )
+        i = int(nonzero[0])
+        if self._infeasible or not self._kept[i]:
+            raise SolverFailure("the constraint has no row in the basis system")
+        delta = row - self.rows[i]
+        if not delta.any():
+            return
         T, basis, nonbasic = self._T, self._basis, self._nonbasic
-        delta = row - self.rows[eq]
         # w = (delta over the basic variables) @ B^-1 [N | b] - [delta_N | 0];
         # its last entry is delta @ x, so s = b + w[-1].
         basic = np.flatnonzero(basis < n)
         w = delta[basis[basic]] @ T[basic]
         structural = np.flatnonzero(nonbasic < n)
         w[structural] -= delta[nonbasic[structural]]
-        b = self.rhs[eq]
+        b = self.rhs[i]
         s = b + w[-1]
-        if not (b != 0.0 and s / b > self.feas_tol):
+        if not s / b > self.feas_tol:
             raise SolverFailure(
-                f"new equation row is {s!r} at the basic solution, "
-                f"right-hand side {b!r}: the basis would not stay feasible"
+                f"new row is {s!r} at the basic solution, right-hand side "
+                f"{b!r}: the basis would not stay feasible"
             )
         # Sherman-Morrison on the basis inverse: B'^-1 = B^-1 - u (delta_B
-        # B^-1) / (s / b) with u = B^-1 e_eq = x_B / b, the rhs column over b.
+        # B^-1) / (s / b) with u = B^-1 e_i = x_B / b, the rhs column over b.
         T -= np.outer(T[:, -1], w / s)
-        self.rows[eq] = row
+        self.rows[i] = row
         self._checked = None
 
     def program(self) -> LinearProgram:

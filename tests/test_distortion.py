@@ -14,6 +14,7 @@ from metricdist.distortion import (
     _solver_for,
     a_det,
     a_rand,
+    build_full_lp,
     dist_det,
     dist_rand,
     fairness_det,
@@ -222,6 +223,14 @@ def test_fairness_single_agent_equals_distortion():
     report = fairness_det(winner, profile)
     base = dist_det(winner, profile)
     assert report.value == pytest.approx(base.value, abs=1e-6)
+    # With k = N the top-k sum is the total cost, so per_k[N] is the
+    # distortion whatever N is.
+    for n in (2, 3, 4, 5):
+        profile = random_profile(n, int(rng.integers(3, 5)), rng)
+        winner = int(rng.integers(profile.num_alternatives))
+        top = fairness_det(winner, profile, k_set=[n]).per_k[n]
+        base = dist_det(winner, profile).value
+        assert top == pytest.approx(base, rel=1e-12), n
 
 
 def test_fairness_rand_point_mass_collapses_to_det():
@@ -281,6 +290,33 @@ def test_grid_oracle_unanimous():
     assert grid_oracle(0, profile) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 1.0, True, "1"])
+def test_alternative_indices_outside_the_profile_raise(bad):
+    profile = warmup_instance().profile  # 3 alternatives
+    calls = [
+        lambda: dist_det(bad, profile),
+        lambda: a_det(bad, 1, profile),
+        lambda: a_det(0, bad, profile),
+        lambda: a_rand(UNIFORM3, bad, profile),
+        lambda: fairness_det(bad, profile),
+        lambda: build_full_lp(0, bad, profile),
+        lambda: grid_oracle(bad, profile),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"integer in 0\.\.2"):
+            call()
+
+
+def test_non_integral_k_raises():
+    profile = warmup_instance().profile
+    for k_set in ([1.5], [1, 2.0], [0], [4], []):
+        with pytest.raises(ValueError, match=r"integers in 1\.\.3"):
+            fairness_det(0, profile, k_set=k_set)
+        with pytest.raises(ValueError, match=r"integers in 1\.\.3"):
+            fairness_rand(UNIFORM3, profile, k_set=k_set)
+    assert set(fairness_det(0, profile, k_set=[np.int64(2), 1]).per_k) == {1, 2}
+
+
 def test_grid_oracle_refuses_large_instances():
     rng = np.random.default_rng(4)
     with pytest.raises(ValueError):
@@ -315,28 +351,35 @@ def _point_mass(c, m):
 # Warm-started row generation: a shared solver must agree with fresh ones
 
 
-def _fresh_fairness_per_k(winner, profile):
-    """fairness_det's enumeration with a fresh solver for every LP."""
+def _fresh_fairness(winner, profile):
+    """fairness_det's ``(per_k, argmax)``, with a fresh solver for every LP.
+
+    The argmax is the first ``(k, z, subset)`` in ascending order whose value
+    is within 1e-9 (relative) of the largest.
+    """
     poly = MetricPolytope(profile)
     n, m = profile.num_agents, profile.num_alternatives
-    per_k = {}
+    per_k, values = {}, {}
     for k in range(1, n + 1):
         best = 0.0
         for z in range(m):
             if z == winner:
                 continue
             if not poly.reach[winner, z]:
-                best = math.inf
+                best, blocked = math.inf, (n, z, None)
                 break
             for subset in itertools.combinations(range(n), k):
                 objective = np.zeros(poly.num_metric_vars)
                 for v in subset:
                     objective[poly.var(v, winner)] = 1.0
                 solver = _PolytopeSolver(poly)
-                value, _ = solver.maximize(objective, opponent=z, norm=k)
-                best = max(best, value)
+                values[k, z, subset], _ = solver.maximize(objective, opponent=z, norm=k)
+                best = max(best, values[k, z, subset])
         per_k[k] = best
-    return per_k
+    top = max(per_k.values())
+    if math.isinf(top):
+        return per_k, blocked
+    return per_k, next(key for key, v in values.items() if v >= top * (1 - 1e-9))
 
 
 def _close(a, b):
@@ -365,8 +408,10 @@ def test_shared_solver_matches_fresh_solvers():
                     fresh, _ = a_det(c, cp, PreferenceProfile(profile.rankings))
                     assert _close(shared.matrix[c, cp], fresh), (trial, c, cp)
         report = fairness_det(shared.winner, profile)
-        for k, value in _fresh_fairness_per_k(shared.winner, profile).items():
+        per_k, argmax = _fresh_fairness(shared.winner, profile)
+        for k, value in per_k.items():
             assert _close(report.per_k[k], value), (trial, k)
+        assert report.argmax == argmax, trial
 
 
 def _chain_only_pairs(profile):
@@ -513,7 +558,7 @@ def test_failure_after_warm_and_cold_attempts_carries_reproduction(monkeypatch):
     assert failure.profile_text == serialize_profile(profile)
     lines = failure.lp_text.splitlines()
     assert lines[0].startswith("max ")
-    assert any(line.endswith(" = 1.0") for line in lines[1:])  # normalization
+    assert any(line.endswith(" <= 1.0") for line in lines[1:])  # normalization
     assert not solver.live  # the failed tableau is not kept
 
     # The solver stays usable: its pools survive, and the next call agrees
@@ -594,7 +639,7 @@ def test_certify_sequence_matches_a_fresh_profile_per_call():
         reports.append(dist_rand(lottery, profile))
         det = opt_det(profile)
         solver = _solver_for(profile)
-        assert len(solver.live) <= 2 * m
+        assert len(solver.live) <= m
         swaps += solver.stats["opponent_swaps"]
         for report in reports:
             x = report.distribution
@@ -632,7 +677,7 @@ def test_failed_opponent_swap_builds_cold_with_the_same_values(monkeypatch):
         assert cold_det.winner == det.winner
         for c, z in itertools.permutations(range(4), 2):
             assert _close(det.matrix[c, z], cold_det.matrix[c, z]), (c, z)
-        assert len(_solver_for(profile).live) <= 2 * profile.num_alternatives
+        assert len(_solver_for(profile).live) <= profile.num_alternatives
 
 
 def test_opponent_swap_then_cheapest_ignores_the_donor_objective():
@@ -651,7 +696,22 @@ def test_opponent_swap_then_cheapest_ignores_the_donor_objective():
 
 
 # ---------------------------------------------------------------------------
-# Normalization swaps: one live tableau per opponent and variable set
+# Normalization swaps: one live tableau per opponent
+
+
+def _assert_no_phase_one(solver):
+    """Every live tableau has rhs >= 0, so each cold build starts from the slack
+    basis; rhs 1 sits on the normalization's one bound row and on generated
+    top-k rows alone."""
+    for live in solver.live.values():
+        rhs = live.tableau.rhs
+        assert (rhs >= 0).all()
+        bounds = [
+            i
+            for i, label in enumerate(live.labels)
+            if rhs[i] and not isinstance(label, frozenset)
+        ]
+        assert len(bounds) == 1
 
 
 def _norm_calls(poly, rng):
@@ -692,21 +752,27 @@ def test_interleaved_norms_match_fresh_solvers():
             value, _ = solver.maximize(objective, opponent=z, norm=norm)
             fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=z, norm=norm)
             assert value == pytest.approx(fresh, rel=1e-9), (trial, z, norm)
-            assert len(solver.live) <= 2 * poly.num_alternatives
-        assert solver.stats["cold_builds"] <= 2 * poly.num_alternatives
+            assert len(solver.live) <= poly.num_alternatives
+            _assert_no_phase_one(solver)
+        assert solver.stats["cold_builds"] <= poly.num_alternatives
         swaps += solver.stats["norm_swaps"]
     assert swaps > 0
 
 
-def test_optimize_sequence_builds_one_tableau_per_opponent_and_variable_set():
+def test_optimize_sequence_builds_one_tableau_cold():
+    # Every other opponent's tableau starts from another one's optimum, and
+    # every norm, top-k included, swaps in place on it.
     for seed in (83, 89, 97):
         profile = random_profile(4, 4, np.random.default_rng(seed))
+        solver = _solver_for(profile)
         det = opt_det(profile)
         reports = [det, opt_rand(profile), fairness_det(det.winner, profile)]
         cold = sum(r.solver_stats["cold_builds"] for r in reports)
-        assert cold <= 2 * profile.num_alternatives - 1, seed
+        assert cold == 1, seed
         assert reports[1].solver_stats["norm_swaps"] > 0
         assert reports[2].solver_stats["norm_swaps"] > 0
+        assert len(solver.live) <= profile.num_alternatives
+        _assert_no_phase_one(solver)
 
 
 def test_failed_removal_rebuilds_the_swapped_program_cold(monkeypatch):
@@ -722,7 +788,7 @@ def test_failed_removal_rebuilds_the_swapped_program_cold(monkeypatch):
     value, _ = a_det(0, 2, profile)  # "=" on opponent 2 swaps in place
     assert solver.stats["rebuilds"] == 1
     assert solver.stats["cold_builds"] == builds + 1
-    assert solver.live[2, False].norm == "="
+    assert solver.live[2].norm == "="
     monkeypatch.undo()
     fresh, _ = a_det(0, 2, PreferenceProfile(profile.rankings))
     assert value == pytest.approx(fresh, rel=1e-9)
@@ -732,7 +798,7 @@ def test_swap_that_raises_leaves_no_tableau(monkeypatch):
     profile = warmup_instance().profile
     a_det(0, 2, profile)  # leaves the "=" tableau of opponent 2
     solver = _solver_for(profile)
-    assert (2, False) in solver.live
+    assert 2 in solver.live
 
     def broken(*args, **kwargs):
         raise SolverFailure("pivot loop broken on purpose")
@@ -741,7 +807,7 @@ def test_swap_that_raises_leaves_no_tableau(monkeypatch):
     objective = np.tile(UNIFORM3, profile.num_agents)
     with pytest.raises(SolverFailure):
         solver.maximize(objective, opponent=2, norm="cheapest")
-    assert (2, False) not in solver.live
+    assert 2 not in solver.live
     monkeypatch.undo()
     value, _ = solver.maximize(objective, opponent=2, norm="cheapest")
     poly = MetricPolytope(profile)

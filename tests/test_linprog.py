@@ -513,81 +513,97 @@ def test_removing_nonbasic_slack_rows_matches_the_cold_reference(seed):
 
 
 # ---------------------------------------------------------------------------
-# Swapping the single equation on a live tableau
+# Swapping the row of the one constraint with a nonzero rhs on a live tableau
 
 
-def _homogeneous_lp(rng):
-    """Random max program: inequalities with rhs 0, one equation ``= 1``.
+def _homogeneous_lp(rng, equation=True):
+    """Random max program: inequalities with rhs 0, plus one row ``= 1`` or ``<= 1``.
 
-    The equation's entries are positive, so the region is bounded.
+    That row's entries are positive, so the region is bounded. As an
+    inequality it comes last.
     """
     n = int(rng.integers(2, 7))
     k = int(rng.integers(1, 8))
-    return LinearProgram(
-        "max",
-        rng.integers(-3, 4, size=n).astype(float),
-        rng.integers(-3, 4, size=(k, n)).astype(float),
-        np.zeros(k),
-        [rng.integers(1, 4, size=n).astype(float)],
-        [1.0],
-    )
+    objective = rng.integers(-3, 4, size=n).astype(float)
+    A_ub = rng.integers(-3, 4, size=(k, n)).astype(float)
+    bound = rng.integers(1, 4, size=(1, n)).astype(float)
+    if equation:
+        return LinearProgram("max", objective, A_ub, np.zeros(k), bound, [1.0])
+    b_ub = np.append(np.zeros(k), 1.0)
+    return LinearProgram("max", objective, np.vstack([A_ub, bound]), b_ub)
 
 
 def _swapped(lp, row):
-    return LinearProgram(lp.sense, lp.objective, lp.A_ub, lp.b_ub, [row], lp.b_eq)
+    """``lp`` with the row of its one constraint with a nonzero rhs replaced."""
+    if lp.b_eq.size:
+        return LinearProgram(lp.sense, lp.objective, lp.A_ub, lp.b_ub, [row], lp.b_eq)
+    A_ub = lp.A_ub.copy()
+    A_ub[np.flatnonzero(lp.b_ub)] = row
+    return LinearProgram(lp.sense, lp.objective, A_ub, lp.b_ub)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_replaced_equation_matches_a_cold_solve_of_the_swapped_program(seed):
     rng = np.random.default_rng(4000 + seed)
-    swaps = 0
+    swaps = {True: 0, False: 0}
+    origins = 0
     for _ in range(80):
-        lp = _homogeneous_lp(rng)
-        tableau = Tableau(lp)
-        if tableau.optimize() is not LpStatus.OPTIMAL:
-            continue
-        x = tableau.outcome().assignment
-        # Nonnegative entries, some zero: the swapped program may be unbounded.
-        row = rng.integers(0, 4, size=lp.num_vars).astype(float)
-        s = float(row @ x)
-        if s <= 1e-6:
-            continue
-        tableau.replace_equation(row)
-        # The basis stays: its solution only rescales, by 1 / s.
-        assert tableau.outcome().assignment == pytest.approx(x / s, abs=1e-9)
-        _assert_matches_cold(tableau, _swapped(lp, row))
-        swaps += 1
-    assert swaps >= 20
+        for equation in (True, False):
+            lp = _homogeneous_lp(rng, equation)
+            tableau = Tableau(lp)
+            if tableau.optimize() is not LpStatus.OPTIMAL:
+                continue
+            x = tableau.outcome().assignment
+            # Nonnegative entries, some zero: the swapped program may be
+            # unbounded.
+            row = rng.integers(0, 4, size=lp.num_vars).astype(float)
+            s = float(row @ x)
+            if s <= 1e-6 and x.any():
+                continue
+            tableau.replace_equation(row)
+            # The basis stays: its solution only rescales, by 1 / s. At the
+            # origin the "<= 1" row's slack is basic, and nothing moves.
+            expected = x / s if x.any() else x
+            assert tableau.outcome().assignment == pytest.approx(expected, abs=1e-9)
+            _assert_matches_cold(tableau, _swapped(lp, row))
+            swaps[equation] += 1
+            origins += not x.any()
+    assert swaps[True] >= 20 and swaps[False] >= 20 and origins > 0
 
 
 def test_replace_equation_that_vanishes_at_the_solution_raises_unchanged():
-    # max x0 subject to x0 + x1 = 1 and x1 - x0 <= 0: optimum (1, 0).
-    lp = LinearProgram("max", [1.0, 0.0], [[-1.0, 1.0]], [0.0], [[1.0, 1.0]], [1.0])
-    tableau = Tableau(lp)
-    assert tableau.optimize() is LpStatus.OPTIMAL
-    before = {
-        name: value.copy()
-        for name, value in vars(tableau).items()
-        if isinstance(value, np.ndarray)
-    }
-    with pytest.raises(SolverFailure, match="would not stay feasible"):
-        tableau.replace_equation([0.0, 1.0])  # 0 at (1, 0)
-    for name, value in before.items():
-        assert np.array_equal(getattr(tableau, name), value), name
-    assert tableau.optimize() is LpStatus.OPTIMAL
-    assert tableau.outcome().value == pytest.approx(1.0, abs=1e-12)
+    # max x0 subject to x0 + x1 = 1 (or <= 1) and x1 - x0 <= 0: optimum (1, 0).
+    for lp in (
+        LinearProgram("max", [1.0, 0.0], [[-1.0, 1.0]], [0.0], [[1.0, 1.0]], [1.0]),
+        LinearProgram("max", [1.0, 0.0], [[-1.0, 1.0], [1.0, 1.0]], [0.0, 1.0]),
+    ):
+        tableau = Tableau(lp)
+        assert tableau.optimize() is LpStatus.OPTIMAL
+        before = {
+            name: value.copy()
+            for name, value in vars(tableau).items()
+            if isinstance(value, np.ndarray)
+        }
+        with pytest.raises(SolverFailure, match="would not stay feasible"):
+            tableau.replace_equation([0.0, 1.0])  # 0 at (1, 0)
+        for name, value in before.items():
+            assert np.array_equal(getattr(tableau, name), value), name
+        assert tableau.optimize() is LpStatus.OPTIMAL
+        assert tableau.outcome().value == pytest.approx(1.0, abs=1e-12)
 
 
-def test_replace_equation_needs_rhs_zero_inequalities_and_one_equation():
-    lp = LinearProgram("max", [1.0, 0.0], [[1.0, 0.0]], [0.5], [[1.0, 1.0]], [1.0])
-    tableau = Tableau(lp)
-    assert tableau.optimize() is LpStatus.OPTIMAL
-    with pytest.raises(SolverFailure, match="nonzero right-hand side"):
-        tableau.replace_equation([1.0, 2.0])
-    two = LinearProgram("max", [1.0, 0.0], A_eq=np.eye(2), b_eq=[1.0, 1.0])
-    tableau = Tableau(two)
-    with pytest.raises(LpInputError, match="exactly one equation"):
-        tableau.replace_equation([1.0, 2.0])
+def test_replace_equation_needs_exactly_one_nonzero_rhs():
+    message = "exactly one constraint with a nonzero right-hand side"
+    for lp in (
+        LinearProgram("max", [1.0, 0.0], [[1.0, 0.0]], [0.5], [[1.0, 1.0]], [1.0]),
+        LinearProgram("max", [1.0, 0.0], A_eq=np.eye(2), b_eq=[1.0, 1.0]),
+        LinearProgram("max", [1.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.5]),
+        LinearProgram("min", [1.0, 0.0], [[1.0, -1.0]], [0.0]),
+    ):
+        tableau = Tableau(lp)
+        assert tableau.optimize() is LpStatus.OPTIMAL
+        with pytest.raises(LpInputError, match=message):
+            tableau.replace_equation([1.0, 2.0])
 
 
 def test_copied_tableau_shares_no_array_with_its_donor():
