@@ -89,6 +89,7 @@ _RETRY_PIVOT_TOL = 1e-11
 # Relative tolerance under which two optimal values count as tied.
 TIE_TOL = 1e-9
 SOLVER_STATS = (
+    "objectives",  # maximize calls that returned an optimum
     "cold_builds",  # tableaux built from scratch
     "warm_solves",  # re-optimizations of a live tableau
     "primal_pivots",
@@ -130,6 +131,7 @@ class MetricPolytope:
         self._length = None  # steps of a shortest chain from a to b, m if none
         self._consistency = None
         self._subsets = {}  # k -> (names, members) of the k-agent subsets
+        self._groups = None
 
     def var(self, v: int, c: int) -> int:
         return v * self.num_alternatives + c
@@ -211,8 +213,16 @@ class MetricPolytope:
         ]
 
     def violated_quadruples(self, values, tol, exclude, limit):
-        """Most-violated quadrilateral inequalities at ``values``, worst first."""
+        """Most-violated quadrilateral inequalities at ``values``, worst first.
+
+        A list of quadruples ``(v, v', c, c')`` with ``v != v'`` and
+        ``c != c'``. When no gap, degenerate quadruples included, exceeds
+        ``tol``, it returns ``[]`` before masking those out: masking only
+        lowers entries, so that exit can never miss a row.
+        """
         gaps = _quad_gaps(values)
+        if gaps.max() <= tol:
+            return []
         n, m = values.shape
         gaps[np.arange(n), np.arange(n), :, :] = -np.inf
         gaps[:, :, np.arange(m), np.arange(m)] = -np.inf
@@ -228,6 +238,33 @@ class MetricPolytope:
                 if len(out) >= limit:
                     break
         return out
+
+    @property
+    def ranking_groups(self):
+        """Agents that share a ranking, one list per ranking, by first agent."""
+        if self._groups is None:
+            groups = {}
+            for v, ranking in enumerate(self.profile.rankings.tolist()):
+                groups.setdefault(tuple(ranking), []).append(v)
+            self._groups = list(groups.values())
+        return self._groups
+
+    def subset_classes(self, k):
+        """One k-agent subset per class, in ascending order.
+
+        Two subsets share a class when swapping agents of equal rankings
+        turns one into the other; every row of the polytope and every
+        normalization is unchanged by such a swap. Each subset given takes
+        the lowest-indexed agents of each ranking group, so it comes first
+        in its class in ascending order.
+        """
+        groups = self.ranking_groups
+        sizes = itertools.product(*(range(len(group) + 1) for group in groups))
+        return sorted(
+            tuple(sorted(v for group, c in zip(groups, counts) for v in group[:c]))
+            for counts in sizes
+            if sum(counts) == k
+        )
 
     def subset_rows(self, subsets, z):
         """Rows of ``sum of d(v, z) over v in T <= 1``, one per agent subset T."""
@@ -375,6 +412,7 @@ class _PolytopeSolver:
             live, status, out = self._start(objective, opponent, norm, pool)
         value, x = self._generate_rows(live, opponent, pool, status, out)
         self.live[opponent] = live
+        self.stats["objectives"] += 1
         return value, x.reshape(poly.num_agents, -1)
 
     def _start(self, objective, opponent, norm, pool):
@@ -854,10 +892,15 @@ def fairness_det(winner, profile, k_set=None, budget=10):
 
     For each opponent the k-largest bound is exact, by rows over k-agent
     subsets that row generation adds as they are violated; the convex
-    objective side is enumerated over all agent subsets of size k, which is
-    why ``budget`` caps the number of agents. ``argmax`` is the first
-    ``(k, opponent, subset)``, in ascending order, whose value is within
-    ``TIE_TOL`` (relative) of the best, so LP rounding never picks it.
+    objective side is enumerated over agent subsets of size k, which is
+    why ``budget`` caps the number of agents. Swapping agents of equal
+    rankings maps the polytope and every normalization onto themselves, so
+    one LP per class of such subsets suffices: the class's first subset in
+    ascending order (:meth:`MetricPolytope.subset_classes`). ``argmax`` is
+    the first ``(k, opponent, subset)``, in ascending order, whose value is
+    within ``TIE_TOL`` (relative) of the best, so LP rounding never picks
+    it. When some opponent has no chain from ``winner``, every value is
+    infinite and ``argmax`` is ``(max k, first such opponent, None)``.
     """
     winner = _validated_alternative(winner, profile.num_alternatives, "winner")
     n = profile.num_agents
@@ -872,7 +915,8 @@ def fairness_det(winner, profile, k_set=None, budget=10):
     nm = poly.num_metric_vars
 
     per_k = {}
-    best = (0.0, None, None)
+    solved = {}  # (k, opponent, subset) -> (value, metric)
+    blocked = None
     # Largest k first: k = N shares the "=" bound, and going down pivots
     # fewer tight k-subset rows out on the norm switches than going up.
     for k in reversed(k_set):
@@ -882,29 +926,37 @@ def fairness_det(winner, profile, k_set=None, budget=10):
                 continue
             if not poly.reach[winner, z]:
                 k_best = math.inf
-                best = (math.inf, (k_set[-1], z, None), None)
+                blocked = (k_set[-1], z, None)
                 break
-            for subset in itertools.combinations(range(n), k):
+            for subset in poly.subset_classes(k):
                 objective = np.zeros(nm)
                 for v in subset:
                     objective[poly.var(v, winner)] = 1.0
                 value, metric = solver.maximize(objective, opponent=z, norm=k)
                 k_best = max(k_best, value)
-                if value > best[0] * (1 + TIE_TOL) or (
-                    value >= best[0] * (1 - TIE_TOL) and k < best[1][0]
-                ):
-                    best = (value, (k, z, subset), CostMatrix(metric))
+                solved[k, z, subset] = value, metric
         per_k[k] = k_best
     per_k = {k: per_k[k] for k in k_set}
-    value = max(per_k.values())
+    argmax = witness = None
+    if blocked is not None:
+        argmax = blocked
+    elif solved:
+        argmax = _first_within_tie({key: value for key, (value, _) in solved.items()})
+        witness = CostMatrix(solved[argmax][1])
     return FairnessReport(
         winner=winner,
         per_k=per_k,
-        value=value,
-        argmax=best[1],
-        witness=best[2],
+        value=max(per_k.values()),
+        argmax=argmax,
+        witness=witness,
         solver_stats=solver.stats_since(before),
     )
+
+
+def _first_within_tie(values):
+    """The smallest key whose value is within ``TIE_TOL`` (relative) of the largest."""
+    top = max(values.values())
+    return min(key for key, value in values.items() if value >= top * (1 - TIE_TOL))
 
 
 def _validated_k_set(k_set, n):

@@ -245,6 +245,7 @@ def test_distortion_json_counts_opponent_swaps(warmup_file, capsys):
     stats = report["solver_stats"]
     # Two opponents: the first builds cold, the second starts from its optimum.
     assert stats["cold_builds"] == 1 and stats["opponent_swaps"] == 1
+    assert stats["objectives"] == 2  # one LP per opponent
 
 
 def test_oracle_command(warmup_file, capsys):

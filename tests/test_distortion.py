@@ -10,6 +10,7 @@ from metricdist.distortion import (
     SOLVER_STATS,
     BudgetExceededError,
     MetricPolytope,
+    _first_within_tie,
     _PolytopeSolver,
     _solver_for,
     a_det,
@@ -23,7 +24,7 @@ from metricdist.distortion import (
 )
 from metricdist.instanceopt import opt_det, opt_rand, separation_oracle
 from metricdist.linprog import SolverFailure
-from metricdist.metricspace import CostMatrix, social_cost, top_k_cost
+from metricdist.metricspace import CostMatrix, _quad_gaps, social_cost, top_k_cost
 from metricdist.profiles import (
     PreferenceProfile,
     coupling_instance,
@@ -351,22 +352,24 @@ def _point_mass(c, m):
 # Warm-started row generation: a shared solver must agree with fresh ones
 
 
-def _fresh_fairness(winner, profile):
+def _fresh_fairness(winner, profile, k_set=None):
     """fairness_det's ``(per_k, argmax)``, with a fresh solver for every LP.
 
+    Every agent subset of each size in ``k_set`` (default all) is solved.
     The argmax is the first ``(k, z, subset)`` in ascending order whose value
     is within 1e-9 (relative) of the largest.
     """
     poly = MetricPolytope(profile)
     n, m = profile.num_agents, profile.num_alternatives
+    k_set = range(1, n + 1) if k_set is None else sorted(k_set)
     per_k, values = {}, {}
-    for k in range(1, n + 1):
+    for k in k_set:
         best = 0.0
         for z in range(m):
             if z == winner:
                 continue
             if not poly.reach[winner, z]:
-                best, blocked = math.inf, (n, z, None)
+                best, blocked = math.inf, (k_set[-1], z, None)
                 break
             for subset in itertools.combinations(range(n), k):
                 objective = np.zeros(poly.num_metric_vars)
@@ -412,6 +415,124 @@ def test_shared_solver_matches_fresh_solvers():
         for k, value in per_k.items():
             assert _close(report.per_k[k], value), (trial, k)
         assert report.argmax == argmax, trial
+
+
+def _class_firsts(profile, k):
+    """The first k-agent subset of each class, a class being a multiset of rankings."""
+    rankings = [tuple(r) for r in profile.rankings.tolist()]
+    firsts = {}
+    for subset in itertools.combinations(range(profile.num_agents), k):
+        firsts.setdefault(tuple(sorted(rankings[v] for v in subset)), subset)
+    return sorted(firsts.values())
+
+
+@pytest.mark.parametrize(
+    "rankings, winner",
+    [
+        # ranking groups of sizes (2, 2, 1), agents of a group not adjacent
+        ([[0, 1, 2], [1, 2, 0], [0, 1, 2], [2, 0, 1], [1, 2, 0]], 0),
+        # one group of four; the top alternative reaches every opponent
+        ([[1, 0, 2, 3]] * 4, 1),
+        # no repeated ranking
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 1], [0, 2, 1]], 1),
+    ],
+)
+@pytest.mark.parametrize("k_set", [None, [2], "ends"])
+def test_one_lp_per_subset_class_matches_every_subset(rankings, winner, k_set):
+    profile = PreferenceProfile(rankings)
+    n, m = profile.num_agents, profile.num_alternatives
+    if k_set == "ends":
+        k_set = [1, n]
+    report = fairness_det(winner, profile, k_set=k_set)
+    per_k, argmax = _fresh_fairness(winner, profile, k_set)
+    assert report.per_k.keys() == per_k.keys()
+    for k, value in per_k.items():
+        assert _close(report.per_k[k], value), k
+    assert report.argmax == argmax
+    poly = MetricPolytope(profile)
+    assert all(poly.reach[winner, z] for z in range(m))
+    sizes = range(1, n + 1) if k_set is None else k_set
+    classes = sum(len(_class_firsts(profile, k)) for k in sizes)
+    assert report.solver_stats["objectives"] == (m - 1) * classes
+    if [len(group) for group in poly.ranking_groups] == [2, 2, 1] and k_set is None:
+        assert classes == 17  # against 31 subsets
+
+
+def test_subset_classes_start_their_class():
+    profile = PreferenceProfile([[0, 1, 2], [1, 2, 0], [0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    poly = MetricPolytope(profile)
+    assert poly.ranking_groups == [[0, 2], [1, 4], [3]]
+    for k in range(1, 6):
+        assert poly.subset_classes(k) == _class_firsts(profile, k), k
+
+
+def test_fairness_argmax_is_the_first_within_tie_tolerance():
+    a = 2.5
+    values = {
+        (1, 1, (0,)): a,
+        (1, 1, (1,)): a * (1 + 0.6e-9),
+        (1, 2, (0,)): a * (1 + 1.2e-9),
+    }
+    # Each step is below TIE_TOL, but the first value is not within it of
+    # the last: the second key is the first within tolerance of the best.
+    assert _first_within_tie(values) == (1, 1, (1,))
+    assert _first_within_tie(dict(reversed(values.items()))) == (1, 1, (1,))
+    # Ascending key order, not insertion order, breaks an exact tie.
+    tied = {(3, 1, (0, 1, 2)): 1.0, (2, 2, (0, 1)): 1.0}
+    assert _first_within_tie(tied) == (2, 2, (0, 1))
+
+
+def test_fairness_argmax_of_an_unreachable_opponent():
+    # Every agent ranks 0 first: 1 and 2 have no chain to 0.
+    profile = PreferenceProfile([[0, 1, 2], [0, 2, 1], [0, 1, 2]])
+    report = fairness_det(2, profile, k_set=[1, 2])
+    assert report.per_k == {1: math.inf, 2: math.inf}
+    assert report.value == math.inf
+    assert report.argmax == (2, 0, None)
+    assert report.witness is None
+    assert _fresh_fairness(2, profile, [1, 2])[1] == report.argmax
+
+
+def _full_scan(values, tol, exclude, limit):
+    """``violated_quadruples`` without its early exit: mask, then scan."""
+    gaps = _quad_gaps(values)
+    n, m = values.shape
+    gaps[np.arange(n), np.arange(n), :, :] = -np.inf
+    gaps[:, :, np.arange(m), np.arange(m)] = -np.inf
+    idx = np.argwhere(gaps > tol)
+    order = np.argsort(-gaps[tuple(idx.T)])
+    out = [tuple(int(x) for x in idx[k]) for k in order]
+    return [q for q in out if q not in exclude][:limit]
+
+
+def test_separation_early_exit_returns_the_full_scan():
+    rng = np.random.default_rng(101)
+    exits = violated = barely = 0
+    for trial in range(80):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        poly = MetricPolytope(random_profile(n, m, rng))
+        kind = trial % 4
+        line = np.abs(rng.random(n)[:, None] - rng.random(m)[None, :])
+        if kind == 0:  # nonnegative, sparse like LP vertices
+            values = rng.random((n, m)) * (rng.random((n, m)) < 0.6)
+        elif kind == 1:  # a line metric: no quadrilateral is violated
+            values = line
+        elif kind == 2:  # a line metric, perturbed: violations just above tol
+            values = line + rng.uniform(0, 1e-7, size=(n, m))
+        else:  # negative entries: degenerate gaps can be positive
+            values = rng.uniform(-1, 1, size=(n, m))
+        tol = 1e-9
+        everything = _full_scan(values, tol, set(), 10**6)
+        exclude = set(everything[::3])
+        for limit in (1, 5, 10**6):
+            found = poly.violated_quadruples(values.copy(), tol, exclude, limit)
+            assert type(found) is list
+            assert found == _full_scan(values, tol, exclude, limit), trial
+            assert all(v != vp and c != cp for v, vp, c, cp in found)
+        exits += _quad_gaps(values).max() <= tol
+        violated += bool(everything)
+        barely += 0 < len(everything) and _quad_gaps(values).max() < 1e-6
+    assert exits and violated and barely
 
 
 def _chain_only_pairs(profile):
