@@ -17,8 +17,8 @@ one live simplex tableau. Generated rows enter it and are re-optimized by
 the dual simplex; the next objective (another candidate, subset or lottery)
 resumes from the last optimal basis; another norm swaps its homogeneous
 rows and replaces the rhs-1 row by a rank-one update, and a new opponent's
-tableau starts from a copy of another's optimum the same way. Only a
-profile's first tableau and a failed swap are built cold.
+tableau starts from a copy of another's optimum by the same path. Only a
+profile's first tableau and a failed switch are built cold.
 
 Every LP entry point here and in :mod:`metricdist.instanceopt` takes its
 solver from :func:`_solver_for`, which holds one solver, for the most
@@ -37,9 +37,9 @@ step a -> b of such a chain, where agent u ranks a over b, consistency gives
 d(u,a) <= d(u,b) and the quadrilaterals (v, u, a, b) give
 d(v,a) <= d(v,b) + 2 d(u,b); summed over v, col(a) <= 2N col(b). So every
 relaxation is seeded with the rows (v, v', a, b), v != v', of each step of a
-shortest chain from each positively weighted column to the opponent, and
-these rows are never dropped: with the rhs-1 row, which bounds the
-opponent's total cost, they alone bound every relaxation.
+shortest chain from each positively weighted column to the opponent: with
+the rhs-1 row, which bounds the opponent's total cost, they alone bound
+every relaxation.
 """
 
 from __future__ import annotations
@@ -82,8 +82,6 @@ DEFAULT_SEP_TOL = 1e-9
 WITNESS_TOL = 1e-6
 _SEPARATION_BATCH = 75
 _MAX_ROUNDS = 1000
-_DROP_THRESHOLD = 400
-_DROP_SLACK = 1e-5
 # Pivot tolerance of the second cold solve after numerical drift.
 _RETRY_PIVOT_TOL = 1e-11
 # Relative tolerance under which two optimal values count as tied.
@@ -302,24 +300,21 @@ class _LiveLp:
     """One live tableau, with what each of its constraints is.
 
     ``labels`` runs parallel to the tableau's constraints: ``None`` for a
-    consistency row or the rhs-1 row, which never leave (swaps replace the
-    latter in place); a quadruple for a quadrilateral row; a frozenset of k
-    agents for a generated top-k row; the norm for a homogeneous
-    normalization row. ``norm`` is the normalization held.
+    consistency row or the rhs-1 row, which never leave (a retarget replaces
+    the latter in place); a quadruple for a quadrilateral row; a frozenset
+    of k agents for a generated top-k row; the norm for a homogeneous
+    normalization row. ``opponent`` and ``norm`` are the normalization held.
     """
 
-    __slots__ = ("tableau", "labels", "quads", "subsets", "norm")
+    __slots__ = ("tableau", "labels", "quads", "subsets", "opponent", "norm")
 
-    def __init__(self, tableau, labels, norm):
+    def __init__(self, tableau, labels, opponent, norm):
         self.tableau = tableau
         self.labels = labels
         self.quads = {q for q in labels if isinstance(q, tuple)}
         self.subsets = {t for t in labels if isinstance(t, frozenset)}
+        self.opponent = opponent
         self.norm = norm
-
-
-def _is_norm_tag(label):
-    return label is not None and not isinstance(label, tuple)
 
 
 class _PolytopeSolver:
@@ -330,29 +325,22 @@ class _PolytopeSolver:
     valid for every LP over the polytope, but those that bind under one
     opponent's normalization are mostly slack under another's. Each pool
     starts with the chain rows of every column an objective weights (see the
-    module docstring); they bound every relaxation and are never pruned.
+    module docstring), and a pool only grows.
 
     Each opponent keeps one live tableau across calls, whatever its norm.
     New rows enter it and are re-optimized by the dual simplex; a new
     objective first takes in the pool rows the tableau lacks, then resumes
-    the primal simplex from the last optimal basis. A call with another
-    norm (see :meth:`maximize`) swaps the normalization in place: the new
-    norm's homogeneous rows enter with the missing pool rows under the old
-    objective (dual simplex), the old norm's rows, generated top-k rows
-    included, leave by :meth:`Tableau.remove_rows` (which pivots a nonbasic
-    slack into the basis first), :meth:`Tableau.replace_equation` replaces
-    the rhs-1 row by a rank-one update, and the new objective resumes the
-    primal simplex. A new opponent's tableau starts from a copy of the most
-    recently used one (see :meth:`_swap_opponent`); only a profile's first
-    tableau is built cold.
+    the primal simplex from the last optimal basis. Another opponent or
+    norm takes one path, :meth:`_retarget`, on the opponent's tableau or,
+    for an opponent without one, on a copy of the most recently used
+    tableau; only a profile's first tableau is built cold.
 
     Every round's assignment is verified against every row; a warm
-    re-optimization that fails is rebuilt cold, as is a swap whose stale
-    rows cannot be pivoted out or whose rhs-1 row cannot be replaced, and a
-    failing cold solve is retried once with a tighter pivot tolerance.
-    ``stats`` counts all of it since the solver was built (every name of
-    ``SOLVER_STATS`` but the level ``pool_rows``); :meth:`stats_since`
-    gives one call's share.
+    re-optimization that fails is rebuilt cold, as is a retarget that
+    fails at any step, and a failing cold solve is retried once with a
+    tighter pivot tolerance. ``stats`` counts all of it since the solver
+    was built (every name of ``SOLVER_STATS`` but the level
+    ``pool_rows``); :meth:`stats_since` gives one call's share.
 
     Entry points share one solver through :func:`_solver_for`; the module
     docstring says what an earlier call on the profile can change.
@@ -362,8 +350,7 @@ class _PolytopeSolver:
         self.polytope = polytope
         self.feas_tol = feas_tol
         self.sep_tol = sep_tol
-        # opponent -> quadruples in insertion order (a dict as ordered set);
-        # seeded chain rows map to True, generated rows to None
+        # opponent -> quadruples in insertion order (a dict as ordered set)
         self.pools = {}
         # (column, opponent) pairs whose chain rows are in the pool
         self.seeded = set()
@@ -401,15 +388,18 @@ class _PolytopeSolver:
                 self.seeded.add((c, opponent))
                 for a, b in poly.chain(c, opponent):
                     agent_pairs = itertools.permutations(range(poly.num_agents), 2)
-                    pool.update(((v, vp, a, b), True) for v, vp in agent_pairs)
+                    pool.update(dict.fromkeys((v, vp, a, b) for v, vp in agent_pairs))
         # Popped while in use, so a call that raises leaves no tableau behind.
         live = self.live.pop(opponent, None)
-        if live is not None:
-            live, status, out = self._resume(live, objective, opponent, norm, pool)
-        elif self.live:
-            live, status, out = self._swap_opponent(objective, opponent, norm, pool)
-        else:
+        if live is None and self.live:
+            donor = next(reversed(self.live.values()))
+            live = _LiveLp(
+                donor.tableau.copy(), list(donor.labels), donor.opponent, donor.norm
+            )
+        if live is None:
             live, status, out = self._start(objective, opponent, norm, pool)
+        else:
+            live, status, out = self._retarget(live, objective, opponent, norm, pool)
         value, x = self._generate_rows(live, opponent, pool, status, out)
         self.live[opponent] = live
         self.stats["objectives"] += 1
@@ -427,92 +417,66 @@ class _PolytopeSolver:
         labels = [None] * (len(consistency) + 1) + [norm] * len(A_norm) + quads
         lp = LinearProgram("max", objective, A_ub, b_ub)
         tableau, status, out = self._cold(lp)
-        return _LiveLp(tableau, labels, norm), status, out
+        return _LiveLp(tableau, labels, opponent, norm), status, out
 
-    def _swap_opponent(self, objective, opponent, norm, pool):
-        """Start ``opponent``'s tableau from a copy of the most recently used one.
+    def _retarget(self, live, objective, opponent, norm, pool):
+        """Move a live tableau to ``objective``, ``opponent`` and ``norm``.
 
-        The copy takes in the pool rows it lacks under the donor's objective
-        (dual simplex), drops the donor's normalization rows but the rhs-1
-        row and its quadrilateral rows outside the pool whose slack is basic,
-        and adds the ones it keeps to the pool. Every other row then has rhs
-        0, so :meth:`Tableau.replace_equation` can make the new opponent's
-        column sum the rhs-1 row with the basis still feasible; :meth:`_resume`
-        sets the objective and norm. A swap that fails at any step builds
-        cold instead.
+        The pool rows the tableau lacks, and on a switch of opponent or norm
+        the new norm's homogeneous rows, enter under the old objective,
+        whose basis stays dual feasible (dual simplex). On a switch, the old
+        norm's rows (generated top-k rows included) then leave by
+        :meth:`Tableau.remove_rows`, as do quadrilateral rows outside the
+        pool whose slack is basic; the quadrilateral rows kept join the
+        pool. Every row but the rhs-1 one then has rhs 0, so
+        :meth:`Tableau.replace_equation` makes the new norm's bound that row
+        with the basis still feasible, and the new objective resumes the
+        primal simplex.
+
+        Returns ``(live, status, outcome)``: ``live`` is a cold build over
+        the pool when any step before the new objective fails.
         """
-        donor = next(reversed(self.live.values()))
-        live = _LiveLp(donor.tableau.copy(), list(donor.labels), "=")
+        switch = (live.opponent, live.norm) != (opponent, norm)
         try:
+            held = len(live.labels)
+            if switch:
+                bound, enter = _normalization(self.polytope, opponent, norm)
+                if len(enter):
+                    live.tableau.add_rows(enter, np.zeros(len(enter)))
+                    live.labels.extend([norm] * len(enter))
             missing = [q for q in pool if q not in live.quads]
             if missing:
                 self._add_quads(live, missing)
+            if len(live.labels) > held:
                 self.stats["warm_solves"] += 1
                 status, _ = self._run(live.tableau)
                 if status is not LpStatus.OPTIMAL:
                     raise SolverFailure(f"unexpected LP status {status}")
-            basic = live.tableau.basic_slacks()
-            stale = [
-                i
-                for i, label in enumerate(live.labels)
-                if _is_norm_tag(label)
-                or (isinstance(label, tuple) and label not in pool and basic[i])
-            ]
-            self._remove(live, stale)
-            total, _ = _normalization(self.polytope, opponent, "=")
-            live.tableau.replace_equation(total)
-        except SolverFailure:
-            return self._start(objective, opponent, norm, pool)
-        # The donor's objective may be unbounded under the new opponent's
-        # normalization; a zero objective makes the swapped basis optimal,
-        # so rows that _resume enters keep it dual feasible.
-        live.tableau.set_objective(np.zeros(objective.size))
-        self.stats["opponent_swaps"] += 1
-        kept = [q for q in live.labels if isinstance(q, tuple) and q not in pool]
-        pool.update(dict.fromkeys(kept))
-        return self._resume(live, objective, opponent, norm, pool)
-
-    def _resume(self, live, objective, opponent, norm, pool):
-        """Switch a live tableau to ``objective`` and ``norm``; re-optimize.
-
-        Returns ``(live, status, outcome)``: ``live`` is a cold rebuild when
-        the stale normalization rows could not be removed or the rhs-1 row
-        not replaced.
-        """
-        missing = [q for q in pool if q not in live.quads]
-        enter = ()
-        if norm != live.norm:
-            # No two norms share a homogeneous row: the old norm's rows, its
-            # generated top-k rows included, all leave, and the new ones enter.
-            self.stats["norm_swaps"] += 1
-            bound, enter = _normalization(self.polytope, opponent, norm)
-            stale = [i for i, label in enumerate(live.labels) if _is_norm_tag(label)]
-        if missing or len(enter):
-            # Enter under the old objective, whose basis stays dual feasible.
-            if len(enter):
-                live.tableau.add_rows(enter, np.zeros(len(enter)))
-                live.labels.extend([norm] * len(enter))
-            if missing:
-                self._add_quads(live, missing)
-            status, _ = self._reoptimize(live)
-            if status is not LpStatus.OPTIMAL:
-                raise self._failure(
-                    f"unexpected LP status {status}", live.tableau.program()
-                )
-        if norm != live.norm:
-            # With the stale rows gone, only the rhs-1 row has a nonzero rhs.
-            try:
+            if switch:
+                # The old norm's rows: all but the fixed rows and quadrilaterals.
+                stale = [
+                    i
+                    for i, label in enumerate(live.labels[:held])
+                    if label is not None and not isinstance(label, tuple)
+                ]
+                # Only a copied tableau holds rows outside the pool.
+                outside = live.quads.difference(pool)
+                if outside:
+                    basic = live.tableau.basic_slacks()
+                    rows = [(i, q) for i, q in enumerate(live.labels) if q in outside]
+                    stale += [i for i, _ in rows if basic[i]]
+                    pool.update(dict.fromkeys(q for i, q in rows if not basic[i]))
                 if stale:
                     self._remove(live, stale)
                 live.tableau.replace_equation(bound)
-            except SolverFailure:
-                # The pool now holds exactly the live quadrilateral rows (an
-                # opponent swap adds the donor rows it keeps to the pool), so
-                # the swapped program is the cold build over the pool, up to
-                # top-k rows that row generation adds again.
-                self.stats["rebuilds"] += 1
-                return self._start(objective, opponent, norm, pool)
-            live.norm = norm
+        except SolverFailure:
+            self.stats["rebuilds"] += 1
+            return self._start(objective, opponent, norm, pool)
+        if live.opponent != opponent:
+            self.stats["opponent_swaps"] += 1
+        elif live.norm != norm:
+            self.stats["norm_swaps"] += 1
+        live.opponent, live.norm = opponent, norm
         live.tableau.set_objective(objective)
         return (live, *self._reoptimize(live))
 
@@ -524,7 +488,6 @@ class _PolytopeSolver:
         """
         poly = self.polytope
         top_k = None if isinstance(live.norm, str) else live.norm
-        fresh = set()
         for _ in range(_MAX_ROUNDS):
             if status is LpStatus.UNBOUNDED:
                 raise self._failure(
@@ -550,23 +513,6 @@ class _PolytopeSolver:
             if not new and not subsets:
                 return out.value, x
 
-            # Keep the working set lean: drop rows far from binding (their
-            # slacks are basic), but never seeded ones or ones added in the
-            # previous round.
-            if len(live.quads) > _DROP_THRESHOLD:
-                old = [
-                    i
-                    for i, label in enumerate(live.labels)
-                    if isinstance(label, tuple)
-                    and label not in fresh
-                    and not pool.get(label)
-                ]
-                slack = -(live.tableau.rows[old] @ x)
-                far = [i for i, s in zip(old, slack) if s >= _DROP_SLACK]
-                for quad in self._remove(live, far):
-                    pool.pop(quad, None)
-
-            fresh = set(new)
             if new:
                 pool.update(dict.fromkeys(new))
                 self._add_quads(live, new)
@@ -586,7 +532,7 @@ class _PolytopeSolver:
         live.quads.update(quads)
 
     def _remove(self, live, indices):
-        """Remove the inequality constraints ``indices``; returns their labels.
+        """Remove the inequality constraints ``indices``.
 
         Raises:
             SolverFailure: a constraint's slack could not be pivoted into the
@@ -603,7 +549,6 @@ class _PolytopeSolver:
         live.labels = [label for i, label in enumerate(live.labels) if i not in gone]
         live.quads.difference_update(labels)
         live.subsets.difference_update(labels)
-        return labels
 
     def _run(self, tableau):
         """Optimize ``tableau``; the outcome is verified, pivots counted."""
@@ -1068,7 +1013,15 @@ def grid_oracle(winner_or_x, profile, grid_step=0.5, grid_max=3.0):
     Enumerates every admissible consistent matrix with entries in
     ``{0, grid_step, ..., grid_max}`` and returns the largest cost ratio,
     skipping zero-denominator grids. Limited to ``N * M <= 9``.
+
+    Raises:
+        ValueError: ``grid_step`` is not positive and finite, or
+            ``grid_max`` is not nonnegative and finite.
     """
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise ValueError(f"grid step must be positive and finite, got {grid_step!r}")
+    if not (math.isfinite(grid_max) and grid_max >= 0):
+        raise ValueError(f"grid max must be nonnegative and finite, got {grid_max!r}")
     n, m = profile.num_agents, profile.num_alternatives
     if n * m > 9:
         raise ValueError(f"grid oracle requires N*M <= 9, got {n * m}")

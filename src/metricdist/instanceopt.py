@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from metricdist.distortion import SOLVER_STATS, TIE_TOL, _solver_for, a_det
+from metricdist.distortion import (
+    SOLVER_STATS,
+    TIE_TOL,
+    _solver_for,
+    _validated_distribution,
+    a_det,
+)
 from metricdist.linprog import LinearProgram, LpStatus, SolverFailure, solve
 from metricdist.metricspace import CostMatrix
 
@@ -137,10 +143,10 @@ def separation_oracle(x, gamma, profile, *, viol_tol=DEFAULT_EPS / 2):
     make the value infinite; these come back in ``blocked`` instead of a
     witness.
     """
+    x = _validated_distribution(x, profile.num_alternatives)
     solver = _solver_for(profile)
     poly = solver.polytope
     m = poly.num_alternatives
-    x = np.asarray(x, dtype=float)
     support = [int(c) for c in np.flatnonzero(x > 0)]
     objective = np.tile(x, poly.num_agents)  # x[c] on every entry of column c
 
@@ -334,8 +340,15 @@ def candidate_response_value(profile, *, matrix=None):
 
     Returns:
         ``(x, value)``.
+
+    Raises:
+        ValueError: ``matrix`` is not M x M.
     """
     m = profile.num_alternatives
+    if matrix is not None:
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.shape != (m, m):
+            raise ValueError(f"matrix must be {m} x {m}, got shape {matrix.shape}")
     if m == 1:
         return np.ones(1), 1.0
     if matrix is None:

@@ -257,6 +257,15 @@ def test_oracle_command(warmup_file, capsys):
     assert float(report["lower_bound"]) >= 2.0 - 1e-9
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--step", "0"), ("--step", "nan"), ("--max", "-1")]
+)
+def test_oracle_rejects_a_bad_grid(warmup_file, capsys, flag, value):
+    code = main(["oracle", str(warmup_file), "--alt", "1", flag, value])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: grid")
+
+
 def test_reproduce_command(warmup_file, capsys, tmp_path):
     out = tmp_path / "report.json"
     code = main(["reproduce", "warmup", "--out", str(out)])

@@ -291,6 +291,23 @@ def test_grid_oracle_unanimous():
     assert grid_oracle(0, profile) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "step, top",
+    [
+        (0.0, 3.0),
+        (-0.5, 3.0),
+        (math.nan, 3.0),
+        (math.inf, 3.0),
+        (0.5, -1.0),
+        (0.5, math.inf),
+    ],
+)
+def test_grid_oracle_rejects_a_grid_that_is_not_finite_and_positive(step, top):
+    profile = warmup_instance().profile
+    with pytest.raises(ValueError, match="grid"):
+        grid_oracle(0, profile, grid_step=step, grid_max=top)
+
+
 @pytest.mark.parametrize("bad", [-1, 3, 1.0, True, "1"])
 def test_alternative_indices_outside_the_profile_raise(bad):
     profile = warmup_instance().profile  # 3 alternatives
@@ -578,20 +595,11 @@ def test_missing_chain_rows_raise_named_unbounded_failure():
     assert info.value.lp_text.splitlines()[0].startswith("max ")
 
 
-def test_pruning_keeps_seeded_chain_rows():
+def test_seeded_chain_rows_stay_in_pool_and_tableau():
     n = 10
     profile = ranked_pairs_hard_instance(n).profile
     m = profile.num_alternatives
     solver = _solver_for(profile)
-    removed = []
-    remove = solver._remove
-
-    def recording_remove(live, indices):
-        labels = remove(live, indices)
-        removed.extend(labels)
-        return labels
-
-    solver._remove = recording_remove
     value, _ = a_det(0, m - 1, profile)
     assert value == pytest.approx((5 * n + 3) / (n + 3), rel=1e-9)
     seeded = {
@@ -599,8 +607,7 @@ def test_pruning_keeps_seeded_chain_rows():
         for a, b in solver.polytope.chain(0, m - 1)
         for v, vp in itertools.permutations(range(profile.num_agents), 2)
     }
-    assert seeded and removed
-    assert seeded.isdisjoint(removed)
+    assert seeded
     (live,) = solver.live.values()
     assert seeded <= set(solver.pools[m - 1]) and seeded <= live.quads
 
@@ -813,6 +820,33 @@ def test_opponent_swap_then_cheapest_ignores_the_donor_objective():
     assert solver.stats["opponent_swaps"] == 1
     assert solver.stats["cold_builds"] == 1
     fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=0, norm="cheapest")
+    assert value == pytest.approx(fresh, rel=1e-9)
+
+
+def test_retarget_from_a_top_k_donor_to_cheapest_on_a_new_opponent():
+    # The donor holds generated k-subset rows, which carry rhs 1 like the
+    # bound: they must leave before the new opponent's bound replaces it.
+    profile = random_profile(5, 4, np.random.default_rng(103))
+    poly = MetricPolytope(profile)
+    solver = _PolytopeSolver(poly)
+    m = poly.num_alternatives
+    z, c = next(
+        (z, c) for z in range(m) for c in range(m) if c != z and poly.reach[c, z]
+    )
+    objective = np.zeros(poly.num_metric_vars)
+    for v in range(3):
+        objective[poly.var(v, c)] = 1.0
+    solver.maximize(objective, opponent=z, norm=3)
+    assert solver.live[z].subsets
+
+    new = next(o for o in range(m) if o != z and poly.reach[:, o].all())
+    lottery = np.tile(np.full(m, 1 / m), poly.num_agents)
+    before = dict(solver.stats)
+    value, _ = solver.maximize(lottery, opponent=new, norm="cheapest")
+    stats = solver.stats_since(before)
+    assert stats["opponent_swaps"] == 1 and stats["norm_swaps"] == 0
+    assert stats["cold_builds"] == stats["rebuilds"] == 0
+    fresh, _ = _PolytopeSolver(poly).maximize(lottery, opponent=new, norm="cheapest")
     assert value == pytest.approx(fresh, rel=1e-9)
 
 

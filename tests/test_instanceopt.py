@@ -75,6 +75,12 @@ def test_separation_oracle_warmup_uniform_feasible_at_2():
     assert verdict.value == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("x", [[1.5, -0.5, 0.0], [0.2, 0.2, 0.2], [0.5, 0.5]])
+def test_separation_oracle_rejects_a_point_that_is_no_lottery(x):
+    with pytest.raises(ValueError, match="probability vector"):
+        separation_oracle(x, 2.0, warmup_instance().profile)
+
+
 def test_separation_oracle_point_mass_violated():
     profile = warmup_instance().profile
     verdict = separation_oracle(np.array([1.0, 0.0, 0.0]), 2.5, profile)
@@ -170,6 +176,12 @@ def test_candidate_response_trivial_cases():
     x, value = candidate_response_value(UNANIMOUS)
     assert value == pytest.approx(1.0, abs=1e-6)
     assert x[1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (9,)])
+def test_candidate_response_rejects_a_matrix_that_is_not_m_by_m(shape):
+    with pytest.raises(ValueError, match="3 x 3"):
+        candidate_response_value(warmup_instance().profile, matrix=np.ones(shape))
 
 
 def test_candidate_response_vs_opt_rand_warmup():

@@ -1,0 +1,68 @@
+"""The benchmark tracer's hooks name attributes that exist in the package.
+
+``perfbench/tracer.py`` times the package by patching functions and methods
+it names; a name that no longer resolves is only reported on stderr there,
+and the per-layer metrics behind it read zero. This guard fails instead.
+The tracer file is only read, never changed or cached.
+"""
+
+import importlib
+import inspect
+import sys
+import types
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+# Every module of the package, so that each reference the tracer rebinds is
+# checked on uninstall.
+MODULES = (
+    "cli",
+    "distortion",
+    "instanceopt",
+    "linprog",
+    "metricspace",
+    "profiles",
+    "reproduce",
+    "rules",
+    "tournament",
+)
+
+
+def _load_tracer():
+    module = types.ModuleType("perfbench_tracer")
+    module.__file__ = str(TRACER)
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def _namespaces():
+    """Every metricdist module and every class defined in one, by name."""
+    for name in MODULES:
+        importlib.import_module(f"metricdist.{name}")
+    out = {}
+    for key, mod in list(sys.modules.items()):
+        if key == "metricdist" or key.startswith("metricdist."):
+            out[key] = mod
+            for attr, value in vars(mod).items():
+                if inspect.isclass(value) and value.__module__ == key:
+                    out[f"{key}.{attr}"] = value
+    return out
+
+
+def test_every_hook_resolves_and_uninstall_restores_it():
+    namespaces = _namespaces()
+    before = {name: dict(vars(owner)) for name, owner in namespaces.items()}
+    tracer = _load_tracer().Tracer()
+    try:
+        tracer.install()
+        assert tracer.missing == []
+        assert tracer._undo
+        for owner, key, original in tracer._undo:
+            assert vars(owner)[key] is not original, (owner, key)
+    finally:
+        tracer.uninstall()
+    for name, owner in namespaces.items():
+        now = vars(owner)
+        assert set(now) == set(before[name]), name
+        changed = [key for key, value in before[name].items() if now[key] is not value]
+        assert changed == [], name
