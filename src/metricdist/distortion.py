@@ -86,6 +86,8 @@ _MAX_ROUNDS = 1000
 _RETRY_PIVOT_TOL = 1e-11
 # Relative tolerance under which two optimal values count as tied.
 TIE_TOL = 1e-9
+# Most combinations of per-agent rows that grid_oracle enumerates.
+GRID_BUDGET = 10**8
 SOLVER_STATS = (
     "objectives",  # maximize calls that returned an optimum
     "cold_builds",  # tableaux built from scratch
@@ -407,15 +409,7 @@ class _PolytopeSolver:
 
     def _start(self, objective, opponent, norm, pool):
         """Cold-build the opponent's tableau over its pool, from the slack basis."""
-        poly = self.polytope
-        bound, A_norm = _normalization(poly, opponent, norm)
-        consistency = poly.consistency_rows()
-        quads = list(pool)
-        A_ub = np.vstack([consistency, bound, A_norm, poly.quadruple_rows(quads)])
-        b_ub = np.zeros(len(A_ub))
-        b_ub[len(consistency)] = 1.0
-        labels = [None] * (len(consistency) + 1) + [norm] * len(A_norm) + quads
-        lp = LinearProgram("max", objective, A_ub, b_ub)
+        lp, labels = _ratio_lp(self.polytope, objective, opponent, norm, list(pool))
         tableau, status, out = self._cold(lp)
         return _LiveLp(tableau, labels, opponent, norm), status, out
 
@@ -642,6 +636,19 @@ def _normalization(poly, opponent, norm):
     return scale * total, np.zeros((0, total.size))
 
 
+def _ratio_lp(poly, objective, opponent, norm, quads):
+    """``(lp, labels)``: maximize ``objective`` over the consistency rows, the
+    norm's rows (:func:`_normalization`) and ``quads``, labelled as in
+    :class:`_LiveLp`."""
+    bound, A_norm = _normalization(poly, opponent, norm)
+    consistency = poly.consistency_rows()
+    A_ub = np.vstack([consistency, bound, A_norm, poly.quadruple_rows(quads)])
+    b_ub = np.zeros(len(A_ub))
+    b_ub[len(consistency)] = 1.0
+    labels = [None] * (len(consistency) + 1) + [norm] * len(A_norm) + quads
+    return LinearProgram("max", objective, A_ub, b_ub), labels
+
+
 @dataclass
 class DistortionReport:
     """Worst-case ratio for one outcome, with a feasibility-checked witness."""
@@ -687,17 +694,13 @@ def build_full_lp(winner_or_x, opponent, profile) -> LinearProgram:
 
     Row generation makes this unnecessary for solving; it exists for debug
     dumps and for checking the assembled program against the solver directly
-    at small sizes.
+    at small sizes. The normalization is a ``<= 1`` row, as in every tableau.
     """
     weights = _outcome_weights(winner_or_x, profile.num_alternatives)
     opponent = _validated_alternative(opponent, profile.num_alternatives)
     poly = MetricPolytope(profile)
-    total, _ = _normalization(poly, opponent, "=")
-    A_ub = np.vstack(
-        [poly.consistency_rows(), poly.quadruple_rows(poly.all_quadruples())]
-    )
     objective = np.tile(weights, profile.num_agents)
-    return LinearProgram("max", objective, A_ub, np.zeros(len(A_ub)), [total], [1.0])
+    return _ratio_lp(poly, objective, opponent, "=", poly.all_quadruples())[0]
 
 
 def a_det(c, opponent, profile):
@@ -1012,11 +1015,15 @@ def grid_oracle(winner_or_x, profile, grid_step=0.5, grid_max=3.0):
 
     Enumerates every admissible consistent matrix with entries in
     ``{0, grid_step, ..., grid_max}`` and returns the largest cost ratio,
-    skipping zero-denominator grids. Limited to ``N * M <= 9``.
+    skipping zero-denominator grids. Limited to ``N * M <= 9``, and to
+    ``GRID_BUDGET`` combinations of per-agent rows: ``r ** N``, where an
+    agent's ``r`` rows are the nondecreasing M-tuples of grid values.
 
     Raises:
         ValueError: ``grid_step`` is not positive and finite, or
             ``grid_max`` is not nonnegative and finite.
+        BudgetExceededError: the grid needs more than ``GRID_BUDGET``
+            combinations.
     """
     if not (math.isfinite(grid_step) and grid_step > 0):
         raise ValueError(f"grid step must be positive and finite, got {grid_step!r}")
@@ -1028,6 +1035,12 @@ def grid_oracle(winner_or_x, profile, grid_step=0.5, grid_max=3.0):
     weights = _outcome_weights(winner_or_x, m)
     if m == 1:
         return 1.0
+    span = (grid_max + grid_step / 2) / grid_step  # len(values), before building
+    r = math.comb(math.ceil(span) + m - 1, m) if math.isfinite(span) else math.inf
+    if r**n > GRID_BUDGET:
+        raise BudgetExceededError(
+            f"grid enumeration needs {r}^{n} row combinations, budget {GRID_BUDGET}"
+        )
     values = np.arange(0.0, grid_max + grid_step / 2, grid_step)
 
     # Per agent, only rows already consistent with the ranking can appear:

@@ -5,7 +5,9 @@ The best deterministic winner needs one worst-case LP per ordered pair of
 alternatives. The best lottery is a minimax problem over the uncountable set
 of cost-1-normalized consistent metrics; it is solved by cutting planes with
 a separation oracle, or by the equivalent bisection-over-budgets reduction,
-and the two modes cross-check each other.
+and the two modes cross-check each other. Their master and the
+pairwise-response value are one lottery game with positive payoffs, solved
+as ``max 1·u`` over ``A u <= 1`` with no phase 1 (:func:`_lottery_game`).
 """
 
 from __future__ import annotations
@@ -192,20 +194,23 @@ def opt_rand(
 ) -> OptRandResult:
     """Lottery minimizing the worst-case expected cost ratio, within ``eps``.
 
-    Default mode keeps the budget as a master-LP variable and adds one cut
-    per violating metric; ``binary_search`` reproduces the reduction to
-    feasibility checks over budgets in [1, 3] and must agree within ``2 *
-    eps``. The oracle violation threshold is ``eps / 2`` to keep boundary
-    cuts from cycling.
+    Default mode takes the budget from the master game over the stored cuts
+    and adds one cut per violating metric; ``binary_search`` reproduces the
+    reduction to feasibility checks over budgets in [1, 3] and must agree
+    within ``2 * eps``. The oracle violation threshold is ``eps / 2`` to
+    keep boundary cuts from cycling.
 
     The value is certified: the separation oracle found no metric that
     beats it by more than ``eps / 2``. The lottery ``x`` is one optimal
     lottery among possibly several, with no tie rule: which one comes back
     depends on the optimal vertices the oracle's LPs return, so it can move
     with solver changes that leave the value fixed.
+
+    Raises:
+        ValueError: ``eps`` is not positive and finite.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     m = profile.num_alternatives
     if m == 1:
         state = CuttingPlaneState(eps=eps, mode="trivial")
@@ -227,33 +232,27 @@ def opt_rand(
     return result
 
 
-def _master_lp(state, m, gamma):
-    """Minimize t over lotteries x with ``cost(x) - t <= gamma`` for every cut.
+def _lottery_game(payoffs, columns):
+    """``(x, value)``: the lottery over ``columns`` whose worst row of
+    ``payoffs @ x`` is least, exactly 0 off ``columns``, and that row.
 
-    Variables: x, then t. With ``gamma`` 0, t is the master's budget; at a
-    fixed budget ``gamma``, t is the worst violation of the cuts. Blocked
-    columns are capped at 0.
+    With positive payoffs, ``u = x / value`` turns the game into ``max 1·u``
+    over ``payoffs[:, columns] @ u <= 1``: every rhs is 1, so the slack
+    basis starts it, and ``1·u = 1 / value`` at the optimum. The payoffs
+    are positive: a cut's sums are the column sums of the uniform metric or
+    of a ``"cheapest"``-normalized witness (the opponent's column costs 1,
+    every other at least as much), so they are >= 1 up to ``feas_tol``;
+    a worst-ratio table is >= 1.
     """
-    sums = np.array([cut_sums for cut_sums, _, _ in state.cuts])
-    blocked = np.eye(m + 1)[sorted(state.blocked_columns)]
-    A_ub = np.vstack([np.hstack([sums, -np.ones((len(sums), 1))]), blocked])
-    b_ub = np.concatenate([np.full(len(sums), gamma), np.zeros(len(blocked))])
-    objective = np.zeros(m + 1)
-    objective[m] = 1.0
-    simplex_row = np.concatenate([np.ones(m), [0.0]])
-    return LinearProgram("min", objective, A_ub, b_ub, [simplex_row], [1.0])
-
-
-def _master_point(state, assignment, m):
-    """Lottery from a master solution, blocked columns zeroed exactly.
-
-    The master LP caps blocked columns at 0 but may leave round-off there;
-    the oracle counts any positive entry as support, so a stray 1e-17 would
-    bring back a verdict that was already handled.
-    """
-    x = assignment[:m].copy()
-    x[list(state.blocked_columns)] = 0.0
-    return x / x.sum()
+    A_ub = payoffs[:, columns]
+    lp = LinearProgram("max", np.ones(len(columns)), A_ub, np.ones(len(A_ub)))
+    out = solve(lp)
+    if out.status is not LpStatus.OPTIMAL:
+        raise SolverFailure(f"lottery-game LP returned {out.status}")
+    total = out.assignment.sum()
+    x = np.zeros(payoffs.shape[1])
+    x[columns] = out.assignment / total
+    return x, 1.0 / total
 
 
 def _register_cut(state, verdict, gamma):
@@ -267,15 +266,17 @@ def _register_cut(state, verdict, gamma):
     state.cuts.append((sums, verdict.witness, verdict.value - gamma))
 
 
+def _master_game(state):
+    """The lottery game over the stored cuts and the unblocked columns."""
+    sums = np.array([cut_sums for cut_sums, _, _ in state.cuts])
+    unblocked = [c for c in range(sums.shape[1]) if c not in state.blocked_columns]
+    return _lottery_game(sums, unblocked)
+
+
 def _opt_rand_master(profile, state, eps, max_cuts):
-    m = profile.num_alternatives
     while state.iterations < max_cuts:
         state.iterations += 1
-        out = solve(_master_lp(state, m, 0.0))
-        if out.status is not LpStatus.OPTIMAL:
-            raise SolverFailure(f"master LP returned {out.status}")
-        x_hat = _master_point(state, out.assignment, m)
-        gamma_hat = float(out.assignment[m])
+        x_hat, gamma_hat = _master_game(state)
         state.master_values.append(gamma_hat)
 
         verdict = separation_oracle(x_hat, gamma_hat, profile, viol_tol=eps / 2)
@@ -286,20 +287,15 @@ def _opt_rand_master(profile, state, eps, max_cuts):
 
 
 def _opt_rand_bisect(profile, state, eps, max_cuts):
-    m = profile.num_alternatives
-
     def feasibility(gamma):
         """Find x within budget gamma, or certify none exists."""
         while state.iterations < max_cuts:
             state.iterations += 1
-            # Minimize the worst violation of the stored cuts over the simplex.
-            out = solve(_master_lp(state, m, gamma))
-            if out.status is not LpStatus.OPTIMAL:
-                raise SolverFailure(f"feasibility LP returned {out.status}")
-            slack = float(out.value)
-            if slack > eps / 2:
+            # The game value's excess over gamma: the least worst violation
+            # of the stored cuts over the simplex.
+            x_hat, value = _master_game(state)
+            if value - gamma > eps / 2:
                 return None  # even the finite cut subsystem is violated
-            x_hat = _master_point(state, out.assignment, m)
             verdict = separation_oracle(x_hat, gamma, profile, viol_tol=eps / 2)
             if verdict.feasible:
                 return x_hat, verdict.value
@@ -342,13 +338,16 @@ def candidate_response_value(profile, *, matrix=None):
         ``(x, value)``.
 
     Raises:
-        ValueError: ``matrix`` is not M x M.
+        ValueError: ``matrix`` is not M x M, or holds a NaN or an entry
+            <= 0 (``+inf`` marks an unusable row).
     """
     m = profile.num_alternatives
     if matrix is not None:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.shape != (m, m):
             raise ValueError(f"matrix must be {m} x {m}, got shape {matrix.shape}")
+        if not (matrix > 0).all():
+            raise ValueError("matrix entries must be positive, not NaN or <= 0")
     if m == 1:
         return np.ones(1), 1.0
     if matrix is None:
@@ -356,19 +355,5 @@ def candidate_response_value(profile, *, matrix=None):
     usable = [c for c in range(m) if np.isfinite(matrix[c]).all()]
     if not usable:
         raise AssertionError("no candidate has an all-finite ratio row")
-
-    # Variables: x over usable candidates, then the epigraph value t.
-    k = len(usable)
-    objective = np.zeros(k + 1)
-    objective[k] = 1.0
-    # One row per opponent: x @ matrix[usable, opponent] - t <= 0.
-    A_ub = np.hstack([matrix[usable].T, -np.ones((m, 1))])
-    simplex_row = np.concatenate([np.ones(k), [0.0]])
-    lp = LinearProgram("min", objective, A_ub, np.zeros(m), [simplex_row], [1.0])
-    out = solve(lp)
-    if out.status is not LpStatus.OPTIMAL:
-        raise SolverFailure(f"response-game LP returned {out.status}")
-    x = np.zeros(m)
-    for i, c in enumerate(usable):
-        x[c] = out.assignment[i]
-    return x, float(out.value)
+    # One row per opponent: the ratio each usable candidate pays against it.
+    return _lottery_game(matrix.T, usable)

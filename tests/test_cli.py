@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -224,6 +225,15 @@ def test_opt_commands(warmup_file, capsys):
     assert float(report["value"]) >= 2.0 - 1e-3
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+def test_opt_rand_rejects_an_eps_that_is_not_positive_and_finite(
+    warmup_file, capsys, eps
+):
+    code = main(["opt-rand", str(warmup_file), "--eps", eps])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: eps")
+
+
 def test_lp_reports_carry_solver_stats(warmup_file, capsys):
     for argv in (
         ["distortion", "--rule", "copeland"],
@@ -264,6 +274,14 @@ def test_oracle_rejects_a_bad_grid(warmup_file, capsys, flag, value):
     code = main(["oracle", str(warmup_file), "--alt", "1", flag, value])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: grid")
+
+
+def test_oracle_refuses_a_grid_over_budget_promptly(warmup_file, capsys):
+    start = time.perf_counter()
+    code = main(["oracle", str(warmup_file), "--alt", "1", "--step", "0.1"])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: grid enumeration needs 5456^3")
 
 
 def test_reproduce_command(warmup_file, capsys, tmp_path):

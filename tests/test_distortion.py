@@ -7,6 +7,7 @@ import pytest
 
 from metricdist import linprog
 from metricdist.distortion import (
+    GRID_BUDGET,
     SOLVER_STATS,
     BudgetExceededError,
     MetricPolytope,
@@ -165,8 +166,8 @@ def test_full_lp_materialization_solves_to_3():
     from metricdist.linprog import LpStatus, solve
 
     lp = build_full_lp(0, 2, warmup_instance().profile)
-    assert lp.A_eq.shape == (1, 9)
-    assert lp.A_ub.shape == (3 * 2 + 3 * 2 * 3 * 2, 9)
+    assert lp.A_eq.shape == (0, 9)
+    assert lp.A_ub.shape == (1 + 3 * 2 + 3 * 2 * 3 * 2, 9)
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == pytest.approx(3.0, abs=1e-7)
@@ -333,6 +334,16 @@ def test_non_integral_k_raises():
         with pytest.raises(ValueError, match=r"integers in 1\.\.3"):
             fairness_rand(UNIFORM3, profile, k_set=k_set)
     assert set(fairness_det(0, profile, k_set=[np.int64(2), 1]).per_k) == {1, 2}
+
+
+def test_grid_oracle_refuses_a_grid_over_budget():
+    profile = warmup_instance().profile
+    # 31 values at step 0.1: C(31 + 2, 3) = 5456 rows per agent, 5456^3 > 10^8
+    with pytest.raises(BudgetExceededError, match=r"5456\^3 row combinations"):
+        grid_oracle(0, profile, grid_step=0.1)
+    # a step so small that the value count overflows to inf
+    with pytest.raises(BudgetExceededError, match=f"budget {GRID_BUDGET}"):
+        grid_oracle(0, profile, grid_step=5e-324)
 
 
 def test_grid_oracle_refuses_large_instances():

@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 
 from metricdist import instanceopt
-from metricdist.distortion import SOLVER_STATS, dist_det, dist_rand
+from metricdist.distortion import (
+    SOLVER_STATS,
+    build_full_lp,
+    dist_det,
+    dist_rand,
+    fairness_det,
+)
 from metricdist.instanceopt import (
     CuttingPlaneState,
+    _lottery_game,
     candidate_response_value,
     opt_det,
     opt_rand,
     separation_oracle,
 )
+from metricdist.linprog import LinearProgram, LpStatus, solve
 from metricdist.profiles import (
     PreferenceProfile,
     parse_profile,
@@ -101,6 +109,12 @@ def test_opt_rand_warmup_uniform_value_2():
     assert result.state.master_values == sorted(result.state.master_values)
 
 
+@pytest.mark.parametrize("eps", [0.0, -1e-4, math.nan, math.inf])
+def test_opt_rand_rejects_an_eps_that_is_not_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="eps"):
+        opt_rand(warmup_instance().profile, eps=eps)
+
+
 def test_opt_rand_single_alternative():
     result = opt_rand(PreferenceProfile([[0], [0]]))
     assert result.value == 1.0
@@ -184,6 +198,21 @@ def test_candidate_response_rejects_a_matrix_that_is_not_m_by_m(shape):
         candidate_response_value(warmup_instance().profile, matrix=np.ones(shape))
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -2.0, -math.inf])
+def test_candidate_response_rejects_a_nan_or_nonpositive_entry(bad):
+    matrix = np.array([[1.0, 2.0, 2.0], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]])
+    matrix[0, 2] = bad
+    with pytest.raises(ValueError, match="positive"):
+        candidate_response_value(warmup_instance().profile, matrix=matrix)
+
+
+def test_candidate_response_skips_rows_marked_infinite():
+    matrix = np.array([[1.0, 2.0, math.inf], [2.0, 1.0, 2.0], [2.0, 2.0, 1.0]])
+    x, value = candidate_response_value(warmup_instance().profile, matrix=matrix)
+    assert x[0] == 0.0
+    assert value == pytest.approx(2.0)
+
+
 def test_candidate_response_vs_opt_rand_warmup():
     profile = warmup_instance().profile
     _, v_resp = candidate_response_value(profile)
@@ -216,3 +245,62 @@ def test_oracle_cut_invariant_every_stored_cut_was_violated():
 def test_state_summary_smoke():
     state = CuttingPlaneState(eps=1e-4, mode="master")
     assert "mode=master" in state.summary()
+
+
+def test_lottery_game_matches_the_epigraph_program():
+    # The min-max game written directly: minimize t over the simplex on
+    # ``columns`` with every row of ``payoffs @ x`` at most t.
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        rows, m = int(rng.integers(1, 7)), int(rng.integers(2, 6))
+        payoffs = rng.uniform(1.0, 6.0, (rows, m))
+        k = int(rng.integers(1, m + 1))
+        columns = sorted(rng.choice(m, size=k, replace=False).tolist())
+        A_ub = np.hstack([payoffs[:, columns], -np.ones((rows, 1))])
+        objective = np.zeros(k + 1)
+        objective[k] = 1.0
+        simplex_row = np.concatenate([np.ones(k), [0.0]])
+        epigraph = LinearProgram(
+            "min", objective, A_ub, np.zeros(rows), A_eq=[simplex_row], b_eq=[1.0]
+        )
+        reference = solve(epigraph)
+        assert reference.status is LpStatus.OPTIMAL
+
+        x, value = _lottery_game(payoffs, columns)
+        assert value == pytest.approx(reference.value, rel=1e-12)
+        assert (x >= 0).all() and x.sum() == pytest.approx(1.0, rel=1e-12)
+        off = np.setdiff1d(np.arange(m), columns)
+        assert (x[off] == 0.0).all()
+        assert (payoffs @ x).max() == pytest.approx(value, rel=1e-12)
+
+
+def test_src_builds_only_programs_without_phase_1(monkeypatch):
+    # Every program the package builds is "max" over "<=" rows with a
+    # nonnegative rhs, so the slack basis starts every solve.
+    built = []
+    init = LinearProgram.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(LinearProgram, "__init__", record)
+    # The profile drawn at seed 23 blocks alternative 0 in the master. Both
+    # profiles are fresh, so the solver builds its first tableau cold.
+    blocking = random_profile(3, 4, np.random.default_rng(23))
+    for profile in (warmup_instance().profile, blocking):
+        det = opt_det(profile)
+        master = opt_rand(profile)
+        opt_rand(profile, binary_search=True)
+        candidate_response_value(profile, matrix=det.matrix)
+        candidate_response_value(PreferenceProfile(profile.rankings))
+        fairness_det(det.winner, profile)
+        dist_rand(master.x, profile)
+        build_full_lp(det.winner, (det.winner + 1) % profile.num_alternatives, profile)
+        if profile is blocking:
+            assert master.state.blocked_columns == {0}
+    assert built
+    for lp in built:
+        assert lp.b_eq.size == 0
+        assert (lp.b_ub >= 0).all()
+        assert lp.sense == "max"
