@@ -12,7 +12,7 @@ report carries a feasibility-checked witness.
 Every normalization is a set of ``<=`` rows over the metric variables: one
 with rhs 1, the others homogeneous, and top-k adds rows with rhs 1 as they
 are violated (see :func:`_normalization`). Every rhs is nonnegative, so a
-cold build starts from the slack basis with no phase 1. Each opponent keeps
+cold build starts from the slack basis. Each opponent keeps
 one live simplex tableau. Generated rows enter it and are re-optimized by
 the dual simplex; the next objective (another candidate, subset or lottery)
 resumes from the last optimal basis; another norm swaps its homogeneous
@@ -487,10 +487,6 @@ class _PolytopeSolver:
                 raise self._failure(
                     "relaxation unbounded: chain rows missing", live.tableau.program()
                 )
-            if status is not LpStatus.OPTIMAL:
-                raise self._failure(
-                    f"unexpected LP status {status}", live.tableau.program()
-                )
 
             x = out.assignment
             metric = x.reshape(poly.num_agents, -1)
@@ -560,10 +556,7 @@ class _PolytopeSolver:
         self.stats["warm_solves"] += 1
         tableau = live.tableau
         try:
-            status, out = self._run(tableau)
-            if status is LpStatus.INFEASIBLE:
-                raise SolverFailure("warm re-optimization reported infeasible")
-            return status, out
+            return self._run(tableau)
         except SolverFailure:
             self.stats["rebuilds"] += 1
         live.tableau, status, out = self._cold(tableau.program())
@@ -575,8 +568,6 @@ class _PolytopeSolver:
         for pivot_tol in (DEFAULT_PIVOT_TOL, _RETRY_PIVOT_TOL):
             try:
                 tableau = Tableau(lp, pivot_tol=pivot_tol, feas_tol=self.feas_tol)
-                self.stats["primal_pivots"] += tableau.primal_pivots
-                self.stats["bland_switches"] += tableau.bland_switches
                 return (tableau, *self._run(tableau))
             except SolverFailure as exc:
                 failure = exc
@@ -646,7 +637,7 @@ def _ratio_lp(poly, objective, opponent, norm, quads):
     b_ub = np.zeros(len(A_ub))
     b_ub[len(consistency)] = 1.0
     labels = [None] * (len(consistency) + 1) + [norm] * len(A_norm) + quads
-    return LinearProgram("max", objective, A_ub, b_ub), labels
+    return LinearProgram(objective, A_ub, b_ub), labels
 
 
 @dataclass

@@ -7,7 +7,7 @@ of cost-1-normalized consistent metrics; it is solved by cutting planes with
 a separation oracle, or by the equivalent bisection-over-budgets reduction,
 and the two modes cross-check each other. Their master and the
 pairwise-response value are one lottery game with positive payoffs, solved
-as ``max 1·u`` over ``A u <= 1`` with no phase 1 (:func:`_lottery_game`).
+as ``max 1·u`` over ``A u <= 1`` (:func:`_lottery_game`).
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def _lottery_game(payoffs, columns):
     a worst-ratio table is >= 1.
     """
     A_ub = payoffs[:, columns]
-    lp = LinearProgram("max", np.ones(len(columns)), A_ub, np.ones(len(A_ub)))
+    lp = LinearProgram(np.ones(len(columns)), A_ub, np.ones(len(A_ub)))
     out = solve(lp)
     if out.status is not LpStatus.OPTIMAL:
         raise SolverFailure(f"lottery-game LP returned {out.status}")

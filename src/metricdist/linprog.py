@@ -2,25 +2,23 @@
 
 Every distortion, fairness, and instance-optimality computation in this
 package reduces to small dense linear programs; this module solves them
-deterministically without an external solver. Every program is one
-:class:`LinearProgram` in array form, ``A_ub x <= b_ub`` and
-``A_eq x = b_eq`` over ``x >= 0``, as in ``scipy.optimize.linprog``. A
-``>=`` row is written negated, as a ``<=`` row; the two-phase build turns
-every ``<=`` row with a negative right-hand side back into a ``>=`` row
-with a surplus and an artificial variable. A :class:`Tableau` is built cold
-by the two-phase method and then stays live: rows added to it enter
-against the current basis and are re-optimized by the dual simplex (the old
-basis stays dual feasible), rows removed from it leave a primal feasible
-basis, and a new objective resumes the primal simplex from the last basis.
-When a single constraint has a nonzero right-hand side, its row can be
-swapped for another in place (:meth:`Tableau.replace_equation`), and
-:meth:`Tableau.copy` lets one optimum seed another program.
-:func:`solve` is a cold build plus one optimization. The tableau is
-condensed: it stores only the columns of the nonbasic variables, so a
-pivot is a Jordan exchange that updates (rows + 1) x (nonbasic + 1) cells.
-Both pivot loops run a greedy rule for speed and switch permanently to
-Bland's rule after a stall, so termination is guaranteed even on the
-highly degenerate metric polytopes this package produces.
+deterministically without an external solver. Every program has one form: a
+:class:`LinearProgram` maximizes ``objective @ x`` over ``A_ub x <= b_ub``
+and ``x >= 0``, with every entry of ``b_ub`` nonnegative. So ``x = 0`` is
+always feasible, and a :class:`Tableau` is built cold at the slack basis
+with no pivot. It then stays live: rows added to it enter against the
+current basis and are re-optimized by the dual simplex (the old basis stays
+dual feasible), rows removed from it leave a primal feasible basis, and a
+new objective resumes the primal simplex from the last basis. When a single
+constraint has a nonzero right-hand side, its row can be swapped for
+another in place (:meth:`Tableau.replace_equation`), and
+:meth:`Tableau.copy` lets one optimum seed another program. :func:`solve`
+is a cold build plus one optimization. The tableau is condensed: it stores
+only the columns of the nonbasic variables, so a pivot is a Jordan exchange
+that updates (rows + 1) x (nonbasic + 1) cells. Both pivot loops run a
+greedy rule for speed and switch permanently to Bland's rule after a stall,
+so termination is guaranteed even on the highly degenerate metric polytopes
+this package produces.
 """
 
 from __future__ import annotations
@@ -54,14 +52,16 @@ _DRIFT_TOL = 1e-11
 
 
 class LpInputError(ValueError):
-    """Malformed program: wrong shape, an unpaired block, non-finite data."""
+    """Malformed program: wrong shape, non-finite data, a negative rhs."""
 
 
 class SolverFailure(RuntimeError):
-    """Pivot cap exceeded, or the final basis failed feasibility verification.
+    """Pivot cap exceeded, a round-off dead end, or a failed verification.
 
-    ``lp_text`` (a :meth:`LinearProgram.dump_text`) and ``profile_text``,
-    when set, are enough to reproduce the failure.
+    Every program is feasible at ``x = 0``, so a dual-simplex row with no
+    entering column is round-off too. ``lp_text`` (a
+    :meth:`LinearProgram.dump_text`) and ``profile_text``, when set, are
+    enough to reproduce the failure.
     """
 
     def __init__(self, message, *, lp_text=None, profile_text=None):
@@ -72,65 +72,76 @@ class SolverFailure(RuntimeError):
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
 
 
 class LinearProgram:
     """Immutable dense LP in array form, validated once.
 
-    Optimizes ``objective @ x`` over ``x >= 0`` subject to
-    ``A_ub @ x <= b_ub`` and ``A_eq @ x = b_eq``. Either block may be left
-    out; a ``>=`` row is written negated as a ``<=`` row. Constraints are
-    indexed equations first, then inequalities, the order of
-    :attr:`relations`, :attr:`rhs`, :meth:`dump_text` and :class:`Tableau`.
+    Maximizes ``objective @ x`` over ``x >= 0`` subject to
+    ``A_ub @ x <= b_ub``, where every entry of ``b_ub`` is nonnegative, so
+    ``x = 0`` is feasible. The rows may be left out. Constraints are indexed
+    as the rows of ``A_ub``, the order of :attr:`relations`, :attr:`rhs`,
+    :meth:`dump_text` and :class:`Tableau`.
 
     Args:
-        sense: ``"max"`` or ``"min"``.
         objective: coefficient vector, one entry per variable.
-        A_ub, b_ub: inequality rows, a 2-d array with one column per
-            variable, and their right-hand sides.
-        A_eq, b_eq: equation rows and their right-hand sides.
+        A_ub, b_ub: the rows, a 2-d array with one column per variable, and
+            their right-hand sides.
+
+    Raises:
+        LpInputError: a shape does not match, an entry is not finite, or a
+            right-hand side is negative.
     """
 
-    __slots__ = ("sense", "objective", "A_ub", "b_ub", "A_eq", "b_eq")
+    __slots__ = ("objective", "A_ub", "b_ub")
 
-    def __init__(self, sense, objective, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-        if sense not in ("max", "min"):
-            raise LpInputError(f"sense must be 'max' or 'min', got {sense!r}")
-        self.sense = sense
+    def __init__(self, objective, A_ub=None, b_ub=None):
         self.objective = np.array(objective, dtype=float)
         if self.objective.ndim != 1 or self.objective.size == 0:
             raise LpInputError("objective must be a nonempty vector")
         n = self.objective.size
-        self.A_ub, self.b_ub = _block("ub", A_ub, b_ub, n)
-        self.A_eq, self.b_eq = _block("eq", A_eq, b_eq, n)
-        for arr in (self.objective, self.A_ub, self.b_ub, self.A_eq, self.b_eq):
+        if A_ub is None and b_ub is None:
+            A_ub, b_ub = np.zeros((0, n)), np.zeros(0)
+        elif A_ub is None or b_ub is None:
+            raise LpInputError("A_ub and b_ub must be given together")
+        self.A_ub = np.array(A_ub, dtype=float)
+        self.b_ub = np.array(b_ub, dtype=float)
+        if self.A_ub.ndim != 2 or self.A_ub.shape[1] != n:
+            raise LpInputError(
+                f"A_ub must have shape (rows, {n}), got {self.A_ub.shape}"
+            )
+        if self.b_ub.shape != (self.A_ub.shape[0],):
+            raise LpInputError(
+                f"b_ub must have one entry per row of A_ub "
+                f"({self.A_ub.shape[0]}), got shape {self.b_ub.shape}"
+            )
+        for arr in (self.objective, self.A_ub, self.b_ub):
             if not np.isfinite(arr).all():
                 raise LpInputError("objective, rows and rhs must all be finite")
             arr.setflags(write=False)
+        _check_rhs(self.b_ub)
 
     @property
     def num_vars(self) -> int:
         return self.objective.size
 
+    # relations, rhs and nonneg are read only by perfbench/tracer.py; they
+    # leave with its move to program-owned counters (ROADMAP item 1).
+
     @property
     def relations(self) -> tuple:
-        """``"="`` per equation, then ``"<="`` per inequality."""
-        return ("=",) * self.b_eq.size + ("<=",) * self.b_ub.size
+        """``"<="`` per constraint."""
+        return ("<=",) * self.b_ub.size
 
     @property
     def rhs(self) -> np.ndarray:
-        """Right-hand sides in constraint order: ``b_eq``, then ``b_ub``."""
-        return np.concatenate([self.b_eq, self.b_ub])
+        """Right-hand sides in constraint order: ``b_ub``."""
+        return self.b_ub
 
     @property
     def nonneg(self) -> np.ndarray:
-        """All True: every variable is nonnegative.
-
-        Read only by ``perfbench/tracer.py``; it leaves with the tracer's
-        move to program-owned counters (ROADMAP item 1).
-        """
+        """All True: every variable is nonnegative."""
         flags = np.ones(self.num_vars, dtype=bool)
         flags.setflags(write=False)
         return flags
@@ -139,29 +150,18 @@ class LinearProgram:
         """Plain-text dump, one constraint per line, for bug reports."""
         # tolist(): plain floats, whose repr is a number under every numpy
         objective = self.objective.tolist()
-        lines = [f"{self.sense} " + " ".join(repr(c) for c in objective)]
-        rows = np.vstack([self.A_eq, self.A_ub]).tolist()
-        for coeffs, rel, b in zip(rows, self.relations, self.rhs.tolist()):
-            lines.append(" ".join(repr(c) for c in coeffs) + f" {rel} {b!r}")
+        lines = ["max " + " ".join(repr(c) for c in objective)]
+        for coeffs, b in zip(self.A_ub.tolist(), self.b_ub.tolist()):
+            lines.append(" ".join(repr(c) for c in coeffs) + f" <= {b!r}")
         return "\n".join(lines) + "\n"
 
 
-def _block(name, A, b, n):
-    """Validated copies of one ``(A_name, b_name)`` block over ``n`` variables."""
-    if A is None and b is None:
-        return np.zeros((0, n)), np.zeros(0)
-    if A is None or b is None:
-        raise LpInputError(f"A_{name} and b_{name} must be given together")
-    A = np.array(A, dtype=float)
-    b = np.array(b, dtype=float)
-    if A.ndim != 2 or A.shape[1] != n:
-        raise LpInputError(f"A_{name} must have shape (rows, {n}), got {A.shape}")
-    if b.shape != (A.shape[0],):
+def _check_rhs(rhs):
+    """Raise unless every right-hand side is nonnegative: x = 0 stays feasible."""
+    if (rhs < 0).any():
         raise LpInputError(
-            f"b_{name} must have one entry per row of A_{name} "
-            f"({A.shape[0]}), got shape {b.shape}"
+            "every right-hand side must be nonnegative, so that x = 0 is feasible"
         )
-    return A, b
 
 
 @dataclass(frozen=True)
@@ -212,13 +212,11 @@ def _smallest_label(indices, labels) -> int:
     return int(indices[labels[indices].argmin()])
 
 
-def _pivot_loop(T, basis, nonbasic, pivot_tol, counter, inert_from=None) -> str:
+def _pivot_loop(T, basis, nonbasic, pivot_tol, counter) -> str:
     """Run primal simplex to optimality on a feasible tableau.
 
     Row ``m`` carries reduced costs for a maximization; a column enters while
-    its reduced cost is below ``-pivot_tol``. A variable labelled
-    ``inert_from`` or above (a phase-1 artificial) that leaves the basis
-    gets a zero column, so it never enters again.
+    its reduced cost is below ``-pivot_tol``.
     """
     m = T.shape[0] - 1
     costs, values = T[m, :-1], T[:m, -1]
@@ -254,8 +252,6 @@ def _pivot_loop(T, basis, nonbasic, pivot_tol, counter, inert_from=None) -> str:
 
         before = T[m, -1]
         _do_pivot(T, basis, nonbasic, row, col)
-        if inert_from is not None and nonbasic[col] >= inert_from:
-            T[:, col] = 0.0
         counter.tick()
 
         if not bland:
@@ -265,12 +261,16 @@ def _pivot_loop(T, basis, nonbasic, pivot_tol, counter, inert_from=None) -> str:
                 counter.bland_switches += 1
 
 
-def _dual_loop(T, basis, nonbasic, pivot_tol, counter) -> str:
+def _dual_loop(T, basis, nonbasic, pivot_tol, counter):
     """Run dual simplex to optimality on a dual-feasible tableau.
 
     A row leaves while its basic value is below ``-pivot_tol``; the entering
-    column keeps every reduced cost nonnegative. Returns ``"infeasible"``
-    when a leaving row has no negative entry to pivot on.
+    column keeps every reduced cost nonnegative.
+
+    Raises:
+        SolverFailure: a leaving row has no negative entry to pivot on. It
+            would prove the program infeasible, but ``x = 0`` is feasible,
+            so only round-off leads there.
     """
     m = T.shape[0] - 1
     costs, values = T[m, :-1], T[:m, -1]
@@ -280,18 +280,21 @@ def _dual_loop(T, basis, nonbasic, pivot_tol, counter) -> str:
         if bland:
             negative = (values < -pivot_tol).nonzero()[0]
             if negative.size == 0:
-                return "optimal"
+                return
             # Bland: leaving variable with the smallest label.
             row = _smallest_label(negative, basis)
         else:
             row = int(values.argmin())
             if values[row] >= -pivot_tol:
-                return "optimal"
+                return
 
         row_vals = T[row, :-1]
         cols = (row_vals < -pivot_tol).nonzero()[0]
         if cols.size == 0:
-            return "infeasible"
+            raise SolverFailure(
+                f"dual simplex row {row} has no entering column; the program "
+                "is feasible at x = 0, so the tableau carries round-off"
+            )
         ratios = np.maximum(costs[cols], 0.0) / -row_vals[cols]
         ties = cols[ratios <= ratios.min() + pivot_tol]
         if bland:
@@ -316,29 +319,26 @@ def _dual_loop(T, basis, nonbasic, pivot_tol, counter) -> str:
 class Tableau:
     """Live condensed simplex tableau of one program; rows and objective can change.
 
-    Built cold by the two-phase method from a :class:`LinearProgram`. Its
-    constraints are indexed as the program's are, equations first, and rows
-    added later follow them as inequalities. The variables are the
-    structural ones and one slack per inequality, each with a stable label:
-    structural variables first, then slacks in the order their constraints
-    arrived. The cold build negates a row with a negative right-hand side
-    into a ``>=`` row, whose slack is a surplus. The tableau is condensed (a dictionary,
-    or Tucker, tableau): one row per basic variable, one column per
-    nonbasic variable, and the basic values in the last column; row ``m``
-    holds the reduced costs of a maximization. Basic columns, unit vectors
-    in a full tableau, are not stored, so a pivot is a Jordan exchange of
-    one row label with one column label, and added rows never widen the
-    tableau. Bland's rule picks the smallest label. Phase-1 artificials
-    drop out once they leave the basis. A program found infeasible by
-    phase 1 keeps no tableau and only answers :meth:`optimize`.
+    Built cold from a :class:`LinearProgram` at the slack basis, which every
+    program's nonnegative rhs makes feasible, so the build makes no pivot.
+    Its constraints are indexed as the program's are, and rows added later
+    follow them. The variables are the structural ones and one slack per
+    constraint, each with a stable label: structural variables first, then
+    slacks in the order their constraints arrived. The tableau is condensed
+    (a dictionary, or Tucker, tableau): one row per basic variable, one
+    column per nonbasic variable, and the basic values in the last column;
+    row ``m`` holds the reduced costs of the maximization. Basic columns,
+    unit vectors in a full tableau, are not stored, so a pivot is a Jordan
+    exchange of one row label with one column label, and added rows never
+    widen the tableau. Bland's rule picks the smallest label.
 
     Args:
         lp: the program to build.
         pivot_tol: pivot and optimality tolerance of both pivot loops.
-        feas_tol: phase-1 infeasibility threshold and the tolerance of the
-            feasibility check in :meth:`outcome`.
-        max_pivots: pivot cap of the cold build and of each
-            :meth:`optimize` call.
+        feas_tol: the tolerance of the feasibility check in :meth:`outcome`,
+            and how far below zero :meth:`optimize` lets a basic value drift
+            when the basis is not dual feasible.
+        max_pivots: pivot cap of each :meth:`optimize` call.
     """
 
     def __init__(
@@ -349,11 +349,9 @@ class Tableau:
         feas_tol=DEFAULT_FEAS_TOL,
         max_pivots=DEFAULT_MAX_PIVOTS,
     ):
-        self.sense = lp.sense
         self.objective = lp.objective
-        self.rows = np.vstack([lp.A_eq, lp.A_ub])
-        self.rhs = np.concatenate([lp.b_eq, lp.b_ub])
-        self._eq = np.arange(self.rhs.size) < lp.b_eq.size
+        self.rows = lp.A_ub.copy()
+        self.rhs = lp.b_ub.copy()
         self.pivot_tol = pivot_tol
         self.feas_tol = feas_tol
         self.max_pivots = max_pivots
@@ -361,118 +359,51 @@ class Tableau:
         self.dual_pivots = 0
         self.refactors = 0
         self.bland_switches = 0
-        self._infeasible = False
-        # The basic solution and its row excesses, until the tableau changes.
-        self._checked = None
-        self._build()
-
-    def _build(self):
-        A = self.rows.copy()
-        b = self.rhs.copy()
-        flip = b < 0
-        A[flip] *= -1.0
-        b[flip] *= -1.0
-
-        m, n = A.shape
-        ineq = np.flatnonzero(~self._eq)
-        surplus = np.flatnonzero(flip & ~self._eq)
-        art = np.flatnonzero(flip | self._eq)
-        a0 = n + ineq.size
-        # Constraint index -> label of its slack, -1 for an equation.
-        slack = np.full(m, -1)
-        slack[ineq] = n + np.arange(ineq.size)
-        basis = slack.copy()
-        basis[art] = a0 + np.arange(art.size)
-        nonbasic = np.concatenate([np.arange(n), slack[surplus]])
-
-        T = np.zeros((m + 1, nonbasic.size + 1))
-        T[:m, :n] = A
-        T[surplus, n + np.arange(surplus.size)] = -1.0
-        T[:m, -1] = b
-        keep = list(range(m))
-
-        if art.size:
-            # Phase 1: maximize -(sum of artificials); feasible iff optimum is 0.
-            counter = _PivotCounter(self.max_pivots)
-            T[m] = -T[art].sum(axis=0)
-            status = _pivot_loop(
-                T, basis, nonbasic, self.pivot_tol, counter, inert_from=a0
-            )
-            if status != "optimal":
-                raise SolverFailure("phase 1 reported unbounded; numerical trouble")
-            self.bland_switches += counter.bland_switches
-            if T[m, -1] < -self.feas_tol:
-                self.primal_pivots += counter.pivots
-                self._infeasible = True
-                return
-
-            # Pivot leftover artificials out of the basis; a row where that
-            # is impossible is redundant and gets dropped.
-            keep = []
-            for i in range(m):
-                if basis[i] >= a0:
-                    nonzero = np.flatnonzero(
-                        (nonbasic < a0) & (np.abs(T[i, :-1]) > self.pivot_tol)
-                    )
-                    if nonzero.size == 0:
-                        continue
-                    col = _smallest_label(nonzero, nonbasic)
-                    _do_pivot(T, basis, nonbasic, i, col)
-                    counter.tick()
-                keep.append(i)
-            self.primal_pivots += counter.pivots
-            cols = np.flatnonzero(nonbasic < a0)
-            T = T[np.ix_(keep + [m], np.append(cols, nonbasic.size))]
-            basis, nonbasic = basis[keep], nonbasic[cols]
-
-        self._T = T
-        self._basis = basis  # label of each row's basic variable
-        self._nonbasic = nonbasic  # label of each column's nonbasic variable
-        self._slack = slack
-        self._next_label = a0
-        # Constraints that have a row in the basis system (phase 1 drops
-        # redundant ones).
-        self._kept = np.zeros(m, dtype=bool)
-        self._kept[keep] = True
+        m, n = self.rows.shape
+        self._T = np.zeros((m + 1, n + 1))
+        self._T[:m, :n] = self.rows
+        self._T[:m, -1] = self.rhs
+        self._slack = n + np.arange(m)  # constraint -> label of its slack
+        self._basis = self._slack.copy()  # label of each row's basic variable
+        self._nonbasic = np.arange(n)  # label of each column's nonbasic variable
+        self._next_label = n + m
         self._set_cost_row()
 
     def _set_cost_row(self):
         """Reduced costs of the current objective in the current basis."""
         T, basis, nonbasic = self._T, self._basis, self._nonbasic
         n = self.objective.size
-        c = self.objective if self.sense == "max" else -self.objective
+        c = self.objective
         basic = np.flatnonzero(basis < n)
         T[-1] = c[basis[basic]] @ T[basic]
         structural = np.flatnonzero(nonbasic < n)
         T[-1, structural] -= c[nonbasic[structural]]
+        # The basic solution and its row excesses, until the tableau changes.
         self._checked = None
 
     def copy(self) -> "Tableau":
         """An independent copy: changing either tableau leaves the other alone."""
         twin = copy.copy(self)
-        for name in ("objective", "rows", "rhs", "_eq"):
+        for name in ("objective", "rows", "rhs", "_T", "_basis", "_nonbasic", "_slack"):
             setattr(twin, name, getattr(self, name).copy())
-        if not self._infeasible:
-            for name in ("_T", "_basis", "_nonbasic", "_slack", "_kept"):
-                setattr(twin, name, getattr(self, name).copy())
         twin._checked = None
         return twin
 
     def basic_slacks(self) -> np.ndarray:
-        """Mask over the constraints: the inequalities whose slack is basic.
+        """Mask over the constraints: those whose slack is basic.
 
         :meth:`remove_rows` removes these without a pivot.
         """
         basic = np.zeros(self._next_label, dtype=bool)
         basic[self._basis] = True
-        return (self._slack >= 0) & basic[self._slack]
+        return basic[self._slack]
 
     def replace_equation(self, row):
         """Swap the row of the one constraint with a nonzero rhs, keeping the basis.
 
         With b the only nonzero rhs, the basic solution solves ``B x_B = b
         e_i``, so it only rescales, by b / s, where s = ``row @ x`` when the
-        constraint binds (an inequality whose slack is basic has x = 0, and
+        constraint binds (a constraint whose slack is basic has x = 0, and
         s = b): the basis stays primal feasible. The basis matrix changes
         in one row, a rank-one update of (rows + 1) x (nonbasic + 1) cells
         with no pivot. :meth:`optimize` then resumes the primal simplex.
@@ -480,10 +411,8 @@ class Tableau:
         Raises:
             LpInputError: not exactly one constraint has a nonzero rhs, or
                 ``row`` is not one entry per variable.
-            SolverFailure: the constraint has no row in the basis system
-                (phase 1 dropped it or found the program infeasible), or
-                s / b is at most ``feas_tol``. The tableau is then left
-                unchanged.
+            SolverFailure: s / b is at most ``feas_tol``. The tableau is
+                then left unchanged.
         """
         n = self.objective.size
         row = np.asarray(row, dtype=float)
@@ -496,8 +425,6 @@ class Tableau:
                 "right-hand side"
             )
         i = int(nonzero[0])
-        if self._infeasible or not self._kept[i]:
-            raise SolverFailure("the constraint has no row in the basis system")
         delta = row - self.rows[i]
         if not delta.any():
             return
@@ -523,15 +450,7 @@ class Tableau:
 
     def program(self) -> LinearProgram:
         """The program the tableau currently holds, in the same constraint order."""
-        eq = self._eq
-        return LinearProgram(
-            self.sense,
-            self.objective,
-            self.rows[~eq],
-            self.rhs[~eq],
-            self.rows[eq],
-            self.rhs[eq],
-        )
+        return LinearProgram(self.objective, self.rows, self.rhs)
 
     def add_rows(self, rows, rhs):
         """Append ``rows @ x <= rhs``; each row enters with its own basic slack.
@@ -541,10 +460,15 @@ class Tableau:
         columns, and the reduced costs are untouched: an optimal basis stays
         dual feasible, and :meth:`optimize` restores primal feasibility by
         the dual simplex.
+
+        Raises:
+            LpInputError: a right-hand side is negative. The tableau is then
+                left unchanged.
         """
         n = self.objective.size
         A = np.asarray(rows, dtype=float).reshape(-1, n)
         rhs = np.asarray(rhs, dtype=float)
+        _check_rhs(rhs)
         k = rhs.size
         T, basis, nonbasic = self._T, self._basis, self._nonbasic
         block = np.zeros((k, T.shape[1]))
@@ -558,14 +482,12 @@ class Tableau:
         self._T = np.vstack([T[:-1], block, T[-1:]])
         self._basis = np.concatenate([basis, labels])
         self._slack = np.concatenate([self._slack, labels])
-        self._kept = np.concatenate([self._kept, np.ones(k, dtype=bool)])
         self.rows = np.vstack([self.rows, A])
         self.rhs = np.concatenate([self.rhs, rhs])
-        self._eq = np.concatenate([self._eq, np.zeros(k, dtype=bool)])
         self._checked = None
 
     def remove_rows(self, indices):
-        """Delete the inequality constraints ``indices``.
+        """Delete the constraints ``indices``.
 
         A constraint whose slack is basic loses its row. One whose slack is
         nonbasic first has its slack pivoted into the basis: the pivot row
@@ -577,15 +499,12 @@ class Tableau:
         as a primal pivot.
 
         Raises:
-            LpInputError: an index names an equation.
             SolverFailure: a nonbasic slack has no pivot in a row that
                 stays. The pivots made before it keep the tableau valid for
                 the program with every row still in it.
         """
         stays = np.ones(self.rhs.size, dtype=bool)
         stays[indices] = False
-        if self._eq[~stays].any():
-            raise LpInputError("only inequality constraints can be removed")
         self._checked = None
         T, basis, nonbasic = self._T, self._basis, self._nonbasic
         labels = self._slack[~stays]
@@ -610,28 +529,24 @@ class Tableau:
         self._T = T[np.append(~going, True)]
         self._basis = basis[~going]
         self._slack = self._slack[stays]
-        self._kept = self._kept[stays]
         self.rows = self.rows[stays]
         self.rhs = self.rhs[stays]
-        self._eq = self._eq[stays]
 
     def refactor(self):
         """Recompute the tableau from the rows in the current basis.
 
         Sheds the round-off that pivots accumulate in a long-lived tableau.
         """
-        basis, nonbasic, kept = self._basis, self._nonbasic, self._kept
+        basis, nonbasic = self._basis, self._nonbasic
         labels = np.concatenate([basis, nonbasic])
-        # The kept constraints as [basic columns | nonbasic columns | rhs].
+        # The constraints as [basic columns | nonbasic columns | rhs].
         M = np.zeros((basis.size, labels.size + 1))
         structural = np.flatnonzero(labels < self.objective.size)
-        M[:, structural] = self.rows[kept][:, labels[structural]]
+        M[:, structural] = self.rows[:, labels[structural]]
         column_of = np.full(self._next_label, -1)
         column_of[labels] = np.arange(labels.size)
-        slack = self._slack[kept]
-        has = np.flatnonzero(slack >= 0)
-        M[has, column_of[slack[has]]] = 1.0
-        M[:, -1] = self.rhs[kept]
+        M[np.arange(basis.size), column_of[self._slack]] = 1.0
+        M[:, -1] = self.rhs
         try:
             self._T[:-1] = np.linalg.solve(M[:, : basis.size], M[:, basis.size :])
         except np.linalg.LinAlgError:
@@ -639,7 +554,7 @@ class Tableau:
         self._set_cost_row()
 
     def set_objective(self, objective):
-        """Switch to ``objective`` (same sense) from the current basis."""
+        """Switch to ``objective`` from the current basis."""
         objective = np.asarray(objective, dtype=float)
         if objective.shape != self.objective.shape:
             raise LpInputError("objective must keep the number of variables")
@@ -657,11 +572,10 @@ class Tableau:
         ``_DRIFT_TOL`` is refactored from the rows and re-optimized once.
 
         Raises:
-            SolverFailure: pivot cap exceeded, or the basis is neither
-                primal nor dual feasible (rebuild the tableau cold).
+            SolverFailure: pivot cap exceeded, or round-off left the basis
+                neither primal nor dual feasible, or left the dual simplex no
+                entering column (rebuild the tableau cold).
         """
-        if self._infeasible:
-            return LpStatus.INFEASIBLE
         counter = _PivotCounter(self.max_pivots)
         status = self._optimize(counter)
         if status is LpStatus.OPTIMAL and self._residual() > _DRIFT_TOL:
@@ -683,7 +597,7 @@ class Tableau:
         """
         if self._checked is None:
             x = self._solution()
-            self._checked = (x, _excess(self.rows, self._eq, self.rhs, x))
+            self._checked = (x, _excess(self.rows, self.rhs, x))
         return self._checked
 
     def _solution(self):
@@ -703,10 +617,8 @@ class Tableau:
                     raise SolverFailure("basis is neither primal nor dual feasible")
             else:
                 before = counter.pivots
-                status = _dual_loop(T, basis, nonbasic, tol, counter)
+                _dual_loop(T, basis, nonbasic, tol, counter)
                 self.dual_pivots += counter.pivots - before
-                if status == "infeasible":
-                    return LpStatus.INFEASIBLE
         before = counter.pivots
         status = _pivot_loop(T, basis, nonbasic, tol, counter)
         self.primal_pivots += counter.pivots - before
@@ -722,53 +634,41 @@ class Tableau:
                 constraint by more than ``feas_tol``.
         """
         x, excess = self._check()
-        _verify(self._eq, x, excess, self.feas_tol)
+        _verify(x, excess, self.feas_tol)
         x = np.where(x < 0.0, 0.0, x)  # verified within tolerance
         value = float(self.objective @ x)
         x.setflags(write=False)
         return LpOutcome(status=LpStatus.OPTIMAL, value=value, assignment=x)
 
 
-def solve(
-    lp: LinearProgram,
-    *,
-    pivot_tol: float = DEFAULT_PIVOT_TOL,
-    feas_tol: float = DEFAULT_FEAS_TOL,
-    max_pivots: int = DEFAULT_MAX_PIVOTS,
-) -> LpOutcome:
-    """Solve ``lp`` by two-phase dense tableau simplex.
+def solve(lp: LinearProgram) -> LpOutcome:
+    """Solve ``lp`` by the dense tableau simplex, from the slack basis.
 
     Returns:
-        LpOutcome with status Optimal (value and assignment set), Infeasible,
-        or Unbounded. Same input bits always produce the same output bits.
+        LpOutcome with status Optimal (value and assignment set) or
+        Unbounded. Same input bits always produce the same output bits.
 
     Raises:
-        SolverFailure: pivot cap exceeded or the computed assignment fails
-            feasibility verification. Distinct from an Infeasible outcome.
+        SolverFailure: pivot cap exceeded, round-off, or the computed
+            assignment fails feasibility verification.
     """
-    tableau = Tableau(
-        lp, pivot_tol=pivot_tol, feas_tol=feas_tol, max_pivots=max_pivots
-    )
+    tableau = Tableau(lp)
     status = tableau.optimize()
     if status is not LpStatus.OPTIMAL:
         return LpOutcome(status=status)
     return tableau.outcome()
 
 
-def _excess(rows, eq, rhs, x):
+def _excess(rows, rhs, x):
     """By how much ``x`` violates each row (negative where it holds strictly)."""
-    err = rows @ x - rhs
-    return np.where(eq, np.abs(err), err)
+    return rows @ x - rhs
 
 
-def _verify(eq, x, excess, feas_tol):
+def _verify(x, excess, feas_tol):
     """Raise unless ``x``, whose row violations are ``excess``, is feasible."""
     if (x < -feas_tol).any():
         raise SolverFailure("assignment violates nonnegativity beyond tolerance")
     bad = np.flatnonzero(excess > feas_tol)
     if bad.size:
         i = int(bad[0])
-        raise SolverFailure(
-            f"assignment violates constraint {i} ({'=' if eq[i] else '<='}) "
-            f"by {excess[i]:.3e}"
-        )
+        raise SolverFailure(f"assignment violates constraint {i} by {excess[i]:.3e}")

@@ -111,7 +111,13 @@ class _Checks:
 
 
 def run_claim(claim_id: str, seed: int = 42, trials: int | None = None, eps: float = 1e-4):
-    """Run one reproduction experiment; returns its JSON-ready report dict."""
+    """Run one reproduction experiment; returns its JSON-ready report dict.
+
+    Raises:
+        ValueError: ``claim_id`` is unknown, or ``eps`` is not positive and
+            finite (only ``optimality-suite`` uses it, but every claim
+            records it).
+    """
     runners = {
         "warmup": _claim_warmup,
         "example1": _claim_example1,
@@ -126,6 +132,8 @@ def run_claim(claim_id: str, seed: int = 42, trials: int | None = None, eps: flo
     }
     if claim_id not in runners:
         raise ValueError(f"unknown claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     report = runners[claim_id](seed=seed, trials=trials, eps=eps)
     report["seed"] = seed
     return report

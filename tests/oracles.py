@@ -14,29 +14,41 @@ import numpy as np
 
 
 def point_is_feasible(lp, x, tol=1e-9):
+    """Whether ``x >= 0`` and ``lp.A_ub @ x <= lp.b_ub``, within ``tol``."""
+    return _feasible(x, lp.A_ub, lp.b_ub, (), (), tol)
+
+
+def _feasible(x, A_ub, b_ub, A_eq, b_eq, tol):
     if (np.asarray(x) < -tol).any():
         return False
-    for row, b in zip(lp.A_ub, lp.b_ub):
-        if row @ x - b > tol:
+    for row, b in zip(A_ub, b_ub):
+        if np.asarray(row) @ x - b > tol:
             return False
-    for row, b in zip(lp.A_eq, lp.b_eq):
-        if abs(row @ x - b) > tol:
+    for row, b in zip(A_eq, b_eq):
+        if abs(np.asarray(row) @ x - b) > tol:
             return False
     return True
 
 
-def brute_force_lp_best(lp, tol=1e-9):
-    """Best objective over all basic feasible points of ``lp``.
+def brute_force_lp_best(
+    objective, A_ub, b_ub, A_eq=(), b_eq=(), sense="max", tol=1e-9
+):
+    """Best objective over all basic feasible points of a program.
 
-    Intersects every size-``num_vars`` subset of constraint hyperplanes
-    (the bounds ``x >= 0`` included), keeps the feasible ones, and takes the
-    best objective. Returns ``(value, point)`` or ``(None, None)`` when no
-    basic feasible point exists.
+    The program optimizes (``sense`` is ``"max"`` or ``"min"``)
+    ``objective @ x`` over ``x >= 0``, ``A_ub @ x <= b_ub`` and
+    ``A_eq @ x = b_eq``, given as plain arrays, so that a program
+    ``linprog`` cannot state can still serve as a reference. Intersects every
+    size-``n`` subset of constraint hyperplanes (the bounds ``x >= 0``
+    included), keeps the feasible ones, and takes the best objective.
+    Returns ``(value, point)`` or ``(None, None)`` when no basic feasible
+    point exists.
     """
-    n = lp.num_vars
+    objective = np.asarray(objective, dtype=float)
+    n = objective.size
     planes = [
-        (np.asarray(row), float(b))
-        for A, rhs in ((lp.A_eq, lp.b_eq), (lp.A_ub, lp.b_ub))
+        (np.asarray(row, dtype=float), float(b))
+        for A, rhs in ((A_eq, b_eq), (A_ub, b_ub))
         for row, b in zip(A, rhs)
     ]
     for i in range(n):
@@ -51,10 +63,10 @@ def brute_force_lp_best(lp, tol=1e-9):
         if abs(np.linalg.det(A)) < 1e-12:
             continue
         x = np.linalg.solve(A, b)
-        if not point_is_feasible(lp, x, tol):
+        if not _feasible(x, A_ub, b_ub, A_eq, b_eq, tol):
             continue
-        val = float(lp.objective @ x)
-        if best_val is None or (val > best_val if lp.sense == "max" else val < best_val):
+        val = float(objective @ x)
+        if best_val is None or (val > best_val if sense == "max" else val < best_val):
             best_val, best_x = val, x
     return best_val, best_x
 
@@ -161,16 +173,17 @@ def _dual_loop(T, basis, tol):
         if bland:
             negative = np.flatnonzero(values < -tol)
             if negative.size == 0:
-                return "optimal"
+                return
             row = int(negative[np.argmin(basis[negative])])
         else:
             row = int(np.argmin(values))
             if values[row] >= -tol:
-                return "optimal"
+                return
         row_vals = T[row, :-1]
         cols = np.flatnonzero(row_vals < -tol)
-        if cols.size == 0:
-            return "infeasible"
+        # A row without a column would prove the program infeasible; x = 0
+        # is feasible.
+        assert cols.size, "dual simplex row without an entering column"
         ratios = np.maximum(T[m, cols], 0.0) / -row_vals[cols]
         ties = cols[ratios <= ratios.min() + tol]
         col = int(ties[0]) if bland else int(ties[np.argmax(np.abs(row_vals[ties]))])
@@ -185,78 +198,33 @@ def _dual_loop(T, basis, tol):
 class FullTableau:
     """Live simplex tableau that keeps a column for every variable.
 
-    One column per structural variable and per slack, basic ones included;
-    phase-1 artificial columns live until phase 1 ends. Constraints are
-    indexed equations first, as in ``linprog.Tableau``; a row whose rhs is
-    negative is negated into a ``>=`` row with a surplus column. Supports
-    the same warm operations as ``linprog.Tableau`` and
-    answers with plain strings: ``optimize()`` returns ``"optimal"``,
-    ``"infeasible"`` or ``"unbounded"``, and ``solution()`` the basic point.
+    One column per structural variable and per slack, basic ones included.
+    The program is ``linprog``'s one form, ``max`` over ``<=`` rows with a
+    nonnegative rhs, so the tableau starts at the slack basis. Supports the
+    same warm operations as ``linprog.Tableau`` and answers with plain
+    strings: ``optimize()`` returns ``"optimal"`` or ``"unbounded"``, and
+    ``solution()`` the basic point.
     """
 
-    def __init__(self, lp, tol=1e-9, feas_tol=1e-7):
-        self.sense = lp.sense
+    def __init__(self, lp, tol=1e-9):
         self.objective = np.array(lp.objective, dtype=float)
-        self.rows = np.vstack([lp.A_eq, lp.A_ub])
-        self.rhs = np.concatenate([lp.b_eq, lp.b_ub])
-        # Sign of each row's slack: 0 for an equation, 1 for a <= row.
-        self.sign = np.concatenate([np.zeros(lp.b_eq.size), np.ones(lp.b_ub.size)])
-        self.n_struct = lp.num_vars
+        self.rows = np.array(lp.A_ub, dtype=float)
+        self.rhs = np.array(lp.b_ub, dtype=float)
+        m, n = self.rows.shape
+        self.n_struct = n
         self.tol = tol
-        self.infeasible = False
-        self._build(feas_tol)
-
-    def _build(self, feas_tol):
-        A = self.rows.copy()
-        b = self.rhs.copy()
-        sign = self.sign.copy()
-        flip = b < 0
-        A[flip] *= -1.0
-        b[flip] *= -1.0
-        sign[flip] *= -1.0
-        m, n_struct = A.shape
-        ineq = np.flatnonzero(sign != 0.0)
-        art = np.flatnonzero(sign != 1.0)
-        a0 = n_struct + ineq.size
-        n_total = a0 + art.size
-        T = np.zeros((m + 1, n_total + 1))
-        T[:m, :n_struct] = A
-        T[:m, -1] = b
-        slack = np.full(m, -1)
-        slack[ineq] = n_struct + np.arange(ineq.size)
-        T[ineq, slack[ineq]] = sign[ineq]
-        basis = slack.copy()
-        basis[art] = a0 + np.arange(art.size)
-        T[art, basis[art]] = 1.0
-        keep = list(range(m))
-        if art.size:
-            T[m, a0:n_total] = 1.0
-            T[m, :] -= T[art].sum(axis=0)
-            _pivot_loop(T, basis, self.tol)
-            if T[m, -1] < -feas_tol:
-                self.infeasible = True
-                return
-            keep = []
-            for i in range(m):
-                if basis[i] >= a0:
-                    nonzero = np.flatnonzero(np.abs(T[i, :a0]) > self.tol)
-                    if nonzero.size == 0:
-                        continue
-                    _do_pivot(T, i, int(nonzero[0]))
-                    basis[i] = int(nonzero[0])
-                keep.append(i)
-            T = T[np.ix_(keep + [m], list(range(a0)) + [n_total])]
-            basis = basis[keep]
-        self.T, self.basis, self.slack = T, basis, slack
-        self.kept = np.zeros(m, dtype=bool)
-        self.kept[keep] = True
+        self.T = np.zeros((m + 1, n + m + 1))
+        self.T[:m, :n] = self.rows
+        self.T[:m, n : n + m] = np.eye(m)
+        self.T[:m, -1] = self.rhs
+        self.basis = n + np.arange(m)
+        self.slack = self.basis.copy()
         self._set_cost_row()
 
     def _set_cost_row(self):
         T, basis = self.T, self.basis
         c = np.zeros(T.shape[1] - 1)
-        n = self.objective.size
-        c[:n] = self.objective if self.sense == "max" else -self.objective
+        c[: self.objective.size] = self.objective
         T[-1, :-1] = -c
         T[-1, -1] = 0.0
         T[-1, :] += c[basis] @ T[:-1, :]
@@ -284,10 +252,8 @@ class FullTableau:
         self.T = new
         self.basis = np.concatenate([basis, width + np.arange(k)])
         self.slack = np.concatenate([self.slack, width + np.arange(k)])
-        self.kept = np.concatenate([self.kept, np.ones(k, dtype=bool)])
         self.rows = np.vstack([self.rows, rows])
         self.rhs = np.concatenate([self.rhs, rhs])
-        self.sign = np.concatenate([self.sign, np.ones(k)])
 
     def remove_rows(self, indices):
         """Delete those constraints ``indices`` whose slack is basic; their mask."""
@@ -306,22 +272,17 @@ class FullTableau:
         renumber = np.cumsum(keep_cols[:-1]) - 1
         self.T = T[np.ix_(keep_rows, keep_cols)]
         self.basis = renumber[basis[keep_rows[:-1]]]
-        slack = np.delete(self.slack, indices)
-        self.slack = np.where(slack >= 0, renumber[slack], -1)
-        self.kept = np.delete(self.kept, indices)
+        self.slack = renumber[np.delete(self.slack, indices)]
         self.rows = np.delete(self.rows, indices, axis=0)
         self.rhs = np.delete(self.rhs, indices)
-        self.sign = np.delete(self.sign, indices)
         return removed
 
     def refactor(self):
-        T, basis, kept = self.T, self.basis, self.kept
-        M = np.zeros((int(kept.sum()), T.shape[1]))
-        M[:, : self.n_struct] = self.rows[kept]
-        M[:, -1] = self.rhs[kept]
-        slack = self.slack[kept]
-        has = np.flatnonzero(slack >= 0)
-        M[has, slack[has]] = self.sign[kept][has]
+        T, basis = self.T, self.basis
+        M = np.zeros((self.rhs.size, T.shape[1]))
+        M[:, : self.n_struct] = self.rows
+        M[:, -1] = self.rhs
+        M[np.arange(self.rhs.size), self.slack] = 1.0
         T[:-1] = np.linalg.solve(M[:, basis], M)
         T[:-1, basis] = np.eye(basis.size)
         self._set_cost_row()
@@ -331,12 +292,9 @@ class FullTableau:
         self._set_cost_row()
 
     def optimize(self):
-        if self.infeasible:
-            return "infeasible"
         T, basis = self.T, self.basis
         if T[:-1, -1].min(initial=0.0) < -self.tol:
-            if _dual_loop(T, basis, self.tol) == "infeasible":
-                return "infeasible"
+            _dual_loop(T, basis, self.tol)
         return _pivot_loop(T, basis, self.tol)
 
     def solution(self):

@@ -234,6 +234,14 @@ def test_opt_rand_rejects_an_eps_that_is_not_positive_and_finite(
     assert capsys.readouterr().err.startswith("error: eps")
 
 
+@pytest.mark.parametrize("eps", ["nan", "-1"])
+def test_reproduce_rejects_an_eps_that_is_not_positive_and_finite(capsys, eps):
+    # Only optimality-suite uses eps, but every claim records it in its config.
+    code = main(["reproduce", "warmup", "--eps", eps])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: eps")
+
+
 def test_lp_reports_carry_solver_stats(warmup_file, capsys):
     for argv in (
         ["distortion", "--rule", "copeland"],

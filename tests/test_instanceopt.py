@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from metricdist import instanceopt
-from metricdist.distortion import (
-    SOLVER_STATS,
-    build_full_lp,
-    dist_det,
-    dist_rand,
-    fairness_det,
-)
+from metricdist.distortion import SOLVER_STATS, dist_det, dist_rand
 from metricdist.instanceopt import (
     CuttingPlaneState,
     _lottery_game,
@@ -19,7 +13,6 @@ from metricdist.instanceopt import (
     opt_rand,
     separation_oracle,
 )
-from metricdist.linprog import LinearProgram, LpStatus, solve
 from metricdist.profiles import (
     PreferenceProfile,
     parse_profile,
@@ -28,6 +21,8 @@ from metricdist.profiles import (
     warmup_instance,
 )
 from metricdist.rules import randomized_dictatorship, ranked_pairs
+
+from oracles import brute_force_lp_best
 
 UNANIMOUS = PreferenceProfile([[1, 0, 2]] * 3)
 
@@ -260,47 +255,14 @@ def test_lottery_game_matches_the_epigraph_program():
         objective = np.zeros(k + 1)
         objective[k] = 1.0
         simplex_row = np.concatenate([np.ones(k), [0.0]])
-        epigraph = LinearProgram(
-            "min", objective, A_ub, np.zeros(rows), A_eq=[simplex_row], b_eq=[1.0]
+        reference, _ = brute_force_lp_best(
+            objective, A_ub, np.zeros(rows), [simplex_row], [1.0], sense="min"
         )
-        reference = solve(epigraph)
-        assert reference.status is LpStatus.OPTIMAL
+        assert reference is not None
 
         x, value = _lottery_game(payoffs, columns)
-        assert value == pytest.approx(reference.value, rel=1e-12)
+        assert value == pytest.approx(reference, rel=1e-12)
         assert (x >= 0).all() and x.sum() == pytest.approx(1.0, rel=1e-12)
         off = np.setdiff1d(np.arange(m), columns)
         assert (x[off] == 0.0).all()
         assert (payoffs @ x).max() == pytest.approx(value, rel=1e-12)
-
-
-def test_src_builds_only_programs_without_phase_1(monkeypatch):
-    # Every program the package builds is "max" over "<=" rows with a
-    # nonnegative rhs, so the slack basis starts every solve.
-    built = []
-    init = LinearProgram.__init__
-
-    def record(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(LinearProgram, "__init__", record)
-    # The profile drawn at seed 23 blocks alternative 0 in the master. Both
-    # profiles are fresh, so the solver builds its first tableau cold.
-    blocking = random_profile(3, 4, np.random.default_rng(23))
-    for profile in (warmup_instance().profile, blocking):
-        det = opt_det(profile)
-        master = opt_rand(profile)
-        opt_rand(profile, binary_search=True)
-        candidate_response_value(profile, matrix=det.matrix)
-        candidate_response_value(PreferenceProfile(profile.rankings))
-        fairness_det(det.winner, profile)
-        dist_rand(master.x, profile)
-        build_full_lp(det.winner, (det.winner + 1) % profile.num_alternatives, profile)
-        if profile is blocking:
-            assert master.state.blocked_columns == {0}
-    assert built
-    for lp in built:
-        assert lp.b_eq.size == 0
-        assert (lp.b_ub >= 0).all()
-        assert lp.sense == "max"

@@ -15,31 +15,16 @@ from oracles import FullTableau, brute_force_lp_best, point_is_feasible
 
 
 def test_single_variable_box():
-    lp = LinearProgram("max", [1.0], [[1.0]], [1.0])
+    lp = LinearProgram([1.0], [[1.0]], [1.0])
     out = solve(lp)
     assert out.status is LpStatus.OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-9)
     assert out.assignment[0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_empty_region_is_infeasible():
-    lp = LinearProgram("max", [1.0], [[1.0]], [-1.0])
-    assert solve(lp).status is LpStatus.INFEASIBLE
-
-
 def test_unbounded():
-    lp = LinearProgram("max", [1.0], [[-1.0]], [1.0])
+    lp = LinearProgram([1.0], [[-1.0]], [1.0])
     assert solve(lp).status is LpStatus.UNBOUNDED
-
-
-def test_min_sense_and_equality():
-    # min x+y s.t. x+y=2, x-y<=0 -> value 2
-    lp = LinearProgram(
-        "min", [1.0, 1.0], [[1.0, -1.0]], [0.0], A_eq=[[1.0, 1.0]], b_eq=[2.0]
-    )
-    out = solve(lp)
-    assert out.status is LpStatus.OPTIMAL
-    assert out.value == pytest.approx(2.0, abs=1e-9)
 
 
 def test_length_mismatch_is_input_error_not_infeasible():
@@ -47,35 +32,38 @@ def test_length_mismatch_is_input_error_not_infeasible():
         ([1.0, 2.0], {"A_ub": [[1.0]], "b_ub": [1.0]}),  # wrong column count
         ([1.0], {"A_ub": [[1.0], [2.0]], "b_ub": [1.0]}),  # A_ub and b_ub lengths
         ([1.0], {"A_ub": [1.0], "b_ub": [1.0]}),  # A_ub not 2-d
-        ([1.0], {"A_eq": [[1.0]]}),  # A_eq without b_eq
+        ([1.0], {"A_ub": [[1.0]]}),  # A_ub without b_ub
         ([np.inf], {"A_ub": [[1.0]], "b_ub": [1.0]}),
-        ([1.0], {"A_eq": [[np.nan]], "b_eq": [1.0]}),  # a non-finite entry
+        ([1.0], {"A_ub": [[np.nan]], "b_ub": [1.0]}),  # a non-finite entry
+        ([1.0], {"A_ub": [[1.0]], "b_ub": [-1.0]}),  # x = 0 infeasible
     ]:
         with pytest.raises(LpInputError):
-            LinearProgram("max", objective, **blocks)
+            LinearProgram(objective, **blocks)
+
+
+# Beale's classic degenerate instance, on which naive Dantzig pivoting can
+# cycle; its minimization is written as the max of the negated objective.
+BEALE = LinearProgram(
+    [0.75, -150.0, 0.02, -6.0],
+    [
+        [0.25, -60.0, -0.04, 9.0],
+        [0.5, -90.0, -0.02, 3.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ],
+    [0.0, 0.0, 1.0],
+)
 
 
 def test_beale_cycling_instance_terminates():
-    # Classic degenerate instance on which naive Dantzig pivoting can cycle.
-    lp = LinearProgram(
-        "min",
-        [-0.75, 150.0, -0.02, 6.0],
-        [
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ],
-        [0.0, 0.0, 1.0],
-    )
-    out = solve(lp)
+    out = solve(BEALE)
     assert out.status is LpStatus.OPTIMAL
-    assert out.value == pytest.approx(-0.05, abs=1e-9)
+    assert out.value == pytest.approx(0.05, abs=1e-9)
 
 
 def test_pivot_cap_raises_distinct_error():
-    lp = LinearProgram("max", [1.0], [[1.0]], [1.0])
+    lp = LinearProgram([1.0], [[1.0]], [1.0])
     with pytest.raises(SolverFailure):
-        solve(lp, max_pivots=0)
+        Tableau(lp, max_pivots=0).optimize()
 
 
 def test_objective_scaling():
@@ -83,10 +71,7 @@ def test_objective_scaling():
     for _ in range(25):
         lp = _random_lp(rng)
         out = solve(lp)
-        scaled = LinearProgram(
-            lp.sense, 3.7 * lp.objective, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq
-        )
-        out_s = solve(scaled)
+        out_s = solve(LinearProgram(3.7 * lp.objective, lp.A_ub, lp.b_ub))
         assert out_s.status is out.status
         if out.status is LpStatus.OPTIMAL:
             assert out_s.value == pytest.approx(3.7 * out.value, abs=1e-6, rel=1e-9)
@@ -104,35 +89,16 @@ def test_determinism_same_bits():
 
 
 def _random_lp(rng, max_vars=4, max_cons=6):
-    """A random program with ``=`` rows and ``<=`` rows of either rhs sign.
+    """A random ``max`` program over ``<=`` rows with a nonnegative rhs.
 
-    A ``>=`` row is drawn as often as an ``=`` row and enters negated, so
-    phase 1's surplus and artificial variables are exercised.
+    Coefficients of both signs leave some of them unbounded.
     """
     n = int(rng.integers(1, max_vars + 1))
     m = int(rng.integers(1, max_cons + 1))
     objective = rng.integers(-3, 4, size=n).astype(float)
-    A_ub, b_ub, A_eq, b_eq = [], [], [], []
-    for _ in range(m):
-        coeffs = rng.integers(-3, 4, size=n).astype(float)
-        rel = rng.choice(["<=", "<=", "<=", ">=", "="])
-        rhs = float(rng.integers(-3, 6))
-        if rel == "=":
-            A_eq.append(coeffs)
-            b_eq.append(rhs)
-        else:
-            sign = 1.0 if rel == "<=" else -1.0
-            A_ub.append(sign * coeffs)
-            b_ub.append(sign * rhs)
-    sense = "max" if rng.random() < 0.5 else "min"
-    return LinearProgram(
-        sense,
-        objective,
-        np.reshape(A_ub, (-1, n)),
-        b_ub,
-        np.reshape(A_eq, (-1, n)),
-        b_eq,
-    )
+    A_ub = rng.integers(-3, 4, size=(m, n)).astype(float)
+    b_ub = rng.integers(0, 6, size=m).astype(float)
+    return LinearProgram(objective, A_ub, b_ub)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -147,22 +113,15 @@ def test_agrees_with_basic_feasible_point_oracle(seed):
 
 def _check_against_oracle(lp):
     out = solve(lp)
-    oracle_val, _ = brute_force_lp_best(lp)
-    if out.status is LpStatus.INFEASIBLE:
-        assert oracle_val is None
-    elif out.status is LpStatus.OPTIMAL:
-        assert oracle_val is not None
+    oracle_val, _ = brute_force_lp_best(lp.objective, lp.A_ub, lp.b_ub)
+    assert oracle_val is not None  # x = 0 is a basic feasible point
+    if out.status is LpStatus.OPTIMAL:
         assert out.value == pytest.approx(oracle_val, abs=1e-6)
         assert point_is_feasible(lp, out.assignment, tol=1e-7)
         assert lp.objective @ out.assignment == pytest.approx(out.value, abs=1e-8)
     else:
-        # Unbounded: region is nonempty and boxing it ever larger keeps
-        # improving the optimum.
-        assert oracle_val is not None
-        v1 = _boxed_value(lp, 1e3)
-        v2 = _boxed_value(lp, 1e5)
-        better = v2 > v1 + 1.0 if lp.sense == "max" else v2 < v1 - 1.0
-        assert better
+        # Unbounded: boxing the region ever larger keeps improving the optimum.
+        assert _boxed_value(lp, 1e5) > _boxed_value(lp, 1e3) + 1.0
 
 
 def _boxed_value(lp, bound):
@@ -173,14 +132,12 @@ def _boxed_value(lp, bound):
 
 
 def test_dump_text_roundtrip_shape():
-    lp = LinearProgram(
-        "max", [1.0, -2.0], [[1.0, 1.0]], [3.0], A_eq=[[1.0, 0.0]], b_eq=[0.5]
-    )
+    lp = LinearProgram([1.0, -2.0], [[1.0, 1.0], [1.0, 0.0]], [3.0, 0.5])
     text = lp.dump_text()
     lines = text.strip().split("\n")
-    assert lines[0].startswith("max ")
-    assert lines[1] == "1.0 0.0 = 0.5"  # equations first
-    assert lines[2] == "1.0 1.0 <= 3.0"  # plain numbers, not numpy reprs
+    assert lines[0] == "max 1.0 -2.0"
+    assert lines[1] == "1.0 1.0 <= 3.0"  # plain numbers, not numpy reprs
+    assert lines[2] == "1.0 0.0 <= 0.5"
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +147,7 @@ def test_dump_text_roundtrip_shape():
 def _with_rows(lp, rows, rhs):
     """``lp`` with the rows ``rows @ x <= rhs`` appended."""
     return LinearProgram(
-        lp.sense,
-        lp.objective,
-        np.vstack([lp.A_ub, rows]),
-        np.concatenate([lp.b_ub, rhs]),
-        lp.A_eq,
-        lp.b_eq,
+        lp.objective, np.vstack([lp.A_ub, rows]), np.concatenate([lp.b_ub, rhs])
     )
 
 
@@ -228,7 +180,7 @@ def test_added_rows_reoptimize_by_dual_simplex():
         for _ in range(3):
             k = int(rng.integers(1, 4))
             rows = rng.integers(-3, 4, size=(k, lp.num_vars)).astype(float)
-            rhs = rng.integers(-1, 6, size=k).astype(float)
+            rhs = rng.integers(0, 6, size=k).astype(float)
             tableau.add_rows(rows, rhs)
             full = _with_rows(full, rows, rhs)
             before = tableau.dual_pivots
@@ -239,13 +191,15 @@ def test_added_rows_reoptimize_by_dual_simplex():
     assert dual_pivots > 0
 
 
-def test_added_row_can_make_the_program_infeasible():
-    lp = LinearProgram("max", [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 3.0])
+def test_added_row_with_a_negative_rhs_is_an_input_error():
+    lp = LinearProgram([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 3.0])
     tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
-    tableau.add_rows([[-1.0, -1.0]], [-6.0])  # x + y >= 6, beyond the box
-    assert tableau.optimize() is LpStatus.INFEASIBLE
-    assert solve(_with_rows(lp, [[-1.0, -1.0]], [-6.0])).status is LpStatus.INFEASIBLE
+    with pytest.raises(LpInputError, match="nonnegative"):
+        tableau.add_rows([[-1.0, -1.0]], [-6.0])  # x + y >= 6: x = 0 infeasible
+    assert tableau.rhs.size == 2
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.outcome().value == pytest.approx(5.0, abs=1e-12)
 
 
 def test_objective_switch_resumes_from_warm_basis():
@@ -255,15 +209,12 @@ def test_objective_switch_resumes_from_warm_basis():
         assert tableau.optimize() is LpStatus.OPTIMAL
         objective = rng.integers(-3, 4, size=lp.num_vars).astype(float)
         tableau.set_objective(objective)
-        switched = LinearProgram(
-            lp.sense, objective, lp.A_ub, lp.b_ub, lp.A_eq, lp.b_eq
-        )
-        _assert_matches_cold(tableau, switched)
+        _assert_matches_cold(tableau, LinearProgram(objective, lp.A_ub, lp.b_ub))
 
 
 def test_removed_slack_basic_rows_keep_the_optimum():
     lp = LinearProgram(
-        "max", [1.0, 2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [4.0, 10.0, 3.0]
+        [1.0, 2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [4.0, 10.0, 3.0]
     )
     tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
@@ -278,7 +229,7 @@ def test_removed_slack_basic_rows_keep_the_optimum():
 
 def test_removed_binding_row_pivots_its_slack_in_first():
     lp = LinearProgram(
-        "max", [1.0, 2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [4.0, 10.0, 3.0]
+        [1.0, 2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [4.0, 10.0, 3.0]
     )
     tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
@@ -290,16 +241,8 @@ def test_removed_binding_row_pivots_its_slack_in_first():
     assert tableau.outcome().value == pytest.approx(8.0, abs=1e-12)
 
 
-def test_remove_rows_refuses_equations():
-    lp = LinearProgram("max", [1.0, 1.0], [[1.0, 0.0]], [1.0], [[1.0, 1.0]], [2.0])
-    tableau = Tableau(lp)
-    assert tableau.optimize() is LpStatus.OPTIMAL
-    with pytest.raises(LpInputError, match="only inequality"):
-        tableau.remove_rows([0])
-
-
 def test_slack_without_a_pivot_raises_and_keeps_every_row():
-    lp = LinearProgram("max", [1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], [4.0, 3.0])
+    lp = LinearProgram([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], [4.0, 3.0])
     tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
     # Both slacks are nonbasic at (1, 3); a pivot tolerance above every
@@ -324,6 +267,9 @@ def test_warm_sequence_repeats_bit_for_bit():
                 rng.integers(-3, 4, size=(2, lp.num_vars)).astype(float),
                 rng.integers(0, 6, size=2).astype(float),
             )
+            # Rows first, by the dual simplex: a basis that is neither primal
+            # nor dual feasible is refused.
+            tableau.optimize()
             tableau.set_objective(rng.integers(-3, 4, size=lp.num_vars).astype(float))
             if tableau.optimize() is LpStatus.OPTIMAL:
                 out = tableau.outcome()
@@ -335,19 +281,9 @@ def test_warm_sequence_repeats_bit_for_bit():
 
 def test_refactor_keeps_the_optimum():
     rng = np.random.default_rng(53)
-    # Phase 1 drops one of the two copies of x + y = 2 as redundant.
-    redundant = LinearProgram(
-        "max",
-        [1.0, 2.0],
-        [[0.0, 1.0]],
-        [1.5],
-        A_eq=[[1.0, 1.0], [2.0, 2.0]],
-        b_eq=[2.0, 4.0],
-    )
-    for lp in [redundant] + _optimal_random_lps(rng, 40):
+    for lp in _optimal_random_lps(rng, 40):
         tableau = Tableau(lp)
-        if tableau.optimize() is not LpStatus.OPTIMAL:
-            continue
+        assert tableau.optimize() is LpStatus.OPTIMAL
         before = tableau.outcome()
         tableau.refactor()
         assert tableau.optimize() is LpStatus.OPTIMAL
@@ -385,13 +321,11 @@ def test_condensed_tableau_matches_full_width_reference(seed):
             if step == 0:
                 k = int(rng.integers(1, 4))
                 rows = rng.integers(-3, 4, size=(k, lp.num_vars)).astype(float)
-                rhs = rng.integers(-1, 6, size=k).astype(float)
+                rhs = rng.integers(0, 6, size=k).astype(float)
                 tableau.add_rows(rows, rhs)
                 reference.add_rows(rows, rhs)
             elif step == 1:
-                count = tableau.rhs.size
-                ineq = np.arange(lp.b_eq.size, count)
-                indices = ineq[rng.random(ineq.size) < 0.5]
+                indices = np.flatnonzero(rng.random(tableau.rhs.size) < 0.5)
                 tableau.remove_rows(indices)
                 if not reference.remove_rows(indices).all():
                     # The reference refuses rows whose slack is nonbasic, and
@@ -411,37 +345,24 @@ def test_condensed_tableau_matches_full_width_reference(seed):
 
 def test_added_rows_keep_one_column_per_nonbasic_variable():
     lp = LinearProgram(
-        "max",
         [1.0, 1.0, 0.0],
-        [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]],
-        [4.0, 3.0],
-        A_eq=[[1.0, -1.0, 0.0]],
-        b_eq=[0.0],
+        [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [1.0, -1.0, 0.0]],
+        [4.0, 3.0, 0.0],
     )
     tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
     tableau.add_rows([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 1.0])
     assert tableau.optimize() is LpStatus.OPTIMAL
     assert tableau.outcome().value == pytest.approx(2.0, abs=1e-12)
-    # 3 structural variables and 4 slacks, 5 of them basic (one per row).
-    assert tableau._T.shape == (5 + 1, 7 - 5 + 1)
+    # 3 structural variables and 5 slacks, 5 of them basic (one per row).
+    assert tableau._T.shape == (5 + 1, 8 - 5 + 1)
 
 
 def test_stalled_loop_switches_to_bland_and_counts_it(monkeypatch):
     monkeypatch.setattr(linprog, "_STALL_LIMIT", 1)
-    lp = LinearProgram(
-        "min",
-        [-0.75, 150.0, -0.02, 6.0],
-        [
-            [0.25, -60.0, -0.04, 9.0],
-            [0.5, -90.0, -0.02, 3.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ],
-        [0.0, 0.0, 1.0],
-    )
-    tableau = Tableau(lp)
+    tableau = Tableau(BEALE)
     assert tableau.optimize() is LpStatus.OPTIMAL
-    assert tableau.outcome().value == pytest.approx(-0.05, abs=1e-9)
+    assert tableau.outcome().value == pytest.approx(0.05, abs=1e-9)
     assert tableau.bland_switches == 1
 
 
@@ -451,7 +372,7 @@ def test_optimum_residual_is_computed_once(monkeypatch):
     monkeypatch.setattr(
         linprog, "_excess", lambda *args: calls.append(1) or excess(*args)
     )
-    lp = LinearProgram("max", [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 3.0])
+    lp = LinearProgram([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [2.0, 3.0])
     tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
     assert tableau.outcome().value == pytest.approx(5.0)
@@ -462,19 +383,19 @@ def test_optimum_residual_is_computed_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_equation_violated_from_below_is_refactored():
-    # The stored row moves to x = 2 under a basis built for x = 1: the basic
-    # solution violates the equation from below, and only |lhs - rhs| sees it.
-    lp = LinearProgram("max", [1.0], A_eq=[[1.0]], b_eq=[1.0])
+def test_row_violated_at_the_optimum_is_refactored():
+    # The stored rhs moves to 0.5 under a tableau built for x <= 1: the
+    # tableau's optimum x = 1 violates the stored row.
+    lp = LinearProgram([1.0], [[1.0]], [1.0])
     tableau = Tableau(lp)
-    tableau.rhs[0] = 2.0
+    tableau.rhs[0] = 0.5
     assert tableau.optimize() is LpStatus.OPTIMAL
     assert tableau.refactors == 1
-    assert tableau.outcome().value == pytest.approx(2.0, abs=1e-12)
+    assert tableau.outcome().value == pytest.approx(0.5, abs=1e-12)
 
 
 def _nonbasic_slack_rows(tableau):
-    """Inequality constraints of a live tableau whose slack is nonbasic."""
+    """Constraints of a live tableau whose slack is nonbasic."""
     return np.flatnonzero(np.isin(tableau._slack, tableau._nonbasic))
 
 
@@ -516,89 +437,78 @@ def test_removing_nonbasic_slack_rows_matches_the_cold_reference(seed):
 # Swapping the row of the one constraint with a nonzero rhs on a live tableau
 
 
-def _homogeneous_lp(rng, equation=True):
-    """Random max program: inequalities with rhs 0, plus one row ``= 1`` or ``<= 1``.
+def _homogeneous_lp(rng):
+    """Random program: rows with rhs 0, then one row ``<= 1``.
 
-    That row's entries are positive, so the region is bounded. As an
-    inequality it comes last.
+    That row's entries are positive, so the region is bounded.
     """
     n = int(rng.integers(2, 7))
     k = int(rng.integers(1, 8))
     objective = rng.integers(-3, 4, size=n).astype(float)
     A_ub = rng.integers(-3, 4, size=(k, n)).astype(float)
     bound = rng.integers(1, 4, size=(1, n)).astype(float)
-    if equation:
-        return LinearProgram("max", objective, A_ub, np.zeros(k), bound, [1.0])
     b_ub = np.append(np.zeros(k), 1.0)
-    return LinearProgram("max", objective, np.vstack([A_ub, bound]), b_ub)
+    return LinearProgram(objective, np.vstack([A_ub, bound]), b_ub)
 
 
 def _swapped(lp, row):
     """``lp`` with the row of its one constraint with a nonzero rhs replaced."""
-    if lp.b_eq.size:
-        return LinearProgram(lp.sense, lp.objective, lp.A_ub, lp.b_ub, [row], lp.b_eq)
     A_ub = lp.A_ub.copy()
     A_ub[np.flatnonzero(lp.b_ub)] = row
-    return LinearProgram(lp.sense, lp.objective, A_ub, lp.b_ub)
+    return LinearProgram(lp.objective, A_ub, lp.b_ub)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_replaced_equation_matches_a_cold_solve_of_the_swapped_program(seed):
     rng = np.random.default_rng(4000 + seed)
-    swaps = {True: 0, False: 0}
-    origins = 0
-    for _ in range(80):
-        for equation in (True, False):
-            lp = _homogeneous_lp(rng, equation)
-            tableau = Tableau(lp)
-            if tableau.optimize() is not LpStatus.OPTIMAL:
-                continue
-            x = tableau.outcome().assignment
-            # Nonnegative entries, some zero: the swapped program may be
-            # unbounded.
-            row = rng.integers(0, 4, size=lp.num_vars).astype(float)
-            s = float(row @ x)
-            if s <= 1e-6 and x.any():
-                continue
-            tableau.replace_equation(row)
-            # The basis stays: its solution only rescales, by 1 / s. At the
-            # origin the "<= 1" row's slack is basic, and nothing moves.
-            expected = x / s if x.any() else x
-            assert tableau.outcome().assignment == pytest.approx(expected, abs=1e-9)
-            _assert_matches_cold(tableau, _swapped(lp, row))
-            swaps[equation] += 1
-            origins += not x.any()
-    assert swaps[True] >= 20 and swaps[False] >= 20 and origins > 0
+    swaps = origins = 0
+    for _ in range(160):
+        lp = _homogeneous_lp(rng)
+        tableau = Tableau(lp)
+        if tableau.optimize() is not LpStatus.OPTIMAL:
+            continue
+        x = tableau.outcome().assignment
+        # Nonnegative entries, some zero: the swapped program may be
+        # unbounded.
+        row = rng.integers(0, 4, size=lp.num_vars).astype(float)
+        s = float(row @ x)
+        if s <= 1e-6 and x.any():
+            continue
+        tableau.replace_equation(row)
+        # The basis stays: its solution only rescales, by 1 / s. At the
+        # origin the "<= 1" row's slack is basic, and nothing moves.
+        expected = x / s if x.any() else x
+        assert tableau.outcome().assignment == pytest.approx(expected, abs=1e-9)
+        _assert_matches_cold(tableau, _swapped(lp, row))
+        swaps += 1
+        origins += not x.any()
+    assert swaps >= 40 and origins > 0
 
 
 def test_replace_equation_that_vanishes_at_the_solution_raises_unchanged():
-    # max x0 subject to x0 + x1 = 1 (or <= 1) and x1 - x0 <= 0: optimum (1, 0).
-    for lp in (
-        LinearProgram("max", [1.0, 0.0], [[-1.0, 1.0]], [0.0], [[1.0, 1.0]], [1.0]),
-        LinearProgram("max", [1.0, 0.0], [[-1.0, 1.0], [1.0, 1.0]], [0.0, 1.0]),
-    ):
-        tableau = Tableau(lp)
-        assert tableau.optimize() is LpStatus.OPTIMAL
-        before = {
-            name: value.copy()
-            for name, value in vars(tableau).items()
-            if isinstance(value, np.ndarray)
-        }
-        with pytest.raises(SolverFailure, match="would not stay feasible"):
-            tableau.replace_equation([0.0, 1.0])  # 0 at (1, 0)
-        for name, value in before.items():
-            assert np.array_equal(getattr(tableau, name), value), name
-        assert tableau.optimize() is LpStatus.OPTIMAL
-        assert tableau.outcome().value == pytest.approx(1.0, abs=1e-12)
+    # max x0 subject to x1 - x0 <= 0 and x0 + x1 <= 1: optimum (1, 0).
+    lp = LinearProgram([1.0, 0.0], [[-1.0, 1.0], [1.0, 1.0]], [0.0, 1.0])
+    tableau = Tableau(lp)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    before = {
+        name: value.copy()
+        for name, value in vars(tableau).items()
+        if isinstance(value, np.ndarray)
+    }
+    with pytest.raises(SolverFailure, match="would not stay feasible"):
+        tableau.replace_equation([0.0, 1.0])  # 0 at (1, 0)
+    for name, value in before.items():
+        assert np.array_equal(getattr(tableau, name), value), name
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.outcome().value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_replace_equation_needs_exactly_one_nonzero_rhs():
     message = "exactly one constraint with a nonzero right-hand side"
     for lp in (
-        LinearProgram("max", [1.0, 0.0], [[1.0, 0.0]], [0.5], [[1.0, 1.0]], [1.0]),
-        LinearProgram("max", [1.0, 0.0], A_eq=np.eye(2), b_eq=[1.0, 1.0]),
-        LinearProgram("max", [1.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.5]),
-        LinearProgram("min", [1.0, 0.0], [[1.0, -1.0]], [0.0]),
+        LinearProgram([1.0, 0.0], np.eye(2), [1.0, 1.0]),
+        LinearProgram([1.0, 0.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.5]),
+        LinearProgram([-1.0, 0.0], [[1.0, -1.0]], [0.0]),
     ):
         tableau = Tableau(lp)
         assert tableau.optimize() is LpStatus.OPTIMAL

@@ -66,3 +66,15 @@ def test_every_hook_resolves_and_uninstall_restores_it():
         assert set(now) == set(before[name]), name
         changed = [key for key, value in before[name].items() if now[key] is not value]
         assert changed == [], name
+
+
+def test_tableau_shape_reads_the_program():
+    # The tracer sizes each solve from lp.relations, lp.rhs, lp.nonneg and
+    # lp.num_vars; a name gone from LinearProgram would only show up as
+    # failed requests in a traced benchmark run.
+    from metricdist.distortion import build_full_lp
+    from metricdist.profiles import warmup_instance
+
+    lp = build_full_lp(0, 2, warmup_instance().profile)
+    r, n = len(lp.b_ub), lp.num_vars
+    assert _load_tracer()._tableau_shape(lp) == (r, (r + 1) * (n + r + 1))
