@@ -577,12 +577,14 @@ class Tableau:
                 entering column (rebuild the tableau cold).
         """
         counter = _PivotCounter(self.max_pivots)
-        status = self._optimize(counter)
-        if status is LpStatus.OPTIMAL and self._residual() > _DRIFT_TOL:
-            self.refactor()
-            self.refactors += 1
+        try:
             status = self._optimize(counter)
-        self.bland_switches += counter.bland_switches
+            if status is LpStatus.OPTIMAL and self._residual() > _DRIFT_TOL:
+                self.refactor()
+                self.refactors += 1
+                status = self._optimize(counter)
+        finally:
+            self.bland_switches += counter.bland_switches
         return status
 
     def _residual(self):
@@ -617,11 +619,15 @@ class Tableau:
                     raise SolverFailure("basis is neither primal nor dual feasible")
             else:
                 before = counter.pivots
-                _dual_loop(T, basis, nonbasic, tol, counter)
-                self.dual_pivots += counter.pivots - before
+                try:
+                    _dual_loop(T, basis, nonbasic, tol, counter)
+                finally:
+                    self.dual_pivots += counter.pivots - before
         before = counter.pivots
-        status = _pivot_loop(T, basis, nonbasic, tol, counter)
-        self.primal_pivots += counter.pivots - before
+        try:
+            status = _pivot_loop(T, basis, nonbasic, tol, counter)
+        finally:
+            self.primal_pivots += counter.pivots - before
         if status == "unbounded":
             return LpStatus.UNBOUNDED
         return LpStatus.OPTIMAL

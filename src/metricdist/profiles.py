@@ -68,19 +68,31 @@ class PreferenceProfile:
         return profile
 
     def _adopt(self, arr):
-        """Validate ``arr``, freeze it and keep it as the rankings."""
+        """Validate ``arr``, freeze it and keep it as the rankings.
+
+        ``positions[v, c]``, the rank of alternative ``c`` in agent ``v``'s
+        ordering, is the inverse permutation of each row, written by one
+        scatter into a table of ``-1``. The scatter is also the check: a row
+        of entries in ``0..M-1`` is a permutation exactly when it fills every
+        slot of its row. The range check is one ``min`` and one ``max``; only
+        when it fails are the rows with an entry out of range found and kept
+        out of the scatter, so the error still names the first bad agent.
+        """
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("rankings must be a nonempty 2-d table")
         n, m = arr.shape
         order = np.arange(m)
-        bad = (np.sort(arr, axis=1) != order).any(axis=1)
-        if bad.any():
+        inside = arr
+        outside = np.zeros(n, dtype=bool)
+        if arr.min() < 0 or arr.max() >= m:
+            outside = ((arr < 0) | (arr >= m)).any(axis=1)
+            inside = np.where(outside[:, None], order, arr)
+        positions = np.full_like(arr, -1)
+        np.put_along_axis(positions, inside, order[None, :], axis=1)
+        if outside.any() or positions.min() < 0:
+            bad = outside | (positions < 0).any(axis=1)
             v = int(np.argmax(bad))
             raise ValueError(f"agent {v + 1}: ranking is not a permutation of 1..{m}")
-        # positions[v, c] = rank of alternative c in agent v's ordering: the
-        # inverse permutation of each row, written by one scatter.
-        positions = np.empty_like(arr)
-        np.put_along_axis(positions, arr, order[None, :], axis=1)
         arr.setflags(write=False)
         positions.setflags(write=False)
         self.rankings = arr
@@ -177,14 +189,18 @@ _PLAIN_BYTES = b"0123456789 \t\n"
 
 
 def _parse_profile_vectorized(text):
-    """Profile from a plain text in one pass, or None for the line loop.
+    """Profile from a plain text, decoded from its bytes, or None for the line loop.
 
     A plain text holds only ``_PLAIN_BYTES``, so its non-blank lines are its
-    data lines and every token is a decimal integer. The pass counts the
-    tokens on each non-blank line (the header must have 2, each of the N
-    rows M) and reads them all with ``np.fromstring``. It never raises: a
-    text it cannot accept returns None, and the line loop then raises the
-    error with its message and line.
+    data lines and every token is a run of decimal digits. One digit mask
+    gives the last digit of every token, and from those the token count of
+    each non-blank line (the header must have 2, each of the N rows M). A
+    row token is read from its last ``width = len(str(M))`` digits, the only
+    ones a rank in ``1..M`` can have; a longer token is read the same way
+    when its extra leading digits are all ``0``, and any other goes to the
+    line loop, since it cannot be at most M. The pass never raises: a text
+    it cannot accept returns None, and the line loop then raises the error
+    with its message and line.
     """
     if isinstance(text, str):
         try:
@@ -195,35 +211,64 @@ def _parse_profile_vectorized(text):
         return None
     if text.translate(None, _PLAIN_BYTES):
         return None
-    per_line = _tokens_per_line(text)
+    # The newlines around the text end its first and last lines, so every
+    # token ends at a digit followed by a non-digit.
+    buf = np.frombuffer(b"\n" + text + b"\n", dtype=np.uint8)
+    del text
+    digit = buf >= ord("0")
+    ends = np.flatnonzero(digit[:-1] > digit[1:])
+    per_line = np.diff(np.searchsorted(ends, np.flatnonzero(buf == ord("\n"))))
+    per_line = per_line[per_line > 0]
     if per_line.size < 2 or per_line[0] != 2:
         return None
-    values = np.fromstring(text, dtype=np.int64, sep=" ")
-    if values.size != per_line.sum():
-        return None
-    # fromstring clamps an overflowing token to the int64 maximum, which no
-    # header can match and no row can hold; such texts fall through below.
-    n, m = (int(x) for x in values[:2])
+    n, m = (int(tok) for tok in buf[: ends[1] + 1].tobytes().split())
     if n < 1 or m < 1 or per_line.size - 1 != n or (per_line[1:] != m).any():
         return None
-    rankings = values[2:].reshape(n, m)
-    rankings -= 1
+    width = len(str(m))
+    digits = buf - ord("0")  # wraps below "0"; masked next
+    del buf
+    digits *= digit
+    # values[p]: the number spelled by the last ``width`` digits of the run
+    # ending at p (the whole run if shorter), below 10**width. Horner steps,
+    # each reset to 0 by a non-digit.
+    values = digits.astype(np.min_scalar_type(10**width))
+    for _ in range(width - 1):
+        step = values[:-1] * 10
+        step += digits[1:]
+        step *= digit[1:]
+        values[1:] = step
+        del step
+    if _has_nonzero_lead(digit, digits, ends, width):
+        return None
+    ranks = values[ends[2:]]
+    del digit, digits, values, ends
+    rankings = np.subtract(ranks, 1, dtype=int).reshape(n, m)
+    del ranks
     try:
         return PreferenceProfile._owning(rankings)
     except ValueError:
         return None
 
 
-def _tokens_per_line(text: bytes) -> np.ndarray:
-    """Token count of each non-blank line of a plain text, in order."""
-    # The leading newline adds one blank line, so every token, the first
-    # included, starts at a digit that follows a non-digit.
-    buf = np.frombuffer(b"\n" + text, dtype=np.uint8)
-    digit = buf >= ord("0")
-    starts = np.flatnonzero(digit[1:] > digit[:-1])
-    newlines = np.flatnonzero(buf == ord("\n"))
-    counts = np.diff(np.searchsorted(starts, newlines), append=starts.size)
-    return counts[counts > 0]
+def _has_nonzero_lead(digit, digits, ends, width):
+    """Whether a row token has more than ``width`` digits, not all extra ones 0.
+
+    ``digit`` masks the digits of the padded text and ``digits`` holds their
+    values; ``ends`` are the tokens' last digits, the first two the header's.
+    """
+    # run[p]: p and the width bytes before it are digits.
+    run = digit.copy()
+    for k in range(1, width + 1):
+        run[k:] &= digit[:-k]
+    if not run[ends[1] + 1 :].any():
+        return False
+    del run
+    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1
+    nonzero = np.cumsum(digits > 0)
+    # A token's extra leading digits run from its start to ``end - width``;
+    # a short token has none, and counts over the empty stretch before it.
+    lead = np.maximum(ends - width, starts - 1)
+    return bool((nonzero[lead[2:]] != nonzero[starts[2:] - 1]).any())
 
 
 def serialize_profile(profile: PreferenceProfile) -> str:

@@ -77,47 +77,71 @@ def ranked_pairs(profile: PreferenceProfile, edge_tie_break=None) -> RuleOutcome
 
     ``edge_tie_break`` is a total priority order over ordered pairs used
     among equal-weight edges. The winner is the unique source of the locked
-    graph; the audit trail records the full processing sequence.
+    graph; the audit trail records the full processing sequence, and
+    ``reachable[a, b]`` whether the locked edges lead from ``a`` to ``b``.
     """
     m = profile.num_alternatives
+    every_pair = np.flatnonzero(~np.eye(m, dtype=bool))  # i * m + j, lexicographic
     if edge_tie_break is None:
-        edge_tie_break = lexicographic_pairs(m)
+        codes = every_pair
     else:
-        edge_tie_break = [(int(i), int(j)) for i, j in edge_tie_break]
-        if sorted(edge_tie_break) != lexicographic_pairs(m):
-            raise ValueError("edge_tie_break must order every ordered pair once")
-    priority = {pair: rank for rank, pair in enumerate(edge_tie_break)}
+        invalid = ValueError("edge_tie_break must order every ordered pair once")
+        try:
+            pairs = np.array([(int(i), int(j)) for i, j in edge_tie_break], dtype=int)
+        except OverflowError:
+            raise invalid from None
+        pairs = pairs.reshape(-1, 2)
+        codes = pairs[:, 0] * m + pairs[:, 1]
+        if not ((pairs >= 0) & (pairs < m)).all() or not np.array_equal(
+            np.sort(codes), every_pair
+        ):
+            raise invalid
+    tails, heads = np.divmod(codes, m)
 
-    w = build_weighted(profile).weights
-    edges = sorted(
-        ((i, j) for i in range(m) for j in range(m) if i != j),
-        key=lambda pair: (-w[pair], priority[pair]),
-    )
-
-    locked = np.zeros((m, m), dtype=bool)
-    reach = np.zeros((m, m), dtype=bool)  # transitive closure of locked edges
-    locked_sequence = []
-    for i, j in edges:
-        if reach[j, i]:
+    weights = build_weighted(profile).weights[tails, heads]
+    order = np.argsort(-weights, kind="stable")  # heaviest first, ties by priority
+    # Transitive closure of the locked edges as bitsets: bit b of below[a]
+    # (and bit a of above[b]) is set when the locked edges lead from a to b.
+    below = [0] * m
+    above = [0] * m
+    locked = []
+    for i, j, weight in zip(
+        tails[order].tolist(), heads[order].tolist(), weights[order].tolist()
+    ):
+        if below[j] >> i & 1:
             continue
-        locked[i, j] = True
-        locked_sequence.append((i, j, int(w[i, j])))
-        src = reach[:, i].copy()
-        src[i] = True
-        dst = reach[j, :].copy()
-        dst[j] = True
-        reach |= np.outer(src, dst)
+        locked.append((i, j, weight))
+        if below[i] >> j & 1:
+            continue  # implied by the edges already locked
+        sources, targets = above[i] | 1 << i, below[j] | 1 << j
+        for a in _members(sources):
+            below[a] |= targets
+        for b in _members(targets):
+            above[b] |= sources
 
-    sources = np.flatnonzero(~locked.any(axis=0))
-    if sources.size != 1:
-        raise AssertionError(
-            f"locked graph must have a unique source, found {sources.tolist()}"
-        )
+    roots = [c for c in range(m) if not above[c]]
+    if len(roots) != 1:
+        raise AssertionError(f"locked graph must have a unique source, found {roots}")
+    width = (m + 7) // 8
+    packed = np.frombuffer(
+        b"".join(mask.to_bytes(width, "little") for mask in below), dtype=np.uint8
+    )
+    reachable = np.unpackbits(
+        packed.reshape(m, width), axis=1, count=m, bitorder="little"
+    ).astype(bool)
     return RuleOutcome(
         rule="ranked-pairs",
-        winner=int(sources[0]),
-        audit={"locked": locked_sequence, "reachable": reach},
+        winner=roots[0],
+        audit={"locked": locked, "reachable": reachable},
     )
+
+
+def _members(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def schulze(profile: PreferenceProfile, tie_break=None) -> RuleOutcome:

@@ -88,18 +88,23 @@ def build_weighted(profile) -> WeightedTournament:
     """Count ``w(i, j) = #{agents preferring i over j}`` for all ordered pairs.
 
     Built once per profile and cached on it: profiles are immutable, and
-    every tournament rule reads the same table.
+    every tournament rule reads the same table. Rankings are strict, so every
+    agent prefers exactly one side of each pair: only the pairs ``i < j`` are
+    counted, and ``w(j, i) = N - w(i, j)``.
     """
     if profile._tournament is None:
         # One alternative at a time over positions.T, so the temporaries are
-        # N x M rather than the N x M x M of a broadcast comparison; positions
-        # are below M, so the narrowest unsigned type holds them.
-        m = profile.num_alternatives
+        # N x M rather than the N x M x M of a broadcast comparison. Positions
+        # are below M and counts at most N, so the narrowest unsigned types
+        # hold them, and narrow sums vectorize best.
+        n, m = profile.num_agents, profile.num_alternatives
         pos = np.ascontiguousarray(profile.positions.T, dtype=np.min_scalar_type(m))
-        weights = np.empty((m, m), dtype=int)
+        count = np.min_scalar_type(n)
+        weights = np.zeros((m, m), dtype=int)
         for i, row in enumerate(pos):
-            weights[i] = np.count_nonzero(row < pos, axis=1)
-        profile._tournament = WeightedTournament(weights, profile.num_agents)
+            weights[i, i + 1 :] = np.less(row, pos[i + 1 :]).sum(axis=1, dtype=count)
+            weights[i + 1 :, i] = n - weights[i, i + 1 :]
+        profile._tournament = WeightedTournament(weights, n)
     return profile._tournament
 
 

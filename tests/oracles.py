@@ -94,6 +94,39 @@ def naive_grid_search(profile, metric_weights, grid_values):
     return best
 
 
+def naive_ranked_pairs(weights, edge_tie_break):
+    """Ranked Pairs by a dense closure matrix: ``(winner, locked, reachable)``.
+
+    Sorts the ordered pairs by weight, heaviest first, and among equal
+    weights by their place in ``edge_tie_break``; locks each edge unless its
+    head already reaches its tail, and widens the boolean transitive closure
+    by an outer product after every lock. ``locked`` lists ``(i, j, w(i, j))``
+    in locking order.
+    """
+    w = np.asarray(weights)
+    m = w.shape[0]
+    priority = {pair: rank for rank, pair in enumerate(edge_tie_break)}
+    edges = sorted(
+        ((i, j) for i in range(m) for j in range(m) if i != j),
+        key=lambda pair: (-w[pair], priority[pair]),
+    )
+    locked = np.zeros((m, m), dtype=bool)
+    reach = np.zeros((m, m), dtype=bool)
+    sequence = []
+    for i, j in edges:
+        if reach[j, i]:
+            continue
+        locked[i, j] = True
+        sequence.append((i, j, int(w[i, j])))
+        src = reach[:, i].copy()
+        src[i] = True
+        dst = reach[j, :].copy()
+        dst[j] = True
+        reach |= np.outer(src, dst)
+    (winner,) = np.flatnonzero(~locked.any(axis=0))
+    return int(winner), sequence, reach
+
+
 def _naive_q_metric(d, tol=1e-9):
     n, m = d.shape
     for v in range(n):

@@ -66,6 +66,15 @@ def test_pivot_cap_raises_distinct_error():
         Tableau(lp, max_pivots=0).optimize()
 
 
+def test_a_call_that_raises_still_counts_its_pivots():
+    # The optimum of max x + y over the unit box takes two pivots; the
+    # second exceeds the cap after it is made.
+    tableau = Tableau(LinearProgram([1.0, 1.0], np.eye(2), [1.0, 1.0]), max_pivots=1)
+    with pytest.raises(SolverFailure, match="pivot cap"):
+        tableau.optimize()
+    assert (tableau.primal_pivots, tableau.dual_pivots) == (2, 0)
+
+
 def test_objective_scaling():
     rng = np.random.default_rng(7)
     for _ in range(25):

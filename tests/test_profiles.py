@@ -305,6 +305,78 @@ def test_vectorized_parse_agrees_with_line_loop_on_edge_texts(text):
     _assert_paths_agree(text)
 
 
+def _vectorized(text):
+    """The vectorized parse of ``text``, checked against the line loop."""
+    fast = profiles._parse_profile_vectorized(text)
+    assert fast is not None, repr(text[:80])
+    assert fast == profiles._parse_profile_lines(text)
+    return fast
+
+
+@pytest.mark.parametrize("m", [9, 10, 11, 99, 100, 101, 999, 1000, 1001])
+def test_vectorized_parse_at_each_digit_width_and_dtype_step(m):
+    rng = np.random.default_rng(m)
+    profile = random_profile(3, m, rng)
+    text = serialize_profile(profile)
+    assert _vectorized(text) == profile
+    # The widest token right before the narrowest, and right after it.
+    rest = " ".join(str(c) for c in range(2, m))
+    text = f"2 {m}\n{m} 1 {rest}\n1 {m} {rest}\n"
+    assert _vectorized(text).rankings[:, :2].tolist() == [[m - 1, 0], [0, m - 1]]
+
+
+def test_vectorized_parse_reads_zero_padded_tokens_at_and_beyond_the_width():
+    m = 20
+    row = [str(c) for c in range(1, m + 1)]
+    padded = {"1": "0001", "5": "05", "10": "010"}
+    text = f"1 {m}\n" + " ".join(padded.get(t, t) for t in row) + "\n"
+    assert _vectorized(text).rankings.tolist() == [list(range(m))]
+    # Padding on every token, the header's too.
+    text = "0001 020\n" + " ".join("0000" + t for t in row) + "\n"
+    assert _vectorized(text).rankings.tolist() == [list(range(m))]
+
+
+def test_vectorized_parse_reads_a_short_token_after_a_long_one():
+    # The token before a one-digit token must not make it look long.
+    for m in (20, 100, 1000):
+        tail = [str(c) for c in range(1, m + 1) if c not in (4, 10)]
+        text = f"2 {m}\n10 4 " + " ".join(tail) + "\n4 10 " + " ".join(tail) + "\n"
+        profile = _vectorized(text)
+        assert profile.rankings[0, :2].tolist() == [9, 3]
+        assert profile.rankings[1, :2].tolist() == [3, 9]
+
+
+def test_vectorized_parse_reads_a_multi_digit_header():
+    rng = np.random.default_rng(5)
+    profile = random_profile(12, 3, rng)
+    text = serialize_profile(profile)
+    assert text.startswith("12 3\n")
+    assert _vectorized(text) == profile
+    assert _vectorized(text.replace("12 3", "0012 003", 1)) == profile
+    wide = random_profile(1234, 2, rng)
+    assert _vectorized(serialize_profile(wide)) == wide
+
+
+def test_a_token_wider_than_m_takes_the_line_loop_and_its_message():
+    m = 20
+    row = ["120" if c == 1 else str(c) for c in range(1, m + 1)]
+    text = f"1 {m}\n" + " ".join(row) + "\n"
+    assert profiles._parse_profile_vectorized(text) is None
+    with pytest.raises(ProfileParseError, match=r"^line 2: row 1 is not a permutation"):
+        parse_profile(text)
+
+
+def test_a_large_plain_text_never_reaches_the_line_loop(monkeypatch):
+    rankings = np.argsort(np.random.default_rng(59).random((4000, 30)), axis=1)
+    text = serialize_profile(PreferenceProfile(rankings))
+
+    def line_loop(text):
+        raise AssertionError("the line loop read a plain text")
+
+    monkeypatch.setattr(profiles, "_parse_profile_lines", line_loop)
+    assert np.array_equal(parse_profile(text).rankings, rankings)
+
+
 def test_profile_constructor_matches_argsort_and_first_bad_agent():
     rng = np.random.default_rng(43)
     for _ in range(40):

@@ -18,6 +18,9 @@ from metricdist.rules import (
     ranked_pairs,
     schulze,
 )
+from metricdist.tournament import build_weighted
+
+from oracles import naive_ranked_pairs
 
 UNANIMOUS = PreferenceProfile([[1, 2, 0]] * 4)
 
@@ -75,6 +78,54 @@ def test_ranked_pairs_winner_reaches_everyone():
 def test_ranked_pairs_rejects_partial_tie_order():
     with pytest.raises(ValueError):
         ranked_pairs(UNANIMOUS, edge_tie_break=[(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "swap", [(0, 0), (1, 1), (0, 3), (-1, 2), (2, -1), (1, 0), (10**20, 0)]
+)
+def test_ranked_pairs_rejects_a_tie_order_that_is_not_every_pair_once(swap):
+    order = lexicographic_pairs(3)
+    order[0] = swap
+    with pytest.raises(ValueError, match="every ordered pair once"):
+        ranked_pairs(UNANIMOUS, edge_tie_break=order)
+
+
+def _assert_ranked_pairs_matches_oracle(profile, edge_tie_break=None):
+    m = profile.num_alternatives
+    order = lexicographic_pairs(m) if edge_tie_break is None else edge_tie_break
+    winner, locked, reachable = naive_ranked_pairs(
+        build_weighted(profile).weights, order
+    )
+    out = ranked_pairs(profile, edge_tie_break=edge_tie_break)
+    assert out.winner == winner
+    assert out.audit["locked"] == locked
+    assert all(type(x) is int for edge in out.audit["locked"] for x in edge)
+    assert out.audit["reachable"].dtype == reachable.dtype
+    assert np.array_equal(out.audit["reachable"], reachable)
+
+
+def test_ranked_pairs_matches_the_dense_closure_oracle():
+    rng = np.random.default_rng(71)
+    for m in [1, 2, 3, 5, 8, 13, 21, 30]:
+        for _ in range(4):
+            # Few agents make many equal weights, so the tie order matters.
+            profile = random_profile(int(rng.integers(1, 7)), m, rng)
+            _assert_ranked_pairs_matches_oracle(profile)
+            pairs = lexicographic_pairs(m)
+            shuffled = [pairs[k] for k in rng.permutation(len(pairs))]
+            _assert_ranked_pairs_matches_oracle(profile, shuffled)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_ranked_pairs_matches_the_oracle_on_the_hard_family(n):
+    profile = ranked_pairs_hard_instance(n).profile
+    pairs = lexicographic_pairs(2 * n + 1)
+    rng = np.random.default_rng(n)
+    _assert_ranked_pairs_matches_oracle(profile)
+    for _ in range(10):
+        _assert_ranked_pairs_matches_oracle(
+            profile, [pairs[k] for k in rng.permutation(len(pairs))]
+        )
 
 
 def test_schulze_warmup_cycle_ties():

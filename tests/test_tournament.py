@@ -122,6 +122,8 @@ def test_weighted_tournament_built_once_matches_broadcast(seed):
     rng = np.random.default_rng(seed)
     shapes = [(1, 1), (1, 2), (4, 1), (5, 2), (1, 7), (3, 300)]
     shapes += [(int(rng.integers(1, 40)), int(rng.integers(1, 12))) for _ in range(20)]
+    # Counts at the edges of the narrow types that sum them.
+    shapes += [(255, 4), (256, 4), (65535, 2), (65536, 2)]
     for n, m in shapes:
         profile = random_profile(n, m, rng)
         tournament = build_weighted(profile)
@@ -130,6 +132,8 @@ def test_weighted_tournament_built_once_matches_broadcast(seed):
         expected = (pos[:, :, None] < pos[:, None, :]).sum(0)
         assert tournament.weights.dtype == expected.dtype
         assert np.array_equal(tournament.weights, expected)
+        off = ~np.eye(m, dtype=bool)
+        assert (tournament.weights + tournament.weights.T == n)[off].all()
         assert tournament.num_agents == n
         assert not tournament.weights.flags.writeable
         with pytest.raises(ValueError):
