@@ -149,7 +149,9 @@ def _build_parser():
         "--rule", required=True, choices=sorted(_DET_RULES) + ["rd"]
     )
     fairness.add_argument("--k", default="all", help="'all' or a comma list like 1,2")
-    fairness.add_argument("--budget", type=int, default=None)
+    fairness.add_argument(
+        "--budget", type=int, help="largest N; for rd, the LPs per opponent and k"
+    )
     fairness.add_argument(
         "--metric", type=Path, help="evaluate at this fixed metric instead of the sup"
     )
@@ -484,8 +486,8 @@ def _cmd_fairness(args) -> int:
             args.out,
         )
 
+    kwargs = {} if args.budget is None else {"budget": args.budget}
     if outcome.distribution is not None:
-        kwargs = {} if args.budget is None else {"budget": args.budget}
         report = fairness_rand(outcome.distribution, profile, k_set=k_set, **kwargs)
         payload = {
             "config": _config(args, "fairness", rule=args.rule, mode="worst-case"),
@@ -498,7 +500,6 @@ def _cmd_fairness(args) -> int:
             "solver_stats": report.solver_stats,
         }
     else:
-        kwargs = {} if args.budget is None else {"budget": args.budget}
         report = fairness_det(outcome.winner, profile, k_set=k_set, **kwargs)
         payload = {
             "config": _config(args, "fairness", rule=args.rule, mode="worst-case"),

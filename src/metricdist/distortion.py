@@ -249,22 +249,38 @@ class MetricPolytope:
             self._groups = list(groups.values())
         return self._groups
 
-    def subset_classes(self, k):
-        """One k-agent subset per class, in ascending order.
+    def subset_tuples(self, k, s):
+        """One s-tuple of k-agent subsets per orbit, in ascending order.
 
-        Two subsets share a class when swapping agents of equal rankings
-        turns one into the other; every row of the polytope and every
-        normalization is unchanged by such a swap. Each subset given takes
-        the lowest-indexed agents of each ranking group, so it comes first
-        in its class in ascending order.
+        Permuting equally-ranked agents in every subset at once maps the
+        polytope and every normalization onto themselves. An orbit is, per
+        ranking group, the multiset of its agents' membership vectors across
+        the s subsets. The tuple given hands a group's largest vectors to its
+        lowest-indexed agents, so it comes first in its orbit.
         """
-        groups = self.ranking_groups
-        sizes = itertools.product(*(range(len(group) + 1) for group in groups))
-        return sorted(
-            tuple(sorted(v for group, c in zip(groups, counts) for v in group[:c]))
-            for counts in sizes
-            if sum(counts) == k
-        )
+        return sorted(self._orbits(k, s))
+
+    def _orbits(self, k, s):
+        """:meth:`subset_tuples` unsorted, a generator, so a count can stop early.
+
+        Subset by subset, each takes the lowest-indexed agents of each block:
+        agents of one ranking that every subset before it holds or leaves
+        out alike. So agents with larger membership vectors come first.
+        """
+
+        def extend(blocks, chosen):
+            if len(chosen) == s:
+                yield chosen
+                return
+            for counts in itertools.product(*(range(len(b) + 1) for b in blocks)):
+                if sum(counts) != k:
+                    continue
+                cut = list(zip(blocks, counts))
+                subset = tuple(sorted(v for block, c in cut for v in block[:c]))
+                parts = [p for block, c in cut for p in (block[:c], block[c:]) if p]
+                yield from extend(parts, chosen + (subset,))
+
+        return extend(self.ranking_groups, ())
 
     def subset_rows(self, subsets, z):
         """Rows of ``sum of d(v, z) over v in T <= 1``, one per agent subset T."""
@@ -820,68 +836,71 @@ class FairnessRandReport:
     # How the LPs were solved: counts keyed by SOLVER_STATS.
     solver_stats: dict = field(default_factory=lambda: dict.fromkeys(SOLVER_STATS, 0))
 
-    @property
-    def exact_value(self):
-        lo, hi = self.value_bounds
-        return lo if all(self.exact_k.values()) else None
+
+def _fairness_sweep(solver, x, tuples):
+    """``(per_k, blocked, solved)``: x's top-k LPs, one per opponent and tuple.
+
+    Runs k descending (fewer tight k-subset rows pivot out on norm switches),
+    then opponents ascending but for a point mass's own, worth exactly 1
+    (every value starts there), then ``tuples[k]`` (:func:`_solve_tuple`).
+    ``blocked`` is the first opponent some supported alternative has no
+    chain to, found before any LP; every value is then infinite. ``solved``
+    maps ``(k, opponent, tuple)`` to ``(value, metric)``.
+    """
+    poly = solver.polytope
+    support = np.flatnonzero(x > 0).tolist()
+    opponents = [z for z in range(poly.num_alternatives) if support != [z]]
+    blocked = next((z for z in opponents if not poly.reach[support, z].all()), None)
+    if blocked is not None:
+        return dict.fromkeys(tuples, math.inf), blocked, {}
+    per_k, solved = dict.fromkeys(tuples, 1.0), {}
+    for k in sorted(tuples, reverse=True):
+        for z in opponents:
+            for t in tuples[k]:
+                value, _ = solved[k, z, t] = _solve_tuple(solver, x, support, t, z, k)
+                per_k[k] = max(per_k[k], value)
+    return per_k, blocked, solved
+
+
+def _solve_tuple(solver, x, support, subsets, opponent, k):
+    """The top-k LP whose objective is ``x[c]`` on c's entries of c's subset."""
+    m = len(x)
+    objective = np.zeros(solver.polytope.num_agents * m)
+    for c, subset in zip(support, subsets):
+        for v in subset:
+            objective[v * m + c] = x[c]
+    return solver.maximize(objective, opponent=opponent, norm=k)
 
 
 def fairness_det(winner, profile, k_set=None, budget=10):
     """Worst-case top-k cost ratio of ``winner`` against every opponent.
 
-    For each opponent the k-largest bound is exact, by rows over k-agent
-    subsets that row generation adds as they are violated; the convex
-    objective side is enumerated over agent subsets of size k, which is
-    why ``budget`` caps the number of agents. Swapping agents of equal
-    rankings maps the polytope and every normalization onto themselves, so
-    one LP per class of such subsets suffices: the class's first subset in
-    ascending order (:meth:`MetricPolytope.subset_classes`). ``argmax`` is
-    the first ``(k, opponent, subset)``, in ascending order, whose value is
-    within ``TIE_TOL`` (relative) of the best, so LP rounding never picks
-    it. When some opponent has no chain from ``winner``, every value is
-    infinite and ``argmax`` is ``(max k, first such opponent, None)``.
+    The sweep of the point mass on ``winner`` (:func:`_fairness_sweep`) runs,
+    per k and opponent, one LP per class of k-agent subsets whose costs
+    count (``subset_tuples(k, 1)``): up to 2^N - 1 over all k, so ``budget``
+    caps N. ``argmax`` is the first ``(k, opponent, subset)``, in ascending
+    order, whose value is within ``TIE_TOL`` (relative) of the best, so LP
+    rounding never picks it. If some opponent has no chain from ``winner``,
+    every value is infinite, no LP runs, and ``argmax`` is
+    ``(max k, first such opponent, None)``.
     """
     winner = _validated_alternative(winner, profile.num_alternatives, "winner")
     n = profile.num_agents
     if n > budget:
-        raise BudgetExceededError(
-            f"subset enumeration needs budget >= {n}, got {budget}"
-        )
+        raise BudgetExceededError(f"enumeration needs budget >= {n}, got {budget}")
     k_set = _validated_k_set(k_set, n)
     solver = _solver_for(profile)
     before = dict(solver.stats)
-    poly = solver.polytope
-    nm = poly.num_metric_vars
-
-    per_k = {}
-    solved = {}  # (k, opponent, subset) -> (value, metric)
-    blocked = None
-    # Largest k first: k = N shares the "=" bound, and going down pivots
-    # fewer tight k-subset rows out on the norm switches than going up.
-    for k in reversed(k_set):
-        k_best = 0.0
-        for z in range(profile.num_alternatives):
-            if z == winner:
-                continue
-            if not poly.reach[winner, z]:
-                k_best = math.inf
-                blocked = (k_set[-1], z, None)
-                break
-            for subset in poly.subset_classes(k):
-                objective = np.zeros(nm)
-                for v in subset:
-                    objective[poly.var(v, winner)] = 1.0
-                value, metric = solver.maximize(objective, opponent=z, norm=k)
-                k_best = max(k_best, value)
-                solved[k, z, subset] = value, metric
-        per_k[k] = k_best
-    per_k = {k: per_k[k] for k in k_set}
+    tuples = {k: solver.polytope.subset_tuples(k, 1) for k in k_set}
+    x = _outcome_weights(winner, profile.num_alternatives)
+    per_k, blocked, solved = _fairness_sweep(solver, x, tuples)
     argmax = witness = None
     if blocked is not None:
-        argmax = blocked
+        argmax = (k_set[-1], blocked, None)
     elif solved:
-        argmax = _first_within_tie({key: value for key, (value, _) in solved.items()})
-        witness = CostMatrix(solved[argmax][1])
+        values = {(k, z, t[0]): value for (k, z, t), (value, _) in solved.items()}
+        argmax = _first_within_tie(values)
+        witness = CostMatrix(solved[argmax[0], argmax[1], argmax[2:]][1])
     return FairnessReport(
         winner=winner,
         per_k=per_k,
@@ -906,95 +925,73 @@ def _validated_k_set(k_set, n):
 
 
 def fairness_rand(x, profile, k_set=None, budget=20_000):
-    """Expected top-k cost ratio bounds for distribution ``x``.
+    """Expected top-k cost ratio bounds ``(lower, upper)`` for distribution ``x``.
 
-    Exact per k when the joint enumeration of per-candidate subset tuples
-    fits in ``budget``; otherwise returns (lower, upper) where the lower
-    bound is a coordinate-ascent fixpoint over subset tuples and the upper
-    bound relaxes the shared metric to one optimum per candidate.
+    With s alternatives in x's support, the sweep of x (:func:`_fairness_sweep`)
+    runs, per k and opponent, one LP per orbit of s-tuples of k-agent subsets
+    (``subset_tuples(k, s)``): exact, lower = upper, if at most ``budget``.
+    Else the upper bound is the sweep of each supported point mass, s times
+    ``subset_tuples(k, 1)`` LPs per opponent, refused above ``budget``; the
+    lower bound, a coordinate ascent over subset tuples from their optima.
+    So ``budget`` bounds the LPs per opponent and k, apart from the ascent's.
     """
     x = _validated_distribution(x, profile.num_alternatives)
-    n = profile.num_agents
-    k_set = _validated_k_set(k_set, n)
-    support = [int(c) for c in np.flatnonzero(x > 0)]
+    k_set = _validated_k_set(k_set, profile.num_agents)
     solver = _solver_for(profile)
     before = dict(solver.stats)
-    poly = solver.polytope
-    nm = poly.num_metric_vars
-
-    per_k, exact_k = {}, {}
+    poly, s = solver.polytope, int((x > 0).sum())
+    tuples, classes = {}, {}  # classes: k -> subset_tuples(k, 1), for the bounded k
     for k in k_set:
-        subsets = list(itertools.combinations(range(n), k))
-        if len(subsets) * len(support) > budget:
-            raise BudgetExceededError(
-                f"per-candidate enumeration needs budget >= "
-                f"{len(subsets) * len(support)}, got {budget}"
-            )
-        exact = len(subsets) ** len(support) <= budget
-        exact_k[k] = exact
-        lo_k, hi_k = 0.0, 0.0
-        for z in range(profile.num_alternatives):
-            if not all(poly.reach[c, z] for c in support):
-                lo_k = hi_k = math.inf
-                break
-
-            def tuple_value(subset_by_candidate):
-                objective = np.zeros(nm)
-                for c, subset in zip(support, subset_by_candidate):
-                    for v in subset:
-                        objective[poly.var(v, c)] += x[c]
-                return solver.maximize(objective, opponent=z, norm=k)
-
-            if exact:
-                value = max(
-                    tuple_value(combo)[0]
-                    for combo in itertools.product(subsets, repeat=len(support))
-                )
-                lo_k, hi_k = max(lo_k, value), max(hi_k, value)
-                continue
-
-            # Upper bound: per-candidate suprema under the shared
-            # normalization, summed with weights x.
-            upper = 0.0
-            start_tuple = []
-            for c in support:
-                best_c, best_subset = 0.0, subsets[0]
-                for subset in subsets:
-                    objective = np.zeros(nm)
-                    for v in subset:
-                        objective[poly.var(v, c)] = 1.0
-                    value, _ = solver.maximize(objective, opponent=z, norm=k)
-                    if value > best_c:
-                        best_c, best_subset = value, subset
-                upper += float(x[c]) * best_c
-                start_tuple.append(best_subset)
-
-            # Lower bound: coordinate ascent on the subset tuple.
-            current = tuple(start_tuple)
-            value, metric = tuple_value(current)
-            for _ in range(100):
-                refreshed = tuple(
-                    tuple(sorted(np.argsort(-metric[:, c], kind="stable")[:k]))
-                    for c in support
-                )
-                if refreshed == current:
-                    break
-                new_value, new_metric = tuple_value(refreshed)
-                if new_value <= value + 1e-12:
-                    break
-                current, value, metric = refreshed, new_value, new_metric
-            lo_k = max(lo_k, value)
-            hi_k = max(hi_k, upper)
-        per_k[k] = (lo_k, hi_k)
-
-    bounds = (max(lo for lo, _ in per_k.values()), max(hi for _, hi in per_k.values()))
+        orbits = list(itertools.islice(poly._orbits(k, s), budget + 1))
+        if len(orbits) > budget:
+            orbits, classes[k] = [], poly.subset_tuples(k, 1)
+        tuples[k] = sorted(orbits)
+    need = max((s * len(c) for c in classes.values()), default=0)
+    if need > budget:
+        raise BudgetExceededError(f"bounds need budget >= {need}, got {budget}")
+    per_k, blocked, _ = _fairness_sweep(solver, x, tuples)
+    per_k = {k: (value, value) for k, value in per_k.items()}
+    if blocked is None:
+        per_k.update(_fairness_bounds(solver, x, classes))
     return FairnessRandReport(
         distribution=x,
         per_k=per_k,
-        exact_k=exact_k,
-        value_bounds=bounds,
+        exact_k={k: k not in classes for k in k_set},
+        value_bounds=tuple(map(max, zip(*per_k.values()))),
         solver_stats=solver.stats_since(before),
     )
+
+
+def _fairness_bounds(solver, x, classes):
+    """``k -> (lower, upper)`` for each k of ``classes`` (``subset_tuples(k, 1)``)."""
+    # x has two or more supported alternatives (one is always exact), so
+    # every alternative is an opponent, each with a chain from them all.
+    m, support = len(x), np.flatnonzero(x > 0).tolist()
+    sweeps = [_fairness_sweep(solver, np.eye(m)[c], classes)[2] for c in support]
+    per_k = {}
+    for k in classes:
+        lower = upper = 1.0
+        for z in range(m):
+            best = []  # each supported c's own worst ratio and its first best subset
+            for c, solved in zip(support, sweeps):
+                runs = [(solved[k, z, t][0], t[0]) for t in classes[k] if c != z]
+                best.append(max(runs or [(1.0, classes[k][0][0])], key=lambda r: r[0]))
+            # Upper: each c at its own worst metric. Lower: coordinate ascent
+            # on the subset tuple over one shared metric, from the best subsets.
+            upper = max(upper, sum(float(x[c]) * v for c, (v, _) in zip(support, best)))
+            value, tried = -1.0, tuple(subset for _, subset in best)
+            for _ in range(101):
+                new_value, metric = _solve_tuple(solver, x, support, tried, z, k)
+                if new_value <= value + 1e-12:
+                    break
+                top = np.argsort(-metric[:, support], axis=0, kind="stable")[:k]
+                value, current = new_value, tried
+                tried = tuple(tuple(sorted(col)) for col in top.T.tolist())
+                if tried == current:
+                    break
+            lower = max(lower, value)
+        per_k[k] = lower, upper
+    return per_k
 
 
 # ---------------------------------------------------------------------------

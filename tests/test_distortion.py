@@ -238,15 +238,44 @@ def test_fairness_rand_point_mass_collapses_to_det():
     profile = warmup_instance().profile
     point = np.array([1.0, 0.0, 0.0])
     det = fairness_det(0, profile)
-    # force bounds mode with a budget too small for joint enumeration but
-    # large enough for the per-candidate sweeps
-    rand_bounds = fairness_rand(point, profile, budget=4)
-    rand_exact = fairness_rand(point, profile)
+    # On an equal profile, with a solver of its own, the point mass runs the
+    # same LPs in the same order as fairness_det: the same bits.
+    rand_exact = fairness_rand(point, PreferenceProfile(profile.rankings))
     assert all(rand_exact.exact_k.values())
+    assert rand_exact.per_k == {k: (value, value) for k, value in det.per_k.items()}
+    assert rand_exact.solver_stats == det.solver_stats
+    # A point mass's orbits are its subset classes, so a budget that does
+    # not refuse it is exact too.
+    rand_bounds = fairness_rand(point, profile, budget=4)
+    assert all(rand_bounds.exact_k.values())
     assert rand_exact.value_bounds[0] == pytest.approx(det.value, abs=1e-6)
     lo, hi = rand_bounds.value_bounds
     assert lo == pytest.approx(det.value, abs=1e-6)
     assert hi == pytest.approx(det.value, abs=1e-6)
+
+
+def test_one_alternative_fairness_is_one():
+    profile = PreferenceProfile([[0], [0]])
+    assert dist_det(0, profile).value == 1.0
+    det = fairness_det(0, profile)
+    assert det.per_k == {1: 1.0, 2: 1.0} and det.value == 1.0
+    assert det.argmax is None and det.witness is None
+    assert fairness_rand([1.0], profile).per_k == {1: (1.0, 1.0), 2: (1.0, 1.0)}
+
+
+def test_an_unreachable_opponent_runs_no_lp():
+    # Every agent ranks 2 first, so no chain leads to 2; none leads from 3 to 1.
+    profile = PreferenceProfile([[2, 1, 0, 3], [2, 0, 1, 3], [2, 1, 3, 0]])
+    det = fairness_det(1, profile)
+    assert det.solver_stats["objectives"] == 0
+    assert det.per_k == dict.fromkeys((1, 2, 3), math.inf)
+    assert det.argmax == (3, 2, None) == _fresh_fairness(1, profile)[1]
+    x = [0.0, 0.5, 0.0, 0.5]
+    # budget 7: k = 1 and 2 bound (9 orbits each), k = 3 is exact (1 orbit)
+    for rand in (fairness_rand(x, profile), fairness_rand(x, profile, budget=7)):
+        assert rand.solver_stats["objectives"] == 0
+        assert rand.per_k == dict.fromkeys((1, 2, 3), (math.inf, math.inf))
+    assert rand.exact_k == {1: False, 2: False, 3: True}
 
 
 def test_fairness_rand_single_agent_equals_dist_rand():
@@ -485,12 +514,100 @@ def test_one_lp_per_subset_class_matches_every_subset(rankings, winner, k_set):
         assert classes == 17  # against 31 subsets
 
 
+def _fresh_fairness_rand(x, profile):
+    """fairness_rand's exact ``per_k``, over every tuple of k-agent subsets.
+
+    A tuple holds one subset per supported alternative c, and its objective
+    puts ``x[c]`` on c's entries of that subset's agents. Every opponent
+    and every tuple is solved, each by a fresh solver.
+    """
+    poly = MetricPolytope(profile)
+    n, m = profile.num_agents, profile.num_alternatives
+    support = np.flatnonzero(x)
+    per_k = {}
+    for k in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n), k))
+        best = 0.0
+        for z in range(m):
+            for combo in itertools.product(subsets, repeat=len(support)):
+                objective = np.zeros((n, m))
+                for c, subset in zip(support, combo):
+                    objective[list(subset), c] = x[c]
+                solver = _PolytopeSolver(poly)
+                value, _ = solver.maximize(objective.ravel(), opponent=z, norm=k)
+                best = max(best, value)
+        per_k[k] = (best, best)
+    return per_k
+
+
+def _tuple_orbit_firsts(profile, k, s):
+    """The first s-tuple of k-agent subsets of each orbit, by brute force.
+
+    The orbit of a tuple is its images under every permutation of agents
+    that maps each agent onto one of equal ranking, applied to all of its
+    subsets at once.
+    """
+    rankings = [tuple(r) for r in profile.rankings.tolist()]
+    n = profile.num_agents
+    perms = [
+        p
+        for p in itertools.permutations(range(n))
+        if all(rankings[p[v]] == rankings[v] for v in range(n))
+    ]
+    subsets = itertools.combinations(range(n), k)
+    return sorted(
+        {
+            min(tuple(tuple(sorted(p[v] for v in T)) for T in combo) for p in perms)
+            for combo in itertools.product(subsets, repeat=s)
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "rankings",
+    [
+        [[0, 1, 2], [1, 2, 0], [0, 1, 2], [2, 0, 1], [1, 2, 0]],  # groups 2, 2, 1
+        [[1, 0, 2, 3]] * 4,  # one group of four
+        [[0, 1, 2], [2, 1, 0], [2, 1, 0], [0, 1, 2], [2, 1, 0]],  # groups 2, 3
+    ],
+)
+def test_subset_tuples_hit_every_orbit_once(rankings):
+    profile = PreferenceProfile(rankings)
+    poly = MetricPolytope(profile)
+    for s in (2, 3):
+        for k in range(1, profile.num_agents + 1):
+            assert poly.subset_tuples(k, s) == _tuple_orbit_firsts(profile, k, s), (s, k)
+
+
+@pytest.mark.parametrize(
+    "rankings, x",
+    [
+        ([[0, 1, 2], [0, 1, 2], [1, 2, 0], [2, 0, 1]], [0.5, 0.5, 0.0]),
+        ([[0, 1, 2], [0, 1, 2], [2, 0, 1]], [0.5, 0.25, 0.25]),
+    ],
+)
+def test_fairness_rand_exact_mode_matches_every_tuple(rankings, x):
+    profile = PreferenceProfile(rankings)
+    x = np.array(x)
+    report = fairness_rand(x, profile)
+    assert all(report.exact_k.values())
+    reference = _fresh_fairness_rand(x, profile)
+    assert report.per_k.keys() == reference.keys()
+    for k, (value, _) in reference.items():
+        assert _close(report.per_k[k][0], value), k
+        assert report.per_k[k][0] == report.per_k[k][1]
+    n, m, s = profile.num_agents, profile.num_alternatives, len(np.flatnonzero(x))
+    orbits = sum(len(_tuple_orbit_firsts(profile, k, s)) for k in range(1, n + 1))
+    assert report.solver_stats["objectives"] == m * orbits
+    assert orbits < sum(math.comb(n, k) ** s for k in range(1, n + 1))
+
+
 def test_subset_classes_start_their_class():
     profile = PreferenceProfile([[0, 1, 2], [1, 2, 0], [0, 1, 2], [2, 0, 1], [1, 2, 0]])
     poly = MetricPolytope(profile)
     assert poly.ranking_groups == [[0, 2], [1, 4], [3]]
     for k in range(1, 6):
-        assert poly.subset_classes(k) == _class_firsts(profile, k), k
+        assert poly.subset_tuples(k, 1) == [(S,) for S in _class_firsts(profile, k)], k
 
 
 def test_fairness_argmax_is_the_first_within_tie_tolerance():
