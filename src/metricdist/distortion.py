@@ -20,6 +20,13 @@ rows and replaces the rhs-1 row by a rank-one update, and a new opponent's
 tableau starts from a copy of another's optimum by the same path. Only a
 profile's first tableau and a failed switch are built cold.
 
+A quadrilateral (v, v', c, c') is named by its id ``((v N + v') M + c) M + c'``,
+its flat index into the gaps of :func:`metricspace._quad_gaps`. Separation
+returns ids, each opponent's row pool is an id array in insertion order with
+a membership mask over all N^2 M^2 ids, and each live tableau labels its
+constraints with one int array: a quadrilateral row holds its id, any other
+row a negative code (:class:`_LiveLp`).
+
 Every LP entry point here and in :mod:`metricdist.instanceopt` takes its
 solver from :func:`_solver_for`, which holds one solver, for the most
 recently solved profile; solving another profile releases it. A profile
@@ -106,6 +113,12 @@ SOLVER_STATS = (
     "pool_rows",
 )
 _COUNTERS = SOLVER_STATS[:-1]
+# Labels of a live tableau's constraints that are not quadrilateral ids.
+_FIXED = -1  # a consistency row or the rhs-1 row
+_NORM = -2  # a homogeneous row of the norm
+_SUBSET = -3  # k-subset i of a top-k norm (MetricPolytope.subset_rows) is _SUBSET - i
+_NO_IDS = np.zeros(0, dtype=np.intp)
+_NO_IDS.setflags(write=False)
 
 
 class BudgetExceededError(ValueError):
@@ -117,7 +130,8 @@ class MetricPolytope:
 
     Variables are the ``N * M`` entries ``d(v, c)`` in row-major order, all
     nonnegative. Rows are the per-agent consistency chain (adjacent ranking
-    positions suffice) and the quadrilateral inequalities.
+    positions suffice) and the quadrilateral inequalities, each named by its
+    id ``((v N + v') M + c) M + c'`` in ``[0, N^2 M^2)``.
     """
 
     def __init__(self, profile):
@@ -125,13 +139,15 @@ class MetricPolytope:
         self.num_agents = profile.num_agents
         self.num_alternatives = profile.num_alternatives
         self.num_metric_vars = self.num_agents * self.num_alternatives
+        self.num_quad_ids = self.num_metric_vars**2
         # edges[a, b]: some agent prefers a over b (the tournament's support)
         self.edges = build_weighted(profile).weights > 0
         self._reach = None
         self._length = None  # steps of a shortest chain from a to b, m if none
         self._consistency = None
-        self._subsets = {}  # k -> (names, members) of the k-agent subsets
+        self._subsets = {}  # k -> membership of the k-agent subsets, one row each
         self._groups = None
+        self._proper = None
 
     def var(self, v: int, c: int) -> int:
         return v * self.num_alternatives + c
@@ -183,61 +199,63 @@ class MetricPolytope:
             self._consistency = rows
         return self._consistency
 
-    def quadruple_rows(self, quads) -> np.ndarray:
-        """Rows of ``d(v,c) - d(v,c') - d(v',c') - d(v',c) <= 0``, one per quadruple.
+    @property
+    def proper(self) -> np.ndarray:
+        """Mask over the quadrilateral ids: those with ``v != v'`` and ``c != c'``."""
+        if self._proper is None:
+            n, m = self.num_agents, self.num_alternatives
+            agents, alternatives = ~np.eye(n, dtype=bool), ~np.eye(m, dtype=bool)
+            self._proper = (agents[:, :, None, None] & alternatives).ravel()
+        return self._proper
 
-        Each quadruple ``(v, v', c, c')`` has ``v != v'`` and ``c != c'``, so
-        its four entries are distinct.
+    def quadruple_rows(self, ids) -> np.ndarray:
+        """Rows of ``d(v,c) - d(v,c') - d(v',c') - d(v',c) <= 0``, one per id.
+
+        Each id's quadruple ``(v, v', c, c')`` has ``v != v'`` and
+        ``c != c'``, so its four entries are distinct.
         """
-        q = np.asarray(quads, dtype=int).reshape(-1, 4)
-        v, vp, c, cp = q.T
         m = self.num_alternatives
-        rows = np.zeros((len(q), self.num_metric_vars))
-        r = np.arange(len(q))
+        rest, cp = np.divmod(np.asarray(ids, dtype=np.intp), m)
+        rest, c = np.divmod(rest, m)
+        v, vp = np.divmod(rest, self.num_agents)
+        rows = np.zeros((len(cp), self.num_metric_vars))
+        r = np.arange(len(cp))
         rows[r, v * m + c] = 1.0
         rows[r, v * m + cp] = -1.0
         rows[r, vp * m + cp] = -1.0
         rows[r, vp * m + c] = -1.0
         return rows
 
-    def all_quadruples(self):
-        n, m = self.num_agents, self.num_alternatives
-        return [
-            (v, vp, c, cp)
-            for v in range(n)
-            for vp in range(n)
-            if v != vp
-            for c in range(m)
-            for cp in range(m)
-            if c != cp
-        ]
+    def all_quadruples(self) -> np.ndarray:
+        """Every proper quadrilateral id, ascending: lexicographic in (v, v', c, c')."""
+        return self.proper.nonzero()[0]
 
-    def violated_quadruples(self, values, tol, exclude, limit):
-        """Most-violated quadrilateral inequalities at ``values``, worst first.
+    def chain_quadruples(self, a, b) -> np.ndarray:
+        """Ids of the rows ``(v, v', x, y)``, ``v != v'``, of the steps of a chain.
 
-        A list of quadruples ``(v, v', c, c')`` with ``v != v'`` and
-        ``c != c'``. When no gap, degenerate quadruples included, exceeds
-        ``tol``, it returns ``[]`` before masking those out: masking only
-        lowers entries, so that exit can never miss a row.
+        Step by step along ``chain(a, b)``, and per step in lexicographic
+        order of ``(v, v')``.
         """
-        gaps = _quad_gaps(values)
-        if gaps.max() <= tol:
-            return []
-        n, m = values.shape
-        gaps[np.arange(n), np.arange(n), :, :] = -np.inf
-        gaps[:, :, np.arange(m), np.arange(m)] = -np.inf
-        idx = np.argwhere(gaps > tol)
-        if idx.size == 0:
-            return []
-        order = np.argsort(-gaps[tuple(idx.T)])
-        out = []
-        for k in order:
-            quad = tuple(int(x) for x in idx[k])
-            if quad not in exclude:
-                out.append(quad)
-                if len(out) >= limit:
-                    break
-        return out
+        n, m = self.num_agents, self.num_alternatives
+        pairs = np.flatnonzero(~np.eye(n, dtype=bool))  # v N + v', v != v'
+        steps = [(pairs * m + x) * m + y for x, y in self.chain(a, b)]
+        return np.array(steps, dtype=np.intp).ravel()
+
+    def violated_quadruples(self, values, tol, exclude, limit) -> np.ndarray:
+        """Ids of the most-violated quadrilateral inequalities at ``values``.
+
+        Worst first, at most ``limit``, skipping the ids that the boolean mask
+        ``exclude`` holds; only proper quadruples (``v != v'``, ``c != c'``)
+        count. When no gap, degenerate quadruples included, exceeds ``tol``,
+        it returns before masking those out: masking only lowers entries, so
+        that exit can never miss a row.
+        """
+        gaps = _quad_gaps(values).ravel()
+        if np.maximum.reduce(gaps) <= tol:
+            return _NO_IDS
+        ids = ((gaps > tol) & self.proper).nonzero()[0]
+        ids = ids[np.argsort(-gaps[ids])]
+        return ids[~exclude[ids]][:limit]
 
     @property
     def ranking_groups(self):
@@ -265,16 +283,16 @@ class MetricPolytope:
 
         Subset by subset, each takes the lowest-indexed agents of each block:
         agents of one ranking that every subset before it holds or leaves
-        out alike. So agents with larger membership vectors come first.
+        out alike. So agents with larger membership vectors come first. The
+        counts taken per block run over the vectors that sum to k, in
+        lexicographic order (:func:`_compositions`).
         """
 
         def extend(blocks, chosen):
             if len(chosen) == s:
                 yield chosen
                 return
-            for counts in itertools.product(*(range(len(b) + 1) for b in blocks)):
-                if sum(counts) != k:
-                    continue
+            for counts in _compositions([len(b) for b in blocks], k):
                 cut = list(zip(blocks, counts))
                 subset = tuple(sorted(v for block, c in cut for v in block[:c]))
                 parts = [p for block, c in cut for p in (block[:c], block[c:]) if p]
@@ -282,68 +300,124 @@ class MetricPolytope:
 
         return extend(self.ranking_groups, ())
 
-    def subset_rows(self, subsets, z):
-        """Rows of ``sum of d(v, z) over v in T <= 1``, one per agent subset T."""
-        rows = np.zeros((len(subsets), self.num_metric_vars))
-        for r, subset in enumerate(subsets):
-            rows[r, [self.var(v, z) for v in subset]] = 1.0
+    def subset_members(self, k) -> np.ndarray:
+        """Membership of the k-agent subsets, one boolean row per subset.
+
+        Subset i is the i-th of ``itertools.combinations(range(N), k)``.
+        """
+        if k not in self._subsets:
+            n = self.num_agents
+            subsets = itertools.combinations(range(n), k)
+            self._subsets[k] = np.array([[v in t for v in range(n)] for t in subsets])
+        return self._subsets[k]
+
+    def subset_rows(self, indices, k, z):
+        """Rows of ``sum of d(v, z) over v in T <= 1``, one per k-subset index."""
+        rows = np.zeros((len(indices), self.num_metric_vars))
+        rows[:, z :: self.num_alternatives] = self.subset_members(k)[indices]
         return rows
 
     def violated_subsets(self, column, k, tol, exclude, limit):
-        """k-agent subsets to add at ``column``, the opponent's entries.
+        """Indices of the k-subsets to add at ``column``, the opponent's entries.
 
-        None unless one outside ``exclude`` costs more than ``1 + tol``; then
-        all outside it, violated or not, most loaded first, up to ``limit``:
-        the next optimum's binding rows are mostly among them.
+        None unless one outside ``exclude``, a boolean mask over the subsets,
+        costs more than ``1 + tol``; then all outside it, violated or not,
+        most loaded first, up to ``limit``: the next optimum's binding rows
+        are mostly among them.
         """
-        if k not in self._subsets:
-            names = list(map(frozenset, itertools.combinations(range(len(column)), k)))
-            members = [[v in name for v in range(len(column))] for name in names]
-            self._subsets[k] = names, np.array(members)
-        names, members = self._subsets[k]
-        load = members @ column
-        if load.max() <= 1.0 + tol:
-            return []
-        order = np.argsort(-load, kind="stable").tolist()
-        order = [i for i in order if names[i] not in exclude]
-        if not order or load[order[0]] <= 1.0 + tol:
-            return []
-        return [names[i] for i in order[:limit]]
+        load = self.subset_members(k) @ column
+        if np.maximum.reduce(load) <= 1.0 + tol:
+            return _NO_IDS
+        order = np.argsort(-load, kind="stable")
+        order = order[~exclude[order]]
+        if not order.size or load[order[0]] <= 1.0 + tol:
+            return _NO_IDS
+        return order[:limit]
 
     def satisfies(self, d, tol=DEFAULT_FEAS_TOL) -> bool:
         return is_q_metric(d, tol)[0] and is_consistent(d, self.profile, tol)[0]
 
 
+def _compositions(sizes, total):
+    """Count vectors ``c`` with ``0 <= c[i] <= sizes[i]`` and sum ``total``.
+
+    In lexicographic order. Each count is bounded by what the later entries
+    can still hold, so no partial vector is a dead end.
+    """
+    if not sizes:
+        if total == 0:
+            yield ()
+        return
+    rest = sum(sizes[1:])
+    for first in range(max(0, total - rest), min(sizes[0], total) + 1):
+        for tail in _compositions(sizes[1:], total - first):
+            yield (first, *tail)
+
+
+class _Pool:
+    """One opponent's quadrilateral rows: ``ids`` in insertion order, and
+    ``member``, a mask over every quadrilateral id, True on those held."""
+
+    __slots__ = ("ids", "member")
+
+    def __init__(self, num_quad_ids):
+        self.ids = np.zeros(0, dtype=np.intp)
+        self.member = np.zeros(num_quad_ids, dtype=bool)
+
+    def add(self, ids):
+        """Append ``ids``, which are distinct, but for those already held."""
+        ids = ids[~self.member[ids]]
+        if ids.size:
+            self.member[ids] = True
+            self.ids = np.concatenate([self.ids, ids])
+
+
 class _LiveLp:
     """One live tableau, with what each of its constraints is.
 
-    ``labels`` runs parallel to the tableau's constraints: ``None`` for a
-    consistency row or the rhs-1 row, which never leave (a retarget replaces
-    the latter in place); a quadruple for a quadrilateral row; a frozenset
-    of k agents for a generated top-k row; the norm for a homogeneous
-    normalization row. ``opponent`` and ``norm`` are the normalization held.
+    ``labels`` is an int array parallel to the tableau's constraints: a
+    quadrilateral row holds its id (>= 0); ``_FIXED`` marks a consistency
+    row or the rhs-1 row, which never leave (a retarget replaces the latter
+    in place); ``_NORM`` a homogeneous normalization row; ``_SUBSET - i``
+    the generated top-k row of k-subset i. ``in_tableau`` is a mask over
+    every quadrilateral id, True on the rows held; ``subsets`` a mask over
+    the k-subsets of a top-k norm, True on the rows held, or None before
+    the norm's first separation round. ``opponent`` and ``norm`` are the
+    normalization held.
     """
 
-    __slots__ = ("tableau", "labels", "quads", "subsets", "opponent", "norm")
+    __slots__ = ("tableau", "labels", "in_tableau", "subsets", "opponent", "norm")
 
-    def __init__(self, tableau, labels, opponent, norm):
+    def __init__(self, tableau, labels, in_tableau, opponent, norm, subsets=None):
         self.tableau = tableau
         self.labels = labels
-        self.quads = {q for q in labels if isinstance(q, tuple)}
-        self.subsets = {t for t in labels if isinstance(t, frozenset)}
+        self.in_tableau = in_tableau
+        self.subsets = subsets
         self.opponent = opponent
         self.norm = norm
+
+    def copy(self):
+        """An independent copy, tableau included."""
+        subsets = None if self.subsets is None else self.subsets.copy()
+        return _LiveLp(
+            self.tableau.copy(),
+            self.labels.copy(),
+            self.in_tableau.copy(),
+            self.opponent,
+            self.norm,
+            subsets,
+        )
 
 
 class _PolytopeSolver:
     """Row-generating maximizer over one profile's metric polytope.
 
     Every LP here normalizes one opponent column, and generated
-    quadrilateral rows are pooled per normalized opponent: the rows are
-    valid for every LP over the polytope, but those that bind under one
-    opponent's normalization are mostly slack under another's. Each pool
-    starts with the chain rows of every column an objective weights (see the
-    module docstring), and a pool only grows.
+    quadrilateral rows are pooled per normalized opponent (a :class:`_Pool`
+    of ids): the rows are valid for every LP over the polytope, but those
+    that bind under one opponent's normalization are mostly slack under
+    another's. Each pool starts with the chain rows of every column an
+    objective weights (see the module docstring), and a pool only grows.
 
     Each opponent keeps one live tableau across calls, whatever its norm.
     New rows enter it and are re-optimized by the dual simplex; a new
@@ -351,7 +425,10 @@ class _PolytopeSolver:
     the primal simplex from the last optimal basis. Another opponent or
     norm takes one path, :meth:`_retarget`, on the opponent's tableau or,
     for an opponent without one, on a copy of the most recently used
-    tableau; only a profile's first tableau is built cold.
+    tableau; only a profile's first tableau is built cold. Which pool rows
+    a tableau lacks, which rows a switch removes and which rows join the
+    pool are mask operations on the pool and the tableau's labels, taken
+    in label order.
 
     Every round's assignment is verified against every row; a warm
     re-optimization that fails is rebuilt cold, as is a retarget that
@@ -368,7 +445,7 @@ class _PolytopeSolver:
         self.polytope = polytope
         self.feas_tol = feas_tol
         self.sep_tol = sep_tol
-        # opponent -> quadruples in insertion order (a dict as ordered set)
+        # opponent -> _Pool of quadrilateral ids
         self.pools = {}
         # (column, opponent) pairs whose chain rows are in the pool
         self.seeded = set()
@@ -379,7 +456,7 @@ class _PolytopeSolver:
     def stats_since(self, before):
         """``SOLVER_STATS`` of the work done since ``before``, a copy of ``stats``."""
         out = {name: self.stats[name] - before[name] for name in _COUNTERS}
-        out["pool_rows"] = sum(len(pool) for pool in self.pools.values())
+        out["pool_rows"] = sum(pool.ids.size for pool in self.pools.values())
         return out
 
     def maximize(self, objective, *, opponent, norm):
@@ -398,22 +475,19 @@ class _PolytopeSolver:
                 is unbounded (a weighted column has no chain to ``opponent``).
         """
         poly = self.polytope
-        pool = self.pools.setdefault(opponent, {})
+        pool = self.pools.get(opponent)
+        if pool is None:
+            pool = self.pools[opponent] = _Pool(poly.num_quad_ids)
         # The chain rows of every weighted column bound the relaxation.
-        weighted = np.flatnonzero(objective > 0) % poly.num_alternatives
+        weighted = (objective > 0).nonzero()[0] % poly.num_alternatives
         for c in set(weighted.tolist()):
             if (c, opponent) not in self.seeded:
                 self.seeded.add((c, opponent))
-                for a, b in poly.chain(c, opponent):
-                    agent_pairs = itertools.permutations(range(poly.num_agents), 2)
-                    pool.update(dict.fromkeys((v, vp, a, b) for v, vp in agent_pairs))
+                pool.add(poly.chain_quadruples(c, opponent))
         # Popped while in use, so a call that raises leaves no tableau behind.
         live = self.live.pop(opponent, None)
         if live is None and self.live:
-            donor = next(reversed(self.live.values()))
-            live = _LiveLp(
-                donor.tableau.copy(), list(donor.labels), donor.opponent, donor.norm
-            )
+            live = next(reversed(self.live.values())).copy()
         if live is None:
             live, status, out = self._start(objective, opponent, norm, pool)
         else:
@@ -425,9 +499,10 @@ class _PolytopeSolver:
 
     def _start(self, objective, opponent, norm, pool):
         """Cold-build the opponent's tableau over its pool, from the slack basis."""
-        lp, labels = _ratio_lp(self.polytope, objective, opponent, norm, list(pool))
+        lp, labels = _ratio_lp(self.polytope, objective, opponent, norm, pool.ids)
         tableau, status, out = self._cold(lp)
-        return _LiveLp(tableau, labels, opponent, norm), status, out
+        live = _LiveLp(tableau, labels, pool.member.copy(), opponent, norm)
+        return live, status, out
 
     def _retarget(self, live, objective, opponent, norm, pool):
         """Move a live tableau to ``objective``, ``opponent`` and ``norm``.
@@ -448,36 +523,37 @@ class _PolytopeSolver:
         """
         switch = (live.opponent, live.norm) != (opponent, norm)
         try:
-            held = len(live.labels)
+            held = live.labels.size
             if switch:
                 bound, enter = _normalization(self.polytope, opponent, norm)
                 if len(enter):
                     live.tableau.add_rows(enter, np.zeros(len(enter)))
-                    live.labels.extend([norm] * len(enter))
-            missing = [q for q in pool if q not in live.quads]
-            if missing:
+                    codes = np.full(len(enter), _NORM)
+                    live.labels = np.concatenate([live.labels, codes])
+            missing = pool.ids[~live.in_tableau[pool.ids]]
+            if missing.size:
                 self._add_quads(live, missing)
-            if len(live.labels) > held:
+            if live.labels.size > held:
                 self.stats["warm_solves"] += 1
                 status, _ = self._run(live.tableau)
                 if status is not LpStatus.OPTIMAL:
                     raise SolverFailure(f"unexpected LP status {status}")
             if switch:
+                labels = live.labels
                 # The old norm's rows: all but the fixed rows and quadrilaterals.
-                stale = [
-                    i
-                    for i, label in enumerate(live.labels[:held])
-                    if label is not None and not isinstance(label, tuple)
-                ]
+                stale = labels <= _NORM
+                stale[held:] = False
                 # Only a copied tableau holds rows outside the pool.
-                outside = live.quads.difference(pool)
-                if outside:
+                quads = labels >= 0
+                outside = quads.copy()
+                outside[quads] = ~pool.member[labels[quads]]
+                if outside.any():
                     basic = live.tableau.basic_slacks()
-                    rows = [(i, q) for i, q in enumerate(live.labels) if q in outside]
-                    stale += [i for i, _ in rows if basic[i]]
-                    pool.update(dict.fromkeys(q for i, q in rows if not basic[i]))
-                if stale:
+                    stale |= outside & basic
+                    pool.add(labels[outside & ~basic])
+                if stale.any():
                     self._remove(live, stale)
+                live.subsets = None
                 live.tableau.replace_equation(bound)
         except SolverFailure:
             self.stats["rebuilds"] += 1
@@ -498,6 +574,8 @@ class _PolytopeSolver:
         """
         poly = self.polytope
         top_k = None if isinstance(live.norm, str) else live.norm
+        if top_k and live.subsets is None:
+            live.subsets = np.zeros(len(poly.subset_members(top_k)), dtype=bool)
         for _ in range(_MAX_ROUNDS):
             if status is LpStatus.UNBOUNDED:
                 raise self._failure(
@@ -508,37 +586,35 @@ class _PolytopeSolver:
             metric = x.reshape(poly.num_agents, -1)
             self.stats["separation_rounds"] += 1
             new = poly.violated_quadruples(
-                metric, self.sep_tol, live.quads, _SEPARATION_BATCH
+                metric, self.sep_tol, live.in_tableau, _SEPARATION_BATCH
             )
-            subsets = []
+            subsets = _NO_IDS
             if top_k:
                 column = metric[:, opponent]
                 subsets = poly.violated_subsets(
                     column, top_k, self.sep_tol, live.subsets, _SEPARATION_BATCH
                 )
-            if not new and not subsets:
+            if not new.size and not subsets.size:
                 return out.value, x
 
-            if new:
-                pool.update(dict.fromkeys(new))
+            if new.size:
+                pool.add(new)
                 self._add_quads(live, new)
-            if subsets:
-                rows = poly.subset_rows(subsets, opponent)
+            if subsets.size:
+                rows = poly.subset_rows(subsets, top_k, opponent)
                 live.tableau.add_rows(rows, np.ones(len(subsets)))
-                live.labels.extend(subsets)
-                live.subsets.update(subsets)
+                live.labels = np.concatenate([live.labels, _SUBSET - subsets])
+                live.subsets[subsets] = True
             status, out = self._reoptimize(live)
         raise self._failure("row generation did not converge", live.tableau.program())
 
-    def _add_quads(self, live, quads):
-        live.tableau.add_rows(
-            self.polytope.quadruple_rows(quads), np.zeros(len(quads))
-        )
-        live.labels.extend(quads)
-        live.quads.update(quads)
+    def _add_quads(self, live, ids):
+        live.tableau.add_rows(self.polytope.quadruple_rows(ids), np.zeros(len(ids)))
+        live.labels = np.concatenate([live.labels, ids])
+        live.in_tableau[ids] = True
 
-    def _remove(self, live, indices):
-        """Remove the inequality constraints ``indices``.
+    def _remove(self, live, gone):
+        """Remove the inequality constraints of the mask ``gone``.
 
         Raises:
             SolverFailure: a constraint's slack could not be pivoted into the
@@ -547,25 +623,26 @@ class _PolytopeSolver:
         tableau = live.tableau
         before = tableau.primal_pivots
         try:
-            tableau.remove_rows(indices)
+            tableau.remove_rows(gone.nonzero()[0])
         finally:
             self.stats["primal_pivots"] += tableau.primal_pivots - before
-        gone = set(indices)
-        labels = [live.labels[i] for i in sorted(gone)]
-        live.labels = [label for i, label in enumerate(live.labels) if i not in gone]
-        live.quads.difference_update(labels)
-        live.subsets.difference_update(labels)
+        labels = live.labels[gone]
+        live.in_tableau[labels[labels >= 0]] = False
+        live.labels = live.labels[~gone]
 
     def _run(self, tableau):
         """Optimize ``tableau``; the outcome is verified, pivots counted."""
-        counts = ("primal_pivots", "dual_pivots", "refactors", "bland_switches")
-        before = [getattr(tableau, name) for name in counts]
+        stats = self.stats
+        primal, dual = tableau.primal_pivots, tableau.dual_pivots
+        refactors, bland = tableau.refactors, tableau.bland_switches
         try:
             status = tableau.optimize()
             return status, tableau.outcome() if status is LpStatus.OPTIMAL else None
         finally:
-            for name, old in zip(counts, before):
-                self.stats[name] += getattr(tableau, name) - old
+            stats["primal_pivots"] += tableau.primal_pivots - primal
+            stats["dual_pivots"] += tableau.dual_pivots - dual
+            stats["refactors"] += tableau.refactors - refactors
+            stats["bland_switches"] += tableau.bland_switches - bland
 
     def _reoptimize(self, live):
         """Warm re-optimization, rebuilt cold if it fails."""
@@ -643,16 +720,18 @@ def _normalization(poly, opponent, norm):
     return scale * total, np.zeros((0, total.size))
 
 
-def _ratio_lp(poly, objective, opponent, norm, quads):
+def _ratio_lp(poly, objective, opponent, norm, ids):
     """``(lp, labels)``: maximize ``objective`` over the consistency rows, the
-    norm's rows (:func:`_normalization`) and ``quads``, labelled as in
-    :class:`_LiveLp`."""
+    norm's rows (:func:`_normalization`) and the quadrilaterals ``ids``,
+    labelled as in :class:`_LiveLp`."""
     bound, A_norm = _normalization(poly, opponent, norm)
     consistency = poly.consistency_rows()
-    A_ub = np.vstack([consistency, bound, A_norm, poly.quadruple_rows(quads)])
+    A_ub = np.vstack([consistency, bound, A_norm, poly.quadruple_rows(ids)])
     b_ub = np.zeros(len(A_ub))
     b_ub[len(consistency)] = 1.0
-    labels = [None] * (len(consistency) + 1) + [norm] * len(A_norm) + quads
+    labels = np.concatenate(
+        [np.full(len(consistency) + 1, _FIXED), np.full(len(A_norm), _NORM), ids]
+    )
     return LinearProgram(objective, A_ub, b_ub), labels
 
 
@@ -847,10 +926,8 @@ def _fairness_sweep(solver, x, tuples):
     chain to, found before any LP; every value is then infinite. ``solved``
     maps ``(k, opponent, tuple)`` to ``(value, metric)``.
     """
-    poly = solver.polytope
     support = np.flatnonzero(x > 0).tolist()
-    opponents = [z for z in range(poly.num_alternatives) if support != [z]]
-    blocked = next((z for z in opponents if not poly.reach[support, z].all()), None)
+    opponents, blocked = _opponents(solver.polytope, support)
     if blocked is not None:
         return dict.fromkeys(tuples, math.inf), blocked, {}
     per_k, solved = dict.fromkeys(tuples, 1.0), {}
@@ -860,6 +937,18 @@ def _fairness_sweep(solver, x, tuples):
                 value, _ = solved[k, z, t] = _solve_tuple(solver, x, support, t, z, k)
                 per_k[k] = max(per_k[k], value)
     return per_k, blocked, solved
+
+
+def _opponents(poly, support):
+    """``(opponents, blocked)`` of a distribution supported on ``support``.
+
+    The opponents are every alternative but a point mass's own; ``blocked``
+    is the first one that some supported alternative has no chain to, or
+    None.
+    """
+    opponents = [z for z in range(poly.num_alternatives) if support != [z]]
+    blocked = next((z for z in opponents if not poly.reach[support, z].all()), None)
+    return opponents, blocked
 
 
 def _solve_tuple(solver, x, support, subsets, opponent, k):
@@ -934,21 +1023,27 @@ def fairness_rand(x, profile, k_set=None, budget=20_000):
     ``subset_tuples(k, 1)`` LPs per opponent, refused above ``budget``; the
     lower bound, a coordinate ascent over subset tuples from their optima.
     So ``budget`` bounds the LPs per opponent and k, apart from the ascent's.
+    If some opponent has no chain from a supported alternative, every k is
+    exact at ``(inf, inf)``, whatever the budget, and no LP runs.
     """
     x = _validated_distribution(x, profile.num_alternatives)
     k_set = _validated_k_set(k_set, profile.num_agents)
     solver = _solver_for(profile)
     before = dict(solver.stats)
-    poly, s = solver.polytope, int((x > 0).sum())
-    tuples, classes = {}, {}  # classes: k -> subset_tuples(k, 1), for the bounded k
-    for k in k_set:
-        orbits = list(itertools.islice(poly._orbits(k, s), budget + 1))
-        if len(orbits) > budget:
-            orbits, classes[k] = [], poly.subset_tuples(k, 1)
-        tuples[k] = sorted(orbits)
-    need = max((s * len(c) for c in classes.values()), default=0)
-    if need > budget:
-        raise BudgetExceededError(f"bounds need budget >= {need}, got {budget}")
+    poly, support = solver.polytope, np.flatnonzero(x > 0).tolist()
+    s = len(support)
+    # classes: k -> subset_tuples(k, 1), for the bounded k
+    tuples, classes = dict.fromkeys(k_set, []), {}
+    # With an unreachable opponent every value is infinite and no LP runs.
+    if _opponents(poly, support)[1] is None:
+        for k in k_set:
+            orbits = list(itertools.islice(poly._orbits(k, s), budget + 1))
+            if len(orbits) > budget:
+                orbits, classes[k] = [], poly.subset_tuples(k, 1)
+            tuples[k] = sorted(orbits)
+        need = max((s * len(c) for c in classes.values()), default=0)
+        if need > budget:
+            raise BudgetExceededError(f"bounds need budget >= {need}, got {budget}")
     per_k, blocked, _ = _fairness_sweep(solver, x, tuples)
     per_k = {k: (value, value) for k, value in per_k.items()}
     if blocked is None:

@@ -15,7 +15,9 @@ another in place (:meth:`Tableau.replace_equation`), and
 :meth:`Tableau.copy` lets one optimum seed another program. :func:`solve`
 is a cold build plus one optimization. The tableau is condensed: it stores
 only the columns of the nonbasic variables, so a pivot is a Jordan exchange
-that updates (rows + 1) x (nonbasic + 1) cells. Both pivot loops run a
+that updates (rows + 1) x (nonbasic + 1) cells. Its per-constraint arrays
+keep spare rows, grown by doubling, so added rows are written in place
+instead of copying the tableau on every addition. Both pivot loops run a
 greedy rule for speed and switch permanently to Bland's rule after a stall,
 so termination is guaranteed even on the highly degenerate metric polytopes
 this package produces.
@@ -49,6 +51,9 @@ _STALL_LIMIT = 500
 # Row violation by an optimal basic solution above which the tableau is
 # refactored from its rows: round-off that many pivots have accumulated.
 _DRIFT_TOL = 1e-11
+# The ndarray methods min and max without their Python-level wrappers: they
+# run on every pivot and every solve.
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 class LpInputError(ValueError):
@@ -232,18 +237,23 @@ def _pivot_loop(T, basis, nonbasic, pivot_tol, counter) -> str:
             # Bland: entering variable with the smallest label.
             col = _smallest_label(eligible, nonbasic)
         else:
-            best = costs.min()
+            col = int(costs.argmin())
+            best = costs[col]
             if best >= -pivot_tol:
                 return "optimal"
-            col = _smallest_label((costs == best).nonzero()[0], nonbasic)
+            tied = (costs == best).nonzero()[0]
+            if tied.size > 1:
+                col = _smallest_label(tied, nonbasic)
 
         col_vals = T[:m, col]
         rows = (col_vals > pivot_tol).nonzero()[0]
         if rows.size == 0:
             return "unbounded"
         ratios = values[rows] / col_vals[rows]
-        ties = rows[ratios <= ratios.min() + pivot_tol]
-        if bland:
+        ties = rows[ratios <= _min(ratios) + pivot_tol]
+        if ties.size == 1:
+            row = int(ties[0])
+        elif bland:
             # Bland: leaving variable with the smallest label.
             row = _smallest_label(ties, basis)
         else:
@@ -296,8 +306,10 @@ def _dual_loop(T, basis, nonbasic, pivot_tol, counter):
                 "is feasible at x = 0, so the tableau carries round-off"
             )
         ratios = np.maximum(costs[cols], 0.0) / -row_vals[cols]
-        ties = cols[ratios <= ratios.min() + pivot_tol]
-        if bland:
+        ties = cols[ratios <= _min(ratios) + pivot_tol]
+        if ties.size == 1:
+            col = int(ties[0])
+        elif bland:
             # Bland: entering variable with the smallest label.
             col = _smallest_label(ties, nonbasic)
         else:
@@ -332,6 +344,14 @@ class Tableau:
     exchange of one row label with one column label, and added rows never
     widen the tableau. Bland's rule picks the smallest label.
 
+    The arrays with one row per constraint (``rows``, ``rhs``, ``_T`` with
+    its cost row below them, ``_basis`` and ``_slack``) are views of the
+    leading rows of buffers with spare rows. :meth:`add_rows` writes into
+    the spare rows, doubling the buffers when they are full, and
+    :meth:`remove_rows` compacts the rows that stay in place. A cold build
+    or a copy has no spare rows until its first addition, so a tableau's
+    buffers hold at most twice the rows of its largest program.
+
     Args:
         lp: the program to build.
         pivot_tol: pivot and optimality tolerance of both pivot loops.
@@ -350,8 +370,6 @@ class Tableau:
         max_pivots=DEFAULT_MAX_PIVOTS,
     ):
         self.objective = lp.objective
-        self.rows = lp.A_ub.copy()
-        self.rhs = lp.b_ub.copy()
         self.pivot_tol = pivot_tol
         self.feas_tol = feas_tol
         self.max_pivots = max_pivots
@@ -359,33 +377,50 @@ class Tableau:
         self.dual_pivots = 0
         self.refactors = 0
         self.bland_switches = 0
-        m, n = self.rows.shape
-        self._T = np.zeros((m + 1, n + 1))
-        self._T[:m, :n] = self.rows
-        self._T[:m, -1] = self.rhs
-        self._slack = n + np.arange(m)  # constraint -> label of its slack
-        self._basis = self._slack.copy()  # label of each row's basic variable
+        m, n = lp.A_ub.shape
+        T = np.zeros((m + 1, n + 1))
+        T[:m, :n] = lp.A_ub
+        T[:m, -1] = lp.b_ub
+        slack = n + np.arange(m)  # constraint -> label of its slack
+        self._buffers = {
+            "rows": lp.A_ub.copy(),
+            "rhs": lp.b_ub.copy(),
+            "_T": T,
+            "_basis": slack.copy(),  # label of each row's basic variable
+            "_slack": slack,
+        }
+        self._view(m)
         self._nonbasic = np.arange(n)  # label of each column's nonbasic variable
         self._next_label = n + m
         self._set_cost_row()
+
+    def _view(self, m):
+        """Point the per-constraint arrays at the leading rows of their buffers."""
+        for name, buffer in self._buffers.items():
+            setattr(self, name, buffer[: m + 1 if name == "_T" else m])
 
     def _set_cost_row(self):
         """Reduced costs of the current objective in the current basis."""
         T, basis, nonbasic = self._T, self._basis, self._nonbasic
         n = self.objective.size
         c = self.objective
-        basic = np.flatnonzero(basis < n)
+        basic = (basis < n).nonzero()[0]
         T[-1] = c[basis[basic]] @ T[basic]
-        structural = np.flatnonzero(nonbasic < n)
+        structural = (nonbasic < n).nonzero()[0]
         T[-1, structural] -= c[nonbasic[structural]]
         # The basic solution and its row excesses, until the tableau changes.
         self._checked = None
 
     def copy(self) -> "Tableau":
-        """An independent copy: changing either tableau leaves the other alone."""
+        """An independent copy: changing either tableau leaves the other alone.
+
+        The copy's buffers hold its rows alone, with no spare rows.
+        """
         twin = copy.copy(self)
-        for name in ("objective", "rows", "rhs", "_T", "_basis", "_nonbasic", "_slack"):
-            setattr(twin, name, getattr(self, name).copy())
+        twin._buffers = {name: getattr(self, name).copy() for name in self._buffers}
+        twin._view(self.rhs.size)
+        twin.objective = self.objective.copy()
+        twin._nonbasic = self._nonbasic.copy()
         twin._checked = None
         return twin
 
@@ -418,7 +453,7 @@ class Tableau:
         row = np.asarray(row, dtype=float)
         if row.shape != (n,):
             raise LpInputError(f"row must have {n} entries, got shape {row.shape}")
-        nonzero = np.flatnonzero(self.rhs)
+        nonzero = self.rhs.nonzero()[0]
         if nonzero.size != 1:
             raise LpInputError(
                 "the tableau must hold exactly one constraint with a nonzero "
@@ -431,9 +466,9 @@ class Tableau:
         T, basis, nonbasic = self._T, self._basis, self._nonbasic
         # w = (delta over the basic variables) @ B^-1 [N | b] - [delta_N | 0];
         # its last entry is delta @ x, so s = b + w[-1].
-        basic = np.flatnonzero(basis < n)
+        basic = (basis < n).nonzero()[0]
         w = delta[basis[basic]] @ T[basic]
-        structural = np.flatnonzero(nonbasic < n)
+        structural = (nonbasic < n).nonzero()[0]
         w[structural] -= delta[nonbasic[structural]]
         b = self.rhs[i]
         s = b + w[-1]
@@ -470,21 +505,37 @@ class Tableau:
         rhs = np.asarray(rhs, dtype=float)
         _check_rhs(rhs)
         k = rhs.size
-        T, basis, nonbasic = self._T, self._basis, self._nonbasic
-        block = np.zeros((k, T.shape[1]))
-        structural = np.flatnonzero(nonbasic < n)
+        m = self.rhs.size
+        if m + k > self._buffers["rhs"].shape[0]:
+            self._grow(max(m + k, 2 * m))
+        buffers, basis, nonbasic = self._buffers, self._basis, self._nonbasic
+        T = buffers["_T"]
+        basic = (basis < n).nonzero()[0]
+        elimination = A[:, basis[basic]] @ T[basic]
+        T[m + k] = T[m]  # the cost row moves below the new rows
+        block = T[m : m + k]
+        block[:] = 0.0
+        structural = (nonbasic < n).nonzero()[0]
         block[:, structural] = A[:, nonbasic[structural]]
         block[:, -1] = rhs
-        basic = np.flatnonzero(basis < n)
-        block -= A[:, basis[basic]] @ T[basic]
+        block -= elimination
         labels = self._next_label + np.arange(k)
         self._next_label += k
-        self._T = np.vstack([T[:-1], block, T[-1:]])
-        self._basis = np.concatenate([basis, labels])
-        self._slack = np.concatenate([self._slack, labels])
-        self.rows = np.vstack([self.rows, A])
-        self.rhs = np.concatenate([self.rhs, rhs])
+        buffers["_basis"][m : m + k] = labels
+        buffers["_slack"][m : m + k] = labels
+        buffers["rows"][m : m + k] = A
+        buffers["rhs"][m : m + k] = rhs
+        self._view(m + k)
         self._checked = None
+
+    def _grow(self, capacity):
+        """Move the rows to buffers with room for ``capacity`` constraints."""
+        for name, old in self._buffers.items():
+            buffer = np.empty((capacity + (name == "_T"),) + old.shape[1:], old.dtype)
+            held = getattr(self, name)
+            buffer[: len(held)] = held
+            self._buffers[name] = buffer
+        self._view(self.rhs.size)
 
     def remove_rows(self, indices):
         """Delete the constraints ``indices``.
@@ -520,17 +571,19 @@ class Tableau:
                     "its constraint cannot be removed"
                 )
             ratios = np.maximum(T[rows, -1], 0.0) / np.abs(col[rows])
-            ties = rows[ratios <= ratios.min() + self.pivot_tol]
+            ties = rows[ratios <= _min(ratios) + self.pivot_tol]
             # Prefer a large pivot element for numerical stability.
             r = int(ties[np.abs(col[ties]).argmax()])
             _do_pivot(T, basis, nonbasic, r, c)
             going[r] = True
             self.primal_pivots += 1
-        self._T = T[np.append(~going, True)]
-        self._basis = basis[~going]
-        self._slack = self._slack[stays]
-        self.rows = self.rows[stays]
-        self.rhs = self.rhs[stays]
+        masks = dict.fromkeys(self._buffers, stays)
+        masks["_basis"] = ~going
+        masks["_T"] = np.append(~going, True)  # the cost row stays
+        for name, mask in masks.items():
+            kept = getattr(self, name)[mask]
+            self._buffers[name][: len(kept)] = kept
+        self._view(int(np.count_nonzero(stays)))
 
     def refactor(self):
         """Recompute the tableau from the rows in the current basis.
@@ -589,17 +642,18 @@ class Tableau:
 
     def _residual(self):
         """Largest violation of a row by the basic solution."""
-        return self._check()[1].max(initial=0.0)
+        return self._check()[2]
 
     def _check(self):
-        """The basic solution and by how much it violates each row.
+        """The basic solution, by how much it violates each row, and the most.
 
         Computed once per basis: the drift check of :meth:`optimize` and the
         verification of :meth:`outcome` share it.
         """
         if self._checked is None:
             x = self._solution()
-            self._checked = (x, _excess(self.rows, self.rhs, x))
+            excess = _excess(self.rows, self.rhs, x)
+            self._checked = (x, excess, _max(excess, initial=0.0))
         return self._checked
 
     def _solution(self):
@@ -612,7 +666,7 @@ class Tableau:
     def _optimize(self, counter):
         T, basis, nonbasic, tol = self._T, self._basis, self._nonbasic, self.pivot_tol
         self._checked = None
-        lowest = T[:-1, -1].min(initial=0.0)
+        lowest = _min(T[:-1, -1], initial=0.0)
         if lowest < -tol:
             if (T[-1, :-1] < -tol).any():
                 if lowest < -self.feas_tol:
@@ -639,9 +693,11 @@ class Tableau:
             SolverFailure: the basic solution violates a row or a sign
                 constraint by more than ``feas_tol``.
         """
-        x, excess = self._check()
-        _verify(x, excess, self.feas_tol)
-        x = np.where(x < 0.0, 0.0, x)  # verified within tolerance
+        x, excess, worst = self._check()
+        lowest = _min(x, initial=0.0)
+        _verify(lowest, excess, worst, self.feas_tol)
+        if lowest < 0.0:
+            x = np.where(x < 0.0, 0.0, x)  # verified within tolerance
         value = float(self.objective @ x)
         x.setflags(write=False)
         return LpOutcome(status=LpStatus.OPTIMAL, value=value, assignment=x)
@@ -670,11 +726,11 @@ def _excess(rows, rhs, x):
     return rows @ x - rhs
 
 
-def _verify(x, excess, feas_tol):
-    """Raise unless ``x``, whose row violations are ``excess``, is feasible."""
-    if (x < -feas_tol).any():
+def _verify(lowest, excess, worst, feas_tol):
+    """Raise unless an assignment is feasible: its smallest entry is ``lowest``,
+    its row violations are ``excess`` and the largest of them is ``worst``."""
+    if lowest < -feas_tol:
         raise SolverFailure("assignment violates nonnegativity beyond tolerance")
-    bad = np.flatnonzero(excess > feas_tol)
-    if bad.size:
-        i = int(bad[0])
+    if worst > feas_tol:
+        i = int((excess > feas_tol).argmax())
         raise SolverFailure(f"assignment violates constraint {i} by {excess[i]:.3e}")

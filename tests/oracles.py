@@ -334,3 +334,53 @@ class FullTableau:
         x = np.zeros(self.T.shape[1] - 1)
         x[self.basis] = self.T[:-1, -1]
         return x[: self.n_struct]
+
+
+def naive_quadruples(n, m):
+    """Every quadruple ``(v, v', c, c')`` with ``v != v'`` and ``c != c'``,
+    in lexicographic order."""
+    return [
+        (v, vp, c, cp)
+        for v in range(n)
+        for vp in range(n)
+        if v != vp
+        for c in range(m)
+        for cp in range(m)
+        if c != cp
+    ]
+
+
+def naive_quadruple_rows(quads, n, m):
+    """Rows of ``d(v,c) - d(v,c') - d(v',c') - d(v',c) <= 0`` over the ``N * M``
+    entries in row-major order, built from the quadruple tuples one by one."""
+    rows = np.zeros((len(quads), n * m))
+    for r, (v, vp, c, cp) in enumerate(quads):
+        rows[r, v * m + c] += 1.0
+        rows[r, v * m + cp] -= 1.0
+        rows[r, vp * m + cp] -= 1.0
+        rows[r, vp * m + c] -= 1.0
+    return rows
+
+
+def naive_orbits(groups, k, s):
+    """s-tuples of k-agent subsets, one per orbit, by product and filter.
+
+    ``groups`` are the agents of each ranking. Subset by subset, every count
+    vector over the blocks (agents that every earlier subset holds or leaves
+    out alike) is enumerated by ``itertools.product`` and kept if it sums to
+    k; the subset takes each block's lowest-indexed agents.
+    """
+
+    def extend(blocks, chosen):
+        if len(chosen) == s:
+            yield chosen
+            return
+        for counts in itertools.product(*(range(len(b) + 1) for b in blocks)):
+            if sum(counts) != k:
+                continue
+            cut = list(zip(blocks, counts))
+            subset = tuple(sorted(v for block, c in cut for v in block[:c]))
+            parts = [p for block, c in cut for p in (block[:c], block[c:]) if p]
+            yield from extend(parts, chosen + (subset,))
+
+    return extend(groups, ())

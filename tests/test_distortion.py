@@ -7,6 +7,7 @@ import pytest
 
 from metricdist import linprog
 from metricdist.distortion import (
+    _SUBSET,
     GRID_BUDGET,
     SOLVER_STATS,
     BudgetExceededError,
@@ -37,7 +38,12 @@ from metricdist.profiles import (
 )
 from metricdist.rules import copeland, randomized_dictatorship, ranked_pairs, schulze
 
-from oracles import naive_grid_search
+from oracles import (
+    naive_grid_search,
+    naive_orbits,
+    naive_quadruple_rows,
+    naive_quadruples,
+)
 
 UNIFORM3 = np.full(3, 1 / 3)
 
@@ -184,6 +190,31 @@ def test_metric_polytope_rows_match_direct_checks():
         assert by_rows == poly.satisfies(CostMatrix(d), tol=1e-12)
 
 
+def _quad_id(quad, n, m):
+    v, vp, c, cp = quad
+    return ((v * n + vp) * m + c) * m + cp
+
+
+def test_quadrilateral_ids_round_trip_every_quadruple():
+    rng = np.random.default_rng(13)
+    for n, m in [(2, 2), (2, 3), (3, 2), (3, 4), (5, 3)]:
+        poly = MetricPolytope(random_profile(n, m, rng))
+        quads = naive_quadruples(n, m)
+        ids = poly.all_quadruples()
+        assert ids.tolist() == [_quad_id(q, n, m) for q in quads]
+        # The id is the flat C-order index into the (N, N, M, M) gaps.
+        assert list(zip(*np.unravel_index(ids, (n, n, m, m)))) == quads
+        assert poly.num_quad_ids == n * n * m * m
+        assert poly.proper.sum() == len(quads) and poly.proper[ids].all()
+        reference = naive_quadruple_rows(quads, n, m)
+        assert np.array_equal(poly.quadruple_rows(ids), reference)
+        order = rng.permutation(len(ids))
+        assert np.array_equal(
+            poly.quadruple_rows(ids[order]),
+            naive_quadruple_rows([quads[i] for i in order], n, m),
+        )
+
+
 def test_fixed_metric_fairness_ratios_warmup():
     inst = warmup_instance()
     ratios = []
@@ -271,11 +302,15 @@ def test_an_unreachable_opponent_runs_no_lp():
     assert det.per_k == dict.fromkeys((1, 2, 3), math.inf)
     assert det.argmax == (3, 2, None) == _fresh_fairness(1, profile)[1]
     x = [0.0, 0.5, 0.0, 0.5]
-    # budget 7: k = 1 and 2 bound (9 orbits each), k = 3 is exact (1 orbit)
-    for rand in (fairness_rand(x, profile), fairness_rand(x, profile, budget=7)):
-        assert rand.solver_stats["objectives"] == 0
-        assert rand.per_k == dict.fromkeys((1, 2, 3), (math.inf, math.inf))
-    assert rand.exact_k == {1: False, 2: False, 3: True}
+    # Reachability is decided before the budget: at budget 7 the orbits of
+    # k = 1 and 2 (9 each) would not fit, and at 5 neither would the bounds
+    # (6 LPs), yet every k is exactly infinite without an LP.
+    for budget in (20_000, 7, 5, 1):
+        rand = fairness_rand(x, profile, budget=budget)
+        assert rand.solver_stats["objectives"] == 0, budget
+        assert rand.per_k == dict.fromkeys((1, 2, 3), (math.inf, math.inf)), budget
+        assert rand.exact_k == dict.fromkeys((1, 2, 3), True), budget
+        assert rand.value_bounds == (math.inf, math.inf), budget
 
 
 def test_fairness_rand_single_agent_equals_dist_rand():
@@ -602,6 +637,31 @@ def test_fairness_rand_exact_mode_matches_every_tuple(rankings, x):
     assert orbits < sum(math.comb(n, k) ** s for k in range(1, n + 1))
 
 
+def test_orbits_follow_the_product_and_filter_order():
+    rng = np.random.default_rng(107)
+    for trial in range(12):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        # Few distinct rankings, so that groups repeat.
+        distinct = [rng.permutation(m) for _ in range(int(rng.integers(1, 4)))]
+        rankings = [distinct[int(rng.integers(len(distinct)))] for _ in range(n)]
+        poly = MetricPolytope(PreferenceProfile(rankings))
+        for s in (1, 2, 3):
+            for k in range(1, n + 1):
+                expected = list(naive_orbits(poly.ranking_groups, k, s))
+                assert list(poly._orbits(k, s)) == expected, (trial, k, s)
+
+
+def test_orbits_of_distinct_rankings_count_every_tuple():
+    # 16 agents, each ranking its own: the orbits of pairs of singletons
+    # are all 16 * 16 ordered pairs.
+    rankings = [
+        list(p) for p in itertools.islice(itertools.permutations(range(4)), 16)
+    ]
+    poly = MetricPolytope(PreferenceProfile(rankings))
+    assert len(poly.ranking_groups) == 16
+    assert sum(1 for _ in poly._orbits(1, 2)) == 256
+
+
 def test_subset_classes_start_their_class():
     profile = PreferenceProfile([[0, 1, 2], [1, 2, 0], [0, 1, 2], [2, 0, 1], [1, 2, 0]])
     poly = MetricPolytope(profile)
@@ -650,6 +710,7 @@ def _full_scan(values, tol, exclude, limit):
 
 
 def test_separation_early_exit_returns_the_full_scan():
+    # _full_scan's tuples, mapped to ids, are the reference.
     rng = np.random.default_rng(101)
     exits = violated = barely = 0
     for trial in range(80):
@@ -668,11 +729,15 @@ def test_separation_early_exit_returns_the_full_scan():
         tol = 1e-9
         everything = _full_scan(values, tol, set(), 10**6)
         exclude = set(everything[::3])
+        mask = np.zeros(n * n * m * m, dtype=bool)
+        mask[[_quad_id(q, n, m) for q in exclude]] = True
         for limit in (1, 5, 10**6):
-            found = poly.violated_quadruples(values.copy(), tol, exclude, limit)
-            assert type(found) is list
-            assert found == _full_scan(values, tol, exclude, limit), trial
-            assert all(v != vp and c != cp for v, vp, c, cp in found)
+            found = poly.violated_quadruples(values.copy(), tol, mask, limit)
+            assert isinstance(found, np.ndarray) and found.dtype.kind == "i"
+            expected = _full_scan(values, tol, exclude, limit)
+            assert found.tolist() == [_quad_id(q, n, m) for q in expected], trial
+            v, vp, c, cp = np.unravel_index(found, (n, n, m, m))
+            assert (v != vp).all() and (c != cp).all()
         exits += _quad_gaps(values).max() <= tol
         violated += bool(everything)
         barely += 0 < len(everything) and _quad_gaps(values).max() < 1e-6
@@ -729,14 +794,21 @@ def test_seeded_chain_rows_stay_in_pool_and_tableau():
     solver = _solver_for(profile)
     value, _ = a_det(0, m - 1, profile)
     assert value == pytest.approx((5 * n + 3) / (n + 3), rel=1e-9)
-    seeded = {
-        (v, vp, a, b)
+    seeded = [
+        _quad_id((v, vp, a, b), profile.num_agents, m)
         for a, b in solver.polytope.chain(0, m - 1)
         for v, vp in itertools.permutations(range(profile.num_agents), 2)
-    }
+    ]
     assert seeded
     (live,) = solver.live.values()
-    assert seeded <= set(solver.pools[m - 1]) and seeded <= live.quads
+    pool = solver.pools[m - 1]
+    # The chain rows are the pool's first rows, in chain order.
+    assert pool.ids[: len(seeded)].tolist() == seeded
+    assert pool.member[seeded].all() and live.in_tableau[seeded].all()
+    # The masks agree with the id arrays they stand for.
+    assert np.flatnonzero(pool.member).tolist() == sorted(pool.ids.tolist())
+    quads = live.labels[live.labels >= 0]
+    assert np.flatnonzero(live.in_tableau).tolist() == sorted(quads.tolist())
 
 
 def test_single_a_det_builds_one_tableau():
@@ -777,7 +849,8 @@ def test_reports_carry_solver_stats():
         assert stats["pool_rows"] > 0
     # pool_rows is the level of the solver's pools, not a per-call count
     pools = _solver_for(profile).pools
-    assert stats["pool_rows"] == sum(len(pool) for pool in pools.values())
+    assert stats["pool_rows"] == sum(pool.ids.size for pool in pools.values())
+    assert stats["pool_rows"] == sum(pool.member.sum() for pool in pools.values())
 
 
 def test_per_call_solver_stats_sum_to_solver_totals():
@@ -964,7 +1037,9 @@ def test_retarget_from_a_top_k_donor_to_cheapest_on_a_new_opponent():
     for v in range(3):
         objective[poly.var(v, c)] = 1.0
     solver.maximize(objective, opponent=z, norm=3)
-    assert solver.live[z].subsets
+    live = solver.live[z]
+    assert (live.labels <= _SUBSET).any()
+    assert live.subsets.sum() == (live.labels <= _SUBSET).sum()
 
     new = next(o for o in range(m) if o != z and poly.reach[:, o].all())
     lottery = np.tile(np.full(m, 1 / m), poly.num_agents)
@@ -988,11 +1063,9 @@ def _assert_no_phase_one(solver):
     for live in solver.live.values():
         rhs = live.tableau.rhs
         assert (rhs >= 0).all()
-        bounds = [
-            i
-            for i, label in enumerate(live.labels)
-            if rhs[i] and not isinstance(label, frozenset)
-        ]
+        assert live.labels.size == rhs.size
+        labels = live.labels.tolist()
+        bounds = [i for i, label in enumerate(labels) if rhs[i] and label > _SUBSET]
         assert len(bounds) == 1
 
 

@@ -525,28 +525,83 @@ def test_replace_equation_needs_exactly_one_nonzero_rhs():
             tableau.replace_equation([1.0, 2.0])
 
 
+def _arrays(tableau):
+    """Every array a tableau holds, the buffers behind its rows included."""
+    arrays = {k: v for k, v in vars(tableau).items() if isinstance(v, np.ndarray)}
+    arrays.update({f"buffer {k}": v for k, v in tableau._buffers.items()})
+    return arrays
+
+
+def _snapshot(tableau):
+    """The bytes of every array, spare rows included (NaN garbage compares)."""
+    return {name: value.tobytes() for name, value in _arrays(tableau).items()}
+
+
+def _mutate(tableau, rng):
+    """Add rows, re-optimize, swap the bound, switch objective, remove rows."""
+    n = tableau.objective.size
+    tableau.add_rows(rng.integers(-3, 4, size=(2, n)).astype(float), np.zeros(2))
+    if tableau.optimize() is LpStatus.OPTIMAL:
+        tableau.replace_equation(np.ones(n))
+        tableau.set_objective(rng.integers(-3, 4, size=n).astype(float))
+        tableau.optimize()
+    basic = np.flatnonzero(tableau.basic_slacks())
+    tableau.remove_rows(basic[-1:])  # no pivot: its slack is basic
+    tableau.add_rows(rng.integers(-3, 4, size=(1, n)).astype(float), np.zeros(1))
+
+
 def test_copied_tableau_shares_no_array_with_its_donor():
     rng = np.random.default_rng(4100)
-    for _ in range(20):
+    copies = 0
+    for _ in range(30):
         lp = _homogeneous_lp(rng)
         donor = Tableau(lp)
         if donor.optimize() is not LpStatus.OPTIMAL:
             continue
-        arrays = {
-            name: value.copy()
-            for name, value in vars(donor).items()
-            if isinstance(value, np.ndarray)
-        }
+        # A row added before the copy puts the donor's spare rows in use.
+        row = rng.integers(-3, 4, size=(1, lp.num_vars)).astype(float)
+        donor.add_rows(row, np.zeros(1))
+        if donor.optimize() is not LpStatus.OPTIMAL:
+            continue
+        assert donor._buffers["rhs"].size > donor.rhs.size
         twin = donor.copy()
-        for name, value in vars(twin).items():
-            if isinstance(value, np.ndarray):
-                assert not np.shares_memory(value, getattr(donor, name)), name
-        rows = rng.integers(-3, 4, size=(2, lp.num_vars)).astype(float)
-        twin.add_rows(rows, np.zeros(2))
-        if twin.optimize() is LpStatus.OPTIMAL:
-            twin.replace_equation(np.ones(lp.num_vars))
-            twin.set_objective(rng.integers(-3, 4, size=lp.num_vars).astype(float))
-            twin.optimize()
-        for name, value in arrays.items():
-            assert np.array_equal(getattr(donor, name), value), name
-        assert donor.outcome().value == solve(lp).value
+        for name, value in _arrays(twin).items():
+            for other, held in _arrays(donor).items():
+                assert not np.shares_memory(value, held), (name, other)
+        value = twin.outcome().value
+        assert donor.outcome().value == value
+
+        # The donor changes; the twin does not.
+        twin_state = _snapshot(twin)
+        _mutate(donor, rng)
+        assert _snapshot(twin) == twin_state
+        assert twin.outcome().value == value
+        # The twin changes; the donor does not.
+        donor_state = _snapshot(donor)
+        _mutate(twin, rng)
+        assert _snapshot(donor) == donor_state
+        copies += 1
+    assert copies >= 10
+
+
+def test_added_rows_fill_spare_rows_grown_by_doubling():
+    lp = LinearProgram([1.0, 1.0], [[1.0, 2.0]], [4.0])
+    tableau = Tableau(lp)
+    assert tableau._buffers["rhs"].size == 1  # a cold build has no spare rows
+    largest = 1
+    for k in range(1, 40):
+        tableau.add_rows([[1.0, 0.0]], [float(k)])
+        largest = max(largest, tableau.rhs.size)
+        capacity = tableau._buffers["rhs"].size
+        assert tableau.rhs.size <= capacity <= 2 * largest
+        assert tableau._buffers["_T"].shape[0] == capacity + 1
+        for name in ("rows", "rhs", "_basis", "_slack", "_T"):
+            assert getattr(tableau, name).base is tableau._buffers[name], name
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.outcome().value == pytest.approx(2.5)  # x = 1, y = 1.5
+    # Removal compacts in place: x <= 1 .. x <= 29 go, x <= 30 binds no more.
+    tableau.remove_rows(np.arange(1, 30))
+    assert tableau.rhs.size == 11 and tableau._buffers["rhs"].size == capacity
+    assert tableau.rhs.tolist() == [4.0] + [float(k) for k in range(30, 40)]
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.outcome().value == pytest.approx(4.0)  # x = 4, y = 0

@@ -78,3 +78,38 @@ def test_tableau_shape_reads_the_program():
     lp = build_full_lp(0, 2, warmup_instance().profile)
     r, n = len(lp.b_ub), lp.num_vars
     assert _load_tracer()._tableau_shape(lp) == (r, (r + 1) * (n + r + 1))
+
+
+def test_separation_counts_one_cut_per_row_it_builds():
+    # The tracer counts distortion.cuts_added as len() of what the hooked
+    # MetricPolytope.violated_quadruples returns; each entry must be one row
+    # that quadruple_rows builds.
+    import numpy as np
+
+    from metricdist.distortion import MetricPolytope, _PolytopeSolver
+    from metricdist.linprog import LinearProgram
+    from metricdist.profiles import random_profile
+
+    module = _load_tracer()
+    hooks = {attr for _, attr, _ in module.HOOKS}
+    assert {"MetricPolytope.violated_quadruples", "_PolytopeSolver.maximize"} <= hooks
+    assert "maximize" in vars(_PolytopeSolver)
+    for name in ("relations", "rhs", "nonneg"):
+        assert name in vars(LinearProgram), name
+
+    tracer = module.Tracer()
+    rng = np.random.default_rng(5)
+    built = 0
+    for _ in range(20):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        poly = MetricPolytope(random_profile(n, m, rng))
+        values = rng.random((n, m)) * (rng.random((n, m)) < 0.6)
+        exclude = np.zeros(poly.num_quad_ids, dtype=bool)
+        for limit in (3, 75):
+            found = poly.violated_quadruples(values, 1e-9, exclude, limit)
+            rows = poly.quadruple_rows(found)
+            assert len(found) == len(rows) <= limit
+            tracer._on_return("distortion.separation", found)
+            built += len(rows)
+    assert built > 0
+    assert tracer.counts["distortion.cuts"] == built
