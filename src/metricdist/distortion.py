@@ -22,17 +22,17 @@ profile's first tableau and a failed switch are built cold.
 
 A quadrilateral (v, v', c, c') is named by its id ``((v N + v') M + c) M + c'``,
 its flat index into the gaps of :func:`metricspace._quad_gaps`. Separation
-returns ids, each opponent's row pool is an id array in insertion order with
-a membership mask over all N^2 M^2 ids, and each live tableau labels its
-constraints with one int array: a quadrilateral row holds its id, any other
-row a negative code (:class:`_LiveLp`).
+returns ids, and each live tableau labels its constraints with one int
+array, a quadrilateral row by its id and any other row by a negative code,
+and marks the ids it holds in a mask over all N^2 M^2 ids (:class:`_LiveLp`).
+An opponent's quadrilateral rows are exactly those of its live tableau.
 
 Every LP entry point here and in :mod:`metricdist.instanceopt` takes its
 solver from :func:`_solver_for`, which holds one solver, for the most
 recently solved profile; solving another profile releases it. A profile
-therefore keeps its tableaux and row pools across calls until another takes
-the slot, and the rule is: *the same calls in the same order on a profile,
-from the point it takes the slot, give the same bits*. Which optimal vertex
+therefore keeps its tableaux across calls until another takes the slot,
+and the rule is: *the same calls in the same order on a profile, from the
+point it takes the slot, give the same bits*. Which optimal vertex
 an LP returns can depend on earlier calls on that profile, so results that
 depend on the vertex, not just the optimal value, can too: the lower bounds
 of :func:`fairness_rand` outside its exact mode are one.
@@ -108,8 +108,8 @@ SOLVER_STATS = (
     "separation_rounds",  # searches for violated rows
     "norm_swaps",  # live tableaux switched to another normalization in place
     "opponent_swaps",  # tableaux started from another opponent's optimum
-    # A level, not a count: quadrilateral rows held across the opponent
-    # pools when the call returns.
+    # A level, not a count: quadrilateral rows held across the live
+    # tableaux when the call returns.
     "pool_rows",
 )
 _COUNTERS = SOLVER_STATS[:-1]
@@ -185,6 +185,15 @@ class MetricPolytope:
             steps.append((a, step))
             a = step
         return steps
+
+    def unreached(self, support, z) -> list:
+        """The columns of ``support`` with no chain of ``edges`` to ``z``, in order.
+
+        Nonempty exactly when a ratio against ``z`` of a distribution
+        supported on ``support`` is infinite (see the module docstring).
+        """
+        support = np.asarray(support, dtype=np.intp)
+        return support[~self.reach[support, z]].tolist()
 
     def consistency_rows(self) -> np.ndarray:
         if self._consistency is None:
@@ -354,24 +363,6 @@ def _compositions(sizes, total):
             yield (first, *tail)
 
 
-class _Pool:
-    """One opponent's quadrilateral rows: ``ids`` in insertion order, and
-    ``member``, a mask over every quadrilateral id, True on those held."""
-
-    __slots__ = ("ids", "member")
-
-    def __init__(self, num_quad_ids):
-        self.ids = np.zeros(0, dtype=np.intp)
-        self.member = np.zeros(num_quad_ids, dtype=bool)
-
-    def add(self, ids):
-        """Append ``ids``, which are distinct, but for those already held."""
-        ids = ids[~self.member[ids]]
-        if ids.size:
-            self.member[ids] = True
-            self.ids = np.concatenate([self.ids, ids])
-
-
 class _LiveLp:
     """One live tableau, with what each of its constraints is.
 
@@ -380,55 +371,59 @@ class _LiveLp:
     row or the rhs-1 row, which never leave (a retarget replaces the latter
     in place); ``_NORM`` a homogeneous normalization row; ``_SUBSET - i``
     the generated top-k row of k-subset i. ``in_tableau`` is a mask over
-    every quadrilateral id, True on the rows held; ``subsets`` a mask over
-    the k-subsets of a top-k norm, True on the rows held, or None before
-    the norm's first separation round. ``opponent`` and ``norm`` are the
-    normalization held.
+    every quadrilateral id, True on the rows held; ``chained`` a mask over
+    the columns, True on those whose chain rows to ``opponent`` are held
+    (see the module docstring); ``subsets`` a mask over the k-subsets of a
+    top-k norm, True on the rows held, or None before the norm's first
+    separation round. ``opponent`` and ``norm`` are the normalization held.
     """
 
-    __slots__ = ("tableau", "labels", "in_tableau", "subsets", "opponent", "norm")
+    __slots__ = (
+        "tableau",
+        "labels",
+        "in_tableau",
+        "chained",
+        "subsets",
+        "opponent",
+        "norm",
+    )
 
-    def __init__(self, tableau, labels, in_tableau, opponent, norm, subsets=None):
+    def __init__(self, tableau, labels, in_tableau, chained, opponent, norm):
         self.tableau = tableau
         self.labels = labels
         self.in_tableau = in_tableau
-        self.subsets = subsets
+        self.chained = chained
+        self.subsets = None
         self.opponent = opponent
         self.norm = norm
 
     def copy(self):
         """An independent copy, tableau included."""
-        subsets = None if self.subsets is None else self.subsets.copy()
-        return _LiveLp(
-            self.tableau.copy(),
-            self.labels.copy(),
-            self.in_tableau.copy(),
-            self.opponent,
-            self.norm,
-            subsets,
-        )
+        arrays = (self.tableau, self.labels, self.in_tableau, self.chained)
+        out = _LiveLp(*(a.copy() for a in arrays), self.opponent, self.norm)
+        out.subsets = None if self.subsets is None else self.subsets.copy()
+        return out
 
 
 class _PolytopeSolver:
     """Row-generating maximizer over one profile's metric polytope.
 
-    Every LP here normalizes one opponent column, and generated
-    quadrilateral rows are pooled per normalized opponent (a :class:`_Pool`
-    of ids): the rows are valid for every LP over the polytope, but those
+    Every LP here normalizes one opponent column, and each opponent keeps
+    one live tableau across calls, whatever its norm: generated
+    quadrilateral rows are valid for every LP over the polytope, but those
     that bind under one opponent's normalization are mostly slack under
-    another's. Each pool starts with the chain rows of every column an
-    objective weights (see the module docstring), and a pool only grows.
+    another's. A tableau holds the chain rows of every column an objective
+    weights (see the module docstring); its quadrilateral rows only grow
+    while it keeps its opponent.
 
-    Each opponent keeps one live tableau across calls, whatever its norm.
-    New rows enter it and are re-optimized by the dual simplex; a new
-    objective first takes in the pool rows the tableau lacks, then resumes
-    the primal simplex from the last optimal basis. Another opponent or
-    norm takes one path, :meth:`_retarget`, on the opponent's tableau or,
-    for an opponent without one, on a copy of the most recently used
-    tableau; only a profile's first tableau is built cold. Which pool rows
-    a tableau lacks, which rows a switch removes and which rows join the
-    pool are mask operations on the pool and the tableau's labels, taken
-    in label order.
+    New rows enter a tableau and are re-optimized by the dual simplex; a
+    new objective first takes in the chain rows the tableau lacks, then
+    resumes the primal simplex from the last optimal basis. Another
+    opponent or norm takes one path, :meth:`_retarget`, on the opponent's
+    tableau or, for an opponent without one, on a copy of the most recently
+    used tableau; only a profile's first tableau is built cold. Which rows
+    a tableau lacks and which rows a switch removes are mask operations on
+    its labels, taken in label order.
 
     Every round's assignment is verified against every row; a warm
     re-optimization that fails is rebuilt cold, as is a retarget that
@@ -445,10 +440,6 @@ class _PolytopeSolver:
         self.polytope = polytope
         self.feas_tol = feas_tol
         self.sep_tol = sep_tol
-        # opponent -> _Pool of quadrilateral ids
-        self.pools = {}
-        # (column, opponent) pairs whose chain rows are in the pool
-        self.seeded = set()
         # opponent -> _LiveLp, in the order they were last used
         self.live = {}
         self.stats = dict.fromkeys(_COUNTERS, 0)
@@ -456,7 +447,8 @@ class _PolytopeSolver:
     def stats_since(self, before):
         """``SOLVER_STATS`` of the work done since ``before``, a copy of ``stats``."""
         out = {name: self.stats[name] - before[name] for name in _COUNTERS}
-        out["pool_rows"] = sum(pool.ids.size for pool in self.pools.values())
+        tableaux = self.live.values()
+        out["pool_rows"] = sum(int(t.in_tableau.sum()) for t in tableaux)
         return out
 
     def maximize(self, objective, *, opponent, norm):
@@ -468,60 +460,84 @@ class _PolytopeSolver:
         makes every other column cost at least as much; an integer k bounds
         the sum of the opponent's k largest entries by 1. The rhs-1 row
         binds at any optimum, so the value is the normalized ratio. Row
-        generation runs over the opponent's pool and live tableau.
+        generation runs on the opponent's live tableau.
 
         Raises:
             SolverFailure: the solve failed warm and cold, or a relaxation
                 is unbounded (a weighted column has no chain to ``opponent``).
         """
-        poly = self.polytope
-        pool = self.pools.get(opponent)
-        if pool is None:
-            pool = self.pools[opponent] = _Pool(poly.num_quad_ids)
-        # The chain rows of every weighted column bound the relaxation.
-        weighted = (objective > 0).nonzero()[0] % poly.num_alternatives
-        for c in set(weighted.tolist()):
-            if (c, opponent) not in self.seeded:
-                self.seeded.add((c, opponent))
-                pool.add(poly.chain_quadruples(c, opponent))
         # Popped while in use, so a call that raises leaves no tableau behind.
         live = self.live.pop(opponent, None)
         if live is None and self.live:
             live = next(reversed(self.live.values())).copy()
         if live is None:
-            live, status, out = self._start(objective, opponent, norm, pool)
+            live, status, out = self._start(objective, opponent, norm)
         else:
-            live, status, out = self._retarget(live, objective, opponent, norm, pool)
-        value, x = self._generate_rows(live, opponent, pool, status, out)
+            live, status, out = self._retarget(live, objective, opponent, norm)
+        value, x = self._generate_rows(live, opponent, status, out)
         self.live[opponent] = live
         self.stats["objectives"] += 1
-        return value, x.reshape(poly.num_agents, -1)
+        return value, x.reshape(self.polytope.num_agents, -1)
 
-    def _start(self, objective, opponent, norm, pool):
-        """Cold-build the opponent's tableau over its pool, from the slack basis."""
-        lp, labels = _ratio_lp(self.polytope, objective, opponent, norm, pool.ids)
+    def _chain_rows(self, objective, opponent, chained):
+        """Ids of the chain rows to ``opponent`` of the columns ``objective``
+        weights but the column mask ``chained`` lacks, which it then marks.
+
+        Columns ascending, each id at its first occurrence. With the rhs-1
+        row, a weighted column's chain rows bound the relaxation (see the
+        module docstring).
+        """
+        poly = self.polytope
+        weighted = (objective.reshape(poly.num_agents, -1) > 0).any(axis=0)
+        columns = (weighted & ~chained).nonzero()[0]
+        if not columns.size:
+            return _NO_IDS
+        chained[columns] = True
+        seen = np.zeros(poly.num_quad_ids, dtype=bool)
+        ids = []
+        for c in columns.tolist():
+            chain = poly.chain_quadruples(c, opponent)
+            chain = chain[~seen[chain]]  # one chain's ids are distinct
+            seen[chain] = True
+            ids.append(chain)
+        return np.concatenate(ids)
+
+    def _start(self, objective, opponent, norm):
+        """Cold-build the opponent's tableau over the objective's chain rows,
+        from the slack basis."""
+        poly = self.polytope
+        chained = np.zeros(poly.num_alternatives, dtype=bool)
+        ids = self._chain_rows(objective, opponent, chained)
+        lp, labels = _ratio_lp(poly, objective, opponent, norm, ids)
         tableau, status, out = self._cold(lp)
-        live = _LiveLp(tableau, labels, pool.member.copy(), opponent, norm)
+        in_tableau = np.zeros(poly.num_quad_ids, dtype=bool)
+        in_tableau[ids] = True
+        live = _LiveLp(tableau, labels, in_tableau, chained, opponent, norm)
         return live, status, out
 
-    def _retarget(self, live, objective, opponent, norm, pool):
+    def _retarget(self, live, objective, opponent, norm):
         """Move a live tableau to ``objective``, ``opponent`` and ``norm``.
 
-        The pool rows the tableau lacks, and on a switch of opponent or norm
-        the new norm's homogeneous rows, enter under the old objective,
-        whose basis stays dual feasible (dual simplex). On a switch, the old
-        norm's rows (generated top-k rows included) then leave by
-        :meth:`Tableau.remove_rows`, as do quadrilateral rows outside the
-        pool whose slack is basic; the quadrilateral rows kept join the
-        pool. Every row but the rhs-1 one then has rhs 0, so
+        The objective's chain rows the tableau lacks (a tableau that takes a
+        new opponent holds none of its chains), and on a switch of opponent
+        or norm the new norm's homogeneous rows, enter under the old
+        objective, whose basis stays dual feasible (dual simplex). On a
+        switch, the old norm's rows (generated top-k rows included) then
+        leave by :meth:`Tableau.remove_rows`; on a new opponent, so do the
+        quadrilateral rows whose slack is basic, but for the objective's
+        chain rows. Every row but the rhs-1 one then has rhs 0, so
         :meth:`Tableau.replace_equation` makes the new norm's bound that row
         with the basis still feasible, and the new objective resumes the
         primal simplex.
 
-        Returns ``(live, status, outcome)``: ``live`` is a cold build over
-        the pool when any step before the new objective fails.
+        Returns ``(live, status, outcome)``: ``live`` is a cold build, as
+        :meth:`_start` makes, when any step before the new objective fails.
         """
-        switch = (live.opponent, live.norm) != (opponent, norm)
+        swap = live.opponent != opponent
+        switch = swap or live.norm != norm
+        if swap:
+            live.chained[:] = False
+        chain = self._chain_rows(objective, opponent, live.chained)
         try:
             held = live.labels.size
             if switch:
@@ -530,7 +546,7 @@ class _PolytopeSolver:
                     live.tableau.add_rows(enter, np.zeros(len(enter)))
                     codes = np.full(len(enter), _NORM)
                     live.labels = np.concatenate([live.labels, codes])
-            missing = pool.ids[~live.in_tableau[pool.ids]]
+            missing = chain[~live.in_tableau[chain]]
             if missing.size:
                 self._add_quads(live, missing)
             if live.labels.size > held:
@@ -543,30 +559,30 @@ class _PolytopeSolver:
                 # The old norm's rows: all but the fixed rows and quadrilaterals.
                 stale = labels <= _NORM
                 stale[held:] = False
-                # Only a copied tableau holds rows outside the pool.
-                quads = labels >= 0
-                outside = quads.copy()
-                outside[quads] = ~pool.member[labels[quads]]
-                if outside.any():
-                    basic = live.tableau.basic_slacks()
-                    stale |= outside & basic
-                    pool.add(labels[outside & ~basic])
+                if swap:
+                    # The donor's rows, but for the new opponent's chain rows.
+                    in_chain = np.zeros(self.polytope.num_quad_ids, dtype=bool)
+                    in_chain[chain] = True
+                    donated = labels >= 0
+                    donated[donated] = ~in_chain[labels[donated]]
+                    if donated.any():
+                        stale |= donated & live.tableau.basic_slacks()
                 if stale.any():
                     self._remove(live, stale)
                 live.subsets = None
                 live.tableau.replace_equation(bound)
         except SolverFailure:
             self.stats["rebuilds"] += 1
-            return self._start(objective, opponent, norm, pool)
-        if live.opponent != opponent:
+            return self._start(objective, opponent, norm)
+        if swap:
             self.stats["opponent_swaps"] += 1
-        elif live.norm != norm:
+        elif switch:
             self.stats["norm_swaps"] += 1
         live.opponent, live.norm = opponent, norm
         live.tableau.set_objective(objective)
         return (live, *self._reoptimize(live))
 
-    def _generate_rows(self, live, opponent, pool, status, out):
+    def _generate_rows(self, live, opponent, status, out):
         """Separation rounds until the optimum satisfies every row of its norm.
 
         Under a top-k norm, rounds add the k-subset rows along with the
@@ -598,7 +614,6 @@ class _PolytopeSolver:
                 return out.value, x
 
             if new.size:
-                pool.add(new)
                 self._add_quads(live, new)
             if subsets.size:
                 rows = poly.subset_rows(subsets, top_k, opponent)
@@ -804,8 +819,7 @@ def a_rand(x, opponent, profile):
     opponent = _validated_alternative(opponent, profile.num_alternatives, "opponent")
     solver = _solver_for(profile)
     poly = solver.polytope
-    support = np.flatnonzero(x > 0)
-    if not all(poly.reach[c, opponent] for c in support):
+    if poly.unreached(np.flatnonzero(x > 0), opponent):
         return math.inf, None
     objective = np.tile(x, poly.num_agents)  # x[c] on every entry of column c
     value, metric = solver.maximize(objective, opponent=opponent, norm="=")
@@ -814,7 +828,8 @@ def a_rand(x, opponent, profile):
 
 def _validated_distribution(x, m):
     x = np.asarray(x, dtype=float)
-    if x.shape != (m,) or (x < 0).any() or abs(x.sum() - 1.0) > 1e-9:
+    finite = x.shape == (m,) and np.isfinite(x).all()
+    if not finite or (x < 0).any() or abs(x.sum() - 1.0) > 1e-9:
         raise ValueError("x must be a probability vector over the alternatives")
     return x
 
@@ -947,7 +962,7 @@ def _opponents(poly, support):
     None.
     """
     opponents = [z for z in range(poly.num_alternatives) if support != [z]]
-    blocked = next((z for z in opponents if not poly.reach[support, z].all()), None)
+    blocked = next((z for z in opponents if poly.unreached(support, z)), None)
     return opponents, blocked
 
 

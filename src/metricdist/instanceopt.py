@@ -144,19 +144,27 @@ def separation_oracle(x, gamma, profile, *, viol_tol=DEFAULT_EPS / 2):
     cutting plane. Support columns with no preference chain to some opponent
     make the value infinite; these come back in ``blocked`` instead of a
     witness.
+
+    Raises:
+        ValueError: ``x`` is not a probability vector, ``gamma`` is NaN, or
+            ``viol_tol`` is not nonnegative and finite.
     """
     x = _validated_distribution(x, profile.num_alternatives)
+    if math.isnan(gamma):
+        raise ValueError("gamma must not be NaN")
+    if not (math.isfinite(viol_tol) and viol_tol >= 0):
+        raise ValueError(f"viol_tol must be nonnegative and finite, got {viol_tol!r}")
     solver = _solver_for(profile)
     poly = solver.polytope
     m = poly.num_alternatives
-    support = [int(c) for c in np.flatnonzero(x > 0)]
+    support = np.flatnonzero(x > 0)
     objective = np.tile(x, poly.num_agents)  # x[c] on every entry of column c
 
     best = (-math.inf, None, None)  # value, opponent, witness
     blocked = []
     per_opponent = {}
     for opponent in range(m):
-        bad = [c for c in support if not poly.reach[c, opponent]]
+        bad = poly.unreached(support, opponent)
         if bad:
             per_opponent[opponent] = math.inf
             blocked.extend((c, opponent) for c in bad)

@@ -362,15 +362,22 @@ def _claim_thm5(seed, trials, eps):
 
     worst = 0.0
     ok = True
+    # Anshelevich and Postl: the top-choice lottery is within 3 - 2/N.
+    worst_share = 0.0
     for profile in _random_suite_profiles(rng, count, 6, 6):
         x = randomized_dictatorship(profile).distribution
         value = dist_rand(x, profile).value
         worst = max(worst, value)
         ok = ok and value <= 3 + 1e-6
+        worst_share = max(worst_share, value / (3 - 2 / profile.num_agents))
     checks.add(
         f"worst expected ratio of the top-choice lottery over {count} profiles "
         f"(max seen {worst:.6f})",
         ok,
+    )
+    checks.add(
+        f"the same ratios at most 3 - 2/N (max seen {worst_share:.6f} of it)",
+        worst_share <= 1 + 1e-9,
     )
 
     tiny_count = max(1, trials // 6) if trials is not None else 30

@@ -127,6 +127,22 @@ def naive_ranked_pairs(weights, edge_tie_break):
     return int(winner), sequence, reach
 
 
+def plurality_veto(profile):
+    """Plurality Veto (Kizilkaya and Kempe, IJCAI 2022), agents in index order.
+
+    Every alternative starts with its plurality score. Each agent in turn
+    takes one point from the alternative it ranks lowest among those still
+    holding points; the winner is the last alternative to lose its points.
+    Its distortion is at most 3 in every metric.
+    """
+    rankings = np.asarray(profile.rankings)
+    score = np.bincount(rankings[:, 0], minlength=rankings.shape[1])
+    for ranking in rankings:
+        vetoed = next(c for c in ranking[::-1] if score[c] > 0)
+        score[vetoed] -= 1
+    return int(vetoed)
+
+
 def _naive_q_metric(d, tol=1e-9):
     n, m = d.shape
     for v in range(n):

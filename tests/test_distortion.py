@@ -43,6 +43,7 @@ from oracles import (
     naive_orbits,
     naive_quadruple_rows,
     naive_quadruples,
+    plurality_veto,
 )
 
 UNIFORM3 = np.full(3, 1 / 3)
@@ -774,20 +775,22 @@ def test_chain_only_pairs_match_full_lp_without_refactors():
             checked += 1
 
 
-def test_missing_chain_rows_raise_named_unbounded_failure():
+def test_missing_chain_rows_raise_named_unbounded_failure(monkeypatch):
     profile = warmup_instance().profile
     solver = _PolytopeSolver(MetricPolytope(profile))
     nm = solver.polytope.num_metric_vars
     objective = np.zeros(nm)
     objective[solver.polytope.var(1, 0)] = 1.0  # agent 1 ranks 0 below 2
-    solver.seeded.add((0, 2))  # as if seeded, yet the pool stays empty
+    # Every chain comes back without rows, so nothing bounds the relaxation.
+    no_rows = np.zeros(0, dtype=np.intp)
+    monkeypatch.setattr(MetricPolytope, "chain_quadruples", lambda self, a, b: no_rows)
     with pytest.raises(SolverFailure, match="relaxation unbounded: chain rows missing") as info:
         solver.maximize(objective, opponent=2, norm="=")
     assert info.value.profile_text == serialize_profile(profile)
     assert info.value.lp_text.splitlines()[0].startswith("max ")
 
 
-def test_seeded_chain_rows_stay_in_pool_and_tableau():
+def test_seeded_chain_rows_lead_the_tableau():
     n = 10
     profile = ranked_pairs_hard_instance(n).profile
     m = profile.num_alternatives
@@ -801,14 +804,13 @@ def test_seeded_chain_rows_stay_in_pool_and_tableau():
     ]
     assert seeded
     (live,) = solver.live.values()
-    pool = solver.pools[m - 1]
-    # The chain rows are the pool's first rows, in chain order.
-    assert pool.ids[: len(seeded)].tolist() == seeded
-    assert pool.member[seeded].all() and live.in_tableau[seeded].all()
-    # The masks agree with the id arrays they stand for.
-    assert np.flatnonzero(pool.member).tolist() == sorted(pool.ids.tolist())
     quads = live.labels[live.labels >= 0]
+    # The chain rows are the tableau's first quadrilateral rows, in chain order.
+    assert quads[: len(seeded)].tolist() == seeded
+    # The masks agree with the labels they stand for: column 0 alone is
+    # weighted, so its chain alone is held.
     assert np.flatnonzero(live.in_tableau).tolist() == sorted(quads.tolist())
+    assert np.flatnonzero(live.chained).tolist() == [0]
 
 
 def test_single_a_det_builds_one_tableau():
@@ -844,13 +846,15 @@ def test_reports_carry_solver_stats():
         fairness_rand(UNIFORM3, profile).solver_stats,
     ):
         assert set(stats) == set(SOLVER_STATS)
+        assert all(type(value) is int for value in stats.values())
         assert stats["separation_rounds"] > 0
         assert stats["bland_switches"] == 0
         assert stats["pool_rows"] > 0
-    # pool_rows is the level of the solver's pools, not a per-call count
-    pools = _solver_for(profile).pools
-    assert stats["pool_rows"] == sum(pool.ids.size for pool in pools.values())
-    assert stats["pool_rows"] == sum(pool.member.sum() for pool in pools.values())
+    # pool_rows is the level of the quadrilateral rows the live tableaux
+    # hold, not a per-call count
+    tableaux = _solver_for(profile).live.values()
+    assert stats["pool_rows"] == sum((live.labels >= 0).sum() for live in tableaux)
+    assert stats["pool_rows"] == sum(live.in_tableau.sum() for live in tableaux)
 
 
 def test_per_call_solver_stats_sum_to_solver_totals():
@@ -889,12 +893,97 @@ def test_failure_after_warm_and_cold_attempts_carries_reproduction(monkeypatch):
     assert any(line.endswith(" <= 1.0") for line in lines[1:])  # normalization
     assert not solver.live  # the failed tableau is not kept
 
-    # The solver stays usable: its pools survive, and the next call agrees
-    # with a fresh solver.
+    # The solver stays usable: the next call builds the opponent's tableau
+    # anew and agrees with a fresh solver.
     monkeypatch.undo()
     value, _ = a_det(1, m - 1, profile)
     fresh, _ = a_det(1, m - 1, PreferenceProfile(profile.rankings))
     assert value == pytest.approx(fresh, rel=1e-9)
+
+
+def _assert_tableaux_hold_their_rows(solver):
+    """Each live tableau holds a quadrilateral id at most once, its masks
+    agree with its labels, and it holds the chain rows of every column its
+    ``chained`` mask marks."""
+    poly = solver.polytope
+    for z, live in solver.live.items():
+        assert live.opponent == z
+        quads = live.labels[live.labels >= 0]
+        assert np.unique(quads).size == quads.size
+        assert np.flatnonzero(live.in_tableau).tolist() == sorted(quads.tolist())
+        for c in np.flatnonzero(live.chained):
+            assert live.in_tableau[poly.chain_quadruples(c, z)].all(), (z, c)
+
+
+def test_mixed_calls_keep_each_tableau_consistent_with_its_rows():
+    rng = np.random.default_rng(109)
+    for trial in range(4):
+        profile = random_profile(3 + trial % 2, 3 + trial % 2, rng)
+        m = profile.num_alternatives
+        solver = _solver_for(profile)
+        winner = int(rng.integers(m))
+        calls = [
+            lambda: dist_det(winner, profile),
+            lambda: dist_rand(randomized_dictatorship(profile).distribution, profile),
+            lambda: fairness_det(winner, profile),
+            lambda: opt_det(profile),
+            lambda: opt_rand(profile),
+            lambda: separation_oracle(np.full(m, 1 / m), 2.0, profile),
+        ]
+        for i in rng.permutation(len(calls)):
+            calls[i]()
+            _assert_tableaux_hold_their_rows(solver)
+        assert solver.live
+
+
+@pytest.mark.parametrize("x", [[0.5, 0.5, math.nan], [math.nan] * 3])
+def test_non_finite_lottery_entries_are_refused_before_any_lp(x):
+    profile = warmup_instance().profile
+    a_det(0, 2, profile)  # a warm solver
+    solver = _solver_for(profile)
+    before, tableaux = dict(solver.stats), list(solver.live)
+    calls = [
+        lambda: a_rand(x, 1, profile),
+        lambda: dist_rand(x, profile),
+        lambda: fairness_rand(x, profile),
+        lambda: separation_oracle(x, 2.0, profile),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="probability vector"):
+            call()
+    assert _solver_for(profile) is solver
+    assert solver.stats == before and list(solver.live) == tableaux
+
+
+def test_unreached_lists_the_supported_columns_without_a_chain():
+    rng = np.random.default_rng(113)
+    for _ in range(10):
+        poly = MetricPolytope(random_profile(3, 5, rng))
+        support = np.flatnonzero(rng.random(5) < 0.6)
+        for z in range(5):
+            want = [int(c) for c in support if not poly.reach[c, z]]
+            assert poly.unreached(support, z) == want
+
+
+def test_plurality_veto_winner_has_distortion_at_most_3():
+    rng = np.random.default_rng(127)
+    for _ in range(60):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        profile = random_profile(n, m, rng)
+        value = dist_det(plurality_veto(profile), profile).value
+        assert value <= 3 * (1 + 1e-9), (profile.rankings.tolist(), value)
+
+
+def test_instance_optimal_winner_has_distortion_at_most_3():
+    # Plurality Veto's winner has distortion at most 3, so the best does.
+    rng = np.random.default_rng(131)
+    for _ in range(30):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        profile = random_profile(n, m, rng)
+        value = opt_det(profile).value
+        veto = dist_det(plurality_veto(profile), profile).value
+        assert value <= 3 * (1 + 1e-9), profile.rankings.tolist()
+        assert value <= veto * (1 + 1e-9), profile.rankings.tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,21 @@ def test_separation_oracle_rejects_a_point_that_is_no_lottery(x):
         separation_oracle(x, 2.0, warmup_instance().profile)
 
 
+def test_separation_oracle_refuses_a_nan_budget():
+    with pytest.raises(ValueError, match="gamma"):
+        separation_oracle(np.full(3, 1 / 3), math.nan, warmup_instance().profile)
+
+
+@pytest.mark.parametrize("viol_tol", [math.nan, math.inf, -1e-9])
+def test_separation_oracle_refuses_a_violation_tolerance_not_finite_and_nonnegative(
+    viol_tol,
+):
+    with pytest.raises(ValueError, match="viol_tol"):
+        separation_oracle(
+            np.full(3, 1 / 3), 2.0, warmup_instance().profile, viol_tol=viol_tol
+        )
+
+
 def test_separation_oracle_point_mass_violated():
     profile = warmup_instance().profile
     verdict = separation_oracle(np.array([1.0, 0.0, 0.0]), 2.5, profile)
