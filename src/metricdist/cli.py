@@ -137,9 +137,6 @@ def _build_parser():
         type=Path,
         help="dump the fully materialized LP of the worst opponent, for bug reports",
     )
-    distortion.add_argument(
-        "--paranoid", action="store_true", help="check all degenerate quadruples too"
-    )
     _common_flags(distortion)
     distortion.set_defaults(handler=_cmd_distortion)
 
@@ -155,7 +152,6 @@ def _build_parser():
     fairness.add_argument(
         "--metric", type=Path, help="evaluate at this fixed metric instead of the sup"
     )
-    fairness.add_argument("--paranoid", action="store_true")
     _common_flags(fairness)
     fairness.set_defaults(handler=_cmd_fairness)
 
@@ -376,7 +372,7 @@ def _cmd_distortion(args) -> int:
 
     if args.metric:
         metric = parse_cost_matrix(args.metric.read_text(encoding="utf-8"))
-        _validate_metric(metric, profile, args.paranoid)
+        _validate_metric(metric, profile)
         sums = metric.values.sum(axis=0)
         if outcome.distribution is not None:
             value = float(outcome.distribution @ sums) / float(sums.min())
@@ -435,10 +431,10 @@ def _cmd_distortion(args) -> int:
     )
 
 
-def _validate_metric(metric, profile, paranoid):
+def _validate_metric(metric, profile):
     if metric.values.shape != (profile.num_agents, profile.num_alternatives):
         raise ValueError("metric dimensions do not match the profile")
-    ok, quad = is_q_metric(metric, paranoid=paranoid)
+    ok, quad = is_q_metric(metric)
     if not ok:
         raise ValueError(f"metric violates the quadrilateral inequality at {quad}")
     ok, witness = is_consistent(metric, profile)
@@ -460,7 +456,7 @@ def _cmd_fairness(args) -> int:
 
     if args.metric:
         metric = parse_cost_matrix(args.metric.read_text(encoding="utf-8"))
-        _validate_metric(metric, profile, args.paranoid)
+        _validate_metric(metric, profile)
         ks = k_set or list(range(1, profile.num_agents + 1))
         per_k = {}
         for k in ks:

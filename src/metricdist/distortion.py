@@ -9,16 +9,17 @@ run only terminates once the incumbent satisfies the complete inequality
 family, so reported optima are exact up to solver tolerances, and every
 report carries a feasibility-checked witness.
 
-Every normalization is a set of ``<=`` rows over the metric variables: one
-with rhs 1, the others homogeneous, and top-k adds rows with rhs 1 as they
-are violated (see :func:`_normalization`). Every rhs is nonnegative, so a
-cold build starts from the slack basis. Each opponent keeps
-one live simplex tableau. Generated rows enter it and are re-optimized by
-the dual simplex; the next objective (another candidate, subset or lottery)
-resumes from the last optimal basis; another norm swaps its homogeneous
-rows and replaces the rhs-1 row by a rank-one update, and a new opponent's
-tableau starts from a copy of another's optimum by the same path. Only a
-profile's first tableau and a failed switch are built cold.
+Every normalization bounds the sum of the opponent's k largest costs by 1,
+with distortion at k = N: one ``<=`` row with rhs 1, and for k < N the
+k-subset rows, rhs 1 too, added as they are violated (see
+:func:`_normalization`). Every other row is homogeneous, so a cold build
+starts from the slack basis. Each opponent keeps one live simplex tableau.
+Generated rows enter it and are re-optimized by the dual simplex; the next
+objective (another candidate, subset or lottery) resumes from the last
+optimal basis; another k drops the generated k-subset rows and replaces the
+rhs-1 row by a rank-one update, and a new opponent's tableau starts from a
+copy of another's optimum by the same path. Only a profile's first tableau
+and a failed switch are built cold.
 
 A quadrilateral (v, v', c, c') is named by its id ``((v N + v') M + c) M + c'``,
 its flat index into the gaps of :func:`metricspace._quad_gaps`. Separation
@@ -85,7 +86,8 @@ __all__ = [
 ]
 
 DEFAULT_FEAS_TOL = 1e-7
-DEFAULT_SEP_TOL = 1e-9
+# A row enters the relaxation once the optimum violates it by more.
+_SEP_TOL = 1e-9
 WITNESS_TOL = 1e-6
 _SEPARATION_BATCH = 75
 _MAX_ROUNDS = 1000
@@ -115,8 +117,7 @@ SOLVER_STATS = (
 _COUNTERS = SOLVER_STATS[:-1]
 # Labels of a live tableau's constraints that are not quadrilateral ids.
 _FIXED = -1  # a consistency row or the rhs-1 row
-_NORM = -2  # a homogeneous row of the norm
-_SUBSET = -3  # k-subset i of a top-k norm (MetricPolytope.subset_rows) is _SUBSET - i
+_SUBSET = -2  # k-subset i (MetricPolytope.subset_rows) is _SUBSET - i
 _NO_IDS = np.zeros(0, dtype=np.intp)
 _NO_IDS.setflags(write=False)
 
@@ -369,13 +370,13 @@ class _LiveLp:
     ``labels`` is an int array parallel to the tableau's constraints: a
     quadrilateral row holds its id (>= 0); ``_FIXED`` marks a consistency
     row or the rhs-1 row, which never leave (a retarget replaces the latter
-    in place); ``_NORM`` a homogeneous normalization row; ``_SUBSET - i``
-    the generated top-k row of k-subset i. ``in_tableau`` is a mask over
-    every quadrilateral id, True on the rows held; ``chained`` a mask over
-    the columns, True on those whose chain rows to ``opponent`` are held
-    (see the module docstring); ``subsets`` a mask over the k-subsets of a
-    top-k norm, True on the rows held, or None before the norm's first
-    separation round. ``opponent`` and ``norm`` are the normalization held.
+    in place); ``_SUBSET - i`` the generated row of k-subset i.
+    ``in_tableau`` is a mask over every quadrilateral id, True on the rows
+    held; ``chained`` a mask over the columns, True on those whose chain
+    rows to ``opponent`` are held (see the module docstring); ``subsets`` a
+    mask over the k-subsets, True on the rows held, or None at k = N and
+    before the first separation round. ``opponent`` and the int ``k`` are
+    the normalization held.
     """
 
     __slots__ = (
@@ -385,22 +386,22 @@ class _LiveLp:
         "chained",
         "subsets",
         "opponent",
-        "norm",
+        "k",
     )
 
-    def __init__(self, tableau, labels, in_tableau, chained, opponent, norm):
+    def __init__(self, tableau, labels, in_tableau, chained, opponent, k):
         self.tableau = tableau
         self.labels = labels
         self.in_tableau = in_tableau
         self.chained = chained
         self.subsets = None
         self.opponent = opponent
-        self.norm = norm
+        self.k = k
 
     def copy(self):
         """An independent copy, tableau included."""
         arrays = (self.tableau, self.labels, self.in_tableau, self.chained)
-        out = _LiveLp(*(a.copy() for a in arrays), self.opponent, self.norm)
+        out = _LiveLp(*(a.copy() for a in arrays), self.opponent, self.k)
         out.subsets = None if self.subsets is None else self.subsets.copy()
         return out
 
@@ -409,7 +410,7 @@ class _PolytopeSolver:
     """Row-generating maximizer over one profile's metric polytope.
 
     Every LP here normalizes one opponent column, and each opponent keeps
-    one live tableau across calls, whatever its norm: generated
+    one live tableau across calls, whatever its k: generated
     quadrilateral rows are valid for every LP over the polytope, but those
     that bind under one opponent's normalization are mostly slack under
     another's. A tableau holds the chain rows of every column an objective
@@ -419,7 +420,7 @@ class _PolytopeSolver:
     New rows enter a tableau and are re-optimized by the dual simplex; a
     new objective first takes in the chain rows the tableau lacks, then
     resumes the primal simplex from the last optimal basis. Another
-    opponent or norm takes one path, :meth:`_retarget`, on the opponent's
+    opponent or k takes one path, :meth:`_retarget`, on the opponent's
     tableau or, for an opponent without one, on a copy of the most recently
     used tableau; only a profile's first tableau is built cold. Which rows
     a tableau lacks and which rows a switch removes are mask operations on
@@ -436,10 +437,8 @@ class _PolytopeSolver:
     docstring says what an earlier call on the profile can change.
     """
 
-    def __init__(self, polytope, feas_tol=DEFAULT_FEAS_TOL, sep_tol=DEFAULT_SEP_TOL):
+    def __init__(self, polytope):
         self.polytope = polytope
-        self.feas_tol = feas_tol
-        self.sep_tol = sep_tol
         # opponent -> _LiveLp, in the order they were last used
         self.live = {}
         self.stats = dict.fromkeys(_COUNTERS, 0)
@@ -451,14 +450,13 @@ class _PolytopeSolver:
         out["pool_rows"] = sum(int(t.in_tableau.sum()) for t in tableaux)
         return out
 
-    def maximize(self, objective, *, opponent, norm):
+    def maximize(self, objective, *, opponent, k):
         """Maximize over the polytope, ``opponent`` normalized; ``(value, metric)``.
 
-        ``objective`` is nonnegative, one entry per metric variable. ``norm``
-        picks the normalization (see :func:`_normalization` for its rows):
-        ``"="`` bounds the opponent's total cost by 1; ``"cheapest"`` also
-        makes every other column cost at least as much; an integer k bounds
-        the sum of the opponent's k largest entries by 1. The rhs-1 row
+        ``objective`` is nonnegative, one entry per metric variable. The
+        normalization bounds the sum of the opponent's k largest entries by
+        1, for an int k in 1..N (see :func:`_normalization` for its rows);
+        k = N bounds its total cost, distortion's normalization. The bound
         binds at any optimum, so the value is the normalized ratio. Row
         generation runs on the opponent's live tableau.
 
@@ -471,9 +469,9 @@ class _PolytopeSolver:
         if live is None and self.live:
             live = next(reversed(self.live.values())).copy()
         if live is None:
-            live, status, out = self._start(objective, opponent, norm)
+            live, status, out = self._start(objective, opponent, k)
         else:
-            live, status, out = self._retarget(live, objective, opponent, norm)
+            live, status, out = self._retarget(live, objective, opponent, k)
         value, x = self._generate_rows(live, opponent, status, out)
         self.live[opponent] = live
         self.stats["objectives"] += 1
@@ -502,63 +500,52 @@ class _PolytopeSolver:
             ids.append(chain)
         return np.concatenate(ids)
 
-    def _start(self, objective, opponent, norm):
+    def _start(self, objective, opponent, k):
         """Cold-build the opponent's tableau over the objective's chain rows,
         from the slack basis."""
         poly = self.polytope
         chained = np.zeros(poly.num_alternatives, dtype=bool)
         ids = self._chain_rows(objective, opponent, chained)
-        lp, labels = _ratio_lp(poly, objective, opponent, norm, ids)
+        lp, labels = _ratio_lp(poly, objective, opponent, k, ids)
         tableau, status, out = self._cold(lp)
         in_tableau = np.zeros(poly.num_quad_ids, dtype=bool)
         in_tableau[ids] = True
-        live = _LiveLp(tableau, labels, in_tableau, chained, opponent, norm)
+        live = _LiveLp(tableau, labels, in_tableau, chained, opponent, k)
         return live, status, out
 
-    def _retarget(self, live, objective, opponent, norm):
-        """Move a live tableau to ``objective``, ``opponent`` and ``norm``.
+    def _retarget(self, live, objective, opponent, k):
+        """Move a live tableau to ``objective``, ``opponent`` and ``k``.
 
         The objective's chain rows the tableau lacks (a tableau that takes a
-        new opponent holds none of its chains), and on a switch of opponent
-        or norm the new norm's homogeneous rows, enter under the old
+        new opponent holds none of its chains) enter under the old
         objective, whose basis stays dual feasible (dual simplex). On a
-        switch, the old norm's rows (generated top-k rows included) then
-        leave by :meth:`Tableau.remove_rows`; on a new opponent, so do the
+        switch of opponent or k, the generated k-subset rows then leave by
+        :meth:`Tableau.remove_rows`; on a new opponent, so do the
         quadrilateral rows whose slack is basic, but for the objective's
         chain rows. Every row but the rhs-1 one then has rhs 0, so
-        :meth:`Tableau.replace_equation` makes the new norm's bound that row
-        with the basis still feasible, and the new objective resumes the
-        primal simplex.
+        :meth:`Tableau.replace_equation` makes the new bound that row with
+        the basis still feasible, and the new objective resumes the primal
+        simplex.
 
         Returns ``(live, status, outcome)``: ``live`` is a cold build, as
         :meth:`_start` makes, when any step before the new objective fails.
         """
         swap = live.opponent != opponent
-        switch = swap or live.norm != norm
+        switch = swap or live.k != k
         if swap:
             live.chained[:] = False
         chain = self._chain_rows(objective, opponent, live.chained)
         try:
-            held = live.labels.size
-            if switch:
-                bound, enter = _normalization(self.polytope, opponent, norm)
-                if len(enter):
-                    live.tableau.add_rows(enter, np.zeros(len(enter)))
-                    codes = np.full(len(enter), _NORM)
-                    live.labels = np.concatenate([live.labels, codes])
             missing = chain[~live.in_tableau[chain]]
             if missing.size:
                 self._add_quads(live, missing)
-            if live.labels.size > held:
                 self.stats["warm_solves"] += 1
                 status, _ = self._run(live.tableau)
                 if status is not LpStatus.OPTIMAL:
                     raise SolverFailure(f"unexpected LP status {status}")
             if switch:
                 labels = live.labels
-                # The old norm's rows: all but the fixed rows and quadrilaterals.
-                stale = labels <= _NORM
-                stale[held:] = False
+                stale = labels <= _SUBSET  # the generated k-subset rows
                 if swap:
                     # The donor's rows, but for the new opponent's chain rows.
                     in_chain = np.zeros(self.polytope.num_quad_ids, dtype=bool)
@@ -570,28 +557,31 @@ class _PolytopeSolver:
                 if stale.any():
                     self._remove(live, stale)
                 live.subsets = None
+                bound = _normalization(self.polytope, opponent, k)
                 live.tableau.replace_equation(bound)
         except SolverFailure:
             self.stats["rebuilds"] += 1
-            return self._start(objective, opponent, norm)
+            return self._start(objective, opponent, k)
         if swap:
             self.stats["opponent_swaps"] += 1
         elif switch:
             self.stats["norm_swaps"] += 1
-        live.opponent, live.norm = opponent, norm
+        live.opponent, live.k = opponent, k
         live.tableau.set_objective(objective)
         return (live, *self._reoptimize(live))
 
     def _generate_rows(self, live, opponent, status, out):
-        """Separation rounds until the optimum satisfies every row of its norm.
+        """Separation rounds until the optimum violates no row of the LP.
 
-        Under a top-k norm, rounds add the k-subset rows along with the
-        quadrilaterals (see :meth:`MetricPolytope.violated_subsets`).
+        For k < N, rounds add the k-subset rows along with the
+        quadrilaterals (see :meth:`MetricPolytope.violated_subsets`); at
+        k = N the one N-subset row is the bound itself.
         """
         poly = self.polytope
-        top_k = None if isinstance(live.norm, str) else live.norm
+        k = live.k
+        top_k = k < poly.num_agents
         if top_k and live.subsets is None:
-            live.subsets = np.zeros(len(poly.subset_members(top_k)), dtype=bool)
+            live.subsets = np.zeros(len(poly.subset_members(k)), dtype=bool)
         for _ in range(_MAX_ROUNDS):
             if status is LpStatus.UNBOUNDED:
                 raise self._failure(
@@ -602,13 +592,13 @@ class _PolytopeSolver:
             metric = x.reshape(poly.num_agents, -1)
             self.stats["separation_rounds"] += 1
             new = poly.violated_quadruples(
-                metric, self.sep_tol, live.in_tableau, _SEPARATION_BATCH
+                metric, _SEP_TOL, live.in_tableau, _SEPARATION_BATCH
             )
             subsets = _NO_IDS
             if top_k:
                 column = metric[:, opponent]
                 subsets = poly.violated_subsets(
-                    column, top_k, self.sep_tol, live.subsets, _SEPARATION_BATCH
+                    column, k, _SEP_TOL, live.subsets, _SEPARATION_BATCH
                 )
             if not new.size and not subsets.size:
                 return out.value, x
@@ -616,7 +606,7 @@ class _PolytopeSolver:
             if new.size:
                 self._add_quads(live, new)
             if subsets.size:
-                rows = poly.subset_rows(subsets, top_k, opponent)
+                rows = poly.subset_rows(subsets, k, opponent)
                 live.tableau.add_rows(rows, np.ones(len(subsets)))
                 live.labels = np.concatenate([live.labels, _SUBSET - subsets])
                 live.subsets[subsets] = True
@@ -675,7 +665,7 @@ class _PolytopeSolver:
         self.stats["cold_builds"] += 1
         for pivot_tol in (DEFAULT_PIVOT_TOL, _RETRY_PIVOT_TOL):
             try:
-                tableau = Tableau(lp, pivot_tol=pivot_tol, feas_tol=self.feas_tol)
+                tableau = Tableau(lp, pivot_tol=pivot_tol, feas_tol=DEFAULT_FEAS_TOL)
                 return (tableau, *self._run(tableau))
             except SolverFailure as exc:
                 failure = exc
@@ -712,41 +702,31 @@ def _solver_for(profile):
     return _live_solver
 
 
-def _normalization(poly, opponent, norm):
-    """``(bound, A)``: the ``<=`` rows that normalize ``opponent`` by ``norm``.
+def _normalization(poly, opponent, k):
+    """The rhs-1 row ``(k/N) SC(opponent) <= 1`` that normalizes ``opponent``.
 
-    ``bound`` is the row with rhs 1; the rows of ``A`` have rhs 0. Top-k
-    has the bound ``(k/N) SC(z) <= 1``, which the k largest entries imply
-    (they average at least the mean); its rows "these k agents cost at most
-    1", rhs 1 too, are generated (:meth:`MetricPolytope.violated_subsets`).
-    At k = N the bound is the one such row, so the LP is the ``=`` one.
+    The sum of the opponent's k largest entries is at least ``(k/N) SC``
+    (they average at least the mean), so its bound by 1 implies this row;
+    for k < N the rows "these k agents cost at most 1", rhs 1 too, are
+    generated (:meth:`MetricPolytope.violated_subsets`). At k = N the row is
+    the one such row: the opponent's total cost is at most 1.
     """
-    m = poly.num_alternatives
+    row = np.zeros(poly.num_metric_vars)
     # Column c of the metric holds the entries v * M + c, one per agent v.
-    total = np.zeros(poly.num_metric_vars)
-    total[opponent::m] = 1.0
-    if norm == "cheapest":
-        # SC(z) - SC(c) <= 0: every other column costs at least as much
-        rows = np.tile(total, (m - 1, 1))
-        for r, c in enumerate(np.flatnonzero(np.arange(m) != opponent)):
-            rows[r, c::m] = -1.0
-        return total, rows
-    scale = 1.0 if norm == "=" else norm / poly.num_agents
-    return scale * total, np.zeros((0, total.size))
+    row[opponent :: poly.num_alternatives] = k / poly.num_agents
+    return row
 
 
-def _ratio_lp(poly, objective, opponent, norm, ids):
+def _ratio_lp(poly, objective, opponent, k, ids):
     """``(lp, labels)``: maximize ``objective`` over the consistency rows, the
-    norm's rows (:func:`_normalization`) and the quadrilaterals ``ids``,
-    labelled as in :class:`_LiveLp`."""
-    bound, A_norm = _normalization(poly, opponent, norm)
+    bound (:func:`_normalization`) and the quadrilaterals ``ids``, labelled
+    as in :class:`_LiveLp`."""
     consistency = poly.consistency_rows()
-    A_ub = np.vstack([consistency, bound, A_norm, poly.quadruple_rows(ids)])
+    bound = _normalization(poly, opponent, k)
+    A_ub = np.vstack([consistency, bound, poly.quadruple_rows(ids)])
     b_ub = np.zeros(len(A_ub))
     b_ub[len(consistency)] = 1.0
-    labels = np.concatenate(
-        [np.full(len(consistency) + 1, _FIXED), np.full(len(A_norm), _NORM), ids]
-    )
+    labels = np.concatenate([np.full(len(consistency) + 1, _FIXED), ids])
     return LinearProgram(objective, A_ub, b_ub), labels
 
 
@@ -800,8 +780,9 @@ def build_full_lp(winner_or_x, opponent, profile) -> LinearProgram:
     weights = _outcome_weights(winner_or_x, profile.num_alternatives)
     opponent = _validated_alternative(opponent, profile.num_alternatives)
     poly = MetricPolytope(profile)
-    objective = np.tile(weights, profile.num_agents)
-    return _ratio_lp(poly, objective, opponent, "=", poly.all_quadruples())[0]
+    n = profile.num_agents
+    objective = np.tile(weights, n)
+    return _ratio_lp(poly, objective, opponent, n, poly.all_quadruples())[0]
 
 
 def a_det(c, opponent, profile):
@@ -822,7 +803,7 @@ def a_rand(x, opponent, profile):
     if poly.unreached(np.flatnonzero(x > 0), opponent):
         return math.inf, None
     objective = np.tile(x, poly.num_agents)  # x[c] on every entry of column c
-    value, metric = solver.maximize(objective, opponent=opponent, norm="=")
+    value, metric = solver.maximize(objective, opponent=opponent, k=poly.num_agents)
     return value, CostMatrix(metric)
 
 
@@ -934,7 +915,7 @@ class FairnessRandReport:
 def _fairness_sweep(solver, x, tuples):
     """``(per_k, blocked, solved)``: x's top-k LPs, one per opponent and tuple.
 
-    Runs k descending (fewer tight k-subset rows pivot out on norm switches),
+    Runs k descending (fewer tight k-subset rows pivot out on switches of k),
     then opponents ascending but for a point mass's own, worth exactly 1
     (every value starts there), then ``tuples[k]`` (:func:`_solve_tuple`).
     ``blocked`` is the first opponent some supported alternative has no
@@ -973,7 +954,7 @@ def _solve_tuple(solver, x, support, subsets, opponent, k):
     for c, subset in zip(support, subsets):
         for v in subset:
             objective[v * m + c] = x[c]
-    return solver.maximize(objective, opponent=opponent, norm=k)
+    return solver.maximize(objective, opponent=opponent, k=k)
 
 
 def fairness_det(winner, profile, k_set=None, budget=10):

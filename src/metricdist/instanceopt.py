@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-4
-DEFAULT_MAX_CUTS = 500
+_MAX_CUTS = 500  # cutting-plane iterations before opt_rand gives up
 
 
 class ConvergenceError(RuntimeError):
@@ -139,8 +139,10 @@ def separation_oracle(x, gamma, profile, *, viol_tol=DEFAULT_EPS / 2):
 
     For every opponent the oracle maximizes the expected cost of ``x`` over
     consistent metrics where that opponent has total cost at most 1 (which
-    binds at the optimum) and is the cheapest alternative.
-    A value above ``gamma + viol_tol`` yields the most violating metric as a
+    binds at the optimum), as :func:`a_rand` does; the largest value is
+    ``dist_rand(x)``. Its witness has the worst opponent as its cheapest
+    column, since a cheaper column would give a larger ratio against it.
+    A value above ``gamma + viol_tol`` yields that metric as a
     cutting plane. Support columns with no preference chain to some opponent
     make the value infinite; these come back in ``blocked`` instead of a
     witness.
@@ -169,7 +171,7 @@ def separation_oracle(x, gamma, profile, *, viol_tol=DEFAULT_EPS / 2):
             per_opponent[opponent] = math.inf
             blocked.extend((c, opponent) for c in bad)
             continue
-        value, metric = solver.maximize(objective, opponent=opponent, norm="cheapest")
+        value, metric = solver.maximize(objective, opponent=opponent, k=poly.num_agents)
         per_opponent[opponent] = value
         if value > best[0]:
             best = (value, opponent, CostMatrix(metric))
@@ -194,11 +196,7 @@ def separation_oracle(x, gamma, profile, *, viol_tol=DEFAULT_EPS / 2):
 
 
 def opt_rand(
-    profile,
-    eps: float = DEFAULT_EPS,
-    *,
-    binary_search: bool = False,
-    max_cuts: int = DEFAULT_MAX_CUTS,
+    profile, eps: float = DEFAULT_EPS, *, binary_search: bool = False
 ) -> OptRandResult:
     """Lottery minimizing the worst-case expected cost ratio, within ``eps``.
 
@@ -235,7 +233,7 @@ def opt_rand(
     state.cuts.append((np.ones(m), uniform, 0.0))
 
     run = _opt_rand_bisect if binary_search else _opt_rand_master
-    result = run(profile, state, eps, max_cuts)
+    result = run(profile, state, eps)
     result.solver_stats = solver.stats_since(before)
     return result
 
@@ -248,15 +246,24 @@ def _lottery_game(payoffs, columns):
     over ``payoffs[:, columns] @ u <= 1``: every rhs is 1, so the slack
     basis starts it, and ``1·u = 1 / value`` at the optimum. The payoffs
     are positive: a cut's sums are the column sums of the uniform metric or
-    of a ``"cheapest"``-normalized witness (the opponent's column costs 1,
-    every other at least as much), so they are >= 1 up to ``feas_tol``;
-    a worst-ratio table is >= 1.
+    of the worst opponent's witness (:func:`separation_oracle`), whose
+    opponent column costs 1 and is its cheapest, so they are >= 1 up to
+    solver round-off; a worst-ratio table is >= 1.
+
+    Raises:
+        SolverFailure: the LP failed or was not optimal; it carries the LP
+            (``lp_text``).
     """
     A_ub = payoffs[:, columns]
     lp = LinearProgram(np.ones(len(columns)), A_ub, np.ones(len(A_ub)))
-    out = solve(lp)
-    if out.status is not LpStatus.OPTIMAL:
-        raise SolverFailure(f"lottery-game LP returned {out.status}")
+    try:
+        out = solve(lp)
+        if out.status is not LpStatus.OPTIMAL:
+            raise SolverFailure(f"status {out.status}")
+    except SolverFailure as exc:
+        raise SolverFailure(
+            f"lottery-game LP failed: {exc}", lp_text=lp.dump_text()
+        ) from exc
     total = out.assignment.sum()
     x = np.zeros(payoffs.shape[1])
     x[columns] = out.assignment / total
@@ -281,8 +288,8 @@ def _master_game(state):
     return _lottery_game(sums, unblocked)
 
 
-def _opt_rand_master(profile, state, eps, max_cuts):
-    while state.iterations < max_cuts:
+def _opt_rand_master(profile, state, eps):
+    while state.iterations < _MAX_CUTS:
         state.iterations += 1
         x_hat, gamma_hat = _master_game(state)
         state.master_values.append(gamma_hat)
@@ -294,10 +301,10 @@ def _opt_rand_master(profile, state, eps, max_cuts):
     raise ConvergenceError("cut cap exceeded in master mode", state)
 
 
-def _opt_rand_bisect(profile, state, eps, max_cuts):
+def _opt_rand_bisect(profile, state, eps):
     def feasibility(gamma):
         """Find x within budget gamma, or certify none exists."""
-        while state.iterations < max_cuts:
+        while state.iterations < _MAX_CUTS:
             state.iterations += 1
             # The game value's excess over gamma: the least worst violation
             # of the stored cuts over the simplex.

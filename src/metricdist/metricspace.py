@@ -112,23 +112,24 @@ def _quad_gaps(vals: np.ndarray) -> np.ndarray:
     )
 
 
-def is_q_metric(d, tol: float = DEFAULT_GEOMETRY_TOL, paranoid: bool = False):
+def is_q_metric(d, tol: float = DEFAULT_GEOMETRY_TOL):
     """Check every quadrilateral inequality of ``d``.
+
+    Only proper quadruples count: a degenerate one (equal agents or equal
+    alternatives) has gap -2 d(v, c') or -2 d(v', c), never positive for a
+    nonnegative matrix.
 
     Returns:
         ``(True, None)``, or ``(False, (v, v', c, c'))`` with the first
-        violating quadruple in lexicographic order. With ``paranoid`` the
-        degenerate quadruples (equal agents or equal alternatives) are checked
-        too; they hold identically for nonnegative matrices.
+        violating quadruple in lexicographic order.
     """
     vals = _as_values(d)
     gaps = _quad_gaps(vals)
-    if not paranoid:
-        n, m = vals.shape
-        same_agent = np.eye(n, dtype=bool)
-        same_alt = np.eye(m, dtype=bool)
-        gaps = np.where(same_agent[:, :, None, None], -np.inf, gaps)
-        gaps = np.where(same_alt[None, None, :, :], -np.inf, gaps)
+    n, m = vals.shape
+    same_agent = np.eye(n, dtype=bool)
+    same_alt = np.eye(m, dtype=bool)
+    gaps = np.where(same_agent[:, :, None, None], -np.inf, gaps)
+    gaps = np.where(same_alt[None, None, :, :], -np.inf, gaps)
     bad = gaps > tol
     if not bad.any():
         return True, None

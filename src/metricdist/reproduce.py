@@ -54,20 +54,6 @@ from metricdist.tournament import build_weighted
 
 __all__ = ["CLAIM_IDS", "run_claim"]
 
-CLAIM_IDS = (
-    "warmup",
-    "example1",
-    "thm2",
-    "thm3",
-    "thm4-suite",
-    "thm5-suite",
-    "example2",
-    "example3",
-    "lemma1-suite",
-    "optimality-suite",
-)
-
-
 class _Checks:
     def __init__(self):
         self.items = []
@@ -118,23 +104,11 @@ def run_claim(claim_id: str, seed: int = 42, trials: int | None = None, eps: flo
             finite (only ``optimality-suite`` uses it, but every claim
             records it).
     """
-    runners = {
-        "warmup": _claim_warmup,
-        "example1": _claim_example1,
-        "thm2": _claim_thm2,
-        "thm3": _claim_thm3,
-        "thm4-suite": _claim_thm4,
-        "thm5-suite": _claim_thm5,
-        "example2": _claim_example2,
-        "example3": _claim_example3,
-        "lemma1-suite": _claim_lemma1,
-        "optimality-suite": _claim_optimality,
-    }
-    if claim_id not in runners:
+    if claim_id not in _RUNNERS:
         raise ValueError(f"unknown claim {claim_id!r}; known: {', '.join(CLAIM_IDS)}")
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    report = runners[claim_id](seed=seed, trials=trials, eps=eps)
+    report = _RUNNERS[claim_id](seed=seed, trials=trials, eps=eps)
     report["seed"] = seed
     return report
 
@@ -524,3 +498,19 @@ def _claim_optimality(seed, trials, eps):
             2 * eps,
         )
     return checks.report("optimality-suite", started, {"instances": count})
+
+
+# claim id -> runner, in the order the CLI lists them
+_RUNNERS = {
+    "warmup": _claim_warmup,
+    "example1": _claim_example1,
+    "thm2": _claim_thm2,
+    "thm3": _claim_thm3,
+    "thm4-suite": _claim_thm4,
+    "thm5-suite": _claim_thm5,
+    "example2": _claim_example2,
+    "example3": _claim_example3,
+    "lemma1-suite": _claim_lemma1,
+    "optimality-suite": _claim_optimality,
+}
+CLAIM_IDS = tuple(_RUNNERS)

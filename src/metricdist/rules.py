@@ -23,9 +23,6 @@ __all__ = [
     "schulze",
 ]
 
-DETERMINISTIC_RULES = ("copeland", "ranked-pairs", "schulze")
-
-
 @dataclass(frozen=True)
 class RuleOutcome:
     """Winner (deterministic) or distribution (randomized), plus audit data."""

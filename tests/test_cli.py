@@ -143,7 +143,6 @@ def test_distortion_fixed_metric(warmup_file, capsys, tmp_path):
             str(warmup_file),
             "--metric",
             str(metric_path),
-            "--paranoid",
         ],
     )
     assert code == 0

@@ -468,7 +468,7 @@ def _fresh_fairness(winner, profile, k_set=None):
                 for v in subset:
                     objective[poly.var(v, winner)] = 1.0
                 solver = _PolytopeSolver(poly)
-                values[k, z, subset], _ = solver.maximize(objective, opponent=z, norm=k)
+                values[k, z, subset], _ = solver.maximize(objective, opponent=z, k=k)
                 best = max(best, values[k, z, subset])
         per_k[k] = best
     top = max(per_k.values())
@@ -570,7 +570,7 @@ def _fresh_fairness_rand(x, profile):
                 for c, subset in zip(support, combo):
                     objective[list(subset), c] = x[c]
                 solver = _PolytopeSolver(poly)
-                value, _ = solver.maximize(objective.ravel(), opponent=z, norm=k)
+                value, _ = solver.maximize(objective.ravel(), opponent=z, k=k)
                 best = max(best, value)
         per_k[k] = (best, best)
     return per_k
@@ -785,7 +785,7 @@ def test_missing_chain_rows_raise_named_unbounded_failure(monkeypatch):
     no_rows = np.zeros(0, dtype=np.intp)
     monkeypatch.setattr(MetricPolytope, "chain_quadruples", lambda self, a, b: no_rows)
     with pytest.raises(SolverFailure, match="relaxation unbounded: chain rows missing") as info:
-        solver.maximize(objective, opponent=2, norm="=")
+        solver.maximize(objective, opponent=2, k=profile.num_agents)
     assert info.value.profile_text == serialize_profile(profile)
     assert info.value.lp_text.splitlines()[0].startswith("max ")
 
@@ -1097,22 +1097,22 @@ def test_failed_opponent_swap_builds_cold_with_the_same_values(monkeypatch):
         assert len(_solver_for(profile).live) <= profile.num_alternatives
 
 
-def test_opponent_swap_then_cheapest_ignores_the_donor_objective():
+def test_opponent_swap_then_top_k_ignores_the_donor_objective():
     # Everyone ranks 0 first, so no chain leads into 0: the donor's objective,
     # on column 1, is unbounded once opponent 0 is normalized.
     profile = PreferenceProfile([[0, 1, 2], [0, 2, 1], [0, 1, 2]])
     poly = MetricPolytope(profile)
     solver = _PolytopeSolver(poly)
-    solver.maximize(np.tile([0.0, 1.0, 0.0], 3), opponent=2, norm="=")
+    solver.maximize(np.tile([0.0, 1.0, 0.0], 3), opponent=2, k=3)
     objective = np.tile([1.0, 0.0, 0.0], 3)
-    value, _ = solver.maximize(objective, opponent=0, norm="cheapest")
+    value, _ = solver.maximize(objective, opponent=0, k=1)
     assert solver.stats["opponent_swaps"] == 1
     assert solver.stats["cold_builds"] == 1
-    fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=0, norm="cheapest")
+    fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=0, k=1)
     assert value == pytest.approx(fresh, rel=1e-9)
 
 
-def test_retarget_from_a_top_k_donor_to_cheapest_on_a_new_opponent():
+def test_retarget_from_a_top_k_donor_to_distortion_on_a_new_opponent():
     # The donor holds generated k-subset rows, which carry rhs 1 like the
     # bound: they must leave before the new opponent's bound replaces it.
     profile = random_profile(5, 4, np.random.default_rng(103))
@@ -1125,7 +1125,7 @@ def test_retarget_from_a_top_k_donor_to_cheapest_on_a_new_opponent():
     objective = np.zeros(poly.num_metric_vars)
     for v in range(3):
         objective[poly.var(v, c)] = 1.0
-    solver.maximize(objective, opponent=z, norm=3)
+    solver.maximize(objective, opponent=z, k=3)
     live = solver.live[z]
     assert (live.labels <= _SUBSET).any()
     assert live.subsets.sum() == (live.labels <= _SUBSET).sum()
@@ -1133,11 +1133,14 @@ def test_retarget_from_a_top_k_donor_to_cheapest_on_a_new_opponent():
     new = next(o for o in range(m) if o != z and poly.reach[:, o].all())
     lottery = np.tile(np.full(m, 1 / m), poly.num_agents)
     before = dict(solver.stats)
-    value, _ = solver.maximize(lottery, opponent=new, norm="cheapest")
+    n = poly.num_agents
+    value, _ = solver.maximize(lottery, opponent=new, k=n)
     stats = solver.stats_since(before)
     assert stats["opponent_swaps"] == 1 and stats["norm_swaps"] == 0
     assert stats["cold_builds"] == stats["rebuilds"] == 0
-    fresh, _ = _PolytopeSolver(poly).maximize(lottery, opponent=new, norm="cheapest")
+    live = solver.live[new]
+    assert not (live.labels <= _SUBSET).any() and live.subsets is None
+    fresh, _ = _PolytopeSolver(poly).maximize(lottery, opponent=new, k=n)
     assert value == pytest.approx(fresh, rel=1e-9)
 
 
@@ -1159,29 +1162,30 @@ def _assert_no_phase_one(solver):
 
 
 def _norm_calls(poly, rng):
-    """``(opponent, norm, objective)`` triples over every norm, there and back.
+    """``(opponent, k, objective)`` triples over every k, there and back.
 
     Objectives weight only columns with a chain to the opponent, so every
-    relaxation is bounded.
+    relaxation is bounded. At k = N the objective is a lottery, as in
+    :func:`a_rand`; below, one column's entries of k agents.
     """
     n, m = poly.num_agents, poly.num_alternatives
-    norms = ["=", "cheapest"] + list(range(1, n + 1))
+    ks = list(range(1, n + 1))
     calls = []
-    for norm in norms + norms[::-1] + norms[1::2] + norms[::2]:
+    for k in ks + ks[::-1] + ks[1::2] + ks[::2]:
         z = int(rng.integers(m))
         sources = np.flatnonzero(poly.reach[:, z] & (np.arange(m) != z))
         if sources.size == 0:
             continue
         objective = np.zeros(poly.num_metric_vars)
-        if isinstance(norm, str):
+        if k == n:
             x = np.zeros(m)
             x[sources] = rng.random(sources.size) + 0.1
             objective[:] = np.tile(x / x.sum(), n)
         else:
             c = int(rng.choice(sources))
-            for v in rng.choice(n, size=norm, replace=False):
+            for v in rng.choice(n, size=k, replace=False):
                 objective[poly.var(int(v), c)] = 1.0
-        calls.append((z, norm, objective))
+        calls.append((z, k, objective))
     return calls
 
 
@@ -1192,10 +1196,10 @@ def test_interleaved_norms_match_fresh_solvers():
         profile = random_profile(3 + trial % 3, 3 + trial % 2, rng)
         poly = MetricPolytope(profile)
         solver = _PolytopeSolver(poly)
-        for z, norm, objective in _norm_calls(poly, rng):
-            value, _ = solver.maximize(objective, opponent=z, norm=norm)
-            fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=z, norm=norm)
-            assert value == pytest.approx(fresh, rel=1e-9), (trial, z, norm)
+        for z, k, objective in _norm_calls(poly, rng):
+            value, _ = solver.maximize(objective, opponent=z, k=k)
+            fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=z, k=k)
+            assert value == pytest.approx(fresh, rel=1e-9), (trial, z, k)
             assert len(solver.live) <= poly.num_alternatives
             _assert_no_phase_one(solver)
         assert solver.stats["cold_builds"] <= poly.num_alternatives
@@ -1204,8 +1208,9 @@ def test_interleaved_norms_match_fresh_solvers():
 
 
 def test_optimize_sequence_builds_one_tableau_cold():
-    # Every other opponent's tableau starts from another one's optimum, and
-    # every norm, top-k included, swaps in place on it.
+    # Every other opponent's tableau starts from another one's optimum.
+    # opt_rand reuses opt_det's tableaux as they are (distortion is k = N),
+    # and fairness_det's k < N switch in place on them.
     for seed in (83, 89, 97):
         profile = random_profile(4, 4, np.random.default_rng(seed))
         solver = _solver_for(profile)
@@ -1213,7 +1218,7 @@ def test_optimize_sequence_builds_one_tableau_cold():
         reports = [det, opt_rand(profile), fairness_det(det.winner, profile)]
         cold = sum(r.solver_stats["cold_builds"] for r in reports)
         assert cold == 1, seed
-        assert reports[1].solver_stats["norm_swaps"] > 0
+        assert reports[1].solver_stats["norm_swaps"] == 0
         assert reports[2].solver_stats["norm_swaps"] > 0
         assert len(solver.live) <= profile.num_alternatives
         _assert_no_phase_one(solver)
@@ -1222,17 +1227,19 @@ def test_optimize_sequence_builds_one_tableau_cold():
 def test_failed_removal_rebuilds_the_swapped_program_cold(monkeypatch):
     profile = warmup_instance().profile
     solver = _solver_for(profile)
-    separation_oracle(UNIFORM3, 2.0, profile)  # "cheapest" tableaux
+    fairness_det(0, profile, k_set=[1])  # top-1 tableaux, opponent 2 last
+    assert (solver.live[2].labels <= _SUBSET).any()  # rows that must leave
     builds = solver.stats["cold_builds"]
 
     def refuse(self, indices):
         raise SolverFailure("slack has no pivot in a row that stays")
 
     monkeypatch.setattr(linprog.Tableau, "remove_rows", refuse)
-    value, _ = a_det(0, 2, profile)  # "=" on opponent 2 swaps in place
+    value, _ = a_det(0, 2, profile)  # k = N on opponent 2 switches in place
     assert solver.stats["rebuilds"] == 1
     assert solver.stats["cold_builds"] == builds + 1
-    assert solver.live[2].norm == "="
+    assert solver.live[2].k == profile.num_agents
+    assert not (solver.live[2].labels <= _SUBSET).any()
     monkeypatch.undo()
     fresh, _ = a_det(0, 2, PreferenceProfile(profile.rankings))
     assert value == pytest.approx(fresh, rel=1e-9)
@@ -1240,7 +1247,7 @@ def test_failed_removal_rebuilds_the_swapped_program_cold(monkeypatch):
 
 def test_swap_that_raises_leaves_no_tableau(monkeypatch):
     profile = warmup_instance().profile
-    a_det(0, 2, profile)  # leaves the "=" tableau of opponent 2
+    a_det(0, 2, profile)  # leaves the k = N tableau of opponent 2
     solver = _solver_for(profile)
     assert 2 in solver.live
 
@@ -1250,10 +1257,10 @@ def test_swap_that_raises_leaves_no_tableau(monkeypatch):
     monkeypatch.setattr(linprog, "_pivot_loop", broken)
     objective = np.tile(UNIFORM3, profile.num_agents)
     with pytest.raises(SolverFailure):
-        solver.maximize(objective, opponent=2, norm="cheapest")
+        solver.maximize(objective, opponent=2, k=1)  # switches k in place
     assert 2 not in solver.live
     monkeypatch.undo()
-    value, _ = solver.maximize(objective, opponent=2, norm="cheapest")
+    value, _ = solver.maximize(objective, opponent=2, k=1)
     poly = MetricPolytope(profile)
-    fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=2, norm="cheapest")
+    fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=2, k=1)
     assert value == pytest.approx(fresh, rel=1e-9)

@@ -13,6 +13,7 @@ from metricdist.instanceopt import (
     opt_rand,
     separation_oracle,
 )
+from metricdist.linprog import LpOutcome, LpStatus, SolverFailure
 from metricdist.profiles import (
     PreferenceProfile,
     parse_profile,
@@ -281,3 +282,44 @@ def test_lottery_game_matches_the_epigraph_program():
         off = np.setdiff1d(np.arange(m), columns)
         assert (x[off] == 0.0).all()
         assert (payoffs @ x).max() == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("how", ["raises", "unbounded"])
+def test_failed_lottery_game_carries_its_lp(monkeypatch, how):
+    def broken(lp):
+        if how == "raises":
+            raise SolverFailure("pivot loop broken on purpose")
+        return LpOutcome(status=LpStatus.UNBOUNDED)
+
+    monkeypatch.setattr(instanceopt, "solve", broken)
+    payoffs = np.array([[1.0, 2.0], [3.0, 1.0]])
+    with pytest.raises(SolverFailure, match="lottery-game LP") as info:
+        _lottery_game(payoffs, [0, 1])
+    lines = info.value.lp_text.splitlines()
+    assert lines[0].startswith("max ")
+    assert sum(line.endswith(" <= 1.0") for line in lines[1:]) == 2
+
+
+def test_separation_oracle_reads_dist_rand_with_an_opponent_cheapest_witness():
+    # The oracle bounds each opponent's total cost alone; its largest value
+    # is dist_rand, and the worst opponent is its witness's cheapest column,
+    # so every cut pays at least 1.
+    rng = np.random.default_rng(139)
+    witnesses = 0
+    for _ in range(25):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        profile = random_profile(n, m, rng)
+        x = randomized_dictatorship(profile).distribution
+        verdict = separation_oracle(x, 1.0, profile)
+        value = dist_rand(x, profile).value
+        if math.isinf(value):
+            assert math.isinf(verdict.value)
+            continue
+        assert verdict.value == pytest.approx(value, rel=1e-9)
+        if not verdict.feasible:
+            sums = verdict.witness.values.sum(axis=0)
+            assert sums.min() >= sums[verdict.opponent] - 1e-9
+            witnesses += 1
+        for sums, _, _ in opt_rand(profile).state.cuts:
+            assert sums.min() >= 1 - 1e-9
+    assert witnesses > 0

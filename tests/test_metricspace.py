@@ -42,9 +42,6 @@ def test_q_metric_examples(warmup):
     ok, witness = is_q_metric(bad)
     assert not ok
     assert witness == (0, 1, 0, 1)
-    # paranoid mode agrees
-    assert is_q_metric(bad, paranoid=True)[0] is False
-    assert is_q_metric(warmup.metric, paranoid=True)[0] is True
 
 
 def test_consistency_examples(warmup):
