@@ -9,6 +9,18 @@ run only terminates once the incumbent satisfies the complete inequality
 family, so reported optima are exact up to solver tolerances, and every
 report carries a feasibility-checked witness.
 
+The solver's variables are increments, not costs: ``delta(v, t) >= 0`` is
+the step of agent v's cost at position t of its ranking, so
+``d(v, ranking_v[j])`` is the sum of ``delta(v, t)`` over ``t <= j``. That
+is ``d = L delta`` with L the per-agent prefix-sum matrix
+(:attr:`MetricPolytope.prefix`), and every nonnegative delta is consistent
+with the rankings by construction: no tableau holds a consistency row.
+Rows and objectives are written over the costs and enter a tableau as
+``row @ L``; an optimum is read back as costs by one cumulative sum per
+agent. A sum of nonnegative floats never decreases, so every witness is
+consistent exactly. :func:`build_full_lp` alone stays over the costs, with
+its consistency rows, as the reference the solver is checked against.
+
 Every normalization bounds the sum of the opponent's k largest costs by 1,
 with distortion at k = N: one ``<=`` row with rhs 1, and for k < N the
 k-subset rows, rhs 1 too, added as they are violated (see
@@ -116,7 +128,7 @@ SOLVER_STATS = (
 )
 _COUNTERS = SOLVER_STATS[:-1]
 # Labels of a live tableau's constraints that are not quadrilateral ids.
-_FIXED = -1  # a consistency row or the rhs-1 row
+_FIXED = -1  # the rhs-1 row
 _SUBSET = -2  # k-subset i (MetricPolytope.subset_rows) is _SUBSET - i
 _NO_IDS = np.zeros(0, dtype=np.intp)
 _NO_IDS.setflags(write=False)
@@ -129,10 +141,13 @@ class BudgetExceededError(ValueError):
 class MetricPolytope:
     """Linear description of the admissible metrics consistent with a profile.
 
-    Variables are the ``N * M`` entries ``d(v, c)`` in row-major order, all
-    nonnegative. Rows are the per-agent consistency chain (adjacent ranking
+    Rows are written over the ``N * M`` costs ``d(v, c)`` in row-major order,
+    all nonnegative: the per-agent consistency chain (adjacent ranking
     positions suffice) and the quadrilateral inequalities, each named by its
-    id ``((v N + v') M + c) M + c'`` in ``[0, N^2 M^2)``.
+    id ``((v N + v') M + c) M + c'`` in ``[0, N^2 M^2)``. The solver's
+    variables are the increments ``delta(v, t)`` at the same indices, t a
+    ranking position, with ``d = prefix @ delta`` (:attr:`prefix`); they
+    need no consistency rows.
     """
 
     def __init__(self, profile):
@@ -146,6 +161,10 @@ class MetricPolytope:
         self._reach = None
         self._length = None  # steps of a shortest chain from a to b, m if none
         self._consistency = None
+        self._prefix = None
+        # d(v, c) is entry v M + positions[v, c] of the per-agent prefix sums
+        agents = np.arange(self.num_agents)[:, None]
+        self._ranked = (agents * self.num_alternatives + profile.positions).ravel()
         self._subsets = {}  # k -> membership of the k-agent subsets, one row each
         self._groups = None
         self._proper = None
@@ -208,6 +227,33 @@ class MetricPolytope:
                     r += 1
             self._consistency = rows
         return self._consistency
+
+    @property
+    def prefix(self) -> np.ndarray:
+        """L, the ``NM x NM`` map from increments to costs: ``d = L @ delta``.
+
+        ``delta(v, t)``, at index ``v M + t``, is the step of agent v's cost
+        at position t of its ranking, so ``L[v M + c, v M + t]`` is 1 when
+        t is at most c's position, and every other entry is 0. A row or
+        objective over the costs is ``row @ L`` over the increments.
+        """
+        if self._prefix is None:
+            n, m = self.num_agents, self.num_alternatives
+            agents = np.arange(n)
+            steps = self.profile.positions[:, :, None] >= np.arange(m)
+            prefix = np.zeros((n, m, n, m))
+            prefix[agents, :, agents, :] = steps
+            self._prefix = prefix.reshape(self.num_metric_vars, -1)
+        return self._prefix
+
+    def metric(self, increments) -> np.ndarray:
+        """The ``N x M`` costs ``L @ increments``, one cumulative sum per agent.
+
+        Nonnegative increments give costs that agree with every ranking
+        exactly: a sum of nonnegative floats never decreases.
+        """
+        sums = increments.reshape(self.num_agents, -1).cumsum(axis=1)
+        return sums.take(self._ranked).reshape(self.num_agents, -1)
 
     @property
     def proper(self) -> np.ndarray:
@@ -368,9 +414,10 @@ class _LiveLp:
     """One live tableau, with what each of its constraints is.
 
     ``labels`` is an int array parallel to the tableau's constraints: a
-    quadrilateral row holds its id (>= 0); ``_FIXED`` marks a consistency
-    row or the rhs-1 row, which never leave (a retarget replaces the latter
-    in place); ``_SUBSET - i`` the generated row of k-subset i.
+    quadrilateral row holds its id (>= 0); ``_FIXED`` marks the rhs-1 row,
+    which never leaves (a retarget replaces it in place); ``_SUBSET - i``
+    the generated row of k-subset i. Every row is over the increments
+    (:attr:`MetricPolytope.prefix`), so none is a consistency row.
     ``in_tableau`` is a mask over every quadrilateral id, True on the rows
     held; ``chained`` a mask over the columns, True on those whose chain
     rows to ``opponent`` are held (see the module docstring); ``subsets`` a
@@ -450,71 +497,80 @@ class _PolytopeSolver:
         out["pool_rows"] = sum(int(t.in_tableau.sum()) for t in tableaux)
         return out
 
-    def maximize(self, objective, *, opponent, k):
+    def maximize(self, objective, *, opponent, k, support):
         """Maximize over the polytope, ``opponent`` normalized; ``(value, metric)``.
 
-        ``objective`` is nonnegative, one entry per metric variable. The
-        normalization bounds the sum of the opponent's k largest entries by
-        1, for an int k in 1..N (see :func:`_normalization` for its rows);
-        k = N bounds its total cost, distortion's normalization. The bound
-        binds at any optimum, so the value is the normalized ratio. Row
-        generation runs on the opponent's live tableau.
+        ``objective`` is nonnegative, one entry per cost ``d(v, c)``, and
+        ``support`` lists, ascending, the columns it weights: those with a
+        positive entry. The normalization bounds the sum of the opponent's
+        k largest entries by 1, for an int k in 1..N (see
+        :func:`_normalization` for its rows); k = N bounds its total cost,
+        distortion's normalization. The bound binds at any optimum, so the
+        value is the normalized ratio. Row generation runs on the
+        opponent's live tableau, over the increments; ``metric`` is the
+        ``N x M`` costs of the optimum.
 
         Raises:
             SolverFailure: the solve failed warm and cold, or a relaxation
                 is unbounded (a weighted column has no chain to ``opponent``).
         """
+        cost = objective @ self.polytope.prefix
         # Popped while in use, so a call that raises leaves no tableau behind.
         live = self.live.pop(opponent, None)
         if live is None and self.live:
             live = next(reversed(self.live.values())).copy()
         if live is None:
-            live, status, out = self._start(objective, opponent, k)
+            live, status, out = self._start(cost, opponent, k, support)
         else:
-            live, status, out = self._retarget(live, objective, opponent, k)
-        value, x = self._generate_rows(live, opponent, status, out)
+            live, status, out = self._retarget(live, cost, opponent, k, support)
+        value, metric = self._generate_rows(live, opponent, status, out)
         self.live[opponent] = live
         self.stats["objectives"] += 1
-        return value, x.reshape(self.polytope.num_agents, -1)
+        return value, metric
 
-    def _chain_rows(self, objective, opponent, chained):
-        """Ids of the chain rows to ``opponent`` of the columns ``objective``
-        weights but the column mask ``chained`` lacks, which it then marks.
+    def _chain_rows(self, support, opponent, chained):
+        """Ids of the chain rows to ``opponent`` of the columns of ``support``
+        that the column mask ``chained`` lacks, which it then marks.
 
         Columns ascending, each id at its first occurrence. With the rhs-1
         row, a weighted column's chain rows bound the relaxation (see the
         module docstring).
         """
-        poly = self.polytope
-        weighted = (objective.reshape(poly.num_agents, -1) > 0).any(axis=0)
-        columns = (weighted & ~chained).nonzero()[0]
-        if not columns.size:
+        columns = [c for c in support if not chained[c]]
+        if not columns:
             return _NO_IDS
+        poly = self.polytope
         chained[columns] = True
         seen = np.zeros(poly.num_quad_ids, dtype=bool)
         ids = []
-        for c in columns.tolist():
+        for c in columns:
             chain = poly.chain_quadruples(c, opponent)
             chain = chain[~seen[chain]]  # one chain's ids are distinct
             seen[chain] = True
             ids.append(chain)
         return np.concatenate(ids)
 
-    def _start(self, objective, opponent, k):
-        """Cold-build the opponent's tableau over the objective's chain rows,
-        from the slack basis."""
+    def _start(self, cost, opponent, k, support):
+        """Cold-build the opponent's tableau over the chain rows of
+        ``support``, from the slack basis; ``cost`` is the objective over
+        the increments. The rhs-1 row comes first."""
         poly = self.polytope
         chained = np.zeros(poly.num_alternatives, dtype=bool)
-        ids = self._chain_rows(objective, opponent, chained)
-        lp, labels = _ratio_lp(poly, objective, opponent, k, ids)
-        tableau, status, out = self._cold(lp)
+        ids = self._chain_rows(support, opponent, chained)
+        bound = _normalization(poly, opponent, k)
+        rows = np.vstack([bound, poly.quadruple_rows(ids) @ poly.prefix])
+        rhs = np.zeros(len(rows))
+        rhs[0] = 1.0
+        labels = np.concatenate([[_FIXED], ids])
+        tableau, status, out = self._cold(LinearProgram(cost, rows, rhs))
         in_tableau = np.zeros(poly.num_quad_ids, dtype=bool)
         in_tableau[ids] = True
         live = _LiveLp(tableau, labels, in_tableau, chained, opponent, k)
         return live, status, out
 
-    def _retarget(self, live, objective, opponent, k):
-        """Move a live tableau to ``objective``, ``opponent`` and ``k``.
+    def _retarget(self, live, cost, opponent, k, support):
+        """Move a live tableau to the objective ``cost`` (over the
+        increments), ``opponent`` and ``k``.
 
         The objective's chain rows the tableau lacks (a tableau that takes a
         new opponent holds none of its chains) enter under the old
@@ -534,7 +590,7 @@ class _PolytopeSolver:
         switch = swap or live.k != k
         if swap:
             live.chained[:] = False
-        chain = self._chain_rows(objective, opponent, live.chained)
+        chain = self._chain_rows(support, opponent, live.chained)
         try:
             missing = chain[~live.in_tableau[chain]]
             if missing.size:
@@ -561,21 +617,24 @@ class _PolytopeSolver:
                 live.tableau.replace_equation(bound)
         except SolverFailure:
             self.stats["rebuilds"] += 1
-            return self._start(objective, opponent, k)
+            return self._start(cost, opponent, k, support)
         if swap:
             self.stats["opponent_swaps"] += 1
         elif switch:
             self.stats["norm_swaps"] += 1
         live.opponent, live.k = opponent, k
-        live.tableau.set_objective(objective)
+        live.tableau.set_objective(cost)
         return (live, *self._reoptimize(live))
 
     def _generate_rows(self, live, opponent, status, out):
-        """Separation rounds until the optimum violates no row of the LP.
+        """Separation rounds until the optimum violates no row of the LP;
+        ``(value, metric)``, the optimum's costs.
 
-        For k < N, rounds add the k-subset rows along with the
-        quadrilaterals (see :meth:`MetricPolytope.violated_subsets`); at
-        k = N the one N-subset row is the bound itself.
+        Each round reads the costs of the optimum's increments
+        (:meth:`MetricPolytope.metric`). For k < N, rounds add the k-subset
+        rows along with the quadrilaterals (see
+        :meth:`MetricPolytope.violated_subsets`); at k = N the one N-subset
+        row is the bound itself.
         """
         poly = self.polytope
         k = live.k
@@ -588,8 +647,7 @@ class _PolytopeSolver:
                     "relaxation unbounded: chain rows missing", live.tableau.program()
                 )
 
-            x = out.assignment
-            metric = x.reshape(poly.num_agents, -1)
+            metric = poly.metric(out.assignment)
             self.stats["separation_rounds"] += 1
             new = poly.violated_quadruples(
                 metric, _SEP_TOL, live.in_tableau, _SEPARATION_BATCH
@@ -601,12 +659,12 @@ class _PolytopeSolver:
                     column, k, _SEP_TOL, live.subsets, _SEPARATION_BATCH
                 )
             if not new.size and not subsets.size:
-                return out.value, x
+                return out.value, metric
 
             if new.size:
                 self._add_quads(live, new)
             if subsets.size:
-                rows = poly.subset_rows(subsets, k, opponent)
+                rows = poly.subset_rows(subsets, k, opponent) @ poly.prefix
                 live.tableau.add_rows(rows, np.ones(len(subsets)))
                 live.labels = np.concatenate([live.labels, _SUBSET - subsets])
                 live.subsets[subsets] = True
@@ -614,7 +672,9 @@ class _PolytopeSolver:
         raise self._failure("row generation did not converge", live.tableau.program())
 
     def _add_quads(self, live, ids):
-        live.tableau.add_rows(self.polytope.quadruple_rows(ids), np.zeros(len(ids)))
+        poly = self.polytope
+        rows = poly.quadruple_rows(ids) @ poly.prefix
+        live.tableau.add_rows(rows, np.zeros(len(ids)))
         live.labels = np.concatenate([live.labels, ids])
         live.in_tableau[ids] = True
 
@@ -678,7 +738,9 @@ class _PolytopeSolver:
     def _failure(self, message, program):
         """A failure that carries ``program`` and the profile to reproduce it."""
         return SolverFailure(
-            message,
+            f"{message} (lp_text's variables are the increments delta(v, t) "
+            "in each agent's ranking order, at index v M + t: d(v, ranking_v[j]) "
+            "is the sum of delta(v, t) over t <= j)",
             lp_text=program.dump_text(),
             profile_text=serialize_profile(self.polytope.profile),
         )
@@ -703,7 +765,8 @@ def _solver_for(profile):
 
 
 def _normalization(poly, opponent, k):
-    """The rhs-1 row ``(k/N) SC(opponent) <= 1`` that normalizes ``opponent``.
+    """The rhs-1 row ``(k/N) SC(opponent) <= 1`` that normalizes ``opponent``,
+    over the increments: the sum of L's rows of the opponent's column.
 
     The sum of the opponent's k largest entries is at least ``(k/N) SC``
     (they average at least the mean), so its bound by 1 implies this row;
@@ -711,23 +774,9 @@ def _normalization(poly, opponent, k):
     generated (:meth:`MetricPolytope.violated_subsets`). At k = N the row is
     the one such row: the opponent's total cost is at most 1.
     """
-    row = np.zeros(poly.num_metric_vars)
-    # Column c of the metric holds the entries v * M + c, one per agent v.
-    row[opponent :: poly.num_alternatives] = k / poly.num_agents
-    return row
-
-
-def _ratio_lp(poly, objective, opponent, k, ids):
-    """``(lp, labels)``: maximize ``objective`` over the consistency rows, the
-    bound (:func:`_normalization`) and the quadrilaterals ``ids``, labelled
-    as in :class:`_LiveLp`."""
-    consistency = poly.consistency_rows()
-    bound = _normalization(poly, opponent, k)
-    A_ub = np.vstack([consistency, bound, poly.quadruple_rows(ids)])
-    b_ub = np.zeros(len(A_ub))
-    b_ub[len(consistency)] = 1.0
-    labels = np.concatenate([np.full(len(consistency) + 1, _FIXED), ids])
-    return LinearProgram(objective, A_ub, b_ub), labels
+    # Column c of the costs holds the entries v * M + c, one per agent v.
+    column = poly.prefix[opponent :: poly.num_alternatives]
+    return (k / poly.num_agents) * column.sum(axis=0)
 
 
 @dataclass
@@ -775,14 +824,22 @@ def build_full_lp(winner_or_x, opponent, profile) -> LinearProgram:
 
     Row generation makes this unnecessary for solving; it exists for debug
     dumps and for checking the assembled program against the solver directly
-    at small sizes. The normalization is a ``<= 1`` row, as in every tableau.
+    at small sizes. Its variables are the costs, row-major, not the solver's
+    increments: rows are the consistency chain, the normalization (the
+    opponent's total cost ``<= 1``, as in every tableau) and every
+    quadrilateral, in that order.
     """
-    weights = _outcome_weights(winner_or_x, profile.num_alternatives)
-    opponent = _validated_alternative(opponent, profile.num_alternatives)
+    m = profile.num_alternatives
+    weights = _outcome_weights(winner_or_x, m)
+    opponent = _validated_alternative(opponent, m)
     poly = MetricPolytope(profile)
-    n = profile.num_agents
-    objective = np.tile(weights, n)
-    return _ratio_lp(poly, objective, opponent, n, poly.all_quadruples())[0]
+    consistency = poly.consistency_rows()
+    bound = np.zeros(poly.num_metric_vars)
+    bound[opponent::m] = 1.0
+    A_ub = np.vstack([consistency, bound, poly.quadruple_rows(poly.all_quadruples())])
+    b_ub = np.zeros(len(A_ub))
+    b_ub[len(consistency)] = 1.0
+    return LinearProgram(np.tile(weights, profile.num_agents), A_ub, b_ub)
 
 
 def a_det(c, opponent, profile):
@@ -800,10 +857,13 @@ def a_rand(x, opponent, profile):
     opponent = _validated_alternative(opponent, profile.num_alternatives, "opponent")
     solver = _solver_for(profile)
     poly = solver.polytope
-    if poly.unreached(np.flatnonzero(x > 0), opponent):
+    support = np.flatnonzero(x > 0)
+    if poly.unreached(support, opponent):
         return math.inf, None
     objective = np.tile(x, poly.num_agents)  # x[c] on every entry of column c
-    value, metric = solver.maximize(objective, opponent=opponent, k=poly.num_agents)
+    value, metric = solver.maximize(
+        objective, opponent=opponent, k=poly.num_agents, support=support
+    )
     return value, CostMatrix(metric)
 
 
@@ -954,7 +1014,7 @@ def _solve_tuple(solver, x, support, subsets, opponent, k):
     for c, subset in zip(support, subsets):
         for v in subset:
             objective[v * m + c] = x[c]
-    return solver.maximize(objective, opponent=opponent, k=k)
+    return solver.maximize(objective, opponent=opponent, k=k, support=support)
 
 
 def fairness_det(winner, profile, k_set=None, budget=10):

@@ -171,7 +171,9 @@ def separation_oracle(x, gamma, profile, *, viol_tol=DEFAULT_EPS / 2):
             per_opponent[opponent] = math.inf
             blocked.extend((c, opponent) for c in bad)
             continue
-        value, metric = solver.maximize(objective, opponent=opponent, k=poly.num_agents)
+        value, metric = solver.maximize(
+            objective, opponent=opponent, k=poly.num_agents, support=support
+        )
         per_opponent[opponent] = value
         if value > best[0]:
             best = (value, opponent, CostMatrix(metric))

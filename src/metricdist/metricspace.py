@@ -117,24 +117,22 @@ def is_q_metric(d, tol: float = DEFAULT_GEOMETRY_TOL):
 
     Only proper quadruples count: a degenerate one (equal agents or equal
     alternatives) has gap -2 d(v, c') or -2 d(v', c), never positive for a
-    nonnegative matrix.
+    nonnegative matrix. They are masked out only once some gap exceeds
+    ``tol``, so the answer is right for any array, negative entries too.
 
     Returns:
         ``(True, None)``, or ``(False, (v, v', c, c'))`` with the first
         violating quadruple in lexicographic order.
     """
     vals = _as_values(d)
-    gaps = _quad_gaps(vals)
     n, m = vals.shape
-    same_agent = np.eye(n, dtype=bool)
-    same_alt = np.eye(m, dtype=bool)
-    gaps = np.where(same_agent[:, :, None, None], -np.inf, gaps)
-    gaps = np.where(same_alt[None, None, :, :], -np.inf, gaps)
-    bad = gaps > tol
-    if not bad.any():
-        return True, None
-    v, vp, c, cp = np.argwhere(bad)[0]
-    return False, (int(v), int(vp), int(c), int(cp))
+    bad = _quad_gaps(vals) > tol
+    if bad.any():
+        bad &= ~np.eye(n, dtype=bool)[:, :, None, None] & ~np.eye(m, dtype=bool)
+        if bad.any():
+            v, vp, c, cp = np.argwhere(bad)[0]
+            return False, (int(v), int(vp), int(c), int(cp))
+    return True, None
 
 
 def is_consistent(d, profile, tol: float = DEFAULT_GEOMETRY_TOL):

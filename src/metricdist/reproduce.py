@@ -35,6 +35,7 @@ from metricdist.metricspace import (
     top_k_cost,
 )
 from metricdist.profiles import (
+    PreferenceProfile,
     coupling_instance,
     line_split_instance,
     percentile_gap_instance,
@@ -475,6 +476,9 @@ def _claim_optimality(seed, trials, eps):
     started = time.perf_counter()
     checks = _Checks()
     rng = np.random.default_rng(seed)
+    # The relations draw from their own stream, so the profiles stay those
+    # of the seed.
+    relation_rng = np.random.default_rng([seed, 1])
     count = trials if trials is not None else 12
     for idx in range(count):
         profile = random_profile(int(rng.integers(2, 6)), int(rng.integers(2, 5)), rng)
@@ -486,6 +490,8 @@ def _claim_optimality(seed, trials, eps):
 
         checks.at_most(f"[{idx}] lottery value vs best winner", master.value, det.value + eps)
         checks.at_most(f"[{idx}] lottery value vs top-choice lottery", master.value, rd.value + eps)
+        # Plurality Veto's winner is within 3 (Kizilkaya and Kempe, IJCAI 2022).
+        checks.at_most(f"[{idx}] best winner within 3", det.value, 3 * (1 + 1e-9))
         for rule_fn in (copeland, ranked_pairs, schulze):
             rule_value = dist_det(rule_fn(profile).winner, profile).value
             checks.at_most(
@@ -497,7 +503,79 @@ def _claim_optimality(seed, trials, eps):
             abs(master.value - bisect.value),
             2 * eps,
         )
+        _check_relations(checks, idx, profile, relation_rng, eps)
     return checks.report("optimality-suite", started, {"instances": count})
+
+
+def _check_relations(checks, idx, profile, rng, eps):
+    """Metamorphic relations, each a check of the largest relative gap.
+
+    Relabeling the alternatives permutes every output, permuting the agents
+    changes none, and cloning the electorate (every agent twice) keeps every
+    ratio and moves fairness at k to 2k.
+    """
+    n, m = profile.num_agents, profile.num_alternatives
+    winner, x = int(rng.integers(m)), rng.dirichlet(np.ones(m))
+    base = _relation_outcomes(profile, winner, x, eps)
+    perm = rng.permutation(m)  # alternative c is renamed perm[c]
+    relabeled = PreferenceProfile(perm[profile.rankings])
+    relabeled = _relation_outcomes(relabeled, int(perm[winner]), x[np.argsort(perm)], eps)
+    shuffled = _relation_outcomes(
+        profile.with_agents_permuted(rng.permutation(n)), winner, x, eps
+    )
+    cloned = _relation_outcomes(
+        PreferenceProfile(np.repeat(profile.rankings, 2, axis=0)), winner, x, eps
+    )
+    relations = (
+        ("relabeling alternatives permutes", relabeled, lambda a, k: (perm[list(a)], k)),
+        ("permuting agents keeps", shuffled, lambda a, k: (a, k)),
+        ("cloning the electorate keeps (k to 2k)", cloned, lambda a, k: (a, 2 * k)),
+    )
+    for name, got, rename in relations:
+        gap = _relation_gap(base, got, rename)
+        checks.at_most(f"[{idx}] {name} every output (relative gap)", gap, 1e-9)
+
+
+def _relation_outcomes(profile, winner, x, eps):
+    """Every output the relations compare, keyed ``(name, alternatives, k)``.
+
+    ``alternatives`` is the tuple of alternatives the value belongs to, and
+    ``k`` is fairness' k, 0 elsewhere.
+    """
+    det = opt_det(profile)
+    out = {
+        ("opt_rand", (), 0): opt_rand(profile, eps=eps).value,
+        ("response", (), 0): candidate_response_value(profile, matrix=det.matrix)[1],
+    }
+    for (c, z), value in np.ndenumerate(det.matrix):
+        out["opt_det", (c, z), 0] = float(value)
+    reports = {"dist_det": dist_det(winner, profile), "dist_rand": dist_rand(x, profile)}
+    for name, report in reports.items():
+        for z, value in report.per_opponent.items():
+            out[name, (z,), 0] = value
+    for k, value in fairness_det(winner, profile).per_k.items():
+        out["fairness", (), k] = value
+    return out
+
+
+def _relation_gap(base, got, rename):
+    """Largest relative gap between ``base`` and ``got`` under ``rename``.
+
+    ``rename(alternatives, k)`` gives the alternatives and k of a base key
+    in ``got``. Infinite when a key is missing or infinities differ.
+    """
+    worst = 0.0
+    for (name, alternatives, k), want in base.items():
+        renamed, k = rename(alternatives, k)
+        have = got.get((name, tuple(int(a) for a in renamed), k))
+        if have is None:
+            return math.inf
+        if math.isinf(want) or math.isinf(have):
+            if want != have:
+                return math.inf
+            continue
+        worst = max(worst, abs(have - want) / max(1.0, abs(want)))
+    return worst
 
 
 # claim id -> runner, in the order the CLI lists them

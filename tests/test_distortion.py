@@ -26,7 +26,13 @@ from metricdist.distortion import (
 )
 from metricdist.instanceopt import opt_det, opt_rand, separation_oracle
 from metricdist.linprog import SolverFailure
-from metricdist.metricspace import CostMatrix, _quad_gaps, social_cost, top_k_cost
+from metricdist.metricspace import (
+    CostMatrix,
+    _quad_gaps,
+    is_consistent,
+    social_cost,
+    top_k_cost,
+)
 from metricdist.profiles import (
     PreferenceProfile,
     coupling_instance,
@@ -468,7 +474,9 @@ def _fresh_fairness(winner, profile, k_set=None):
                 for v in subset:
                     objective[poly.var(v, winner)] = 1.0
                 solver = _PolytopeSolver(poly)
-                values[k, z, subset], _ = solver.maximize(objective, opponent=z, k=k)
+                values[k, z, subset], _ = solver.maximize(
+                    objective, opponent=z, k=k, support=[winner]
+                )
                 best = max(best, values[k, z, subset])
         per_k[k] = best
     top = max(per_k.values())
@@ -570,7 +578,9 @@ def _fresh_fairness_rand(x, profile):
                 for c, subset in zip(support, combo):
                     objective[list(subset), c] = x[c]
                 solver = _PolytopeSolver(poly)
-                value, _ = solver.maximize(objective.ravel(), opponent=z, k=k)
+                value, _ = solver.maximize(
+                    objective.ravel(), opponent=z, k=k, support=support
+                )
                 best = max(best, value)
         per_k[k] = (best, best)
     return per_k
@@ -785,7 +795,7 @@ def test_missing_chain_rows_raise_named_unbounded_failure(monkeypatch):
     no_rows = np.zeros(0, dtype=np.intp)
     monkeypatch.setattr(MetricPolytope, "chain_quadruples", lambda self, a, b: no_rows)
     with pytest.raises(SolverFailure, match="relaxation unbounded: chain rows missing") as info:
-        solver.maximize(objective, opponent=2, k=profile.num_agents)
+        solver.maximize(objective, opponent=2, k=profile.num_agents, support=[0])
     assert info.value.profile_text == serialize_profile(profile)
     assert info.value.lp_text.splitlines()[0].startswith("max ")
 
@@ -901,6 +911,46 @@ def test_failure_after_warm_and_cold_attempts_carries_reproduction(monkeypatch):
     assert value == pytest.approx(fresh, rel=1e-9)
 
 
+def _parse_lp_text(text):
+    """The :class:`LinearProgram` a ``dump_text`` wrote."""
+    lines = text.splitlines()
+    objective = [float(c) for c in lines[0].split()[1:]]
+    rows, rhs = [], []
+    for line in lines[1:]:
+        coeffs, b = line.split(" <= ")
+        rows.append([float(c) for c in coeffs.split()])
+        rhs.append(float(b))
+    return linprog.LinearProgram(objective, rows, rhs)
+
+
+def test_failure_reproduces_over_the_increments_it_names(monkeypatch):
+    # The failing program is over the increments delta(v, t) the message
+    # names: solved again, its optimum maps through the prefix sums to costs
+    # that keep every ranking, and its value is that of the costs.
+    profile = ranked_pairs_hard_instance(3).profile
+    m = profile.num_alternatives
+    a_det(0, m - 1, profile)
+
+    def broken(*args, **kwargs):
+        raise SolverFailure("pivot loop broken on purpose")
+
+    monkeypatch.setattr(linprog, "_pivot_loop", broken)
+    with pytest.raises(SolverFailure, match="increments delta") as info:
+        a_det(1, m - 1, profile)
+    monkeypatch.undo()
+    lp = _parse_lp_text(info.value.lp_text)
+    out = linprog.solve(lp)
+    assert out.status is linprog.LpStatus.OPTIMAL
+    poly = MetricPolytope(profile)
+    costs = poly.metric(out.assignment)
+    assert is_consistent(costs, profile, tol=0.0)[0]
+    assert out.value == pytest.approx(costs[:, 1].sum(), rel=1e-12)
+    weights = np.tile(np.eye(m)[1], profile.num_agents)  # over the costs
+    assert np.array_equal(lp.objective, weights @ poly.prefix)
+    # A relaxation: at least the full program's optimum.
+    assert out.value >= a_det(1, m - 1, PreferenceProfile(profile.rankings))[0] - 1e-9
+
+
 def _assert_tableaux_hold_their_rows(solver):
     """Each live tableau holds a quadrilateral id at most once, its masks
     agree with its labels, and it holds the chain rows of every column its
@@ -963,6 +1013,27 @@ def test_unreached_lists_the_supported_columns_without_a_chain():
         for z in range(5):
             want = [int(c) for c in support if not poly.reach[c, z]]
             assert poly.unreached(support, z) == want
+
+
+def test_reported_witnesses_keep_every_ranking_exactly():
+    # Costs are prefix sums of nonnegative increments, so no witness breaks
+    # a ranking by any amount, not even by round-off.
+    rng = np.random.default_rng(167)
+    witnesses = 0
+    for _ in range(30):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 6))
+        profile = random_profile(n, m, rng)
+        winner = int(rng.integers(m))
+        reports = [
+            dist_det(winner, profile),
+            dist_rand(rng.dirichlet(np.ones(m)), profile),
+            fairness_det(winner, profile, k_set=[1, n]),
+        ]
+        for report in reports:
+            if report.witness is not None:
+                assert is_consistent(report.witness, profile, tol=0.0)[0]
+                witnesses += 1
+    assert witnesses > 60
 
 
 def test_plurality_veto_winner_has_distortion_at_most_3():
@@ -1103,12 +1174,12 @@ def test_opponent_swap_then_top_k_ignores_the_donor_objective():
     profile = PreferenceProfile([[0, 1, 2], [0, 2, 1], [0, 1, 2]])
     poly = MetricPolytope(profile)
     solver = _PolytopeSolver(poly)
-    solver.maximize(np.tile([0.0, 1.0, 0.0], 3), opponent=2, k=3)
+    solver.maximize(np.tile([0.0, 1.0, 0.0], 3), opponent=2, k=3, support=[1])
     objective = np.tile([1.0, 0.0, 0.0], 3)
-    value, _ = solver.maximize(objective, opponent=0, k=1)
+    value, _ = solver.maximize(objective, opponent=0, k=1, support=[0])
     assert solver.stats["opponent_swaps"] == 1
     assert solver.stats["cold_builds"] == 1
-    fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=0, k=1)
+    fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=0, k=1, support=[0])
     assert value == pytest.approx(fresh, rel=1e-9)
 
 
@@ -1125,7 +1196,7 @@ def test_retarget_from_a_top_k_donor_to_distortion_on_a_new_opponent():
     objective = np.zeros(poly.num_metric_vars)
     for v in range(3):
         objective[poly.var(v, c)] = 1.0
-    solver.maximize(objective, opponent=z, k=3)
+    solver.maximize(objective, opponent=z, k=3, support=[c])
     live = solver.live[z]
     assert (live.labels <= _SUBSET).any()
     assert live.subsets.sum() == (live.labels <= _SUBSET).sum()
@@ -1134,13 +1205,15 @@ def test_retarget_from_a_top_k_donor_to_distortion_on_a_new_opponent():
     lottery = np.tile(np.full(m, 1 / m), poly.num_agents)
     before = dict(solver.stats)
     n = poly.num_agents
-    value, _ = solver.maximize(lottery, opponent=new, k=n)
+    value, _ = solver.maximize(lottery, opponent=new, k=n, support=range(m))
     stats = solver.stats_since(before)
     assert stats["opponent_swaps"] == 1 and stats["norm_swaps"] == 0
     assert stats["cold_builds"] == stats["rebuilds"] == 0
     live = solver.live[new]
     assert not (live.labels <= _SUBSET).any() and live.subsets is None
-    fresh, _ = _PolytopeSolver(poly).maximize(lottery, opponent=new, k=n)
+    fresh, _ = _PolytopeSolver(poly).maximize(
+        lottery, opponent=new, k=n, support=range(m)
+    )
     assert value == pytest.approx(fresh, rel=1e-9)
 
 
@@ -1162,7 +1235,7 @@ def _assert_no_phase_one(solver):
 
 
 def _norm_calls(poly, rng):
-    """``(opponent, k, objective)`` triples over every k, there and back.
+    """``(opponent, k, objective, support)`` over every k, there and back.
 
     Objectives weight only columns with a chain to the opponent, so every
     relaxation is bounded. At k = N the objective is a lottery, as in
@@ -1181,11 +1254,13 @@ def _norm_calls(poly, rng):
             x = np.zeros(m)
             x[sources] = rng.random(sources.size) + 0.1
             objective[:] = np.tile(x / x.sum(), n)
+            support = sources
         else:
             c = int(rng.choice(sources))
             for v in rng.choice(n, size=k, replace=False):
                 objective[poly.var(int(v), c)] = 1.0
-        calls.append((z, k, objective))
+            support = [c]
+        calls.append((z, k, objective, support))
     return calls
 
 
@@ -1196,9 +1271,11 @@ def test_interleaved_norms_match_fresh_solvers():
         profile = random_profile(3 + trial % 3, 3 + trial % 2, rng)
         poly = MetricPolytope(profile)
         solver = _PolytopeSolver(poly)
-        for z, k, objective in _norm_calls(poly, rng):
-            value, _ = solver.maximize(objective, opponent=z, k=k)
-            fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=z, k=k)
+        for z, k, objective, support in _norm_calls(poly, rng):
+            value, _ = solver.maximize(objective, opponent=z, k=k, support=support)
+            fresh, _ = _PolytopeSolver(poly).maximize(
+                objective, opponent=z, k=k, support=support
+            )
             assert value == pytest.approx(fresh, rel=1e-9), (trial, z, k)
             assert len(solver.live) <= poly.num_alternatives
             _assert_no_phase_one(solver)
@@ -1257,10 +1334,13 @@ def test_swap_that_raises_leaves_no_tableau(monkeypatch):
     monkeypatch.setattr(linprog, "_pivot_loop", broken)
     objective = np.tile(UNIFORM3, profile.num_agents)
     with pytest.raises(SolverFailure):
-        solver.maximize(objective, opponent=2, k=1)  # switches k in place
+        # switches k in place
+        solver.maximize(objective, opponent=2, k=1, support=range(3))
     assert 2 not in solver.live
     monkeypatch.undo()
-    value, _ = solver.maximize(objective, opponent=2, k=1)
+    value, _ = solver.maximize(objective, opponent=2, k=1, support=range(3))
     poly = MetricPolytope(profile)
-    fresh, _ = _PolytopeSolver(poly).maximize(objective, opponent=2, k=1)
+    fresh, _ = _PolytopeSolver(poly).maximize(
+        objective, opponent=2, k=1, support=range(3)
+    )
     assert value == pytest.approx(fresh, rel=1e-9)

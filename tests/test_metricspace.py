@@ -22,6 +22,8 @@ from metricdist.profiles import (
     warmup_instance,
 )
 
+from oracles import naive_quadruples
+
 
 @pytest.fixture
 def warmup():
@@ -42,6 +44,24 @@ def test_q_metric_examples(warmup):
     ok, witness = is_q_metric(bad)
     assert not ok
     assert witness == (0, 1, 0, 1)
+
+
+def test_q_metric_finds_the_first_proper_violation_on_any_array():
+    # Signed entries make degenerate gaps positive too; they must not count.
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        d = rng.uniform(-1.0, 1.0, size=(n, m)) * (rng.random((n, m)) < 0.7)
+        tol = float(rng.choice([0.0, 1e-9, 0.3]))
+        first = next(
+            (
+                (v, vp, c, cp)
+                for v, vp, c, cp in naive_quadruples(n, m)
+                if d[v, c] - d[v, cp] - d[vp, cp] - d[vp, c] > tol
+            ),
+            None,
+        )
+        assert is_q_metric(d, tol) == (first is None, first)
 
 
 def test_consistency_examples(warmup):
