@@ -25,13 +25,15 @@ Every normalization bounds the sum of the opponent's k largest costs by 1,
 with distortion at k = N: one ``<=`` row with rhs 1, and for k < N the
 k-subset rows, rhs 1 too, added as they are violated (see
 :func:`_normalization`). Every other row is homogeneous, so a cold build
-starts from the slack basis. Each opponent keeps one live simplex tableau.
-Generated rows enter it and are re-optimized by the dual simplex; the next
-objective (another candidate, subset or lottery) resumes from the last
-optimal basis; another k drops the generated k-subset rows and replaces the
-rhs-1 row by a rank-one update, and a new opponent's tableau starts from a
-copy of another's optimum by the same path. Only a profile's first tableau
-and a failed switch are built cold.
+starts from the slack basis. Each opponent keeps one live simplex tableau,
+for one k. Generated rows enter it and are re-optimized by the dual
+simplex, and the next objective at that opponent and k (another candidate,
+subset or lottery) resumes from the last optimal basis. A new opponent or
+another k takes a new tableau, built cold over the rhs-1 row, the
+objective's chain rows (below) and the quadrilateral rows tight at the
+optimum of the last tableau: the opponent's own on a change of k, else the
+most recently used. Rows that bind at one optimum mostly bind near the
+next, so that seed spares most of the separation rounds.
 
 A quadrilateral (v, v', c, c') is named by its id ``((v N + v') M + c) M + c'``,
 its flat index into the gaps of :func:`metricspace._quad_gaps`. Separation
@@ -120,8 +122,7 @@ SOLVER_STATS = (
     "retries",  # cold solves repeated with a tighter pivot tolerance
     "bland_switches",  # pivot loops that stalled and switched to Bland's rule
     "separation_rounds",  # searches for violated rows
-    "norm_swaps",  # live tableaux switched to another normalization in place
-    "opponent_swaps",  # tableaux started from another opponent's optimum
+    "seeded_rows",  # quadrilateral rows a cold build took from the last tableau
     # A level, not a count: quadrilateral rows held across the live
     # tableaux when the call returns.
     "pool_rows",
@@ -166,6 +167,9 @@ class MetricPolytope:
         agents = np.arange(self.num_agents)[:, None]
         self._ranked = (agents * self.num_alternatives + profile.positions).ravel()
         self._subsets = {}  # k -> membership of the k-agent subsets, one row each
+        self._chains = {}  # (a, b) -> chain_quadruples(a, b)
+        # v N + v' for every pair of agents v != v'
+        self._pairs = np.flatnonzero(~np.eye(self.num_agents, dtype=bool))
         self._groups = None
         self._proper = None
 
@@ -290,12 +294,16 @@ class MetricPolytope:
         """Ids of the rows ``(v, v', x, y)``, ``v != v'``, of the steps of a chain.
 
         Step by step along ``chain(a, b)``, and per step in lexicographic
-        order of ``(v, v')``.
+        order of ``(v, v')``. Built once per pair; the array is read-only.
         """
-        n, m = self.num_agents, self.num_alternatives
-        pairs = np.flatnonzero(~np.eye(n, dtype=bool))  # v N + v', v != v'
-        steps = [(pairs * m + x) * m + y for x, y in self.chain(a, b)]
-        return np.array(steps, dtype=np.intp).ravel()
+        ids = self._chains.get((a, b))
+        if ids is None:
+            m = self.num_alternatives
+            steps = [(self._pairs * m + x) * m + y for x, y in self.chain(a, b)]
+            ids = np.array(steps, dtype=np.intp).ravel()
+            ids.setflags(write=False)
+            self._chains[a, b] = ids
+        return ids
 
     def violated_quadruples(self, values, tol, exclude, limit) -> np.ndarray:
         """Ids of the most-violated quadrilateral inequalities at ``values``.
@@ -415,9 +423,9 @@ class _LiveLp:
 
     ``labels`` is an int array parallel to the tableau's constraints: a
     quadrilateral row holds its id (>= 0); ``_FIXED`` marks the rhs-1 row,
-    which never leaves (a retarget replaces it in place); ``_SUBSET - i``
-    the generated row of k-subset i. Every row is over the increments
-    (:attr:`MetricPolytope.prefix`), so none is a consistency row.
+    the first; ``_SUBSET - i`` the generated row of k-subset i. Every row is
+    over the increments (:attr:`MetricPolytope.prefix`), so none is a
+    consistency row.
     ``in_tableau`` is a mask over every quadrilateral id, True on the rows
     held; ``chained`` a mask over the columns, True on those whose chain
     rows to ``opponent`` are held (see the module docstring); ``subsets`` a
@@ -445,39 +453,29 @@ class _LiveLp:
         self.opponent = opponent
         self.k = k
 
-    def copy(self):
-        """An independent copy, tableau included."""
-        arrays = (self.tableau, self.labels, self.in_tableau, self.chained)
-        out = _LiveLp(*(a.copy() for a in arrays), self.opponent, self.k)
-        out.subsets = None if self.subsets is None else self.subsets.copy()
-        return out
-
 
 class _PolytopeSolver:
     """Row-generating maximizer over one profile's metric polytope.
 
     Every LP here normalizes one opponent column, and each opponent keeps
-    one live tableau across calls, whatever its k: generated
+    one live tableau across calls, for the k it was last asked: generated
     quadrilateral rows are valid for every LP over the polytope, but those
     that bind under one opponent's normalization are mostly slack under
     another's. A tableau holds the chain rows of every column an objective
-    weights (see the module docstring); its quadrilateral rows only grow
-    while it keeps its opponent.
+    weights (see the module docstring); its rows only grow.
 
     New rows enter a tableau and are re-optimized by the dual simplex; a
-    new objective first takes in the chain rows the tableau lacks, then
-    resumes the primal simplex from the last optimal basis. Another
-    opponent or k takes one path, :meth:`_retarget`, on the opponent's
-    tableau or, for an opponent without one, on a copy of the most recently
-    used tableau; only a profile's first tableau is built cold. Which rows
-    a tableau lacks and which rows a switch removes are mask operations on
-    its labels, taken in label order.
+    new objective at the same opponent and k (:meth:`_retarget`) first
+    takes in the chain rows the tableau lacks, then resumes the primal
+    simplex from the last optimal basis. Another opponent or k builds a
+    tableau cold (:meth:`_start`), seeded with the rows tight at the last
+    tableau's optimum. Which rows a tableau lacks and which it passes on
+    are mask operations on its labels, taken in label order.
 
     Every round's assignment is verified against every row; a warm
-    re-optimization that fails is rebuilt cold, as is a retarget that
-    fails at any step, and a failing cold solve is retried once with a
-    tighter pivot tolerance. ``stats`` counts all of it since the solver
-    was built (every name of ``SOLVER_STATS`` but the level
+    re-optimization that fails is rebuilt cold, and a failing cold solve is
+    retried once with a tighter pivot tolerance. ``stats`` counts all of it
+    since the solver was built (every name of ``SOLVER_STATS`` but the level
     ``pool_rows``); :meth:`stats_since` gives one call's share.
 
     Entry points share one solver through :func:`_solver_for`; the module
@@ -517,12 +515,13 @@ class _PolytopeSolver:
         cost = objective @ self.polytope.prefix
         # Popped while in use, so a call that raises leaves no tableau behind.
         live = self.live.pop(opponent, None)
-        if live is None and self.live:
-            live = next(reversed(self.live.values())).copy()
-        if live is None:
-            live, status, out = self._start(cost, opponent, k, support)
+        if live is not None and live.k == k:
+            live, status, out = self._retarget(live, cost, support)
         else:
-            live, status, out = self._retarget(live, cost, opponent, k, support)
+            # Seeded by the opponent's own tableau on a change of k, else by
+            # the most recently used one.
+            donor = live or next(reversed(self.live.values()), None)
+            live, status, out = self._start(cost, opponent, k, support, donor)
         value, metric = self._generate_rows(live, opponent, status, out)
         self.live[opponent] = live
         self.stats["objectives"] += 1
@@ -550,79 +549,63 @@ class _PolytopeSolver:
             ids.append(chain)
         return np.concatenate(ids)
 
-    def _start(self, cost, opponent, k, support):
-        """Cold-build the opponent's tableau over the chain rows of
-        ``support``, from the slack basis; ``cost`` is the objective over
-        the increments. The rhs-1 row comes first."""
+    def _start(self, cost, opponent, k, support, donor=None):
+        """Cold-build the opponent's tableau from the slack basis; ``cost``
+        is the objective over the increments.
+
+        The rhs-1 row comes first, then the chain rows of ``support``, then
+        the quadrilateral rows tight at the optimum of the live tableau
+        ``donor`` (their slack is nonbasic), if one is given: rows that
+        bound one optimum mostly bind near the next, so separation starts
+        close to its end. Those rows are copied from the donor, which holds
+        them over the increments already.
+        """
         poly = self.polytope
         chained = np.zeros(poly.num_alternatives, dtype=bool)
         ids = self._chain_rows(support, opponent, chained)
-        bound = _normalization(poly, opponent, k)
-        rows = np.vstack([bound, poly.quadruple_rows(ids) @ poly.prefix])
-        rhs = np.zeros(len(rows))
-        rhs[0] = 1.0
-        labels = np.concatenate([[_FIXED], ids])
-        tableau, status, out = self._cold(LinearProgram(cost, rows, rhs))
         in_tableau = np.zeros(poly.num_quad_ids, dtype=bool)
         in_tableau[ids] = True
+        labels = [[_FIXED], ids]
+        bound = _normalization(poly, opponent, k)
+        rows = [bound, poly.quadruple_rows(ids) @ poly.prefix]
+        if donor is not None:
+            tight = (donor.labels >= 0) & ~donor.tableau.basic_slacks()
+            tight[tight] = ~in_tableau[donor.labels[tight]]  # not a chain row
+            seeded = donor.labels[tight]
+            in_tableau[seeded] = True
+            labels.append(seeded)
+            rows.append(donor.tableau.rows[tight])
+            self.stats["seeded_rows"] += seeded.size
+        rows, labels = np.vstack(rows), np.concatenate(labels)
+        rhs = np.zeros(len(rows))
+        rhs[0] = 1.0
+        tableau, status, out = self._cold(LinearProgram(cost, rows, rhs))
         live = _LiveLp(tableau, labels, in_tableau, chained, opponent, k)
         return live, status, out
 
-    def _retarget(self, live, cost, opponent, k, support):
+    def _retarget(self, live, cost, support):
         """Move a live tableau to the objective ``cost`` (over the
-        increments), ``opponent`` and ``k``.
+        increments) at the same opponent and k.
 
-        The objective's chain rows the tableau lacks (a tableau that takes a
-        new opponent holds none of its chains) enter under the old
-        objective, whose basis stays dual feasible (dual simplex). On a
-        switch of opponent or k, the generated k-subset rows then leave by
-        :meth:`Tableau.remove_rows`; on a new opponent, so do the
-        quadrilateral rows whose slack is basic, but for the objective's
-        chain rows. Every row but the rhs-1 one then has rhs 0, so
-        :meth:`Tableau.replace_equation` makes the new bound that row with
-        the basis still feasible, and the new objective resumes the primal
-        simplex.
+        The objective's chain rows the tableau lacks enter under the old
+        objective, whose basis stays dual feasible (dual simplex); the new
+        objective then resumes the primal simplex from that basis.
 
         Returns ``(live, status, outcome)``: ``live`` is a cold build, as
-        :meth:`_start` makes, when any step before the new objective fails.
+        :meth:`_start` makes, when the chain rows' re-optimization fails.
         """
-        swap = live.opponent != opponent
-        switch = swap or live.k != k
-        if swap:
-            live.chained[:] = False
-        chain = self._chain_rows(support, opponent, live.chained)
-        try:
-            missing = chain[~live.in_tableau[chain]]
-            if missing.size:
-                self._add_quads(live, missing)
-                self.stats["warm_solves"] += 1
+        chain = self._chain_rows(support, live.opponent, live.chained)
+        missing = chain[~live.in_tableau[chain]]
+        if missing.size:
+            self._add_quads(live, missing)
+            self.stats["warm_solves"] += 1
+            try:
                 status, _ = self._run(live.tableau)
                 if status is not LpStatus.OPTIMAL:
                     raise SolverFailure(f"unexpected LP status {status}")
-            if switch:
-                labels = live.labels
-                stale = labels <= _SUBSET  # the generated k-subset rows
-                if swap:
-                    # The donor's rows, but for the new opponent's chain rows.
-                    in_chain = np.zeros(self.polytope.num_quad_ids, dtype=bool)
-                    in_chain[chain] = True
-                    donated = labels >= 0
-                    donated[donated] = ~in_chain[labels[donated]]
-                    if donated.any():
-                        stale |= donated & live.tableau.basic_slacks()
-                if stale.any():
-                    self._remove(live, stale)
-                live.subsets = None
-                bound = _normalization(self.polytope, opponent, k)
-                live.tableau.replace_equation(bound)
-        except SolverFailure:
-            self.stats["rebuilds"] += 1
-            return self._start(cost, opponent, k, support)
-        if swap:
-            self.stats["opponent_swaps"] += 1
-        elif switch:
-            self.stats["norm_swaps"] += 1
-        live.opponent, live.k = opponent, k
+            except SolverFailure:
+                self.stats["rebuilds"] += 1
+                return self._start(cost, live.opponent, live.k, support)
         live.tableau.set_objective(cost)
         return (live, *self._reoptimize(live))
 
@@ -677,23 +660,6 @@ class _PolytopeSolver:
         live.tableau.add_rows(rows, np.zeros(len(ids)))
         live.labels = np.concatenate([live.labels, ids])
         live.in_tableau[ids] = True
-
-    def _remove(self, live, gone):
-        """Remove the inequality constraints of the mask ``gone``.
-
-        Raises:
-            SolverFailure: a constraint's slack could not be pivoted into the
-                basis; the tableau then still holds every row.
-        """
-        tableau = live.tableau
-        before = tableau.primal_pivots
-        try:
-            tableau.remove_rows(gone.nonzero()[0])
-        finally:
-            self.stats["primal_pivots"] += tableau.primal_pivots - before
-        labels = live.labels[gone]
-        live.in_tableau[labels[labels >= 0]] = False
-        live.labels = live.labels[~gone]
 
     def _run(self, tableau):
         """Optimize ``tableau``; the outcome is verified, pivots counted."""
@@ -752,10 +718,10 @@ _live_solver = None
 def _solver_for(profile):
     """The solver of ``profile``: the live one, or a new one that replaces it.
 
-    Only one solver is held, so memory stays at one profile's tableaux
-    however many profiles a caller keeps. Profiles never change, which makes
-    identity the right test. The slot is shared by the whole process, so
-    calls from several threads must not overlap.
+    Only one solver is held, so memory stays at one profile's tableaux, one
+    per opponent, however many profiles a caller keeps. Profiles never
+    change, which makes identity the right test. The slot is shared by the
+    whole process, so calls from several threads must not overlap.
     """
     global _live_solver
     if _live_solver is None or _live_solver.polytope.profile is not profile:
@@ -975,9 +941,9 @@ class FairnessRandReport:
 def _fairness_sweep(solver, x, tuples):
     """``(per_k, blocked, solved)``: x's top-k LPs, one per opponent and tuple.
 
-    Runs k descending (fewer tight k-subset rows pivot out on switches of k),
-    then opponents ascending but for a point mass's own, worth exactly 1
-    (every value starts there), then ``tuples[k]`` (:func:`_solve_tuple`).
+    Runs k descending, then opponents ascending but for a point mass's own,
+    worth exactly 1 (every value starts there), then ``tuples[k]``
+    (:func:`_solve_tuple`).
     ``blocked`` is the first opponent some supported alternative has no
     chain to, found before any LP; every value is then infinite. ``solved``
     maps ``(k, opponent, tuple)`` to ``(value, metric)``.

@@ -8,24 +8,20 @@ and ``x >= 0``, with every entry of ``b_ub`` nonnegative. So ``x = 0`` is
 always feasible, and a :class:`Tableau` is built cold at the slack basis
 with no pivot. It then stays live: rows added to it enter against the
 current basis and are re-optimized by the dual simplex (the old basis stays
-dual feasible), rows removed from it leave a primal feasible basis, and a
-new objective resumes the primal simplex from the last basis. When a single
-constraint has a nonzero right-hand side, its row can be swapped for
-another in place (:meth:`Tableau.replace_equation`), and
-:meth:`Tableau.copy` lets one optimum seed another program. :func:`solve`
-is a cold build plus one optimization. The tableau is condensed: it stores
-only the columns of the nonbasic variables, so a pivot is a Jordan exchange
-that updates (rows + 1) x (nonbasic + 1) cells. Its per-constraint arrays
-keep spare rows, grown by doubling, so added rows are written in place
-instead of copying the tableau on every addition. Both pivot loops run a
-greedy rule for speed and switch permanently to Bland's rule after a stall,
-so termination is guaranteed even on the highly degenerate metric polytopes
-this package produces.
+dual feasible), and a new objective resumes the primal simplex from the
+last basis. :func:`solve` is a cold build plus one optimization. The
+tableau is condensed: it stores only the columns of the nonbasic variables,
+so a pivot is a Jordan exchange that updates (rows + 1) x (nonbasic + 1)
+cells. Its per-constraint arrays keep spare rows from the build on, grown
+by doubling, so added rows are written in place instead of copying the
+tableau on every addition. Both pivot loops run a greedy rule for speed and
+switch permanently to Bland's rule after a stall, so termination is
+guaranteed even on the highly degenerate metric polytopes this package
+produces.
 """
 
 from __future__ import annotations
 
-import copy
 import enum
 from dataclasses import dataclass
 
@@ -329,7 +325,7 @@ def _dual_loop(T, basis, nonbasic, pivot_tol, counter):
 
 
 class Tableau:
-    """Live condensed simplex tableau of one program; rows and objective can change.
+    """Live condensed simplex tableau of one program; rows enter, objectives change.
 
     Built cold from a :class:`LinearProgram` at the slack basis, which every
     program's nonnegative rhs makes feasible, so the build makes no pivot.
@@ -346,11 +342,10 @@ class Tableau:
 
     The arrays with one row per constraint (``rows``, ``rhs``, ``_T`` with
     its cost row below them, ``_basis`` and ``_slack``) are views of the
-    leading rows of buffers with spare rows. :meth:`add_rows` writes into
-    the spare rows, doubling the buffers when they are full, and
-    :meth:`remove_rows` compacts the rows that stay in place. A cold build
-    or a copy has no spare rows until its first addition, so a tableau's
-    buffers hold at most twice the rows of its largest program.
+    leading rows of buffers with spare rows: a build leaves as many spare
+    rows as it has rows, and :meth:`add_rows` writes into the spare rows,
+    doubling the buffers when they are full. So a tableau's buffers hold at
+    most twice the rows of its largest program.
 
     Args:
         lp: the program to build.
@@ -378,18 +373,18 @@ class Tableau:
         self.refactors = 0
         self.bland_switches = 0
         m, n = lp.A_ub.shape
-        T = np.zeros((m + 1, n + 1))
-        T[:m, :n] = lp.A_ub
-        T[:m, -1] = lp.b_ub
-        slack = n + np.arange(m)  # constraint -> label of its slack
+        capacity = 2 * m  # spare rows: the first additions write in place
         self._buffers = {
-            "rows": lp.A_ub.copy(),
-            "rhs": lp.b_ub.copy(),
-            "_T": T,
-            "_basis": slack.copy(),  # label of each row's basic variable
-            "_slack": slack,
+            "rows": np.empty((capacity, n)),
+            "rhs": np.empty(capacity),
+            "_T": np.zeros((capacity + 1, n + 1)),
+            "_basis": np.empty(capacity, dtype=np.intp),  # each row's basic label
+            "_slack": np.empty(capacity, dtype=np.intp),  # each constraint's slack
         }
         self._view(m)
+        self.rows[:] = self._T[:m, :n] = lp.A_ub
+        self.rhs[:] = self._T[:m, -1] = lp.b_ub
+        self._basis[:] = self._slack[:] = n + np.arange(m)
         self._nonbasic = np.arange(n)  # label of each column's nonbasic variable
         self._next_label = n + m
         self._set_cost_row()
@@ -411,77 +406,14 @@ class Tableau:
         # The basic solution and its row excesses, until the tableau changes.
         self._checked = None
 
-    def copy(self) -> "Tableau":
-        """An independent copy: changing either tableau leaves the other alone.
-
-        The copy's buffers hold its rows alone, with no spare rows.
-        """
-        twin = copy.copy(self)
-        twin._buffers = {name: getattr(self, name).copy() for name in self._buffers}
-        twin._view(self.rhs.size)
-        twin.objective = self.objective.copy()
-        twin._nonbasic = self._nonbasic.copy()
-        twin._checked = None
-        return twin
-
     def basic_slacks(self) -> np.ndarray:
         """Mask over the constraints: those whose slack is basic.
 
-        :meth:`remove_rows` removes these without a pivot.
+        The others bind at the basic solution.
         """
         basic = np.zeros(self._next_label, dtype=bool)
         basic[self._basis] = True
         return basic[self._slack]
-
-    def replace_equation(self, row):
-        """Swap the row of the one constraint with a nonzero rhs, keeping the basis.
-
-        With b the only nonzero rhs, the basic solution solves ``B x_B = b
-        e_i``, so it only rescales, by b / s, where s = ``row @ x`` when the
-        constraint binds (a constraint whose slack is basic has x = 0, and
-        s = b): the basis stays primal feasible. The basis matrix changes
-        in one row, a rank-one update of (rows + 1) x (nonbasic + 1) cells
-        with no pivot. :meth:`optimize` then resumes the primal simplex.
-
-        Raises:
-            LpInputError: not exactly one constraint has a nonzero rhs, or
-                ``row`` is not one entry per variable.
-            SolverFailure: s / b is at most ``feas_tol``. The tableau is
-                then left unchanged.
-        """
-        n = self.objective.size
-        row = np.asarray(row, dtype=float)
-        if row.shape != (n,):
-            raise LpInputError(f"row must have {n} entries, got shape {row.shape}")
-        nonzero = self.rhs.nonzero()[0]
-        if nonzero.size != 1:
-            raise LpInputError(
-                "the tableau must hold exactly one constraint with a nonzero "
-                "right-hand side"
-            )
-        i = int(nonzero[0])
-        delta = row - self.rows[i]
-        if not delta.any():
-            return
-        T, basis, nonbasic = self._T, self._basis, self._nonbasic
-        # w = (delta over the basic variables) @ B^-1 [N | b] - [delta_N | 0];
-        # its last entry is delta @ x, so s = b + w[-1].
-        basic = (basis < n).nonzero()[0]
-        w = delta[basis[basic]] @ T[basic]
-        structural = (nonbasic < n).nonzero()[0]
-        w[structural] -= delta[nonbasic[structural]]
-        b = self.rhs[i]
-        s = b + w[-1]
-        if not s / b > self.feas_tol:
-            raise SolverFailure(
-                f"new row is {s!r} at the basic solution, right-hand side "
-                f"{b!r}: the basis would not stay feasible"
-            )
-        # Sherman-Morrison on the basis inverse: B'^-1 = B^-1 - u (delta_B
-        # B^-1) / (s / b) with u = B^-1 e_i = x_B / b, the rhs column over b.
-        T -= np.outer(T[:, -1], w / s)
-        self.rows[i] = row
-        self._checked = None
 
     def program(self) -> LinearProgram:
         """The program the tableau currently holds, in the same constraint order."""
@@ -536,54 +468,6 @@ class Tableau:
             buffer[: len(held)] = held
             self._buffers[name] = buffer
         self._view(self.rhs.size)
-
-    def remove_rows(self, indices):
-        """Delete the constraints ``indices``.
-
-        A constraint whose slack is basic loses its row. One whose slack is
-        nonbasic first has its slack pivoted into the basis: the pivot row
-        is a row that stays, picked by a ratio test in whichever direction
-        the slack moves least, so every basic value stays nonnegative (the
-        slack itself may turn negative, since it goes with its row). The
-        result is a primal feasible tableau of the smaller program; it stays
-        optimal when every removed slack was basic. Each removal pivot counts
-        as a primal pivot.
-
-        Raises:
-            SolverFailure: a nonbasic slack has no pivot in a row that
-                stays. The pivots made before it keep the tableau valid for
-                the program with every row still in it.
-        """
-        stays = np.ones(self.rhs.size, dtype=bool)
-        stays[indices] = False
-        self._checked = None
-        T, basis, nonbasic = self._T, self._basis, self._nonbasic
-        labels = self._slack[~stays]
-        removed = np.zeros(self._next_label, dtype=bool)
-        removed[labels] = True
-        going = removed[basis]  # rows whose basic slack goes
-        for c in np.flatnonzero(removed[nonbasic]):
-            col = T[:-1, c]
-            rows = np.flatnonzero(~going & (np.abs(col) > self.pivot_tol))
-            if rows.size == 0:
-                raise SolverFailure(
-                    f"slack {nonbasic[c]} has no pivot in a row that stays; "
-                    "its constraint cannot be removed"
-                )
-            ratios = np.maximum(T[rows, -1], 0.0) / np.abs(col[rows])
-            ties = rows[ratios <= _min(ratios) + self.pivot_tol]
-            # Prefer a large pivot element for numerical stability.
-            r = int(ties[np.abs(col[ties]).argmax()])
-            _do_pivot(T, basis, nonbasic, r, c)
-            going[r] = True
-            self.primal_pivots += 1
-        masks = dict.fromkeys(self._buffers, stays)
-        masks["_basis"] = ~going
-        masks["_T"] = np.append(~going, True)  # the cost row stays
-        for name, mask in masks.items():
-            kept = getattr(self, name)[mask]
-            self._buffers[name][: len(kept)] = kept
-        self._view(int(np.count_nonzero(stays)))
 
     def refactor(self):
         """Recompute the tableau from the rows in the current basis.

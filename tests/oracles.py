@@ -304,28 +304,6 @@ class FullTableau:
         self.rows = np.vstack([self.rows, rows])
         self.rhs = np.concatenate([self.rhs, rhs])
 
-    def remove_rows(self, indices):
-        """Delete those constraints ``indices`` whose slack is basic; their mask."""
-        indices = np.asarray(indices, dtype=int)
-        T, basis = self.T, self.basis
-        width = T.shape[1] - 1
-        where = np.full(width + 1, -1)
-        where[basis] = np.arange(basis.size)
-        cols = self.slack[indices]
-        removed = where[cols] >= 0
-        indices, cols = indices[removed], cols[removed]
-        keep_cols = np.ones(width + 1, dtype=bool)
-        keep_cols[cols] = False
-        keep_rows = np.ones(T.shape[0], dtype=bool)
-        keep_rows[where[cols]] = False
-        renumber = np.cumsum(keep_cols[:-1]) - 1
-        self.T = T[np.ix_(keep_rows, keep_cols)]
-        self.basis = renumber[basis[keep_rows[:-1]]]
-        self.slack = renumber[np.delete(self.slack, indices)]
-        self.rows = np.delete(self.rows, indices, axis=0)
-        self.rhs = np.delete(self.rhs, indices)
-        return removed
-
     def refactor(self):
         T, basis = self.T, self.basis
         M = np.zeros((self.rhs.size, T.shape[1]))
