@@ -257,12 +257,12 @@ def test_lp_reports_carry_solver_stats(warmup_file, capsys):
         assert stats["cold_builds"] > 0 and stats["separation_rounds"] > 0, argv
 
 
-def test_distortion_json_counts_cold_builds_and_seeded_rows(warmup_file, capsys):
+def test_distortion_json_counts_opponent_swaps(warmup_file, capsys):
     code, report = _run(capsys, ["distortion", "--rule", "copeland", str(warmup_file)])
     assert code == 0
     stats = report["solver_stats"]
-    # Each opponent with a finite ratio builds its tableau cold; the second
-    # is seeded with the rows tight at the first one's optimum.
+    # Each opponent with a finite ratio builds its tableau cold: the swap to
+    # the second is seeded with the rows tight at the first one's optimum.
     finite = [v for v in report["per_opponent"].values() if math.isfinite(float(v))]
     assert stats["cold_builds"] == len(finite) == 2
     assert stats["seeded_rows"] > 0

@@ -389,3 +389,147 @@ def test_rows_whose_slack_is_not_basic_bind(seed):
         assert np.abs(slack[binds]).max(initial=0.0) <= 1e-9
         tight += int(binds.sum())
     assert tight > 0
+
+
+# ---------------------------------------------------------------------------
+# A changed program served by a new tableau, seeded with the rows that bind
+# at the old optimum
+
+
+def _tight_rows(tableau):
+    """Constraints whose slack is nonbasic: they bind at the basic solution."""
+    return np.flatnonzero(~tableau.basic_slacks())
+
+
+def _seeded_solve(lp, seed):
+    """A tableau built on the rows ``seed`` of ``lp``, grown by violated rows.
+
+    Each optimum takes the rows of ``lp`` it violates, until it violates
+    none. An unbounded relaxation has no optimum to separate: the tableau
+    is then built again on every row.
+    """
+    inside = np.zeros(lp.b_ub.size, dtype=bool)
+    inside[seed] = True
+    tableau = Tableau(LinearProgram(lp.objective, lp.A_ub[inside], lp.b_ub[inside]))
+    while True:
+        if tableau.optimize() is not LpStatus.OPTIMAL:
+            return tableau if inside.all() else Tableau(lp)
+        x = tableau.outcome().assignment
+        new = ~inside & (lp.A_ub @ x > lp.b_ub + 1e-9)
+        if not new.any():
+            return tableau
+        tableau.add_rows(lp.A_ub[new], lp.b_ub[new])
+        inside |= new
+
+
+def test_removed_slack_basic_rows_keep_the_optimum():
+    lp = LinearProgram(
+        [1.0, 2.0], [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], [4.0, 10.0, 3.0]
+    )
+    tableau = Tableau(lp)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    # Row 1 is slack at the optimum (1, 3): its slack is basic. The two
+    # rows that bind carry the optimum on their own.
+    tight = _tight_rows(tableau)
+    assert tight.tolist() == [0, 2]
+    kept = Tableau(LinearProgram(lp.objective, lp.A_ub[tight], lp.b_ub[tight]))
+    assert kept.optimize() is LpStatus.OPTIMAL
+    out = kept.outcome()
+    assert out.value == pytest.approx(7.0, abs=1e-12)
+    assert out.assignment == pytest.approx([1.0, 3.0], abs=1e-12)
+
+    # The optimal duals live on the binding rows, so dropping every row
+    # whose slack is basic leaves the optimum value as it was.
+    rng = np.random.default_rng(3200)
+    dropped = 0
+    for lp in _optimal_random_lps(rng, 60):
+        tableau = Tableau(lp)
+        assert tableau.optimize() is LpStatus.OPTIMAL
+        tight = _tight_rows(tableau)
+        kept = Tableau(LinearProgram(lp.objective, lp.A_ub[tight], lp.b_ub[tight]))
+        assert kept.optimize() is LpStatus.OPTIMAL
+        value = tableau.outcome().value
+        assert kept.outcome().value == pytest.approx(value, rel=1e-9, abs=1e-9)
+        dropped += lp.b_ub.size - tight.size
+    assert dropped > 0
+
+
+def _homogeneous_lp(rng):
+    """Random program: rows with rhs 0, then one row ``<= 1``.
+
+    That row's entries are positive, so the region is bounded.
+    """
+    n = int(rng.integers(2, 7))
+    k = int(rng.integers(1, 8))
+    objective = rng.integers(-3, 4, size=n).astype(float)
+    A_ub = rng.integers(-3, 4, size=(k, n)).astype(float)
+    bound = rng.integers(1, 4, size=(1, n)).astype(float)
+    b_ub = np.append(np.zeros(k), 1.0)
+    return LinearProgram(objective, np.vstack([A_ub, bound]), b_ub)
+
+
+def _swapped(lp, row):
+    """``lp`` with the row of its one constraint with a nonzero rhs replaced."""
+    A_ub = lp.A_ub.copy()
+    A_ub[np.flatnonzero(lp.b_ub)] = row
+    return LinearProgram(lp.objective, A_ub, lp.b_ub)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_removing_nonbasic_slack_rows_matches_the_cold_reference(seed):
+    # Rows that bind at the optimum leave the program, as the k-subset rows
+    # do on a change of k; a tableau seeded with the "<= 1" row and the rows
+    # still tight there reaches the optimum of the smaller program.
+    rng = np.random.default_rng(3000 + seed)
+    removals = left_out = 0
+    for _ in range(200):
+        lp = _homogeneous_lp(rng)
+        tableau = Tableau(lp)
+        if tableau.optimize() is not LpStatus.OPTIMAL:
+            continue
+        bound = np.flatnonzero(lp.b_ub)
+        candidates = np.setdiff1d(_tight_rows(tableau), bound)
+        if candidates.size == 0:
+            continue
+        chosen = candidates[rng.random(candidates.size) < 0.7]
+        indices = chosen if chosen.size else candidates[:1]
+        keep = np.setdiff1d(np.arange(lp.b_ub.size), indices)
+        smaller = LinearProgram(lp.objective, lp.A_ub[keep], lp.b_ub[keep])
+        tight = np.union1d(bound, np.setdiff1d(candidates, indices))
+        seeded = _seeded_solve(smaller, np.searchsorted(keep, tight))
+        reference = FullTableau(smaller)
+        # The "<= 1" row keeps every relaxation bounded.
+        assert seeded.optimize() is LpStatus.OPTIMAL
+        assert reference.optimize() == LpStatus.OPTIMAL.value
+        expected = float(reference.objective @ reference.solution())
+        out = seeded.outcome()
+        assert out.value == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert point_is_feasible(smaller, out.assignment, tol=1e-7)
+        removals += indices.size
+        left_out += smaller.b_ub.size - seeded.rhs.size
+    assert removals >= 30 and left_out > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_replaced_equation_matches_a_cold_solve_of_the_swapped_program(seed):
+    # A new "<= 1" row is served as a change of normalization is: a new
+    # tableau on that row and the rows tight at the old optimum.
+    rng = np.random.default_rng(4000 + seed)
+    swaps = seeded = left_out = 0
+    for _ in range(160):
+        lp = _homogeneous_lp(rng)
+        tableau = Tableau(lp)
+        if tableau.optimize() is not LpStatus.OPTIMAL:
+            continue
+        # Nonnegative entries, some zero: the swapped program may be
+        # unbounded.
+        row = rng.integers(0, 4, size=lp.num_vars).astype(float)
+        swapped = _swapped(lp, row)
+        bound = np.flatnonzero(lp.b_ub)
+        tight = np.setdiff1d(_tight_rows(tableau), bound)
+        new = _seeded_solve(swapped, np.union1d(bound, tight))
+        _assert_matches_cold(new, swapped)
+        swaps += 1
+        seeded += tight.size
+        left_out += lp.b_ub.size - new.rhs.size
+    assert swaps >= 40 and seeded > 0 and left_out > 0
