@@ -26,7 +26,7 @@ from metricdist.distortion import (
     grid_oracle,
 )
 from metricdist.instanceopt import candidate_response_value, opt_det, opt_rand
-from metricdist.metricspace import is_consistent, is_q_metric, top_k_cost
+from metricdist.metricspace import is_consistent, is_q_metric, top_k_ratio
 from metricdist.profiles import (
     ProfileParseError,
     coupling_instance,
@@ -163,11 +163,6 @@ def _build_parser():
     orand = sub.add_parser("opt-rand", help="instance-optimal lottery")
     orand.add_argument("profile", type=Path)
     orand.add_argument("--eps", type=float, default=1e-4)
-    orand.add_argument(
-        "--binary-search",
-        action="store_true",
-        help="bisect the budget instead of keeping it as a master variable",
-    )
     _common_flags(orand)
     orand.set_defaults(handler=_cmd_opt_rand)
 
@@ -371,20 +366,15 @@ def _cmd_distortion(args) -> int:
     outcome = _outcome_for_rule(args.rule, profile, tie_break)
 
     if args.metric:
-        metric = parse_cost_matrix(args.metric.read_text(encoding="utf-8"))
-        _validate_metric(metric, profile)
-        sums = metric.values.sum(axis=0)
-        if outcome.distribution is not None:
-            value = float(outcome.distribution @ sums) / float(sums.min())
-        else:
-            value = float(sums[outcome.winner]) / float(sums.min())
+        metric = _fixed_metric(args, profile)
+        x = _lottery(outcome, profile.num_alternatives)
         return _emit(
             {
                 "config": _config(args, "distortion", rule=args.rule, mode="fixed-metric"),
                 "rule": args.rule,
                 "winner": _one_based(outcome.winner),
                 "distribution": outcome.distribution,
-                "value": value,
+                "value": top_k_ratio(metric, x, profile.num_agents),
             },
             args.out,
         )
@@ -431,7 +421,9 @@ def _cmd_distortion(args) -> int:
     )
 
 
-def _validate_metric(metric, profile):
+def _fixed_metric(args, profile):
+    """The ``--metric`` cost matrix, checked against ``profile``."""
+    metric = parse_cost_matrix(args.metric.read_text(encoding="utf-8"))
     if metric.values.shape != (profile.num_agents, profile.num_alternatives):
         raise ValueError("metric dimensions do not match the profile")
     ok, quad = is_q_metric(metric)
@@ -440,6 +432,14 @@ def _validate_metric(metric, profile):
     ok, witness = is_consistent(metric, profile)
     if not ok:
         raise ValueError(f"metric is inconsistent with the profile at {witness}")
+    return metric
+
+
+def _lottery(outcome, m):
+    """A rule's outcome as a lottery over ``m``: its distribution, or a point mass."""
+    if outcome.distribution is not None:
+        return outcome.distribution
+    return np.eye(m)[outcome.winner]
 
 
 def _parse_k_set(raw):
@@ -455,22 +455,10 @@ def _cmd_fairness(args) -> int:
     k_set = _parse_k_set(args.k)
 
     if args.metric:
-        metric = parse_cost_matrix(args.metric.read_text(encoding="utf-8"))
-        _validate_metric(metric, profile)
+        metric = _fixed_metric(args, profile)
         ks = k_set or list(range(1, profile.num_agents + 1))
-        per_k = {}
-        for k in ks:
-            denom = min(
-                top_k_cost(metric, c, k) for c in range(profile.num_alternatives)
-            )
-            if outcome.distribution is not None:
-                num = sum(
-                    outcome.distribution[c] * top_k_cost(metric, c, k)
-                    for c in range(profile.num_alternatives)
-                )
-            else:
-                num = top_k_cost(metric, outcome.winner, k)
-            per_k[k] = num / denom
+        x = _lottery(outcome, profile.num_alternatives)
+        per_k = {k: top_k_ratio(metric, x, k) for k in ks}
         return _emit(
             {
                 "config": _config(args, "fairness", rule=args.rule, mode="fixed-metric"),
@@ -525,17 +513,13 @@ def _cmd_opt_det(args) -> int:
 
 def _cmd_opt_rand(args) -> int:
     profile = _load_profile(args.profile)
-    result = opt_rand(profile, eps=args.eps, binary_search=args.binary_search)
+    result = opt_rand(profile, eps=args.eps)
     return _emit(
         {
-            "config": _config(
-                args,
-                "opt-rand",
-                eps=args.eps,
-                mode="binary-search" if args.binary_search else "master",
-            ),
+            "config": _config(args, "opt-rand", eps=args.eps),
             "x": result.x,
             "value": result.value,
+            "value_lower": result.state.master_values[-1],
             "cuts": len(result.state.cuts),
             "iterations": result.state.iterations,
             "normal_metric_reading": _NORMAL_READING,

@@ -47,10 +47,13 @@ solver from :func:`_solver_for`, which holds one solver, for the most
 recently solved profile; solving another profile releases it. A profile
 therefore keeps its tableaux across calls until another takes the slot,
 and the rule is: *the same calls in the same order on a profile, from the
-point it takes the slot, give the same bits*. Which optimal vertex
-an LP returns can depend on earlier calls on that profile, so results that
-depend on the vertex, not just the optimal value, can too: the lower bounds
-of :func:`fairness_rand` outside its exact mode are one.
+point it takes the slot, give the same bits, for a fixed BLAS thread
+count*. The tableau's matrix products go through BLAS, whose summation
+order can change with its thread count, and with it the pivots and rounds
+a solve takes. Which optimal vertex an LP returns can depend on earlier
+calls on that profile, so results that depend on the vertex, not just the
+optimal value, can too: the lower bounds of :func:`fairness_rand` outside
+its exact mode are one.
 
 A ratio is infinite exactly when some positively weighted alternative has no
 chain of single-agent preferences leading to the normalized opponent; that
@@ -79,7 +82,7 @@ from metricdist.linprog import (
     SolverFailure,
     Tableau,
 )
-from metricdist.metricspace import CostMatrix, _quad_gaps, is_consistent, is_q_metric
+from metricdist.metricspace import CostMatrix, _quad_gaps, is_q_metric
 from metricdist.profiles import serialize_profile
 from metricdist.tournament import build_weighted
 
@@ -398,9 +401,6 @@ class MetricPolytope:
             return _NO_IDS
         return order[:limit]
 
-    def satisfies(self, d, tol=DEFAULT_FEAS_TOL) -> bool:
-        return is_q_metric(d, tol)[0] and is_consistent(d, self.profile, tol)[0]
-
 
 def _compositions(sizes, total):
     """Count vectors ``c`` with ``0 <= c[i] <= sizes[i]`` and sum ``total``.
@@ -579,7 +579,7 @@ class _PolytopeSolver:
         rows, labels = np.vstack(rows), np.concatenate(labels)
         rhs = np.zeros(len(rows))
         rhs[0] = 1.0
-        tableau, status, out = self._cold(LinearProgram(cost, rows, rhs))
+        tableau, status, out = self._cold(LinearProgram(cost, rows, rhs), opponent, k)
         live = _LiveLp(tableau, labels, in_tableau, chained, opponent, k)
         return live, status, out
 
@@ -627,7 +627,10 @@ class _PolytopeSolver:
         for _ in range(_MAX_ROUNDS):
             if status is LpStatus.UNBOUNDED:
                 raise self._failure(
-                    "relaxation unbounded: chain rows missing", live.tableau.program()
+                    "relaxation unbounded: chain rows missing",
+                    live.tableau.program(),
+                    opponent,
+                    k,
                 )
 
             metric = poly.metric(out.assignment)
@@ -652,7 +655,9 @@ class _PolytopeSolver:
                 live.labels = np.concatenate([live.labels, _SUBSET - subsets])
                 live.subsets[subsets] = True
             status, out = self._reoptimize(live)
-        raise self._failure("row generation did not converge", live.tableau.program())
+        raise self._failure(
+            "row generation did not converge", live.tableau.program(), opponent, k
+        )
 
     def _add_quads(self, live, ids):
         poly = self.polytope
@@ -683,11 +688,12 @@ class _PolytopeSolver:
             return self._run(tableau)
         except SolverFailure:
             self.stats["rebuilds"] += 1
-        live.tableau, status, out = self._cold(tableau.program())
+        live.tableau, status, out = self._cold(tableau.program(), live.opponent, live.k)
         return status, out
 
-    def _cold(self, lp):
-        """Cold solve of ``lp``, retried once with a tighter pivot tolerance."""
+    def _cold(self, lp, opponent, k):
+        """Cold solve of ``lp``, the LP of ``opponent`` at ``k``, retried once
+        with a tighter pivot tolerance."""
         self.stats["cold_builds"] += 1
         for pivot_tol in (DEFAULT_PIVOT_TOL, _RETRY_PIVOT_TOL):
             try:
@@ -698,13 +704,18 @@ class _PolytopeSolver:
                 if pivot_tol == DEFAULT_PIVOT_TOL:
                     self.stats["retries"] += 1
         raise self._failure(
-            f"cold solve failed at every pivot tolerance: {failure}", lp
+            f"cold solve failed at every pivot tolerance: {failure}",
+            lp,
+            opponent,
+            k,
         ) from failure
 
-    def _failure(self, message, program):
-        """A failure that carries ``program`` and the profile to reproduce it."""
+    def _failure(self, message, program, opponent, k):
+        """A failure of the LP of ``opponent`` at ``k`` that carries
+        ``program`` and the profile to reproduce it."""
         return SolverFailure(
-            f"{message} (lp_text's variables are the increments delta(v, t) "
+            f"opponent {opponent} (0-based), k = {k}: {message} "
+            "(lp_text's variables are the increments delta(v, t) "
             "in each agent's ranking order, at index v M + t: d(v, ranking_v[j]) "
             "is the sum of delta(v, t) over t <= j)",
             lp_text=program.dump_text(),

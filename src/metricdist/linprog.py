@@ -592,7 +592,9 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     Returns:
         LpOutcome with status Optimal (value and assignment set) or
-        Unbounded. Same input bits always produce the same output bits.
+        Unbounded. Same input bits always produce the same output bits,
+        for a fixed BLAS thread count: the tableau's matrix products go
+        through BLAS, whose summation order can change with it.
 
     Raises:
         SolverFailure: pivot cap exceeded, round-off, or the computed

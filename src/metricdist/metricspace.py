@@ -27,6 +27,7 @@ __all__ = [
     "social_cost",
     "submajorization_ratio",
     "top_k_cost",
+    "top_k_ratio",
 ]
 
 DEFAULT_GEOMETRY_TOL = 1e-9
@@ -188,6 +189,17 @@ def top_k_cost(d, c: int, k: int) -> float:
     if not 1 <= k <= col.size:
         raise ValueError(f"k must be in 1..{col.size}, got {k}")
     return float(np.sort(col)[::-1][:k].sum())
+
+
+def top_k_ratio(d, x, k: int) -> float:
+    """Top-k cost ratio of lottery ``x`` at the fixed metric ``d``.
+
+    The expected top-k cost over the least one, ``sum_c x[c] top_k_cost(d,
+    c, k) / min_c top_k_cost(d, c, k)``; at k = N it is the distortion of
+    ``x`` at ``d``, and a point mass gives a winner's ratio.
+    """
+    tops = [top_k_cost(d, c, k) for c in range(_as_values(d).shape[1])]
+    return float(np.asarray(x, dtype=float) @ tops) / min(tops)
 
 
 def percentile_cost(d, c: int, alpha: float) -> float:

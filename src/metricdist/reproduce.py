@@ -32,7 +32,7 @@ from metricdist.metricspace import (
     random_box_q_metric,
     random_line_metric,
     social_cost,
-    top_k_cost,
+    top_k_ratio,
 )
 from metricdist.profiles import (
     PreferenceProfile,
@@ -125,7 +125,7 @@ def _claim_warmup(seed, trials, eps):
     rand = dist_rand(np.full(3, 1 / 3), inst.profile, rule="uniform")
     checks.close("uniform-lottery worst ratio", rand.value, 2.0, 1e-6)
 
-    ratios = _fixed_metric_ratios(inst.metric, winner=0)
+    ratios = [top_k_ratio(inst.metric, np.eye(3)[0], k) for k in range(1, 4)]
     checks.equal("fixed-metric top-k ratios", ratios, [3.0, 2.5, 3.0])
 
     elapsed = time.perf_counter() - started
@@ -135,18 +135,6 @@ def _claim_warmup(seed, trials, eps):
         started,
         {"det": det.value, "rand": rand.value, "fairness_fixture": max(ratios)},
     )
-
-
-def _fixed_metric_ratios(metric, winner):
-    n = metric.num_agents
-    ratios = []
-    for k in range(1, n + 1):
-        num = top_k_cost(metric, winner, k)
-        denom = min(
-            top_k_cost(metric, c, k) for c in range(metric.num_alternatives)
-        )
-        ratios.append(num / denom)
-    return ratios
 
 
 def _claim_example1(seed, trials, eps):
@@ -483,13 +471,12 @@ def _claim_optimality(seed, trials, eps):
     for idx in range(count):
         profile = random_profile(int(rng.integers(2, 6)), int(rng.integers(2, 5)), rng)
         det = opt_det(profile)
-        master = opt_rand(profile, eps=eps)
-        bisect = opt_rand(profile, eps=eps, binary_search=True)
+        rand = opt_rand(profile, eps=eps)
         rd = dist_rand(randomized_dictatorship(profile).distribution, profile)
         _, response = candidate_response_value(profile, matrix=det.matrix)
 
-        checks.at_most(f"[{idx}] lottery value vs best winner", master.value, det.value + eps)
-        checks.at_most(f"[{idx}] lottery value vs top-choice lottery", master.value, rd.value + eps)
+        checks.at_most(f"[{idx}] lottery value vs best winner", rand.value, det.value + eps)
+        checks.at_most(f"[{idx}] lottery value vs top-choice lottery", rand.value, rd.value + eps)
         # Plurality Veto's winner is within 3 (Kizilkaya and Kempe, IJCAI 2022).
         checks.at_most(f"[{idx}] best winner within 3", det.value, 3 * (1 + 1e-9))
         for rule_fn in (copeland, ranked_pairs, schulze):
@@ -497,12 +484,12 @@ def _claim_optimality(seed, trials, eps):
             checks.at_most(
                 f"[{idx}] best winner vs {rule_fn.__name__}", det.value, rule_value + 1e-6
             )
-        checks.at_least(f"[{idx}] response-game value", response, master.value - 2 * eps)
-        checks.at_most(
-            f"[{idx}] master and bisection modes agree",
-            abs(master.value - bisect.value),
-            2 * eps,
-        )
+        checks.at_least(f"[{idx}] response-game value", response, rand.value - 2 * eps)
+        # The last master value is a lower bound that the lottery's value
+        # exceeds by at most eps / 2; round-off may put it a hair above.
+        lower = float(rand.state.master_values[-1])
+        checks.at_least(f"[{idx}] lottery value vs master bound", rand.value, lower * (1 - 1e-9))
+        checks.at_most(f"[{idx}] lottery value within eps/2", rand.value, lower + eps / 2)
         _check_relations(checks, idx, profile, relation_rng, eps)
     return checks.report("optimality-suite", started, {"instances": count})
 

@@ -187,6 +187,22 @@ def test_fairness_fixed_metric_matches_fixture(warmup_file, capsys, tmp_path):
     assert report["per_k"] == {"1": "3", "2": "2.5", "3": "3"}
 
 
+def test_fairness_fixed_metric_of_a_lottery(warmup_file, capsys, tmp_path):
+    # Randomized Dictatorship is uniform on the warm-up profile, whose
+    # metric has top-k costs (3, 2, 1), (5, 3, 2) and (6, 4, 2) by column.
+    metric_path = tmp_path / "m.txt"
+    main(["gen", "warmup", "--out", str(tmp_path / "p.txt"), "--metric-out", str(metric_path)])
+    code, report = _run(
+        capsys,
+        ["fairness", "--rule", "rd", str(warmup_file), "--metric", str(metric_path)],
+    )
+    assert code == 0
+    assert report["config"]["mode"] == "fixed-metric"
+    assert report["winner"] is None
+    assert report["per_k"] == {"1": "2", "2": "1.66666666667", "3": "2"}
+    assert report["value"] == "2"
+
+
 def test_fairness_worst_case(warmup_file, capsys):
     code, report = _run(
         capsys, ["fairness", "--rule", "copeland", "--k", "1,2", str(warmup_file)]
@@ -213,12 +229,9 @@ def test_opt_commands(warmup_file, capsys):
     assert code == 0
     assert float(report["value"]) == pytest.approx(2.0, abs=1e-3)
     assert "normal_metric_reading" in report
-
-    code, report = _run(
-        capsys, ["opt-rand", str(warmup_file), "--binary-search", "--eps", "1e-3"]
-    )
-    assert code == 0
-    assert float(report["value"]) == pytest.approx(2.0, abs=5e-3)
+    assert "mode" not in report["config"]
+    lower = float(report["value_lower"])
+    assert lower * (1 - 1e-9) <= float(report["value"]) <= lower + 1e-4 / 2
 
     code, report = _run(capsys, ["candidate-response", str(warmup_file)])
     assert code == 0

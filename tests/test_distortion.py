@@ -28,9 +28,9 @@ from metricdist.distortion import (
 from metricdist.instanceopt import opt_det, opt_rand, separation_oracle
 from metricdist.linprog import SolverFailure
 from metricdist.metricspace import (
-    CostMatrix,
     _quad_gaps,
     is_consistent,
+    is_q_metric,
     social_cost,
     top_k_cost,
 )
@@ -195,7 +195,8 @@ def test_metric_polytope_rows_match_direct_checks():
     for _ in range(40):
         d = rng.uniform(0, 2, size=(3, 3))
         by_rows = all(row @ d.ravel() <= rhs + 1e-12 for row, rhs in rows)
-        assert by_rows == poly.satisfies(CostMatrix(d), tol=1e-12)
+        by_checks = is_q_metric(d, 1e-12)[0] and is_consistent(d, profile, 1e-12)[0]
+        assert by_rows == by_checks
 
 
 def _quad_id(quad, n, m):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from metricdist import instanceopt
+from metricdist import distortion, instanceopt
 from metricdist.distortion import SOLVER_STATS, dist_det, dist_rand
 from metricdist.instanceopt import (
     CuttingPlaneState,
@@ -19,6 +19,7 @@ from metricdist.profiles import (
     parse_profile,
     random_profile,
     ranked_pairs_hard_instance,
+    serialize_profile,
     warmup_instance,
 )
 from metricdist.rules import randomized_dictatorship, ranked_pairs
@@ -49,15 +50,15 @@ def test_opt_det_unanimous():
 def test_opt_det_ties_break_toward_smallest_index(monkeypatch):
     # Warm-up row maxima are all exactly 3; shave one ulp off row 1's only
     # maximal entry. Rounding of that size is LP noise, not a better winner.
-    real_a_det = instanceopt.a_det
+    real_dist_det = instanceopt.dist_det
 
-    def shaved(c, opponent, profile):
-        value, witness = real_a_det(c, opponent, profile)
-        if (c, opponent) == (1, 0):
-            value = np.nextafter(value, 0.0)
-        return value, witness
+    def shaved(c, profile):
+        report = real_dist_det(c, profile)
+        if c == 1:
+            report.per_opponent[0] = np.nextafter(report.per_opponent[0], 0.0)
+        return report
 
-    monkeypatch.setattr(instanceopt, "a_det", shaved)
+    monkeypatch.setattr(instanceopt, "dist_det", shaved)
     result = opt_det(warmup_instance().profile)
     assert result.matrix.max(axis=1)[1] < 3.0
     assert result.winner == 0
@@ -138,13 +139,26 @@ def test_opt_rand_unanimous_blocks_bad_columns():
     assert result.x[1] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_opt_rand_modes_agree():
+def _assert_bracketed(result, eps):
+    # The last master value is a lower bound on the optimum, up to round-off;
+    # the oracle certified the lottery within eps / 2 of it.
+    lower = result.state.master_values[-1]
+    assert lower * (1 - 1e-9) <= result.value <= lower + eps / 2
+
+
+def test_opt_rand_value_lies_in_its_master_bracket():
     rng = np.random.default_rng(23)
-    for _ in range(3):
+    eps = 1e-4
+    for _ in range(6):
         profile = random_profile(int(rng.integers(2, 5)), int(rng.integers(2, 4)), rng)
-        master = opt_rand(profile, eps=1e-4)
-        bisect = opt_rand(profile, eps=1e-4, binary_search=True)
-        assert abs(master.value - bisect.value) <= 2e-4
+        result = opt_rand(profile, eps=eps)
+        _assert_bracketed(result, eps)
+        # No lottery beats the lower bound: not the point masses, not the
+        # uniform one, not the optimum itself.
+        m = profile.num_alternatives
+        lower = result.state.master_values[-1]
+        for y in [*np.eye(m), np.full(m, 1 / m), result.x]:
+            assert dist_rand(y, profile).value >= lower * (1 - 1e-9)
 
 
 def test_opt_rand_master_skips_round_off_on_blocked_columns():
@@ -152,20 +166,21 @@ def test_opt_rand_master_skips_round_off_on_blocked_columns():
     # next master solution used to carry ~1e-17 there and loop to the cut cap.
     profile = parse_profile("4 4\n2 4 3 1\n2 4 3 1\n4 3 2 1\n3 2 4 1\n")
     eps = 1e-4
-    master = opt_rand(profile, eps=eps)
-    bisect = opt_rand(profile, eps=eps, binary_search=True)
-    assert master.x[0] == 0.0
-    assert master.value == pytest.approx(1.909, abs=1e-3)
-    assert abs(master.value - bisect.value) <= 2 * eps
+    result = opt_rand(profile, eps=eps)
+    assert result.x[0] == 0.0
+    assert result.value == pytest.approx(1.909, abs=1e-3)
+    assert result.state.blocked_columns == {0}
+    _assert_bracketed(result, eps)
 
 
 def test_opt_rand_carries_solver_stats():
-    for binary_search in (False, True):
-        # a fresh profile per mode, so that neither finds the other's tableaux
-        result = opt_rand(warmup_instance().profile, binary_search=binary_search)
-        assert set(result.solver_stats) == set(SOLVER_STATS)
-        assert result.solver_stats["cold_builds"] >= 1
-        assert result.solver_stats["primal_pivots"] > 0
+    result = opt_rand(warmup_instance().profile)
+    assert set(result.solver_stats) == set(SOLVER_STATS)
+    assert result.solver_stats["cold_builds"] >= 1
+    assert result.solver_stats["primal_pivots"] > 0
+    trivial = opt_rand(PreferenceProfile([[0], [0]]))
+    assert trivial.state.iterations == 0
+    assert trivial.state.master_values == [trivial.value]
 
 
 def test_opt_rand_x_feeds_dist_rand():
@@ -254,8 +269,9 @@ def test_oracle_cut_invariant_every_stored_cut_was_violated():
 
 
 def test_state_summary_smoke():
-    state = CuttingPlaneState(eps=1e-4, mode="master")
-    assert "mode=master" in state.summary()
+    state = CuttingPlaneState(eps=1e-4, master_values=[1.5])
+    assert "iterations=0" in state.summary()
+    assert "master_values=[1.5]" in state.summary()
 
 
 def test_lottery_game_matches_the_epigraph_program():
@@ -323,3 +339,29 @@ def test_separation_oracle_reads_dist_rand_with_an_opponent_cheapest_witness():
         for sums, _, _ in opt_rand(profile).state.cuts:
             assert sums.min() >= 1 - 1e-9
     assert witnesses > 0
+
+
+@pytest.mark.parametrize(
+    ("name", "opponent"), [("opt_det", 1), ("dist_det", 0), ("separation_oracle", 0)]
+)
+def test_row_generation_failure_names_its_opponent_and_k(monkeypatch, name, opponent):
+    def broken(lp, **tolerances):
+        raise SolverFailure("pivot loop broken on purpose")
+
+    calls = {
+        "opt_det": opt_det,
+        "dist_det": lambda profile: dist_det(2, profile),
+        "separation_oracle": lambda profile: separation_oracle(
+            np.full(3, 1 / 3), 2.0, profile
+        ),
+    }
+    monkeypatch.setattr(distortion, "Tableau", broken)
+    # A new profile object holds no live tableau, so the first LP is a cold build.
+    profile = warmup_instance().profile
+    with pytest.raises(SolverFailure) as info:
+        calls[name](profile)
+    message = str(info.value)
+    assert message.startswith(f"opponent {opponent} (0-based), k = 3: cold solve failed")
+    assert "broken on purpose" in message
+    assert info.value.lp_text.splitlines()[0].startswith("max ")
+    assert info.value.profile_text == serialize_profile(profile)
