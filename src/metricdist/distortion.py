@@ -41,6 +41,12 @@ returns ids, and each live tableau labels its constraints with one int
 array, a quadrilateral row by its id and any other row by a negative code,
 and marks the ids it holds in a mask over all N^2 M^2 ids (:class:`_LiveLp`).
 An opponent's quadrilateral rows are exactly those of its live tableau.
+What depends only on the profile is built once per :class:`MetricPolytope`:
+each id's four cost columns, from which a batch of rows is one gather and
+one scatter, and each pair's first chain step, from which a chain's steps
+and rows follow without a numpy call per step. A distortion report
+validates its outcome once, builds the objective and the reachable
+opponents once, then calls the solver once per opponent.
 
 Every LP entry point here and in :mod:`metricdist.instanceopt` takes its
 solver from :func:`_solver_for`, which holds one solver, for the most
@@ -136,6 +142,8 @@ _FIXED = -1  # the rhs-1 row
 _SUBSET = -2  # k-subset i (MetricPolytope.subset_rows) is _SUBSET - i
 _NO_IDS = np.zeros(0, dtype=np.intp)
 _NO_IDS.setflags(write=False)
+# Coefficients of a quadrilateral row at its MetricPolytope.quad_columns.
+_QUAD_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 class BudgetExceededError(ValueError):
@@ -152,6 +160,12 @@ class MetricPolytope:
     variables are the increments ``delta(v, t)`` at the same indices, t a
     ranking position, with ``d = prefix @ delta`` (:attr:`prefix`); they
     need no consistency rows.
+
+    The tables that depend only on the profile are built once, on first
+    use: ``prefix``, the reachability of :attr:`reach` with each pair's
+    first chain step, the four cost columns of every id
+    (:attr:`quad_columns`) and each pair's chain rows
+    (:meth:`chain_quadruples`).
     """
 
     def __init__(self, profile):
@@ -163,7 +177,7 @@ class MetricPolytope:
         # edges[a, b]: some agent prefers a over b (the tournament's support)
         self.edges = build_weighted(profile).weights > 0
         self._reach = None
-        self._length = None  # steps of a shortest chain from a to b, m if none
+        self._first = None  # nested lists: first step of chain(a, b)
         self._consistency = None
         self._prefix = None
         # d(v, c) is entry v M + positions[v, c] of the per-agent prefix sums
@@ -171,10 +185,12 @@ class MetricPolytope:
         self._ranked = (agents * self.num_alternatives + profile.positions).ravel()
         self._subsets = {}  # k -> membership of the k-agent subsets, one row each
         self._chains = {}  # (a, b) -> chain_quadruples(a, b)
-        # v N + v' for every pair of agents v != v'
-        self._pairs = np.flatnonzero(~np.eye(self.num_agents, dtype=bool))
+        # The id of (v, v', 0, 0) for every pair of agents v != v'
+        pairs = np.flatnonzero(~np.eye(self.num_agents, dtype=bool))
+        self._pair_ids = pairs * self.num_alternatives**2
         self._groups = None
         self._proper = None
+        self._quad_columns = None
 
     def var(self, v: int, c: int) -> int:
         return v * self.num_alternatives + c
@@ -188,27 +204,34 @@ class MetricPolytope:
             m = self.num_alternatives
             edges = self.edges
             near = np.eye(m, dtype=bool)
-            self._length = np.where(near, 0, m)
+            length = np.where(near, 0, m)  # steps of a shortest chain, m if none
             for k in range(1, m):
                 wider = near | (near @ edges)
                 if (wider == near).all():
                     break
-                self._length[wider & ~near] = k
+                length[wider & ~near] = k
                 near = wider
             self._reach = near
+            # The first step from a toward b: the smallest y with an edge
+            # a -> y and a shortest chain from y one step shorter. Entries of
+            # unreachable and diagonal pairs are never read.
+            closer = edges[:, :, None] & (length[None] == length[:, None] - 1)
+            self._first = closer.argmax(axis=1).tolist()
         return self._reach
 
     def chain(self, a, b):
         """Steps ``(x, y)`` of a shortest chain of ``edges`` from a to b.
 
-        Empty when ``a == b`` or when no chain exists.
+        Each step goes to the smallest alternative on a shortest chain, read
+        from the table of first steps that :attr:`reach` builds. Empty when
+        ``a == b`` or when no chain exists.
         """
         steps = []
         if not self.reach[a, b]:
             return steps
+        first = self._first
         while a != b:
-            closer = self.edges[a] & (self._length[:, b] == self._length[a, b] - 1)
-            step = int(np.argmax(closer))
+            step = first[a][b]
             steps.append((a, step))
             a = step
         return steps
@@ -271,22 +294,35 @@ class MetricPolytope:
             self._proper = (agents[:, :, None, None] & alternatives).ravel()
         return self._proper
 
+    @property
+    def quad_columns(self) -> np.ndarray:
+        """The four cost columns of every quadrilateral id, one row per id.
+
+        Row ``id`` holds ``(v M + c, v M + c', v' M + c', v' M + c)``, the
+        entries that :meth:`quadruple_rows` writes with signs ``+1, -1, -1,
+        -1``: ``4 N^2 M^2`` int32, built once per polytope.
+        """
+        if self._quad_columns is None:
+            n, m = self.num_agents, self.num_alternatives
+            v, vp, c, cp = np.ogrid[:n, :n, :m, :m]
+            entries = (v * m + c, v * m + cp, vp * m + cp, vp * m + c)
+            columns = np.empty((n, n, m, m, 4), dtype=np.int32)
+            for i, entry in enumerate(entries):
+                columns[..., i] = entry
+            self._quad_columns = columns.reshape(-1, 4)
+        return self._quad_columns
+
     def quadruple_rows(self, ids) -> np.ndarray:
         """Rows of ``d(v,c) - d(v,c') - d(v',c') - d(v',c) <= 0``, one per id.
 
         Each id's quadruple ``(v, v', c, c')`` has ``v != v'`` and
-        ``c != c'``, so its four entries are distinct.
+        ``c != c'``, so its four entries (:attr:`quad_columns`) are distinct.
         """
-        m = self.num_alternatives
-        rest, cp = np.divmod(np.asarray(ids, dtype=np.intp), m)
-        rest, c = np.divmod(rest, m)
-        v, vp = np.divmod(rest, self.num_agents)
-        rows = np.zeros((len(cp), self.num_metric_vars))
-        r = np.arange(len(cp))
-        rows[r, v * m + c] = 1.0
-        rows[r, v * m + cp] = -1.0
-        rows[r, vp * m + cp] = -1.0
-        rows[r, vp * m + c] = -1.0
+        nm = self.num_metric_vars
+        flat = self.quad_columns.take(ids, axis=0)
+        flat += np.arange(0, len(flat) * nm, nm)[:, None]  # row r starts at r NM
+        rows = np.zeros((len(flat), nm))
+        rows.put(flat, _QUAD_SIGNS)  # the four signs repeat along every row
         return rows
 
     def all_quadruples(self) -> np.ndarray:
@@ -302,8 +338,8 @@ class MetricPolytope:
         ids = self._chains.get((a, b))
         if ids is None:
             m = self.num_alternatives
-            steps = [(self._pairs * m + x) * m + y for x, y in self.chain(a, b)]
-            ids = np.array(steps, dtype=np.intp).ravel()
+            steps = np.array([x * m + y for x, y in self.chain(a, b)], dtype=np.intp)
+            ids = (steps[:, None] + self._pair_ids).ravel()
             ids.setflags(write=False)
             self._chains[a, b] = ids
         return ids
@@ -492,7 +528,7 @@ class _PolytopeSolver:
         """``SOLVER_STATS`` of the work done since ``before``, a copy of ``stats``."""
         out = {name: self.stats[name] - before[name] for name in _COUNTERS}
         tableaux = self.live.values()
-        out["pool_rows"] = sum(int(t.in_tableau.sum()) for t in tableaux)
+        out["pool_rows"] = sum(int(np.count_nonzero(t.labels >= 0)) for t in tableaux)
         return out
 
     def maximize(self, objective, *, opponent, k, support):
@@ -531,23 +567,22 @@ class _PolytopeSolver:
         """Ids of the chain rows to ``opponent`` of the columns of ``support``
         that the column mask ``chained`` lacks, which it then marks.
 
-        Columns ascending, each id at its first occurrence. With the rhs-1
-        row, a weighted column's chain rows bound the relaxation (see the
-        module docstring).
+        Columns ascending, each id at its first occurrence; one column's
+        are its memoized :meth:`MetricPolytope.chain_quadruples`, read-only.
+        With the rhs-1 row, a weighted column's chain rows bound the
+        relaxation (see the module docstring).
         """
-        columns = [c for c in support if not chained[c]]
-        if not columns:
+        support = np.asarray(support, dtype=np.intp)
+        columns = support[~chained[support]]
+        if not columns.size:
             return _NO_IDS
-        poly = self.polytope
         chained[columns] = True
-        seen = np.zeros(poly.num_quad_ids, dtype=bool)
-        ids = []
-        for c in columns:
-            chain = poly.chain_quadruples(c, opponent)
-            chain = chain[~seen[chain]]  # one chain's ids are distinct
-            seen[chain] = True
-            ids.append(chain)
-        return np.concatenate(ids)
+        chains = [self.polytope.chain_quadruples(c, opponent) for c in columns]
+        if len(chains) == 1:
+            return chains[0]
+        ids = np.concatenate(chains)
+        _, first = np.unique(ids, return_index=True)
+        return ids[np.sort(first)]
 
     def _start(self, cost, opponent, k, support, donor=None):
         """Cold-build the opponent's tableau from the slack basis; ``cost``
@@ -884,6 +919,13 @@ def dist_rand(x, profile, *, rule="", tie_break=None, seed=None):
 
 
 def _distortion_report(profile, *, winner, distribution, rule, tie_break, seed):
+    """The worst ratio over the opponents, each solved in ascending order.
+
+    The outcome is validated by the caller; the objective, its support and
+    the reachable opponents are built once, then the solver runs once per
+    reachable opponent, as :func:`a_rand` would, and only the reported
+    witness becomes a :class:`CostMatrix`.
+    """
     m = profile.num_alternatives
     opponents = [c for c in range(m) if c != winner]
     tolerances = {"feas_tol": DEFAULT_FEAS_TOL, "witness_tol": WITNESS_TOL}
@@ -899,23 +941,30 @@ def _distortion_report(profile, *, winner, distribution, rule, tie_break, seed):
         )
 
     solver = _solver_for(profile)
+    poly = solver.polytope
     before = dict(solver.stats)
-    if distribution is None:
-        results = [a_det(winner, opp, profile) for opp in opponents]
-    else:
-        results = [a_rand(distribution, opp, profile) for opp in opponents]
-
-    per_opponent = {opp: value for opp, (value, _) in zip(opponents, results)}
+    x = _outcome_weights(winner, m) if distribution is None else distribution
+    support = np.flatnonzero(x > 0)
+    objective = np.tile(x, poly.num_agents)  # x[c] on every entry of column c
+    reached = poly.reach[support].all(axis=0).tolist()
+    per_opponent, metrics = {}, {}
+    for z in opponents:
+        if reached[z]:
+            per_opponent[z], metrics[z] = solver.maximize(
+                objective, opponent=z, k=poly.num_agents, support=support
+            )
+        else:
+            per_opponent[z] = math.inf
     # Fixed reduction order: first opponent attaining the max wins ties.
-    best_idx = max(range(len(opponents)), key=lambda i: results[i][0])
-    best_value, best_witness = results[best_idx]
+    best = max(per_opponent, key=per_opponent.get)
+    finite = math.isfinite(per_opponent[best])
     return DistortionReport(
         rule=rule,
-        value=best_value,
+        value=per_opponent[best],
         winner=winner,
         distribution=distribution,
-        opponent=opponents[best_idx] if math.isfinite(best_value) else None,
-        witness=best_witness if math.isfinite(best_value) else None,
+        opponent=best if finite else None,
+        witness=CostMatrix(metrics[best]) if finite else None,
         per_opponent=per_opponent,
         tie_break=tie_break,
         tolerances=tolerances,

@@ -378,3 +378,48 @@ def naive_orbits(groups, k, s):
             yield from extend(parts, chosen + (subset,))
 
     return extend(groups, ())
+
+
+def naive_chain(rankings, a, b):
+    """Steps of a shortest chain from a to b under "some agent ranks x above y".
+
+    Distances to b come from a breadth-first search over the reversed
+    edges, pair by pair; each step takes the smallest alternative one step
+    closer to b. Empty when ``a == b`` or when no chain exists.
+    """
+    m = len(rankings[0])
+    edges = [[False] * m for _ in range(m)]
+    for ranking in rankings:
+        for i, x in enumerate(ranking):
+            for y in ranking[i + 1 :]:
+                edges[x][y] = True
+    dist = {b: 0}
+    frontier = [b]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for x in range(m):
+                if edges[x][y] and x not in dist:
+                    dist[x] = dist[y] + 1
+                    nxt.append(x)
+        frontier = nxt
+    steps = []
+    if a not in dist:
+        return steps
+    while a != b:
+        step = min(y for y in range(m) if edges[a][y] and dist.get(y) == dist[a] - 1)
+        steps.append((a, step))
+        a = step
+    return steps
+
+
+def naive_chain_ids(steps, n, m):
+    """Quadrilateral ids of the rows ``(v, v', x, y)``, ``v != v'``, step by
+    step along ``steps`` and per step in lexicographic order of ``(v, v')``."""
+    return [
+        ((v * n + vp) * m + x) * m + y
+        for x, y in steps
+        for v in range(n)
+        for vp in range(n)
+        if v != vp
+    ]

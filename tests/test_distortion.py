@@ -46,6 +46,8 @@ from metricdist.profiles import (
 from metricdist.rules import copeland, randomized_dictatorship, ranked_pairs, schulze
 
 from oracles import (
+    naive_chain,
+    naive_chain_ids,
     naive_grid_search,
     naive_orbits,
     naive_quadruple_rows,
@@ -206,8 +208,13 @@ def _quad_id(quad, n, m):
 
 def test_quadrilateral_ids_round_trip_every_quadruple():
     rng = np.random.default_rng(13)
-    for n, m in [(2, 2), (2, 3), (3, 2), (3, 4), (5, 3)]:
-        poly = MetricPolytope(random_profile(n, m, rng))
+    polytopes = [
+        MetricPolytope(random_profile(n, m, rng))
+        for n, m in itertools.product(range(2, 8), repeat=2)
+    ]
+    polytopes.append(MetricPolytope(ranked_pairs_hard_instance(4).profile))
+    for poly in polytopes:
+        n, m = poly.num_agents, poly.num_alternatives
         quads = naive_quadruples(n, m)
         ids = poly.all_quadruples()
         assert ids.tolist() == [_quad_id(q, n, m) for q in quads]
@@ -217,11 +224,33 @@ def test_quadrilateral_ids_round_trip_every_quadruple():
         assert poly.proper.sum() == len(quads) and poly.proper[ids].all()
         reference = naive_quadruple_rows(quads, n, m)
         assert np.array_equal(poly.quadruple_rows(ids), reference)
-        order = rng.permutation(len(ids))
-        assert np.array_equal(
-            poly.quadruple_rows(ids[order]),
-            naive_quadruple_rows([quads[i] for i in order], n, m),
-        )
+        # Random id sets, in random order, the empty one included.
+        for size in (0, 1, 75, len(ids)):
+            order = rng.permutation(len(ids))[:size]
+            assert np.array_equal(
+                poly.quadruple_rows(ids[order]),
+                naive_quadruple_rows([quads[i] for i in order], n, m),
+            ), (n, m, size)
+
+
+def test_chains_match_the_stepwise_rule_for_every_pair():
+    rng = np.random.default_rng(19)
+    empty = unreachable = 0
+    for trial in range(30):
+        n, m = 2 + trial % 4, 1 + trial % 6
+        profile = random_profile(n, m, rng)
+        poly = MetricPolytope(profile)
+        rankings = profile.rankings.tolist()
+        for a, b in itertools.product(range(m), repeat=2):
+            steps = naive_chain(rankings, a, b)
+            assert poly.chain(a, b) == steps, (trial, a, b)
+            ids = poly.chain_quadruples(a, b)
+            assert ids.tolist() == naive_chain_ids(steps, n, m), (trial, a, b)
+            assert not ids.flags.writeable
+            assert ids.dtype == np.intp
+            empty += not steps
+            unreachable += a != b and not poly.reach[a, b]
+    assert empty > 0 and unreachable > 0
 
 
 def test_fixed_metric_fairness_ratios_warmup():
@@ -1145,6 +1174,66 @@ def test_certify_sequence_matches_a_fresh_profile_per_call():
             fresh, _ = a_det(c, z, PreferenceProfile(profile.rankings))
             assert _close(det.matrix[c, z], fresh), (trial, c, z)
     assert seeded > 0
+
+
+def _per_opponent_reference(solve, outcome, opponents, profile):
+    """``(value, opponent, per_opponent, witness, stats)`` from one single-LP
+    call per opponent, ascending, keeping the first maximum."""
+    if not opponents:
+        return 1.0, None, {}, None, dict.fromkeys(SOLVER_STATS, 0)
+    solver = _solver_for(profile)
+    before = dict(solver.stats)
+    per_opponent, best = {}, None
+    for z in opponents:
+        value, witness = solve(outcome, z, profile)
+        per_opponent[z] = value
+        if best is None or value > best[0]:
+            best = value, z, witness
+    value, z, witness = best
+    if math.isinf(value):
+        z = witness = None
+    witness = None if witness is None else witness.values
+    return value, z, per_opponent, witness, solver.stats_since(before)
+
+
+def test_reports_match_the_single_lp_calls_bit_for_bit():
+    rng = np.random.default_rng(127)
+    # Everyone ranks 0 first, so no chain leads into 0.
+    profiles = [PreferenceProfile([[0, 1, 2], [0, 2, 1]])]
+    profiles.append(random_profile(3, 1, rng))
+    profiles += [
+        random_profile(int(rng.integers(2, 7)), int(rng.integers(1, 7)), rng)
+        for _ in range(22)
+    ]
+    infinite = 0
+    for trial, profile in enumerate(profiles):
+        m = profile.num_alternatives
+        winner = int(rng.integers(m)) if trial else 1
+        x = rng.random(m) * (rng.random(m) < 0.7)
+        x[rng.integers(m)] += 0.5
+        x /= x.sum()
+        fresh = PreferenceProfile(profile.rankings)
+        reports = [dist_det(winner, profile), dist_rand(x, profile)]
+        references = [
+            _per_opponent_reference(
+                a_det, winner, [z for z in range(m) if z != winner], fresh
+            ),
+            _per_opponent_reference(a_rand, x, list(range(m)), fresh),
+        ]
+        for report, (value, z, per_opponent, witness, stats) in zip(
+            reports, references
+        ):
+            assert report.value == value, trial
+            assert report.opponent == z, trial
+            assert report.per_opponent == per_opponent, trial
+            assert list(report.per_opponent) == list(per_opponent), trial
+            if witness is None:
+                assert report.witness is None, trial
+            else:
+                assert np.array_equal(report.witness.values, witness), trial
+            assert report.solver_stats == stats, trial
+            infinite += math.isinf(value)
+    assert infinite > 0
 
 
 def test_failed_opponent_swap_builds_cold_with_the_same_values(monkeypatch):
