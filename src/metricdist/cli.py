@@ -521,6 +521,7 @@ def _cmd_opt_rand(args) -> int:
             "value": result.value,
             "value_lower": result.state.master_values[-1],
             "cuts": len(result.state.cuts),
+            "seeded_cuts": result.state.seeded,
             "iterations": result.state.iterations,
             "normal_metric_reading": _NORMAL_READING,
             "solver_stats": result.solver_stats,

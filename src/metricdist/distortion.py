@@ -59,7 +59,13 @@ order can change with its thread count, and with it the pivots and rounds
 a solve takes. Which optimal vertex an LP returns can depend on earlier
 calls on that profile, so results that depend on the vertex, not just the
 optimal value, can too: the lower bounds of :func:`fairness_rand` outside
-its exact mode are one.
+its exact mode are one. The solver keeps every k = N optimum it solves
+(distortion's normalization), and a repeated k = N query, the same
+objective against the same opponent, returns its first solve's bits with
+no tableau work. :func:`metricdist.instanceopt.opt_rand` starts its
+cutting plane from those optima, so its lottery and iteration count depend
+on the k = N LPs solved earlier on the profile; its certified value does
+not.
 
 A ratio is infinite exactly when some positively weighted alternative has no
 chain of single-agent preferences leading to the normalized opponent; that
@@ -88,7 +94,7 @@ from metricdist.linprog import (
     SolverFailure,
     Tableau,
 )
-from metricdist.metricspace import CostMatrix, _quad_gaps, is_q_metric
+from metricdist.metricspace import CostMatrix, is_q_metric
 from metricdist.profiles import serialize_profile
 from metricdist.tournament import build_weighted
 
@@ -121,7 +127,7 @@ TIE_TOL = 1e-9
 # Most combinations of per-agent rows that grid_oracle enumerates.
 GRID_BUDGET = 10**8
 SOLVER_STATS = (
-    "objectives",  # maximize calls that returned an optimum
+    "objectives",  # maximize calls that solved an LP to an optimum
     "cold_builds",  # tableaux built from scratch
     "warm_solves",  # re-optimizations of a live tableau
     "primal_pivots",
@@ -132,6 +138,7 @@ SOLVER_STATS = (
     "bland_switches",  # pivot loops that stalled and switched to Bland's rule
     "separation_rounds",  # searches for violated rows
     "seeded_rows",  # quadrilateral rows a cold build took from the last tableau
+    "reused",  # k = N queries answered from a stored optimum, with no LP
     # A level, not a count: quadrilateral rows held across the live
     # tableaux when the call returns.
     "pool_rows",
@@ -164,7 +171,8 @@ class MetricPolytope:
     The tables that depend only on the profile are built once, on first
     use: ``prefix``, the reachability of :attr:`reach` with each pair's
     first chain step, the four cost columns of every id
-    (:attr:`quad_columns`) and each pair's chain rows
+    (:attr:`quad_columns`), those of the proper ids that separation reads
+    (:meth:`violated_quadruples`) and each pair's chain rows
     (:meth:`chain_quadruples`).
     """
 
@@ -191,6 +199,8 @@ class MetricPolytope:
         self._groups = None
         self._proper = None
         self._quad_columns = None
+        # The proper ids, their cost columns by row, and separation's buffers
+        self._separation = None
 
     def var(self, v: int, c: int) -> int:
         return v * self.num_alternatives + c
@@ -349,15 +359,31 @@ class MetricPolytope:
 
         Worst first, at most ``limit``, skipping the ids that the boolean mask
         ``exclude`` holds; only proper quadruples (``v != v'``, ``c != c'``)
-        count. When no gap, degenerate quadruples included, exceeds ``tol``,
-        it returns before masking those out: masking only lowers entries, so
-        that exit can never miss a row.
+        count. Their gaps are one gather from the table of their cost columns
+        (:attr:`quad_columns`), built once per polytope, and subtracted in the
+        order of :func:`metricspace._quad_gaps`, so they are its bits. With
+        N = 1 or M = 1 no quadruple is proper, and none is returned.
         """
-        gaps = _quad_gaps(values).ravel()
+        if self._separation is None:
+            ids = self.all_quadruples()
+            # C-ordered intp, as take wants: it copies an int32 or strided
+            # index on every call. Each round writes the gathered entries and
+            # the gaps into buffers kept with the table: allocating them anew
+            # per round fragmented the heap at large M.
+            columns = np.ascontiguousarray(self.quad_columns[ids].T, dtype=np.intp)
+            self._separation = ids, columns, np.empty(columns.shape), np.empty(ids.size)
+        ids, columns, entries, gaps = self._separation
+        if not ids.size:
+            return _NO_IDS
+        # Every index is in range; "clip" writes to ``out`` unbuffered.
+        values.ravel().take(columns, out=entries, mode="clip")
+        np.subtract(entries[0], entries[1], out=gaps)
+        gaps -= entries[2]
+        gaps -= entries[3]
         if np.maximum.reduce(gaps) <= tol:
             return _NO_IDS
-        ids = ((gaps > tol) & self.proper).nonzero()[0]
-        ids = ids[np.argsort(-gaps[ids])]
+        violated = (gaps > tol).nonzero()[0]
+        ids = ids[violated[np.argsort(-gaps[violated])]]
         return ids[~exclude[ids]][:limit]
 
     @property
@@ -501,12 +527,20 @@ class _PolytopeSolver:
     weights (see the module docstring); its rows only grow.
 
     New rows enter a tableau and are re-optimized by the dual simplex; a
-    new objective at the same opponent and k (:meth:`_retarget`) first
-    takes in the chain rows the tableau lacks, then resumes the primal
-    simplex from the last optimal basis. Another opponent or k builds a
-    tableau cold (:meth:`_start`), seeded with the rows tight at the last
-    tableau's optimum. Which rows a tableau lacks and which it passes on
-    are mask operations on its labels, taken in label order.
+    new objective at the same opponent and k (:meth:`_retarget`) takes in
+    the chain rows the tableau lacks and resumes the simplex from the last
+    optimal basis. Another opponent or k builds a tableau cold
+    (:meth:`_start`), seeded with the rows tight at the last tableau's
+    optimum. Which rows a tableau lacks and which it passes on are mask
+    operations on its labels, taken in label order.
+
+    ``optima`` keeps every k = N optimum solved, keyed by the opponent and
+    the objective's bytes, as ``(value, metric)`` with the metric read-only;
+    :meth:`maximize` answers a repeated k = N query from it. Only k = N is
+    kept, so a sweep over k-subsets adds nothing, and the table goes with
+    the solver when another profile takes the slot. Each stored metric is
+    consistent and costs its opponent 1, which makes it a cut for
+    :func:`metricdist.instanceopt.opt_rand`.
 
     Every round's assignment is verified against every row; a warm
     re-optimization that fails is rebuilt cold, and a failing cold solve is
@@ -522,6 +556,8 @@ class _PolytopeSolver:
         self.polytope = polytope
         # opponent -> _LiveLp, in the order they were last used
         self.live = {}
+        # (opponent, objective bytes) -> (value, metric), at k = N alone
+        self.optima = {}
         self.stats = dict.fromkeys(_COUNTERS, 0)
 
     def stats_since(self, before):
@@ -542,17 +578,25 @@ class _PolytopeSolver:
         distortion's normalization. The bound binds at any optimum, so the
         value is the normalized ratio. Row generation runs on the
         opponent's live tableau, over the increments; ``metric`` is the
-        ``N x M`` costs of the optimum.
+        ``N x M`` costs of the optimum, read-only. A k = N query already
+        solved returns the stored optimum (``optima``), with no tableau work.
 
         Raises:
             SolverFailure: the solve failed warm and cold, or a relaxation
                 is unbounded (a weighted column has no chain to ``opponent``).
         """
+        stored = k == self.polytope.num_agents
+        if stored:
+            key = opponent, objective.tobytes()
+            optimum = self.optima.get(key)
+            if optimum is not None:
+                self.stats["reused"] += 1
+                return optimum
         cost = objective @ self.polytope.prefix
         # Popped while in use, so a call that raises leaves no tableau behind.
         live = self.live.pop(opponent, None)
         if live is not None and live.k == k:
-            live, status, out = self._retarget(live, cost, support)
+            status, out = self._retarget(live, cost, support)
         else:
             # Seeded by the opponent's own tableau on a change of k, else by
             # the most recently used one.
@@ -561,6 +605,9 @@ class _PolytopeSolver:
         value, metric = self._generate_rows(live, opponent, status, out)
         self.live[opponent] = live
         self.stats["objectives"] += 1
+        metric.setflags(write=False)
+        if stored:
+            self.optima[key] = value, metric
         return value, metric
 
     def _chain_rows(self, support, opponent, chained):
@@ -620,29 +667,21 @@ class _PolytopeSolver:
 
     def _retarget(self, live, cost, support):
         """Move a live tableau to the objective ``cost`` (over the
-        increments) at the same opponent and k.
+        increments) at the same opponent and k; ``(status, outcome)``.
 
-        The objective's chain rows the tableau lacks enter under the old
-        objective, whose basis stays dual feasible (dual simplex); the new
-        objective then resumes the primal simplex from that basis.
-
-        Returns ``(live, status, outcome)``: ``live`` is a cold build, as
-        :meth:`_start` makes, when the chain rows' re-optimization fails.
+        The objective's chain rows the tableau lacks enter, and the new
+        objective resumes the simplex from the last optimal basis in one
+        warm re-optimization. Chain rows are quadrilateral rows, which the
+        last optimum passed separation on within ``_SEP_TOL``, so they enter
+        with slack ``-_SEP_TOL`` or above, well inside the drift that
+        :meth:`Tableau.optimize` leaves to the primal simplex.
         """
         chain = self._chain_rows(support, live.opponent, live.chained)
         missing = chain[~live.in_tableau[chain]]
         if missing.size:
             self._add_quads(live, missing)
-            self.stats["warm_solves"] += 1
-            try:
-                status, _ = self._run(live.tableau)
-                if status is not LpStatus.OPTIMAL:
-                    raise SolverFailure(f"unexpected LP status {status}")
-            except SolverFailure:
-                self.stats["rebuilds"] += 1
-                return self._start(cost, live.opponent, live.k, support)
         live.tableau.set_objective(cost)
-        return (live, *self._reoptimize(live))
+        return self._reoptimize(live)
 
     def _generate_rows(self, live, opponent, status, out):
         """Separation rounds until the optimum violates no row of the LP;

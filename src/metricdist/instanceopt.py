@@ -7,9 +7,10 @@ minimax problem over the uncountable set of cost-1-normalized consistent
 metrics, solved by cutting planes: a master game over the stored cuts
 proposes a lottery and a budget, and the separation oracle, which reads
 ``dist_rand`` of that lottery, certifies it or returns its witness as the
-next cut. The master and the pairwise-response value are one lottery game
-with positive payoffs, solved as ``max 1·u`` over ``A u <= 1``
-(:func:`_lottery_game`).
+next cut. The first cuts are the uniform metric and every k = N optimum
+the profile's solver has kept (``_PolytopeSolver.optima``). The master and
+the pairwise-response value are one lottery game with nonnegative payoffs,
+solved as ``max 1·u`` over ``A u <= 1`` (:func:`_lottery_game`).
 """
 
 from __future__ import annotations
@@ -76,18 +77,24 @@ class OracleVerdict:
 
 @dataclass
 class CuttingPlaneState:
-    """The cutting-plane loop so far; ``iterations == 0`` marks one alternative."""
+    """The cutting-plane loop so far; ``iterations == 0`` marks one alternative.
+
+    ``cuts`` starts with the uniform metric, then the ``seeded`` stored
+    optima of the profile's solver, each at violation 0; the oracle's cuts
+    follow.
+    """
 
     eps: float
     cuts: list = field(default_factory=list)  # (column_sums, witness, violation)
     master_values: list = field(default_factory=list)
     blocked_columns: set = field(default_factory=set)
     iterations: int = 0
+    seeded: int = 0
 
     def summary(self) -> str:
         return (
-            f"iterations={self.iterations} "
-            f"cuts={len(self.cuts)} blocked={sorted(self.blocked_columns)} "
+            f"iterations={self.iterations} cuts={len(self.cuts)} "
+            f"seeded={self.seeded} blocked={sorted(self.blocked_columns)} "
             f"master_values={[round(v, 6) for v in self.master_values[-8:]]}"
         )
 
@@ -180,7 +187,11 @@ def opt_rand(profile, eps: float = DEFAULT_EPS) -> OptRandResult:
     Each iteration takes the lottery and budget from the master game over
     the stored cuts and the unblocked columns, and adds one cut per
     violating metric. The oracle violation threshold is ``eps / 2`` to
-    keep boundary cuts from cycling.
+    keep boundary cuts from cycling. The first cuts are the uniform metric
+    and the k = N optima the profile's solver already holds (``opt_det``'s
+    table, distortion reports, earlier oracle calls): each is consistent
+    and costs its opponent 1, so for every lottery its cut is at most the
+    lottery's worst ratio, and the master stays a relaxation.
 
     The value is certified from both sides. The master game relaxes the
     problem, so its last value ``state.master_values[-1]`` is a lower
@@ -188,8 +199,9 @@ def opt_rand(profile, eps: float = DEFAULT_EPS) -> OptRandResult:
     more than ``eps / 2``, and ``value`` is the lottery's worst ratio. The
     lottery ``x`` is one optimal lottery among possibly several, with no
     tie rule: which one comes back depends on the optimal vertices the
-    oracle's LPs return, so it can move with solver changes that leave the
-    value fixed.
+    oracle's LPs return and on the stored optima it starts from, so it and
+    ``state.iterations`` can move with earlier calls on the profile and
+    with solver changes that leave the value fixed.
 
     Raises:
         ValueError: ``eps`` is not positive and finite.
@@ -209,6 +221,9 @@ def opt_rand(profile, eps: float = DEFAULT_EPS) -> OptRandResult:
     n = profile.num_agents
     uniform = CostMatrix(np.full((n, m), 1.0 / n))
     state.cuts.append((np.ones(m), uniform, 0.0))
+    for _, metric in solver.optima.values():
+        state.cuts.append((metric.sum(axis=0), CostMatrix(metric), 0.0))
+    state.seeded = len(solver.optima)
     while state.iterations < _MAX_CUTS:
         state.iterations += 1
         sums = np.array([cut_sums for cut_sums, _, _ in state.cuts])
@@ -236,13 +251,13 @@ def _lottery_game(payoffs, columns):
     """``(x, value)``: the lottery over ``columns`` whose worst row of
     ``payoffs @ x`` is least, exactly 0 off ``columns``, and that row.
 
-    With positive payoffs, ``u = x / value`` turns the game into ``max 1·u``
-    over ``payoffs[:, columns] @ u <= 1``: every rhs is 1, so the slack
-    basis starts it, and ``1·u = 1 / value`` at the optimum. The payoffs
-    are positive: a cut's sums are the column sums of the uniform metric or
-    of the worst opponent's witness (:func:`separation_oracle`), whose
-    opponent column costs 1 and is its cheapest, so they are >= 1 up to
-    solver round-off; a worst-ratio table is >= 1.
+    With nonnegative payoffs and a row that is at least 1 on every column,
+    the value is at least 1 and ``u = x / value`` turns the game into
+    ``max 1·u`` over ``payoffs[:, columns] @ u <= 1``: every rhs is 1, so
+    the slack basis starts it, that row keeps it bounded, and
+    ``1·u = 1 / value`` at the optimum. :func:`opt_rand`'s cuts are column
+    sums of nonnegative metrics, and the first, the uniform metric's, is 1
+    on every column; a worst-ratio table is >= 1 throughout.
 
     Raises:
         SolverFailure: the LP failed or was not optimal; it carries the LP

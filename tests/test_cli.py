@@ -232,6 +232,9 @@ def test_opt_commands(warmup_file, capsys):
     assert "mode" not in report["config"]
     lower = float(report["value_lower"])
     assert lower * (1 - 1e-9) <= float(report["value"]) <= lower + 1e-4 / 2
+    # The profile is read anew, so no stored optimum seeds the cutting plane.
+    assert report["seeded_cuts"] == 0
+    assert report["solver_stats"]["reused"] == 0
 
     code, report = _run(capsys, ["candidate-response", str(warmup_file)])
     assert code == 0

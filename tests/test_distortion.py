@@ -1492,3 +1492,128 @@ def test_swap_that_raises_leaves_no_tableau(monkeypatch):
         objective, opponent=2, k=1, support=range(3)
     )
     assert value == pytest.approx(fresh, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Stored k = N optima: a repeated query is answered without an LP
+
+
+def test_a_repeated_a_det_reads_its_first_solve():
+    profile = random_profile(4, 4, np.random.default_rng(149))
+    solver = _solver_for(profile)
+    value, witness = a_det(1, 3, profile)
+    before = dict(solver.stats)
+    again, witness_again = a_det(1, 3, profile)
+    assert again == value
+    assert np.array_equal(witness_again.values, witness.values)
+    changed = {k: solver.stats[k] - before[k] for k in before if solver.stats[k] != before[k]}
+    assert changed == {"reused": 1}  # no LP, pivot, round or build
+    # Another opponent, or the same one at another objective, is solved.
+    a_det(1, 2, profile)
+    a_det(0, 3, profile)
+    assert solver.stats["reused"] == 1
+    assert solver.stats["objectives"] == before["objectives"] + 2
+
+
+def test_fairness_at_k_n_equals_distortion_exactly_in_either_order():
+    rng = np.random.default_rng(151)
+    finite = 0
+    for trial in range(30):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        rankings = random_profile(n, m, rng).rankings
+        winner = int(rng.integers(m))
+        profile = PreferenceProfile(rankings)
+        distortion = dist_det(winner, profile).value
+        assert fairness_det(winner, profile).per_k[n] == distortion, trial
+        profile = PreferenceProfile(rankings)
+        top = fairness_det(winner, profile).per_k[n]
+        assert dist_det(winner, profile).value == top, trial
+        # Every k = N LP of the second call was read from the first's.
+        assert _solver_for(profile).stats["reused"] == m - 1 or math.isinf(top), trial
+        finite += math.isfinite(top)
+    assert finite > 10
+
+
+def _full_objective(solver, x):
+    """The bytes of the k = N objective of ``x``: ``x[c]`` on all of column c."""
+    return np.tile(np.asarray(x, dtype=float), solver.polytope.num_agents).tobytes()
+
+
+def test_only_k_n_optima_are_stored_and_they_are_read_only():
+    profile = random_profile(4, 3, np.random.default_rng(157))
+    m = profile.num_alternatives
+    solver = _solver_for(profile)
+    assert solver.optima == {}
+    fairness_det(0, profile)
+    report = fairness_rand(UNIFORM3, profile, budget=20)
+    assert report.exact_k == {1: False, 2: False, 3: False, 4: True}
+    point = np.eye(m)[0]
+    expected = {(z, _full_objective(solver, point)) for z in range(1, m)}
+    expected |= {(z, _full_objective(solver, UNIFORM3)) for z in range(m)}
+    assert set(solver.optima) == expected
+    for (z, _), (_, metric) in solver.optima.items():
+        assert not metric.flags.writeable
+        assert metric[:, z].sum() == pytest.approx(1.0, rel=1e-9)  # its bound binds
+    # A new profile, even an equal one, starts with an empty table.
+    assert _solver_for(PreferenceProfile(profile.rankings)).optima == {}
+
+
+def _retarget_case():
+    """A profile, two winners c1, c2 and an opponent z where z's tableau
+    after ``a_det(c1, z)`` lacks some of the chain rows of c2."""
+    rng = np.random.default_rng(163)
+    while True:
+        profile = random_profile(int(rng.integers(3, 6)), int(rng.integers(3, 6)), rng)
+        poly = MetricPolytope(profile)
+        m = profile.num_alternatives
+        for z, c1, c2 in itertools.permutations(range(m), 3):
+            if poly.reach[c1, z] and poly.reach[c2, z]:
+                solver = _PolytopeSolver(poly)
+                solver.maximize(
+                    np.tile(np.eye(m)[c1], poly.num_agents),
+                    opponent=z,
+                    k=poly.num_agents,
+                    support=[c1],
+                )
+                chain = poly.chain_quadruples(c2, z)
+                if not solver.live[z].in_tableau[chain].all():
+                    return profile, c1, c2, z
+
+
+def test_retarget_with_missing_chain_rows_makes_one_warm_solve():
+    profile, c1, c2, z = _retarget_case()
+    solver = _solver_for(profile)
+    first, _ = a_det(c1, z, profile)
+    before = dict(solver.stats)
+    second, _ = a_det(c2, z, profile)
+    stats = solver.stats_since(before)
+    # The retarget's one re-optimization takes in the chain rows and the new
+    # objective at once; then one per round that added rows, and the last
+    # round adds none.
+    assert stats["cold_builds"] == stats["rebuilds"] == 0
+    assert stats["warm_solves"] == stats["separation_rounds"]
+    for c, value in ((c1, first), (c2, second)):
+        fresh, _ = a_det(c, z, PreferenceProfile(profile.rankings))
+        assert value == pytest.approx(fresh, rel=1e-9), c
+
+
+def test_violated_quadruples_match_the_gaps_reference_at_every_size():
+    # The gaps of every quadruple (metricspace._quad_gaps), masked to the
+    # proper ones, worst first: ids, order and degenerate sizes included.
+    # Two points per polytope, so the second reads the buffers the first
+    # wrote.
+    rng = np.random.default_rng(167)
+    for trial in range(40):
+        n, m = 1 + trial % 4, 1 + trial // 4 % 5
+        poly = MetricPolytope(random_profile(n, m, rng))
+        for values in (rng.uniform(-1, 1, (n, m)), rng.random((n, m))):
+            gaps = _quad_gaps(values).ravel()
+            ids = ((gaps > 1e-9) & poly.proper).nonzero()[0]
+            ids = ids[np.argsort(-gaps[ids])]
+            exclude = np.zeros(poly.num_quad_ids, dtype=bool)
+            exclude[ids[::2]] = True
+            found = poly.violated_quadruples(values, 1e-9, exclude, 10**6)
+            assert found.tolist() == ids[~exclude[ids]].tolist(), trial
+            assert found.dtype == np.intp
+            if n == 1 or m == 1:
+                assert found.size == 0

@@ -261,8 +261,8 @@ def test_oracle_feasible_at_budget_3_for_top_choice_lottery():
 def test_oracle_cut_invariant_every_stored_cut_was_violated():
     profile = warmup_instance().profile
     result = opt_rand(profile, eps=1e-4)
-    # skip the seeded uniform cut at index 0
-    for sums, witness, violation in result.state.cuts[1:]:
+    # skip the uniform cut at index 0 and the stored optima after it
+    for sums, witness, violation in result.state.cuts[1 + result.state.seeded :]:
         assert violation > 1e-4 / 2
         assert np.allclose(witness.values.sum(axis=0), sums)
         assert (sums >= 1.0 - 1e-7).all()
@@ -271,6 +271,7 @@ def test_oracle_cut_invariant_every_stored_cut_was_violated():
 def test_state_summary_smoke():
     state = CuttingPlaneState(eps=1e-4, master_values=[1.5])
     assert "iterations=0" in state.summary()
+    assert "seeded=0" in state.summary()
     assert "master_values=[1.5]" in state.summary()
 
 
@@ -336,8 +337,15 @@ def test_separation_oracle_reads_dist_rand_with_an_opponent_cheapest_witness():
             sums = verdict.witness.values.sum(axis=0)
             assert sums.min() >= sums[verdict.opponent] - 1e-9
             witnesses += 1
-        for sums, _, _ in opt_rand(profile).state.cuts:
+        result = opt_rand(profile)
+        seeded = 1 + result.state.seeded  # the uniform cut and the stored optima
+        for sums, _, _ in result.state.cuts[:1] + result.state.cuts[seeded:]:
             assert sums.min() >= 1 - 1e-9
+        # A stored optimum pays its opponent 1 but may pay another less;
+        # its cut still bounds every lottery's worst ratio from below.
+        for sums, _, _ in result.state.cuts[1:seeded]:
+            assert sums.min() >= 0.0
+            assert sums @ result.x <= result.value * (1 + 1e-9)
     assert witnesses > 0
 
 
@@ -365,3 +373,49 @@ def test_row_generation_failure_names_its_opponent_and_k(monkeypatch, name, oppo
     assert "broken on purpose" in message
     assert info.value.lp_text.splitlines()[0].startswith("max ")
     assert info.value.profile_text == serialize_profile(profile)
+
+
+def _stored_optima(profile):
+    """The solver's stored k = N optima of ``profile``, in insertion order."""
+    return list(distortion._solver_for(profile).optima.values())
+
+
+def test_opt_rand_after_opt_det_starts_from_its_optima():
+    rng = np.random.default_rng(173)
+    eps = 1e-4
+    seeded = 0
+    for trial in range(24):
+        n, m = int(rng.integers(3, 6)), int(rng.integers(3, 5))
+        rankings = random_profile(n, m, rng).rankings
+        profile = PreferenceProfile(rankings)
+        det = opt_det(profile)
+        stored = _stored_optima(profile)
+        assert len(stored) == np.isfinite(det.matrix).sum() - m, trial
+        warm = opt_rand(profile, eps=eps)
+        state = warm.state
+        assert state.seeded == len(stored)
+        assert [cut[0].tolist() for cut in state.cuts[1 : 1 + state.seeded]] == [
+            metric.sum(axis=0).tolist() for _, metric in stored
+        ]
+        assert all(cut[2] == 0.0 for cut in state.cuts[: 1 + state.seeded])
+        _assert_bracketed(warm, eps)
+        fresh = opt_rand(PreferenceProfile(rankings), eps=eps)
+        assert fresh.state.seeded == 0
+        assert abs(warm.value - fresh.value) <= eps / 2 + 1e-9, trial
+        assert state.iterations <= fresh.state.iterations, trial
+        seeded += state.seeded
+    assert seeded > 0
+
+
+def test_optimize_sequence_reads_fairness_at_k_n_from_opt_det():
+    # The benchmark's optimize request on one fixed 4 x 4 profile: fairness
+    # at k = N repeats the winner's row of opt_det's table, M - 1 LPs.
+    profile = parse_profile("4 4\n1 2 3 4\n2 3 4 1\n3 1 2 4\n4 2 1 3\n")
+    m = profile.num_alternatives
+    det = opt_det(profile)
+    opt_rand(profile)
+    candidate_response_value(profile, matrix=det.matrix)
+    fairness = distortion.fairness_det(det.winner, profile)
+    assert fairness.solver_stats["reused"] >= m - 1
+    assert distortion._solver_for(profile).stats["reused"] >= m - 1
+    assert fairness.per_k[4] == det.value
