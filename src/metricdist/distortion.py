@@ -22,24 +22,26 @@ consistent exactly. :func:`build_full_lp` alone stays over the costs, with
 its consistency rows, as the reference the solver is checked against.
 
 Every normalization bounds the sum of the opponent's k largest costs by 1,
-with distortion at k = N: one ``<=`` row with rhs 1, and for k < N the
-k-subset rows, rhs 1 too, added as they are violated (see
-:func:`_normalization`). Every other row is homogeneous, so a cold build
-starts from the slack basis. Each opponent keeps one live simplex tableau,
-for one k. Generated rows enter it and are re-optimized by the dual
-simplex, and the next objective at that opponent and k (another candidate,
-subset or lottery) resumes from the last optimal basis. A new opponent or
-another k takes a new tableau, built cold over the rhs-1 row, the
-objective's chain rows (below) and the quadrilateral rows tight at the
-optimum of the last tableau: the opponent's own on a change of k, else the
-most recently used. Rows that bind at one optimum mostly bind near the
-next, so that seed spares most of the separation rounds.
+with distortion at k = N, in fixed rows (:func:`_normalization`): at k = N
+one ``<=`` row with rhs 1, below it N + 1 rows over N + 1 more columns.
+Every row but the first is homogeneous, so a cold build starts from the
+slack basis, and separation generates quadrilaterals alone. Each opponent
+keeps one live simplex tableau, for one k. Generated rows enter it and are
+re-optimized by the dual simplex, and the next objective at that opponent
+and k (another candidate, subset or lottery) resumes from the last optimal
+basis. A new opponent or another k takes a new tableau, built cold over
+the normalization, the objective's chain rows (below) and the quadrilateral
+rows tight at the optimum of the last tableau: the opponent's own on a
+change of k, else the most recently used. Rows that bind at one optimum
+mostly bind near the next, so that seed spares most of the separation
+rounds.
 
 A quadrilateral (v, v', c, c') is named by its id ``((v N + v') M + c) M + c'``,
 its flat index into the gaps of :func:`metricspace._quad_gaps`. Separation
 returns ids, and each live tableau labels its constraints with one int
-array, a quadrilateral row by its id and any other row by a negative code,
-and marks the ids it holds in a mask over all N^2 M^2 ids (:class:`_LiveLp`).
+array, a quadrilateral row by its id and a normalization row by a negative
+code, and marks the ids it holds in a mask over all N^2 M^2 ids
+(:class:`_LiveLp`).
 An opponent's quadrilateral rows are exactly those of its live tableau.
 What depends only on the profile is built once per :class:`MetricPolytope`:
 each id's four cost columns, from which a batch of rows is one gather and
@@ -75,8 +77,8 @@ d(u,a) <= d(u,b) and the quadrilaterals (v, u, a, b) give
 d(v,a) <= d(v,b) + 2 d(u,b); summed over v, col(a) <= 2N col(b). So every
 relaxation is seeded with the rows (v, v', a, b), v != v', of each step of a
 shortest chain from each positively weighted column to the opponent: with
-the rhs-1 row, which bounds the opponent's total cost, they alone bound
-every relaxation.
+the normalization, which bounds the opponent's total cost (by N/k + 1 at
+k < N), they alone bound every relaxation.
 """
 
 from __future__ import annotations
@@ -144,9 +146,9 @@ SOLVER_STATS = (
     "pool_rows",
 )
 _COUNTERS = SOLVER_STATS[:-1]
-# Labels of a live tableau's constraints that are not quadrilateral ids.
-_FIXED = -1  # the rhs-1 row
-_SUBSET = -2  # k-subset i (MetricPolytope.subset_rows) is _SUBSET - i
+# Labels of a live tableau's normalization rows (_normalization).
+_FIXED = -1  # the rhs-1 row, always the first
+_TOP_K = -2  # d(v, z) - tau - u_v <= 0, one per agent, at k < N
 _NO_IDS = np.zeros(0, dtype=np.intp)
 _NO_IDS.setflags(write=False)
 # Coefficients of a quadrilateral row at its MetricPolytope.quad_columns.
@@ -166,7 +168,8 @@ class MetricPolytope:
     id ``((v N + v') M + c) M + c'`` in ``[0, N^2 M^2)``. The solver's
     variables are the increments ``delta(v, t)`` at the same indices, t a
     ranking position, with ``d = prefix @ delta`` (:attr:`prefix`); they
-    need no consistency rows.
+    need no consistency rows. No normalization is part of the polytope:
+    :func:`_normalization` writes it per opponent and k.
 
     The tables that depend only on the profile are built once, on first
     use: ``prefix``, the reachability of :attr:`reach` with each pair's
@@ -191,7 +194,6 @@ class MetricPolytope:
         # d(v, c) is entry v M + positions[v, c] of the per-agent prefix sums
         agents = np.arange(self.num_agents)[:, None]
         self._ranked = (agents * self.num_alternatives + profile.positions).ravel()
-        self._subsets = {}  # k -> membership of the k-agent subsets, one row each
         self._chains = {}  # (a, b) -> chain_quadruples(a, b)
         # The id of (v, v', 0, 0) for every pair of agents v != v'
         pairs = np.flatnonzero(~np.eye(self.num_agents, dtype=bool))
@@ -429,40 +431,6 @@ class MetricPolytope:
 
         return extend(self.ranking_groups, ())
 
-    def subset_members(self, k) -> np.ndarray:
-        """Membership of the k-agent subsets, one boolean row per subset.
-
-        Subset i is the i-th of ``itertools.combinations(range(N), k)``.
-        """
-        if k not in self._subsets:
-            n = self.num_agents
-            subsets = itertools.combinations(range(n), k)
-            self._subsets[k] = np.array([[v in t for v in range(n)] for t in subsets])
-        return self._subsets[k]
-
-    def subset_rows(self, indices, k, z):
-        """Rows of ``sum of d(v, z) over v in T <= 1``, one per k-subset index."""
-        rows = np.zeros((len(indices), self.num_metric_vars))
-        rows[:, z :: self.num_alternatives] = self.subset_members(k)[indices]
-        return rows
-
-    def violated_subsets(self, column, k, tol, exclude, limit):
-        """Indices of the k-subsets to add at ``column``, the opponent's entries.
-
-        None unless one outside ``exclude``, a boolean mask over the subsets,
-        costs more than ``1 + tol``; then all outside it, violated or not,
-        most loaded first, up to ``limit``: the next optimum's binding rows
-        are mostly among them.
-        """
-        load = self.subset_members(k) @ column
-        if np.maximum.reduce(load) <= 1.0 + tol:
-            return _NO_IDS
-        order = np.argsort(-load, kind="stable")
-        order = order[~exclude[order]]
-        if not order.size or load[order[0]] <= 1.0 + tol:
-            return _NO_IDS
-        return order[:limit]
-
 
 def _compositions(sizes, total):
     """Count vectors ``c`` with ``0 <= c[i] <= sizes[i]`` and sum ``total``.
@@ -480,40 +448,27 @@ def _compositions(sizes, total):
             yield (first, *tail)
 
 
+@dataclass(slots=True, eq=False)
 class _LiveLp:
     """One live tableau, with what each of its constraints is.
 
     ``labels`` is an int array parallel to the tableau's constraints: a
     quadrilateral row holds its id (>= 0); ``_FIXED`` marks the rhs-1 row,
-    the first; ``_SUBSET - i`` the generated row of k-subset i. Every row is
-    over the increments (:attr:`MetricPolytope.prefix`), so none is a
-    consistency row.
+    the first, and ``_TOP_K`` the N agent rows after it at k < N. Every row
+    is over the increments (:attr:`MetricPolytope.prefix`), and tau and u at
+    k < N (:func:`_normalization`), so none is a consistency row.
     ``in_tableau`` is a mask over every quadrilateral id, True on the rows
     held; ``chained`` a mask over the columns, True on those whose chain
-    rows to ``opponent`` are held (see the module docstring); ``subsets`` a
-    mask over the k-subsets, True on the rows held, or None at k = N and
-    before the first separation round. ``opponent`` and the int ``k`` are
-    the normalization held.
+    rows to ``opponent`` are held (see the module docstring). ``opponent``
+    and the int ``k`` are the normalization held.
     """
 
-    __slots__ = (
-        "tableau",
-        "labels",
-        "in_tableau",
-        "chained",
-        "subsets",
-        "opponent",
-        "k",
-    )
-
-    def __init__(self, tableau, labels, in_tableau, chained, opponent, k):
-        self.tableau = tableau
-        self.labels = labels
-        self.in_tableau = in_tableau
-        self.chained = chained
-        self.subsets = None
-        self.opponent = opponent
-        self.k = k
+    tableau: Tableau
+    labels: np.ndarray
+    in_tableau: np.ndarray
+    chained: np.ndarray
+    opponent: int
+    k: int
 
 
 class _PolytopeSolver:
@@ -523,8 +478,10 @@ class _PolytopeSolver:
     one live tableau across calls, for the k it was last asked: generated
     quadrilateral rows are valid for every LP over the polytope, but those
     that bind under one opponent's normalization are mostly slack under
-    another's. A tableau holds the chain rows of every column an objective
-    weights (see the module docstring); its rows only grow.
+    another's. A tableau holds its normalization rows (:func:`_normalization`)
+    and the chain rows of every column an objective weights (see the module
+    docstring); its rows only grow, and separation adds quadrilaterals
+    alone.
 
     New rows enter a tableau and are re-optimized by the dual simplex; a
     new objective at the same opponent and k (:meth:`_retarget`) takes in
@@ -537,7 +494,7 @@ class _PolytopeSolver:
     ``optima`` keeps every k = N optimum solved, keyed by the opponent and
     the objective's bytes, as ``(value, metric)`` with the metric read-only;
     :meth:`maximize` answers a repeated k = N query from it. Only k = N is
-    kept, so a sweep over k-subsets adds nothing, and the table goes with
+    kept, so a fairness sweep adds nothing, and the table goes with
     the solver when another profile takes the slot. Each stored metric is
     consistent and costs its opponent 1, which makes it a cut for
     :func:`metricdist.instanceopt.opt_rand`.
@@ -602,7 +559,7 @@ class _PolytopeSolver:
             # the most recently used one.
             donor = live or next(reversed(self.live.values()), None)
             live, status, out = self._start(cost, opponent, k, support, donor)
-        value, metric = self._generate_rows(live, opponent, status, out)
+        value, metric = self._generate_rows(live, status, out)
         self.live[opponent] = live
         self.stats["objectives"] += 1
         metric.setflags(write=False)
@@ -616,8 +573,8 @@ class _PolytopeSolver:
 
         Columns ascending, each id at its first occurrence; one column's
         are its memoized :meth:`MetricPolytope.chain_quadruples`, read-only.
-        With the rhs-1 row, a weighted column's chain rows bound the
-        relaxation (see the module docstring).
+        With the normalization rows, a weighted column's chain rows bound
+        the relaxation (see the module docstring).
         """
         support = np.asarray(support, dtype=np.intp)
         columns = support[~chained[support]]
@@ -635,33 +592,36 @@ class _PolytopeSolver:
         """Cold-build the opponent's tableau from the slack basis; ``cost``
         is the objective over the increments.
 
-        The rhs-1 row comes first, then the chain rows of ``support``, then
-        the quadrilateral rows tight at the optimum of the live tableau
-        ``donor`` (their slack is nonbasic), if one is given: rows that
-        bound one optimum mostly bind near the next, so separation starts
-        close to its end. Those rows are copied from the donor, which holds
-        them over the increments already.
+        The normalization comes first, then the chain rows of ``support``,
+        then the quadrilateral rows tight at the optimum of the live tableau
+        ``donor`` (their slack is nonbasic), if one is given: rows that bound
+        one optimum mostly bind near the next, so separation starts close to
+        its end. Those rows are the first NM entries of the donor's, which
+        are over the increments already and 0 on tau and u.
         """
         poly = self.polytope
         chained = np.zeros(poly.num_alternatives, dtype=bool)
         ids = self._chain_rows(support, opponent, chained)
         in_tableau = np.zeros(poly.num_quad_ids, dtype=bool)
         in_tableau[ids] = True
-        labels = [[_FIXED], ids]
         bound = _normalization(poly, opponent, k)
-        rows = [bound, poly.quadruple_rows(ids) @ poly.prefix]
+        width = bound.shape[1]
+        labels = [[_FIXED], np.full(len(bound) - 1, _TOP_K), ids]
+        rows = [bound, _padded(poly.quadruple_rows(ids) @ poly.prefix, width)]
         if donor is not None:
             tight = (donor.labels >= 0) & ~donor.tableau.basic_slacks()
             tight[tight] = ~in_tableau[donor.labels[tight]]  # not a chain row
             seeded = donor.labels[tight]
             in_tableau[seeded] = True
             labels.append(seeded)
-            rows.append(donor.tableau.rows[tight])
+            donated = donor.tableau.rows[tight, : poly.num_metric_vars]
+            rows.append(_padded(donated, width))
             self.stats["seeded_rows"] += seeded.size
         rows, labels = np.vstack(rows), np.concatenate(labels)
         rhs = np.zeros(len(rows))
         rhs[0] = 1.0
-        tableau, status, out = self._cold(LinearProgram(cost, rows, rhs), opponent, k)
+        lp = LinearProgram(_padded(cost, width), rows, rhs)
+        tableau, status, out = self._cold(lp, opponent, k)
         live = _LiveLp(tableau, labels, in_tableau, chained, opponent, k)
         return live, status, out
 
@@ -680,62 +640,43 @@ class _PolytopeSolver:
         missing = chain[~live.in_tableau[chain]]
         if missing.size:
             self._add_quads(live, missing)
-        live.tableau.set_objective(cost)
+        live.tableau.set_objective(_padded(cost, live.tableau.objective.size))
         return self._reoptimize(live)
 
-    def _generate_rows(self, live, opponent, status, out):
-        """Separation rounds until the optimum violates no row of the LP;
+    def _generate_rows(self, live, status, out):
+        """Separation rounds until the optimum violates no quadrilateral;
         ``(value, metric)``, the optimum's costs.
 
-        Each round reads the costs of the optimum's increments
-        (:meth:`MetricPolytope.metric`). For k < N, rounds add the k-subset
-        rows along with the quadrilaterals (see
-        :meth:`MetricPolytope.violated_subsets`); at k = N the one N-subset
-        row is the bound itself.
+        Each round reads the costs of the optimum's increments, its first NM
+        entries (:meth:`MetricPolytope.metric`).
         """
         poly = self.polytope
-        k = live.k
-        top_k = k < poly.num_agents
-        if top_k and live.subsets is None:
-            live.subsets = np.zeros(len(poly.subset_members(k)), dtype=bool)
         for _ in range(_MAX_ROUNDS):
             if status is LpStatus.UNBOUNDED:
                 raise self._failure(
                     "relaxation unbounded: chain rows missing",
                     live.tableau.program(),
-                    opponent,
-                    k,
+                    live.opponent,
+                    live.k,
                 )
 
-            metric = poly.metric(out.assignment)
+            metric = poly.metric(out.assignment[: poly.num_metric_vars])
             self.stats["separation_rounds"] += 1
             new = poly.violated_quadruples(
                 metric, _SEP_TOL, live.in_tableau, _SEPARATION_BATCH
             )
-            subsets = _NO_IDS
-            if top_k:
-                column = metric[:, opponent]
-                subsets = poly.violated_subsets(
-                    column, k, _SEP_TOL, live.subsets, _SEPARATION_BATCH
-                )
-            if not new.size and not subsets.size:
+            if not new.size:
                 return out.value, metric
 
-            if new.size:
-                self._add_quads(live, new)
-            if subsets.size:
-                rows = poly.subset_rows(subsets, k, opponent) @ poly.prefix
-                live.tableau.add_rows(rows, np.ones(len(subsets)))
-                live.labels = np.concatenate([live.labels, _SUBSET - subsets])
-                live.subsets[subsets] = True
+            self._add_quads(live, new)
             status, out = self._reoptimize(live)
-        raise self._failure(
-            "row generation did not converge", live.tableau.program(), opponent, k
-        )
+        message = "row generation did not converge"
+        raise self._failure(message, live.tableau.program(), live.opponent, live.k)
 
     def _add_quads(self, live, ids):
         poly = self.polytope
         rows = poly.quadruple_rows(ids) @ poly.prefix
+        rows = _padded(rows, live.tableau.objective.size)
         live.tableau.add_rows(rows, np.zeros(len(ids)))
         live.labels = np.concatenate([live.labels, ids])
         live.in_tableau[ids] = True
@@ -791,7 +732,8 @@ class _PolytopeSolver:
             f"opponent {opponent} (0-based), k = {k}: {message} "
             "(lp_text's variables are the increments delta(v, t) "
             "in each agent's ranking order, at index v M + t: d(v, ranking_v[j]) "
-            "is the sum of delta(v, t) over t <= j)",
+            "is the sum of delta(v, t) over t <= j; for k < N, column NM is tau "
+            "and column NM + 1 + v is u_v of the top-k bound)",
             lp_text=program.dump_text(),
             profile_text=serialize_profile(self.polytope.profile),
         )
@@ -816,18 +758,38 @@ def _solver_for(profile):
 
 
 def _normalization(poly, opponent, k):
-    """The rhs-1 row ``(k/N) SC(opponent) <= 1`` that normalizes ``opponent``,
-    over the increments: the sum of L's rows of the opponent's column.
+    """The rows that bound the sum of the opponent's k largest costs by 1,
+    the first with rhs 1, the rest with rhs 0.
 
-    The sum of the opponent's k largest entries is at least ``(k/N) SC``
-    (they average at least the mean), so its bound by 1 implies this row;
-    for k < N the rows "these k agents cost at most 1", rhs 1 too, are
-    generated (:meth:`MetricPolytope.violated_subsets`). At k = N the row is
-    the one such row: the opponent's total cost is at most 1.
+    At k = N, one row over the increments: the opponent's total cost, the
+    sum of L's rows of its column. For k < N, N + 1 rows over N + 1 more
+    columns, tau at NM and u_v at NM + 1 + v: ``k tau + sum_v u_v <= 1``,
+    then ``d(v, z) - tau - u_v <= 0`` per agent v. Nonnegative costs satisfy
+    the bound iff some tau, u >= 0 satisfy these, tau at the k-th largest
+    cost (Ogryczak and Tamir, IPL 2003).
     """
+    n, nm = poly.num_agents, poly.num_metric_vars
     # Column c of the costs holds the entries v * M + c, one per agent v.
     column = poly.prefix[opponent :: poly.num_alternatives]
-    return (k / poly.num_agents) * column.sum(axis=0)
+    if k == n:
+        return column.sum(axis=0, keepdims=True)
+    rows = np.zeros((n + 1, nm + n + 1))
+    rows[0, nm] = k
+    rows[0, nm + 1 :] = 1.0
+    rows[1:, :nm] = column
+    rows[1:, nm] = -1.0
+    rows[1:, nm + 1 :] = -np.eye(n)
+    return rows
+
+
+def _padded(rows, width):
+    """``rows``, or one row, with zero columns appended up to ``width``."""
+    extra = width - rows.shape[-1]
+    if not extra:
+        return rows
+    out = np.zeros(rows.shape[:-1] + (width,))
+    out[..., :-extra] = rows
+    return out
 
 
 @dataclass

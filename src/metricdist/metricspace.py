@@ -31,6 +31,9 @@ __all__ = [
 ]
 
 DEFAULT_GEOMETRY_TOL = 1e-9
+# Most entries of one block of is_q_metric's per-pair bounds or gaps.
+_Q_BLOCK = 1 << 18
+_EPS = float(np.finfo(float).eps)
 
 
 class CostMatrix:
@@ -105,12 +108,12 @@ def _as_values(d) -> np.ndarray:
 
 def _quad_gaps(vals: np.ndarray) -> np.ndarray:
     # gaps[v, vp, c, cp] = d(v,c) - d(v,cp) - d(vp,cp) - d(vp,c)
-    return (
-        vals[:, None, :, None]
-        - vals[:, None, None, :]
-        - vals[None, :, None, :]
-        - vals[None, :, :, None]
-    )
+    return _pair_gaps(vals[:, None], vals[None])
+
+
+def _pair_gaps(a, b):
+    """``gaps[..., c, cp]`` of agent rows ``a`` (v) against ``b`` (v')."""
+    return a[..., :, None] - a[..., None, :] - b[..., None, :] - b[..., :, None]
 
 
 def is_q_metric(d, tol: float = DEFAULT_GEOMETRY_TOL):
@@ -118,8 +121,13 @@ def is_q_metric(d, tol: float = DEFAULT_GEOMETRY_TOL):
 
     Only proper quadruples count: a degenerate one (equal agents or equal
     alternatives) has gap -2 d(v, c') or -2 d(v', c), never positive for a
-    nonnegative matrix. They are masked out only once some gap exceeds
-    ``tol``, so the answer is right for any array, negative entries too.
+    nonnegative matrix. Skipping them keeps the answer right for any array,
+    negative entries too.
+
+    Each pair v != v' bounds its gaps by ``max_c [d(v,c) - d(v',c)] -
+    min_c' [d(v,c') + d(v',c')]``, O(N^2 M) in all; only pairs whose bound
+    is not below ``tol`` by more than round-off get their gaps, in ``(v, v')``
+    order, so the answer is that of every gap. Memory is bounded by blocks.
 
     Returns:
         ``(True, None)``, or ``(False, (v, v', c, c'))`` with the first
@@ -127,13 +135,40 @@ def is_q_metric(d, tol: float = DEFAULT_GEOMETRY_TOL):
     """
     vals = _as_values(d)
     n, m = vals.shape
-    bad = _quad_gaps(vals) > tol
-    if bad.any():
-        bad &= ~np.eye(n, dtype=bool)[:, :, None, None] & ~np.eye(m, dtype=bool)
-        if bad.any():
-            v, vp, c, cp = np.argwhere(bad)[0]
-            return False, (int(v), int(vp), int(c), int(cp))
+    if n < 2 or m < 2:
+        return True, None
+    # Either formula rounds at most three sums of at most four entries, so
+    # a gap and its pair's bound each err by under 5 eps max|d|.
+    floor = tol - 16 * _EPS * max(1.0, float(np.abs(vals).max()))
+    step = max(1, _Q_BLOCK // (n * m))
+    for start in range(0, n, step):
+        block = vals[start : start + step]
+        spread = (block[:, None, :] - vals).max(axis=2)
+        spread -= (block[:, None, :] + vals).min(axis=2)
+        # NaN bounds are flagged too, so every array gets the gaps' answer.
+        flagged = ~(spread <= floor)
+        flagged.ravel()[start :: n + 1] = False  # the pairs v == v'
+        if not flagged.any():
+            continue
+        quad = _first_violation(vals, np.argwhere(flagged) + (start, 0), tol)
+        if quad is not None:
+            return False, quad
     return True, None
+
+
+def _first_violation(vals, pairs, tol):
+    """The first ``(v, v', c, c')``, ``c != c'``, over the agent ``pairs`` in
+    their order, whose gap exceeds ``tol``; or None."""
+    m = vals.shape[1]
+    proper = ~np.eye(m, dtype=bool)
+    step = max(1, _Q_BLOCK // (m * m))
+    for start in range(0, len(pairs), step):
+        v, vp = pairs[start : start + step].T
+        hits = np.argwhere((_pair_gaps(vals[v], vals[vp]) > tol) & proper)
+        if hits.size:
+            p, c, cp = hits[0]
+            return int(v[p]), int(vp[p]), int(c), int(cp)
+    return None
 
 
 def is_consistent(d, profile, tol: float = DEFAULT_GEOMETRY_TOL):

@@ -356,6 +356,35 @@ def naive_quadruple_rows(quads, n, m):
     return rows
 
 
+def top_k_lp_by_definition(rankings, objective, opponent, k):
+    """The top-k LP over the ``N * M`` costs, row-major, by its definition.
+
+    Maximize ``objective`` subject to each agent's consistency chain
+    ``d(v, r_t) - d(v, r_{t+1}) <= 0``, every proper quadrilateral and, for
+    each of the C(N, k) agent subsets T of size k, ``sum_{v in T}
+    d(v, opponent) <= 1``. Returns ``(objective, A_ub, b_ub)``.
+    """
+    rankings = np.asarray(rankings)
+    n, m = rankings.shape
+    consistency = []
+    for v, ranking in enumerate(rankings.tolist()):
+        for a, b in zip(ranking, ranking[1:]):
+            row = np.zeros(n * m)
+            row[v * m + a], row[v * m + b] = 1.0, -1.0
+            consistency.append(row)
+    quads = naive_quadruple_rows(naive_quadruples(n, m), n, m)
+    subsets = []
+    for subset in itertools.combinations(range(n), k):
+        row = np.zeros(n * m)
+        for v in subset:
+            row[v * m + opponent] = 1.0
+        subsets.append(row)
+    A_ub = np.vstack([np.reshape(consistency, (-1, n * m)), quads, subsets])
+    b_ub = np.zeros(len(A_ub))
+    b_ub[len(A_ub) - len(subsets) :] = 1.0
+    return np.asarray(objective, dtype=float), A_ub, b_ub
+
+
 def naive_orbits(groups, k, s):
     """s-tuples of k-agent subsets, one per orbit, by product and filter.
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import weakref
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from metricdist import linprog
 from metricdist.distortion import (
     _FIXED,
-    _SUBSET,
+    _TOP_K,
     GRID_BUDGET,
     SOLVER_STATS,
     BudgetExceededError,
@@ -53,6 +54,7 @@ from oracles import (
     naive_quadruple_rows,
     naive_quadruples,
     plurality_veto,
+    top_k_lp_by_definition,
 )
 
 UNIFORM3 = np.full(3, 1 / 3)
@@ -514,6 +516,51 @@ def _fresh_fairness(winner, profile, k_set=None):
     if math.isinf(top):
         return per_k, blocked
     return per_k, next(key for key, v in values.items() if v >= top * (1 - 1e-9))
+
+
+def test_top_k_bound_matches_the_lp_over_every_k_subset():
+    # The N + 1 rows of the top-k bound against the LP that states it by
+    # definition over the costs, one rhs-1 row per k-agent subset, solved
+    # cold. One solver serves every k of a profile, so tableaux seed others.
+    rng = np.random.default_rng(211)
+    checked = 0
+    for trial in range(24):
+        n, m = 3 + trial % 4, 3 + trial // 4 % 2
+        profile = random_profile(n, m, rng)
+        poly = MetricPolytope(profile)
+        solver = _PolytopeSolver(poly)
+        for k in range(1, n):
+            z = int(rng.choice(np.flatnonzero(poly.edges.any(axis=0))))
+            weights = np.zeros((n, m))
+            sources = poly.reach[:, z] & (np.arange(m) != z)
+            weights[:, sources] = rng.random((n, sources.sum()))
+            weights *= rng.random((n, m)) < 0.6
+            support = np.flatnonzero(weights.sum(axis=0) > 0)
+            if not support.size:
+                continue
+            objective = weights.ravel()
+            value, metric = solver.maximize(
+                objective, opponent=z, k=k, support=support
+            )
+            lp = top_k_lp_by_definition(profile.rankings, objective, z, k)
+            out = linprog.solve(linprog.LinearProgram(*lp))
+            assert out.status is linprog.LpStatus.OPTIMAL
+            assert value == pytest.approx(out.value, rel=1e-9), (trial, k)
+            assert objective @ metric.ravel() == pytest.approx(value, rel=1e-9)
+            assert top_k_cost(metric, z, k) <= 1 + 1e-9
+            checked += 1
+    assert checked >= 60
+
+
+def test_top_k_at_twenty_agents_holds_n_plus_one_normalization_rows():
+    # C(20, 10) = 184 756 subsets of ten agents; the bound is 21 rows.
+    profile = PreferenceProfile([[0, 1, 2, 3]] * 10 + [[3, 2, 1, 0]] * 10)
+    report = fairness_rand(np.eye(4)[0], profile, k_set=[10])
+    assert report.per_k[10] == pytest.approx((3.0, 3.0), abs=1e-9)
+    assert report.solver_stats["objectives"] == 33
+    live = _solver_for(profile).live.values()
+    n = profile.num_agents
+    assert live and all((t.labels < 0).sum() <= n + 1 for t in live)
 
 
 def _close(a, b):
@@ -984,6 +1031,25 @@ def test_failure_reproduces_over_the_increments_it_names(monkeypatch):
     # A relaxation: at least the full program's optimum.
     assert out.value >= a_det(1, m - 1, PreferenceProfile(profile.rankings))[0] - 1e-9
 
+    # A top-1 failure: its program has tau at column NM and u_v at NM + 1 + v,
+    # and the costs are its first NM entries.
+    monkeypatch.setattr(linprog, "_pivot_loop", broken)
+    with pytest.raises(SolverFailure, match="column NM is tau") as info:
+        fairness_det(0, profile, k_set=[1])
+    monkeypatch.undo()
+    z = int(re.search(r"opponent (\d+)", str(info.value)).group(1))
+    assert "k = 1:" in str(info.value)
+    lp = _parse_lp_text(info.value.lp_text)
+    nm, n = poly.num_metric_vars, profile.num_agents
+    assert lp.num_vars == nm + n + 1 and not lp.objective[nm:].any()
+    out = linprog.solve(lp)
+    assert out.status is linprog.LpStatus.OPTIMAL
+    costs = poly.metric(out.assignment[:nm])
+    assert is_consistent(costs, profile, tol=0.0)[0]
+    assert costs[:, z].max() <= 1 + 1e-9  # the top-1 bound
+    weights = np.linalg.solve(poly.prefix.T, lp.objective[:nm])  # over the costs
+    assert out.value == pytest.approx(weights @ costs.ravel(), rel=1e-12)
+
 
 def _assert_tableaux_hold_their_rows(solver):
     """Each live tableau holds a quadrilateral id at most once, its masks
@@ -1277,13 +1343,24 @@ def test_opponent_swap_then_top_k_ignores_the_donor_objective():
     assert value == pytest.approx(fresh, rel=1e-9)
 
 
+def _assert_normalization_block(live, n, nm):
+    """``live`` leads with its normalization and holds no other row with a
+    negative label: the rhs-1 row alone over the NM increments at k = N,
+    that row and the N agent rows over N + 1 more columns at k < N."""
+    top_k = n if live.k < n else 0
+    labels = live.labels.tolist()
+    assert labels[: 1 + top_k] == [_FIXED] + [_TOP_K] * top_k
+    assert (live.labels < 0).sum() == 1 + top_k
+    assert live.tableau.objective.size == nm + (top_k and n + 1)
+
+
 def test_retarget_from_a_top_k_donor_to_distortion_on_a_new_opponent():
-    # The donor holds generated k-subset rows, which carry rhs 1 like the
+    # The donor holds the top-k normalization rows, one with rhs 1 like the
     # bound: the new opponent's tableau must not take them.
     profile = random_profile(5, 4, np.random.default_rng(103))
     poly = MetricPolytope(profile)
     solver = _PolytopeSolver(poly)
-    m = poly.num_alternatives
+    m, n, nm = poly.num_alternatives, poly.num_agents, poly.num_metric_vars
     z, c = next(
         (z, c) for z in range(m) for c in range(m) if c != z and poly.reach[c, z]
     )
@@ -1291,19 +1368,15 @@ def test_retarget_from_a_top_k_donor_to_distortion_on_a_new_opponent():
     for v in range(3):
         objective[poly.var(v, c)] = 1.0
     solver.maximize(objective, opponent=z, k=3, support=[c])
-    live = solver.live[z]
-    assert (live.labels <= _SUBSET).any()
-    assert live.subsets.sum() == (live.labels <= _SUBSET).sum()
+    _assert_normalization_block(solver.live[z], n, nm)
 
     new = next(o for o in range(m) if o != z and poly.reach[:, o].all())
     lottery = np.tile(np.full(m, 1 / m), poly.num_agents)
     before = dict(solver.stats)
-    n = poly.num_agents
     value, _ = solver.maximize(lottery, opponent=new, k=n, support=range(m))
     stats = solver.stats_since(before)
     assert stats["cold_builds"] == 1 and stats["rebuilds"] == 0
-    live = solver.live[new]
-    assert not (live.labels <= _SUBSET).any() and live.subsets is None
+    _assert_normalization_block(solver.live[new], n, nm)
     fresh, _ = _PolytopeSolver(poly).maximize(
         lottery, opponent=new, k=n, support=range(m)
     )
@@ -1316,15 +1389,15 @@ def test_retarget_from_a_top_k_donor_to_distortion_on_a_new_opponent():
 
 def _assert_no_phase_one(solver):
     """Every live tableau has rhs >= 0, so each cold build starts from the slack
-    basis; rhs 1 sits on the normalization's one bound row and on generated
-    top-k rows alone."""
+    basis; rhs 1 sits on the normalization's rhs-1 row alone, the first, and
+    the normalization is the only block of rows with negative labels."""
+    poly = solver.polytope
     for live in solver.live.values():
         rhs = live.tableau.rhs
         assert (rhs >= 0).all()
         assert live.labels.size == rhs.size
-        labels = live.labels.tolist()
-        bounds = [i for i, label in enumerate(labels) if rhs[i] and label > _SUBSET]
-        assert len(bounds) == 1
+        assert np.flatnonzero(rhs).tolist() == [0]
+        _assert_normalization_block(live, poly.num_agents, poly.num_metric_vars)
 
 
 def _norm_calls(poly, rng):
@@ -1394,17 +1467,19 @@ def test_optimize_sequence_builds_one_tableau_per_opponent_and_k():
         _assert_no_phase_one(solver)
 
 
-def test_k_change_builds_without_the_old_k_subset_rows():
+def test_k_change_builds_without_the_old_normalization_rows():
     profile = warmup_instance().profile
     solver = _solver_for(profile)
     fairness_det(0, profile, k_set=[1])  # top-1 tableaux, opponent 2 last
-    assert (solver.live[2].labels <= _SUBSET).any()  # rows that must not stay
+    n, nm = profile.num_agents, solver.polytope.num_metric_vars
+    _assert_normalization_block(solver.live[2], n, nm)  # rows that must not stay
+    assert solver.live[2].k == 1
     builds = solver.stats["cold_builds"]
     value, _ = a_det(0, 2, profile)  # k = N on opponent 2 builds anew
     assert solver.stats["rebuilds"] == 0
     assert solver.stats["cold_builds"] == builds + 1
-    assert solver.live[2].k == profile.num_agents
-    assert not (solver.live[2].labels <= _SUBSET).any()
+    assert solver.live[2].k == n
+    _assert_normalization_block(solver.live[2], n, nm)
     fresh, _ = a_det(0, 2, PreferenceProfile(profile.rankings))
     assert value == pytest.approx(fresh, rel=1e-9)
 
@@ -1450,17 +1525,18 @@ def test_a_new_tableau_holds_its_bound_its_chains_and_the_last_tight_rows(
         if opponent in solver.live:
             donor = solver.live[opponent]
         if donor is not None:
-            assert (donor.labels <= _SUBSET).any() == (donor.k < n)
+            _assert_normalization_block(donor, n, poly.num_metric_vars)
             binding = (donor.labels >= 0) & ~donor.tableau.basic_slacks()
             tight = donor.labels[binding].tolist()  # in the donor's order
         solver.maximize(weights, opponent=opponent, k=k, support=support)
         labels = built[i]
-        assert labels[0] == _FIXED and (labels == _FIXED).sum() == 1
-        assert not (labels <= _SUBSET).any()
+        block = n + 1 if k < n else 1
+        assert labels[0] == _FIXED and (labels[1:block] == _TOP_K).all()
+        assert (labels < 0).sum() == block  # no donor normalization row seeded
         chains = [poly.chain_quadruples(a, opponent).tolist() for a in support]
         chain = list(dict.fromkeys(itertools.chain(*chains)))
-        assert labels[1 : 1 + len(chain)].tolist() == chain
-        seeded = labels[1 + len(chain) :].tolist()
+        assert labels[block : block + len(chain)].tolist() == chain
+        seeded = labels[block + len(chain) :].tolist()
         if donor is None:
             assert not seeded
         else:

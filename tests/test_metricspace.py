@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from metricdist import metricspace
 from metricdist.metricspace import (
     CostMatrix,
     complete_metric,
@@ -19,6 +20,7 @@ from metricdist.metricspace import (
 from metricdist.profiles import (
     percentile_gap_instance,
     random_line_instance,
+    ranked_pairs_hard_instance,
     warmup_instance,
 )
 
@@ -46,12 +48,26 @@ def test_q_metric_examples(warmup):
     assert witness == (0, 1, 0, 1)
 
 
-def test_q_metric_finds_the_first_proper_violation_on_any_array():
+def test_q_metric_finds_the_first_proper_violation_on_any_array(monkeypatch):
     # Signed entries make degenerate gaps positive too; they must not count.
+    # Integer and rounded entries tie gaps with tol, large entries with tiny
+    # noise put the per-pair bound's round-off next to it, and small blocks
+    # split the agents and the flagged pairs.
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        d = rng.uniform(-1.0, 1.0, size=(n, m)) * (rng.random((n, m)) < 0.7)
+    for trial in range(400):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        kind = trial % 4
+        if kind == 0:
+            d = rng.uniform(-1.0, 1.0, size=(n, m)) * (rng.random((n, m)) < 0.7)
+        elif kind == 1:
+            d = rng.integers(0, 4, size=(n, m)).astype(float)
+        else:
+            line = np.abs(rng.uniform(0, 10, (n, 1)) - rng.uniform(0, 10, m))
+            if kind == 2:
+                d = np.round(line, 1)
+            else:
+                noise = rng.normal(0, 1e-9, (n, m)) * (rng.random((n, m)) < 0.3)
+                d = line * 1e6 + noise
         tol = float(rng.choice([0.0, 1e-9, 0.3]))
         first = next(
             (
@@ -61,7 +77,26 @@ def test_q_metric_finds_the_first_proper_violation_on_any_array():
             ),
             None,
         )
-        assert is_q_metric(d, tol) == (first is None, first)
+        for block in (metricspace._Q_BLOCK, 7, 1):
+            monkeypatch.setattr(metricspace, "_Q_BLOCK", block)
+            assert is_q_metric(d, tol) == (first is None, first), (trial, block)
+        monkeypatch.undo()
+
+
+def test_q_metric_checks_the_hard_family_at_two_hundred():
+    # 202 x 401: the N^2 M^2 gaps at once would need 48.9 GiB.
+    inst = ranked_pairs_hard_instance(200)
+    assert inst.metric.values.shape == (202, 401)
+    assert is_q_metric(inst.metric) == (True, None)
+    # Raising d(150, 7) raises the gaps of the quadruples (150, v', 7, c')
+    # alone, so the first violation has v' = 0 if agent 0 gives one.
+    values = inst.metric.values.copy()
+    values[150, 7] += 10.0
+    gaps = values[150, 7] - values[150] - values[0] - values[0, 7]
+    gaps[7] = -np.inf  # c' = c is not a proper quadruple
+    assert (gaps > 1e-9).any()
+    first = (150, 0, 7, int(np.argmax(gaps > 1e-9)))
+    assert is_q_metric(values) == (False, first)
 
 
 def test_consistency_examples(warmup):
