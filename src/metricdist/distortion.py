@@ -29,12 +29,16 @@ slack basis, and separation generates quadrilaterals alone. Each opponent
 keeps one live simplex tableau, for one k. Generated rows enter it and are
 re-optimized by the dual simplex, and the next objective at that opponent
 and k (another candidate, subset or lottery) resumes from the last optimal
-basis. A new opponent or another k takes a new tableau, built cold over
-the normalization, the objective's chain rows (below) and the quadrilateral
-rows tight at the optimum of the last tableau: the opponent's own on a
-change of k, else the most recently used. Rows that bind at one optimum
-mostly bind near the next, so that seed spares most of the separation
-rounds.
+basis. A smaller k below N at the same opponent, the next step of a
+fairness sweep, keeps the tableau too: k is tau's coefficient in the rhs-1
+row, the one entry that changes, and the tableau is refactored in its
+basis, which stays primal feasible (:meth:`_PolytopeSolver._lower_k`). A
+new opponent, k = N to N - 1 (a wider tableau) or a larger k takes a new
+tableau, built cold over the normalization, the objective's chain rows
+(below) and the quadrilateral rows tight at the optimum of the last
+tableau: the opponent's own on a change of k, else the most recently used.
+Rows that bind at one optimum mostly bind near the next, so that seed
+spares most of the separation rounds.
 
 A quadrilateral (v, v', c, c') is named by its id ``((v N + v') M + c) M + c'``,
 its flat index into the gaps of :func:`metricspace._quad_gaps`. Separation
@@ -78,7 +82,13 @@ d(v,a) <= d(v,b) + 2 d(u,b); summed over v, col(a) <= 2N col(b). So every
 relaxation is seeded with the rows (v, v', a, b), v != v', of each step of a
 shortest chain from each positively weighted column to the opponent: with
 the normalization, which bounds the opponent's total cost (by N/k + 1 at
-k < N), they alone bound every relaxation.
+k < N), they alone bound every relaxation. The rows (v, u, a, b) of one
+such u per step, N - 1 of them, would bound it too, but the other rows
+bind often enough to save separation rounds: seeding only those of the
+first agent u that ranks a over b raised the rounds per request of the
+benchmark's seed-1 ``certify`` from 12.85 to 17.41, its dual pivots from
+7.35 to 33.18 and its time by half, and the rounds of ``optimize`` from
+50.8 to 54.2.
 """
 
 from __future__ import annotations
@@ -132,6 +142,7 @@ SOLVER_STATS = (
     "objectives",  # maximize calls that solved an LP to an optimum
     "cold_builds",  # tableaux built from scratch
     "warm_solves",  # re-optimizations of a live tableau
+    "k_switches",  # k lowered in place on a live tableau, refactored
     "primal_pivots",
     "dual_pivots",
     "refactors",  # tableaux recomputed from their rows to shed round-off
@@ -346,6 +357,10 @@ class MetricPolytope:
 
         Step by step along ``chain(a, b)``, and per step in lexicographic
         order of ``(v, v')``. Built once per pair; the array is read-only.
+        All N (N - 1) pairs of a step, not the N - 1 rows of one agent that
+        ranks x over y, which would bound the relaxation as well: the other
+        rows bind often enough to save separation rounds (see the module
+        docstring).
         """
         ids = self._chains.get((a, b))
         if ids is None:
@@ -460,7 +475,9 @@ class _LiveLp:
     ``in_tableau`` is a mask over every quadrilateral id, True on the rows
     held; ``chained`` a mask over the columns, True on those whose chain
     rows to ``opponent`` are held (see the module docstring). ``opponent``
-    and the int ``k`` are the normalization held.
+    and the int ``k`` are the normalization held; below N, ``k`` is tau's
+    coefficient in the rhs-1 row, and lowering it changes that entry alone
+    (:meth:`_PolytopeSolver._lower_k`), so the rows and labels stay.
     """
 
     tableau: Tableau
@@ -486,10 +503,12 @@ class _PolytopeSolver:
     New rows enter a tableau and are re-optimized by the dual simplex; a
     new objective at the same opponent and k (:meth:`_retarget`) takes in
     the chain rows the tableau lacks and resumes the simplex from the last
-    optimal basis. Another opponent or k builds a tableau cold
-    (:meth:`_start`), seeded with the rows tight at the last tableau's
-    optimum. Which rows a tableau lacks and which it passes on are mask
-    operations on its labels, taken in label order.
+    optimal basis. A smaller k below N at the same opponent is first set in
+    place on its tableau, refactored in the same basis (:meth:`_lower_k`),
+    then retargeted. Another opponent, k = N to N - 1, or a larger k builds
+    a tableau cold (:meth:`_start`), seeded with the rows tight at the last
+    tableau's optimum. Which rows a tableau lacks and which it passes on
+    are mask operations on its labels, taken in label order.
 
     ``optima`` keeps every k = N optimum solved, keyed by the opponent and
     the objective's bytes, as ``(value, metric)`` with the metric read-only;
@@ -537,6 +556,9 @@ class _PolytopeSolver:
         opponent's live tableau, over the increments; ``metric`` is the
         ``N x M`` costs of the optimum, read-only. A k = N query already
         solved returns the stored optimum (``optima``), with no tableau work.
+        The opponent's tableau serves the same k warm, and a smaller k below
+        N once lowered in place; any other k, or an opponent without a
+        tableau, takes a seeded cold build.
 
         Raises:
             SolverFailure: the solve failed warm and cold, or a relaxation
@@ -552,6 +574,8 @@ class _PolytopeSolver:
         cost = objective @ self.polytope.prefix
         # Popped while in use, so a call that raises leaves no tableau behind.
         live = self.live.pop(opponent, None)
+        if live is not None and k < live.k < self.polytope.num_agents:
+            self._lower_k(live, k)
         if live is not None and live.k == k:
             status, out = self._retarget(live, cost, support)
         else:
@@ -642,6 +666,35 @@ class _PolytopeSolver:
             self._add_quads(live, missing)
         live.tableau.set_objective(_padded(cost, live.tableau.objective.size))
         return self._reoptimize(live)
+
+    def _lower_k(self, live, k):
+        """Lower a live tableau's k in place: tau's coefficient in the
+        rhs-1 row becomes ``k``, and the tableau is refactored in its basis.
+
+        The basis stays primal feasible and nonsingular. A live tableau
+        sits at its last optimum x* (a call that raises leaves none), the
+        basic solution of ``B x = e_0``: the rhs-1 row is the only one with
+        a nonzero rhs, and it reads ``k_old tau + sum_v u_v + slack = 1``,
+        so ``k_old tau* <= 1``. If tau is nonbasic, B does not change. Else
+        B loses ``(k_old - k) e_0`` in tau's column, and ``x* / a``, with
+        ``a = 1 - (k_old - k) tau* >= k / k_old``, still solves every
+        homogeneous row and makes the changed rhs-1 row read 1 again: it is
+        the new basic solution, and nonnegative. B's determinant is
+        multiplied by ``a`` (the matrix determinant lemma). A refactor that
+        fails anyway, to round-off, is answered by a cold build of the
+        changed program, counted in ``rebuilds``.
+        """
+        self.stats["k_switches"] += 1
+        live.k = k
+        tableau, tau = live.tableau, self.polytope.num_metric_vars
+        try:
+            tableau.set_coefficient(0, tau, k)
+        except SolverFailure:
+            self.stats["rebuilds"] += 1
+            rows = tableau.rows.copy()
+            rows[0, tau] = k
+            lp = LinearProgram(tableau.objective, rows, tableau.rhs)
+            live.tableau, _, _ = self._cold(lp, live.opponent, k)
 
     def _generate_rows(self, live, status, out):
         """Separation rounds until the optimum violates no quadrilateral;

@@ -9,15 +9,16 @@ always feasible, and a :class:`Tableau` is built cold at the slack basis
 with no pivot. It then stays live: rows added to it enter against the
 current basis and are re-optimized by the dual simplex (the old basis stays
 dual feasible), and a new objective resumes the primal simplex from the
-last basis. :func:`solve` is a cold build plus one optimization. The
-tableau is condensed: it stores only the columns of the nonbasic variables,
-so a pivot is a Jordan exchange that updates (rows + 1) x (nonbasic + 1)
-cells. Its per-constraint arrays keep spare rows from the build on, grown
-by doubling, so added rows are written in place instead of copying the
-tableau on every addition. Both pivot loops run a greedy rule for speed and
-switch permanently to Bland's rule after a stall, so termination is
-guaranteed even on the highly degenerate metric polytopes this package
-produces.
+last basis. A changed constraint coefficient is taken in by refactoring
+the tableau from its rows in the current basis. :func:`solve` is a cold
+build plus one optimization. The tableau is condensed: it stores only the
+columns of the nonbasic variables, so a pivot is a Jordan exchange that
+updates (rows + 1) x (nonbasic + 1) cells. Its per-constraint arrays keep
+spare rows from the build on, grown by doubling, so added rows are written
+in place instead of copying the tableau on every addition. Both pivot
+loops run a greedy rule for speed and switch permanently to Bland's rule
+after a stall, so termination is guaranteed even on the highly degenerate
+metric polytopes this package produces.
 """
 
 from __future__ import annotations
@@ -489,6 +490,15 @@ class Tableau:
         except np.linalg.LinAlgError:
             raise SolverFailure("basis matrix is singular") from None
         self._set_cost_row()
+
+    def set_coefficient(self, row, column, value):
+        """Set one constraint coefficient, then :meth:`refactor` in the current basis.
+
+        Raises:
+            SolverFailure: the basis matrix of the changed rows is singular.
+        """
+        self.rows[row, column] = value
+        self.refactor()
 
     def set_objective(self, objective):
         """Switch to ``objective`` from the current basis."""

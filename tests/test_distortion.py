@@ -1449,10 +1449,11 @@ def test_interleaved_norms_match_fresh_solvers():
     assert seeded > 0
 
 
-def test_optimize_sequence_builds_one_tableau_per_opponent_and_k():
+def test_optimize_sequence_builds_one_tableau_per_opponent():
     # opt_det builds each opponent's k = N tableau once; opt_rand reuses
     # them as they are (distortion is k = N), and fairness_det builds one
-    # per opponent and k < N, each seeded from the one before.
+    # per opponent at k = N - 1, seeded from its k = N tableau, then lowers
+    # k in place on it down to 1.
     for seed in (83, 89, 97):
         profile = random_profile(4, 4, np.random.default_rng(seed))
         solver = _solver_for(profile)
@@ -1461,8 +1462,12 @@ def test_optimize_sequence_builds_one_tableau_per_opponent_and_k():
         m, n = profile.num_alternatives, profile.num_agents
         assert reports[0].solver_stats["cold_builds"] <= m, seed
         assert reports[1].solver_stats["cold_builds"] == 0, seed
-        assert reports[2].solver_stats["cold_builds"] <= (m - 1) * (n - 1), seed
-        assert reports[2].solver_stats["seeded_rows"] > 0, seed
+        fairness = reports[2].solver_stats
+        assert math.isfinite(reports[2].value), seed
+        assert fairness["cold_builds"] == m - 1, seed
+        assert fairness["k_switches"] == (n - 2) * (m - 1), seed
+        assert fairness["rebuilds"] == 0, seed
+        assert fairness["seeded_rows"] > 0, seed
         assert len(solver.live) <= profile.num_alternatives
         _assert_no_phase_one(solver)
 
@@ -1482,6 +1487,158 @@ def test_k_change_builds_without_the_old_normalization_rows():
     _assert_normalization_block(solver.live[2], n, nm)
     fresh, _ = a_det(0, 2, PreferenceProfile(profile.rankings))
     assert value == pytest.approx(fresh, rel=1e-9)
+
+
+def _same_ratio(a, b):
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return a == pytest.approx(b, rel=1e-12, abs=0.0)
+
+
+def _assert_fairness_witness(report, profile):
+    """The witness of ``report`` is a metric, consistent exactly, whose
+    top-k bound on the opponent holds and whose subset attains the value."""
+    if report.witness is None:
+        assert math.isinf(report.value) or report.argmax is None
+        return
+    k, z, subset = report.argmax
+    w = report.witness
+    assert is_q_metric(w, 1e-6)[0]
+    assert is_consistent(w, profile, tol=0.0)[0]
+    assert top_k_cost(w, z, k) <= 1 + 1e-9
+    assert w.values[list(subset), report.winner].sum() == pytest.approx(
+        report.value, rel=1e-9
+    )
+    ratio = top_k_cost(w, report.winner, k) / top_k_cost(w, z, k)
+    assert ratio == pytest.approx(report.value, rel=1e-9)
+
+
+def test_lowering_k_in_place_matches_a_fresh_solver_per_k():
+    # fairness_det and fairness_rand sweep k from N down on one live solver,
+    # so every k below N - 1 is lowered in place on the opponent's tableau;
+    # a fresh solver per k (k_set=[k]) builds each tableau cold instead.
+    rng = np.random.default_rng(229)
+    switches = 0
+    for trial in range(30):
+        n, m = 3 + trial % 4, 3 + trial // 4 % 3
+        rankings = random_profile(n, m, rng).rankings
+        winner = int(rng.integers(m))
+        x = np.zeros(m)
+        x[[winner, (winner + 1) % m]] = 0.25, 0.75
+        profile = PreferenceProfile(rankings)
+        det = fairness_det(winner, profile)
+        # Every orbit of subset pairs is one LP: exact, and cheap at N <= 4.
+        rand = fairness_rand(x, profile) if n <= 4 else None
+        switches += det.solver_stats["k_switches"]
+        _assert_fairness_witness(det, profile)
+        for k in det.per_k:
+            alone = PreferenceProfile(rankings)
+            fresh = fairness_det(winner, alone, k_set=[k])
+            assert _same_ratio(det.per_k[k], fresh.per_k[k]), (trial, k)
+            _assert_fairness_witness(fresh, alone)
+        if rand is None:
+            continue
+        assert all(rand.exact_k.values()), trial
+        switches += rand.solver_stats["k_switches"]
+        for k in rand.per_k:
+            fresh = fairness_rand(x, PreferenceProfile(rankings), k_set=[k])
+            for a, b in zip(rand.per_k[k], fresh.per_k[k]):
+                assert _same_ratio(a, b), (trial, k)
+    assert switches > 100
+
+
+def _top_k_case():
+    """A 5 x 4 profile's solver, an opponent z, and a column c with a chain
+    to z; ``objective(k)`` weights c's entries of the first k agents."""
+    poly = MetricPolytope(random_profile(5, 4, np.random.default_rng(233)))
+    m = poly.num_alternatives
+    z, c = next(
+        (z, c) for z in range(m) for c in range(m) if c != z and poly.reach[c, z]
+    )
+
+    def objective(k):
+        out = np.zeros(poly.num_metric_vars)
+        out[[poly.var(v, c) for v in range(k)]] = 1.0
+        return out
+
+    return _PolytopeSolver(poly), z, c, objective
+
+
+def test_a_lowered_tableau_keeps_its_width_and_rows():
+    solver, z, c, objective = _top_k_case()
+    poly = solver.polytope
+    n, nm = poly.num_agents, poly.num_metric_vars
+    solver.maximize(objective(3), opponent=z, k=3, support=[c])
+    live = solver.live[z]
+    tableau, labels = live.tableau, live.labels.copy()
+    width = tableau.objective.size
+    for k in (2, 1):
+        before = dict(solver.stats)
+        value, _ = solver.maximize(objective(k), opponent=z, k=k, support=[c])
+        stats = solver.stats_since(before)
+        assert stats["k_switches"] == 1 and stats["cold_builds"] == 0, k
+        assert stats["refactors"] == stats["rebuilds"] == 0, k
+        assert solver.live[z] is live and live.tableau is tableau, k
+        assert live.k == k and tableau.objective.size == width == nm + n + 1
+        assert tableau.rows[0, nm] == k
+        assert live.labels[: labels.size].tolist() == labels.tolist(), k
+        labels = live.labels.copy()
+        _assert_no_phase_one(solver)
+        fresh, _ = _PolytopeSolver(poly).maximize(
+            objective(k), opponent=z, k=k, support=[c]
+        )
+        assert value == pytest.approx(fresh, rel=1e-12), k
+
+
+def test_raising_k_builds_cold_seeded_by_the_opponents_own_tableau():
+    solver, z, c, objective = _top_k_case()
+    poly = solver.polytope
+    solver.maximize(objective(2), opponent=z, k=2, support=[c])
+    chain = poly.chain_quadruples(c, z)
+
+    def donated(live):
+        tight = live.labels[(live.labels >= 0) & ~live.tableau.basic_slacks()]
+        return tight[~np.isin(tight, chain)]
+
+    own = solver.live[z]
+    expected = donated(own)
+    assert expected.size > 0
+    # Another opponent's tableau is the most recently used one.
+    m = poly.num_alternatives
+    other = next(o for o in range(m) if o not in (z, c) and poly.reach[c, o])
+    point = np.tile(np.eye(m)[c], poly.num_agents)
+    solver.maximize(point, opponent=other, k=poly.num_agents, support=[c])
+    assert set(donated(solver.live[other])) != set(expected)
+    before = dict(solver.stats)
+    value, _ = solver.maximize(objective(3), opponent=z, k=3, support=[c])
+    stats = solver.stats_since(before)
+    assert stats["cold_builds"] == 1 and stats["k_switches"] == 0
+    assert stats["seeded_rows"] == expected.size
+    assert solver.live[z] is not own and solver.live[z].k == 3
+    assert np.isin(expected, solver.live[z].labels).all()
+    fresh, _ = _PolytopeSolver(poly).maximize(
+        objective(3), opponent=z, k=3, support=[c]
+    )
+    assert value == pytest.approx(fresh, rel=1e-12)
+
+
+def test_a_failed_refactor_lowers_k_by_a_cold_build(monkeypatch):
+    rankings = random_profile(5, 4, np.random.default_rng(239)).rankings
+    switched = fairness_det(0, PreferenceProfile(rankings))
+
+    def singular(self, row, column, value):
+        raise SolverFailure("basis matrix is singular")
+
+    monkeypatch.setattr(linprog.Tableau, "set_coefficient", singular)
+    cold = fairness_det(0, PreferenceProfile(rankings))
+    stats = cold.solver_stats
+    assert stats["k_switches"] == switched.solver_stats["k_switches"] > 0
+    assert stats["rebuilds"] == stats["k_switches"]
+    builds = switched.solver_stats["cold_builds"] + stats["rebuilds"]
+    assert stats["cold_builds"] == builds
+    for k, value in switched.per_k.items():
+        assert _same_ratio(cold.per_k[k], value), k
+    assert cold.argmax == switched.argmax
 
 
 def test_seeded_builds_keep_the_separation_rounds_of_the_hard_family():

@@ -257,6 +257,21 @@ def test_refactor_keeps_the_optimum():
         np.testing.assert_allclose(after.assignment, before.assignment, atol=1e-9)
 
 
+def test_set_coefficient_refactors_in_the_same_basis():
+    # max x + y over 2x + y <= 2, x + 2y <= 2: x = y = 2/3, both basic.
+    lp = LinearProgram([1.0, 1.0], [[2.0, 1.0], [1.0, 2.0]], [2.0, 2.0])
+    tableau = Tableau(lp)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    pivots = tableau.primal_pivots
+    tableau.set_coefficient(0, 0, 1.5)  # the basis now solves x = 1, y = 1/2
+    assert tableau.rows[0, 0] == 1.5 and tableau.refactors == 0
+    np.testing.assert_allclose(tableau.outcome().assignment, [1.0, 0.5], atol=1e-15)
+    assert tableau.optimize() is LpStatus.OPTIMAL  # still optimal: no pivot
+    assert tableau.primal_pivots == pivots and tableau.dual_pivots == 0
+    with pytest.raises(SolverFailure, match="singular"):
+        tableau.set_coefficient(0, 0, 0.5)  # rows (0.5, 1) and (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Condensed tableau against the full-width reference in tests/oracles.py
 
