@@ -29,16 +29,19 @@ slack basis, and separation generates quadrilaterals alone. Each opponent
 keeps one live simplex tableau, for one k. Generated rows enter it and are
 re-optimized by the dual simplex, and the next objective at that opponent
 and k (another candidate, subset or lottery) resumes from the last optimal
-basis. A smaller k below N at the same opponent, the next step of a
-fairness sweep, keeps the tableau too: k is tau's coefficient in the rhs-1
-row, the one entry that changes, and the tableau is refactored in its
-basis, which stays primal feasible (:meth:`_PolytopeSolver._lower_k`). A
-new opponent, k = N to N - 1 (a wider tableau) or a larger k takes a new
-tableau, built cold over the normalization, the objective's chain rows
-(below) and the quadrilateral rows tight at the optimum of the last
-tableau: the opponent's own on a change of k, else the most recently used.
-Rows that bind at one optimum mostly bind near the next, so that seed
-spares most of the separation rounds.
+basis; if that basis is already optimal for the objective, the optimum
+the tableau holds answers with no re-solve and no separation round. A
+smaller k below N at the same opponent, the next step of a fairness
+sweep, keeps the tableau too: k is tau's coefficient in the rhs-1 row, the
+one entry that changes, and it enters by one rank-one update in the
+tableau's basis, which stays primal feasible
+(:meth:`_PolytopeSolver._lower_k`). A new opponent, k = N to N - 1 (a
+wider tableau) or a larger k takes a new tableau, built cold over the
+normalization, the objective's chain rows (below) and the quadrilateral
+rows tight at the optimum of the last tableau: the opponent's own on a
+change of k, else the most recently used. Rows that bind at one optimum
+mostly bind near the next, so that seed spares most of the separation
+rounds.
 
 A quadrilateral (v, v', c, c') is named by its id ``((v N + v') M + c) M + c'``,
 its flat index into the gaps of :func:`metricspace._quad_gaps`. Separation
@@ -142,7 +145,7 @@ SOLVER_STATS = (
     "objectives",  # maximize calls that solved an LP to an optimum
     "cold_builds",  # tableaux built from scratch
     "warm_solves",  # re-optimizations of a live tableau
-    "k_switches",  # k lowered in place on a live tableau, refactored
+    "k_switches",  # k lowered in place on a live tableau, by a rank-one update
     "primal_pivots",
     "dual_pivots",
     "refactors",  # tableaux recomputed from their rows to shed round-off
@@ -152,6 +155,7 @@ SOLVER_STATS = (
     "separation_rounds",  # searches for violated rows
     "seeded_rows",  # quadrilateral rows a cold build took from the last tableau
     "reused",  # k = N queries answered from a stored optimum, with no LP
+    "held",  # LPs answered from their tableau's held optimum, with no re-solve
     # A level, not a count: quadrilateral rows held across the live
     # tableaux when the call returns.
     "pool_rows",
@@ -476,8 +480,11 @@ class _LiveLp:
     held; ``chained`` a mask over the columns, True on those whose chain
     rows to ``opponent`` are held (see the module docstring). ``opponent``
     and the int ``k`` are the normalization held; below N, ``k`` is tau's
-    coefficient in the rhs-1 row, and lowering it changes that entry alone
-    (:meth:`_PolytopeSolver._lower_k`), so the rows and labels stay.
+    coefficient in the rhs-1 row, and lowering it changes that entry alone,
+    by a rank-one update (:meth:`_PolytopeSolver._lower_k`), so the rows and
+    labels stay. ``held`` is ``(assignment, metric)`` of the current basis
+    once a separation round there found nothing, and None after anything
+    that changes the tableau: rows added, k lowered, a re-optimization.
     """
 
     tableau: Tableau
@@ -486,6 +493,7 @@ class _LiveLp:
     chained: np.ndarray
     opponent: int
     k: int
+    held: tuple | None = None
 
 
 class _PolytopeSolver:
@@ -503,12 +511,14 @@ class _PolytopeSolver:
     New rows enter a tableau and are re-optimized by the dual simplex; a
     new objective at the same opponent and k (:meth:`_retarget`) takes in
     the chain rows the tableau lacks and resumes the simplex from the last
-    optimal basis. A smaller k below N at the same opponent is first set in
-    place on its tableau, refactored in the same basis (:meth:`_lower_k`),
-    then retargeted. Another opponent, k = N to N - 1, or a larger k builds
-    a tableau cold (:meth:`_start`), seeded with the rows tight at the last
-    tableau's optimum. Which rows a tableau lacks and which it passes on
-    are mask operations on its labels, taken in label order.
+    optimal basis, or answers from the optimum it holds if that basis needs
+    no pivot. A smaller k below N at the same opponent is first set in
+    place on its tableau, by a rank-one update in the same basis
+    (:meth:`_lower_k`), then retargeted. Another opponent, k = N to N - 1,
+    or a larger k builds a tableau cold (:meth:`_start`), seeded with the
+    rows tight at the last tableau's optimum. Which rows a tableau lacks
+    and which it passes on are mask operations on its labels, taken in
+    label order.
 
     ``optima`` keeps every k = N optimum solved, keyed by the opponent and
     the objective's bytes, as ``(value, metric)`` with the metric read-only;
@@ -556,8 +566,9 @@ class _PolytopeSolver:
         opponent's live tableau, over the increments; ``metric`` is the
         ``N x M`` costs of the optimum, read-only. A k = N query already
         solved returns the stored optimum (``optima``), with no tableau work.
-        The opponent's tableau serves the same k warm, and a smaller k below
-        N once lowered in place; any other k, or an opponent without a
+        The opponent's tableau serves the same k warm, from the optimum it
+        holds if its basis needs no pivot, and a smaller k below N once
+        lowered in place; any other k, or an opponent without a
         tableau, takes a seeded cold build.
 
         Raises:
@@ -577,13 +588,13 @@ class _PolytopeSolver:
         if live is not None and k < live.k < self.polytope.num_agents:
             self._lower_k(live, k)
         if live is not None and live.k == k:
-            status, out = self._retarget(live, cost, support)
+            value, metric = self._retarget(live, cost, support)
         else:
             # Seeded by the opponent's own tableau on a change of k, else by
             # the most recently used one.
             donor = live or next(reversed(self.live.values()), None)
             live, status, out = self._start(cost, opponent, k, support, donor)
-        value, metric = self._generate_rows(live, status, out)
+            value, metric = self._generate_rows(live, status, out)
         self.live[opponent] = live
         self.stats["objectives"] += 1
         metric.setflags(write=False)
@@ -651,25 +662,37 @@ class _PolytopeSolver:
 
     def _retarget(self, live, cost, support):
         """Move a live tableau to the objective ``cost`` (over the
-        increments) at the same opponent and k; ``(status, outcome)``.
+        increments) at the same opponent and k; ``(value, metric)``.
 
-        The objective's chain rows the tableau lacks enter, and the new
+        The objective's chain rows the tableau lacks enter first (any row
+        clears the held optimum), then the objective. If the tableau still
+        holds an optimum and its basis needs no pivot
+        (:meth:`Tableau.at_optimum`), that optimum answers: its assignment
+        passed verification against every row held and separation found
+        nothing, and a re-solve would compute the same bits. Else the new
         objective resumes the simplex from the last optimal basis in one
-        warm re-optimization. Chain rows are quadrilateral rows, which the
-        last optimum passed separation on within ``_SEP_TOL``, so they enter
-        with slack ``-_SEP_TOL`` or above, well inside the drift that
-        :meth:`Tableau.optimize` leaves to the primal simplex.
+        warm re-optimization, then separation runs. Chain rows are
+        quadrilateral rows, which the last optimum passed separation on
+        within ``_SEP_TOL``, so they enter with slack ``-_SEP_TOL`` or
+        above, well inside the drift that :meth:`Tableau.optimize` leaves to
+        the primal simplex.
         """
         chain = self._chain_rows(support, live.opponent, live.chained)
         missing = chain[~live.in_tableau[chain]]
         if missing.size:
             self._add_quads(live, missing)
-        live.tableau.set_objective(_padded(cost, live.tableau.objective.size))
-        return self._reoptimize(live)
+        tableau = live.tableau
+        tableau.set_objective(_padded(cost, tableau.objective.size))
+        if live.held is not None and tableau.at_optimum():
+            self.stats["held"] += 1
+            x, metric = live.held
+            return float(tableau.objective @ x), metric
+        return self._generate_rows(live, *self._reoptimize(live))
 
     def _lower_k(self, live, k):
         """Lower a live tableau's k in place: tau's coefficient in the
-        rhs-1 row becomes ``k``, and the tableau is refactored in its basis.
+        rhs-1 row becomes ``k``, by one rank-one update in its basis
+        (:meth:`Tableau.update_coefficient`).
 
         The basis stays primal feasible and nonsingular. A live tableau
         sits at its last optimum x* (a call that raises leaves none), the
@@ -680,21 +703,14 @@ class _PolytopeSolver:
         ``a = 1 - (k_old - k) tau* >= k / k_old``, still solves every
         homogeneous row and makes the changed rhs-1 row read 1 again: it is
         the new basic solution, and nonnegative. B's determinant is
-        multiplied by ``a`` (the matrix determinant lemma). A refactor that
-        fails anyway, to round-off, is answered by a cold build of the
-        changed program, counted in ``rebuilds``.
+        multiplied by ``a`` (the matrix determinant lemma). Round-off is
+        left to the warm solve's verification and drift refactor, and to
+        :meth:`_reoptimize`'s cold rebuild, whose program holds the new k.
         """
         self.stats["k_switches"] += 1
         live.k = k
-        tableau, tau = live.tableau, self.polytope.num_metric_vars
-        try:
-            tableau.set_coefficient(0, tau, k)
-        except SolverFailure:
-            self.stats["rebuilds"] += 1
-            rows = tableau.rows.copy()
-            rows[0, tau] = k
-            lp = LinearProgram(tableau.objective, rows, tableau.rhs)
-            live.tableau, _, _ = self._cold(lp, live.opponent, k)
+        live.held = None
+        live.tableau.update_coefficient(0, self.polytope.num_metric_vars, k)
 
     def _generate_rows(self, live, status, out):
         """Separation rounds until the optimum violates no quadrilateral;
@@ -719,6 +735,7 @@ class _PolytopeSolver:
                 metric, _SEP_TOL, live.in_tableau, _SEPARATION_BATCH
             )
             if not new.size:
+                live.held = out.assignment, metric
                 return out.value, metric
 
             self._add_quads(live, new)
@@ -733,6 +750,7 @@ class _PolytopeSolver:
         live.tableau.add_rows(rows, np.zeros(len(ids)))
         live.labels = np.concatenate([live.labels, ids])
         live.in_tableau[ids] = True
+        live.held = None
 
     def _run(self, tableau):
         """Optimize ``tableau``; the outcome is verified, pivots counted."""
@@ -751,6 +769,7 @@ class _PolytopeSolver:
     def _reoptimize(self, live):
         """Warm re-optimization, rebuilt cold if it fails."""
         self.stats["warm_solves"] += 1
+        live.held = None
         tableau = live.tableau
         try:
             return self._run(tableau)

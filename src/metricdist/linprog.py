@@ -9,16 +9,18 @@ always feasible, and a :class:`Tableau` is built cold at the slack basis
 with no pivot. It then stays live: rows added to it enter against the
 current basis and are re-optimized by the dual simplex (the old basis stays
 dual feasible), and a new objective resumes the primal simplex from the
-last basis. A changed constraint coefficient is taken in by refactoring
-the tableau from its rows in the current basis. :func:`solve` is a cold
-build plus one optimization. The tableau is condensed: it stores only the
-columns of the nonbasic variables, so a pivot is a Jordan exchange that
-updates (rows + 1) x (nonbasic + 1) cells. Its per-constraint arrays keep
-spare rows from the build on, grown by doubling, so added rows are written
-in place instead of copying the tableau on every addition. Both pivot
-loops run a greedy rule for speed and switch permanently to Bland's rule
-after a stall, so termination is guaranteed even on the highly degenerate
-metric polytopes this package produces.
+last basis. A changed coefficient of the one row with a nonzero rhs is
+taken in by a rank-one update in the current basis, and
+:meth:`Tableau.at_optimum` tells whether a basis needs any pivot at all.
+:func:`solve` is a cold build plus one optimization. The tableau is
+condensed: it stores only the columns of the nonbasic variables, so a
+pivot is a Jordan exchange that updates (rows + 1) x (nonbasic + 1) cells.
+Its per-constraint arrays keep spare rows from the build on, grown by
+doubling, so added rows are written in place instead of copying the
+tableau on every addition. Both pivot loops run a greedy rule for speed
+and switch permanently to Bland's rule after a stall, so termination is
+guaranteed even on the highly degenerate metric polytopes this package
+produces.
 """
 
 from __future__ import annotations
@@ -389,6 +391,9 @@ class Tableau:
         self._nonbasic = np.arange(n)  # label of each column's nonbasic variable
         self._next_label = n + m
         self._set_cost_row()
+        # The basic solution and its row excesses, until the basis or the
+        # rows change: the objective does not enter them.
+        self._checked = None
 
     def _view(self, m):
         """Point the per-constraint arrays at the leading rows of their buffers."""
@@ -404,8 +409,6 @@ class Tableau:
         T[-1] = c[basis[basic]] @ T[basic]
         structural = (nonbasic < n).nonzero()[0]
         T[-1, structural] -= c[nonbasic[structural]]
-        # The basic solution and its row excesses, until the tableau changes.
-        self._checked = None
 
     def basic_slacks(self) -> np.ndarray:
         """Mask over the constraints: those whose slack is basic.
@@ -490,23 +493,68 @@ class Tableau:
         except np.linalg.LinAlgError:
             raise SolverFailure("basis matrix is singular") from None
         self._set_cost_row()
+        self._checked = None
 
-    def set_coefficient(self, row, column, value):
-        """Set one constraint coefficient, then :meth:`refactor` in the current basis.
+    def update_coefficient(self, row, column, value):
+        """Set one coefficient of constraint ``row``, whose rhs must be 1 and
+        the only nonzero one, by a rank-one update in the current basis.
+
+        The rhs is then ``e_row``, so the last column ``t``, the basic
+        values above the objective's value, is ``B^-1 e_row`` (cost row
+        included): the direction along which a change ``delta`` of the
+        coefficient moves the tableau. A nonbasic variable's column gains
+        ``delta t``. A basic one's, in row r, changes column r of the basis
+        matrix B, and Sherman-Morrison gives
+        ``T -= (delta / a) outer(t, T[r])`` with ``a = 1 + delta t[r]``: the
+        basic solution becomes ``x / a``. No pivot: the basis stays, and so
+        does its dual feasibility.
 
         Raises:
-            SolverFailure: the basis matrix of the changed rows is singular.
+            LpInputError: the rhs of ``row`` is not 1, or another is not 0.
+            SolverFailure: ``a <= pivot_tol``: the changed basis matrix is
+                singular, or its basic solution negative. The tableau is
+                then left unchanged.
         """
+        if self.rhs[row] != 1.0 or np.count_nonzero(self.rhs) != 1:
+            raise LpInputError(f"the rhs must be 1 on constraint {row} and 0 elsewhere")
+        T = self._T
+        delta = value - self.rows[row, column]
+        nonbasic = (self._nonbasic == column).nonzero()[0]
+        if nonbasic.size:
+            T[:, nonbasic[0]] += delta * T[:, -1]
+        else:
+            r = int((self._basis == column).nonzero()[0][0])
+            a = 1.0 + delta * T[r, -1]
+            if not a > self.pivot_tol:
+                raise SolverFailure(f"basis matrix would be singular: a = {a}")
+            T -= (delta / a) * np.outer(T[:, -1], T[r])
         self.rows[row, column] = value
-        self.refactor()
+        self._checked = None
 
     def set_objective(self, objective):
-        """Switch to ``objective`` from the current basis."""
+        """Switch to ``objective`` from the current basis.
+
+        The basic solution and its verification stay: they depend on the
+        basis and the rows alone.
+        """
         objective = np.asarray(objective, dtype=float)
         if objective.shape != self.objective.shape:
             raise LpInputError("objective must keep the number of variables")
         self.objective = objective
         self._set_cost_row()
+
+    def at_optimum(self) -> bool:
+        """Whether :meth:`optimize` would return at once: no pivot, no refactor.
+
+        True when no basic value and no reduced cost is below ``-pivot_tol``
+        and the basic solution violates no row by more than ``_DRIFT_TOL``.
+        """
+        T, tol = self._T, self.pivot_tol
+        return bool(
+            _min(T[:-1, -1], initial=0.0) >= -tol
+            and _min(T[-1, :-1], initial=0.0) >= -tol
+            and self._residual() <= _DRIFT_TOL
+        )
 
     def optimize(self) -> LpStatus:
         """Re-optimize from the current basis.

@@ -8,6 +8,7 @@ import pytest
 
 from metricdist import linprog
 from metricdist.distortion import (
+    _COUNTERS,
     _FIXED,
     _TOP_K,
     GRID_BUDGET,
@@ -16,6 +17,7 @@ from metricdist.distortion import (
     MetricPolytope,
     _first_within_tie,
     _PolytopeSolver,
+    _solve_tuple,
     _solver_for,
     a_det,
     a_rand,
@@ -1622,23 +1624,49 @@ def test_raising_k_builds_cold_seeded_by_the_opponents_own_tableau():
     assert value == pytest.approx(fresh, rel=1e-12)
 
 
-def test_a_failed_refactor_lowers_k_by_a_cold_build(monkeypatch):
+def test_a_failed_warm_solve_after_a_k_switch_rebuilds_cold_at_the_new_k(
+    monkeypatch,
+):
     rankings = random_profile(5, 4, np.random.default_rng(239)).rankings
     switched = fairness_det(0, PreferenceProfile(rankings))
+    lower_k, optimize, cold = (
+        _PolytopeSolver._lower_k,
+        linprog.Tableau.optimize,
+        _PolytopeSolver._cold,
+    )
+    lowered, rebuilt = set(), []
 
-    def singular(self, row, column, value):
-        raise SolverFailure("basis matrix is singular")
+    def lower_and_mark(self, live, k):
+        lower_k(self, live, k)
+        lowered.add(live.tableau)
 
-    monkeypatch.setattr(linprog.Tableau, "set_coefficient", singular)
-    cold = fairness_det(0, PreferenceProfile(rankings))
-    stats = cold.solver_stats
+    def fail_once_lowered(self):
+        if self in lowered:
+            lowered.discard(self)
+            raise SolverFailure("round-off, on purpose")
+        return optimize(self)
+
+    def record_cold(self, lp, opponent, k):
+        rebuilt.append((lp.A_ub[0, self.polytope.num_metric_vars :], k))
+        return cold(self, lp, opponent, k)
+
+    monkeypatch.setattr(_PolytopeSolver, "_lower_k", lower_and_mark)
+    monkeypatch.setattr(linprog.Tableau, "optimize", fail_once_lowered)
+    monkeypatch.setattr(_PolytopeSolver, "_cold", record_cold)
+    failed = fairness_det(0, PreferenceProfile(rankings))
+    stats = failed.solver_stats
     assert stats["k_switches"] == switched.solver_stats["k_switches"] > 0
-    assert stats["rebuilds"] == stats["k_switches"]
+    assert stats["rebuilds"] == stats["k_switches"] and not lowered
     builds = switched.solver_stats["cold_builds"] + stats["rebuilds"]
-    assert stats["cold_builds"] == builds
+    assert stats["cold_builds"] == builds == len(rebuilt)
+    # Each build below N, a rebuild after a switch included, runs the
+    # program with its k as tau's coefficient in the rhs-1 row.
+    n = len(rankings)
+    assert all(row[0] == k for row, k in rebuilt if k < n)
+    assert sum(k < n - 1 for _, k in rebuilt) == stats["rebuilds"]
     for k, value in switched.per_k.items():
-        assert _same_ratio(cold.per_k[k], value), k
-    assert cold.argmax == switched.argmax
+        assert _same_ratio(failed.per_k[k], value), k
+    assert failed.argmax == switched.argmax
 
 
 def test_seeded_builds_keep_the_separation_rounds_of_the_hard_family():
@@ -1828,6 +1856,72 @@ def test_retarget_with_missing_chain_rows_makes_one_warm_solve():
     for c, value in ((c1, first), (c2, second)):
         fresh, _ = a_det(c, z, PreferenceProfile(profile.rankings))
         assert value == pytest.approx(fresh, rel=1e-9), c
+
+
+def test_a_held_optimum_gives_the_bits_of_a_re_solve():
+    # Two solvers run the same fairness sweep, call by call; the twin
+    # forgets its held optimum before every call, so it always re-solves.
+    # Where the solver answers from the held optimum, the twin makes one
+    # warm solve with no pivot and one separation round that finds nothing.
+    # At every call both return the same bits and keep the same basis.
+    held = 0
+    for seed in (241, 251, 257):
+        rankings = random_profile(4, 4, np.random.default_rng(seed)).rankings
+        solver, twin = (
+            _PolytopeSolver(MetricPolytope(PreferenceProfile(rankings)))
+            for _ in range(2)
+        )
+        poly, n, m = solver.polytope, len(rankings), 4
+        x, support = np.eye(m)[0], [0]
+        opponents = [z for z in range(1, m) if poly.reach[0, z]]
+        for k in range(n, 0, -1):
+            for z in opponents:
+                for subsets in poly.subset_tuples(k, 1):
+                    if z in twin.live:
+                        twin.live[z].held = None
+                    before, twin_before = dict(solver.stats), dict(twin.stats)
+                    value, metric = _solve_tuple(solver, x, support, subsets, z, k)
+                    again, twin_metric = _solve_tuple(twin, x, support, subsets, z, k)
+                    assert value == again and metric.tobytes() == twin_metric.tobytes()
+                    ours, theirs = solver.live[z].tableau, twin.live[z].tableau
+                    assert ours._basis.tolist() == theirs._basis.tolist()
+                    assert ours._nonbasic.tolist() == theirs._nonbasic.tolist()
+                    work = solver.stats_since(before)
+                    twin_work = twin.stats_since(twin_before)
+                    assert twin_work["held"] == 0
+                    if work["held"]:
+                        held += 1
+                        done = {key for key in _COUNTERS if work[key]}
+                        assert done == {"objectives", "held"}
+                        assert twin_work["warm_solves"] == 1
+                        assert twin_work["separation_rounds"] == 1
+                        pivots = twin_work["primal_pivots"] + twin_work["dual_pivots"]
+                        assert pivots == twin_work["refactors"] == 0
+    assert held > 20
+
+
+def test_a_retarget_that_adds_chain_rows_never_reads_the_held_optimum():
+    # z's tableau holds the optimum of c1's objective. The next objective
+    # adds a weight on c2 below every tolerance, so that optimum still
+    # passes every optimality test, but c2's chain rows are missing: they
+    # enter first, and any added row clears the held optimum.
+    profile, c1, c2, z = _retarget_case()
+    solver = _PolytopeSolver(MetricPolytope(profile))
+    n, m = profile.num_agents, profile.num_alternatives
+    objective = np.tile(np.eye(m)[c1], n)
+    solver.maximize(objective, opponent=z, k=n, support=[c1])
+    assert solver.live[z].held is not None
+    nudged = objective.copy()
+    nudged[c2] = 1e-13  # agent 0's cost of c2
+    before = dict(solver.stats)
+    value, _ = solver.maximize(nudged, opponent=z, k=n, support=sorted([c1, c2]))
+    stats = solver.stats_since(before)
+    assert stats["held"] == 0 and stats["warm_solves"] >= 1
+    assert solver.live[z].held is not None  # held anew at the new optimum
+    fresh, _ = _PolytopeSolver(MetricPolytope(profile)).maximize(
+        nudged, opponent=z, k=n, support=sorted([c1, c2])
+    )
+    assert value == pytest.approx(fresh, rel=1e-9)
 
 
 def test_violated_quadruples_match_the_gaps_reference_at_every_size():

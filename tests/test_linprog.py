@@ -257,19 +257,112 @@ def test_refactor_keeps_the_optimum():
         np.testing.assert_allclose(after.assignment, before.assignment, atol=1e-9)
 
 
-def test_set_coefficient_refactors_in_the_same_basis():
-    # max x + y over 2x + y <= 2, x + 2y <= 2: x = y = 2/3, both basic.
-    lp = LinearProgram([1.0, 1.0], [[2.0, 1.0], [1.0, 2.0]], [2.0, 2.0])
+def _normalized_random_lp(rng):
+    """A random program whose first row, with positive entries, holds the
+    only nonzero rhs, 1, and bounds every variable: a distortion LP's shape."""
+    n, m = int(rng.integers(2, 6)), int(rng.integers(2, 7))
+    A_ub = rng.integers(-3, 4, size=(m, n)).astype(float)
+    A_ub[0] = rng.integers(1, 4, size=n)
+    b_ub = np.zeros(m)
+    b_ub[0] = 1.0
+    return LinearProgram(rng.integers(0, 4, size=n).astype(float), A_ub, b_ub)
+
+
+def test_update_coefficient_equals_a_refactor_in_the_same_basis():
+    # Lower one coefficient of the rhs-1 row at an optimum, as a k switch
+    # lowers tau's: the rank-one update agrees with a refactor from the
+    # changed rows, and the basic solution x* becomes x* / a, with
+    # a = 1 + delta x*_j (1 for a nonbasic variable, whose x*_j is 0).
+    rng = np.random.default_rng(59)
+    basic_seen = set()
+    for _ in range(60):
+        lp = _normalized_random_lp(rng)
+        tableau = Tableau(lp)
+        assert tableau.optimize() is LpStatus.OPTIMAL
+        x = tableau.outcome().assignment
+        for j in range(lp.num_vars):
+            updated, reference = Tableau(lp), Tableau(lp)
+            for t in (updated, reference):
+                t.optimize()
+            value = lp.A_ub[0, j] * rng.uniform(0.1, 0.9)
+            a = 1.0 + (value - lp.A_ub[0, j]) * x[j]
+            updated.update_coefficient(0, j, value)
+            reference.rows[0, j] = value
+            reference.refactor()
+            basic_seen.add(bool(np.isin(j, tableau._basis)))
+            assert updated.rows[0, j] == value and updated.refactors == 0
+            np.testing.assert_array_equal(updated._basis, tableau._basis)
+            np.testing.assert_allclose(updated._T, reference._T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                updated.outcome().assignment, x / a, rtol=0, atol=1e-12
+            )
+    assert basic_seen == {True, False}
+
+
+def test_update_coefficient_keeps_the_basis_or_refuses():
+    # max x over 2x <= 1 and x - y <= 0: x = y = 1/2, both basic.
+    lp = LinearProgram([1.0, 0.0], [[2.0, 0.0], [1.0, -1.0]], [1.0, 0.0])
     tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
     pivots = tableau.primal_pivots
-    tableau.set_coefficient(0, 0, 1.5)  # the basis now solves x = 1, y = 1/2
-    assert tableau.rows[0, 0] == 1.5 and tableau.refactors == 0
-    np.testing.assert_allclose(tableau.outcome().assignment, [1.0, 0.5], atol=1e-15)
+    tableau.update_coefficient(0, 0, 1.0)  # a = 1/2: x = y = 1
+    np.testing.assert_allclose(tableau.outcome().assignment, [1.0, 1.0], atol=1e-15)
+    assert tableau.at_optimum()
     assert tableau.optimize() is LpStatus.OPTIMAL  # still optimal: no pivot
     assert tableau.primal_pivots == pivots and tableau.dual_pivots == 0
     with pytest.raises(SolverFailure, match="singular"):
-        tableau.set_coefficient(0, 0, 0.5)  # rows (0.5, 1) and (1, 2)
+        tableau.update_coefficient(0, 0, 0.0)  # a = 0: x would be unbounded
+    assert tableau.rows[0, 0] == 1.0
+    np.testing.assert_allclose(tableau.outcome().assignment, [1.0, 1.0], atol=1e-15)
+    two = Tableau(LinearProgram([1.0], [[1.0], [2.0]], [1.0, 1.0]))
+    with pytest.raises(LpInputError, match="rhs must be 1"):
+        two.update_coefficient(0, 0, 0.5)
+
+
+def test_at_optimum_is_an_optimize_that_makes_no_pivot_and_no_refactor():
+    rng = np.random.default_rng(61)
+    seen = set()
+    for _ in range(80):
+        lp = _random_lp(rng)
+        tableau = Tableau(lp)
+        for step in range(6):
+            if step % 2:
+                tableau.set_objective(
+                    rng.integers(-3, 4, size=lp.num_vars).astype(float)
+                )
+            elif step:
+                tableau.add_rows(
+                    rng.integers(-3, 4, size=(1, lp.num_vars)).astype(float),
+                    rng.integers(0, 3, size=1).astype(float),
+                )
+            at_optimum = tableau.at_optimum()
+            work = tableau.primal_pivots + tableau.dual_pivots + tableau.refactors
+            try:
+                status = tableau.optimize()
+            except SolverFailure:
+                assert not at_optimum
+                break
+            after = tableau.primal_pivots + tableau.dual_pivots + tableau.refactors
+            idle = status is LpStatus.OPTIMAL and after == work
+            assert at_optimum == idle
+            seen.add(idle)
+            if status is not LpStatus.OPTIMAL:
+                break
+    assert seen == {True, False}
+
+
+def test_at_optimum_refuses_a_negative_basic_variable():
+    # The basis {x, y} of x + y <= 1, y <= 2 solves y = 2, x = -1: every row
+    # holds, and zero reduced costs allow no primal pivot, but x < 0.
+    tableau = Tableau(LinearProgram([0.0, 0.0], [[1.0, 1.0], [0.0, 1.0]], [1.0, 2.0]))
+    T, basis, nonbasic = tableau._T, tableau._basis, tableau._nonbasic
+    linprog._do_pivot(T, basis, nonbasic, 1, 1)  # y enters in the row y <= 2
+    linprog._do_pivot(T, basis, nonbasic, 0, 0)  # then x, in x + y <= 1
+    assert sorted(basis.tolist()) == [0, 1]
+    assert tableau._residual() == 0.0
+    assert not tableau.at_optimum()
+    with pytest.raises(SolverFailure, match="nonnegativity"):
+        tableau.outcome()
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +458,20 @@ def test_row_violated_at_the_optimum_is_refactored():
     assert tableau.optimize() is LpStatus.OPTIMAL
     assert tableau.refactors == 1
     assert tableau.outcome().value == pytest.approx(0.5, abs=1e-12)
+
+
+def test_at_optimum_refuses_an_optimum_that_drifted_from_its_rows():
+    # At x = 1, optimal for x <= 1, the stored rhs moves to 0.5, and an
+    # added row 0 <= 0 drops the cached check: the basis still looks
+    # optimal, but its solution violates the stored row, so optimize would
+    # refactor.
+    tableau = Tableau(LinearProgram([1.0], [[1.0]], [1.0]))
+    assert tableau.optimize() is LpStatus.OPTIMAL and tableau.at_optimum()
+    tableau.rhs[0] = 0.5
+    tableau.add_rows([[0.0]], [0.0])
+    assert not tableau.at_optimum()
+    assert tableau.optimize() is LpStatus.OPTIMAL and tableau.refactors == 1
+    assert tableau.at_optimum()
 
 
 def test_added_rows_fill_spare_rows_grown_by_doubling():
