@@ -380,17 +380,9 @@ def _cmd_distortion(args) -> int:
         )
 
     if outcome.distribution is not None:
-        report = dist_rand(
-            outcome.distribution, profile, rule=args.rule, seed=args.seed
-        )
+        report = dist_rand(outcome.distribution, profile)
     else:
-        report = dist_det(
-            outcome.winner,
-            profile,
-            rule=args.rule,
-            tie_break=tie_break,
-            seed=args.seed,
-        )
+        report = dist_det(outcome.winner, profile)
     if args.witness and report.witness is not None:
         args.witness.write_text(
             serialize_cost_matrix(report.witness), encoding="utf-8"

@@ -103,6 +103,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from metricdist.linprog import (
+    DEFAULT_FEAS_TOL,
     DEFAULT_PIVOT_TOL,
     LinearProgram,
     LpStatus,
@@ -129,7 +130,6 @@ __all__ = [
     "grid_oracle",
 ]
 
-DEFAULT_FEAS_TOL = 1e-7
 # A row enters the relaxation once the optimum violates it by more.
 _SEP_TOL = 1e-9
 WITNESS_TOL = 1e-6
@@ -784,7 +784,7 @@ class _PolytopeSolver:
         self.stats["cold_builds"] += 1
         for pivot_tol in (DEFAULT_PIVOT_TOL, _RETRY_PIVOT_TOL):
             try:
-                tableau = Tableau(lp, pivot_tol=pivot_tol, feas_tol=DEFAULT_FEAS_TOL)
+                tableau = Tableau(lp, pivot_tol=pivot_tol)
                 return (tableau, *self._run(tableau))
             except SolverFailure as exc:
                 failure = exc
@@ -868,16 +868,13 @@ def _padded(rows, width):
 class DistortionReport:
     """Worst-case ratio for one outcome, with a feasibility-checked witness."""
 
-    rule: str
     value: float
     winner: int | None = None
     distribution: np.ndarray | None = None
     opponent: int | None = None
     witness: CostMatrix | None = None
     per_opponent: dict = field(default_factory=dict)
-    tie_break: list | None = None
     tolerances: dict = field(default_factory=dict)
-    seed: int | None = None
     # How the LPs were solved: counts keyed by SOLVER_STATS.
     solver_stats: dict = field(default_factory=lambda: dict.fromkeys(SOLVER_STATS, 0))
 
@@ -971,27 +968,22 @@ def _validated_alternative(c, m, name="alternative"):
     return int(c)
 
 
-def dist_det(winner, profile, *, rule="", tie_break=None, seed=None):
+def dist_det(winner, profile):
     """Worst-case distortion of picking ``winner``: max over opponents of a_det."""
     return _distortion_report(
         profile,
         winner=_validated_alternative(winner, profile.num_alternatives, "winner"),
         distribution=None,
-        rule=rule,
-        tie_break=tie_break,
-        seed=seed,
     )
 
 
-def dist_rand(x, profile, *, rule="", tie_break=None, seed=None):
+def dist_rand(x, profile):
     """Worst-case expected distortion of distribution ``x``."""
     x = _validated_distribution(x, profile.num_alternatives)
-    return _distortion_report(
-        profile, winner=None, distribution=x, rule=rule, tie_break=tie_break, seed=seed
-    )
+    return _distortion_report(profile, winner=None, distribution=x)
 
 
-def _distortion_report(profile, *, winner, distribution, rule, tie_break, seed):
+def _distortion_report(profile, *, winner, distribution):
     """The worst ratio over the opponents, each solved in ascending order.
 
     The outcome is validated by the caller; the objective, its support and
@@ -1004,13 +996,10 @@ def _distortion_report(profile, *, winner, distribution, rule, tie_break, seed):
     tolerances = {"feas_tol": DEFAULT_FEAS_TOL, "witness_tol": WITNESS_TOL}
     if not opponents:
         return DistortionReport(
-            rule=rule,
             value=1.0,
             winner=winner,
             distribution=distribution,
-            tie_break=tie_break,
             tolerances=tolerances,
-            seed=seed,
         )
 
     solver = _solver_for(profile)
@@ -1032,16 +1021,13 @@ def _distortion_report(profile, *, winner, distribution, rule, tie_break, seed):
     best = max(per_opponent, key=per_opponent.get)
     finite = math.isfinite(per_opponent[best])
     return DistortionReport(
-        rule=rule,
         value=per_opponent[best],
         winner=winner,
         distribution=distribution,
         opponent=best if finite else None,
         witness=CostMatrix(metrics[best]) if finite else None,
         per_opponent=per_opponent,
-        tie_break=tie_break,
         tolerances=tolerances,
-        seed=seed,
         solver_stats=solver.stats_since(before),
     )
 

@@ -15,12 +15,9 @@ taken in by a rank-one update in the current basis, and
 :func:`solve` is a cold build plus one optimization. The tableau is
 condensed: it stores only the columns of the nonbasic variables, so a
 pivot is a Jordan exchange that updates (rows + 1) x (nonbasic + 1) cells.
-Its per-constraint arrays keep spare rows from the build on, grown by
-doubling, so added rows are written in place instead of copying the
-tableau on every addition. Both pivot loops run a greedy rule for speed
-and switch permanently to Bland's rule after a stall, so termination is
-guaranteed even on the highly degenerate metric polytopes this package
-produces.
+Both pivot loops run a greedy rule for speed and switch permanently to
+Bland's rule after a stall, so termination is guaranteed even on the highly
+degenerate metric polytopes this package produces.
 """
 
 from __future__ import annotations
@@ -334,71 +331,40 @@ class Tableau:
     program's nonnegative rhs makes feasible, so the build makes no pivot.
     Its constraints are indexed as the program's are, and rows added later
     follow them. The variables are the structural ones and one slack per
-    constraint, each with a stable label: structural variables first, then
-    slacks in the order their constraints arrived. The tableau is condensed
-    (a dictionary, or Tucker, tableau): one row per basic variable, one
-    column per nonbasic variable, and the basic values in the last column;
-    row ``m`` holds the reduced costs of the maximization. Basic columns,
-    unit vectors in a full tableau, are not stored, so a pivot is a Jordan
-    exchange of one row label with one column label, and added rows never
-    widen the tableau. Bland's rule picks the smallest label.
-
-    The arrays with one row per constraint (``rows``, ``rhs``, ``_T`` with
-    its cost row below them, ``_basis`` and ``_slack``) are views of the
-    leading rows of buffers with spare rows: a build leaves as many spare
-    rows as it has rows, and :meth:`add_rows` writes into the spare rows,
-    doubling the buffers when they are full. So a tableau's buffers hold at
-    most twice the rows of its largest program.
+    constraint, each with a stable label: the ``n`` structural variables
+    first, then the slacks in constraint order, so constraint ``i``'s slack
+    is label ``n + i``. The tableau is condensed (a dictionary, or Tucker,
+    tableau): one row per basic variable, one column per nonbasic variable,
+    and the basic values in the last column; row ``m`` holds the reduced
+    costs of the maximization. Basic columns, unit vectors in a full
+    tableau, are not stored, so a pivot is a Jordan exchange of one row
+    label with one column label, and added rows never widen the tableau.
+    Bland's rule picks the smallest label.
 
     Args:
         lp: the program to build.
         pivot_tol: pivot and optimality tolerance of both pivot loops.
-        feas_tol: the tolerance of the feasibility check in :meth:`outcome`,
-            and how far below zero :meth:`optimize` lets a basic value drift
-            when the basis is not dual feasible.
-        max_pivots: pivot cap of each :meth:`optimize` call.
     """
 
-    def __init__(
-        self,
-        lp,
-        *,
-        pivot_tol=DEFAULT_PIVOT_TOL,
-        feas_tol=DEFAULT_FEAS_TOL,
-        max_pivots=DEFAULT_MAX_PIVOTS,
-    ):
+    def __init__(self, lp, *, pivot_tol=DEFAULT_PIVOT_TOL):
         self.objective = lp.objective
         self.pivot_tol = pivot_tol
-        self.feas_tol = feas_tol
-        self.max_pivots = max_pivots
         self.primal_pivots = 0
         self.dual_pivots = 0
         self.refactors = 0
         self.bland_switches = 0
         m, n = lp.A_ub.shape
-        capacity = 2 * m  # spare rows: the first additions write in place
-        self._buffers = {
-            "rows": np.empty((capacity, n)),
-            "rhs": np.empty(capacity),
-            "_T": np.zeros((capacity + 1, n + 1)),
-            "_basis": np.empty(capacity, dtype=np.intp),  # each row's basic label
-            "_slack": np.empty(capacity, dtype=np.intp),  # each constraint's slack
-        }
-        self._view(m)
-        self.rows[:] = self._T[:m, :n] = lp.A_ub
-        self.rhs[:] = self._T[:m, -1] = lp.b_ub
-        self._basis[:] = self._slack[:] = n + np.arange(m)
+        self.rows = lp.A_ub.copy()
+        self.rhs = lp.b_ub.copy()
+        self._T = np.zeros((m + 1, n + 1))
+        self._T[:m, :n] = lp.A_ub
+        self._T[:m, -1] = lp.b_ub
+        self._basis = n + np.arange(m)  # label of each row's basic variable
         self._nonbasic = np.arange(n)  # label of each column's nonbasic variable
-        self._next_label = n + m
         self._set_cost_row()
         # The basic solution and its row excesses, until the basis or the
         # rows change: the objective does not enter them.
         self._checked = None
-
-    def _view(self, m):
-        """Point the per-constraint arrays at the leading rows of their buffers."""
-        for name, buffer in self._buffers.items():
-            setattr(self, name, buffer[: m + 1 if name == "_T" else m])
 
     def _set_cost_row(self):
         """Reduced costs of the current objective in the current basis."""
@@ -415,9 +381,9 @@ class Tableau:
 
         The others bind at the basic solution.
         """
-        basic = np.zeros(self._next_label, dtype=bool)
+        basic = np.zeros(self.objective.size + self.rhs.size, dtype=bool)
         basic[self._basis] = True
-        return basic[self._slack]
+        return basic[self.objective.size :]
 
     def program(self) -> LinearProgram:
         """The program the tableau currently holds, in the same constraint order."""
@@ -440,38 +406,20 @@ class Tableau:
         A = np.asarray(rows, dtype=float).reshape(-1, n)
         rhs = np.asarray(rhs, dtype=float)
         _check_rhs(rhs)
-        k = rhs.size
-        m = self.rhs.size
-        if m + k > self._buffers["rhs"].shape[0]:
-            self._grow(max(m + k, 2 * m))
-        buffers, basis, nonbasic = self._buffers, self._basis, self._nonbasic
-        T = buffers["_T"]
+        basis, nonbasic, T = self._basis, self._nonbasic, self._T
         basic = (basis < n).nonzero()[0]
         elimination = A[:, basis[basic]] @ T[basic]
-        T[m + k] = T[m]  # the cost row moves below the new rows
-        block = T[m : m + k]
-        block[:] = 0.0
+        block = np.zeros((rhs.size, T.shape[1]))
         structural = (nonbasic < n).nonzero()[0]
         block[:, structural] = A[:, nonbasic[structural]]
         block[:, -1] = rhs
         block -= elimination
-        labels = self._next_label + np.arange(k)
-        self._next_label += k
-        buffers["_basis"][m : m + k] = labels
-        buffers["_slack"][m : m + k] = labels
-        buffers["rows"][m : m + k] = A
-        buffers["rhs"][m : m + k] = rhs
-        self._view(m + k)
+        m = self.rhs.size
+        self._T = np.concatenate([T[:-1], block, T[-1:]])
+        self._basis = np.concatenate([basis, n + m + np.arange(rhs.size)])
+        self.rows = np.concatenate([self.rows, A])
+        self.rhs = np.concatenate([self.rhs, rhs])
         self._checked = None
-
-    def _grow(self, capacity):
-        """Move the rows to buffers with room for ``capacity`` constraints."""
-        for name, old in self._buffers.items():
-            buffer = np.empty((capacity + (name == "_T"),) + old.shape[1:], old.dtype)
-            held = getattr(self, name)
-            buffer[: len(held)] = held
-            self._buffers[name] = buffer
-        self._view(self.rhs.size)
 
     def refactor(self):
         """Recompute the tableau from the rows in the current basis.
@@ -484,9 +432,9 @@ class Tableau:
         M = np.zeros((basis.size, labels.size + 1))
         structural = np.flatnonzero(labels < self.objective.size)
         M[:, structural] = self.rows[:, labels[structural]]
-        column_of = np.full(self._next_label, -1)
+        column_of = np.empty_like(labels)
         column_of[labels] = np.arange(labels.size)
-        M[np.arange(basis.size), column_of[self._slack]] = 1.0
+        M[np.arange(basis.size), column_of[self.objective.size :]] = 1.0
         M[:, -1] = self.rhs
         try:
             self._T[:-1] = np.linalg.solve(M[:, : basis.size], M[:, basis.size :])
@@ -561,17 +509,19 @@ class Tableau:
 
         A primal-feasible tableau runs the primal simplex; one that lost
         primal feasibility to added rows runs the dual simplex first. Basic
-        values below zero by at most ``feas_tol``, round-off of earlier
-        pivots, are left to the primal simplex when the reduced costs do
-        not allow the dual. An optimum that violates a row by more than
-        ``_DRIFT_TOL`` is refactored from the rows and re-optimized once.
+        values below zero by at most ``DEFAULT_FEAS_TOL``, round-off of
+        earlier pivots, are left to the primal simplex when the reduced
+        costs do not allow the dual. An optimum that violates a row by more
+        than ``_DRIFT_TOL`` is refactored from the rows and re-optimized
+        once.
 
         Raises:
-            SolverFailure: pivot cap exceeded, or round-off left the basis
-                neither primal nor dual feasible, or left the dual simplex no
-                entering column (rebuild the tableau cold).
+            SolverFailure: more than ``DEFAULT_MAX_PIVOTS`` pivots in this
+                call, or round-off left the basis neither primal nor dual
+                feasible, or left the dual simplex no entering column
+                (rebuild the tableau cold).
         """
-        counter = _PivotCounter(self.max_pivots)
+        counter = _PivotCounter(DEFAULT_MAX_PIVOTS)
         try:
             status = self._optimize(counter)
             if status is LpStatus.OPTIMAL and self._residual() > _DRIFT_TOL:
@@ -611,7 +561,7 @@ class Tableau:
         lowest = _min(T[:-1, -1], initial=0.0)
         if lowest < -tol:
             if (T[-1, :-1] < -tol).any():
-                if lowest < -self.feas_tol:
+                if lowest < -DEFAULT_FEAS_TOL:
                     raise SolverFailure("basis is neither primal nor dual feasible")
             else:
                 before = counter.pivots
@@ -633,11 +583,11 @@ class Tableau:
 
         Raises:
             SolverFailure: the basic solution violates a row or a sign
-                constraint by more than ``feas_tol``.
+                constraint by more than ``DEFAULT_FEAS_TOL``.
         """
         x, excess, worst = self._check()
         lowest = _min(x, initial=0.0)
-        _verify(lowest, excess, worst, self.feas_tol)
+        _verify(lowest, excess, worst)
         if lowest < 0.0:
             x = np.where(x < 0.0, 0.0, x)  # verified within tolerance
         value = float(self.objective @ x)
@@ -670,11 +620,11 @@ def _excess(rows, rhs, x):
     return rows @ x - rhs
 
 
-def _verify(lowest, excess, worst, feas_tol):
+def _verify(lowest, excess, worst):
     """Raise unless an assignment is feasible: its smallest entry is ``lowest``,
     its row violations are ``excess`` and the largest of them is ``worst``."""
-    if lowest < -feas_tol:
+    if lowest < -DEFAULT_FEAS_TOL:
         raise SolverFailure("assignment violates nonnegativity beyond tolerance")
-    if worst > feas_tol:
-        i = int((excess > feas_tol).argmax())
+    if worst > DEFAULT_FEAS_TOL:
+        i = int((excess > DEFAULT_FEAS_TOL).argmax())
         raise SolverFailure(f"assignment violates constraint {i} by {excess[i]:.3e}")

@@ -119,10 +119,10 @@ def _claim_warmup(seed, trials, eps):
     checks = _Checks()
     inst = warmup_instance()
 
-    det = dist_det(0, inst.profile, rule="fixed-winner")
+    det = dist_det(0, inst.profile)
     checks.close("deterministic worst ratio for alternative 1", det.value, 3.0, 1e-6)
 
-    rand = dist_rand(np.full(3, 1 / 3), inst.profile, rule="uniform")
+    rand = dist_rand(np.full(3, 1 / 3), inst.profile)
     checks.close("uniform-lottery worst ratio", rand.value, 2.0, 1e-6)
 
     ratios = [top_k_ratio(inst.metric, np.eye(3)[0], k) for k in range(1, 4)]

@@ -86,6 +86,30 @@ def test_winner_respects_tie_break(warmup_file, capsys):
     assert report["winner"] == 3
 
 
+@pytest.fixture
+def rp_hard_file(tmp_path):
+    path = tmp_path / "rp-hard.txt"
+    assert main(["gen", "rp-hard", "--n", "2", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("tie_break", [[], ["--tie-break", "5,4,3,2,1"]])
+def test_winner_ranked_pairs(rp_hard_file, capsys, tie_break):
+    code, report = _run(
+        capsys, ["winner", "--rule", "ranked-pairs", str(rp_hard_file), *tie_break]
+    )
+    assert code == 0
+    assert report["winner"] == 1
+
+
+def test_distortion_ranked_pairs_hard_instance(rp_hard_file, capsys):
+    code, report = _run(
+        capsys, ["distortion", "--rule", "ranked-pairs", str(rp_hard_file)]
+    )
+    assert code == 0
+    assert float(report["value"]) == pytest.approx(13 / 5, abs=1e-6)  # (5n+3)/(n+3)
+
+
 def test_distribution_command(warmup_file, capsys):
     code, report = _run(capsys, ["distribution", "--rule", "rd", str(warmup_file)])
     assert code == 0

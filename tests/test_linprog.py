@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -60,16 +62,18 @@ def test_beale_cycling_instance_terminates():
     assert out.value == pytest.approx(0.05, abs=1e-9)
 
 
-def test_pivot_cap_raises_distinct_error():
+def test_pivot_cap_raises_distinct_error(monkeypatch):
+    monkeypatch.setattr(linprog, "DEFAULT_MAX_PIVOTS", 0)
     lp = LinearProgram([1.0], [[1.0]], [1.0])
     with pytest.raises(SolverFailure):
-        Tableau(lp, max_pivots=0).optimize()
+        Tableau(lp).optimize()
 
 
-def test_a_call_that_raises_still_counts_its_pivots():
+def test_a_call_that_raises_still_counts_its_pivots(monkeypatch):
     # The optimum of max x + y over the unit box takes two pivots; the
     # second exceeds the cap after it is made.
-    tableau = Tableau(LinearProgram([1.0, 1.0], np.eye(2), [1.0, 1.0]), max_pivots=1)
+    monkeypatch.setattr(linprog, "DEFAULT_MAX_PIVOTS", 1)
+    tableau = Tableau(LinearProgram([1.0, 1.0], np.eye(2), [1.0, 1.0]))
     with pytest.raises(SolverFailure, match="pivot cap"):
         tableau.optimize()
     assert (tableau.primal_pivots, tableau.dual_pivots) == (2, 0)
@@ -474,27 +478,45 @@ def test_at_optimum_refuses_an_optimum_that_drifted_from_its_rows():
     assert tableau.at_optimum()
 
 
-def test_added_rows_fill_spare_rows_grown_by_doubling():
-    lp = LinearProgram([1.0, 1.0], [[1.0, 2.0]], [4.0])
-    tableau = Tableau(lp)
-    # A build leaves as many spare rows as it has rows, so the first
-    # addition writes in place.
-    built = dict(tableau._buffers)
-    assert built["rhs"].size == 2 and built["_T"].shape[0] == 3
-    largest = 1
+def test_many_added_rows_keep_arrival_order_and_slack_labels():
+    tableau = Tableau(LinearProgram([1.0, 1.0], [[1.0, 2.0]], [4.0]))
     for k in range(1, 40):
         tableau.add_rows([[1.0, 0.0]], [float(k)])
-        if k == 1:
-            assert all(tableau._buffers[name] is built[name] for name in built)
-        largest = max(largest, tableau.rhs.size)
-        capacity = tableau._buffers["rhs"].size
-        assert tableau.rhs.size <= capacity <= 2 * largest
-        assert tableau._buffers["_T"].shape[0] == capacity + 1
-        for name in ("rows", "rhs", "_basis", "_slack", "_T"):
-            assert getattr(tableau, name).base is tableau._buffers[name], name
     assert tableau.optimize() is LpStatus.OPTIMAL
     assert tableau.outcome().value == pytest.approx(2.5)  # x = 1, y = 1.5
     assert tableau.rhs.tolist() == [4.0] + [float(k) for k in range(1, 40)]
+    # Constraint i's slack is label n + i: the binding rows are the first
+    # two, and refactoring from the rows in that basis changes nothing.
+    binding = ~tableau.basic_slacks()
+    assert binding.nonzero()[0].tolist() == [0, 1]
+    before = tableau._T.copy()
+    tableau.refactor()
+    np.testing.assert_allclose(tableau._T, before, atol=1e-12)
+    assert (~tableau.basic_slacks()).tolist() == binding.tolist()
+    assert tableau.at_optimum()
+
+
+def test_a_deep_copy_is_independent():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        A, b = rng.uniform(0.0, 1.0, (4, 3)), rng.uniform(0.5, 1.0, 4)
+        original = Tableau(LinearProgram(rng.uniform(0.1, 1.0, 3), A, b))
+        copied = copy.deepcopy(original)
+        built_T, built_rows = original._T.copy(), original.rows.copy()
+        row = rng.uniform(0.0, 1.0, (1, 3))
+
+        def run(tableau):
+            first = tableau.optimize(), tableau.outcome()
+            tableau.add_rows(row, [0.25])
+            return first, (tableau.optimize(), tableau.outcome())
+
+        from_copy = run(copied)
+        np.testing.assert_array_equal(original._T, built_T)
+        np.testing.assert_array_equal(original.rows, built_rows)
+        for (status_c, out_c), (status_o, out_o) in zip(from_copy, run(original)):
+            assert status_c is status_o is LpStatus.OPTIMAL
+            assert out_c.value == out_o.value
+            np.testing.assert_array_equal(out_c.assignment, out_o.assignment)
 
 
 @pytest.mark.parametrize("seed", range(2))
