@@ -3,7 +3,8 @@
 Every command reads the text file formats defined in ``profiles`` and emits
 a versioned JSON report: numbers are decimal strings with 12 significant
 digits so reports diff cleanly across platforms, keys are sorted, and the
-full run configuration (including the seed and tie order) is embedded.
+full run configuration is embedded, with the seed and tie order of the
+commands that take them.
 Alternative indices in reports are 1-based, matching the file formats.
 """
 
@@ -26,8 +27,9 @@ from metricdist.distortion import (
     grid_oracle,
 )
 from metricdist.instanceopt import candidate_response_value, opt_det, opt_rand
-from metricdist.metricspace import is_consistent, is_q_metric, top_k_ratio
+from metricdist.metricspace import top_k_ratio
 from metricdist.profiles import (
+    LabeledInstance,
     ProfileParseError,
     coupling_instance,
     line_split_instance,
@@ -53,11 +55,6 @@ from metricdist.tournament import build_majority, build_weighted
 SCHEMA_VERSION = 1
 
 _DET_RULES = {"copeland": copeland, "ranked-pairs": ranked_pairs, "schulze": schulze}
-
-_NORMAL_READING = (
-    "a metric is opponent-normal when the opponent's total cost is exactly 1 "
-    "and every other alternative's total cost is at least 1"
-)
 
 
 def main(argv=None) -> int:
@@ -111,6 +108,7 @@ def _build_parser():
     winner.add_argument("profile", type=Path)
     winner.add_argument("--rule", required=True, choices=sorted(_DET_RULES))
     _common_flags(winner)
+    _tie_break_flag(winner)
     winner.add_argument("--dump-weighted", type=Path, help="edge-list dump")
     winner.add_argument("--dump-majority", type=Path, help="edge-list dump")
     winner.set_defaults(handler=_cmd_winner)
@@ -138,6 +136,7 @@ def _build_parser():
         help="dump the fully materialized LP of the worst opponent, for bug reports",
     )
     _common_flags(distortion)
+    _tie_break_flag(distortion)
     distortion.set_defaults(handler=_cmd_distortion)
 
     fairness = sub.add_parser("fairness", help="worst-case top-k cost ratios")
@@ -153,6 +152,7 @@ def _build_parser():
         "--metric", type=Path, help="evaluate at this fixed metric instead of the sup"
     )
     _common_flags(fairness)
+    _tie_break_flag(fairness)
     fairness.set_defaults(handler=_cmd_fairness)
 
     od = sub.add_parser("opt-det", help="instance-optimal single winner")
@@ -180,12 +180,14 @@ def _build_parser():
     oracle.add_argument("--step", type=float, default=0.5)
     oracle.add_argument("--max", dest="grid_max", type=float, default=3.0)
     _common_flags(oracle)
+    _tie_break_flag(oracle)
     oracle.set_defaults(handler=_cmd_oracle)
 
     rep = sub.add_parser("reproduce", help="re-run a benchmark claim end to end")
     rep.add_argument("claim", choices=list(reproduce.CLAIM_IDS))
     rep.add_argument("--trials", type=int, default=None)
     rep.add_argument("--eps", type=float, default=1e-4)
+    rep.add_argument("--seed", type=int, default=42)
     _common_flags(rep)
     rep.set_defaults(handler=_cmd_reproduce)
 
@@ -193,9 +195,12 @@ def _build_parser():
 
 
 def _common_flags(parser):
-    parser.add_argument("--tie-break", default="lex", help="'lex' or 1-based comma list")
-    parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--out", type=Path, help="write the JSON report here")
+
+
+def _tie_break_flag(parser):
+    """``--tie-break``, for the commands that run a rule."""
+    parser.add_argument("--tie-break", default="lex", help="'lex' or 1-based comma list")
 
 
 def _tie_break(args, num_alternatives):
@@ -208,11 +213,10 @@ def _tie_break(args, num_alternatives):
 
 
 def _config(args, command, **extra):
-    config = {
-        "command": command,
-        "seed": args.seed,
-        "tie_break": getattr(args, "tie_break", "lex"),
-    }
+    config = {"command": command}
+    for name in ("seed", "tie_break"):
+        if hasattr(args, name):
+            config[name] = getattr(args, name)
     if getattr(args, "profile", None) is not None:
         config["profile"] = str(args.profile)
     config.update(extra)
@@ -276,21 +280,16 @@ def _cmd_gen(args) -> int:
     elif args.family == "random-line":
         inst = random_line_instance(need("agents"), need("alts"), rng)
     else:
-        from metricdist.profiles import LabeledInstance
+        inst = LabeledInstance(random_profile(need("agents"), need("alts"), rng))
 
-        inst = LabeledInstance(
-            random_profile(need("agents"), need("alts"), rng),
-            meta={"generator": "random", "seed": args.seed},
-        )
-
+    if args.metric_out and inst.metric is None:
+        raise ValueError(f"family {args.family!r} carries no metric")
     text = serialize_profile(inst.profile)
     if args.out:
         args.out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     if args.metric_out:
-        if inst.metric is None:
-            raise ValueError(f"family {args.family!r} carries no metric")
         args.metric_out.write_text(serialize_cost_matrix(inst.metric), encoding="utf-8")
     return 0
 
@@ -416,15 +415,7 @@ def _cmd_distortion(args) -> int:
 def _fixed_metric(args, profile):
     """The ``--metric`` cost matrix, checked against ``profile``."""
     metric = parse_cost_matrix(args.metric.read_text(encoding="utf-8"))
-    if metric.values.shape != (profile.num_agents, profile.num_alternatives):
-        raise ValueError("metric dimensions do not match the profile")
-    ok, quad = is_q_metric(metric)
-    if not ok:
-        raise ValueError(f"metric violates the quadrilateral inequality at {quad}")
-    ok, witness = is_consistent(metric, profile)
-    if not ok:
-        raise ValueError(f"metric is inconsistent with the profile at {witness}")
-    return metric
+    return LabeledInstance(profile, metric).metric
 
 
 def _lottery(outcome, m):
@@ -515,7 +506,6 @@ def _cmd_opt_rand(args) -> int:
             "cuts": len(result.state.cuts),
             "seeded_cuts": result.state.seeded,
             "iterations": result.state.iterations,
-            "normal_metric_reading": _NORMAL_READING,
             "solver_stats": result.solver_stats,
         },
         args.out,

@@ -95,7 +95,7 @@ class CuttingPlaneState:
         return (
             f"iterations={self.iterations} cuts={len(self.cuts)} "
             f"seeded={self.seeded} blocked={sorted(self.blocked_columns)} "
-            f"master_values={[round(v, 6) for v in self.master_values[-8:]]}"
+            f"master_values={[round(float(v), 6) for v in self.master_values[-8:]]}"
         )
 
 

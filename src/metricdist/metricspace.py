@@ -34,6 +34,8 @@ DEFAULT_GEOMETRY_TOL = 1e-9
 # Most entries of one block of is_q_metric's per-pair bounds or gaps.
 _Q_BLOCK = 1 << 18
 _EPS = float(np.finfo(float).eps)
+# Draws random_box_q_metric makes before it gives up.
+_BOX_TRIES = 10_000
 
 
 class CostMatrix:
@@ -282,26 +284,25 @@ def lp_norm(x, p) -> float:
     raise ValueError("p must be 1, 2 or inf")
 
 
-def random_line_metric(num_agents, num_alternatives, rng, length=10.0) -> CostMatrix:
-    """Costs from uniform points on a segment; admissible by construction."""
-    agents = rng.uniform(0.0, length, size=num_agents)
-    alts = rng.uniform(0.0, length, size=num_alternatives)
+def random_line_metric(num_agents, num_alternatives, rng) -> CostMatrix:
+    """Costs from uniform points on ``[0, 10]``; admissible by construction."""
+    agents = rng.uniform(0.0, 10.0, size=num_agents)
+    alts = rng.uniform(0.0, 10.0, size=num_alternatives)
     return CostMatrix(np.abs(agents[:, None] - alts[None, :]))
 
 
-def random_box_q_metric(
-    num_agents, num_alternatives, rng, scale=1.0, max_tries=10_000
-) -> CostMatrix:
-    """Rejection-sample uniform entries until the quadrilateral checks pass.
+def random_box_q_metric(num_agents, num_alternatives, rng) -> CostMatrix:
+    """Rejection-sample uniform ``[0, 1]`` entries until the quadrilateral checks pass.
 
     Covers matrices that no line embedding produces. Keep dimensions small;
-    the acceptance rate drops quickly with size.
+    the acceptance rate drops quickly with size: after ``_BOX_TRIES`` draws
+    it gives up.
     """
-    for _ in range(max_tries):
-        d = CostMatrix(rng.uniform(0.0, scale, size=(num_agents, num_alternatives)))
+    for _ in range(_BOX_TRIES):
+        d = CostMatrix(rng.uniform(0.0, 1.0, size=(num_agents, num_alternatives)))
         if is_q_metric(d)[0]:
             return d
     raise RuntimeError(
-        f"no q-metric found in {max_tries} draws at size "
+        f"no q-metric found in {_BOX_TRIES} draws at size "
         f"{num_agents}x{num_alternatives}"
     )

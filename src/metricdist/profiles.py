@@ -107,9 +107,6 @@ class PreferenceProfile:
     def num_alternatives(self) -> int:
         return self.rankings.shape[1]
 
-    def prefers(self, v: int, a: int, b: int) -> bool:
-        return self.positions[v, a] < self.positions[v, b]
-
     def with_agents_permuted(self, order) -> "PreferenceProfile":
         return PreferenceProfile(self.rankings[np.asarray(order, dtype=int)])
 
@@ -125,21 +122,20 @@ class PreferenceProfile:
 class LabeledInstance:
     """A profile plus the constructed witness metric of its family."""
 
-    __slots__ = ("profile", "metric", "meta")
+    __slots__ = ("profile", "metric")
 
-    def __init__(self, profile, metric=None, meta=None):
+    def __init__(self, profile, metric=None):
         if metric is not None:
             if metric.values.shape != (profile.num_agents, profile.num_alternatives):
-                raise ValueError("metric shape does not match the profile")
-            ok, witness = is_q_metric(metric)
+                raise ValueError("metric dimensions do not match the profile")
+            ok, quad = is_q_metric(metric)
             if not ok:
-                raise ValueError(f"constructed metric violates quadruple {witness}")
+                raise ValueError(f"metric violates the quadrilateral inequality at {quad}")
             ok, witness = is_consistent(metric, profile)
             if not ok:
-                raise ValueError(f"constructed metric inconsistent at {witness}")
+                raise ValueError(f"metric is inconsistent with the profile at {witness}")
         self.profile = profile
         self.metric = metric
-        self.meta = dict(meta or {})
 
 
 def parse_profile(text) -> PreferenceProfile:
@@ -331,7 +327,7 @@ def warmup_instance() -> LabeledInstance:
     """Three agents cycling over three alternatives, with its shortest-path costs."""
     profile = PreferenceProfile([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     metric = CostMatrix([[1, 1, 1], [3, 1, 1], [2, 2, 0]])
-    return LabeledInstance(profile, metric, {"generator": "warmup"})
+    return LabeledInstance(profile, metric)
 
 
 def coupling_instance(n: int) -> LabeledInstance:
@@ -350,11 +346,7 @@ def coupling_instance(n: int) -> LabeledInstance:
     costs = (
         [[5, 3, 3, 1, 1]] * n + [[4, 4, 2, 2, 0]] * n + [[2, 2, 2, 2, 2]] * (n + 1)
     )
-    return LabeledInstance(
-        PreferenceProfile(rankings),
-        CostMatrix(costs),
-        {"generator": "coupling", "n": n},
-    )
+    return LabeledInstance(PreferenceProfile(rankings), CostMatrix(costs))
 
 
 def ranked_pairs_hard_instance(n: int) -> LabeledInstance:
@@ -386,11 +378,7 @@ def ranked_pairs_hard_instance(n: int) -> LabeledInstance:
                 row[j0] = 5.0
         rankings.append(ranking)
         costs.append(row)
-    return LabeledInstance(
-        PreferenceProfile(rankings),
-        CostMatrix(costs),
-        {"generator": "ranked_pairs_hard", "n": n},
-    )
+    return LabeledInstance(PreferenceProfile(rankings), CostMatrix(costs))
 
 
 def symmetric_tournament_instance(m: int) -> LabeledInstance:
@@ -409,11 +397,7 @@ def symmetric_tournament_instance(m: int) -> LabeledInstance:
     for i in range(1, m + 1):
         rankings.append(list(range(i - 1, 0, -1)) + list(range(m, i - 1, -1)) + [0])
     costs = [[0.0] + [2.0] * m] * m + [[1.0] * (m + 1)] * m
-    return LabeledInstance(
-        PreferenceProfile(rankings),
-        CostMatrix(costs),
-        {"generator": "symmetric_tournament", "m": m},
-    )
+    return LabeledInstance(PreferenceProfile(rankings), CostMatrix(costs))
 
 
 def percentile_gap_instance(half: int, eps: float) -> LabeledInstance:
@@ -429,11 +413,7 @@ def percentile_gap_instance(half: int, eps: float) -> LabeledInstance:
         raise ValueError("eps must lie in (0, 1] for the costs to respect rankings")
     rankings = [[0, 1]] * half + [[1, 0]] * half
     costs = [[1.0, 1.0]] * half + [[1.0, eps]] * half
-    return LabeledInstance(
-        PreferenceProfile(rankings),
-        CostMatrix(costs),
-        {"generator": "percentile_gap", "half": half, "eps": eps},
-    )
+    return LabeledInstance(PreferenceProfile(rankings), CostMatrix(costs))
 
 
 def line_split_instance(n1: int, n2: int) -> LabeledInstance:
@@ -442,11 +422,7 @@ def line_split_instance(n1: int, n2: int) -> LabeledInstance:
         raise ValueError("need n1 >= n2 >= 1")
     rankings = [[0, 1]] * n1 + [[1, 0]] * n2
     costs = [[0.0, 1.0]] * n1 + [[1.0, 0.0]] * n2
-    return LabeledInstance(
-        PreferenceProfile(rankings),
-        CostMatrix(costs),
-        {"generator": "line_split", "n1": n1, "n2": n2},
-    )
+    return LabeledInstance(PreferenceProfile(rankings), CostMatrix(costs))
 
 
 def random_profile(num_agents: int, num_alternatives: int, rng) -> PreferenceProfile:
@@ -455,12 +431,8 @@ def random_profile(num_agents: int, num_alternatives: int, rng) -> PreferencePro
     return PreferenceProfile(rankings)
 
 
-def random_line_instance(
-    num_agents: int, num_alternatives: int, rng, length: float = 10.0
-) -> LabeledInstance:
-    """Profile induced by random points on a segment, paired with those costs."""
-    metric = random_line_metric(num_agents, num_alternatives, rng, length)
+def random_line_instance(num_agents: int, num_alternatives: int, rng) -> LabeledInstance:
+    """Profile induced by random points on ``[0, 10]``, paired with those costs."""
+    metric = random_line_metric(num_agents, num_alternatives, rng)
     rankings = np.argsort(metric.values, axis=1, kind="stable")
-    return LabeledInstance(
-        PreferenceProfile(rankings), metric, {"generator": "random_line"}
-    )
+    return LabeledInstance(PreferenceProfile(rankings), metric)

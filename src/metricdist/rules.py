@@ -27,7 +27,6 @@ __all__ = [
 class RuleOutcome:
     """Winner (deterministic) or distribution (randomized), plus audit data."""
 
-    rule: str
     winner: int | None = None
     distribution: np.ndarray | None = None
     audit: dict = field(default_factory=dict)
@@ -53,7 +52,6 @@ def copeland(profile: PreferenceProfile, tie_break=None) -> RuleOutcome:
     best = max(scores)
     winner = next(c for c in order if scores[c] == best)
     return RuleOutcome(
-        rule="copeland",
         winner=int(winner),
         audit={"scores": scores.tolist(), "tie_break": list(order)},
     )
@@ -127,7 +125,6 @@ def ranked_pairs(profile: PreferenceProfile, edge_tie_break=None) -> RuleOutcome
         packed.reshape(m, width), axis=1, count=m, bitorder="little"
     ).astype(bool)
     return RuleOutcome(
-        rule="ranked-pairs",
         winner=roots[0],
         audit={"locked": locked, "reachable": reachable},
     )
@@ -167,7 +164,6 @@ def schulze(profile: PreferenceProfile, tie_break=None) -> RuleOutcome:
     winner_set = set(winners.tolist())
     winner = next(c for c in order if c in winner_set)
     return RuleOutcome(
-        rule="schulze",
         winner=int(winner),
         audit={
             "path_strengths": p.tolist(),
@@ -181,7 +177,6 @@ def randomized_dictatorship(profile: PreferenceProfile) -> RuleOutcome:
     """Pick each alternative with probability proportional to its top-choice count."""
     counts = top_choice_counts(profile)
     return RuleOutcome(
-        rule="randomized-dictatorship",
         distribution=counts / profile.num_agents,
         audit={"top_choice_counts": counts.tolist()},
     )

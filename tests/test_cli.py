@@ -1,12 +1,14 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from metricdist import distortion
-from metricdist.cli import main
+from metricdist.cli import _build_parser, main
 from metricdist.distortion import SOLVER_STATS
-from metricdist.profiles import parse_cost_matrix, parse_profile
+from metricdist.profiles import LabeledInstance, parse_cost_matrix, parse_profile
 
 WARMUP = "3 3\n1 2 3\n2 3 1\n3 1 2\n"
 
@@ -252,7 +254,7 @@ def test_opt_commands(warmup_file, capsys):
     code, report = _run(capsys, ["opt-rand", str(warmup_file), "--eps", "1e-4"])
     assert code == 0
     assert float(report["value"]) == pytest.approx(2.0, abs=1e-3)
-    assert "normal_metric_reading" in report
+    assert "normal_metric_reading" not in report
     assert "mode" not in report["config"]
     lower = float(report["value_lower"])
     assert lower * (1 - 1e-9) <= float(report["value"]) <= lower + 1e-4 / 2
@@ -363,3 +365,147 @@ def test_reports_are_deterministic(warmup_file, capsys):
     _, first = _run(capsys, ["distortion", "--rule", "copeland", str(warmup_file)])
     _, second = _run(capsys, ["distortion", "--rule", "copeland", str(warmup_file)])
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("symmetric-tourney", ["--m", "2"]),
+        ("percentile-gap", ["--half", "2", "--eps", "0.5"]),
+        ("line-split", ["--n1", "2", "--n2", "1"]),
+        ("random-line", ["--agents", "3", "--alts", "4", "--seed", "7"]),
+    ],
+)
+def test_gen_writes_a_family_with_its_metric(tmp_path, capsys, family, params):
+    profile_path = tmp_path / "p.txt"
+    metric_path = tmp_path / "m.txt"
+    argv = ["gen", family, *params, "--out", str(profile_path)]
+    assert main(argv + ["--metric-out", str(metric_path)]) == 0
+    profile = parse_profile(profile_path.read_text())
+    metric = parse_cost_matrix(metric_path.read_text())
+    assert LabeledInstance(profile, metric).metric is metric
+
+
+def test_gen_random_is_seeded_and_carries_no_metric(tmp_path, capsys):
+    code, first = _run(capsys, ["gen", "random", "--agents", "4", "--alts", "3"])
+    assert code == 0
+    assert parse_profile(first).rankings.shape == (4, 3)
+    _, again = _run(capsys, ["gen", "random", "--agents", "4", "--alts", "3"])
+    assert again == first
+    _, other = _run(
+        capsys, ["gen", "random", "--agents", "4", "--alts", "3", "--seed", "1"]
+    )
+    assert other != first
+
+    # Refused before anything is written.
+    profile_path = tmp_path / "p.txt"
+    metric_path = tmp_path / "m.txt"
+    argv = ["gen", "random", "--agents", "4", "--alts", "3", "--out", str(profile_path)]
+    code = main(argv + ["--metric-out", str(metric_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: family 'random' carries no metric\n"
+    assert not profile_path.exists() and not metric_path.exists()
+
+
+def test_winner_dumps_the_majority_digraph(warmup_file, capsys, tmp_path):
+    dump = tmp_path / "maj.txt"
+    code, report = _run(
+        capsys,
+        ["winner", "--rule", "copeland", str(warmup_file), "--dump-majority", str(dump)],
+    )
+    assert code == 0
+    assert report["winner"] == 1
+    assert dump.read_text() == "1 2\n2 3\n3 1\n"  # the warm-up's majority cycle
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 1 1\n1 1 1\n", "metric dimensions do not match the profile"),
+        (
+            "0 0 9\n0 0 0\n0 0 0\n",
+            "metric violates the quadrilateral inequality at (0, 1, 2, 0)",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["distortion", "fairness"])
+def test_fixed_metric_is_checked_against_the_profile(
+    warmup_file, capsys, tmp_path, command, text, message
+):
+    metric_path = tmp_path / "m.txt"
+    metric_path.write_text(text)
+    argv = [command, "--rule", "copeland", str(warmup_file), "--metric", str(metric_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("alt", ["0", "4"])
+def test_oracle_rejects_an_alternative_out_of_range(warmup_file, capsys, alt):
+    code = main(["oracle", str(warmup_file), "--alt", alt])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --alt must be in 1..3\n"
+
+
+# Every command, with its arguments, and the config keys its report records
+# beyond "command", "profile" and its own extras.
+_COMMANDS = {
+    "winner": (["--rule", "copeland"], {"tie_break"}),
+    "distribution": (["--rule", "rd"], set()),
+    "distortion": (["--rule", "copeland"], {"tie_break"}),
+    "fairness": (["--rule", "copeland", "--k", "1"], {"tie_break"}),
+    "opt-det": ([], set()),
+    "opt-rand": ([], set()),
+    "candidate-response": ([], set()),
+    "oracle": (["--alt", "1"], {"tie_break"}),
+    "reproduce": ([], {"seed"}),
+}
+
+
+def _argv(command, profile_path):
+    args, _ = _COMMANDS[command]
+    target = ["warmup"] if command == "reproduce" else [str(profile_path)]
+    return [command, *target, *args]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_config_records_the_seed_and_tie_order_only_where_read(
+    warmup_file, capsys, command
+):
+    code, report = _run(capsys, _argv(command, warmup_file))
+    assert code == 0
+    _, recorded = _COMMANDS[command]
+    assert {"seed", "tie_break"} & set(report["config"]) == recorded
+    if "seed" in recorded:
+        assert report["config"]["seed"] == 42
+    if "tie_break" in recorded:
+        assert report["config"]["tie_break"] == "lex"
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--seed") for c in sorted(_COMMANDS) if c != "reproduce"]
+    + [
+        (c, "--tie-break")
+        for c in sorted(_COMMANDS)
+        if "tie_break" not in _COMMANDS[c][1]
+    ],
+)
+def test_a_flag_no_code_reads_is_refused(warmup_file, capsys, command, flag):
+    value = "1" if flag == "--seed" else "1,2,3"
+    with pytest.raises(SystemExit) as exc:
+        main(_argv(command, warmup_file) + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    # Every ``metricdist ...`` line of the README's "Command line" block.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("metricdist ")]
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        assert callable(args.handler), line

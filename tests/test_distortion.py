@@ -880,6 +880,16 @@ def test_missing_chain_rows_raise_named_unbounded_failure(monkeypatch):
     assert info.value.lp_text.splitlines()[0].startswith("max ")
 
 
+def test_row_generation_raises_at_its_round_cap_with_the_lp(monkeypatch):
+    monkeypatch.setattr("metricdist.distortion._MAX_ROUNDS", 1)
+    profile = random_profile(5, 5, np.random.default_rng(3))
+    with pytest.raises(SolverFailure, match="row generation did not converge") as info:
+        dist_det(0, profile)
+    assert info.value.profile_text == serialize_profile(profile)
+    lp = _parse_lp_text(info.value.lp_text)
+    assert lp.num_vars == MetricPolytope(profile).num_metric_vars
+
+
 def test_seeded_chain_rows_lead_the_tableau():
     n = 10
     profile = ranked_pairs_hard_instance(n).profile

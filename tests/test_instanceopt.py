@@ -301,6 +301,20 @@ def test_lottery_game_matches_the_epigraph_program():
         assert (payoffs @ x).max() == pytest.approx(value, rel=1e-12)
 
 
+def test_opt_rand_raises_at_its_cut_cap_with_the_state(monkeypatch):
+    # A fresh profile: its solver holds no optimum to seed the cutting plane.
+    monkeypatch.setattr(instanceopt, "_MAX_CUTS", 1)
+    profile = random_profile(4, 4, np.random.default_rng(3))
+    with pytest.raises(instanceopt.ConvergenceError) as info:
+        opt_rand(profile)
+    state = info.value.state
+    assert state.iterations == 1 and state.seeded == 0
+    message = str(info.value)
+    assert message.startswith("cut cap exceeded\niterations=1 ")
+    assert f"master_values={[round(float(state.master_values[0]), 6)]}" in message
+    assert "np.float64" not in message
+
+
 @pytest.mark.parametrize("how", ["raises", "unbounded"])
 def test_failed_lottery_game_carries_its_lp(monkeypatch, how):
     def broken(lp):

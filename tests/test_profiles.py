@@ -7,12 +7,14 @@ import pytest
 
 from metricdist import profiles
 from metricdist.metricspace import (
+    CostMatrix,
     is_consistent,
     is_q_metric,
     random_line_metric,
     social_cost,
 )
 from metricdist.profiles import (
+    LabeledInstance,
     PreferenceProfile,
     ProfileParseError,
     coupling_instance,
@@ -170,6 +172,28 @@ def test_generators_always_produce_valid_pairs():
     for inst in instances:
         assert is_q_metric(inst.metric)[0]
         assert is_consistent(inst.metric, inst.profile)[0]
+
+
+@pytest.mark.parametrize(
+    "rankings, costs, message",
+    [
+        ([[0, 1], [1, 0]], [[0.0, 1.0]], "metric dimensions do not match the profile"),
+        (
+            [[1, 0], [0, 1]],
+            [[10.0, 0.0], [0.0, 0.0]],
+            "metric violates the quadrilateral inequality at (0, 1, 0, 1)",
+        ),
+        (
+            [[0, 1], [0, 1]],
+            [[1.0, 0.0], [1.0, 0.0]],
+            "metric is inconsistent with the profile at (0, 0, 1)",
+        ),
+    ],
+)
+def test_labeled_instance_checks_its_metric(rankings, costs, message):
+    with pytest.raises(ValueError) as exc:
+        LabeledInstance(PreferenceProfile(rankings), CostMatrix(costs))
+    assert str(exc.value) == message
 
 
 def test_profile_rejects_non_permutation():

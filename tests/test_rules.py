@@ -204,4 +204,4 @@ def test_weighted_tournament_rules_depend_only_on_weights():
 
 def test_rule_outcome_distribution_validated():
     with pytest.raises(ValueError):
-        RuleOutcome(rule="x", distribution=[0.5, 0.4])
+        RuleOutcome(distribution=[0.5, 0.4])
