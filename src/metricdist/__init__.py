@@ -13,10 +13,8 @@ from metricdist.metricspace import (
     complete_metric,
     is_consistent,
     is_q_metric,
-    lp_norm,
     percentile_cost,
     social_cost,
-    submajorization_ratio,
     top_k_cost,
 )
 from metricdist.profiles import (

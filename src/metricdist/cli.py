@@ -545,15 +545,12 @@ def _cmd_oracle(args) -> int:
         )
         described = args.rule
     bound = grid_oracle(target, profile, grid_step=args.step, grid_max=args.grid_max)
-    return _emit(
-        {
-            "config": _config(
-                args, "oracle", step=args.step, grid_max=args.grid_max, target=described
-            ),
-            "lower_bound": bound,
-        },
-        args.out,
+    config = _config(
+        args, "oracle", step=args.step, grid_max=args.grid_max, target=described
     )
+    if args.rule is None:
+        del config["tie_break"]  # only a rule reads the tie order
+    return _emit({"config": config, "lower_bound": bound}, args.out)
 
 
 def _cmd_reproduce(args) -> int:

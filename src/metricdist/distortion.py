@@ -582,7 +582,12 @@ class _PolytopeSolver:
             if optimum is not None:
                 self.stats["reused"] += 1
                 return optimum
-        cost = objective @ self.polytope.prefix
+        poly = self.polytope
+        # The objective over the LP's variables: the increments, then tau
+        # and u at 0 below N.
+        nm = poly.num_metric_vars
+        cost = np.zeros(nm if stored else nm + poly.num_agents + 1)
+        np.matmul(objective, poly.prefix, out=cost[:nm])
         # Popped while in use, so a call that raises leaves no tableau behind.
         live = self.live.pop(opponent, None)
         if live is not None and k < live.k < self.polytope.num_agents:
@@ -625,44 +630,50 @@ class _PolytopeSolver:
 
     def _start(self, cost, opponent, k, support, donor=None):
         """Cold-build the opponent's tableau from the slack basis; ``cost``
-        is the objective over the increments.
+        is the objective over the LP's variables.
 
         The normalization comes first, then the chain rows of ``support``,
         then the quadrilateral rows tight at the optimum of the live tableau
         ``donor`` (their slack is nonbasic), if one is given: rows that bound
         one optimum mostly bind near the next, so separation starts close to
         its end. Those rows are the first NM entries of the donor's, which
-        are over the increments already and 0 on tau and u.
+        are over the increments already and 0 on tau and u. The rows, their
+        labels and the rhs are written in one pass into arrays of their
+        final size.
         """
         poly = self.polytope
+        nm = poly.num_metric_vars
         chained = np.zeros(poly.num_alternatives, dtype=bool)
         ids = self._chain_rows(support, opponent, chained)
         in_tableau = np.zeros(poly.num_quad_ids, dtype=bool)
         in_tableau[ids] = True
-        bound = _normalization(poly, opponent, k)
-        width = bound.shape[1]
-        labels = [[_FIXED], np.full(len(bound) - 1, _TOP_K), ids]
-        rows = [bound, _padded(poly.quadruple_rows(ids) @ poly.prefix, width)]
+        seeded = _NO_IDS
         if donor is not None:
             tight = (donor.labels >= 0) & ~donor.tableau.basic_slacks()
             tight[tight] = ~in_tableau[donor.labels[tight]]  # not a chain row
             seeded = donor.labels[tight]
             in_tableau[seeded] = True
-            labels.append(seeded)
-            donated = donor.tableau.rows[tight, : poly.num_metric_vars]
-            rows.append(_padded(donated, width))
             self.stats["seeded_rows"] += seeded.size
-        rows, labels = np.vstack(rows), np.concatenate(labels)
+        top = 1 if k == poly.num_agents else poly.num_agents + 1
+        chain_end = top + ids.size
+        rows = np.zeros((chain_end + seeded.size, cost.size))
+        labels = np.full(len(rows), _TOP_K)
+        labels[0] = _FIXED
+        labels[top:chain_end] = ids
+        labels[chain_end:] = seeded
+        _normalization(poly, opponent, k, rows[:top])
+        np.matmul(poly.quadruple_rows(ids), poly.prefix, out=rows[top:chain_end, :nm])
+        if donor is not None:
+            rows[chain_end:, :nm] = donor.tableau.rows[tight, :nm]
         rhs = np.zeros(len(rows))
         rhs[0] = 1.0
-        lp = LinearProgram(_padded(cost, width), rows, rhs)
-        tableau, status, out = self._cold(lp, opponent, k)
+        tableau, status, out = self._cold(LinearProgram(cost, rows, rhs), opponent, k)
         live = _LiveLp(tableau, labels, in_tableau, chained, opponent, k)
         return live, status, out
 
     def _retarget(self, live, cost, support):
-        """Move a live tableau to the objective ``cost`` (over the
-        increments) at the same opponent and k; ``(value, metric)``.
+        """Move a live tableau to the objective ``cost`` (over the LP's
+        variables) at the same opponent and k; ``(value, metric)``.
 
         The objective's chain rows the tableau lacks enter first (any row
         clears the held optimum), then the objective. If the tableau still
@@ -682,7 +693,7 @@ class _PolytopeSolver:
         if missing.size:
             self._add_quads(live, missing)
         tableau = live.tableau
-        tableau.set_objective(_padded(cost, tableau.objective.size))
+        tableau.set_objective(cost)
         if live.held is not None and tableau.at_optimum():
             self.stats["held"] += 1
             x, metric = live.held
@@ -745,8 +756,9 @@ class _PolytopeSolver:
 
     def _add_quads(self, live, ids):
         poly = self.polytope
-        rows = poly.quadruple_rows(ids) @ poly.prefix
-        rows = _padded(rows, live.tableau.objective.size)
+        rows = np.zeros((len(ids), live.tableau.objective.size))
+        quads = poly.quadruple_rows(ids)
+        np.matmul(quads, poly.prefix, out=rows[:, : poly.num_metric_vars])
         live.tableau.add_rows(rows, np.zeros(len(ids)))
         live.labels = np.concatenate([live.labels, ids])
         live.in_tableau[ids] = True
@@ -829,9 +841,10 @@ def _solver_for(profile):
     return _live_solver
 
 
-def _normalization(poly, opponent, k):
-    """The rows that bound the sum of the opponent's k largest costs by 1,
-    the first with rhs 1, the rest with rhs 0.
+def _normalization(poly, opponent, k, out):
+    """Write into the zero rows ``out`` the rows that bound the sum of the
+    opponent's k largest costs by 1, the first with rhs 1, the rest with
+    rhs 0.
 
     At k = N, one row over the increments: the opponent's total cost, the
     sum of L's rows of its column. For k < N, N + 1 rows over N + 1 more
@@ -844,24 +857,13 @@ def _normalization(poly, opponent, k):
     # Column c of the costs holds the entries v * M + c, one per agent v.
     column = poly.prefix[opponent :: poly.num_alternatives]
     if k == n:
-        return column.sum(axis=0, keepdims=True)
-    rows = np.zeros((n + 1, nm + n + 1))
-    rows[0, nm] = k
-    rows[0, nm + 1 :] = 1.0
-    rows[1:, :nm] = column
-    rows[1:, nm] = -1.0
-    rows[1:, nm + 1 :] = -np.eye(n)
-    return rows
-
-
-def _padded(rows, width):
-    """``rows``, or one row, with zero columns appended up to ``width``."""
-    extra = width - rows.shape[-1]
-    if not extra:
-        return rows
-    out = np.zeros(rows.shape[:-1] + (width,))
-    out[..., :-extra] = rows
-    return out
+        out[0] = column.sum(axis=0)
+        return
+    out[0, nm] = k
+    out[0, nm + 1 :] = 1.0
+    out[1:, :nm] = column
+    out[1:, nm] = -1.0
+    out[1:, nm + 1 :] = -np.eye(n)
 
 
 @dataclass

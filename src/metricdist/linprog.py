@@ -15,6 +15,12 @@ taken in by a rank-one update in the current basis, and
 :func:`solve` is a cold build plus one optimization. The tableau is
 condensed: it stores only the columns of the nonbasic variables, so a
 pivot is a Jordan exchange that updates (rows + 1) x (nonbasic + 1) cells.
+Every per-variable vector is indexed by variable label, over the
+structural variables and the slacks alike, with zero slack entries: the
+objective, a row entering and the basic solution. So a new objective's cost
+row, a new row's elimination and the basic solution are each one gather or
+scatter by the labels of the basis and the columns, and no step splits
+structural from slack variables.
 Both pivot loops run a greedy rule for speed and switch permanently to
 Bland's rule after a stall, so termination is guaranteed even on the highly
 degenerate metric polytopes this package produces.
@@ -339,7 +345,13 @@ class Tableau:
     costs of the maximization. Basic columns, unit vectors in a full
     tableau, are not stored, so a pivot is a Jordan exchange of one row
     label with one column label, and added rows never widen the tableau.
-    Bland's rule picks the smallest label.
+    Bland's rule picks the smallest label. The objective is held as a
+    vector over every label, 0 on the slacks, so the cost row is
+    ``c[basis] @ rows - c[nonbasic]`` and a row entering is eliminated over
+    every basic row, its slack entries 0; a cold build, whose basis is all
+    slacks, sets the cost row to ``0.0 - objective`` with no product. These
+    products sum over every basic row, slack ones included, so their last
+    bits can differ from sums over the structural rows alone.
 
     Args:
         lp: the program to build.
@@ -347,7 +359,6 @@ class Tableau:
     """
 
     def __init__(self, lp, *, pivot_tol=DEFAULT_PIVOT_TOL):
-        self.objective = lp.objective
         self.pivot_tol = pivot_tol
         self.primal_pivots = 0
         self.dual_pivots = 0
@@ -356,34 +367,38 @@ class Tableau:
         m, n = lp.A_ub.shape
         self.rows = lp.A_ub.copy()
         self.rhs = lp.b_ub.copy()
+        self._cost = np.zeros(n + m)  # the objective by label, 0 on the slacks
+        self._cost[:n] = lp.objective
         self._T = np.zeros((m + 1, n + 1))
         self._T[:m, :n] = lp.A_ub
         self._T[:m, -1] = lp.b_ub
+        # Every basic variable is a slack, of cost 0: no product.
+        self._T[-1, :n] = 0.0 - lp.objective
         self._basis = n + np.arange(m)  # label of each row's basic variable
         self._nonbasic = np.arange(n)  # label of each column's nonbasic variable
-        self._set_cost_row()
         # The basic solution and its row excesses, until the basis or the
         # rows change: the objective does not enter them.
         self._checked = None
 
+    @property
+    def objective(self) -> np.ndarray:
+        """The objective over the structural variables."""
+        return self._cost[: self.rows.shape[1]]
+
     def _set_cost_row(self):
         """Reduced costs of the current objective in the current basis."""
-        T, basis, nonbasic = self._T, self._basis, self._nonbasic
-        n = self.objective.size
-        c = self.objective
-        basic = (basis < n).nonzero()[0]
-        T[-1] = c[basis[basic]] @ T[basic]
-        structural = (nonbasic < n).nonzero()[0]
-        T[-1, structural] -= c[nonbasic[structural]]
+        T, c = self._T, self._cost
+        T[-1] = c[self._basis] @ T[:-1]
+        T[-1, :-1] -= c[self._nonbasic]
 
     def basic_slacks(self) -> np.ndarray:
         """Mask over the constraints: those whose slack is basic.
 
         The others bind at the basic solution.
         """
-        basic = np.zeros(self.objective.size + self.rhs.size, dtype=bool)
+        basic = np.zeros(self._cost.size, dtype=bool)
         basic[self._basis] = True
-        return basic[self.objective.size :]
+        return basic[self.rows.shape[1] :]
 
     def program(self) -> LinearProgram:
         """The program the tableau currently holds, in the same constraint order."""
@@ -393,51 +408,50 @@ class Tableau:
         """Append ``rows @ x <= rhs``; each row enters with its own basic slack.
 
         The rows are written over the nonbasic columns by eliminating the
-        basic structural variables, so the tableau gains rows but no
-        columns, and the reduced costs are untouched: an optimal basis stays
-        dual feasible, and :meth:`optimize` restores primal feasibility by
-        the dual simplex.
+        basic variables, so the tableau gains rows but no columns, and the
+        reduced costs are untouched: an optimal basis stays dual feasible,
+        and :meth:`optimize` restores primal feasibility by the dual
+        simplex.
 
         Raises:
             LpInputError: a right-hand side is negative. The tableau is then
                 left unchanged.
         """
-        n = self.objective.size
+        m, n = self.rows.shape
         A = np.asarray(rows, dtype=float).reshape(-1, n)
         rhs = np.asarray(rhs, dtype=float)
         _check_rhs(rhs)
-        basis, nonbasic, T = self._basis, self._nonbasic, self._T
-        basic = (basis < n).nonzero()[0]
-        elimination = A[:, basis[basic]] @ T[basic]
-        block = np.zeros((rhs.size, T.shape[1]))
-        structural = (nonbasic < n).nonzero()[0]
-        block[:, structural] = A[:, nonbasic[structural]]
-        block[:, -1] = rhs
-        block -= elimination
-        m = self.rhs.size
+        T = self._T
+        # The new rows by label, with the rhs last: no old slack in them.
+        wide = np.zeros((rhs.size, n + m + 1))
+        wide[:, :n] = A
+        wide[:, -1] = rhs
+        block = wide[:, self._columns()] - wide[:, self._basis] @ T[:-1]
         self._T = np.concatenate([T[:-1], block, T[-1:]])
-        self._basis = np.concatenate([basis, n + m + np.arange(rhs.size)])
+        self._basis = np.concatenate([self._basis, n + m + np.arange(rhs.size)])
+        self._cost = np.concatenate([self._cost, np.zeros(rhs.size)])
         self.rows = np.concatenate([self.rows, A])
         self.rhs = np.concatenate([self.rhs, rhs])
         self._checked = None
+
+    def _columns(self):
+        """The label of each tableau column, -1 for the rhs: it indexes the
+        last entry of a label vector with the rhs appended."""
+        return np.append(self._nonbasic, -1)
 
     def refactor(self):
         """Recompute the tableau from the rows in the current basis.
 
         Sheds the round-off that pivots accumulate in a long-lived tableau.
         """
-        basis, nonbasic = self._basis, self._nonbasic
-        labels = np.concatenate([basis, nonbasic])
-        # The constraints as [basic columns | nonbasic columns | rhs].
-        M = np.zeros((basis.size, labels.size + 1))
-        structural = np.flatnonzero(labels < self.objective.size)
-        M[:, structural] = self.rows[:, labels[structural]]
-        column_of = np.empty_like(labels)
-        column_of[labels] = np.arange(labels.size)
-        M[np.arange(basis.size), column_of[self.objective.size :]] = 1.0
+        m, n = self.rows.shape
+        # The constraints by label, [rows | I | rhs].
+        M = np.zeros((m, n + m + 1))
+        M[:, :n] = self.rows
+        M[:, n:-1] = np.eye(m)
         M[:, -1] = self.rhs
         try:
-            self._T[:-1] = np.linalg.solve(M[:, : basis.size], M[:, basis.size :])
+            self._T[:-1] = np.linalg.solve(M[:, self._basis], M[:, self._columns()])
         except np.linalg.LinAlgError:
             raise SolverFailure("basis matrix is singular") from None
         self._set_cost_row()
@@ -486,9 +500,9 @@ class Tableau:
         basis and the rows alone.
         """
         objective = np.asarray(objective, dtype=float)
-        if objective.shape != self.objective.shape:
+        if objective.shape != (self.rows.shape[1],):
             raise LpInputError("objective must keep the number of variables")
-        self.objective = objective
+        self._cost[: objective.size] = objective
         self._set_cost_row()
 
     def at_optimum(self) -> bool:
@@ -550,10 +564,9 @@ class Tableau:
 
     def _solution(self):
         """The basic solution over the structural variables."""
-        x = np.zeros(self.objective.size)
-        structural = self._basis < x.size
-        x[self._basis[structural]] = self._T[:-1, -1][structural]
-        return x
+        x = np.zeros(self._cost.size)
+        x[self._basis] = self._T[:-1, -1]
+        return x[: self.rows.shape[1]]
 
     def _optimize(self, counter):
         T, basis, nonbasic, tol = self._T, self._basis, self._nonbasic, self.pivot_tol

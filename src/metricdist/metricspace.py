@@ -5,12 +5,10 @@ A cost matrix is admissible when every quadrilateral inequality
 the agent-alternative restriction of a genuine metric on agents plus
 alternatives, and ``complete_metric`` constructs that extension. The module
 also evaluates every cost objective used elsewhere: column sums, sums of the
-k largest entries, percentiles, p-norms, and submajorization ratios.
+k largest entries and percentiles.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -20,12 +18,10 @@ __all__ = [
     "complete_metric",
     "is_consistent",
     "is_q_metric",
-    "lp_norm",
     "percentile_cost",
     "random_box_q_metric",
     "random_line_metric",
     "social_cost",
-    "submajorization_ratio",
     "top_k_cost",
     "top_k_ratio",
 ]
@@ -249,39 +245,6 @@ def percentile_cost(d, c: int, alpha: float) -> float:
         if (col <= x).sum() / n > alpha:
             return float(x)
     raise AssertionError("unreachable: the maximum always exceeds alpha < 1")
-
-
-def submajorization_ratio(x, y) -> float:
-    """Smallest ``a`` with every descending prefix sum of ``x`` at most ``a`` times ``y``'s.
-
-    A prefix pair ``0/0`` contributes 1; ``positive/0`` makes the ratio
-    infinite, which is a legal return value.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("vectors must have equal length")
-    sx = np.sort(x)[::-1].cumsum()
-    sy = np.sort(y)[::-1].cumsum()
-    best = 0.0
-    for px, py in zip(sx, sy):
-        if py <= 0.0:
-            ratio = 1.0 if px <= 0.0 else math.inf
-        else:
-            ratio = px / py
-        best = max(best, ratio)
-    return float(best)
-
-
-def lp_norm(x, p) -> float:
-    x = np.asarray(x, dtype=float)
-    if p == 1:
-        return float(np.abs(x).sum())
-    if p == 2:
-        return float(np.sqrt((x * x).sum()))
-    if p in (math.inf, np.inf, "inf"):
-        return float(np.abs(x).max())
-    raise ValueError("p must be 1, 2 or inf")
 
 
 def random_line_metric(num_agents, num_alternatives, rng) -> CostMatrix:

@@ -3,12 +3,15 @@
 Everything here is deliberately naive: enumeration plus direct checks, sharing
 no code path with the solvers under test. ``FullTableau`` is the simplex
 tableau that keeps a column for every variable, the reference for the
-condensed live tableau of ``metricdist.linprog``.
+condensed live tableau of ``metricdist.linprog``. ``lp_norm`` and
+``submajorization_ratio`` are the cost norms of the submajorization claim
+that the acceptance and metric-space tests check; the package reads neither.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -452,3 +455,36 @@ def naive_chain_ids(steps, n, m):
         for vp in range(n)
         if v != vp
     ]
+
+
+def submajorization_ratio(x, y) -> float:
+    """Smallest ``a`` with every descending prefix sum of ``x`` at most ``a`` times ``y``'s.
+
+    A prefix pair ``0/0`` contributes 1; ``positive/0`` makes the ratio
+    infinite, which is a legal return value.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError("vectors must have equal length")
+    sx = np.sort(x)[::-1].cumsum()
+    sy = np.sort(y)[::-1].cumsum()
+    best = 0.0
+    for px, py in zip(sx, sy):
+        if py <= 0.0:
+            ratio = 1.0 if px <= 0.0 else math.inf
+        else:
+            ratio = px / py
+        best = max(best, ratio)
+    return float(best)
+
+
+def lp_norm(x, p) -> float:
+    x = np.asarray(x, dtype=float)
+    if p == 1:
+        return float(np.abs(x).sum())
+    if p == 2:
+        return float(np.sqrt((x * x).sum()))
+    if p in (math.inf, np.inf, "inf"):
+        return float(np.abs(x).max())
+    raise ValueError("p must be 1, 2 or inf")

@@ -8,12 +8,11 @@ import numpy as np
 
 from metricdist.distortion import dist_det, grid_oracle
 from metricdist.linprog import LpStatus
-from metricdist.metricspace import lp_norm, submajorization_ratio
 from metricdist.profiles import random_line_instance, random_profile, warmup_instance
 from metricdist.reproduce import run_claim
 from metricdist.rules import copeland
 
-from oracles import brute_force_lp_best, point_is_feasible
+from oracles import brute_force_lp_best, lp_norm, point_is_feasible, submajorization_ratio
 from test_linprog import _random_lp
 
 

@@ -447,33 +447,38 @@ def test_oracle_rejects_an_alternative_out_of_range(warmup_file, capsys, alt):
 
 
 # Every command, with its arguments, and the config keys its report records
-# beyond "command", "profile" and its own extras.
-_COMMANDS = {
-    "winner": (["--rule", "copeland"], {"tie_break"}),
-    "distribution": (["--rule", "rd"], set()),
-    "distortion": (["--rule", "copeland"], {"tie_break"}),
-    "fairness": (["--rule", "copeland", "--k", "1"], {"tie_break"}),
-    "opt-det": ([], set()),
-    "opt-rand": ([], set()),
-    "candidate-response": ([], set()),
-    "oracle": (["--alt", "1"], {"tie_break"}),
-    "reproduce": ([], {"seed"}),
+# beyond "command", "profile" and its own extras, keyed by case. oracle runs
+# a rule, and reads the tie order, only under --rule.
+_CASES = {
+    "winner": ("winner", ["--rule", "copeland"], {"tie_break"}),
+    "distribution": ("distribution", ["--rule", "rd"], set()),
+    "distortion": ("distortion", ["--rule", "copeland"], {"tie_break"}),
+    "fairness": ("fairness", ["--rule", "copeland", "--k", "1"], {"tie_break"}),
+    "opt-det": ("opt-det", [], set()),
+    "opt-rand": ("opt-rand", [], set()),
+    "candidate-response": ("candidate-response", [], set()),
+    "oracle": ("oracle", ["--alt", "1"], set()),
+    "oracle-rule": ("oracle", ["--rule", "copeland"], {"tie_break"}),
+    "reproduce": ("reproduce", [], {"seed"}),
 }
+_COMMANDS = sorted({command for command, _, _ in _CASES.values()})
+# The commands that take --tie-break: those with a case that reads it.
+_TIE_BREAK = {command for command, _, keys in _CASES.values() if "tie_break" in keys}
 
 
-def _argv(command, profile_path):
-    args, _ = _COMMANDS[command]
+def _argv(case, profile_path):
+    command, args, _ = _CASES[case]
     target = ["warmup"] if command == "reproduce" else [str(profile_path)]
     return [command, *target, *args]
 
 
-@pytest.mark.parametrize("command", sorted(_COMMANDS))
+@pytest.mark.parametrize("case", sorted(_CASES))
 def test_config_records_the_seed_and_tie_order_only_where_read(
-    warmup_file, capsys, command
+    warmup_file, capsys, case
 ):
-    code, report = _run(capsys, _argv(command, warmup_file))
+    code, report = _run(capsys, _argv(case, warmup_file))
     assert code == 0
-    _, recorded = _COMMANDS[command]
+    *_, recorded = _CASES[case]
     assert {"seed", "tie_break"} & set(report["config"]) == recorded
     if "seed" in recorded:
         assert report["config"]["seed"] == 42
@@ -483,12 +488,8 @@ def test_config_records_the_seed_and_tie_order_only_where_read(
 
 @pytest.mark.parametrize(
     "command, flag",
-    [(c, "--seed") for c in sorted(_COMMANDS) if c != "reproduce"]
-    + [
-        (c, "--tie-break")
-        for c in sorted(_COMMANDS)
-        if "tie_break" not in _COMMANDS[c][1]
-    ],
+    [(c, "--seed") for c in _COMMANDS if c != "reproduce"]
+    + [(c, "--tie-break") for c in _COMMANDS if c not in _TIE_BREAK],
 )
 def test_a_flag_no_code_reads_is_refused(warmup_file, capsys, command, flag):
     value = "1" if flag == "--seed" else "1,2,3"

@@ -13,6 +13,7 @@ from metricdist.linprog import (
     solve,
 )
 
+import oracles
 from oracles import FullTableau, brute_force_lp_best, point_is_feasible
 
 
@@ -411,6 +412,60 @@ def test_condensed_tableau_matches_full_width_reference(seed):
             status = _optimize_both(tableau, reference)
             statuses.add(status)
     assert statuses == set(LpStatus)
+
+
+# Label-indexed products sum in another order than the reference's.
+_CLOSE = dict(rtol=1e-12, atol=1e-12)
+
+
+def _pivot_both(tableau, reference, rng):
+    """One pivot at the same row and entering label of both tableaux, on an
+    entry of magnitude 1 or more, if the tableau has one."""
+    rows, columns = (np.abs(tableau._T[:-1, :-1]) >= 1.0).nonzero()
+    if not rows.size:
+        return
+    i = int(rng.integers(rows.size))
+    r, c = int(rows[i]), int(columns[i])
+    label = int(tableau._nonbasic[c])
+    linprog._do_pivot(tableau._T, tableau._basis, tableau._nonbasic, r, c)
+    oracles._do_pivot(reference.T, r, label)
+    reference.basis[r] = label
+
+
+def test_label_indexed_arithmetic_matches_the_full_width_reference():
+    # Random pivots and added rows leave structural variables and slacks
+    # basic together; the cost row after an objective switch, the rows
+    # add_rows enters and the basic solution then match the full tableau.
+    rng = np.random.default_rng(3300)
+    mixed = 0
+    for _ in range(60):
+        lp = _random_lp(rng)
+        tableau, reference = Tableau(lp), FullTableau(lp)
+        cost_row = tableau._T[-1]
+        assert cost_row[:-1].tobytes() == (0.0 - lp.objective).tobytes()
+        assert not np.signbit(cost_row[cost_row == 0.0]).any()  # no -0.0
+        for _ in range(int(rng.integers(1, 4))):
+            _pivot_both(tableau, reference, rng)
+        m, k = lp.b_ub.size, int(rng.integers(1, 4))
+        rows = rng.integers(-3, 4, size=(k, lp.num_vars)).astype(float)
+        rhs = rng.integers(0, 6, size=k).astype(float)
+        tableau.add_rows(rows, rhs)
+        reference.add_rows(rows, rhs)
+        columns = np.append(tableau._nonbasic, -1)
+        np.testing.assert_allclose(
+            tableau._T[m : m + k], reference.T[m : m + k][:, columns], **_CLOSE
+        )
+        for _ in range(int(rng.integers(0, 3))):
+            _pivot_both(tableau, reference, rng)
+        objective = rng.integers(-3, 4, size=lp.num_vars).astype(float)
+        tableau.set_objective(objective)
+        reference.set_objective(objective)
+        columns = np.append(tableau._nonbasic, -1)
+        np.testing.assert_allclose(tableau._T[-1], reference.T[-1, columns], **_CLOSE)
+        np.testing.assert_allclose(tableau._solution(), reference.solution(), **_CLOSE)
+        basic_slacks = np.count_nonzero(tableau.basic_slacks())
+        mixed += basic_slacks >= 2 and basic_slacks < tableau._basis.size
+    assert mixed >= 30
 
 
 def test_added_rows_keep_one_column_per_nonbasic_variable():

@@ -9,12 +9,10 @@ from metricdist.metricspace import (
     complete_metric,
     is_consistent,
     is_q_metric,
-    lp_norm,
     percentile_cost,
     random_box_q_metric,
     random_line_metric,
     social_cost,
-    submajorization_ratio,
     top_k_cost,
 )
 from metricdist.profiles import (
@@ -24,7 +22,7 @@ from metricdist.profiles import (
     warmup_instance,
 )
 
-from oracles import naive_quadruples
+from oracles import lp_norm, naive_quadruples, submajorization_ratio
 
 
 @pytest.fixture
