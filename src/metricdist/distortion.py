@@ -96,6 +96,7 @@ benchmark's seed-1 ``certify`` from 12.85 to 17.41, its dual pivots from
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -105,6 +106,7 @@ import numpy as np
 from metricdist.linprog import (
     DEFAULT_FEAS_TOL,
     DEFAULT_PIVOT_TOL,
+    TABLEAU_STATS,
     LinearProgram,
     LpStatus,
     SolverFailure,
@@ -146,12 +148,10 @@ SOLVER_STATS = (
     "cold_builds",  # tableaux built from scratch
     "warm_solves",  # re-optimizations of a live tableau
     "k_switches",  # k lowered in place on a live tableau, by a rank-one update
-    "primal_pivots",
-    "dual_pivots",
-    "refactors",  # tableaux recomputed from their rows to shed round-off
+    # Pivots, refactors and Bland switches, counted by the tableaux
+    *TABLEAU_STATS,
     "rebuilds",  # cold rebuilds after a failed warm re-optimization
     "retries",  # cold solves repeated with a tighter pivot tolerance
-    "bland_switches",  # pivot loops that stalled and switched to Bland's rule
     "separation_rounds",  # searches for violated rows
     "seeded_rows",  # quadrilateral rows a cold build took from the last tableau
     "reused",  # k = N queries answered from a stored optimum, with no LP
@@ -187,11 +187,11 @@ class MetricPolytope:
     :func:`_normalization` writes it per opponent and k.
 
     The tables that depend only on the profile are built once, on first
-    use: ``prefix``, the reachability of :attr:`reach` with each pair's
-    first chain step, the four cost columns of every id
-    (:attr:`quad_columns`), those of the proper ids that separation reads
-    (:meth:`violated_quadruples`) and each pair's chain rows
-    (:meth:`chain_quadruples`).
+    use, as cached properties: ``prefix``, the reachability of :attr:`reach`
+    with each pair's first chain step, ``proper``, the four cost columns of
+    every id (:attr:`quad_columns`), those of the proper ids that
+    separation reads (:meth:`violated_quadruples`) and ``ranking_groups``;
+    each pair's chain rows are memoized by :meth:`chain_quadruples`.
     """
 
     def __init__(self, profile):
@@ -202,10 +202,6 @@ class MetricPolytope:
         self.num_quad_ids = self.num_metric_vars**2
         # edges[a, b]: some agent prefers a over b (the tournament's support)
         self.edges = build_weighted(profile).weights > 0
-        self._reach = None
-        self._first = None  # nested lists: first step of chain(a, b)
-        self._consistency = None
-        self._prefix = None
         # d(v, c) is entry v M + positions[v, c] of the per-agent prefix sums
         agents = np.arange(self.num_agents)[:, None]
         self._ranked = (agents * self.num_alternatives + profile.positions).ravel()
@@ -213,38 +209,34 @@ class MetricPolytope:
         # The id of (v, v', 0, 0) for every pair of agents v != v'
         pairs = np.flatnonzero(~np.eye(self.num_agents, dtype=bool))
         self._pair_ids = pairs * self.num_alternatives**2
-        self._groups = None
-        self._proper = None
-        self._quad_columns = None
-        # The proper ids, their cost columns by row, and separation's buffers
-        self._separation = None
 
     def var(self, v: int, c: int) -> int:
         return v * self.num_alternatives + c
 
-    @property
+    @functools.cached_property
     def reach(self) -> np.ndarray:
-        """``reach[a, b]``: a chain of ``edges`` leads from a to b; diagonal True."""
-        if self._reach is None:
-            # Breadth-first from every alternative at once: ``wider & ~near``
-            # are the pairs whose shortest chain has k steps.
-            m = self.num_alternatives
-            edges = self.edges
-            near = np.eye(m, dtype=bool)
-            length = np.where(near, 0, m)  # steps of a shortest chain, m if none
-            for k in range(1, m):
-                wider = near | (near @ edges)
-                if (wider == near).all():
-                    break
-                length[wider & ~near] = k
-                near = wider
-            self._reach = near
-            # The first step from a toward b: the smallest y with an edge
-            # a -> y and a shortest chain from y one step shorter. Entries of
-            # unreachable and diagonal pairs are never read.
-            closer = edges[:, :, None] & (length[None] == length[:, None] - 1)
-            self._first = closer.argmax(axis=1).tolist()
-        return self._reach
+        """``reach[a, b]``: a chain of ``edges`` leads from a to b; diagonal True.
+
+        Also sets ``_first``, nested lists: the first step of chain(a, b).
+        """
+        # Breadth-first from every alternative at once: ``wider & ~near``
+        # are the pairs whose shortest chain has k steps.
+        m = self.num_alternatives
+        edges = self.edges
+        near = np.eye(m, dtype=bool)
+        length = np.where(near, 0, m)  # steps of a shortest chain, m if none
+        for k in range(1, m):
+            wider = near | (near @ edges)
+            if (wider == near).all():
+                break
+            length[wider & ~near] = k
+            near = wider
+        # The first step from a toward b: the smallest y with an edge
+        # a -> y and a shortest chain from y one step shorter. Entries of
+        # unreachable and diagonal pairs are never read.
+        closer = edges[:, :, None] & (length[None] == length[:, None] - 1)
+        self._first = closer.argmax(axis=1).tolist()
+        return near
 
     def chain(self, a, b):
         """Steps ``(x, y)`` of a shortest chain of ``edges`` from a to b.
@@ -273,19 +265,17 @@ class MetricPolytope:
         return support[~self.reach[support, z]].tolist()
 
     def consistency_rows(self) -> np.ndarray:
-        if self._consistency is None:
-            n, m, nm = self.num_agents, self.num_alternatives, self.num_metric_vars
-            rows = np.zeros((n * (m - 1), nm))
-            r = 0
-            for v, ranking in enumerate(self.profile.rankings):
-                for t in range(m - 1):
-                    rows[r, self.var(v, ranking[t])] = 1.0
-                    rows[r, self.var(v, ranking[t + 1])] = -1.0
-                    r += 1
-            self._consistency = rows
-        return self._consistency
+        n, m, nm = self.num_agents, self.num_alternatives, self.num_metric_vars
+        rows = np.zeros((n * (m - 1), nm))
+        r = 0
+        for v, ranking in enumerate(self.profile.rankings):
+            for t in range(m - 1):
+                rows[r, self.var(v, ranking[t])] = 1.0
+                rows[r, self.var(v, ranking[t + 1])] = -1.0
+                r += 1
+        return rows
 
-    @property
+    @functools.cached_property
     def prefix(self) -> np.ndarray:
         """L, the ``NM x NM`` map from increments to costs: ``d = L @ delta``.
 
@@ -294,14 +284,12 @@ class MetricPolytope:
         t is at most c's position, and every other entry is 0. A row or
         objective over the costs is ``row @ L`` over the increments.
         """
-        if self._prefix is None:
-            n, m = self.num_agents, self.num_alternatives
-            agents = np.arange(n)
-            steps = self.profile.positions[:, :, None] >= np.arange(m)
-            prefix = np.zeros((n, m, n, m))
-            prefix[agents, :, agents, :] = steps
-            self._prefix = prefix.reshape(self.num_metric_vars, -1)
-        return self._prefix
+        n, m = self.num_agents, self.num_alternatives
+        agents = np.arange(n)
+        steps = self.profile.positions[:, :, None] >= np.arange(m)
+        prefix = np.zeros((n, m, n, m))
+        prefix[agents, :, agents, :] = steps
+        return prefix.reshape(self.num_metric_vars, -1)
 
     def metric(self, increments) -> np.ndarray:
         """The ``N x M`` costs ``L @ increments``, one cumulative sum per agent.
@@ -312,16 +300,14 @@ class MetricPolytope:
         sums = increments.reshape(self.num_agents, -1).cumsum(axis=1)
         return sums.take(self._ranked).reshape(self.num_agents, -1)
 
-    @property
+    @functools.cached_property
     def proper(self) -> np.ndarray:
         """Mask over the quadrilateral ids: those with ``v != v'`` and ``c != c'``."""
-        if self._proper is None:
-            n, m = self.num_agents, self.num_alternatives
-            agents, alternatives = ~np.eye(n, dtype=bool), ~np.eye(m, dtype=bool)
-            self._proper = (agents[:, :, None, None] & alternatives).ravel()
-        return self._proper
+        n, m = self.num_agents, self.num_alternatives
+        agents, alternatives = ~np.eye(n, dtype=bool), ~np.eye(m, dtype=bool)
+        return (agents[:, :, None, None] & alternatives).ravel()
 
-    @property
+    @functools.cached_property
     def quad_columns(self) -> np.ndarray:
         """The four cost columns of every quadrilateral id, one row per id.
 
@@ -329,15 +315,13 @@ class MetricPolytope:
         entries that :meth:`quadruple_rows` writes with signs ``+1, -1, -1,
         -1``: ``4 N^2 M^2`` int32, built once per polytope.
         """
-        if self._quad_columns is None:
-            n, m = self.num_agents, self.num_alternatives
-            v, vp, c, cp = np.ogrid[:n, :n, :m, :m]
-            entries = (v * m + c, v * m + cp, vp * m + cp, vp * m + c)
-            columns = np.empty((n, n, m, m, 4), dtype=np.int32)
-            for i, entry in enumerate(entries):
-                columns[..., i] = entry
-            self._quad_columns = columns.reshape(-1, 4)
-        return self._quad_columns
+        n, m = self.num_agents, self.num_alternatives
+        v, vp, c, cp = np.ogrid[:n, :n, :m, :m]
+        entries = (v * m + c, v * m + cp, vp * m + cp, vp * m + c)
+        columns = np.empty((n, n, m, m, 4), dtype=np.int32)
+        for i, entry in enumerate(entries):
+            columns[..., i] = entry
+        return columns.reshape(-1, 4)
 
     def quadruple_rows(self, ids) -> np.ndarray:
         """Rows of ``d(v,c) - d(v,c') - d(v',c') - d(v',c) <= 0``, one per id.
@@ -385,14 +369,6 @@ class MetricPolytope:
         order of :func:`metricspace._quad_gaps`, so they are its bits. With
         N = 1 or M = 1 no quadruple is proper, and none is returned.
         """
-        if self._separation is None:
-            ids = self.all_quadruples()
-            # C-ordered intp, as take wants: it copies an int32 or strided
-            # index on every call. Each round writes the gathered entries and
-            # the gaps into buffers kept with the table: allocating them anew
-            # per round fragmented the heap at large M.
-            columns = np.ascontiguousarray(self.quad_columns[ids].T, dtype=np.intp)
-            self._separation = ids, columns, np.empty(columns.shape), np.empty(ids.size)
         ids, columns, entries, gaps = self._separation
         if not ids.size:
             return _NO_IDS
@@ -407,15 +383,26 @@ class MetricPolytope:
         ids = ids[violated[np.argsort(-gaps[violated])]]
         return ids[~exclude[ids]][:limit]
 
-    @property
+    @functools.cached_property
+    def _separation(self):
+        """The proper ids, their cost columns by row, and separation's buffers.
+
+        The columns are C-ordered intp, as take wants: it copies an int32 or
+        strided index on every call. Each round writes the gathered entries
+        and the gaps into the buffers: allocating them anew per round
+        fragmented the heap at large M.
+        """
+        ids = self.all_quadruples()
+        columns = np.ascontiguousarray(self.quad_columns[ids].T, dtype=np.intp)
+        return ids, columns, np.empty(columns.shape), np.empty(ids.size)
+
+    @functools.cached_property
     def ranking_groups(self):
         """Agents that share a ranking, one list per ranking, by first agent."""
-        if self._groups is None:
-            groups = {}
-            for v, ranking in enumerate(self.profile.rankings.tolist()):
-                groups.setdefault(tuple(ranking), []).append(v)
-            self._groups = list(groups.values())
-        return self._groups
+        groups = {}
+        for v, ranking in enumerate(self.profile.rankings.tolist()):
+            groups.setdefault(tuple(ranking), []).append(v)
+        return list(groups.values())
 
     def subset_tuples(self, k, s):
         """One s-tuple of k-agent subsets per orbit, in ascending order.
@@ -532,7 +519,9 @@ class _PolytopeSolver:
     re-optimization that fails is rebuilt cold, and a failing cold solve is
     retried once with a tighter pivot tolerance. ``stats`` counts all of it
     since the solver was built (every name of ``SOLVER_STATS`` but the level
-    ``pool_rows``); :meth:`stats_since` gives one call's share.
+    ``pool_rows``): every tableau is built on it and counts its own pivots,
+    refactors and Bland switches there as they happen, and the solver
+    counts the rest. :meth:`stats_since` gives one call's share.
 
     Entry points share one solver through :func:`_solver_for`; the module
     docstring says what an earlier call on the profile can change.
@@ -765,18 +754,9 @@ class _PolytopeSolver:
         live.held = None
 
     def _run(self, tableau):
-        """Optimize ``tableau``; the outcome is verified, pivots counted."""
-        stats = self.stats
-        primal, dual = tableau.primal_pivots, tableau.dual_pivots
-        refactors, bland = tableau.refactors, tableau.bland_switches
-        try:
-            status = tableau.optimize()
-            return status, tableau.outcome() if status is LpStatus.OPTIMAL else None
-        finally:
-            stats["primal_pivots"] += tableau.primal_pivots - primal
-            stats["dual_pivots"] += tableau.dual_pivots - dual
-            stats["refactors"] += tableau.refactors - refactors
-            stats["bland_switches"] += tableau.bland_switches - bland
+        """Optimize ``tableau``; the outcome is verified."""
+        status = tableau.optimize()
+        return status, tableau.outcome() if status is LpStatus.OPTIMAL else None
 
     def _reoptimize(self, live):
         """Warm re-optimization, rebuilt cold if it fails."""
@@ -796,7 +776,7 @@ class _PolytopeSolver:
         self.stats["cold_builds"] += 1
         for pivot_tol in (DEFAULT_PIVOT_TOL, _RETRY_PIVOT_TOL):
             try:
-                tableau = Tableau(lp, pivot_tol=pivot_tol)
+                tableau = Tableau(lp, pivot_tol=pivot_tol, stats=self.stats)
                 return (tableau, *self._run(tableau))
             except SolverFailure as exc:
                 failure = exc

@@ -7,10 +7,13 @@ minimax problem over the uncountable set of cost-1-normalized consistent
 metrics, solved by cutting planes: a master game over the stored cuts
 proposes a lottery and a budget, and the separation oracle, which reads
 ``dist_rand`` of that lottery, certifies it or returns its witness as the
-next cut. The first cuts are the uniform metric and every k = N optimum
-the profile's solver has kept (``_PolytopeSolver.optima``). The master and
-the pairwise-response value are one lottery game with nonnegative payoffs,
-solved as ``max 1·u`` over ``A u <= 1`` (:func:`_lottery_game`).
+next cut. The master weighs only the columns with a preference chain to
+every alternative, found before the first iteration, so the oracle always
+has a witness. The first cuts are the uniform metric and every k = N
+optimum the profile's solver has kept (``_PolytopeSolver.optima``). The
+master and the pairwise-response value are one lottery game with
+nonnegative payoffs, solved as ``max 1·u`` over ``A u <= 1``
+(:func:`_lottery_game`).
 """
 
 from __future__ import annotations
@@ -27,7 +30,13 @@ from metricdist.distortion import (
     dist_det,
     dist_rand,
 )
-from metricdist.linprog import LinearProgram, LpStatus, SolverFailure, solve
+from metricdist.linprog import (
+    DEFAULT_PIVOT_TOL,
+    LinearProgram,
+    LpStatus,
+    SolverFailure,
+    solve,
+)
 from metricdist.metricspace import CostMatrix
 
 __all__ = [
@@ -87,14 +96,13 @@ class CuttingPlaneState:
     eps: float
     cuts: list = field(default_factory=list)  # (column_sums, witness, violation)
     master_values: list = field(default_factory=list)
-    blocked_columns: set = field(default_factory=set)
     iterations: int = 0
     seeded: int = 0
 
     def summary(self) -> str:
         return (
             f"iterations={self.iterations} cuts={len(self.cuts)} "
-            f"seeded={self.seeded} blocked={sorted(self.blocked_columns)} "
+            f"seeded={self.seeded} "
             f"master_values={[round(float(v), 6) for v in self.master_values[-8:]]}"
         )
 
@@ -185,8 +193,13 @@ def opt_rand(profile, eps: float = DEFAULT_EPS) -> OptRandResult:
     """Lottery minimizing the worst-case expected cost ratio, within ``eps``.
 
     Each iteration takes the lottery and budget from the master game over
-    the stored cuts and the unblocked columns, and adds one cut per
-    violating metric. The oracle violation threshold is ``eps / 2`` to
+    the stored cuts and the usable columns, and adds the oracle's witness
+    as a cut while it violates the budget. The usable columns are those
+    with a preference chain to every alternative (``MetricPolytope.reach``),
+    taken before the loop: any other column makes the worst ratio infinite.
+    Some column is usable: every agent orders every pair, so the support
+    graph is semicomplete, and its Hamiltonian path's first vertex reaches
+    every alternative. The oracle violation threshold is ``eps / 2`` to
     keep boundary cuts from cycling. The first cuts are the uniform metric
     and the k = N optima the profile's solver already holds (``opt_det``'s
     table, distortion reports, earlier oracle calls): each is consistent
@@ -224,26 +237,20 @@ def opt_rand(profile, eps: float = DEFAULT_EPS) -> OptRandResult:
     for _, metric in solver.optima.values():
         state.cuts.append((metric.sum(axis=0), CostMatrix(metric), 0.0))
     state.seeded = len(solver.optima)
+    usable = np.flatnonzero(solver.polytope.reach.all(axis=1))
     while state.iterations < _MAX_CUTS:
         state.iterations += 1
         sums = np.array([cut_sums for cut_sums, _, _ in state.cuts])
-        unblocked = [c for c in range(m) if c not in state.blocked_columns]
-        x, gamma = _lottery_game(sums, unblocked)
+        x, gamma = _lottery_game(sums, usable)
         state.master_values.append(gamma)
 
         verdict = separation_oracle(x, gamma, profile, viol_tol=eps / 2)
         if verdict.feasible:
             stats = solver.stats_since(before)
             return OptRandResult(x, verdict.value, state, solver_stats=stats)
-        if verdict.blocked:
-            columns = {c for c, _ in verdict.blocked}
-            if columns <= state.blocked_columns:
-                raise ConvergenceError("oracle verdict adds no cut", state)
-            state.blocked_columns |= columns
-        else:
-            witness = verdict.witness
-            cut = (witness.values.sum(axis=0), witness, verdict.value - gamma)
-            state.cuts.append(cut)
+        witness = verdict.witness
+        cut = (witness.values.sum(axis=0), witness, verdict.value - gamma)
+        state.cuts.append(cut)
     raise ConvergenceError("cut cap exceeded", state)
 
 
@@ -259,6 +266,9 @@ def _lottery_game(payoffs, columns):
     sums of nonnegative metrics, and the first, the uniform metric's, is 1
     on every column; a worst-ratio table is >= 1 throughout.
 
+    x is exactly 0 where u is at most ``DEFAULT_PIVOT_TOL``, pivot
+    round-off; ``value`` stays ``1 / (1·u)``, a master's lower bound.
+
     Raises:
         SolverFailure: the LP failed or was not optimal; it carries the LP
             (``lp_text``).
@@ -273,9 +283,11 @@ def _lottery_game(payoffs, columns):
         raise SolverFailure(
             f"lottery-game LP failed: {exc}", lp_text=lp.dump_text()
         ) from exc
-    total = out.assignment.sum()
+    u = out.assignment
+    total = u.sum()
+    weights = np.where(u > DEFAULT_PIVOT_TOL, u, 0.0)
     x = np.zeros(payoffs.shape[1])
-    x[columns] = out.assignment / total
+    x[columns] = weights / weights.sum()
     return x, 1.0 / total
 
 

@@ -24,6 +24,11 @@ structural from slack variables.
 Both pivot loops run a greedy rule for speed and switch permanently to
 Bland's rule after a stall, so termination is guaranteed even on the highly
 degenerate metric polytopes this package produces.
+
+A tableau counts its work as it happens into a ``stats`` dict, keyed by
+``TABLEAU_STATS``: each pivot of either loop, each refactor of a drifted
+optimum and each switch to Bland's rule. Tableaux built on one dict share
+it, so a caller that replaces its tableaux keeps one ledger of their work.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "LpOutcome",
     "LpStatus",
     "SolverFailure",
+    "TABLEAU_STATS",
     "Tableau",
     "solve",
 ]
@@ -46,6 +52,12 @@ __all__ = [
 DEFAULT_PIVOT_TOL = 1e-9
 DEFAULT_FEAS_TOL = 1e-7
 DEFAULT_MAX_PIVOTS = 1_000_000
+TABLEAU_STATS = (
+    "primal_pivots",
+    "dual_pivots",
+    "refactors",  # tableaux recomputed from their rows to shed round-off
+    "bland_switches",  # pivot loops that stalled and switched to Bland's rule
+)
 
 # Consecutive pivots without objective progress tolerated under Dantzig's
 # rule before switching to Bland's rule for the rest of the solve.
@@ -180,20 +192,6 @@ class LpOutcome:
     assignment: np.ndarray | None = None
 
 
-class _PivotCounter:
-    __slots__ = ("pivots", "cap", "bland_switches")
-
-    def __init__(self, cap):
-        self.pivots = 0
-        self.cap = cap
-        self.bland_switches = 0
-
-    def tick(self):
-        self.pivots += 1
-        if self.pivots > self.cap:
-            raise SolverFailure(f"pivot cap of {self.cap} exceeded")
-
-
 def _do_pivot(T, basis, nonbasic, r, c):
     """Jordan exchange on a condensed tableau at row ``r``, column ``c``.
 
@@ -219,16 +217,18 @@ def _smallest_label(indices, labels) -> int:
     return int(indices[labels[indices].argmin()])
 
 
-def _pivot_loop(T, basis, nonbasic, pivot_tol, counter) -> str:
+def _pivot_loop(T, basis, nonbasic, pivot_tol, stats) -> str:
     """Run primal simplex to optimality on a feasible tableau.
 
     Row ``m`` carries reduced costs for a maximization; a column enters while
-    its reduced cost is below ``-pivot_tol``.
+    its reduced cost is below ``-pivot_tol``. Counts each pivot in ``stats``,
+    at most ``DEFAULT_MAX_PIVOTS`` of them.
     """
     m = T.shape[0] - 1
     costs, values = T[m, :-1], T[:m, -1]
     if costs.size == 0:
         return "optimal"  # every variable is basic
+    cap = stats["primal_pivots"] + DEFAULT_MAX_PIVOTS
     bland = False
     stall = 0
     while True:
@@ -264,20 +264,23 @@ def _pivot_loop(T, basis, nonbasic, pivot_tol, counter) -> str:
 
         before = T[m, -1]
         _do_pivot(T, basis, nonbasic, row, col)
-        counter.tick()
+        stats["primal_pivots"] += 1
+        if stats["primal_pivots"] > cap:
+            raise SolverFailure(f"pivot cap of {DEFAULT_MAX_PIVOTS} exceeded")
 
         if not bland:
             stall = stall + 1 if T[m, -1] <= before + 1e-12 else 0
             if stall >= _STALL_LIMIT:
                 bland = True
-                counter.bland_switches += 1
+                stats["bland_switches"] += 1
 
 
-def _dual_loop(T, basis, nonbasic, pivot_tol, counter):
+def _dual_loop(T, basis, nonbasic, pivot_tol, stats):
     """Run dual simplex to optimality on a dual-feasible tableau.
 
     A row leaves while its basic value is below ``-pivot_tol``; the entering
-    column keeps every reduced cost nonnegative.
+    column keeps every reduced cost nonnegative. Counts each pivot in
+    ``stats``, at most ``DEFAULT_MAX_PIVOTS`` of them.
 
     Raises:
         SolverFailure: a leaving row has no negative entry to pivot on. It
@@ -286,6 +289,7 @@ def _dual_loop(T, basis, nonbasic, pivot_tol, counter):
     """
     m = T.shape[0] - 1
     costs, values = T[m, :-1], T[:m, -1]
+    cap = stats["dual_pivots"] + DEFAULT_MAX_PIVOTS
     bland = False
     stall = 0
     while True:
@@ -321,13 +325,15 @@ def _dual_loop(T, basis, nonbasic, pivot_tol, counter):
 
         before = T[m, -1]
         _do_pivot(T, basis, nonbasic, row, col)
-        counter.tick()
+        stats["dual_pivots"] += 1
+        if stats["dual_pivots"] > cap:
+            raise SolverFailure(f"pivot cap of {DEFAULT_MAX_PIVOTS} exceeded")
 
         if not bland:
             stall = stall + 1 if T[m, -1] >= before - 1e-12 else 0
             if stall >= _STALL_LIMIT:
                 bland = True
-                counter.bland_switches += 1
+                stats["bland_switches"] += 1
 
 
 class Tableau:
@@ -356,14 +362,13 @@ class Tableau:
     Args:
         lp: the program to build.
         pivot_tol: pivot and optimality tolerance of both pivot loops.
+        stats: the dict, keyed by ``TABLEAU_STATS``, that :meth:`optimize`
+            counts its work into as it happens; a fresh one when None.
     """
 
-    def __init__(self, lp, *, pivot_tol=DEFAULT_PIVOT_TOL):
+    def __init__(self, lp, *, pivot_tol=DEFAULT_PIVOT_TOL, stats=None):
         self.pivot_tol = pivot_tol
-        self.primal_pivots = 0
-        self.dual_pivots = 0
-        self.refactors = 0
-        self.bland_switches = 0
+        self.stats = dict.fromkeys(TABLEAU_STATS, 0) if stats is None else stats
         m, n = lp.A_ub.shape
         self.rows = lp.A_ub.copy()
         self.rhs = lp.b_ub.copy()
@@ -527,23 +532,21 @@ class Tableau:
         earlier pivots, are left to the primal simplex when the reduced
         costs do not allow the dual. An optimum that violates a row by more
         than ``_DRIFT_TOL`` is refactored from the rows and re-optimized
-        once.
+        once. Pivots, that refactor and switches to Bland's rule count in
+        ``stats`` as they happen, so a call that raises has counted its
+        work.
 
         Raises:
-            SolverFailure: more than ``DEFAULT_MAX_PIVOTS`` pivots in this
-                call, or round-off left the basis neither primal nor dual
-                feasible, or left the dual simplex no entering column
+            SolverFailure: more than ``DEFAULT_MAX_PIVOTS`` pivots in one
+                pivot loop, or round-off left the basis neither primal nor
+                dual feasible, or left the dual simplex no entering column
                 (rebuild the tableau cold).
         """
-        counter = _PivotCounter(DEFAULT_MAX_PIVOTS)
-        try:
-            status = self._optimize(counter)
-            if status is LpStatus.OPTIMAL and self._residual() > _DRIFT_TOL:
-                self.refactor()
-                self.refactors += 1
-                status = self._optimize(counter)
-        finally:
-            self.bland_switches += counter.bland_switches
+        status = self._optimize()
+        if status is LpStatus.OPTIMAL and self._residual() > _DRIFT_TOL:
+            self.refactor()
+            self.stats["refactors"] += 1
+            status = self._optimize()
         return status
 
     def _residual(self):
@@ -568,7 +571,7 @@ class Tableau:
         x[self._basis] = self._T[:-1, -1]
         return x[: self.rows.shape[1]]
 
-    def _optimize(self, counter):
+    def _optimize(self):
         T, basis, nonbasic, tol = self._T, self._basis, self._nonbasic, self.pivot_tol
         self._checked = None
         lowest = _min(T[:-1, -1], initial=0.0)
@@ -577,16 +580,8 @@ class Tableau:
                 if lowest < -DEFAULT_FEAS_TOL:
                     raise SolverFailure("basis is neither primal nor dual feasible")
             else:
-                before = counter.pivots
-                try:
-                    _dual_loop(T, basis, nonbasic, tol, counter)
-                finally:
-                    self.dual_pivots += counter.pivots - before
-        before = counter.pivots
-        try:
-            status = _pivot_loop(T, basis, nonbasic, tol, counter)
-        finally:
-            self.primal_pivots += counter.pivots - before
+                _dual_loop(T, basis, nonbasic, tol, self.stats)
+        status = _pivot_loop(T, basis, nonbasic, tol, self.stats)
         if status == "unbounded":
             return LpStatus.UNBOUNDED
         return LpStatus.OPTIMAL

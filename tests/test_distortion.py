@@ -975,6 +975,42 @@ def test_per_call_solver_stats_sum_to_solver_totals():
     assert reports[1].solver_stats["seeded_rows"] > 0
 
 
+def test_tableaux_count_into_the_solver_ledger():
+    assert set(linprog.TABLEAU_STATS) <= set(SOLVER_STATS)
+    profile = warmup_instance().profile
+    dist_det(0, profile)
+    solver = _solver_for(profile)
+    assert all(live.tableau.stats is solver.stats for live in solver.live.values())
+
+
+def test_a_rebuilt_cold_solve_counts_into_the_same_ledger(monkeypatch):
+    profile = ranked_pairs_hard_instance(3).profile
+    m = profile.num_alternatives
+    a_det(0, m - 1, profile)  # leaves a live tableau
+    solver = _solver_for(profile)
+    (failing,) = [live.tableau for live in solver.live.values()]
+    optimize, do_pivot, pivots = linprog.Tableau.optimize, linprog._do_pivot, []
+
+    def fail_warm(self):
+        if self is failing:
+            raise SolverFailure("warm solve broken on purpose")
+        return optimize(self)
+
+    def counted_pivot(*args):
+        pivots.append(1)
+        do_pivot(*args)
+
+    monkeypatch.setattr(linprog.Tableau, "optimize", fail_warm)
+    monkeypatch.setattr(linprog, "_do_pivot", counted_pivot)
+    before = dict(solver.stats)
+    a_det(1, m - 1, profile)  # same opponent: warm, then rebuilt cold
+    (rebuilt,) = [live.tableau for live in solver.live.values()]
+    assert rebuilt is not failing and rebuilt.stats is solver.stats
+    work = {name: solver.stats[name] - before[name] for name in solver.stats}
+    assert work["rebuilds"] == work["cold_builds"] == 1
+    assert work["primal_pivots"] + work["dual_pivots"] == len(pivots) > 0
+
+
 def test_failure_after_warm_and_cold_attempts_carries_reproduction(monkeypatch):
     profile = ranked_pairs_hard_instance(3).profile
     m = profile.num_alternatives

@@ -5,6 +5,7 @@ import pytest
 
 from metricdist import linprog
 from metricdist.linprog import (
+    TABLEAU_STATS,
     LinearProgram,
     LpInputError,
     LpStatus,
@@ -77,7 +78,39 @@ def test_a_call_that_raises_still_counts_its_pivots(monkeypatch):
     tableau = Tableau(LinearProgram([1.0, 1.0], np.eye(2), [1.0, 1.0]))
     with pytest.raises(SolverFailure, match="pivot cap"):
         tableau.optimize()
-    assert (tableau.primal_pivots, tableau.dual_pivots) == (2, 0)
+    assert (tableau.stats["primal_pivots"], tableau.stats["dual_pivots"]) == (2, 0)
+
+
+def test_the_pivot_cap_counts_from_the_start_of_each_loop(monkeypatch):
+    # Pivots counted into the dict before, by another tableau, do not count
+    # against this loop's cap: the unit box takes two pivots, the cap.
+    monkeypatch.setattr(linprog, "DEFAULT_MAX_PIVOTS", 2)
+    stats = dict.fromkeys(TABLEAU_STATS, 0)
+    stats["primal_pivots"] = 5
+    tableau = Tableau(LinearProgram([1.0, 1.0], np.eye(2), [1.0, 1.0]), stats=stats)
+    assert tableau.optimize() is LpStatus.OPTIMAL
+    assert tableau.stats is stats and stats["primal_pivots"] == 7
+
+
+def test_tableaux_built_on_one_dict_count_into_it():
+    lps = _optimal_random_lps(np.random.default_rng(67), 8)
+
+    def run(tableau):
+        tableau.optimize()
+        # Halving every variable cuts the optimum off: the dual simplex runs.
+        x = tableau.outcome().assignment
+        tableau.add_rows(np.eye(x.size), x / 2)
+        tableau.optimize()
+        return tableau.stats
+
+    apart = [run(Tableau(lp)) for lp in lps]
+    assert apart[1] is not apart[0]
+    assert Tableau(lps[0]).stats == dict.fromkeys(TABLEAU_STATS, 0)
+    shared = dict.fromkeys(TABLEAU_STATS, 0)
+    for lp in lps:
+        assert run(Tableau(lp, stats=shared)) is shared
+    assert shared == {name: sum(s[name] for s in apart) for name in TABLEAU_STATS}
+    assert shared["primal_pivots"] > 0 and shared["dual_pivots"] > 0
 
 
 def test_objective_scaling():
@@ -197,9 +230,9 @@ def test_added_rows_reoptimize_by_dual_simplex():
             rhs = rng.integers(0, 6, size=k).astype(float)
             tableau.add_rows(rows, rhs)
             full = _with_rows(full, rows, rhs)
-            before = tableau.dual_pivots
+            before = tableau.stats["dual_pivots"]
             _assert_matches_cold(tableau, full)
-            dual_pivots += tableau.dual_pivots - before
+            dual_pivots += tableau.stats["dual_pivots"] - before
             if solve(full).status is not LpStatus.OPTIMAL:
                 break
     assert dual_pivots > 0
@@ -295,7 +328,7 @@ def test_update_coefficient_equals_a_refactor_in_the_same_basis():
             reference.rows[0, j] = value
             reference.refactor()
             basic_seen.add(bool(np.isin(j, tableau._basis)))
-            assert updated.rows[0, j] == value and updated.refactors == 0
+            assert updated.rows[0, j] == value and updated.stats["refactors"] == 0
             np.testing.assert_array_equal(updated._basis, tableau._basis)
             np.testing.assert_allclose(updated._T, reference._T, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
@@ -309,12 +342,12 @@ def test_update_coefficient_keeps_the_basis_or_refuses():
     lp = LinearProgram([1.0, 0.0], [[2.0, 0.0], [1.0, -1.0]], [1.0, 0.0])
     tableau = Tableau(lp)
     assert tableau.optimize() is LpStatus.OPTIMAL
-    pivots = tableau.primal_pivots
+    pivots = tableau.stats["primal_pivots"]
     tableau.update_coefficient(0, 0, 1.0)  # a = 1/2: x = y = 1
     np.testing.assert_allclose(tableau.outcome().assignment, [1.0, 1.0], atol=1e-15)
     assert tableau.at_optimum()
     assert tableau.optimize() is LpStatus.OPTIMAL  # still optimal: no pivot
-    assert tableau.primal_pivots == pivots and tableau.dual_pivots == 0
+    assert (tableau.stats["primal_pivots"], tableau.stats["dual_pivots"]) == (pivots, 0)
     with pytest.raises(SolverFailure, match="singular"):
         tableau.update_coefficient(0, 0, 0.0)  # a = 0: x would be unbounded
     assert tableau.rows[0, 0] == 1.0
@@ -322,6 +355,12 @@ def test_update_coefficient_keeps_the_basis_or_refuses():
     two = Tableau(LinearProgram([1.0], [[1.0], [2.0]], [1.0, 1.0]))
     with pytest.raises(LpInputError, match="rhs must be 1"):
         two.update_coefficient(0, 0, 0.5)
+
+
+def _work(tableau):
+    """The pivots and refactors a tableau has counted."""
+    stats = tableau.stats
+    return stats["primal_pivots"] + stats["dual_pivots"] + stats["refactors"]
 
 
 def test_at_optimum_is_an_optimize_that_makes_no_pivot_and_no_refactor():
@@ -341,14 +380,13 @@ def test_at_optimum_is_an_optimize_that_makes_no_pivot_and_no_refactor():
                     rng.integers(0, 3, size=1).astype(float),
                 )
             at_optimum = tableau.at_optimum()
-            work = tableau.primal_pivots + tableau.dual_pivots + tableau.refactors
+            work = _work(tableau)
             try:
                 status = tableau.optimize()
             except SolverFailure:
                 assert not at_optimum
                 break
-            after = tableau.primal_pivots + tableau.dual_pivots + tableau.refactors
-            idle = status is LpStatus.OPTIMAL and after == work
+            idle = status is LpStatus.OPTIMAL and _work(tableau) == work
             assert at_optimum == idle
             seen.add(idle)
             if status is not LpStatus.OPTIMAL:
@@ -488,7 +526,7 @@ def test_stalled_loop_switches_to_bland_and_counts_it(monkeypatch):
     tableau = Tableau(BEALE)
     assert tableau.optimize() is LpStatus.OPTIMAL
     assert tableau.outcome().value == pytest.approx(0.05, abs=1e-9)
-    assert tableau.bland_switches == 1
+    assert tableau.stats["bland_switches"] == 1
 
 
 def test_optimum_residual_is_computed_once(monkeypatch):
@@ -515,7 +553,7 @@ def test_row_violated_at_the_optimum_is_refactored():
     tableau = Tableau(lp)
     tableau.rhs[0] = 0.5
     assert tableau.optimize() is LpStatus.OPTIMAL
-    assert tableau.refactors == 1
+    assert tableau.stats["refactors"] == 1
     assert tableau.outcome().value == pytest.approx(0.5, abs=1e-12)
 
 
@@ -529,7 +567,7 @@ def test_at_optimum_refuses_an_optimum_that_drifted_from_its_rows():
     tableau.rhs[0] = 0.5
     tableau.add_rows([[0.0]], [0.0])
     assert not tableau.at_optimum()
-    assert tableau.optimize() is LpStatus.OPTIMAL and tableau.refactors == 1
+    assert tableau.optimize() is LpStatus.OPTIMAL and tableau.stats["refactors"] == 1
     assert tableau.at_optimum()
 
 
