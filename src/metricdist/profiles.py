@@ -47,11 +47,19 @@ class ProfileParseError(ValueError):
 
 
 class PreferenceProfile:
-    """Strict rankings, one per agent, most-preferred first (0-based indices)."""
+    """Strict rankings, one per agent, most-preferred first (0-based indices).
+
+    ``rankings[v, k]`` is agent ``v``'s ``k``-th choice, an N x M int table.
+    ``rank_of[c, v]`` is the rank of alternative ``c`` for agent ``v``: the
+    inverse permutations, stored M x N in the narrowest unsigned type that
+    holds M, so the tournament counts read one alternative's ranks as one
+    contiguous row. ``positions[v, c]`` holds the same ranks N x M as ints;
+    it is derived from ``rank_of`` on each read. All three are read-only.
+    """
 
     # ``_tournament`` caches the weighted tournament; ``tournament.build_weighted``
     # fills it on first use, which is sound because a profile never changes.
-    __slots__ = ("rankings", "positions", "_tournament")
+    __slots__ = ("rankings", "rank_of", "_tournament")
 
     def __init__(self, rankings):
         self._adopt(np.array(rankings, dtype=int))
@@ -70,34 +78,53 @@ class PreferenceProfile:
     def _adopt(self, arr):
         """Validate ``arr``, freeze it and keep it as the rankings.
 
-        ``positions[v, c]``, the rank of alternative ``c`` in agent ``v``'s
-        ordering, is the inverse permutation of each row, written by one
-        scatter into a table of ``-1``. The scatter is also the check: a row
-        of entries in ``0..M-1`` is a permutation exactly when it fills every
-        slot of its row. The range check is one ``min`` and one ``max``; only
-        when it fails are the rows with an entry out of range found and kept
-        out of the scatter, so the error still names the first bad agent.
+        ``rank_of``, the inverse permutation of each row laid out M x N, is
+        written by one flat scatter into a table filled with ``M``, a value
+        no rank takes and the narrow type still holds. The scatter is also
+        the check: a row of entries in ``0..M-1`` is a permutation exactly
+        when it fills every slot of its column. The range check is one
+        ``min`` and one ``max``; only when it fails are the rows with an
+        entry out of range found and kept out of the scatter, so the error
+        still names the first bad agent.
         """
         if arr.ndim != 2 or arr.size == 0:
             raise ValueError("rankings must be a nonempty 2-d table")
         n, m = arr.shape
-        order = np.arange(m)
+        order = np.arange(m, dtype=np.min_scalar_type(m))
         inside = arr
         outside = np.zeros(n, dtype=bool)
         if arr.min() < 0 or arr.max() >= m:
             outside = ((arr < 0) | (arr >= m)).any(axis=1)
             inside = np.where(outside[:, None], order, arr)
-        positions = np.full_like(arr, -1)
-        np.put_along_axis(positions, inside, order[None, :], axis=1)
-        if outside.any() or positions.min() < 0:
-            bad = outside | (positions < 0).any(axis=1)
+        # Slot (c, v) of the M x N table is flat index c * N + v. A 1-d index
+        # and values of its length take numpy's fastest scatter.
+        slots = inside * n
+        slots += np.arange(n)[:, None]
+        rank_of = np.full((m, n), m, dtype=order.dtype)
+        rank_of.ravel()[slots.ravel()] = np.tile(order, n)
+        del slots
+        if outside.any() or rank_of.max() == m:
+            bad = outside | (rank_of == m).any(axis=0)
             v = int(np.argmax(bad))
             raise ValueError(f"agent {v + 1}: ranking is not a permutation of 1..{m}")
         arr.setflags(write=False)
-        positions.setflags(write=False)
+        rank_of.setflags(write=False)
         self.rankings = arr
-        self.positions = positions
+        self.rank_of = rank_of
         self._tournament = None
+
+    @property
+    def positions(self) -> np.ndarray:
+        """``positions[v, c]``, the rank of alternative ``c`` for agent ``v``.
+
+        An N x M read-only int table, the transpose of ``rank_of``, built on
+        each read and not kept: only the metric polytope reads it, while it
+        builds its tables, and a profile that kept it would hold its ranks
+        twice for as long as it lives.
+        """
+        positions = np.ascontiguousarray(self.rank_of.T, dtype=int)
+        positions.setflags(write=False)
+        return positions
 
     @property
     def num_agents(self) -> int:
@@ -108,7 +135,16 @@ class PreferenceProfile:
         return self.rankings.shape[1]
 
     def with_agents_permuted(self, order) -> "PreferenceProfile":
-        return PreferenceProfile(self.rankings[np.asarray(order, dtype=int)])
+        """The profile whose agent ``v`` is this profile's agent ``order[v]``.
+
+        ``order`` must be a permutation of ``0..N-1``; anything else, such
+        as a repeated, missing or negative index, raises ``ValueError``.
+        """
+        order = np.asarray(order)
+        n = self.num_agents
+        if order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"order must be a permutation of 0..{n - 1}")
+        return PreferenceProfile(self.rankings[order])
 
     def __eq__(self, other):
         return isinstance(other, PreferenceProfile) and np.array_equal(
@@ -269,10 +305,9 @@ def _has_nonzero_lead(digit, digits, ends, width):
 
 def serialize_profile(profile: PreferenceProfile) -> str:
     """Canonical text form: single spaces, newline endings, 1-based indices."""
-    lines = [f"{profile.num_agents} {profile.num_alternatives}"]
-    for row in profile.rankings:
-        lines.append(" ".join(str(int(x) + 1) for x in row))
-    return "\n".join(lines) + "\n"
+    tokens = [str(c + 1) for c in range(profile.num_alternatives)]
+    rows = [" ".join([tokens[c] for c in row]) for row in profile.rankings.tolist()]
+    return f"{profile.num_agents} {profile.num_alternatives}\n" + "\n".join(rows) + "\n"
 
 
 def parse_cost_matrix(text) -> CostMatrix:

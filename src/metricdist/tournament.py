@@ -93,16 +93,17 @@ def build_weighted(profile) -> WeightedTournament:
     counted, and ``w(j, i) = N - w(i, j)``.
     """
     if profile._tournament is None:
-        # One alternative at a time over positions.T, so the temporaries are
-        # N x M rather than the N x M x M of a broadcast comparison. Positions
-        # are below M and counts at most N, so the narrowest unsigned types
-        # hold them, and narrow sums vectorize best.
+        # One alternative at a time over the profile's M x N rank table, so
+        # the temporaries are N x M rather than the N x M x M of a broadcast
+        # comparison. Ranks are stored narrow and counts are at most N, so
+        # the narrowest unsigned count type holds them, and narrow sums
+        # vectorize best.
         n, m = profile.num_agents, profile.num_alternatives
-        pos = np.ascontiguousarray(profile.positions.T, dtype=np.min_scalar_type(m))
+        ranks = profile.rank_of
         count = np.min_scalar_type(n)
         weights = np.zeros((m, m), dtype=int)
-        for i, row in enumerate(pos):
-            weights[i, i + 1 :] = np.less(row, pos[i + 1 :]).sum(axis=1, dtype=count)
+        for i, row in enumerate(ranks):
+            weights[i, i + 1 :] = np.less(row, ranks[i + 1 :]).sum(axis=1, dtype=count)
             weights[i + 1 :, i] = n - weights[i, i + 1 :]
         profile._tournament = WeightedTournament(weights, n)
     return profile._tournament

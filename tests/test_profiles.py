@@ -31,6 +31,7 @@ from metricdist.profiles import (
     top_choice_counts,
     warmup_instance,
 )
+from metricdist.tournament import build_weighted
 
 WARMUP_TEXT = "3 3\n1 2 3\n2 3 1\n3 1 2\n"
 
@@ -74,6 +75,29 @@ def test_profile_roundtrip_is_identity():
         profile = random_profile(int(rng.integers(1, 8)), int(rng.integers(1, 6)), rng)
         assert parse_profile(serialize_profile(profile)) == profile
     assert serialize_profile(parse_profile(WARMUP_TEXT)) == WARMUP_TEXT
+
+
+def _serialize_entrywise(profile):
+    """One ``str`` call per entry: the plain form the serializer must reproduce."""
+    lines = [f"{profile.num_agents} {profile.num_alternatives}"]
+    for row in profile.rankings:
+        lines.append(" ".join(str(int(x) + 1) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_serialize_profile_matches_the_entrywise_form():
+    rng = np.random.default_rng(61)
+    shapes = [(1, 1), (1, 12), (12, 1), (3, 100), (2, 1001)]
+    shapes += [(int(rng.integers(1, 40)), int(rng.integers(1, 120))) for _ in range(20)]
+    for n, m in shapes:
+        profile = PreferenceProfile(np.argsort(rng.random((n, m)), axis=1))
+        assert serialize_profile(profile) == _serialize_entrywise(profile)
+
+
+def test_serialize_profile_parses_back_at_scale():
+    rankings = np.argsort(np.random.default_rng(67).random((16000, 30)), axis=1)
+    profile = PreferenceProfile(rankings)
+    assert parse_profile(serialize_profile(profile)) == profile
 
 
 def test_cost_matrix_roundtrip_is_bit_exact():
@@ -199,6 +223,23 @@ def test_labeled_instance_checks_its_metric(rankings, costs, message):
 def test_profile_rejects_non_permutation():
     with pytest.raises(ValueError):
         PreferenceProfile([[0, 0]])
+
+
+@pytest.mark.parametrize(
+    "order",
+    [[0, 0, 0], [1], [-1, 0], [0, 0], [1, 2], [1.0, 0.0], [True, False], [[1, 0]], []],
+)
+def test_with_agents_permuted_rejects_anything_but_a_permutation(order):
+    profile = PreferenceProfile([[0, 1, 2], [2, 1, 0]])
+    with pytest.raises(ValueError, match=r"^order must be a permutation of 0\.\.1$"):
+        profile.with_agents_permuted(order)
+
+
+def test_with_agents_permuted_reorders_the_agents():
+    profile = PreferenceProfile([[0, 1, 2], [2, 1, 0], [1, 0, 2]])
+    for order in ([2, 0, 1], np.array([2, 0, 1], dtype=np.uint8)):
+        shuffled = profile.with_agents_permuted(order)
+        assert shuffled.rankings.tolist() == [[1, 0, 2], [0, 1, 2], [2, 1, 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +464,37 @@ def test_profile_constructor_matches_argsort_and_first_bad_agent():
             PreferenceProfile(bad)
 
 
+# Rank values at the edges of the narrow rank type (M - 1 and the fill value
+# M), and agent counts at the edges of the narrow count type; the largest N
+# is paired with small M only, to keep the tables small.
+NARROW_EDGES = [(n, m) for m in (1, 2, 255, 256, 257) for n in (1, 255, 256)]
+NARROW_EDGES += [(n, m) for n in (65535, 65536) for m in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n, m", NARROW_EDGES)
+def test_rank_tables_and_first_bad_agent_at_the_narrow_type_edges(n, m):
+    rng = np.random.default_rng(n * 1000 + m)
+    rankings = np.argsort(rng.random((n, m)), axis=1)
+    profile = PreferenceProfile(rankings)
+    expected = np.argsort(rankings, axis=1)
+    assert profile.rank_of.dtype == np.min_scalar_type(m)
+    assert np.array_equal(profile.rank_of, expected.T)
+    assert profile.positions.dtype == expected.dtype
+    assert np.array_equal(profile.positions, expected)
+    assert not profile.positions.flags.writeable
+    assert not profile.rank_of.flags.writeable
+    agents = rng.choice(n, size=min(n, 3), replace=False)
+    first = int(agents.min()) + 1
+    message = rf"^agent {first}: ranking is not a permutation of 1\.\.{m}$"
+    # Out of range above and below, and each bad agent's first choice repeated
+    # as its last (with M = 1 those are one entry).
+    for entry in [m, -1] + ([rankings[agents, 0]] if m > 1 else []):
+        bad = rankings.copy()
+        bad[agents, -1] = entry
+        with pytest.raises(ValueError, match=message):
+            PreferenceProfile(bad)
+
+
 def test_vectorized_parse_holds_no_copy_of_its_token_array():
     n, m = 4000, 20
     rankings = np.argsort(np.random.default_rng(47).random((n, m)), axis=1)
@@ -439,6 +511,25 @@ def test_vectorized_parse_holds_no_copy_of_its_token_array():
     # its mask; a copy of the token array would add one more table.
     assert peak - len(text) < 2.5 * table, peak
     assert not profile.rankings.flags.writeable
+
+
+def test_parse_and_tournament_build_hold_no_int_positions_table():
+    n, m = 4000, 20
+    rankings = np.argsort(np.random.default_rng(71).random((n, m)), axis=1)
+    text = serialize_profile(PreferenceProfile(rankings))
+    table = n * m * np.dtype(int).itemsize
+    tracemalloc.start()
+    try:
+        profile = parse_profile(text)
+        build_weighted(profile)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(profile.rankings, rankings)
+    assert peak - len(text) < 2.5 * table, peak
+    # What stays is the int rankings, the narrow rank table and the M x M
+    # counts; an int positions table would add one more table.
+    assert held < 1.5 * table, held
 
 
 def test_profile_copies_and_freezes_a_caller_array():

@@ -124,11 +124,13 @@ def test_weighted_tournament_built_once_matches_broadcast(seed):
     shapes += [(int(rng.integers(1, 40)), int(rng.integers(1, 12))) for _ in range(20)]
     # Counts at the edges of the narrow types that sum them.
     shapes += [(255, 4), (256, 4), (65535, 2), (65536, 2)]
+    # Ranks at the edges of the narrow types that hold them.
+    shapes += [(n, m) for m in (255, 256, 257) for n in (1, 255, 256)]
     for n, m in shapes:
         profile = random_profile(n, m, rng)
         tournament = build_weighted(profile)
         assert build_weighted(profile) is tournament
-        pos = profile.positions
+        pos = np.argsort(profile.rankings, axis=1)
         expected = (pos[:, :, None] < pos[:, None, :]).sum(0)
         assert tournament.weights.dtype == expected.dtype
         assert np.array_equal(tournament.weights, expected)
